@@ -576,7 +576,7 @@ def channel_from_config(cfg: Mapping) -> PauliChannel | ProductChannel:
                 raise ConfigError(f"qubits[{i}] must hold 16 reals (row-major 4x4)")
             ptms.append(arr.reshape(4, 4))
         try:
-            return ProductChannel(np.stack(ptms))
+            return ProductChannel(np.stack(ptms), strict_cp=True)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     raise ConfigError(f"unknown channel kind {kind!r}")

@@ -186,7 +186,10 @@ def backward_observable_general(
     )
 
 
-def _combine(back: BackwardObservable, expectations: Mapping[PauliString, float]) -> float:
+def recover_expectation(
+    back: BackwardObservable, expectations: Mapping[PauliString, float]
+) -> float:
+    """f = sum_P alpha_bar_P tr(P E(sigma)); the identity term multiplies 1."""
     total = 0.0
     for p, coeff in back.terms.items():
         if p.is_identity:
@@ -198,19 +201,6 @@ def _combine(back: BackwardObservable, expectations: Mapping[PauliString, float]
                 raise KeyError(f"no noisy expectation supplied for {p}") from None
         total += coeff * value
     return total
-
-
-def recover_expectation(
-    back: BackwardObservable, expectations: Mapping[PauliString, float]
-) -> float:
-    """f = sum_P alpha_bar_P tr(P E(sigma)); the identity term multiplies 1."""
-    return _combine(back, expectations)
-
-
-def recover_expectation_general(
-    back: BackwardObservable, expectations: Mapping[PauliString, float]
-) -> float:
-    return _combine(back, expectations)
 
 
 def recovery_report(

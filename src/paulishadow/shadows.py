@@ -15,6 +15,24 @@ whose per-record value is 0 or +-3^|P|; the eigenvalue estimate is
 accumulate signed integer counts (no floating-point summation error) and are
 mergeable across blocks.
 
+Estimation
+----------
+Each record falls in one of 36 cells per qubit (s axis, s sign, t axis,
+t sign), and ``ShadowCounts`` holds the joint 36^n histogram (n <= 4).
+Contracting it once, qubit by qubit, against the (16, 36) table of
+per-qubit factors gives the 16^n *moment table*: the entry at mixed-radix
+index sum_j (P_j * 4 + Q_j) * 16^(n-1-j), with letter codes I=0, X=1, Y=2,
+Z=3 and qubit 0 most significant, is the numerator of (P, Q): the sum over
+records of prod_j tr(P_j s_j) tr(Q_j (3 t_j - I)).  Every eigenvalue,
+transfer entry and gate estimate is one lookup, ``3^|P| * numer / N``.
+The contraction is an int64 matmul and every numerator is an integer below
+2^53, so each estimate is the same float as a per-record sum would give.
+Past the cap, each (P, Q) is read from the table of its union support,
+built from that support's marginal histogram: weight <= k supports for
+eigenvalues, <= 2k for transfer entries.  One 36^w histogram and its 16^w
+table live at a time.  A support wider than four qubits keeps a four-qubit
+table, and the records' factors on the other qubits weight its histogram.
+
 Randomness
 ----------
 Sampling uses the counter-based Philox generator.  Records are produced in
@@ -44,6 +62,9 @@ from .paulis import (
 )
 
 AXES = "XYZ"
+_AXIS_BYTES = np.frombuffer(AXES.encode(), np.uint8)
+_AXIS_CODES = np.full(256, -1, dtype=np.int8)
+_AXIS_CODES[_AXIS_BYTES] = np.arange(3)
 DEFAULT_BLOCK_SIZE = 1 << 16
 COUNTS_QUBIT_CAP = 4  # 36^n histogram cells
 
@@ -98,58 +119,44 @@ class ShadowRecords:
     # one record per line: "s:Z+X- t:Z-Y+"
 
     def to_lines(self) -> list[str]:
-        out = []
-        for i in range(len(self)):
-            s = "".join(
-                AXES[self.s_axis[i, j]] + ("+" if self.s_sign[i, j] > 0 else "-")
-                for j in range(self.n)
-            )
-            t = "".join(
-                AXES[self.t_axis[i, j]] + ("+" if self.t_sign[i, j] > 0 else "-")
-                for j in range(self.n)
-            )
-            out.append(f"s:{s} t:{t}")
-        return out
+        n = self.n
+        text = np.empty((len(self), 4 * n + 6), dtype=np.uint8)
+        text[:, :2] = np.frombuffer(b"s:", np.uint8)
+        text[:, 2 * n + 2 : 2 * n + 5] = np.frombuffer(b" t:", np.uint8)
+        text[:, -1] = ord("\n")
+        sides = ((2, self.s_axis, self.s_sign), (2 * n + 5, self.t_axis, self.t_sign))
+        for at, axis, sign in sides:
+            text[:, at : at + 2 * n : 2] = _AXIS_BYTES[axis]
+            text[:, at + 1 : at + 2 * n : 2] = np.where(sign > 0, ord("+"), ord("-"))
+        return text.tobytes().decode("ascii").splitlines()
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "ShadowRecords":
-        s_axis, s_sign, t_axis, t_sign = [], [], [], []
-        n = None
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2 or not parts[0].startswith("s:") or not parts[1].startswith("t:"):
-                raise ValueError(f"line {lineno}: expected 's:... t:...', got {raw!r}")
-            pairs = []
-            for chunk in (parts[0][2:], parts[1][2:]):
-                if len(chunk) % 2:
-                    raise ValueError(f"line {lineno}: odd-length record {chunk!r}")
-                axes, signs = [], []
-                for pos in range(0, len(chunk), 2):
-                    axis = AXES.find(chunk[pos])
-                    if axis < 0 or chunk[pos + 1] not in "+-":
-                        raise ValueError(f"line {lineno}: bad qubit token {chunk[pos:pos+2]!r}")
-                    axes.append(axis)
-                    signs.append(1 if chunk[pos + 1] == "+" else -1)
-                pairs.append((axes, signs))
-            if n is None:
-                n = len(pairs[0][0])
-            if len(pairs[0][0]) != n or len(pairs[1][0]) != n:
-                raise ValueError(f"line {lineno}: qubit count differs from {n}")
-            s_axis.append(pairs[0][0])
-            s_sign.append(pairs[0][1])
-            t_axis.append(pairs[1][0])
-            t_sign.append(pairs[1][1])
-        if n is None:
+        lines = [" ".join(raw.split()) for raw in lines]
+        first = next((line for line in lines if line and line[0] != "#"), None)
+        if first is None:
             raise ValueError("no records found")
-        return cls(
-            np.array(s_axis, dtype=np.int8),
-            np.array(s_sign, dtype=np.int8),
-            np.array(t_axis, dtype=np.int8),
-            np.array(t_sign, dtype=np.int8),
+        n = max(len(first) - 5, 0) // 4
+        # One code point per column; a longer line shows in the last column.
+        text = np.array(lines, dtype=f"U{4 * n + 6}")
+        text = np.minimum(text.view(np.uint32).reshape(len(lines), 4 * n + 6), 255)
+        kept = np.flatnonzero((text[:, 0] != 0) & (text[:, 0] != ord("#")))
+        text = text[kept]
+        axes = np.r_[2 : 2 * n + 2 : 2, 2 * n + 5 : 4 * n + 5 : 2]
+        ok = (
+            (text[:, :2] == [ord("s"), ord(":")]).all(axis=1)
+            & (text[:, 2 * n + 2 : 2 * n + 5] == [ord(" "), ord("t"), ord(":")]).all(axis=1)
+            & (_AXIS_CODES[text[:, axes]] >= 0).all(axis=1)
+            & np.isin(text[:, axes + 1], [ord("+"), ord("-")]).all(axis=1)
+            & (text[:, 4 * n + 5 :] == 0).all(axis=1)
         )
+        if not ok.all():
+            row = kept[np.argmin(ok)]
+            raise ValueError(f"line {row + 1}: expected 's:... t:...' with {n} qubits a side, "
+                             f"got {lines[row]!r}")
+        axis = _AXIS_CODES[text[:, axes]]
+        sign = np.where(text[:, axes + 1] == ord("+"), 1, -1).astype(np.int8)
+        return cls(axis[:, :n], sign[:, :n], axis[:, n:], sign[:, n:])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -260,56 +267,52 @@ def sample_channel_shadows(
 # -- estimation ----------------------------------------------------------------
 
 
-def _signed_numerator(records: ShadowRecords, in_pauli: PauliString | None,
-                      out_pauli: PauliString) -> int:
-    """Sum over records of the signed match indicator; exact integer.
-
-    The per-record estimator value is 3^|out| times this indicator, with the
-    input-side factor using ``in_pauli`` against s and the output side using
-    ``out_pauli`` against t.
-    """
-    count = len(records)
-    mask = np.ones(count, dtype=bool)
-    parity = np.ones(count, dtype=np.int8)
-    if in_pauli is not None:
-        for j in range(records.n):
-            code = in_pauli.letter_code(j)
-            if code == 0:
-                continue
-            mask &= records.s_axis[:, j] == code - 1
-            parity = parity * records.s_sign[:, j]
-    for j in range(records.n):
-        code = out_pauli.letter_code(j)
-        if code == 0:
-            continue
-        mask &= records.t_axis[:, j] == code - 1
-        parity = parity * records.t_sign[:, j]
-    return int(parity[mask].sum(dtype=np.int64))
-
-
-_CELL_FACTORS: np.ndarray | None = None
-
-
 def _cell_factor_table() -> np.ndarray:
-    """(4, 4, 36) table: per-qubit estimator factor by (in letter, out letter, cell)."""
-    global _CELL_FACTORS
-    if _CELL_FACTORS is None:
-        table = np.zeros((4, 4, 36))
-        for cell in range(36):
-            sa, rem = divmod(cell, 12)
-            sbit, rem = divmod(rem, 6)
-            ta, tbit = divmod(rem, 2)
-            s_sign = 1 - 2 * sbit
-            t_sign = 1 - 2 * tbit
-            for in_code in range(4):
-                f_in = 1.0 if in_code == 0 else (s_sign if sa == in_code - 1 else 0.0)
-                for out_code in range(4):
-                    f_out = (
-                        1.0 if out_code == 0 else (3.0 * t_sign if ta == out_code - 1 else 0.0)
-                    )
-                    table[in_code, out_code, cell] = f_in * f_out
-        _CELL_FACTORS = table
-    return _CELL_FACTORS
+    """(16, 36) table: per-qubit estimator factor by (in*4 + out letter, cell)."""
+    cell = np.arange(36)
+    s_axis, s_bit, t_axis, t_bit = cell // 12, cell // 6 % 2, cell // 2 % 3, cell % 2
+    letter = np.arange(4)[:, None]
+    f_in = np.where(letter == 0, 1, np.where(letter == s_axis + 1, 1 - 2 * s_bit, 0))
+    f_out = np.where(letter == 0, 1, np.where(letter == t_axis + 1, 3 - 6 * t_bit, 0))
+    return (f_in[:, None, :] * f_out[None, :, :]).reshape(16, 36).astype(np.int64)
+
+
+_CELL_FACTORS = _cell_factor_table()
+
+
+def _cells(records: ShadowRecords) -> np.ndarray:
+    """(n, N) cell of every qubit of every record: (s_axis, s_sign, t_axis,
+    t_sign) in mixed radix (3, 2, 3, 2), a negative sign counting as 1."""
+    cells = (records.s_axis * 2 + (records.s_sign < 0)) * 6
+    cells += records.t_axis * 2 + (records.t_sign < 0)
+    return np.ascontiguousarray(cells.T)
+
+
+def _joint_cells(cells: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """Joint cell of every record on ``qubits``, first qubit most significant."""
+    codes = np.zeros(cells.shape[1], dtype=np.int64)
+    for j in qubits:
+        codes = codes * 36 + cells[j]
+    return codes
+
+
+def _moment_table(hist: np.ndarray, w: int) -> np.ndarray:
+    """Contract a 36^w histogram into its 16^w moment table, last qubit first."""
+    table = hist
+    for i in range(w):
+        table = np.matmul(_CELL_FACTORS, table.reshape(36 ** (w - 1 - i), 36, 16**i))
+    return table.reshape(-1)
+
+
+def _letters(in_pauli: PauliString, out_pauli: PauliString, qubits) -> list[int]:
+    return [in_pauli.letter_code(j) * 4 + out_pauli.letter_code(j) for j in qubits]
+
+
+def _table_index(letters: Sequence[int]) -> int:
+    index = 0
+    for letter in letters:
+        index = index * 16 + letter
+    return index
 
 
 class ShadowCounts:
@@ -327,6 +330,7 @@ class ShadowCounts:
         self.n = n
         self.counts = np.zeros(36**n, dtype=np.int64)
         self.n_records = 0
+        self._moments: np.ndarray | None = None
 
     @classmethod
     def from_records(cls, records: ShadowRecords) -> "ShadowCounts":
@@ -344,16 +348,11 @@ class ShadowCounts:
     def update(self, records: ShadowRecords) -> None:
         if records.n != self.n:
             raise ValueError(f"records have n={records.n}, counts have n={self.n}")
-        codes = np.zeros(len(records), dtype=np.int64)
-        for j in range(self.n):
-            cell = (
-                (records.s_axis[:, j].astype(np.int64) * 2 + (records.s_sign[:, j] < 0)) * 6
-                + records.t_axis[:, j] * 2
-                + (records.t_sign[:, j] < 0)
-            )
-            codes = codes * 36 + cell
-        self.counts += np.bincount(codes, minlength=36**self.n)
+        for start in range(0, len(records), DEFAULT_BLOCK_SIZE):  # bounds the temporaries
+            block = records[start : start + DEFAULT_BLOCK_SIZE]
+            np.add.at(self.counts, _joint_cells(_cells(block), range(self.n)), 1)
         self.n_records += len(records)
+        self._moments = None
 
     def merge(self, other: "ShadowCounts") -> "ShadowCounts":
         if other.n != self.n:
@@ -363,44 +362,67 @@ class ShadowCounts:
         out.n_records = self.n_records + other.n_records
         return out
 
-    def signed_numerator(self, in_pauli: PauliString | None, out_pauli: PauliString) -> float:
-        table = _cell_factor_table()
-        tensor = self.counts.reshape((36,) * self.n).astype(float)
-        for j in range(self.n):
-            in_code = 0 if in_pauli is None else in_pauli.letter_code(j)
-            factors = table[in_code, out_pauli.letter_code(j)]
-            tensor = np.tensordot(tensor, factors, axes=[(0,), (0,)])
-        return float(tensor)
+    def moments(self) -> np.ndarray:
+        """The 16^n moment table, built on first use after each update."""
+        if self._moments is None:
+            self._moments = _moment_table(self.counts, self.n)
+        return self._moments
 
 
-def _as_counts_or_records(source, n: int) -> ShadowCounts | ShadowRecords:
-    if isinstance(source, (ShadowCounts, ShadowRecords)):
-        if source.n != n:
-            raise ValueError(f"source has n={source.n}, expected {n}")
-        if isinstance(source, ShadowRecords) and n <= COUNTS_QUBIT_CAP:
-            return ShadowCounts.from_records(source)
-        return source
-    # A stream of record blocks.
-    return ShadowCounts.accumulate(source, n)
+def _marginal_numerators(records: ShadowRecords, pairs) -> list[int]:
+    """Numerators past the joint cap, from one moment table per union support.
+
+    A support wider than the cap splits into a head and a cap-wide tail: the
+    head's letters weight each record by its factor there, and the table
+    covers the tail.  Each table is read, then dropped.
+    """
+    cells = _cells(records)
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for i, (p, q) in enumerate(pairs):
+        support = tuple(sorted(set(p.support()) | set(q.support())))
+        head, tail = support[:-COUNTS_QUBIT_CAP], support[-COUNTS_QUBIT_CAP:]
+        key = (head, tuple(_letters(p, q, head)), tail)
+        groups.setdefault(key, []).append((i, _table_index(_letters(p, q, tail))))
+    numers = [0] * len(pairs)
+    for (head, head_letters, tail), members in groups.items():
+        weights = None
+        if head:
+            weights = np.ones(len(records), dtype=np.int64)
+            for j, letter in zip(head, head_letters):
+                weights *= _CELL_FACTORS[letter, cells[j]]
+        # Integer weights keep the float histogram exact below 2^53.
+        hist = np.bincount(_joint_cells(cells, tail), weights, minlength=36 ** len(tail))
+        table = _moment_table(hist.astype(np.int64, copy=False), len(tail))
+        for i, index in members:
+            numers[i] = int(table[index])
+    return numers
 
 
-def _numerator(source: ShadowCounts | ShadowRecords, in_pauli, out_pauli) -> float:
-    if isinstance(source, ShadowCounts):
-        return source.signed_numerator(in_pauli, out_pauli)
-    # Direct per-record path for n beyond the histogram cap.
-    return 3.0 ** out_pauli.weight * _signed_numerator(source, in_pauli, out_pauli)
+def _numerators(source, n: int, pairs) -> tuple[int, list[int]]:
+    """Record count and the exact numerator of every (input, output) pair.
 
-
-def _record_total(source: ShadowCounts | ShadowRecords) -> int:
-    return source.n_records if isinstance(source, ShadowCounts) else len(source)
+    ``source`` is a ShadowCounts, a ShadowRecords, or a stream of record
+    blocks; records up to the joint cap are reduced to counts first.
+    """
+    if not isinstance(source, (ShadowCounts, ShadowRecords)):
+        source = ShadowCounts.accumulate(source, n)
+    if source.n != n:
+        raise ValueError(f"source has n={source.n}, expected {n}")
+    if isinstance(source, ShadowRecords) and n <= COUNTS_QUBIT_CAP:
+        source = ShadowCounts.from_records(source)
+    total = source.n_records if isinstance(source, ShadowCounts) else len(source)
+    if total == 0:
+        raise ValueError("no records")
+    if isinstance(source, ShadowRecords):
+        return total, _marginal_numerators(source, pairs)
+    table = source.moments()
+    return total, [int(table[_table_index(_letters(p, q, range(n)))]) for p, q in pairs]
 
 
 def estimate_x(records: ShadowRecords | ShadowCounts, p: PauliString) -> float:
     """x_hat(P): mean per-record estimator value (no 3^|P| rescaling)."""
-    total = _record_total(records)
-    if total == 0:
-        raise ValueError("no records")
-    return _numerator(records, p, p) / total
+    total, (numer,) = _numerators(records, records.n, [(p, p)])
+    return numer / total
 
 
 @dataclass
@@ -444,15 +466,9 @@ def estimate_eigenvalues(
     k: int,
 ) -> EigenvalueEstimates:
     """lambda_hat(P) = 3^|P| x_hat(P) for every weight <= k string."""
-    source = _as_counts_or_records(source, n)
-    total = _record_total(source)
-    if total == 0:
-        raise ValueError("no records")
-    values: dict[PauliString, float] = {}
-    for p in enumerate_low_weight(n, k):
-        if p.is_identity:
-            continue
-        values[p] = 3.0 ** p.weight * _numerator(source, p, p) / total
+    strings = [p for p in enumerate_low_weight(n, k) if not p.is_identity]
+    total, numers = _numerators(source, n, [(p, p) for p in strings])
+    values = {p: 3.0 ** p.weight * numer / total for p, numer in zip(strings, numers)}
     return EigenvalueEstimates(n, values, total)
 
 
@@ -460,12 +476,10 @@ def estimate_transfer_entry(
     records: ShadowRecords | ShadowCounts, in_pauli: PauliString, out_pauli: PauliString
 ) -> float:
     """lambda_hat_P(Q) = 3^|P| x_hat(P, Q): input side against s, output against t."""
-    total = _record_total(records)
-    if total == 0:
-        raise ValueError("no records")
+    total, (numer,) = _numerators(records, records.n, [(in_pauli, out_pauli)])
     if out_pauli.is_identity:
         return 1.0 if in_pauli.is_identity else 0.0
-    return 3.0 ** in_pauli.weight * _numerator(records, in_pauli, out_pauli) / total
+    return 3.0 ** in_pauli.weight * numer / total
 
 
 def estimate_transfer_matrix(
@@ -478,23 +492,19 @@ def estimate_transfer_matrix(
     Entries with |P| > |Q| are structurally zero under the weight-contracting
     assumption and are pinned to 0; the identity column is exact.
     """
-    source = _as_counts_or_records(source, n)
-    total = _record_total(source)
-    if total == 0:
-        raise ValueError("no records")
     basis = tuple(enumerate_low_weight(n, k))
-    size = len(basis)
-    matrix = np.zeros((size, size))
+    entries = [
+        (row, col)
+        for col, q in enumerate(basis)
+        if not q.is_identity
+        for row, p in enumerate(basis)
+        if p.weight <= q.weight
+    ]
+    total, numers = _numerators(source, n, [(basis[r], basis[c]) for r, c in entries])
+    matrix = np.zeros((len(basis), len(basis)))
     matrix[0, 0] = 1.0  # identity column: lambda_P(I) = delta_PI
-    for col, q in enumerate(basis):
-        if q.is_identity:
-            continue
-        for row, p in enumerate(basis):
-            if p.weight > q.weight:
-                continue
-            matrix[row, col] = (
-                3.0 ** p.weight * _numerator(source, p, q) / total
-            )
+    for (row, col), numer in zip(entries, numers):
+        matrix[row, col] = 3.0 ** basis[row].weight * numer / total
     return TransferMatrix(n, k, basis, matrix)
 
 
@@ -616,17 +626,14 @@ def estimate_gate_eigenvalues(
     g = gate_arity(kind)
     if records.n != g:
         raise ValueError(f"{kind} records must have n={g}, got {records.n}")
-    total = _record_total(records)
-    if total == 0:
-        raise ValueError("no records")
-    values: dict[PauliString, float] = {}
     qubits = tuple(range(g))
-    for p in iter_all_paulis(g):
-        if p.is_identity:
-            continue
-        back = conjugate_pauli(kind, qubits, p)
-        numer = _numerator(records, back.unsigned(), p)
-        values[p] = back.sign * 3.0 ** back.weight * numer / total
+    strings = [p for p in iter_all_paulis(g) if not p.is_identity]
+    backs = [conjugate_pauli(kind, qubits, p) for p in strings]
+    total, numers = _numerators(records, g, list(zip(backs, strings)))
+    values = {
+        p: back.sign * 3.0 ** back.weight * numer / total
+        for p, back, numer in zip(strings, backs, numers)
+    }
     return EigenvalueEstimates(g, values, total)
 
 

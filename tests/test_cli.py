@@ -126,6 +126,19 @@ def test_learn_missing_channel_file_exits_one(tmp_path, capsys):
     assert rc == 1
 
 
+def test_non_completely_positive_ptm_config_exits_one(tmp_path, capsys):
+    # diag(1, 1.3, 1, 1) is trace preserving but has Choi defect 0.075; the
+    # sampler would clip its outcome probabilities and estimate 1.0, not 1.3
+    path = tmp_path / "stretch.json"
+    path.write_text(json.dumps({"kind": "ptm-product", "qubits": [
+        [1, 0, 0, 0, 0, 1.3, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]]}))
+    out = tmp_path / "x.csv"
+    rc = cli.main(["learn", "--channel", str(path), "--k", "1", "--out", str(out)])
+    assert rc == 1
+    assert "not completely positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- recover -------------------------------------------------------------------
 
 

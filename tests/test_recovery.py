@@ -23,7 +23,6 @@ from paulishadow.recovery import (
     backward_observable,
     backward_observable_general,
     recover_expectation,
-    recover_expectation_general,
     recovery_report,
     solve_upper_block_triangular,
 )
@@ -213,7 +212,7 @@ def test_exact_recovery_identity_general_channel():
         expectations = {
             p: exact.expectation(p, noisy) for p in back.support() if not p.is_identity
         }
-        got = recover_expectation_general(back, expectations)
+        got = recover_expectation(back, expectations)
         want = exact.expectation(obs, state)
         assert got == pytest.approx(want, abs=1e-10)
 
