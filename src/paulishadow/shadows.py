@@ -32,6 +32,9 @@ built from that support's marginal histogram: weight <= k supports for
 eigenvalues, <= 2k for transfer entries.  One 36^w histogram and its 16^w
 table live at a time.  A support wider than four qubits keeps a four-qubit
 table, and the records' factors on the other qubits weight its histogram.
+When only a few moments are read, a table costs more than it saves: a
+histogram is then contracted once per pair, and past the cap a support's
+records are summed one by one.
 
 Randomness
 ----------
@@ -67,6 +70,9 @@ _AXIS_CODES = np.full(256, -1, dtype=np.int8)
 _AXIS_CODES[_AXIS_BYTES] = np.arange(3)
 DEFAULT_BLOCK_SIZE = 1 << 16
 COUNTS_QUBIT_CAP = 4  # 36^n histogram cells
+# A 16^w moment table costs about as much as this many single-moment
+# contractions of a 36^w histogram, or three times as many record-qubit scans.
+_TABLE_COST = 20
 
 
 # -- records -------------------------------------------------------------------
@@ -304,6 +310,13 @@ def _moment_table(hist: np.ndarray, w: int) -> np.ndarray:
     return table.reshape(-1)
 
 
+def _contract(hist: np.ndarray, letters: Sequence[int]) -> int:
+    """One moment of a 36^w histogram, its axes contracted last qubit first."""
+    for letter in reversed(letters):
+        hist = np.matmul(hist.reshape(-1, 36), _CELL_FACTORS[letter])
+    return int(hist[0])
+
+
 def _letters(in_pauli: PauliString, out_pauli: PauliString, qubits) -> list[int]:
     return [in_pauli.letter_code(j) * 4 + out_pauli.letter_code(j) for j in qubits]
 
@@ -330,7 +343,6 @@ class ShadowCounts:
         self.n = n
         self.counts = np.zeros(36**n, dtype=np.int64)
         self.n_records = 0
-        self._moments: np.ndarray | None = None
 
     @classmethod
     def from_records(cls, records: ShadowRecords) -> "ShadowCounts":
@@ -352,7 +364,6 @@ class ShadowCounts:
             block = records[start : start + DEFAULT_BLOCK_SIZE]
             np.add.at(self.counts, _joint_cells(_cells(block), range(self.n)), 1)
         self.n_records += len(records)
-        self._moments = None
 
     def merge(self, other: "ShadowCounts") -> "ShadowCounts":
         if other.n != self.n:
@@ -363,10 +374,17 @@ class ShadowCounts:
         return out
 
     def moments(self) -> np.ndarray:
-        """The 16^n moment table, built on first use after each update."""
-        if self._moments is None:
-            self._moments = _moment_table(self.counts, self.n)
-        return self._moments
+        """The 16^n moment table of the current counts."""
+        return _moment_table(self.counts, self.n)
+
+
+def _record_factors(cells: np.ndarray, qubits, letters, weights=None) -> np.ndarray | None:
+    """Each record's exact integer factor on ``qubits`` for the given letters,
+    times ``weights``; None stands for all ones."""
+    for j, letter in zip(qubits, letters):
+        factor = _CELL_FACTORS[letter, cells[j]]
+        weights = factor if weights is None else weights * factor
+    return weights
 
 
 def _marginal_numerators(records: ShadowRecords, pairs) -> list[int]:
@@ -374,27 +392,29 @@ def _marginal_numerators(records: ShadowRecords, pairs) -> list[int]:
 
     A support wider than the cap splits into a head and a cap-wide tail: the
     head's letters weight each record by its factor there, and the table
-    covers the tail.  Each table is read, then dropped.
+    covers the tail.  Each table is read, then dropped.  A group with few
+    members is summed record by record instead (see ``_TABLE_COST``).
     """
     cells = _cells(records)
-    groups: dict[tuple, list[tuple[int, int]]] = {}
+    groups: dict[tuple, list[tuple[int, list[int]]]] = {}
     for i, (p, q) in enumerate(pairs):
         support = tuple(sorted(set(p.support()) | set(q.support())))
         head, tail = support[:-COUNTS_QUBIT_CAP], support[-COUNTS_QUBIT_CAP:]
         key = (head, tuple(_letters(p, q, head)), tail)
-        groups.setdefault(key, []).append((i, _table_index(_letters(p, q, tail))))
+        groups.setdefault(key, []).append((i, _letters(p, q, tail)))
     numers = [0] * len(pairs)
     for (head, head_letters, tail), members in groups.items():
-        weights = None
-        if head:
-            weights = np.ones(len(records), dtype=np.int64)
-            for j, letter in zip(head, head_letters):
-                weights *= _CELL_FACTORS[letter, cells[j]]
+        weights = _record_factors(cells, head, head_letters)
+        if 3 * len(members) * len(records) * len(tail) < _TABLE_COST * 36 ** len(tail):
+            for i, letters in members:
+                factors = _record_factors(cells, tail, letters, weights)
+                numers[i] = len(records) if factors is None else int(factors.sum())
+            continue
         # Integer weights keep the float histogram exact below 2^53.
         hist = np.bincount(_joint_cells(cells, tail), weights, minlength=36 ** len(tail))
         table = _moment_table(hist.astype(np.int64, copy=False), len(tail))
-        for i, index in members:
-            numers[i] = int(table[index])
+        for i, letters in members:
+            numers[i] = int(table[_table_index(letters)])
     return numers
 
 
@@ -415,8 +435,11 @@ def _numerators(source, n: int, pairs) -> tuple[int, list[int]]:
         raise ValueError("no records")
     if isinstance(source, ShadowRecords):
         return total, _marginal_numerators(source, pairs)
+    letters = [_letters(p, q, range(n)) for p, q in pairs]
+    if len(pairs) < _TABLE_COST:
+        return total, [_contract(source.counts, pair_letters) for pair_letters in letters]
     table = source.moments()
-    return total, [int(table[_table_index(_letters(p, q, range(n)))]) for p, q in pairs]
+    return total, [int(table[_table_index(pair_letters)]) for pair_letters in letters]
 
 
 def estimate_x(records: ShadowRecords | ShadowCounts, p: PauliString) -> float:
