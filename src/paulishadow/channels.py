@@ -499,28 +499,6 @@ def channel_from_eigenvalue_vector(n: int, eigenvalues: np.ndarray,
     return PauliChannel(n, terms=terms)
 
 
-# -- single-record error action ------------------------------------------------
-
-
-def apply_error_to_eigenstate(
-    q: PauliString, axes: Sequence[int], signs: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """Apply a Pauli error to a product eigenstate label.
-
-    ``axes[j]`` in {0,1,2} (X,Y,Z) and ``signs[j]`` in {+1,-1} describe the
-    eigenstate of qubit j.  The axis never changes; the sign flips exactly
-    where the error letter anticommutes with the axis letter.
-    """
-    if len(axes) != q.n or len(signs) != q.n:
-        raise ValueError(f"expected {q.n} axis/sign entries")
-    new_signs = []
-    for j, (axis, sign) in enumerate(zip(axes, signs)):
-        code = q.letter_code(j)
-        flips = code != 0 and code != axis + 1
-        new_signs.append(-sign if flips else sign)
-    return list(axes), new_signs
-
-
 # -- configuration (JSON) ------------------------------------------------------
 
 

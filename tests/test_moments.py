@@ -1,14 +1,14 @@
 """Moment tables against a per-record brute force, and records text I/O.
 
-Every estimator reads an exact integer numerator off a moment table.  The
-oracle here is the direct scan: for each (input, output) Pauli pair, mask the
-records whose prepared and measured axes match every letter and sum their
-sign parities.  Both sides are exact integers, so they must agree bit for
-bit on any records, on either side of the joint-histogram cap.  A numerator comes from
-a moment table or, when only a few are read, directly: a per-pair contraction
-of the histogram, or past the cap a record-by-record sum.  Tests marked
-``BOTH_PATHS`` force each in turn.  Property tests are derandomized,
-so every run draws the same examples.
+Every estimator reads an exact integer numerator off a moment table or,
+when only a few are read, directly: a per-pair contraction of the histogram,
+or past the joint-histogram cap a record-by-record sum.  Tests marked
+``BOTH_PATHS`` force each in turn.  The oracle here is the mask scan: for
+each (input, output) Pauli pair, mask the records whose prepared and
+measured axes match every letter and sum their sign parities.  Both sides
+are exact integers, so they must agree bit for bit on any records, on either
+side of the cap.  Property tests are derandomized, so every run draws the
+same examples.
 """
 
 from unittest import mock
