@@ -384,11 +384,6 @@ class TransferMatrix:
         below = weights[:, None] > weights[None, :]
         return bool(np.max(np.abs(self.matrix[below]), initial=0.0) <= tol)
 
-    def max_below_block_entry(self) -> float:
-        weights = np.array([p.weight for p in self.basis])
-        below = weights[:, None] > weights[None, :]
-        return float(np.max(np.abs(self.matrix[below]), initial=0.0))
-
 
 def exact_eigenvalue(channel: PauliChannel, p: PauliString) -> float:
     return channel.eigenvalue(p)

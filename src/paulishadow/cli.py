@@ -31,7 +31,7 @@ from .channels import (
     load_channel,
     reference_product_channel,
 )
-from .clifford import CliffordCircuit, exact_gate_estimates, mitigation_coefficients
+from .clifford import CliffordCircuit, exact_gate_estimates, gate_arity, mitigation_coefficients
 from .observables import Observable, heisenberg_observable
 from .paulis import PauliString, enumerate_low_weight
 from .recovery import (
@@ -255,11 +255,12 @@ def run_mitigate(
     else:
         estimates = {}
         for kind in sorted({g.kind for g in circuit.gates}):
-            records = sample_gate_shadows(
+            blocks = sample_gate_shadows(
                 kind, circuit.noise.get(kind), shadows,
                 _derive_seed(seed, 23, *(ord(c) for c in kind)),
             )
-            estimates[kind] = estimate_gate_eigenvalues(records, kind)
+            counts = ShadowCounts.accumulate(blocks, gate_arity(kind))
+            estimates[kind] = estimate_gate_eigenvalues(counts, kind)
     back = mitigation_coefficients(circuit, estimates, observable, floor)
     value = exact.expectation(back.as_observable(), noisy)
     return recovery_report(back, value, ideal)

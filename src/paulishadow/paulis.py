@@ -33,6 +33,9 @@ _PHASE_EXPONENT = {
 
 _CODE_FROM_BITS = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
 
+# i^e for e = 0..3, built from components so that no entry holds a -0.0.
+_I_POWERS = np.array([complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1)])
+
 
 class PauliString:
     """An immutable signed Pauli string on ``n`` qubits."""
@@ -179,12 +182,26 @@ class PauliString:
         return PauliString(n, x, z, self.sign)
 
     def matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix (sign included).  Intended for small n."""
+        """Dense 2^n x 2^n matrix (sign included).  Intended for small n.
+
+        A signed permutation: with qubit 0 the most significant bit of the
+        row index r, entry [r, r ^ x] is sign * (-i)^#Y * (-1)^popcount(r & z).
+        """
         if self.n > 14:
             raise ValueError(f"dense matrix for n={self.n} qubits is not supported")
-        out = np.array([[self.sign]], dtype=np.complex128)
-        for j in range(self.n):
-            out = np.kron(out, PAULI_MATRICES[self.letter_code(j)])
+        n = self.n
+        x = z = 0
+        for j in range(n):
+            x = x << 1 | (self.x >> j) & 1
+            z = z << 1 | (self.z >> j) & 1
+        rows = np.arange(1 << n)
+        # Exponent of i: (-i)^#Y is i^(3 #Y); each -1 factor is i^2.
+        exponent = np.full(1 << n, 3 * (self.x & self.z).bit_count() + (1 - self.sign))
+        for j in range(n):
+            if (z >> j) & 1:
+                exponent += 2 * ((rows >> j) & 1)
+        out = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+        out[rows, rows ^ x] = _I_POWERS[exponent % 4]
         return out
 
     # -- dunder plumbing --------------------------------------------------
@@ -213,10 +230,6 @@ def symplectic_product(p: PauliString, q: PauliString) -> int:
     if p.n != q.n:
         raise ValueError(f"qubit counts differ: {p.n} != {q.n}")
     return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2
-
-
-def weight(p: PauliString) -> int:
-    return p.weight
 
 
 def pauli_index(p: PauliString) -> int:

@@ -42,7 +42,9 @@ Sampling uses the counter-based Philox generator.  Records are produced in
 fixed-size blocks; block ``b`` of a run with seed ``s`` always draws from
 ``Philox(key=s, counter=b << 128)`` and always draws full-block-sized arrays,
 so record ``i`` depends only on (seed, i) - not on the total record count,
-the block schedule, or any thread layout.
+the block schedule, or any thread layout.  Channel and gate shadows share
+this block driver and are both streamed, so a caller that reduces each
+block into a histogram holds one block at a time.
 """
 
 from __future__ import annotations
@@ -184,15 +186,23 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     )
 
 
+def _iter_blocks(count: int, seed: int, block_size: int, sample) -> Iterator[ShadowRecords]:
+    """The block driver: ``sample(rng)`` draws one full block from block b's
+    generator, and the last block is sliced to the records still wanted."""
+    if count < 0:
+        raise ValueError(f"record count must be >= 0, got {count}")
+    for block, start in enumerate(range(0, count, block_size)):
+        records = sample(block_rng(seed, block))
+        yield records[: count - start] if count - start < block_size else records
+
+
 def _sample_block(
     channel: PauliChannel | ProductChannel,
-    rows: int,
     rng: np.random.Generator,
     block_size: int,
     spam_flip_probability: float,
 ) -> ShadowRecords:
-    """Draw one block.  Full-block-sized arrays are always drawn and then
-    sliced, so a record's content never depends on the total record count."""
+    """Draw one full block of channel shadow records."""
     n = channel.n
     shape = (block_size, n)
     s_axis = rng.integers(0, 3, shape, dtype=np.int8)
@@ -226,8 +236,7 @@ def _sample_block(
     if spam_flip_probability > 0.0:
         meas_flip = rng.random(shape) < spam_flip_probability
         t_sign = np.where(meas_flip, -t_sign, t_sign).astype(np.int8)
-    records = ShadowRecords(s_axis, s_sign, t_axis, t_sign)
-    return records[:rows] if rows < block_size else records
+    return ShadowRecords(s_axis, s_sign, t_axis, t_sign)
 
 
 def iter_channel_shadow_blocks(
@@ -238,19 +247,12 @@ def iter_channel_shadow_blocks(
     spam_flip_probability: float = 0.0,
 ) -> Iterator[ShadowRecords]:
     """Stream records in deterministic blocks (see module docstring)."""
-    if count < 0:
-        raise ValueError(f"record count must be >= 0, got {count}")
     if not 0.0 <= spam_flip_probability <= 1.0:
         raise ValueError(f"flip probability must be in [0, 1], got {spam_flip_probability}")
-    produced = 0
-    block = 0
-    while produced < count:
-        rows = min(block_size, count - produced)
-        yield _sample_block(
-            channel, rows, block_rng(seed, block), block_size, spam_flip_probability
-        )
-        produced += rows
-        block += 1
+    yield from _iter_blocks(
+        count, seed, block_size,
+        lambda rng: _sample_block(channel, rng, block_size, spam_flip_probability),
+    )
 
 
 def sample_channel_shadows(
@@ -317,15 +319,22 @@ def _contract(hist: np.ndarray, letters: Sequence[int]) -> int:
     return int(hist[0])
 
 
-def _letters(in_pauli: PauliString, out_pauli: PauliString, qubits) -> list[int]:
-    return [in_pauli.letter_code(j) * 4 + out_pauli.letter_code(j) for j in qubits]
+def _pair_letters(pairs, n: int) -> np.ndarray:
+    """(len(pairs), n) int8 letter of every (input, output) pair on every
+    qubit, in_code * 4 + out_code with I=0, X=1, Y=2, Z=3: the moment-table
+    digit of that qubit."""
+    masks = np.array([(p.x, p.z, q.x, q.z) for p, q in pairs], dtype=np.int64).reshape(-1, 4)
+    letters = np.empty((len(masks), n), dtype=np.int8)
+    for j in range(n):
+        x_in, z_in, x_out, z_out = ((masks >> j) & 1).T
+        # (x, z) bits (0,0), (1,0), (1,1), (0,1) are I, X, Y, Z: x + 3z - 2xz.
+        letters[:, j] = 4 * (x_in + 3 * z_in - 2 * x_in * z_in) + x_out + 3 * z_out - 2 * x_out * z_out
+    return letters
 
 
-def _table_index(letters: Sequence[int]) -> int:
-    index = 0
-    for letter in letters:
-        index = index * 16 + letter
-    return index
+def _table_index(letters: np.ndarray) -> np.ndarray:
+    """Moment-table index of each row of letters, first column most significant."""
+    return letters @ 16 ** np.arange(letters.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
 class ShadowCounts:
@@ -380,9 +389,10 @@ class ShadowCounts:
 
 def _record_factors(cells: np.ndarray, qubits, letters, weights=None) -> np.ndarray | None:
     """Each record's exact integer factor on ``qubits`` for the given letters,
-    times ``weights``; None stands for all ones."""
+    times ``weights``; None stands for all ones.  A letter may be an array of
+    letters, one per row of the result."""
     for j, letter in zip(qubits, letters):
-        factor = _CELL_FACTORS[letter, cells[j]]
+        factor = _CELL_FACTORS[letter].take(cells[j], axis=-1)
         weights = factor if weights is None else weights * factor
     return weights
 
@@ -392,30 +402,44 @@ def _marginal_numerators(records: ShadowRecords, pairs) -> list[int]:
 
     A support wider than the cap splits into a head and a cap-wide tail: the
     head's letters weight each record by its factor there, and the table
-    covers the tail.  Each table is read, then dropped.  A group with few
-    members is summed record by record instead (see ``_TABLE_COST``).
+    covers the tail.  Pairs are grouped by (head letters, tail qubits); each
+    group's table is read, then dropped.  A group with few members is summed
+    record by record instead (see ``_TABLE_COST``).
     """
     cells = _cells(records)
-    groups: dict[tuple, list[tuple[int, list[int]]]] = {}
-    for i, (p, q) in enumerate(pairs):
-        support = tuple(sorted(set(p.support()) | set(q.support())))
-        head, tail = support[:-COUNTS_QUBIT_CAP], support[-COUNTS_QUBIT_CAP:]
-        key = (head, tuple(_letters(p, q, head)), tail)
-        groups.setdefault(key, []).append((i, _letters(p, q, tail)))
-    numers = [0] * len(pairs)
-    for (head, head_letters, tail), members in groups.items():
-        weights = _record_factors(cells, head, head_letters)
-        if 3 * len(members) * len(records) * len(tail) < _TABLE_COST * 36 ** len(tail):
-            for i, letters in members:
-                factors = _record_factors(cells, tail, letters, weights)
-                numers[i] = len(records) if factors is None else int(factors.sum())
+    n = records.n
+    letters = _pair_letters(pairs, n)
+    support = letters != 0
+    # The tail is the last COUNTS_QUBIT_CAP qubits of each pair's support.
+    tail = support & (np.cumsum(support[:, ::-1], axis=1)[:, ::-1] <= COUNTS_QUBIT_CAP)
+    keys = np.hstack([np.where(tail, 0, letters), tail])
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    change = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.r_[True, change]) if len(pairs) else []
+    numers = np.empty(len(pairs), dtype=np.int64)
+    for start, stop in zip(starts, [*starts[1:], len(pairs)]):
+        key, members = keys[start], order[start:stop]
+        head = np.flatnonzero(key[:n])
+        tail_qubits = np.flatnonzero(key[n:])
+        weights = _record_factors(cells, head, key[head])
+        tail_letters = letters[members][:, tail_qubits]
+        w = len(tail_qubits)
+        if 3 * len(members) * len(records) * w < _TABLE_COST * 36**w:
+            # (members, records) factors, a few members at a time.
+            step = max(1, DEFAULT_BLOCK_SIZE // len(records))
+            for lo in range(0, len(members), step):
+                by_qubit = tail_letters[lo : lo + step].T
+                factors = _record_factors(cells, tail_qubits, by_qubit, weights)
+                numers[members[lo : lo + step]] = (
+                    len(records) if factors is None else factors.sum(axis=1)
+                )
             continue
         # Integer weights keep the float histogram exact below 2^53.
-        hist = np.bincount(_joint_cells(cells, tail), weights, minlength=36 ** len(tail))
-        table = _moment_table(hist.astype(np.int64, copy=False), len(tail))
-        for i, letters in members:
-            numers[i] = int(table[_table_index(letters)])
-    return numers
+        hist = np.bincount(_joint_cells(cells, tail_qubits), weights, minlength=36**w)
+        table = _moment_table(hist.astype(np.int64, copy=False), w)
+        numers[members] = table[_table_index(tail_letters)]
+    return numers.tolist()
 
 
 def _numerators(source, n: int, pairs) -> tuple[int, list[int]]:
@@ -435,11 +459,10 @@ def _numerators(source, n: int, pairs) -> tuple[int, list[int]]:
         raise ValueError("no records")
     if isinstance(source, ShadowRecords):
         return total, _marginal_numerators(source, pairs)
-    letters = [_letters(p, q, range(n)) for p, q in pairs]
+    letters = _pair_letters(pairs, n)
     if len(pairs) < _TABLE_COST:
-        return total, [_contract(source.counts, pair_letters) for pair_letters in letters]
-    table = source.moments()
-    return total, [int(table[_table_index(pair_letters)]) for pair_letters in letters]
+        return total, [_contract(source.counts, row) for row in letters]
+    return total, source.moments()[_table_index(letters)].tolist()
 
 
 def estimate_x(records: ShadowRecords | ShadowCounts, p: PauliString) -> float:
@@ -516,18 +539,13 @@ def estimate_transfer_matrix(
     assumption and are pinned to 0; the identity column is exact.
     """
     basis = tuple(enumerate_low_weight(n, k))
-    entries = [
-        (row, col)
-        for col, q in enumerate(basis)
-        if not q.is_identity
-        for row, p in enumerate(basis)
-        if p.weight <= q.weight
-    ]
-    total, numers = _numerators(source, n, [(basis[r], basis[c]) for r, c in entries])
+    weights = np.array([p.weight for p in basis])
+    # Estimated entries, column by column: Q is not the identity, |P| <= |Q|.
+    cols, rows = np.nonzero((weights[None, :] <= weights[:, None]) & (weights[:, None] > 0))
+    total, numers = _numerators(source, n, [(basis[r], basis[c]) for r, c in zip(rows, cols)])
     matrix = np.zeros((len(basis), len(basis)))
     matrix[0, 0] = 1.0  # identity column: lambda_P(I) = delta_PI
-    for (row, col), numer in zip(entries, numers):
-        matrix[row, col] = 3.0 ** basis[row].weight * numer / total
+    matrix[rows, cols] = 3.0 ** weights[rows] * np.array(numers, dtype=np.int64) / total
     return TransferMatrix(n, k, basis, matrix)
 
 
@@ -597,44 +615,33 @@ def sample_gate_shadows(
     count: int,
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
-) -> ShadowRecords:
-    """Shadow records of a noisy gate: random eigenstate in, gate plus noise,
-    random Pauli measurement out.  ``n`` of the result is the gate arity."""
+) -> Iterator[ShadowRecords]:
+    """Stream shadow records of a noisy gate in deterministic blocks: random
+    eigenstate in, gate plus noise, random Pauli measurement out.  ``n`` of
+    every block is the gate arity; blocks follow the (seed, block) scheme of
+    ``iter_channel_shadow_blocks``."""
     g = gate_arity(kind)
     cdfs = _gate_outcome_cdfs(kind, noise)
-    if count < 0:
-        raise ValueError(f"record count must be >= 0, got {count}")
-    blocks = []
-    produced = 0
-    block = 0
     powers6 = 6 ** np.arange(g - 1, -1, -1, dtype=np.int64)
     powers3 = 3 ** np.arange(g - 1, -1, -1, dtype=np.int64)
     bit_shift = np.arange(g - 1, -1, -1)
-    while produced < count:
-        rows = min(block_size, count - produced)
-        rng = block_rng(seed, block)
+
+    def sample(rng: np.random.Generator) -> ShadowRecords:
         shape = (block_size, g)
         s_digits = rng.integers(0, 6, shape, dtype=np.int64)
         b_digits = rng.integers(0, 3, shape, dtype=np.int64)
         u = rng.random(block_size)
-        s_idx = s_digits @ powers6
-        b_idx = b_digits @ powers3
-        row_cdfs = cdfs[s_idx, b_idx]  # (B, 2^g)
+        row_cdfs = cdfs[s_digits @ powers6, b_digits @ powers3]  # (B, 2^g)
         outcomes = (u[:, None] >= row_cdfs[:, :-1]).sum(axis=1)
         bits = (outcomes[:, None] >> bit_shift[None, :]) & 1
-        batch = ShadowRecords(
+        return ShadowRecords(
             (s_digits // 2).astype(np.int8),
             (1 - 2 * (s_digits % 2)).astype(np.int8),
             b_digits.astype(np.int8),
             (1 - 2 * bits).astype(np.int8),
         )
-        blocks.append(batch[:rows] if rows < block_size else batch)
-        produced += rows
-        block += 1
-    if not blocks:
-        empty = np.empty((0, g), dtype=np.int8)
-        return ShadowRecords(empty, empty.copy(), empty.copy(), empty.copy())
-    return ShadowRecords.concatenate(blocks)
+
+    yield from _iter_blocks(count, seed, block_size, sample)
 
 
 def estimate_gate_eigenvalues(

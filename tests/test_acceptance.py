@@ -271,13 +271,14 @@ def test_criterion_6_circuit_mitigation():
 
         learned = {}
         for kind in sorted({g.kind for g in circuit.gates}):
-            records = sample_gate_shadows(
+            blocks = sample_gate_shadows(
                 kind,
                 circuit.noise[kind],
                 100_000,
                 cli._derive_seed(61, run, *(ord(c) for c in kind)),
             )
-            learned[kind] = estimate_gate_eigenvalues(records, kind)
+            counts = ShadowCounts.accumulate(blocks, gate_arity(kind))
+            learned[kind] = estimate_gate_eigenvalues(counts, kind)
         back = mitigation_coefficients(circuit, learned, obs)
         f = exact.expectation(back.as_observable(), noisy)
         if abs(f - ideal) <= 0.05:

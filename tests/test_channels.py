@@ -254,7 +254,7 @@ def test_transfer_block_structure():
     assert [w for w, _ in slices] == [0, 1, 2]
     assert slices[0][1] == slice(0, 1)
     assert slices[1][1] == slice(1, 7)
-    assert m.max_below_block_entry() <= 1e-15
+    assert m.is_upper_block_triangular(tol=1e-15)
     with pytest.raises(KeyError):
         m.index(P("XXX"))  # not in the two-qubit basis
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +291,20 @@ def test_mitigate_sampled_and_baseline(circuit_path, capsys):
     assert sampled_err < baseline_err
 
 
+def test_mitigate_is_byte_deterministic(circuit_path, tmp_path):
+    def run(out, seed="6"):
+        argv = ["mitigate", "--circuit", circuit_path, "--observable", "heisenberg",
+                "--n", "2", "--shadows", "30000", "--seed", seed, "--state-seed", "4",
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        return out.read_bytes()
+
+    first = run(tmp_path / "a.json")
+    assert run(tmp_path / "b.json") == first
+    assert run(tmp_path / "c.json", seed="7") != first
+    assert set(json.loads(first)) >= {"value", "ideal", "terms", "min_abs_eigenvalue"}
+
+
 def test_mitigate_bad_circuit_file_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -406,3 +424,24 @@ def test_custom_heisenberg_couplings(capsys):
     assert rc == 0
     err = float(capsys.readouterr().out.splitlines()[2].split(": ")[1])
     assert err < 1e-10
+
+
+# -- module entry point --------------------------------------------------------
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["plan", "--epsilon", "0.1", "--delta", "0.05", "--n", "2", "--k", "2",
+            "--degree", "2", "--min-eigenvalue", "0.5"]
+    done = subprocess.run(
+        [sys.executable, "-m", "paulishadow", *argv], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"records: {plan_sample_size(0.1, 0.05, 2, 2, 2, 0.5)}"
+    bad = subprocess.run(
+        [sys.executable, "-m", "paulishadow", "learn", "--channel", "no-such-file.json"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert bad.returncode == 1

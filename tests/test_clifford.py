@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulishadow import exact
 from paulishadow.channels import ConfigError, PauliChannel
@@ -42,6 +44,27 @@ def test_conjugation_matches_dense_all_gates():
             np.testing.assert_allclose(
                 got.matrix(), dense_backward(kind, qubits, arity, p), atol=1e-12
             )
+
+
+@st.composite
+def gate_and_string(draw):
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["H", "S", "CNOT"] if n > 1 else ["H", "S"]))
+    qubits = draw(st.permutations(range(n)))[: gate_arity(kind)]
+    index = draw(st.integers(0, 4**n - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    p = pauli_from_index(n, index)
+    return kind, tuple(qubits), p if sign == 1 else p.negate()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(gate_and_string())
+def test_conjugation_matches_dense_property(case):
+    kind, qubits, p = case
+    got = conjugate_pauli(kind, qubits, p)
+    np.testing.assert_allclose(
+        got.matrix(), dense_backward(kind, qubits, p.n, p), rtol=0, atol=1e-12
+    )
 
 
 def test_conjugation_spot_values():

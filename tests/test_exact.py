@@ -4,7 +4,7 @@ finite-sum check that the shadow estimator is unbiased."""
 import numpy as np
 import pytest
 
-from paulishadow import exact
+from paulishadow import cli, exact
 from paulishadow.channels import (
     PauliChannel,
     ProductChannel,
@@ -13,8 +13,13 @@ from paulishadow.channels import (
     exact_transfer_matrix,
     reference_product_channel,
 )
-from paulishadow.clifford import CliffordCircuit, Gate
-from paulishadow.observables import Observable
+from paulishadow.clifford import (
+    CliffordCircuit,
+    Gate,
+    exact_gate_estimates,
+    mitigation_coefficients,
+)
+from paulishadow.observables import Observable, heisenberg_observable
 from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis
 
 
@@ -173,6 +178,94 @@ def test_simulate_noisy_circuit_matches_manual():
         m = q.embed(2, (0,)).matrix()
         want += prob * (m @ mid @ m.conj().T)
     np.testing.assert_allclose(out.rho, want, atol=1e-12)
+
+
+def full_register_circuit(circuit, state, noisy):
+    """Reference simulation: a 2^n x 2^n unitary per gate, then one dense
+    Kraus product per noise term, each embedded in the full register."""
+    n = circuit.n
+    rho = state.rho
+    for gate in circuit.gates:
+        u = exact.gate_unitary(gate.kind, gate.qubits, n)
+        rho = u @ rho @ u.conj().T
+        noise = circuit.noise.get(gate.kind)
+        if noisy and noise is not None:
+            out = np.zeros_like(rho)
+            for q, prob in noise.terms().items():
+                m = q.embed(n, gate.qubits).matrix()
+                out += prob * (m @ rho @ m)
+            rho = out
+    return rho
+
+
+def random_circuit(n, rng, depth=12):
+    """H/S/CNOT gates on random (possibly non-adjacent, reversed) qubits, with
+    product noise on H and S and correlated two-qubit noise on CNOT."""
+
+    def mild(size):  # no-error probability at least 0.8
+        probs = 0.2 * rng.dirichlet(np.ones(size))
+        probs[0] += 0.8
+        return probs
+
+    gates = []
+    for _ in range(depth):
+        kind = str(rng.choice(["H", "S", "CNOT"] if n > 1 else ["H", "S"]))
+        qubits = rng.choice(n, 2 if kind == "CNOT" else 1, replace=False)
+        gates.append(Gate(kind, tuple(int(q) for q in qubits)))
+    noise = {
+        "H": PauliChannel.from_qubit_probs([mild(4)]),
+        "S": PauliChannel.from_qubit_probs([mild(4)]),
+        "CNOT": PauliChannel.from_terms(2, dict(zip(iter_all_paulis(2), mild(16)))),
+    }
+    return CliffordCircuit(n, gates, noise)
+
+
+def test_circuit_simulation_matches_full_register_reference():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 6):
+        for trial in range(4):
+            circuit = random_circuit(n, rng)
+            state = exact.haar_random_state(n, rng)
+            for noisy in (True, False):
+                got = exact.simulate_circuit(circuit, state, noisy).rho
+                np.testing.assert_allclose(
+                    got, full_register_circuit(circuit, state, noisy), rtol=0, atol=1e-12
+                )
+    # Control above target on non-adjacent qubits, and noise that is not a
+    # product: XX and ZI errors only.
+    noise = PauliChannel.from_terms(2, {"XX": 0.1, "ZI": 0.05})
+    assert not noise.is_product
+    circuit = CliffordCircuit(4, [Gate("H", (3,)), Gate("CNOT", (3, 0))], {"CNOT": noise})
+    state = exact.haar_random_state(4, 5)
+    got = exact.simulate_noisy_circuit(circuit, state).rho
+    np.testing.assert_allclose(
+        got, full_register_circuit(circuit, state, True), rtol=0, atol=1e-12
+    )
+
+
+def test_mitigate_report_matches_full_register_reference():
+    """The report's oracle values agree with the reference simulation and a
+    dense trace to float rounding."""
+    rng = np.random.default_rng(77)
+    circuit = random_circuit(5, rng, depth=20)
+    observable = heisenberg_observable(5)
+    report = cli.run_mitigate(circuit, observable, 0, 1, 9, True, 1e-3)
+    state = exact.haar_random_state(5, cli._derive_seed(9, 11))
+    noisy = full_register_circuit(circuit, state, True)
+    ideal = np.trace(observable.matrix() @ full_register_circuit(circuit, state, False)).real
+    back = mitigation_coefficients(circuit, exact_gate_estimates(circuit), observable, 1e-3)
+    value = np.trace(back.as_observable().matrix() @ noisy).real
+    assert abs(report["ideal"] - ideal) <= 1e-12
+    assert abs(report["value"] - value) <= 1e-12
+    assert abs(report["absolute_error"] - abs(value - ideal)) <= 1e-12
+
+
+def test_expectation_matches_dense_trace():
+    rng = np.random.default_rng(3)
+    state = exact.haar_random_state(4, rng)
+    for p in list(iter_all_paulis(4))[::7]:
+        want = np.trace(p.matrix() @ state.rho).real
+        assert exact.expectation(p, state) == pytest.approx(want, abs=1e-14)
 
 
 # -- measurement ---------------------------------------------------------------

@@ -202,7 +202,7 @@ def test_records_and_counts_sources_agree_exactly(table_cost):
 @BOTH_PATHS
 def test_gate_eigenvalues_from_records_equal_counts_and_brute_force(table_cost):
     for kind in ("H", "S", "CNOT"):
-        records = sample_gate_shadows(kind, None, 3000, seed=17)
+        records = ShadowRecords.concatenate(list(sample_gate_shadows(kind, None, 3000, seed=17)))
         with numerator_path(table_cost):
             from_records = estimate_gate_eigenvalues(records, kind)
             from_counts = estimate_gate_eigenvalues(ShadowCounts.from_records(records), kind)

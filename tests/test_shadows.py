@@ -411,7 +411,7 @@ def test_gate_estimator_unbiased_cnot():
 
 
 def test_noiseless_gate_estimates_are_one():
-    r = sample_gate_shadows("H", None, 40_000, seed=3)
+    r = ShadowRecords.concatenate(list(sample_gate_shadows("H", None, 40_000, seed=3)))
     est = estimate_gate_eigenvalues(r, "H")
     for letter in "XYZ":
         assert est[P(letter)] == pytest.approx(1.0, abs=0.05)
@@ -420,7 +420,7 @@ def test_noiseless_gate_estimates_are_one():
 def test_gate_shadow_sign_handling():
     # S conjugates X to -Y; a dropped sign would flip the estimate
     noise = PauliChannel.from_qubit_probs([(0.7, 0.2, 0.05, 0.05)])  # lx=0.8
-    r = sample_gate_shadows("S", noise, 60_000, seed=11)
+    r = ShadowRecords.concatenate(list(sample_gate_shadows("S", noise, 60_000, seed=11)))
     est = estimate_gate_eigenvalues(r, "S")
     assert est[P("X")] == pytest.approx(0.8, abs=0.05)
     assert est[P("Y")] == pytest.approx(0.5, abs=0.05)
@@ -430,7 +430,7 @@ def test_cnot_gate_shadows_converge():
     noise = PauliChannel.from_qubit_probs(
         [(0.75, 0.10, 0.10, 0.05), (0.77, 0.09, 0.09, 0.05)]
     )
-    r = sample_gate_shadows("CNOT", noise, 150_000, seed=21)
+    r = ShadowRecords.concatenate(list(sample_gate_shadows("CNOT", noise, 150_000, seed=21)))
     est = estimate_gate_eigenvalues(r, "CNOT")
     # pinned spot: X (x) I estimated through the conjugated input X (x) X
     assert est[P("XI")] == pytest.approx(0.70, abs=0.05)
@@ -438,14 +438,56 @@ def test_cnot_gate_shadows_converge():
 
 
 def test_gate_shadow_record_shape_and_determinism():
-    r1 = sample_gate_shadows("CNOT", None, 500, seed=5)
-    r2 = sample_gate_shadows("CNOT", None, 500, seed=5)
+    r1 = ShadowRecords.concatenate(list(sample_gate_shadows("CNOT", None, 500, seed=5)))
+    r2 = ShadowRecords.concatenate(list(sample_gate_shadows("CNOT", None, 500, seed=5)))
     assert r1.n == 2
     np.testing.assert_array_equal(r1.t_sign, r2.t_sign)
     with pytest.raises(ValueError):
         estimate_gate_eigenvalues(r1, "H")  # arity mismatch
     with pytest.raises(ValueError):
-        sample_gate_shadows("H", PauliChannel.identity(2), 10, seed=0)
+        next(sample_gate_shadows("H", PauliChannel.identity(2), 10, seed=0))
+
+
+def test_gate_shadow_stream_blocks_and_prefixes():
+    noise = PauliChannel.from_terms(2, {"XX": 0.05, "ZI": 0.03, "YZ": 0.02})
+    blocks = list(sample_gate_shadows("CNOT", noise, 1000, seed=8, block_size=300))
+    assert [len(b) for b in blocks] == [300, 300, 300, 100]
+    full = ShadowRecords.concatenate(blocks)
+    # Record i depends only on (seed, i): a shorter run is a prefix.
+    for count in (1, 299, 300, 301, 999):
+        short = ShadowRecords.concatenate(
+            list(sample_gate_shadows("CNOT", noise, count, seed=8, block_size=300))
+        )
+        for field in ("s_axis", "s_sign", "t_axis", "t_sign"):
+            np.testing.assert_array_equal(getattr(short, field), getattr(full, field)[:count])
+    assert list(sample_gate_shadows("CNOT", noise, 0, seed=8)) == []
+    with pytest.raises(ValueError):
+        next(sample_gate_shadows("CNOT", noise, -1, seed=8))
+
+
+def test_gate_shadow_stream_reduces_like_records():
+    noise = PauliChannel.from_terms(2, {"XX": 0.05, "ZI": 0.03, "YZ": 0.02})
+    for kind, chan in (("H", None), ("S", None), ("CNOT", noise)):
+        g = 2 if kind == "CNOT" else 1
+        for block_size in (1000, 4096):
+            stream = sample_gate_shadows(kind, chan, 20_000, seed=12, block_size=block_size)
+            streamed = ShadowCounts.accumulate(stream, g)
+            records = ShadowRecords.concatenate(
+                list(sample_gate_shadows(kind, chan, 20_000, seed=12, block_size=block_size))
+            )
+            whole = ShadowCounts.from_records(records)
+            np.testing.assert_array_equal(streamed.counts, whole.counts)
+            assert streamed.n_records == whole.n_records == 20_000
+            # The histogram does not depend on how the records are cut into blocks.
+            for size in (13, 777, 20_000):
+                rechunked = ShadowCounts.accumulate(
+                    (records[i : i + size] for i in range(0, len(records), size)), g
+                )
+                np.testing.assert_array_equal(rechunked.counts, whole.counts)
+            assert (
+                estimate_gate_eigenvalues(streamed, kind).values
+                == estimate_gate_eigenvalues(records, kind).values
+            )
 
 
 # -- preparation/measurement error --------------------------------------------
