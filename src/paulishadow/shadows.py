@@ -323,12 +323,15 @@ def _pair_letters(pairs, n: int) -> np.ndarray:
     """(len(pairs), n) int8 letter of every (input, output) pair on every
     qubit, in_code * 4 + out_code with I=0, X=1, Y=2, Z=3: the moment-table
     digit of that qubit."""
+
+    def code(x, z):  # (x, z) bits (0,0), (1,0), (1,1), (0,1) are I, X, Y, Z
+        return x + 3 * z - 2 * x * z
+
     masks = np.array([(p.x, p.z, q.x, q.z) for p, q in pairs], dtype=np.int64).reshape(-1, 4)
     letters = np.empty((len(masks), n), dtype=np.int8)
     for j in range(n):
         x_in, z_in, x_out, z_out = ((masks >> j) & 1).T
-        # (x, z) bits (0,0), (1,0), (1,1), (0,1) are I, X, Y, Z: x + 3z - 2xz.
-        letters[:, j] = 4 * (x_in + 3 * z_in - 2 * x_in * z_in) + x_out + 3 * z_out - 2 * x_out * z_out
+        letters[:, j] = 4 * code(x_in, z_in) + code(x_out, z_out)
     return letters
 
 
