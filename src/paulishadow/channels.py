@@ -28,6 +28,7 @@ import numpy as np
 from .paulis import (
     PauliString,
     enumerate_low_weight,
+    letter_codes,
     pauli_from_index,
     pauli_index,
     symplectic_product,
@@ -226,11 +227,7 @@ class PauliChannel:
         cdf = np.cumsum(probs)
         cdf[-1] = 1.0
         picks = np.searchsorted(cdf, rng.random(count), side="right")
-        table = np.array(
-            [[p.letter_code(j) for j in range(self.n)] for p in labels],
-            dtype=np.int8,
-        )
-        return table[picks]
+        return letter_codes(labels, self.n)[picks]
 
     def __repr__(self) -> str:
         kind = "product" if self.is_product else f"sparse[{len(self._terms)}]"
@@ -276,9 +273,12 @@ def reference_product_channel() -> PauliChannel:
 
 
 class ProductChannel:
-    """A tensor product of single-qubit channels given by their PTMs."""
+    """A tensor product of single-qubit channels given by their PTMs.
 
-    def __init__(self, ptms: np.ndarray | Sequence[np.ndarray], strict_cp: bool = False):
+    Every factor must be completely positive up to 1e-9 in its Choi spectrum.
+    """
+
+    def __init__(self, ptms: np.ndarray | Sequence[np.ndarray]):
         ptms = np.asarray(ptms, dtype=float)
         if ptms.ndim == 2:
             ptms = ptms[None, :, :]
@@ -291,11 +291,9 @@ class ProductChannel:
             raise ValueError("each PTM must be trace preserving: first row (1,0,0,0)")
         self.n = int(ptms.shape[0])
         self._ptms = ptms
-        self.cp_defect = max(
-            max(0.0, -self.choi_minimum_eigenvalue(j)) for j in range(self.n)
-        )
-        if strict_cp and self.cp_defect > 1e-9:
-            raise ValueError(f"PTM is not completely positive: defect {self.cp_defect:g}")
+        defect = max(-self.choi_minimum_eigenvalue(j) for j in range(self.n))
+        if defect > 1e-9:
+            raise ValueError(f"PTM is not completely positive: defect {defect:g}")
 
     def ptm(self, j: int) -> np.ndarray:
         return self._ptms[j].copy()
@@ -385,10 +383,6 @@ class TransferMatrix:
         return bool(np.max(np.abs(self.matrix[below]), initial=0.0) <= tol)
 
 
-def exact_eigenvalue(channel: PauliChannel, p: PauliString) -> float:
-    return channel.eigenvalue(p)
-
-
 def exact_transfer_matrix(channel, k: int) -> TransferMatrix:
     """Adjoint transfer matrix of an analytic channel on the weight <= k basis."""
     basis = tuple(enumerate_low_weight(channel.n, k))
@@ -399,14 +393,10 @@ def exact_transfer_matrix(channel, k: int) -> TransferMatrix:
             matrix[i, i] = channel.eigenvalue(p)
         return TransferMatrix(channel.n, k, basis, matrix)
     if isinstance(channel, ProductChannel):
-        factors = [channel.adjoint_factor(j) for j in range(channel.n)]
-        matrix = np.empty((size, size))
-        for i, p in enumerate(basis):
-            for j, q in enumerate(basis):
-                entry = 1.0
-                for qubit in range(channel.n):
-                    entry *= factors[qubit][p.letter_code(qubit), q.letter_code(qubit)]
-                matrix[i, j] = entry
+        codes = letter_codes(basis, channel.n)
+        matrix = np.ones((size, size))
+        for j in range(channel.n):  # in qubit order, as a per-entry product would
+            matrix *= channel.adjoint_factor(j)[codes[:, j, None], codes[None, :, j]]
         return TransferMatrix(channel.n, k, basis, matrix)
     raise TypeError(
         f"no analytic transfer matrix for {type(channel).__name__}; "
@@ -549,7 +539,7 @@ def channel_from_config(cfg: Mapping) -> PauliChannel | ProductChannel:
                 raise ConfigError(f"qubits[{i}] must hold 16 reals (row-major 4x4)")
             ptms.append(arr.reshape(4, 4))
         try:
-            return ProductChannel(np.stack(ptms), strict_cp=True)
+            return ProductChannel(np.stack(ptms))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     raise ConfigError(f"unknown channel kind {kind!r}")

@@ -42,6 +42,7 @@ from .recovery import (
     recovery_report,
 )
 from .shadows import (
+    COUNTS_QUBIT_CAP,
     EigenvalueEstimates,
     ShadowCounts,
     ShadowRecords,
@@ -105,7 +106,7 @@ def _resolve_observable(arg: str, args: argparse.Namespace) -> Observable:
 def _shadow_source(channel, n: int, shadows: int, seed: int):
     """Sample and reduce to the smallest sufficient statistic for estimation."""
     blocks = iter_channel_shadow_blocks(channel, shadows, seed)
-    if n <= 4:
+    if n <= COUNTS_QUBIT_CAP:
         return ShadowCounts.accumulate(blocks, n)
     return ShadowRecords.concatenate(list(blocks))
 

@@ -11,7 +11,7 @@ Hermitian Pauli, so an ``i`` surviving a product is a usage bug.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,32 +75,21 @@ class PauliString:
             label = label[1:]
         if not label:
             raise ValueError("empty Pauli label")
-        x = z = 0
-        for j, ch in enumerate(label):
-            code = LETTERS.find(ch.upper())
-            if code < 0:
-                raise ValueError(f"invalid Pauli letter {ch!r} in {label!r}")
-            if code in (1, 2):
-                x |= 1 << j
-            if code in (2, 3):
-                z |= 1 << j
-        return cls(len(label), x, z, sign)
+        codes = [LETTERS.find(ch.upper()) for ch in label]
+        if -1 in codes:
+            raise ValueError(f"invalid Pauli letter {label[codes.index(-1)]!r} in {label!r}")
+        return cls(len(label), *_masks(enumerate(codes)), sign)
 
     @classmethod
     def from_letters(cls, n: int, letters: dict[int, str], sign: int = 1) -> "PauliString":
         """Build from a sparse {qubit: letter} mapping, identity elsewhere."""
-        x = z = 0
-        for j, ch in letters.items():
+        codes = {j: LETTERS.find(ch.upper()) for j, ch in letters.items()}
+        for j, code in codes.items():
             if not 0 <= j < n:
                 raise ValueError(f"qubit index {j} out of range for n={n}")
-            code = LETTERS.find(ch.upper())
             if code <= 0:
-                raise ValueError(f"invalid non-identity letter {ch!r}")
-            if code in (1, 2):
-                x |= 1 << j
-            if code in (2, 3):
-                z |= 1 << j
-        return cls(n, x, z, sign)
+                raise ValueError(f"invalid non-identity letter {letters[j]!r}")
+        return cls(n, *_masks(codes.items()), sign)
 
     # -- basic queries ---------------------------------------------------
 
@@ -225,6 +214,30 @@ class PauliString:
         return hash((self.n, self.x, self.z, self.sign))
 
 
+def _masks(codes: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """(x, z) bit masks of (qubit, letter code) pairs."""
+    x = z = 0
+    for j, code in codes:
+        if code in (1, 2):
+            x |= 1 << j
+        if code in (2, 3):
+            z |= 1 << j
+    return x, z
+
+
+def letter_codes(strings: Sequence[PauliString], n: int) -> np.ndarray:
+    """(len(strings), n) int8 letter codes (I=0, X=1, Y=2, Z=3), column j for qubit j."""
+    size = (n + 7) // 8
+
+    def bits(masks):
+        raw = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), np.uint8)
+        return np.unpackbits(raw.reshape(-1, size), axis=1, count=n, bitorder="little")
+
+    x, z = bits(p.x for p in strings), bits(p.z for p in strings)
+    # (x, z) bits (0,0), (1,0), (1,1), (0,1) are I, X, Y, Z.
+    return (x + 3 * z - 2 * x * z).astype(np.int8)
+
+
 def symplectic_product(p: PauliString, q: PauliString) -> int:
     """1 if the strings anticommute, 0 if they commute."""
     if p.n != q.n:
@@ -243,15 +256,7 @@ def pauli_index(p: PauliString) -> int:
 def pauli_from_index(n: int, idx: int) -> PauliString:
     if not 0 <= idx < 4**n:
         raise ValueError(f"index {idx} out of range for n={n}")
-    x = z = 0
-    for j in reversed(range(n)):
-        code = idx % 4
-        idx //= 4
-        if code in (1, 2):
-            x |= 1 << j
-        if code in (2, 3):
-            z |= 1 << j
-    return PauliString(n, x, z)
+    return PauliString(n, *_masks((j, idx >> 2 * (n - 1 - j) & 3) for j in range(n)))
 
 
 def low_weight_count(n: int, k: int) -> int:
@@ -276,13 +281,7 @@ def enumerate_low_weight(n: int, k: int) -> list[PauliString]:
     for w in range(1, k + 1):
         for positions in combinations(range(n), w):
             for codes in product((1, 2, 3), repeat=w):
-                x = z = 0
-                for j, code in zip(positions, codes):
-                    if code in (1, 2):
-                        x |= 1 << j
-                    if code in (2, 3):
-                        z |= 1 << j
-                out.append(PauliString(n, x, z))
+                out.append(PauliString(n, *_masks(zip(positions, codes))))
     return out
 
 

@@ -63,6 +63,7 @@ from .paulis import (
     PauliString,
     enumerate_low_weight,
     iter_all_paulis,
+    letter_codes,
     low_weight_count,
 )
 
@@ -219,18 +220,16 @@ def _sample_block(
         coin = (1 - 2 * rng.integers(0, 2, shape, dtype=np.int8)).astype(np.int8)
         t_sign = np.where(t_axis == s_axis, out_sign, coin).astype(np.int8)
     elif isinstance(channel, ProductChannel):
+        # P(+) by (qubit, input axis, input sign +/-, measured axis).
+        p_plus = np.array([
+            [[(1.0 + channel.output_bloch(j, axis, sign)) / 2.0 for sign in (1, -1)]
+             for axis in range(3)]
+            for j in range(n)
+        ])
         t_axis = rng.integers(0, 3, shape, dtype=np.int8)
         u = rng.random(shape)
-        t_sign = np.empty(shape, dtype=np.int8)
-        rows_idx = np.arange(block_size)
-        for j in range(n):
-            ptm = channel.ptm(j)
-            offset = ptm[1:, 0]
-            column = ptm[1:, s_axis[:, j] + 1]  # (3, B)
-            bloch = offset[:, None] + physical_sign[:, j][None, :] * column
-            r_measured = bloch[t_axis[:, j], rows_idx]
-            p_plus = np.clip((1.0 + r_measured) / 2.0, 0.0, 1.0)
-            t_sign[:, j] = np.where(u[:, j] < p_plus, 1, -1)
+        p = p_plus[np.arange(n), s_axis, (1 - physical_sign) // 2, t_axis]
+        t_sign = np.where(u < p, 1, -1).astype(np.int8)
     else:
         raise TypeError(f"cannot sample shadows of {type(channel).__name__}")
     if spam_flip_probability > 0.0:
@@ -321,18 +320,8 @@ def _contract(hist: np.ndarray, letters: Sequence[int]) -> int:
 
 def _pair_letters(pairs, n: int) -> np.ndarray:
     """(len(pairs), n) int8 letter of every (input, output) pair on every
-    qubit, in_code * 4 + out_code with I=0, X=1, Y=2, Z=3: the moment-table
-    digit of that qubit."""
-
-    def code(x, z):  # (x, z) bits (0,0), (1,0), (1,1), (0,1) are I, X, Y, Z
-        return x + 3 * z - 2 * x * z
-
-    masks = np.array([(p.x, p.z, q.x, q.z) for p, q in pairs], dtype=np.int64).reshape(-1, 4)
-    letters = np.empty((len(masks), n), dtype=np.int8)
-    for j in range(n):
-        x_in, z_in, x_out, z_out = ((masks >> j) & 1).T
-        letters[:, j] = 4 * code(x_in, z_in) + code(x_out, z_out)
-    return letters
+    qubit, in_code * 4 + out_code: the moment-table digit of that qubit."""
+    return 4 * letter_codes([p for p, _ in pairs], n) + letter_codes([q for _, q in pairs], n)
 
 
 def _table_index(letters: np.ndarray) -> np.ndarray:
@@ -714,16 +703,10 @@ def estimate_state_expectations(
     signs = exact.sample_pauli_basis_outcomes(state, bases, rng)
     edges = np.linspace(0, count, n_batches + 1).astype(int)
     out: dict[PauliString, float] = {}
-    for p in paulis:
-        mask = np.ones(count, dtype=bool)
-        parity = np.ones(count, dtype=np.int8)
-        for j in range(n):
-            code = p.letter_code(j)
-            if code == 0:
-                continue
-            mask &= bases[:, j] == code - 1
-            parity = parity * signs[:, j]
-        values = np.where(mask, parity, 0).astype(np.int64)
+    for p, codes in zip(paulis, letter_codes(paulis, n)):
+        support = np.flatnonzero(codes)
+        hit = (bases[:, support] == codes[support] - 1).all(axis=1)
+        values = np.where(hit, signs[:, support].prod(axis=1, dtype=np.int64), 0)
         batch_means = [
             p.sign * 3.0 ** p.weight * values[a:b].sum() / max(b - a, 1)
             for a, b in zip(edges[:-1], edges[1:])

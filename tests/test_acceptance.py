@@ -20,7 +20,6 @@ from paulishadow.channels import (
     ProductChannel,
     amplitude_damping_ptm,
     depolarizing_ptm,
-    exact_eigenvalue,
     exact_transfer_matrix,
     reference_product_channel,
     save_channel,
@@ -71,10 +70,10 @@ def test_criterion_1_eigenvalue_oracle():
     ch = reference_product_channel()
     brute = exact.brute_force_eigenvalues(ch, 2)
     for p in iter_all_paulis(2):
-        assert exact_eigenvalue(ch, p) == pytest.approx(brute[p], abs=1e-12)
-    assert exact_eigenvalue(ch, P("ZI")) == pytest.approx(0.60, abs=1e-12)
-    assert exact_eigenvalue(ch, P("IZ")) == pytest.approx(0.64, abs=1e-12)
-    assert exact_eigenvalue(ch, P("ZZ")) == pytest.approx(0.384, abs=1e-12)
+        assert ch.eigenvalue(p) == pytest.approx(brute[p], abs=1e-12)
+    assert ch.eigenvalue(P("ZI")) == pytest.approx(0.60, abs=1e-12)
+    assert ch.eigenvalue(P("IZ")) == pytest.approx(0.64, abs=1e-12)
+    assert ch.eigenvalue(P("ZZ")) == pytest.approx(0.384, abs=1e-12)
 
 
 def test_criterion_2_estimator_unbiasedness():

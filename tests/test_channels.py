@@ -18,7 +18,6 @@ from paulishadow.channels import (
     channel_to_config,
     depolarizing_probs,
     depolarizing_ptm,
-    exact_eigenvalue,
     exact_transfer_matrix,
     is_weight_contracting,
     load_channel,
@@ -121,11 +120,6 @@ def test_eigenvalues_against_brute_force():
             assert sp.eigenvalue(p) == pytest.approx(lam, abs=1e-12)
 
 
-def test_exact_eigenvalue_helper():
-    ch = reference_product_channel()
-    assert exact_eigenvalue(ch, P("ZZ")) == pytest.approx(0.384, abs=1e-12)
-
-
 def test_min_abs_eigenvalue():
     ch = reference_product_channel()
     assert ch.min_abs_eigenvalue(1) == pytest.approx(0.60, abs=1e-12)
@@ -197,13 +191,11 @@ def test_product_channel_trace_preservation_check():
 
 
 def test_product_channel_cp_check():
-    ok = ProductChannel([amplitude_damping_ptm(0.3)], strict_cp=True)
+    ok = ProductChannel([amplitude_damping_ptm(0.3)])
     assert ok.choi_minimum_eigenvalue(0) > -1e-12
     stretch = np.diag([1.0, 1.2, 1.2, 1.2])  # not completely positive
-    lax = ProductChannel([stretch])
-    assert lax.choi_minimum_eigenvalue(0) < -1e-3
-    with pytest.raises(ValueError):
-        ProductChannel([stretch], strict_cp=True)
+    with pytest.raises(ValueError, match="not completely positive"):
+        ProductChannel([stretch])
 
 
 def test_output_bloch_amplitude_damping():
@@ -235,6 +227,27 @@ def test_exact_transfer_against_brute_force():
     bf = exact.brute_force_transfer(ch, 2)
     assert m.basis == bf.basis
     np.testing.assert_allclose(m.matrix, bf.matrix, atol=1e-12)
+
+
+def per_entry_transfer_matrix(channel, basis):
+    """Each adjoint transfer entry as a product over qubits, in qubit order."""
+    factors = [channel.adjoint_factor(j) for j in range(channel.n)]
+    matrix = np.empty((len(basis), len(basis)))
+    for i, p in enumerate(basis):
+        for j, q in enumerate(basis):
+            entry = 1.0
+            for qubit in range(channel.n):
+                entry *= factors[qubit][p.letter_code(qubit), q.letter_code(qubit)]
+            matrix[i, j] = entry
+    return matrix
+
+
+def test_product_transfer_matrix_equals_per_entry_product(random_cp_ptm):
+    rng = np.random.default_rng(23)
+    for n, k in [(1, 1), (2, 2), (3, 3), (4, 3), (5, 3), (6, 2)]:
+        ch = ProductChannel([random_cp_ptm(rng) for _ in range(n)])
+        m = exact_transfer_matrix(ch, k)
+        assert np.array_equal(m.matrix, per_entry_transfer_matrix(ch, m.basis))
 
 
 def test_amplitude_damping_transfer_entries():

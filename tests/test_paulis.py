@@ -11,6 +11,7 @@ from paulishadow.paulis import (
     PauliString,
     enumerate_low_weight,
     iter_all_paulis,
+    letter_codes,
     low_weight_count,
     pauli_from_index,
     pauli_index,
@@ -169,3 +170,18 @@ def test_letters_constant():
     for code, letter in enumerate(LETTERS):
         p = PauliString.from_letters(1, {0: letter} if letter != "I" else {})
         assert p.letter_code(0) == code
+
+
+def test_letter_codes_match_letter_code():
+    def reference(strings, n):
+        return np.array([[p.letter_code(j) for j in range(n)] for p in strings], dtype=np.int8)
+
+    for n in range(1, 5):
+        strings = list(iter_all_paulis(n))
+        codes = letter_codes(strings, n)
+        assert codes.dtype == np.int8
+        np.testing.assert_array_equal(codes, reference(strings, n))
+    rng = np.random.default_rng(5)
+    strings = [pauli_from_index(12, int(i)) for i in rng.integers(0, 4**12, 300)]
+    np.testing.assert_array_equal(letter_codes(strings, 12), reference(strings, 12))
+    assert letter_codes([], 3).shape == (0, 3)

@@ -136,6 +136,47 @@ def test_block_iteration_matches_batch():
     np.testing.assert_array_equal(merged.t_sign, batch.t_sign)
 
 
+def _sample_ptm_block_per_qubit(channel, rng, block_size, spam):
+    """One block of a product channel's records, its outcome probabilities
+    computed qubit by qubit from the PTM columns: the reference for the
+    sampler's table lookup, with the same draws in the same order."""
+    shape = (block_size, channel.n)
+    s_axis = rng.integers(0, 3, shape, dtype=np.int8)
+    s_sign = (1 - 2 * rng.integers(0, 2, shape, dtype=np.int8)).astype(np.int8)
+    physical_sign = s_sign
+    if spam > 0.0:
+        physical_sign = np.where(rng.random(shape) < spam, -s_sign, s_sign).astype(np.int8)
+    t_axis = rng.integers(0, 3, shape, dtype=np.int8)
+    u = rng.random(shape)
+    t_sign = np.empty(shape, dtype=np.int8)
+    rows = np.arange(block_size)
+    for j in range(channel.n):
+        ptm = channel.ptm(j)
+        bloch = ptm[1:, 0][:, None] + physical_sign[:, j] * ptm[1:, s_axis[:, j] + 1]
+        p_plus = np.clip((1.0 + bloch[t_axis[:, j], rows]) / 2.0, 0.0, 1.0)
+        t_sign[:, j] = np.where(u[:, j] < p_plus, 1, -1)
+    if spam > 0.0:
+        t_sign = np.where(rng.random(shape) < spam, -t_sign, t_sign).astype(np.int8)
+    return ShadowRecords(s_axis, s_sign, t_axis, t_sign)
+
+
+@pytest.mark.parametrize("spam", [0.0, 0.1])
+@pytest.mark.parametrize("block_size", [64, 250])  # 1000 records: a partial last block, none
+def test_ptm_sampling_matches_per_qubit_reference(random_cp_ptm, block_size, spam):
+    rng = np.random.default_rng(17)
+    for n in range(1, 6):
+        ch = ProductChannel([random_cp_ptm(rng) for _ in range(n)])
+        got = sample_channel_shadows(ch, 1000, seed=n, block_size=block_size,
+                                     spam_flip_probability=spam)
+        blocks = -(-1000 // block_size)
+        want = ShadowRecords.concatenate([
+            _sample_ptm_block_per_qubit(ch, block_rng(n, b), block_size, spam)
+            for b in range(blocks)
+        ])[:1000]
+        for field in ("s_axis", "s_sign", "t_axis", "t_sign"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
 def test_block_rng_is_counter_based():
     a = block_rng(99, 0).integers(0, 1000, 5)
     b = block_rng(99, 0).integers(0, 1000, 5)
