@@ -108,7 +108,7 @@ def _shadow_source(channel, n: int, shadows: int, seed: int):
     blocks = iter_channel_shadow_blocks(channel, shadows, seed)
     if n <= COUNTS_QUBIT_CAP:
         return ShadowCounts.accumulate(blocks, n)
-    return ShadowRecords.concatenate(list(blocks))
+    return ShadowRecords.concatenate(blocks, (shadows, n))
 
 
 # -- learn ---------------------------------------------------------------------

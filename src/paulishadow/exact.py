@@ -221,7 +221,7 @@ def gate_unitary(kind: str, qubits: Sequence[int], n: int) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _gate_superop(kind: str, arity: int, noise: PauliChannel | None) -> np.ndarray:
+def gate_superop(kind: str, arity: int, noise: PauliChannel | None) -> np.ndarray:
     """(2,)*4a tensor S[r, c, r', c'] of a gate and its noise on a local register:
     rho'_{rc} = sum S[r, c, r', c'] rho_{r'c'}, with S = sum_Q p_Q (QU) (x) conj(QU)."""
     u = gate_unitary(kind, range(arity), arity)
@@ -242,7 +242,7 @@ def simulate_circuit(circuit, state: DenseState, noisy: bool) -> DenseState:
         a = len(gate.qubits)
         if gate.kind not in superops:
             noise = circuit.noise.get(gate.kind) if noisy else None
-            superops[gate.kind] = _gate_superop(gate.kind, a, noise)
+            superops[gate.kind] = gate_superop(gate.kind, a, noise)
         axes = [*gate.qubits, *(n + q for q in gate.qubits)]
         rho = np.tensordot(rho, superops[gate.kind], axes=(axes, range(2 * a, 4 * a)))
         rho = np.moveaxis(rho, range(2 * n - 2 * a, 2 * n), axes)

@@ -17,8 +17,9 @@ mergeable across blocks.
 
 Estimation
 ----------
-Each record falls in one of 36 cells per qubit (s axis, s sign, t axis,
-t sign), and ``ShadowCounts`` holds the joint 36^n histogram (n <= 4).
+A record is one uint8 cell per qubit: (s axis, s sign, t axis, t sign) in
+mixed radix (3, 2, 3, 2), which every sampler writes directly.
+``ShadowCounts`` holds the joint 36^n histogram of cells (n <= 4).
 Contracting it once, qubit by qubit, against the (16, 36) table of
 per-qubit factors gives the 16^n *moment table*: the entry at mixed-radix
 index sum_j (P_j * 4 + Q_j) * 16^(n-1-j), with letter codes I=0, X=1, Y=2,
@@ -41,16 +42,20 @@ Randomness
 Sampling uses the counter-based Philox generator.  Records are produced in
 fixed-size blocks; block ``b`` of a run with seed ``s`` always draws from
 ``Philox(key=s, counter=b << 128)`` and always draws full-block-sized arrays,
-so record ``i`` depends only on (seed, i) - not on the total record count,
-the block schedule, or any thread layout.  Channel and gate shadows share
-this block driver and are both streamed, so a caller that reduces each
-block into a histogram holds one block at a time.
+so record ``i`` depends only on (seed, block size, i): the records for a
+smaller count are a prefix of those for a larger one, but another block
+size gives other records.  Channel and gate shadows share this block driver
+and are both streamed, so a caller that reduces each block into a histogram
+holds one block at a time, and the histogram does not depend on how the
+records are re-chunked for reduction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -60,6 +65,7 @@ from .channels import PauliChannel, ProductChannel, TransferMatrix
 from .clifford import conjugate_pauli, gate_arity
 from .observables import locality_norm_constant
 from .paulis import (
+    PAULI_MATRICES,
     PauliString,
     enumerate_low_weight,
     iter_all_paulis,
@@ -68,9 +74,9 @@ from .paulis import (
 )
 
 AXES = "XYZ"
-_AXIS_BYTES = np.frombuffer(AXES.encode(), np.uint8)
-_AXIS_CODES = np.full(256, -1, dtype=np.int8)
-_AXIS_CODES[_AXIS_BYTES] = np.arange(3)
+# (axis letter, sign) bytes -> input or measurement digit axis * 2 + sign bit
+_DIGITS = np.full((256, 256), -1, dtype=np.int8)
+_DIGITS[tuple(np.array([(ord(a), ord(s)) for a in AXES for s in "+-"]).T)] = np.arange(6)
 DEFAULT_BLOCK_SIZE = 1 << 16
 COUNTS_QUBIT_CAP = 4  # 36^n histogram cells
 # A 16^w moment table costs about as much as this many single-moment
@@ -81,49 +87,72 @@ _TABLE_COST = 20
 # -- records -------------------------------------------------------------------
 
 
-@dataclass
-class ShadowRecords:
-    """A batch of shadow records as (N, n) int8 arrays.
+# Every cell's (s_axis, s_sign, t_axis, t_sign), as the rows of a (4, 36)
+# int8 decode table, and its four characters of text.
+_CELL_FIELDS = np.array(list(itertools.product(range(3), (1, -1), range(3), (1, -1))), np.int8).T
+_CELL_TEXT = np.frombuffer(
+    "".join(map("".join, itertools.product(AXES, "+-", AXES, "+-"))).encode(), np.uint8
+).reshape(36, 4)
 
-    Axis codes are 0=X, 1=Y, 2=Z; signs are +-1.  ``s_*`` describe the
-    intended input eigenstate, ``t_*`` the measurement basis and outcome.
+
+class ShadowRecords:
+    """A batch of shadow records: one (N, n) uint8 ``cells`` array.
+
+    A cell codes a qubit's intended input eigenstate and its measurement,
+    ``((s_axis * 2 + s_bit) * 3 + t_axis) * 2 + t_bit``, with axis codes
+    0=X, 1=Y, 2=Z and a negative sign as bit 1.  The samplers write cells;
+    the constructor encodes them from (N, n) ``s_axis``, ``s_sign``,
+    ``t_axis`` and ``t_sign`` arrays (signs +-1), which the properties decode.
     """
 
-    s_axis: np.ndarray
-    s_sign: np.ndarray
-    t_axis: np.ndarray
-    t_sign: np.ndarray
+    def __init__(self, s_axis, s_sign, t_axis, t_sign):
+        fields = [np.asarray(f) for f in (s_axis, s_sign, t_axis, t_sign)]
+        s_axis, s_sign, t_axis, t_sign = fields
+        if len({f.shape for f in fields}) > 1 or s_axis.ndim != 2:
+            raise ValueError(f"expected four (N, n) arrays, got shapes {[f.shape for f in fields]}")
+        cells = ((s_axis * 2 + (s_sign < 0)) * 3 + t_axis) * 2 + (t_sign < 0)
+        self.cells = cells.astype(np.uint8)
 
-    def __post_init__(self):
-        shape = self.s_axis.shape
-        for name in ("s_sign", "t_axis", "t_sign"):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"field {name} has shape mismatch")
-        if len(shape) != 2:
-            raise ValueError(f"expected (N, n) arrays, got shape {shape}")
+    @classmethod
+    def from_cells(cls, cells: np.ndarray) -> "ShadowRecords":
+        """Wrap an (N, n) uint8 cell array, without a copy."""
+        out = cls.__new__(cls)
+        out.cells = cells
+        return out
+
+    s_axis = property(lambda self: _CELL_FIELDS[0].take(self.cells))
+    s_sign = property(lambda self: _CELL_FIELDS[1].take(self.cells))
+    t_axis = property(lambda self: _CELL_FIELDS[2].take(self.cells))
+    t_sign = property(lambda self: _CELL_FIELDS[3].take(self.cells))
 
     def __len__(self) -> int:
-        return self.s_axis.shape[0]
+        return self.cells.shape[0]
 
     @property
     def n(self) -> int:
-        return self.s_axis.shape[1]
+        return self.cells.shape[1]
 
     def __getitem__(self, key) -> "ShadowRecords":
         if isinstance(key, int):
             key = slice(key, key + 1)
-        return ShadowRecords(
-            self.s_axis[key], self.s_sign[key], self.t_axis[key], self.t_sign[key]
-        )
+        return ShadowRecords.from_cells(self.cells[key])
 
     @classmethod
-    def concatenate(cls, batches: Sequence["ShadowRecords"]) -> "ShadowRecords":
-        return cls(
-            np.concatenate([b.s_axis for b in batches]),
-            np.concatenate([b.s_sign for b in batches]),
-            np.concatenate([b.t_axis for b in batches]),
-            np.concatenate([b.t_sign for b in batches]),
-        )
+    def concatenate(
+        cls, batches: Iterable["ShadowRecords"], shape: tuple[int, int] | None = None
+    ) -> "ShadowRecords":
+        """Join batches.  Given the total ``shape``, the batches may be a
+        stream: each is copied into one preallocated array as it arrives."""
+        if shape is None:
+            return cls.from_cells(np.concatenate([b.cells for b in batches]))
+        cells = np.empty(shape, dtype=np.uint8)
+        stop = 0
+        for batch in batches:
+            cells[stop : stop + len(batch)] = batch.cells
+            stop += len(batch)
+        if stop != shape[0]:
+            raise ValueError(f"expected {shape[0]} records, got {stop}")
+        return cls.from_cells(cells)
 
     # one record per line: "s:Z+X- t:Z-Y+"
 
@@ -133,10 +162,9 @@ class ShadowRecords:
         text[:, :2] = np.frombuffer(b"s:", np.uint8)
         text[:, 2 * n + 2 : 2 * n + 5] = np.frombuffer(b" t:", np.uint8)
         text[:, -1] = ord("\n")
-        sides = ((2, self.s_axis, self.s_sign), (2 * n + 5, self.t_axis, self.t_sign))
-        for at, axis, sign in sides:
-            text[:, at : at + 2 * n : 2] = _AXIS_BYTES[axis]
-            text[:, at + 1 : at + 2 * n : 2] = np.where(sign > 0, ord("+"), ord("-"))
+        chars = _CELL_TEXT[self.cells]  # (N, n, 4)
+        text[:, 2 : 2 * n + 2] = chars[:, :, :2].reshape(len(self), 2 * n)
+        text[:, 2 * n + 5 : 4 * n + 5] = chars[:, :, 2:].reshape(len(self), 2 * n)
         return text.tobytes().decode("ascii").splitlines()
 
     @classmethod
@@ -152,20 +180,19 @@ class ShadowRecords:
         kept = np.flatnonzero((text[:, 0] != 0) & (text[:, 0] != ord("#")))
         text = text[kept]
         axes = np.r_[2 : 2 * n + 2 : 2, 2 * n + 5 : 4 * n + 5 : 2]
+        digits = _DIGITS[text[:, axes], text[:, axes + 1]]
         ok = (
             (text[:, :2] == [ord("s"), ord(":")]).all(axis=1)
             & (text[:, 2 * n + 2 : 2 * n + 5] == [ord(" "), ord("t"), ord(":")]).all(axis=1)
-            & (_AXIS_CODES[text[:, axes]] >= 0).all(axis=1)
-            & np.isin(text[:, axes + 1], [ord("+"), ord("-")]).all(axis=1)
+            & (digits >= 0).all(axis=1)
             & (text[:, 4 * n + 5 :] == 0).all(axis=1)
         )
         if not ok.all():
             row = kept[np.argmin(ok)]
             raise ValueError(f"line {row + 1}: expected 's:... t:...' with {n} qubits a side, "
                              f"got {lines[row]!r}")
-        axis = _AXIS_CODES[text[:, axes]]
-        sign = np.where(text[:, axes + 1] == ord("+"), 1, -1).astype(np.int8)
-        return cls(axis[:, :n], sign[:, :n], axis[:, n:], sign[:, n:])
+        # A cell's first digit in radix 6 is its input's, the second its measurement's.
+        return cls.from_cells((6 * digits[:, :n] + digits[:, n:]).view(np.uint8))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -197,45 +224,42 @@ def _iter_blocks(count: int, seed: int, block_size: int, sample) -> Iterator[Sha
         yield records[: count - start] if count - start < block_size else records
 
 
-def _sample_block(
-    channel: PauliChannel | ProductChannel,
-    rng: np.random.Generator,
-    block_size: int,
-    spam_flip_probability: float,
-) -> ShadowRecords:
-    """Draw one full block of channel shadow records."""
+def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam: float):
+    """The kernel drawing one full block of channel shadow records as cells."""
     n = channel.n
     shape = (block_size, n)
-    s_axis = rng.integers(0, 3, shape, dtype=np.int8)
-    s_sign = (1 - 2 * rng.integers(0, 2, shape, dtype=np.int8)).astype(np.int8)
-    physical_sign = s_sign
-    if spam_flip_probability > 0.0:
-        prep_flip = rng.random(shape) < spam_flip_probability
-        physical_sign = np.where(prep_flip, -s_sign, s_sign).astype(np.int8)
-    if isinstance(channel, PauliChannel):
-        errors = channel.sample_errors(block_size, rng)
-        flips = (errors != 0) & (errors != s_axis + 1)
-        out_sign = np.where(flips, -physical_sign, physical_sign).astype(np.int8)
-        t_axis = rng.integers(0, 3, shape, dtype=np.int8)
-        coin = (1 - 2 * rng.integers(0, 2, shape, dtype=np.int8)).astype(np.int8)
-        t_sign = np.where(t_axis == s_axis, out_sign, coin).astype(np.int8)
-    elif isinstance(channel, ProductChannel):
-        # P(+) by (qubit, input axis, input sign +/-, measured axis).
-        p_plus = np.array([
-            [[(1.0 + channel.output_bloch(j, axis, sign)) / 2.0 for sign in (1, -1)]
-             for axis in range(3)]
-            for j in range(n)
-        ])
-        t_axis = rng.integers(0, 3, shape, dtype=np.int8)
-        u = rng.random(shape)
-        p = p_plus[np.arange(n), s_axis, (1 - physical_sign) // 2, t_axis]
-        t_sign = np.where(u < p, 1, -1).astype(np.int8)
-    else:
+    if isinstance(channel, ProductChannel):
+        # P(+) by (qubit, input axis, physical sign bit, measured axis), and each
+        # record's offset of its qubit's 18 entries (a same-shape add is fast).
+        p_plus = np.ravel([(1.0 + channel.output_bloch(j, axis, sign)) / 2.0
+                           for j in range(n) for axis in range(3) for sign in (1, -1)])
+        offsets = np.tile(18 * np.arange(n), (block_size, 1)).astype(np.min_scalar_type(18 * n))
+    elif not isinstance(channel, PauliChannel):
         raise TypeError(f"cannot sample shadows of {type(channel).__name__}")
-    if spam_flip_probability > 0.0:
-        meas_flip = rng.random(shape) < spam_flip_probability
-        t_sign = np.where(meas_flip, -t_sign, t_sign).astype(np.int8)
-    return ShadowRecords(s_axis, s_sign, t_axis, t_sign)
+
+    def sample(rng: np.random.Generator) -> ShadowRecords:
+        s_axis = rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)
+        s_bit = rng.integers(0, 2, shape, dtype=np.int8).view(np.uint8)
+        physical_bit = s_bit
+        if spam > 0.0:
+            physical_bit = s_bit ^ (rng.random(shape) < spam)
+        if isinstance(channel, PauliChannel):
+            errors = channel.sample_errors(block_size, rng).view(np.uint8)
+            t_axis = rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)
+            coin = rng.integers(0, 2, shape, dtype=np.int8).view(np.uint8)
+            # An error other than I and the prepared axis flips the outcome; a
+            # basis other than the prepared axis reads a fair coin.
+            flips = (errors != 0) & (errors != s_axis + 1)
+            t_bit = np.where(t_axis == s_axis, physical_bit ^ flips, coin)
+        else:
+            t_axis = rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)
+            u = rng.random(shape)
+            t_bit = u >= p_plus.take((s_axis * 2 + physical_bit) * 3 + t_axis + offsets)
+        if spam > 0.0:
+            t_bit = t_bit ^ (rng.random(shape) < spam)
+        return ShadowRecords.from_cells(((s_axis * 2 + s_bit) * 3 + t_axis) * 2 + t_bit)
+
+    return sample
 
 
 def iter_channel_shadow_blocks(
@@ -248,10 +272,8 @@ def iter_channel_shadow_blocks(
     """Stream records in deterministic blocks (see module docstring)."""
     if not 0.0 <= spam_flip_probability <= 1.0:
         raise ValueError(f"flip probability must be in [0, 1], got {spam_flip_probability}")
-    yield from _iter_blocks(
-        count, seed, block_size,
-        lambda rng: _sample_block(channel, rng, block_size, spam_flip_probability),
-    )
+    sample = _block_sampler(channel, block_size, spam_flip_probability)
+    yield from _iter_blocks(count, seed, block_size, sample)
 
 
 def sample_channel_shadows(
@@ -261,14 +283,8 @@ def sample_channel_shadows(
     block_size: int = DEFAULT_BLOCK_SIZE,
     spam_flip_probability: float = 0.0,
 ) -> ShadowRecords:
-    blocks = list(
-        iter_channel_shadow_blocks(channel, count, seed, block_size, spam_flip_probability)
-    )
-    if not blocks:
-        n = channel.n
-        empty = np.empty((0, n), dtype=np.int8)
-        return ShadowRecords(empty, empty.copy(), empty.copy(), empty.copy())
-    return ShadowRecords.concatenate(blocks)
+    blocks = iter_channel_shadow_blocks(channel, count, seed, block_size, spam_flip_probability)
+    return ShadowRecords.concatenate(blocks, (max(count, 0), channel.n))
 
 
 # -- estimation ----------------------------------------------------------------
@@ -276,30 +292,23 @@ def sample_channel_shadows(
 
 def _cell_factor_table() -> np.ndarray:
     """(16, 36) table: per-qubit estimator factor by (in*4 + out letter, cell)."""
-    cell = np.arange(36)
-    s_axis, s_bit, t_axis, t_bit = cell // 12, cell // 6 % 2, cell // 2 % 3, cell % 2
+    s_axis, s_sign, t_axis, t_sign = _CELL_FIELDS
     letter = np.arange(4)[:, None]
-    f_in = np.where(letter == 0, 1, np.where(letter == s_axis + 1, 1 - 2 * s_bit, 0))
-    f_out = np.where(letter == 0, 1, np.where(letter == t_axis + 1, 3 - 6 * t_bit, 0))
+    f_in = np.where(letter == 0, 1, np.where(letter == s_axis + 1, s_sign, 0))
+    f_out = np.where(letter == 0, 1, np.where(letter == t_axis + 1, 3 * t_sign, 0))
     return (f_in[:, None, :] * f_out[None, :, :]).reshape(16, 36).astype(np.int64)
 
 
 _CELL_FACTORS = _cell_factor_table()
 
 
-def _cells(records: ShadowRecords) -> np.ndarray:
-    """(n, N) cell of every qubit of every record: (s_axis, s_sign, t_axis,
-    t_sign) in mixed radix (3, 2, 3, 2), a negative sign counting as 1."""
-    cells = (records.s_axis * 2 + (records.s_sign < 0)) * 6
-    cells += records.t_axis * 2 + (records.t_sign < 0)
-    return np.ascontiguousarray(cells.T)
-
-
-def _joint_cells(cells: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    """Joint cell of every record on ``qubits``, first qubit most significant."""
+def _joint_cells(cells: np.ndarray, qubits: Sequence[int], radix: int = 36) -> np.ndarray:
+    """Joint cell of every record on ``qubits``, first qubit most significant;
+    ``cells`` is (n, N), one row per qubit."""
     codes = np.zeros(cells.shape[1], dtype=np.int64)
     for j in qubits:
-        codes = codes * 36 + cells[j]
+        codes *= radix
+        codes += cells[j]
     return codes
 
 
@@ -363,7 +372,7 @@ class ShadowCounts:
             raise ValueError(f"records have n={records.n}, counts have n={self.n}")
         for start in range(0, len(records), DEFAULT_BLOCK_SIZE):  # bounds the temporaries
             block = records[start : start + DEFAULT_BLOCK_SIZE]
-            np.add.at(self.counts, _joint_cells(_cells(block), range(self.n)), 1)
+            np.add.at(self.counts, _joint_cells(block.cells.T, range(self.n)), 1)
         self.n_records += len(records)
 
     def merge(self, other: "ShadowCounts") -> "ShadowCounts":
@@ -398,7 +407,7 @@ def _marginal_numerators(records: ShadowRecords, pairs) -> list[int]:
     group's table is read, then dropped.  A group with few members is summed
     record by record instead (see ``_TABLE_COST``).
     """
-    cells = _cells(records)
+    cells = np.ascontiguousarray(records.cells.T)
     n = records.n
     letters = _pair_letters(pairs, n)
     support = letters != 0
@@ -577,27 +586,23 @@ def plan_sample_size(
 
 
 def _gate_outcome_cdfs(kind: str, noise: PauliChannel | None) -> np.ndarray:
-    """(6^g, 3^g, 2^g) outcome CDFs for every (input state, basis) pair."""
+    """(18^g, 2^g) outcome CDFs of a noisy gate.  Row digit j, qubit 0 most
+    significant, is qubit j's input digit (axis * 2 + sign bit) * 3 + basis
+    axis; outcome bit j is 1 for -1.  The 6^g product eigenstates are both
+    the inputs and the outcome projectors, so one product through the gate's
+    noisy superoperator gives every outcome probability."""
     g = gate_arity(kind)
     if noise is not None and noise.n != g:
         raise ValueError(f"{kind} noise must act on {g} qubits, got {noise.n}")
-    unitary = exact.gate_unitary(kind, tuple(range(g)), g)
-    cdfs = np.empty((6**g, 3**g, 2**g))
-    for s_idx in range(6**g):
-        digits = [(s_idx // 6**(g - 1 - j)) % 6 for j in range(g)]
-        axes = [d // 2 for d in digits]
-        signs = [1 - 2 * (d % 2) for d in digits]
-        rho = exact.DenseState.product_eigenstate(axes, signs).rho
-        rho = unitary @ rho @ unitary.conj().T
-        if noise is not None:
-            rho = exact.apply_to_operator(noise, rho)
-        state = exact.DenseState(g, rho)
-        for b_idx in range(3**g):
-            basis = [(b_idx // 3**(g - 1 - j)) % 3 for j in range(g)]
-            probs = exact.basis_outcome_probabilities(state, basis)
-            cdf = np.cumsum(probs)
-            cdf[-1] = 1.0
-            cdfs[s_idx, b_idx] = cdf
+    one = [(np.eye(2) + sign * PAULI_MATRICES[a]) / 2 for a in (1, 2, 3) for sign in (1, -1)]
+    flat = np.array([reduce(np.kron, f).ravel() for f in itertools.product(one, repeat=g)])
+    superop = exact.gate_superop(kind, g, noise).reshape(4**g, 4**g)
+    probs = (flat @ superop.T @ flat.conj().T).real.reshape((6,) * g + (3, 2) * g)
+    # axes (s_j; b_j, o_j) -> (s_0, b_0, s_1, b_1, ...; o_0, o_1, ...)
+    order = [a for j in range(g) for a in (j, g + 2 * j)] + [g + 2 * j + 1 for j in range(g)]
+    probs = np.clip(probs.transpose(order).reshape(18**g, 2**g), 0.0, None)
+    cdfs = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    cdfs[:, -1] = 1.0
     return cdfs
 
 
@@ -613,25 +618,20 @@ def sample_gate_shadows(
     every block is the gate arity; blocks follow the (seed, block) scheme of
     ``iter_channel_shadow_blocks``."""
     g = gate_arity(kind)
-    cdfs = _gate_outcome_cdfs(kind, noise)
-    powers6 = 6 ** np.arange(g - 1, -1, -1, dtype=np.int64)
-    powers3 = 3 ** np.arange(g - 1, -1, -1, dtype=np.int64)
-    bit_shift = np.arange(g - 1, -1, -1)
+    outcomes = 2**g
+    thresholds = _gate_outcome_cdfs(kind, noise)[:, :-1].reshape(-1)
+    # The g cells of (row, outcome): cell j is 2 * row digit j + outcome bit j.
+    digits = np.unravel_index(np.arange(36**g), (18,) * g + (2,) * g)
+    cell_table = np.stack([2 * digits[j] + digits[g + j] for j in range(g)], 1).astype(np.uint8)
 
     def sample(rng: np.random.Generator) -> ShadowRecords:
         shape = (block_size, g)
         s_digits = rng.integers(0, 6, shape, dtype=np.int64)
         b_digits = rng.integers(0, 3, shape, dtype=np.int64)
         u = rng.random(block_size)
-        row_cdfs = cdfs[s_digits @ powers6, b_digits @ powers3]  # (B, 2^g)
-        outcomes = (u[:, None] >= row_cdfs[:, :-1]).sum(axis=1)
-        bits = (outcomes[:, None] >> bit_shift[None, :]) & 1
-        return ShadowRecords(
-            (s_digits // 2).astype(np.int8),
-            (1 - 2 * (s_digits % 2)).astype(np.int8),
-            b_digits.astype(np.int8),
-            (1 - 2 * bits).astype(np.int8),
-        )
+        row = _joint_cells((s_digits * 3 + b_digits).T, range(g), radix=18)
+        outcome = sum(u >= thresholds.take(row * (outcomes - 1) + k) for k in range(outcomes - 1))
+        return ShadowRecords.from_cells(cell_table.take(row * outcomes + outcome, axis=0))
 
     yield from _iter_blocks(count, seed, block_size, sample)
 

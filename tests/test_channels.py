@@ -1,9 +1,12 @@
 """Channel models, eigenvalue oracles, transfer matrices, and config IO."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulishadow import exact
 from paulishadow.channels import (
@@ -150,6 +153,22 @@ def test_walsh_round_trip():
     lams = walsh_eigenvalues(probs)
     assert lams[0] == pytest.approx(1.0)
     np.testing.assert_allclose(walsh_probabilities(lams), probs, atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_walsh_round_trip_property(n, product, seed):
+    # probabilities -> eigenvalues -> probabilities, for product and sparse channels
+    rng = np.random.default_rng(seed)
+    if product:
+        probs = reduce(np.kron, rng.dirichlet(np.ones(4), size=n))
+    else:
+        probs = np.zeros(4**n)
+        support = rng.choice(4**n, size=min(int(rng.integers(1, 8)), 4**n), replace=False)
+        probs[support] = rng.dirichlet(np.ones(len(support)))
+    lams = walsh_eigenvalues(probs)
+    assert lams[0] == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(walsh_probabilities(lams), probs, rtol=0, atol=1e-12)
 
 
 def test_walsh_rejects_invalid_eigenvalues():

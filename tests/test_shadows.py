@@ -6,13 +6,14 @@ values, counts-vs-records agreement, unbiasedness enumerations) are checked
 to 1e-12 or exactly.
 """
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from paulishadow import exact
+from paulishadow import exact, shadows
 from paulishadow.channels import (
     PauliChannel,
     ProductChannel,
@@ -23,6 +24,7 @@ from paulishadow.channels import (
 )
 from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis
 from paulishadow.shadows import (
+    DEFAULT_BLOCK_SIZE,
     EigenvalueEstimates,
     ShadowCounts,
     ShadowRecords,
@@ -117,7 +119,7 @@ def test_sampling_is_deterministic():
 
 
 def test_sampling_prefix_stability():
-    # record i depends only on (seed, i), not on the total record count
+    # record i depends only on (seed, block size, i), not on the total record count
     ch = reference_product_channel()
     small = sample_channel_shadows(ch, 1000, seed=12)
     big = sample_channel_shadows(ch, 70_000, seed=12)  # spans two blocks
@@ -175,6 +177,135 @@ def test_ptm_sampling_matches_per_qubit_reference(random_cp_ptm, block_size, spa
         ])[:1000]
         for field in ("s_axis", "s_sign", "t_axis", "t_sign"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_every_cell_decodes_and_encodes_back():
+    cells = np.arange(36, dtype=np.uint8).reshape(36, 1)
+    records = ShadowRecords.from_cells(cells)
+    fields = (records.s_axis, records.s_sign, records.t_axis, records.t_sign)
+    assert all(f.dtype == np.int8 and f.shape == (36, 1) for f in fields)
+    s_axis, s_sign, t_axis, t_sign = (f[:, 0].astype(int) for f in fields)
+    assert set(s_axis) == set(t_axis) == {0, 1, 2} and set(s_sign) == set(t_sign) == {-1, 1}
+    # the documented code: mixed radix (3, 2, 3, 2), a negative sign as bit 1
+    code = ((s_axis * 2 + (s_sign < 0)) * 3 + t_axis) * 2 + (t_sign < 0)
+    np.testing.assert_array_equal(code, np.arange(36))
+    encoded = ShadowRecords(*fields).cells
+    assert encoded.dtype == np.uint8
+    np.testing.assert_array_equal(encoded, cells)
+    signs = {1: "+", -1: "-"}
+    assert records.to_lines() == [
+        f"s:{'XYZ'[a]}{signs[b]} t:{'XYZ'[c]}{signs[d]}"
+        for a, b, c, d in zip(s_axis, s_sign, t_axis, t_sign)
+    ]
+
+
+def test_concatenate_streams_into_one_array():
+    ch = reference_product_channel()
+    blocks = list(iter_channel_shadow_blocks(ch, 1000, seed=3, block_size=300))
+    listed = ShadowRecords.concatenate(blocks)
+    streamed = ShadowRecords.concatenate(iter(blocks), (1000, 2))
+    assert streamed.cells.dtype == np.uint8
+    np.testing.assert_array_equal(streamed.cells, listed.cells)
+    np.testing.assert_array_equal(sample_channel_shadows(ch, 1000, 3, 300).cells, listed.cells)
+    for wrong in (999, 1001):
+        with pytest.raises(ValueError):
+            ShadowRecords.concatenate(iter(blocks), (wrong, 2))
+    empty = sample_channel_shadows(ch, 0, seed=3)
+    assert len(empty) == 0 and empty.n == 2
+
+
+# -- golden records ------------------------------------------------------------
+
+# SHA-256 of ``ShadowRecords.save`` bytes under fixed seeds, recorded when
+# records were still written as four int8 arrays.  Any change to the random
+# draws, their order, or the sign and axis conventions changes a digest.
+GOLDEN_SAVE_SHA256 = {
+    "pauli-product-spam0.0-b64": "933f464d3e8484658414b3ebb6da51582923d523ab5929c40924d145da7ece3a",
+    "pauli-product-spam0.0-b250": "478f4113c0e765f56d6ac66002cf161ac2d482bf327b722ed714656a76c46f62",
+    "pauli-product-spam0.0-b65536": "70ffaed398980c01a433a55a0dfecd18483ed4d1e5429fb828699134692db8eb",
+    "pauli-product-spam0.1-b64": "3838dd2018583c27656b2915c3b740fa0dded91b3547c51d85820b6c9fe43941",
+    "pauli-product-spam0.1-b250": "74692a64d6eca6584b65aa4804f0ed0a8673ca794aaa6c815a1b2d805d5eea0e",
+    "pauli-product-spam0.1-b65536": "147d158f3fa0d3caf612927baa9e31b0629aac5a5ad6cd33a16c75f6bb36ca2e",
+    "pauli-sparse-spam0.0-b64": "e784de21d00879f4fda634138132649c46f40357b062c2b619ebd0ac5fd3397f",
+    "pauli-sparse-spam0.0-b250": "75f2d482b29330191e0894f2ad940fd8d38a33a3a3e43f2539d546de5153d187",
+    "pauli-sparse-spam0.0-b65536": "02b5db2ffa3653f021f80e439fc8522264a5b432e4d5ebbba0ef65b1b63fd592",
+    "pauli-sparse-spam0.1-b64": "bda34390a0133e0f3f5ce0edaa1de2aa4fcf9bd23f10498e3d49524657ee1308",
+    "pauli-sparse-spam0.1-b250": "c4a348097b256c098718b217cf95a52173ec66475085c0760da7ebe1f93a9059",
+    "pauli-sparse-spam0.1-b65536": "19dc554db506f569f631d5b762739e42885f98276c2cc18abdba014f371d9601",
+    "ptm-product-spam0.0-b64": "c917584853f0fe48e82920e22d730ba157e17ccb8797cb047b5df24f6239f3bb",
+    "ptm-product-spam0.0-b250": "2bbe2cc275044b088e1ac8441de00607c2cd2efcd0150d3b32cf2f411a8d5990",
+    "ptm-product-spam0.0-b65536": "68382a393a6d363b6e482ffc37ec3d3612f64fa55efdb05fb89f65c11bdc58e8",
+    "ptm-product-spam0.1-b64": "41bfb60ac8747d1ed4d82e7c036623a5d20d6a1e775aebe44791b1d8644c6360",
+    "ptm-product-spam0.1-b250": "5997a58f2e90dfab75b096aaba0956ba926c23cc04d1a84618dd7e7e885959e2",
+    "ptm-product-spam0.1-b65536": "fce65c461cfa288dd6241aecfb847da4b3a047c3bf5ee41acdb7328ab4d5b945",
+    "H-ideal-b64": "4c246ee17e8af68b1febd84ea23e7cf868fe9bdab03eddf5c1d342961e3deeca",
+    "H-ideal-b250": "99e53920a88392228abab07f33d25e06b34e42be47430720819d8a8a7e8b4870",
+    "H-ideal-b65536": "efef2447607cad6e7804495663517814e7147269f63cabaf5d4c97d22ced5d0d",
+    "H-noisy-b64": "c5d4fd77238b75ebdc0786e4b1ecd40fc16c1cb2a6b6e9bf53c0867ef3d24bc4",
+    "H-noisy-b250": "a7663c537d6dbc081620547e2539096f17a956444f5aaa6da613268aedca2050",
+    "H-noisy-b65536": "fc134c0ad1b90d8d0aedfdaec3789e9f854b0b28c9bd2864ca29b153062f4cd2",
+    "S-ideal-b64": "7962bc7e54ac9dd126ba204a2a892842a6f219e51e6f1f049673ba5e2bf0a254",
+    "S-ideal-b250": "36a54337d86b304f693710f31f0455f13cebd671f88c5e811d31acb980c0a4db",
+    "S-ideal-b65536": "0628003cdf581b9f9da23dfb109626ab9aba73a7cd6e9392414c8db7a84369fe",
+    "S-noisy-b64": "c066b624354358f15a9ff4ae41e38c27a7c7a3a591e93f24c945b9fbbf05989c",
+    "S-noisy-b250": "9874a83266df486d00da21d4458c9d783655a5bab3793386e1b3c87e76d03231",
+    "S-noisy-b65536": "66c74e70f232619d7d08f1d921b234c6bb97462b9c627b611b3aebf848cd29b2",
+    "CNOT-ideal-b64": "3ad86795a8f73514c3e239722f5cded653deef4c4c60740fcd0e3aeed95b9412",
+    "CNOT-ideal-b250": "50ba3e8b09fb63d413fd08320162566649ceae3998189528998c64b93a4db515",
+    "CNOT-ideal-b65536": "0174c913e8473892e57a0bfb294a7d369b0ba4275d9895e04d07d4d8a2cd8c8a",
+    "CNOT-noisy-b64": "36ff0ce702d200199ced955108c4a360dc8de4259a0de636d441a9939c676a9d",
+    "CNOT-noisy-b250": "9c63f1140ba194b4523f38d0fdc47632bc68230b44f03affb8bcecd15a665fdb",
+    "CNOT-noisy-b65536": "2c3f73c2bf2f8e918189c0bb81693321a363799d9bbae70257af817848695b54",
+}
+_H_PTM = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0]], float)
+GOLDEN_CHANNELS = {
+    "pauli-product": lambda: PauliChannel.from_qubit_probs(
+        [(0.85, 0.05, 0.06, 0.04), (0.9, 0.02, 0.03, 0.05), (0.8, 0.1, 0.05, 0.05)]
+    ),
+    "pauli-sparse": lambda: PauliChannel.from_terms(
+        3, {"XIZ": 0.05, "YYI": 0.03, "IZZ": 0.04, "ZII": 0.02}
+    ),
+    "ptm-product": lambda: ProductChannel(
+        [amplitude_damping_ptm(0.3) @ _H_PTM, depolarizing_ptm(0.8), amplitude_damping_ptm(0.1)]
+    ),
+}
+GOLDEN_GATE_NOISE = {
+    "H": lambda: PauliChannel.from_qubit_probs([(0.9, 0.05, 0.03, 0.02)]),
+    "S": lambda: PauliChannel.from_qubit_probs([(0.92, 0.02, 0.02, 0.04)]),
+    "CNOT": lambda: PauliChannel.from_terms(2, {"XX": 0.02, "ZI": 0.03, "IY": 0.01}),
+}
+# record count by block size: every run ends in a partial block
+GOLDEN_COUNTS = {64: 1001, 250: 1001, DEFAULT_BLOCK_SIZE: DEFAULT_BLOCK_SIZE + 4465}
+
+
+def golden_records(case):
+    source, variant, size = case.rsplit("-", 2)
+    block_size = int(size[1:])
+    count = GOLDEN_COUNTS[block_size]
+    if source in GOLDEN_CHANNELS:
+        spam = float(variant.removeprefix("spam"))
+        return sample_channel_shadows(GOLDEN_CHANNELS[source](), count, 7, block_size, spam)
+    noise = GOLDEN_GATE_NOISE[source]() if variant == "noisy" else None
+    return ShadowRecords.concatenate(list(sample_gate_shadows(source, noise, count, 11, block_size)))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SAVE_SHA256))
+def test_saved_records_match_golden_digest(case, tmp_path):
+    path = tmp_path / "records.txt"
+    golden_records(case).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SAVE_SHA256[case]
+
+
+@pytest.mark.parametrize("spam", [0.0, 0.1])
+@pytest.mark.parametrize("source", sorted(GOLDEN_CHANNELS))
+def test_channel_stream_reduces_like_records(source, spam):
+    channel = GOLDEN_CHANNELS[source]()
+    for block_size in (64, 250):
+        stream = iter_channel_shadow_blocks(channel, 1001, 7, block_size, spam)
+        streamed = ShadowCounts.accumulate(stream, 3)
+        whole = ShadowCounts.from_records(sample_channel_shadows(channel, 1001, 7, block_size, spam))
+        np.testing.assert_array_equal(streamed.counts, whole.counts)
+        assert streamed.n_records == whole.n_records == 1001
 
 
 def test_block_rng_is_counter_based():
@@ -432,6 +563,44 @@ def gate_estimator_expectation(kind, noise, p):
     return total
 
 
+def gate_outcome_cdfs_per_state(kind, noise):
+    """(6^g, 3^g, 2^g) outcome CDFs built one input state and one basis at a
+    time: the reference for the sampler's batched table."""
+    from paulishadow.clifford import gate_arity
+
+    g = gate_arity(kind)
+    unitary = exact.gate_unitary(kind, tuple(range(g)), g)
+    cdfs = np.empty((6**g, 3**g, 2**g))
+    for s_idx, s_digits in enumerate(itertools.product(range(6), repeat=g)):
+        axes = [d // 2 for d in s_digits]
+        signs = [1 - 2 * (d % 2) for d in s_digits]
+        rho = exact.DenseState.product_eigenstate(axes, signs).rho
+        rho = unitary @ rho @ unitary.conj().T
+        if noise is not None:
+            rho = exact.apply_to_operator(noise, rho)
+        state = exact.DenseState(g, rho)
+        for b_idx, basis in enumerate(itertools.product(range(3), repeat=g)):
+            cdf = np.cumsum(exact.basis_outcome_probabilities(state, basis))
+            cdf[-1] = 1.0
+            cdfs[s_idx, b_idx] = cdf
+    return cdfs
+
+
+def test_gate_outcome_cdfs_match_per_state_reference():
+    product = PauliChannel.from_qubit_probs([(0.8, 0.1, 0.06, 0.04), (0.85, 0.05, 0.04, 0.06)])
+    sparse = PauliChannel.from_terms(2, {"XX": 0.05, "ZI": 0.03, "YZ": 0.02})
+    cases = [("H", None), ("S", None), ("CNOT", None), ("CNOT", product), ("CNOT", sparse)]
+    cases += [(kind, PauliChannel.from_qubit_probs([(0.7, 0.2, 0.06, 0.04)])) for kind in "HS"]
+    for kind, noise in cases:
+        g = 2 if kind == "CNOT" else 1
+        want = gate_outcome_cdfs_per_state(kind, noise)
+        # rows by (input digit, basis axis) per qubit, as the sampler reads them
+        order = [a for j in range(g) for a in (j, g + j)] + [2 * g]
+        want = want.reshape((6,) * g + (3,) * g + (2**g,)).transpose(order).reshape(18**g, 2**g)
+        got = shadows._gate_outcome_cdfs(kind, noise)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
 def test_gate_estimator_unbiased_single_qubit():
     noise = PauliChannel.from_qubit_probs([(0.7, 0.2, 0.05, 0.05)])
     for kind in ("H", "S"):
@@ -494,7 +663,7 @@ def test_gate_shadow_stream_blocks_and_prefixes():
     blocks = list(sample_gate_shadows("CNOT", noise, 1000, seed=8, block_size=300))
     assert [len(b) for b in blocks] == [300, 300, 300, 100]
     full = ShadowRecords.concatenate(blocks)
-    # Record i depends only on (seed, i): a shorter run is a prefix.
+    # Record i depends only on (seed, block size, i): a shorter run is a prefix.
     for count in (1, 299, 300, 301, 999):
         short = ShadowRecords.concatenate(
             list(sample_gate_shadows("CNOT", noise, count, seed=8, block_size=300))
