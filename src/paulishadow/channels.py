@@ -220,8 +220,11 @@ class PauliChannel:
         if self._qubit_probs is not None:
             u = rng.random((count, self.n))
             cdf = np.cumsum(self._qubit_probs, axis=1)  # (n, 4)
-            letters = (u[:, :, None] >= cdf[None, :, :-1]).sum(axis=2)
-            return letters.astype(np.int8)
+            # The letter counts the qubit's thresholds at or below u.
+            letters = np.zeros((count, self.n), dtype=np.int8)
+            for threshold in cdf[:, :-1].T:
+                letters += u >= threshold
+            return letters
         labels = list(self._terms)
         probs = np.array([self._terms[p] for p in labels])
         cdf = np.cumsum(probs)

@@ -240,9 +240,9 @@ def run_mitigate(
         raise ConfigError(
             f"observable acts on {observable.n} qubits, circuit on {circuit.n}"
         )
-    state = exact.haar_random_state(circuit.n, _derive_seed(state_seed, 11))
-    noisy = exact.simulate_noisy_circuit(circuit, state)
-    ideal = exact.expectation(observable, exact.simulate_ideal_circuit(circuit, state))
+    psi = exact.haar_random_vector(circuit.n, _derive_seed(state_seed, 11))
+    noisy = exact.simulate_noisy_circuit(circuit, exact.DenseState.from_unit_vector(psi))
+    ideal = exact.expectation(observable, exact.simulate_ideal_statevector(circuit, psi))
     if baseline:
         value = exact.expectation(observable, noisy)
         return {

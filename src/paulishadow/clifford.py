@@ -8,14 +8,20 @@ expectation; dividing the coefficients by that product undoes the noise.
 
 Conjugation is by U^dagger P U with fixed signed tables.  Signs matter while
 chaining (S^dagger X S = -Y), but eigenvalue lookups use the unsigned string:
-the two sign occurrences cancel in the identity being exploited.
+the two sign occurrences cancel in the identity being exploited.  So the
+mitigation chain drops the signs: it runs on a (qubits, terms) array of
+letter codes, through code tables derived from the signed tables, and looks
+up each gate kind's eigenvalues in one array indexed by the local string.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .channels import (
     ConfigError,
@@ -24,7 +30,7 @@ from .channels import (
     channel_to_config,
 )
 from .observables import Observable
-from .paulis import PauliString
+from .paulis import LETTERS, PauliString, letter_codes, pauli_from_index
 from .recovery import (
     DEFAULT_EIGENVALUE_FLOOR,
     BackwardObservable,
@@ -195,18 +201,66 @@ def conjugate_through_circuit(
     return chain
 
 
-def _eigenvalue_lookup(
-    estimates: Mapping[str, Mapping[PauliString, float]], kind: str, local: PauliString
-) -> float:
-    if local.is_identity:
-        return 1.0
+def _conjugation_codes(table: Mapping) -> np.ndarray:
+    """A signed conjugation table as (g, 4^g) letter codes: column ``i`` holds
+    the letters of the unsigned U^dagger P U for the local string of index
+    ``i``, first gate qubit most significant (``pauli_index`` order)."""
+    arity = len(tuple(next(iter(table))))
+    out = np.zeros((arity, 4**arity), dtype=np.intp)
+    for before, (*after, _sign) in table.items():
+        index = reduce(lambda acc, letter: 4 * acc + LETTERS.index(letter), tuple(before), 0)
+        out[:, index] = [LETTERS.index(letter) for letter in after]
+    return out
+
+
+_CONJUGATION_CODES = {
+    "H": _conjugation_codes(H_CONJUGATION),
+    "S": _conjugation_codes(S_CONJUGATION),
+    "CNOT": _conjugation_codes(CNOT_CONJUGATION),
+}
+
+
+class _LayerTable(NamedTuple):
+    """One gate kind's noise-layer lookups, by local index (0 is the identity)."""
+
+    kind: str
+    estimate: np.ndarray   # the estimate as given; 1 for the identity
+    clamped: np.ndarray    # the estimate clamped into [-1, 1]
+    magnitude: np.ndarray  # |clamped|; inf at the identity, which is not used
+    missing: np.ndarray    # no estimate for this string
+    failing: np.ndarray    # missing, or used and below the floor
+
+    def error(self, index: int, floor: float) -> Exception:
+        local = pauli_from_index(gate_arity(self.kind), index)
+        if self.missing[index]:
+            return KeyError(f"no eigenvalue estimate for {self.kind} noise on {local}")
+        return RecoveryFloorError(local, float(self.clamped[index]), floor)
+
+    def warning(self, index: int) -> str:
+        local = pauli_from_index(gate_arity(self.kind), index)
+        return f"clamped estimate {self.estimate[index]:.6g} for {self.kind} noise on {local}"
+
+
+def _layer_table(
+    estimates: Mapping[str, Mapping[PauliString, float]], kind: str, floor: float
+) -> _LayerTable:
+    """Every local string's lookup for one gate kind.  A kind without a table
+    has no recorded noise (every eigenvalue 1); a string missing from a table
+    fails only where the chain reaches it."""
+    arity = gate_arity(kind)
+    estimate = np.ones(4**arity)
+    missing = np.zeros(4**arity, dtype=bool)
     table = estimates.get(kind)
-    if table is None:
-        return 1.0  # no noise recorded for this gate kind
-    try:
-        return float(table[local])
-    except KeyError:
-        raise KeyError(f"no eigenvalue estimate for {kind} noise on {local}") from None
+    if table is not None:
+        for index in range(1, 4**arity):
+            try:
+                estimate[index] = float(table[pauli_from_index(arity, index)])
+            except KeyError:
+                missing[index] = True
+    clamped = np.array([max(-1.0, min(1.0, raw)) for raw in estimate.tolist()])
+    magnitude = np.abs(clamped)
+    magnitude[0] = np.inf
+    return _LayerTable(kind, estimate, clamped, magnitude, missing, missing | (magnitude < floor))
 
 
 def mitigation_coefficients(
@@ -219,39 +273,53 @@ def mitigation_coefficients(
 
     Each coefficient divides by the product, over noise layers from the last
     gate to the first, of that layer's eigenvalue at the backward-conjugated
-    Pauli (restricted to the gate's qubits, unsigned).
+    Pauli (restricted to the gate's qubits, unsigned).  The chain runs for
+    all terms at once on a (qubits, terms) array of letter codes: each gate
+    reads its local index from its qubits' rows, looks up its layer's
+    eigenvalue there, and writes back the conjugated letters.  Every term
+    multiplies its eigenvalues in its own chain order, so the coefficients
+    are the floats a term-by-term chain gives; clamp warnings are listed,
+    and the first failure (a missing estimate or one below the floor) is
+    raised, in (term, gate from the last) order.
     """
     if observable.n != circuit.n:
         raise ValueError(
             f"observable acts on {observable.n} qubits, circuit on {circuit.n}"
         )
-    terms: dict[PauliString, float] = {}
-    min_used: float | None = None
-    warnings: list[str] = []
-    for p, alpha in observable.terms().items():
-        current = p
-        denominator = 1.0
-        for gate in reversed(circuit.gates):
-            local = current.restrict(gate.qubits).unsigned()
-            raw = _eigenvalue_lookup(gate_estimates, gate.kind, local)
-            lam = max(-1.0, min(1.0, raw))
-            if lam != raw:
-                warnings.append(
-                    f"clamped estimate {raw:.6g} for {gate.kind} noise on {local}"
-                )
-            if not local.is_identity:
-                if abs(lam) < floor:
-                    raise RecoveryFloorError(local, lam, floor)
-                min_used = abs(lam) if min_used is None else min(min_used, abs(lam))
-            denominator *= lam
-            current = conjugate_pauli(gate.kind, gate.qubits, current)
-        terms[p] = alpha / denominator
+    terms = observable.terms()
+    strings = list(terms)
+    codes = letter_codes(strings, circuit.n).T.astype(np.intp, order="C")  # (n, terms)
+    layers = {kind: _layer_table(gate_estimates, kind, floor) for kind in {g.kind for g in circuit.gates}}
+    denominator = np.ones(len(strings))
+    smallest = np.full(len(strings), np.inf)
+    failures: list[tuple[int, int, _LayerTable, int]] = []  # (term, step, layer, local index)
+    clamps: list[tuple[int, int, str]] = []  # (term, step, warning)
+    for step, gate in enumerate(reversed(circuit.gates)):
+        layer = layers[gate.kind]
+        local = codes[gate.qubits[0]]
+        for q in gate.qubits[1:]:
+            local = 4 * local + codes[q]
+        clamped = layer.clamped.take(local)
+        denominator *= clamped
+        np.minimum(smallest, layer.magnitude.take(local), out=smallest)
+        for term in np.flatnonzero(layer.failing.take(local)):
+            failures.append((term, step, layer, local[term]))
+        for term in np.flatnonzero(clamped != layer.estimate.take(local)):
+            clamps.append((term, step, layer.warning(local[term])))
+        conjugated = _CONJUGATION_CODES[gate.kind].take(local, axis=1)
+        for q, letters in zip(gate.qubits, conjugated):
+            codes[q] = letters
+    if failures:
+        _term, _step, layer, index = min(failures, key=lambda f: f[:2])
+        raise layer.error(index, floor)
+    coefficients = np.array(list(terms.values())) / denominator
+    min_used = float(smallest.min(initial=np.inf))
     return BackwardObservable(
         circuit.n,
-        terms,
+        dict(zip(strings, coefficients.tolist())),
         provenance="clifford-chain",
-        min_abs_eigenvalue=min_used,
-        warnings=warnings,
+        min_abs_eigenvalue=min_used if min_used != np.inf else None,
+        warnings=[message for *_, message in sorted(clamps)],
     )
 
 

@@ -5,14 +5,22 @@ independent of the sampling code, so Monte-Carlo results can be checked
 against an implementation that shares no formulas with them.  State-vector
 work is capped at 12 qubits, all-Pauli sweeps at 10.
 
-Circuits are simulated in the Schroedinger picture on the density matrix,
-held as a (2,)*2n tensor (row qubits, then column qubits).  Each gate
-applies one local superoperator, sum_Q p_Q (QU) (x) conj(QU) on the gate's
-a qubits, contracted against the gate's row and column axes: O(4^(n+a))
-work per gate instead of dense 2^n x 2^n products.  The superoperator is
-built from the gate's local unitary and its noise channel's full term map,
-so correlated (non-product) gate noise is handled, and nothing here reuses
-the Heisenberg-picture conjugation tables of the mitigation code.
+Circuits are simulated in the Schroedinger picture.  The noisy run is on
+the density matrix, held as a (2,)*2n tensor (row qubits, then column
+qubits).  Each gate applies one local superoperator, sum_Q p_Q (QU) (x)
+conj(QU) on the gate's a qubits, contracted against the gate's row and
+column axes: O(4^(n+a)) work per gate instead of dense 2^n x 2^n products.
+The superoperator is built from the gate's local unitary and its noise
+channel's full term map, so correlated (non-product) gate noise is handled,
+and nothing here reuses the Heisenberg-picture conjugation tables of the
+mitigation code.  The ideal run is unitary, so on a pure state it evolves
+the 2^n statevector, one local unitary per gate; the dense ideal run is
+kept as a reference.
+
+Expectations of Pauli strings and observables are one gather per term: a
+Pauli string has one nonzero entry per row, P[r, r ^ x], so tr(P rho) sums
+P[r, r ^ x] rho[r ^ x, r] over the 2^n rows, and <psi|P|psi> sums
+conj(psi[r]) P[r, r ^ x] psi[r ^ x].
 """
 
 from __future__ import annotations
@@ -69,12 +77,17 @@ class DenseState:
 
     @classmethod
     def pure(cls, vector: np.ndarray) -> "DenseState":
+        """|psi><psi| of ``vector``, normalized first."""
         vector = np.asarray(vector, dtype=np.complex128).reshape(-1)
         norm = np.linalg.norm(vector)
         if norm == 0:
             raise ValueError("zero vector")
-        vector = vector / norm
-        return cls.from_matrix(np.outer(vector, vector.conj()), validate=False)
+        return cls.from_unit_vector(vector / norm)
+
+    @classmethod
+    def from_unit_vector(cls, psi: np.ndarray) -> "DenseState":
+        """|psi><psi| of a statevector that already has unit norm."""
+        return cls.from_matrix(np.outer(psi, psi.conj()), validate=False)
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "DenseState":
@@ -94,8 +107,8 @@ class DenseState:
         return expectation(p, self)
 
 
-def haar_random_state(n: int, seed_or_rng) -> DenseState:
-    """Haar-random pure state via a normalized complex Gaussian vector."""
+def haar_random_vector(n: int, seed_or_rng) -> np.ndarray:
+    """Haar-random unit statevector: a normalized complex Gaussian vector."""
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, np.random.Generator)
@@ -103,7 +116,13 @@ def haar_random_state(n: int, seed_or_rng) -> DenseState:
     )
     real = rng.standard_normal(2**n)
     imag = rng.standard_normal(2**n)
-    return DenseState.pure(real + 1j * imag)
+    vector = real + 1j * imag
+    return vector / np.linalg.norm(vector)
+
+
+def haar_random_state(n: int, seed_or_rng) -> DenseState:
+    """The density matrix of ``haar_random_vector``."""
+    return DenseState.from_unit_vector(haar_random_vector(n, seed_or_rng))
 
 
 # -- channel application -------------------------------------------------------
@@ -185,8 +204,22 @@ def apply_channel(channel, state: DenseState) -> DenseState:
     return DenseState(state.n, out)
 
 
-def expectation(observable: PauliString | Observable, state: DenseState) -> float:
-    value = np.einsum("ij,ji->", observable.matrix(), state.rho)
+def expectation(observable: PauliString | Observable, state: DenseState | np.ndarray) -> float:
+    """tr(O rho) of a DenseState, or <psi|O|psi> of a unit statevector, by
+    one gather of 2^n entries per Pauli term (see the module docstring)."""
+    psi = None if isinstance(state, DenseState) else np.asarray(state).reshape(-1)
+    dim = len(state.rho) if psi is None else len(psi)
+    if dim != 1 << observable.n:
+        raise ValueError(f"observable acts on {observable.n} qubits, the state has dimension {dim}")
+    terms = observable.terms().items() if isinstance(observable, Observable) else [(observable, 1.0)]
+    rows = np.arange(dim)
+    value = 0j
+    for p, coeff in terms:
+        columns, entries = p.row_entries()
+        if psi is None:
+            value += coeff * np.dot(entries, state.rho[columns, rows])
+        else:
+            value += coeff * np.vdot(psi, entries * psi[columns])
     if abs(value.imag) > 1e-8:
         raise ValueError(f"expectation has imaginary part {value.imag:g}")
     return float(value.real)
@@ -255,6 +288,22 @@ def simulate_noisy_circuit(circuit, state: DenseState) -> DenseState:
 
 def simulate_ideal_circuit(circuit, state: DenseState) -> DenseState:
     return simulate_circuit(circuit, state, noisy=False)
+
+
+def simulate_ideal_statevector(circuit, psi: np.ndarray) -> np.ndarray:
+    """Run a Clifford circuit without noise on a statevector: each gate's
+    local unitary is contracted against the gate's axes of the (2,)*n
+    tensor, O(2^(n+a)) work per gate on a qubits."""
+    n = circuit.n
+    unitaries: dict[str, np.ndarray] = {}
+    tensor = np.asarray(psi, dtype=np.complex128).reshape((2,) * n)
+    for gate in circuit.gates:
+        a = len(gate.qubits)
+        if gate.kind not in unitaries:
+            unitaries[gate.kind] = gate_unitary(gate.kind, range(a), a).reshape((2,) * (2 * a))
+        tensor = np.tensordot(unitaries[gate.kind], tensor, axes=(range(a, 2 * a), gate.qubits))
+        tensor = np.moveaxis(tensor, range(a), gate.qubits)
+    return tensor.reshape(-1)
 
 
 # -- brute-force spectra -------------------------------------------------------

@@ -26,8 +26,9 @@ index sum_j (P_j * 4 + Q_j) * 16^(n-1-j), with letter codes I=0, X=1, Y=2,
 Z=3 and qubit 0 most significant, is the numerator of (P, Q): the sum over
 records of prod_j tr(P_j s_j) tr(Q_j (3 t_j - I)).  Every eigenvalue,
 transfer entry and gate estimate is one lookup, ``3^|P| * numer / N``.
-The contraction is an int64 matmul and every numerator is an integer below
-2^53, so each estimate is the same float as a per-record sum would give.
+The contraction is float64 matrix products through BLAS; every partial sum
+is an integer below 2^53 (it raises otherwise), so the table is exact and
+each estimate is the same float as a per-record sum would give.
 Past the cap, each (P, Q) is read from the table of its union support,
 built from that support's marginal histogram: weight <= k supports for
 eigenvalues, <= 2k for transfer entries.  One 36^w histogram and its 16^w
@@ -300,24 +301,44 @@ def _cell_factor_table() -> np.ndarray:
 
 
 _CELL_FACTORS = _cell_factor_table()
+_CELL_FACTORS_T = _CELL_FACTORS.T.astype(np.float64)  # (36, 16), for BLAS
+_SLAB = 1024  # histogram columns per product: a 288 kB float slab
 
 
-def _joint_cells(cells: np.ndarray, qubits: Sequence[int], radix: int = 36) -> np.ndarray:
+def _joint_cells(cells: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """Joint cell of every record on ``qubits``, first qubit most significant;
     ``cells`` is (n, N), one row per qubit."""
     codes = np.zeros(cells.shape[1], dtype=np.int64)
     for j in qubits:
-        codes *= radix
+        codes *= 36
         codes += cells[j]
     return codes
 
 
 def _moment_table(hist: np.ndarray, w: int) -> np.ndarray:
-    """Contract a 36^w histogram into its 16^w moment table, last qubit first."""
+    """Contract a 36^w histogram of integers into its int64 16^w moment table.
+
+    Each step is float64 matrix products through BLAS: it contracts the
+    leading qubit axis and appends that qubit's letter axis, so after w
+    steps qubit 0 is the most significant digit again.  The histogram is
+    converted in slabs, so no float copy of it is held.  A factor is at most
+    3 in magnitude, so every partial sum is an integer of magnitude at most
+    3^w N, with N the histogram's total absolute count.  Below 2^53 that is
+    exact in float64 under any summation order; past it this raises.
+    """
+    total = float(hist.sum() if hist.min() >= 0 else np.abs(hist).sum())
+    if 3.0**w * total >= 2.0**53:
+        raise ValueError(f"3^{w} times a total count of {total:.6g} is past 2^53: "
+                         "the moments would round")
     table = hist
-    for i in range(w):
-        table = np.matmul(_CELL_FACTORS, table.reshape(36 ** (w - 1 - i), 36, 16**i))
-    return table.reshape(-1)
+    for _ in range(w):
+        table = table.reshape(36, -1)
+        out = np.empty((table.shape[1], 16))
+        for lo in range(0, len(out), _SLAB):
+            np.matmul(table[:, lo : lo + _SLAB].T.astype(np.float64, copy=False),
+                      _CELL_FACTORS_T, out=out[lo : lo + _SLAB])
+        table = out
+    return table.reshape(-1).astype(np.int64)
 
 
 def _contract(hist: np.ndarray, letters: Sequence[int]) -> int:
@@ -438,7 +459,7 @@ def _marginal_numerators(records: ShadowRecords, pairs) -> list[int]:
             continue
         # Integer weights keep the float histogram exact below 2^53.
         hist = np.bincount(_joint_cells(cells, tail_qubits), weights, minlength=36**w)
-        table = _moment_table(hist.astype(np.int64, copy=False), w)
+        table = _moment_table(hist, w)
         numers[members] = table[_table_index(tail_letters)]
     return numers.tolist()
 
@@ -616,22 +637,39 @@ def sample_gate_shadows(
     """Stream shadow records of a noisy gate in deterministic blocks: random
     eigenstate in, gate plus noise, random Pauli measurement out.  ``n`` of
     every block is the gate arity; blocks follow the (seed, block) scheme of
-    ``iter_channel_shadow_blocks``."""
+    ``iter_channel_shadow_blocks``.
+
+    A block draws int64 input digits, int64 basis digits, then one uniform
+    per record.  The row of ``_gate_outcome_cdfs`` is built in place from the
+    digit arrays, the outcome counts the row's thresholds at or below the
+    uniform, and ``row * 2^g + outcome`` indexes a table that holds the
+    record's g cells as one g-byte word."""
     g = gate_arity(kind)
     outcomes = 2**g
-    thresholds = _gate_outcome_cdfs(kind, noise)[:, :-1].reshape(-1)
+    # Threshold k of every row, one contiguous row per k.
+    thresholds = np.ascontiguousarray(_gate_outcome_cdfs(kind, noise)[:, :-1].T)
     # The g cells of (row, outcome): cell j is 2 * row digit j + outcome bit j.
     digits = np.unravel_index(np.arange(36**g), (18,) * g + (2,) * g)
     cell_table = np.stack([2 * digits[j] + digits[g + j] for j in range(g)], 1).astype(np.uint8)
+    cell_words = cell_table.view(f"u{g}").reshape(-1)  # gates act on one or two qubits
 
     def sample(rng: np.random.Generator) -> ShadowRecords:
         shape = (block_size, g)
-        s_digits = rng.integers(0, 6, shape, dtype=np.int64)
+        row_digits = rng.integers(0, 6, shape, dtype=np.int64)  # input digits, for now
         b_digits = rng.integers(0, 3, shape, dtype=np.int64)
         u = rng.random(block_size)
-        row = _joint_cells((s_digits * 3 + b_digits).T, range(g), radix=18)
-        outcome = sum(u >= thresholds.take(row * (outcomes - 1) + k) for k in range(outcomes - 1))
-        return ShadowRecords.from_cells(cell_table.take(row * outcomes + outcome, axis=0))
+        row_digits *= 3
+        row_digits += b_digits
+        row = row_digits[:, 0]
+        for j in range(1, g):
+            row = row * 18
+            row += row_digits[:, j]
+        outcome = (u >= thresholds[0].take(row)).view(np.uint8)
+        for k in range(1, outcomes - 1):
+            outcome += u >= thresholds[k].take(row)
+        row *= outcomes
+        row += outcome
+        return ShadowRecords.from_cells(cell_words.take(row).view(np.uint8).reshape(shape))
 
     yield from _iter_blocks(count, seed, block_size, sample)
 

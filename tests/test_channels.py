@@ -378,6 +378,29 @@ def test_sample_errors_product_distribution():
     np.testing.assert_allclose(freq, ch.qubit_probs(), atol=0.01)
 
 
+def sample_errors_broadcast(channel, count, rng):
+    """The product-form sampler before the per-threshold compares, kept as the
+    reference: a (count, n, 3) broadcast compare summed over its last axis."""
+    u = rng.random((count, channel.n))
+    cdf = np.cumsum(channel.qubit_probs(), axis=1)
+    return (u[:, :, None] >= cdf[None, :, :-1]).sum(axis=2).astype(np.int8)
+
+
+def test_sample_errors_product_matches_broadcast_reference():
+    rng = np.random.default_rng(37)
+    for n in range(1, 7):
+        # Zero probabilities give repeated thresholds; pI = 1 gives only I.
+        probs = rng.dirichlet((2.0, 0.5, 0.5, 0.5), size=n)
+        probs[rng.random(n) < 0.3, 2] = 0.0
+        probs[0] = (1.0, 0.0, 0.0, 0.0) if n == 3 else probs[0]
+        ch = PauliChannel.from_qubit_probs(probs / probs.sum(axis=1, keepdims=True))
+        for count, seed in ((1, 0), (1000, 1), (1 << 16, 2)):
+            got = ch.sample_errors(count, np.random.default_rng(seed))
+            want = sample_errors_broadcast(ch, count, np.random.default_rng(seed))
+            assert got.dtype == np.int8
+            np.testing.assert_array_equal(got, want)
+
+
 def test_sample_errors_sparse_distribution():
     ch = PauliChannel.from_terms(2, {P("XZ"): 0.3, P("ZI"): 0.2})
     rng = np.random.default_rng(31)

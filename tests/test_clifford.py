@@ -21,7 +21,7 @@ from paulishadow.clifford import (
 )
 from paulishadow.observables import Observable
 from paulishadow.paulis import PauliString, iter_all_paulis, pauli_from_index
-from paulishadow.recovery import RecoveryFloorError
+from paulishadow.recovery import DEFAULT_EIGENVALUE_FLOOR, RecoveryFloorError
 
 
 def P(label):
@@ -292,3 +292,117 @@ def test_mitigation_identity_observable_term():
     obs = Observable(2, {P("II"): 0.7, P("ZI"): 0.1})
     back = mitigation_coefficients(circuit, exact_gate_estimates(circuit), obs)
     assert back.terms[P("II")] == pytest.approx(0.7)  # identity chain divides by 1
+
+
+# -- the array chain against the term-by-term chain ------------------------------
+
+
+def mitigation_coefficients_per_term(circuit, gate_estimates, observable, floor=DEFAULT_EIGENVALUE_FLOOR):
+    """The term-by-term chain the array chain replaced, kept as its reference:
+    one PauliString per term, conjugated gate by gate from the last."""
+    terms, min_used, warnings = {}, None, []
+    for p, alpha in observable.terms().items():
+        current, denominator = p, 1.0
+        for gate in reversed(circuit.gates):
+            local = current.restrict(gate.qubits).unsigned()
+            table = gate_estimates.get(gate.kind)
+            if local.is_identity or table is None:
+                raw = 1.0
+            else:
+                try:
+                    raw = float(table[local])
+                except KeyError:
+                    raise KeyError(f"no eigenvalue estimate for {gate.kind} noise on {local}") from None
+            lam = max(-1.0, min(1.0, raw))
+            if lam != raw:
+                warnings.append(f"clamped estimate {raw:.6g} for {gate.kind} noise on {local}")
+            if not local.is_identity:
+                if abs(lam) < floor:
+                    raise RecoveryFloorError(local, lam, floor)
+                min_used = abs(lam) if min_used is None else min(min_used, abs(lam))
+            denominator *= lam
+            current = conjugate_pauli(gate.kind, gate.qubits, current)
+        terms[p] = alpha / denominator
+    return terms, warnings, min_used
+
+
+def random_estimates(rng, kinds, low, high, missing=0.0):
+    """Per-kind tables of uniform estimates in [low, high) with random signs;
+    each string is left out with probability ``missing``."""
+    out = {}
+    for kind in kinds:
+        strings = [p for p in iter_all_paulis(gate_arity(kind)) if not p.is_identity]
+        out[kind] = {
+            p: float(rng.choice([-1, 1]) * rng.uniform(low, high))
+            for p in strings
+            if rng.random() >= missing
+        }
+    return out
+
+
+def random_observable(rng, n, terms):
+    return Observable(n, {pauli_from_index(n, int(i)): float(rng.normal()) for i in rng.integers(0, 4**n, terms)})
+
+
+def outcome(fn, *args):
+    """The result, or the exception's type and its (Pauli, estimate) or message."""
+    try:
+        back = fn(*args)
+    except RecoveryFloorError as err:
+        return ("floor", err.pauli, err.estimate, err.floor)
+    except KeyError as err:
+        return ("missing", str(err))
+    if isinstance(back, tuple):
+        return back
+    return back.terms, back.warnings, back.min_abs_eigenvalue
+
+
+def test_array_chain_is_bit_equal_to_the_per_term_chain():
+    rng = np.random.default_rng(606)
+    clamped = 0
+    for trial in range(60):
+        n = int(rng.integers(1, 7))
+        circuit = random_circuit(rng, n, int(rng.integers(1, 40)))
+        kinds = sorted({g.kind for g in circuit.gates})
+        # Some estimates fall outside [-1, 1] and are clamped; a kind may have no table.
+        estimates = random_estimates(rng, kinds[: len(kinds) - trial % 2], 0.2, 1.2)
+        obs = random_observable(rng, n, int(rng.integers(1, 12)))
+        terms, warnings, min_used = mitigation_coefficients_per_term(circuit, estimates, obs)
+        back = mitigation_coefficients(circuit, estimates, obs)
+        assert list(back.terms) == list(terms)
+        assert [c.hex() for c in back.terms.values()] == [c.hex() for c in terms.values()]
+        assert back.warnings == warnings
+        assert back.min_abs_eigenvalue == min_used
+        assert type(back.min_abs_eigenvalue) is type(min_used)
+        clamped += bool(warnings)
+    assert clamped > 10
+
+
+def test_array_chain_raises_the_per_term_chains_first_failure():
+    rng = np.random.default_rng(607)
+    seen = set()
+    for trial in range(200):
+        n = int(rng.integers(1, 5))
+        circuit = random_circuit(rng, n, int(rng.integers(1, 16)))
+        kinds = sorted({g.kind for g in circuit.gates})
+        # Estimates from 0 up: some below the floor, some strings missing.
+        estimates = random_estimates(rng, kinds, 0.0, 0.05, missing=0.1)
+        obs = random_observable(rng, n, int(rng.integers(1, 6)))
+        floor = float(rng.uniform(0.0, 0.05))
+        want = outcome(mitigation_coefficients_per_term, circuit, estimates, obs, floor)
+        assert outcome(mitigation_coefficients, circuit, estimates, obs, floor) == want
+        seen.add(want[0] if want[0] in ("floor", "missing") else "none")
+    assert seen == {"floor", "missing", "none"}
+
+
+def test_partial_table_fails_only_where_the_chain_reaches_it():
+    circuit = CliffordCircuit(1, (Gate("H", (0,)),))
+    # The last gate's noise sees Z itself: only the Z estimate is read.
+    back = mitigation_coefficients(circuit, {"H": {P("Z"): 0.5}}, Observable(1, {P("Z"): 1.0}))
+    assert back.terms == {P("Z"): 2.0}
+    back = mitigation_coefficients(circuit, {"H": {}}, Observable(1, {P("I"): 0.3}))
+    assert back.terms == {P("I"): 0.3} and back.min_abs_eigenvalue is None
+    with pytest.raises(KeyError, match="no eigenvalue estimate for H noise on X"):
+        mitigation_coefficients(circuit, {"H": {P("Z"): 0.5}}, Observable(1, {P("X"): 1.0}))
+    with pytest.raises(KeyError):
+        mitigation_coefficients(circuit, {"H": {}}, Observable(1, {P("X"): 1.0}))

@@ -20,7 +20,7 @@ from paulishadow.clifford import (
     mitigation_coefficients,
 )
 from paulishadow.observables import Observable, heisenberg_observable
-from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis
+from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis, pauli_from_index
 
 
 def P(label):
@@ -266,6 +266,48 @@ def test_expectation_matches_dense_trace():
     for p in list(iter_all_paulis(4))[::7]:
         want = np.trace(p.matrix() @ state.rho).real
         assert exact.expectation(p, state) == pytest.approx(want, abs=1e-14)
+
+
+def test_expectation_gather_matches_dense_trace_for_observables_and_vectors():
+    rng = np.random.default_rng(41)
+    for n in range(1, 7):
+        psi = exact.haar_random_vector(n, rng)
+        state = exact.DenseState.from_unit_vector(psi)
+        mixed = exact.apply_channel(PauliChannel.from_qubit_probs(rng.dirichlet(np.ones(4), n)), state)
+        labels = [pauli_from_index(n, int(i)) for i in rng.integers(0, 4**n, 8)]
+        obs = Observable(n, {p: float(rng.normal()) for p in labels})
+        signed = labels[0].negate()
+        for o in (obs, signed):
+            for st in (state, mixed):
+                want = np.trace(o.matrix() @ st.rho).real
+                assert abs(exact.expectation(o, st) - want) <= 1e-12
+            want = np.vdot(psi, o.matrix() @ psi).real
+            assert abs(exact.expectation(o, psi) - want) <= 1e-12
+    with pytest.raises(ValueError, match="dimension"):
+        exact.expectation(P("ZZ"), exact.haar_random_state(3, 1))
+    with pytest.raises(ValueError, match="dimension"):
+        exact.expectation(P("ZZ"), exact.haar_random_vector(1, 1))
+
+
+def test_haar_state_is_the_outer_product_of_the_haar_vector():
+    psi = exact.haar_random_vector(4, 12)
+    np.testing.assert_array_equal(exact.haar_random_state(4, 12).rho, np.outer(psi, psi.conj()))
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_statevector_ideal_run_matches_dense_run_and_trace():
+    rng = np.random.default_rng(43)
+    for n in range(1, 7):
+        for trial in range(3):
+            circuit = random_circuit(n, rng, depth=int(rng.integers(1, 40)))
+            psi = exact.haar_random_vector(n, rng)
+            dense = exact.simulate_ideal_circuit(circuit, exact.DenseState.from_unit_vector(psi))
+            out = exact.simulate_ideal_statevector(circuit, psi)
+            np.testing.assert_allclose(np.outer(out, out.conj()), dense.rho, rtol=0, atol=1e-12)
+            obs = Observable(n, {pauli_from_index(n, int(i)): float(rng.normal())
+                                 for i in rng.integers(0, 4**n, 10)})
+            want = np.trace(obs.matrix() @ dense.rho).real
+            assert abs(exact.expectation(obs, out) - want) <= 1e-12
 
 
 # -- measurement ---------------------------------------------------------------

@@ -216,6 +216,46 @@ def test_gate_eigenvalues_from_records_equal_counts_and_brute_force(table_cost):
             assert from_records[p] == back.sign * 3.0**back.weight * numer / len(records)
 
 
+# -- the float64 contraction against the int64 one ------------------------------
+
+
+def moment_table_int64(hist, w):
+    """The int64 contraction the BLAS one replaced, kept as its reference:
+    the last qubit axis first, exact for any int64 histogram."""
+    table = hist.astype(np.int64)
+    for i in range(w):
+        table = np.matmul(shadows._CELL_FACTORS, table.reshape(36 ** (w - 1 - i), 36, 16**i))
+    return table.reshape(-1)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_moment_table_equals_int64_contraction(w):
+    rng = np.random.default_rng(70 + w)
+    counts = rng.integers(0, 1000, 36**w)
+    # Past the cap a histogram is weighted by head factors: signed, float.
+    weighted = (rng.integers(-9, 10, 36**w) * rng.integers(0, 50, 36**w)).astype(np.float64)
+    for hist in (counts, weighted, np.zeros(36**w, np.int64)):
+        got = shadows._moment_table(hist, w)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, moment_table_int64(hist, w))
+
+
+@pytest.mark.parametrize("w", [1, 2, 4])
+def test_moment_table_is_exact_up_to_the_bound_and_raises_past_it(w):
+    rng = np.random.default_rng(80 + w)
+    limit = (2**53 - 1) // 3**w  # the largest total absolute count allowed
+    hist = np.zeros(36**w, np.int64)
+    cells = rng.choice(36**w, 5, replace=False)
+    hist[cells[:4]] = rng.integers(1, 1000, 4)
+    hist[cells[4]] = limit - hist.sum()
+    np.testing.assert_array_equal(shadows._moment_table(hist, w), moment_table_int64(hist, w))
+    hist[cells[4]] = -hist[cells[4]]  # the bound is on the absolute count
+    np.testing.assert_array_equal(shadows._moment_table(hist, w), moment_table_int64(hist, w))
+    hist[cells[0]] += np.sign(hist[cells[0]])
+    with pytest.raises(ValueError, match="2\\^53"):
+        shadows._moment_table(hist, w)
+
+
 # -- the table after update and merge ------------------------------------------
 
 
