@@ -30,7 +30,6 @@ from .paulis import (
     enumerate_low_weight,
     letter_codes,
     pauli_from_index,
-    pauli_index,
     symplectic_product,
 )
 
@@ -458,33 +457,6 @@ def _walsh_apply(vec: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         # Rotate one letter axis to the end through the kernel each pass.
         tensor = np.tensordot(tensor, kernel, axes=[(0,), (1,)])
     return tensor.reshape(-1)
-
-
-def channel_eigenvalue_vector(channel: PauliChannel) -> np.ndarray:
-    """All 4^n eigenvalues in base-4 index order (n capped at 10)."""
-    if channel.n > 10:
-        raise ValueError(f"full spectrum capped at 10 qubits, got n={channel.n}")
-    if channel.is_product:
-        eigs = channel.qubit_eigenvalues()
-        out = np.array([1.0])
-        for j in range(channel.n):
-            out = np.kron(out, eigs[j])
-        return out
-    probs = np.zeros(4**channel.n)
-    for p, prob in channel.sparse_terms().items():
-        probs[pauli_index(p)] += prob
-    return walsh_eigenvalues(probs)
-
-
-def channel_from_eigenvalue_vector(n: int, eigenvalues: np.ndarray,
-                                   tol: float = 1e-10) -> PauliChannel:
-    probs = walsh_probabilities(eigenvalues, tol)
-    terms = {
-        pauli_from_index(n, int(i)): float(v)
-        for i, v in enumerate(probs)
-        if abs(v) > PROBABILITY_TOLERANCE
-    }
-    return PauliChannel(n, terms=terms)
 
 
 # -- configuration (JSON) ------------------------------------------------------

@@ -37,6 +37,7 @@ from .paulis import PauliString, enumerate_low_weight
 from .recovery import (
     DEFAULT_EIGENVALUE_FLOOR,
     RecoveryError,
+    RecoveryFloorError,
     backward_observable,
     backward_observable_general,
     recovery_report,
@@ -63,6 +64,16 @@ def _derive_seed(*parts: int) -> int:
     """A 128-bit seed that is a pure function of the given integers."""
     state = np.random.SeedSequence(list(parts)).generate_state(4, np.uint32)
     return int.from_bytes(state.tobytes(), "little")
+
+
+def _check_k(k: int, n: int, locality: int = 0) -> None:
+    if not locality <= k <= n:
+        raise ConfigError(f"need locality {locality} <= k <= n = {n}, got k={k}")
+
+
+def _check_shadows(shadows: int) -> None:
+    if shadows < 1:
+        raise ConfigError(f"shadow count must be at least 1, got {shadows}")
 
 
 def _fmt(x: float) -> str:
@@ -105,6 +116,7 @@ def _resolve_observable(arg: str, args: argparse.Namespace) -> Observable:
 
 def _shadow_source(channel, n: int, shadows: int, seed: int):
     """Sample and reduce to the smallest sufficient statistic for estimation."""
+    _check_shadows(shadows)
     blocks = iter_channel_shadow_blocks(channel, shadows, seed)
     if n <= COUNTS_QUBIT_CAP:
         return ShadowCounts.accumulate(blocks, n)
@@ -117,6 +129,7 @@ def _shadow_source(channel, n: int, shadows: int, seed: int):
 def run_learn(channel, k: int, shadows: int, seed: int) -> list[tuple[str, float, float, float]]:
     """Rows of (pauli label, estimate, exact value, absolute error)."""
     n = channel.n
+    _check_k(k, n)
     source = _shadow_source(channel, n, shadows, seed)
     estimates = estimate_eigenvalues(source, n, k)
     exact_diag = exact_transfer_matrix(channel, k)
@@ -166,6 +179,7 @@ def run_recover(
         raise ConfigError(
             f"observable acts on {observable.n} qubits, channel on {n}"
         )
+    _check_k(k, n, observable.locality)
     state = exact.haar_random_state(n, _derive_seed(state_seed, 11))
     noisy = exact.apply_channel(channel, state)
     ideal = exact.expectation(observable, state)
@@ -254,6 +268,7 @@ def run_mitigate(
     if exact_eigenvalues:
         estimates = exact_gate_estimates(circuit)
     else:
+        _check_shadows(shadows)
         estimates = {}
         for kind in sorted({g.kind for g in circuit.gates}):
             blocks = sample_gate_shadows(
@@ -315,11 +330,21 @@ class Fig2Result:
     ratio: np.ndarray          # (points, repeats)
     norm_constant: float
 
+    @property
+    def succeeded(self) -> np.ndarray:
+        """(points, repeats) mask of the trials whose recovery cleared the
+        floor; the others have ``nan`` recovered error and ratio."""
+        return ~np.isnan(self.mae_recovered)
+
+    def point_means(self, values: np.ndarray) -> np.ndarray:
+        """Per-point mean of (points, repeats) ``values`` over the trials that succeeded."""
+        return np.array([row[ok].mean() for row, ok in zip(values, self.succeeded)])
+
     def mean_ratio(self) -> np.ndarray:
-        return self.ratio.mean(axis=1)
+        return self.point_means(self.ratio)
 
     def std_ratio(self) -> np.ndarray:
-        return self.ratio.std(axis=1)
+        return np.array([row[ok].std() for row, ok in zip(self.ratio, self.succeeded)])
 
 
 def run_fig2(
@@ -343,6 +368,9 @@ def run_fig2(
     normalized to unit spectral norm first.  Noisy-state expectations come
     from the dense oracle unless ``estimated_expectations`` is set, in which
     case they are median-of-means shadow estimates.
+
+    A trial whose recovery hits the eigenvalue floor gets ``nan`` recovered
+    error and ratio; if every trial at some point hits it, this raises.
     """
     if not isinstance(channel, PauliChannel):
         raise ConfigError("the sweep experiment expects a Pauli channel")
@@ -352,6 +380,12 @@ def run_fig2(
     n = channel.n
     if observable.n != n:
         raise ConfigError(f"observable acts on {observable.n} qubits, channel on {n}")
+    _check_k(k, n, observable.locality)
+    if n_states < 1 or repeats < 1:
+        raise ConfigError(f"need at least one state and one repeat, got {n_states} and {repeats}")
+    if estimated_expectations and expectation_shadows < 10:
+        raise ConfigError(f"expectation estimates take 10 batch means, "
+                          f"got {expectation_shadows} shadows")
     norm = observable.spectral_norm()
     if norm == 0.0:
         raise ConfigError("cannot normalize the zero observable")
@@ -385,7 +419,7 @@ def run_fig2(
         else:
             noisy_t = t * lam[None, :]  # tr(P channel(sigma)) for Pauli channels
         raw_vals = noisy_t @ alpha + alpha_id
-        raw_err = np.abs(raw_vals - ideal_vals).mean()
+        mae_raw[:, rep] = np.abs(raw_vals - ideal_vals).mean()
         for pi, count in enumerate(sweep):
             if exact_eigenvalues:
                 estimates = EigenvalueEstimates.from_channel(channel, k)
@@ -394,12 +428,19 @@ def run_fig2(
                     channel, n, count, _derive_seed(seed, 3001, rep, pi)
                 )
                 estimates = estimate_eigenvalues(source, n, k)
-            back = backward_observable(observable, estimates, floor)
+            try:
+                back = backward_observable(observable, estimates, floor)
+            except RecoveryFloorError:
+                mae_rec[pi, rep] = np.nan
+                continue
             bar = np.array([back.coefficient(p) for p in paulis])
             bar_id = back.coefficient(PauliString.identity(n))
             rec_vals = noisy_t @ bar + bar_id
-            mae_raw[pi, rep] = raw_err
             mae_rec[pi, rep] = np.abs(rec_vals - ideal_vals).mean()
+    lost = np.flatnonzero(np.isnan(mae_rec).all(axis=1))
+    if len(lost):
+        raise RecoveryError(f"every trial at {sweep[lost[0]]} shadows hit the eigenvalue "
+                            f"floor {floor:g}")
     ratio = mae_rec / mae_raw
     return Fig2Result(sweep, mae_raw, mae_rec, ratio, norm)
 
@@ -407,11 +448,10 @@ def run_fig2(
 def cmd_fig2(args: argparse.Namespace) -> int:
     channel = _resolve_channel(args.channel)
     observable = _resolve_observable(args.observable, args)
-    sweep = (
-        tuple(int(s) for s in args.sweep.split(","))
-        if args.sweep
-        else DEFAULT_SWEEP
-    )
+    try:
+        sweep = tuple(int(s) for s in args.sweep.split(",")) if args.sweep else DEFAULT_SWEEP
+    except ValueError:
+        raise ConfigError(f"sweep must be comma-separated integers, got {args.sweep!r}") from None
     result = run_fig2(
         channel,
         observable,
@@ -437,18 +477,20 @@ def cmd_fig2(args: argparse.Namespace) -> int:
         f"# norm_constant: {_fmt(result.norm_constant)}",
         "N,trial,mae_raw,mae_recovered,r,std_r",
     ]
-    for pi, count in enumerate(result.sweep):
+    summaries = zip(result.point_means(result.mae_raw), result.point_means(result.mae_recovered),
+                    result.mean_ratio(), result.std_ratio())
+    for pi, (count, summary) in enumerate(zip(result.sweep, summaries)):
         for rep in range(args.repeats):
             lines.append(
                 f"{count},{rep},{_fmt(result.mae_raw[pi, rep])},"
                 f"{_fmt(result.mae_recovered[pi, rep])},{_fmt(result.ratio[pi, rep])},"
             )
-        lines.append(
-            f"{count},summary,{_fmt(result.mae_raw[pi].mean())},"
-            f"{_fmt(result.mae_recovered[pi].mean())},{_fmt(result.mean_ratio()[pi])},"
-            f"{_fmt(result.std_ratio()[pi])}"
-        )
+        lines.append(f"{count},summary," + ",".join(_fmt(x) for x in summary))
     _emit(lines, args.out)
+    hits = int((~result.succeeded).sum())
+    if hits:
+        print(f"{hits} of {result.ratio.size} trials hit the eigenvalue floor; "
+              "their summaries leave them out", file=sys.stderr)
     return 0
 
 

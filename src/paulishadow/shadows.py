@@ -34,9 +34,6 @@ built from that support's marginal histogram: weight <= k supports for
 eigenvalues, <= 2k for transfer entries.  One 36^w histogram and its 16^w
 table live at a time.  A support wider than four qubits keeps a four-qubit
 table, and the records' factors on the other qubits weight its histogram.
-When only a few moments are read, a table costs more than it saves: a
-histogram is then contracted once per pair, and past the cap a support's
-records are summed one by one.
 
 Randomness
 ----------
@@ -80,9 +77,6 @@ _DIGITS = np.full((256, 256), -1, dtype=np.int8)
 _DIGITS[tuple(np.array([(ord(a), ord(s)) for a in AXES for s in "+-"]).T)] = np.arange(6)
 DEFAULT_BLOCK_SIZE = 1 << 16
 COUNTS_QUBIT_CAP = 4  # 36^n histogram cells
-# A 16^w moment table costs about as much as this many single-moment
-# contractions of a 36^w histogram, or three times as many record-qubit scans.
-_TABLE_COST = 20
 
 
 # -- records -------------------------------------------------------------------
@@ -341,13 +335,6 @@ def _moment_table(hist: np.ndarray, w: int) -> np.ndarray:
     return table.reshape(-1).astype(np.int64)
 
 
-def _contract(hist: np.ndarray, letters: Sequence[int]) -> int:
-    """One moment of a 36^w histogram, its axes contracted last qubit first."""
-    for letter in reversed(letters):
-        hist = np.matmul(hist.reshape(-1, 36), _CELL_FACTORS[letter])
-    return int(hist[0])
-
-
 def _pair_letters(pairs, n: int) -> np.ndarray:
     """(len(pairs), n) int8 letter of every (input, output) pair on every
     qubit, in_code * 4 + out_code: the moment-table digit of that qubit."""
@@ -409,12 +396,12 @@ class ShadowCounts:
         return _moment_table(self.counts, self.n)
 
 
-def _record_factors(cells: np.ndarray, qubits, letters, weights=None) -> np.ndarray | None:
-    """Each record's exact integer factor on ``qubits`` for the given letters,
-    times ``weights``; None stands for all ones.  A letter may be an array of
-    letters, one per row of the result."""
+def _record_factors(cells: np.ndarray, qubits, letters) -> np.ndarray | None:
+    """Each record's exact integer factor on ``qubits`` for the given letters;
+    None stands for all ones (no qubits)."""
+    weights = None
     for j, letter in zip(qubits, letters):
-        factor = _CELL_FACTORS[letter].take(cells[j], axis=-1)
+        factor = _CELL_FACTORS[letter].take(cells[j])
         weights = factor if weights is None else weights * factor
     return weights
 
@@ -425,8 +412,8 @@ def _marginal_numerators(records: ShadowRecords, pairs) -> list[int]:
     A support wider than the cap splits into a head and a cap-wide tail: the
     head's letters weight each record by its factor there, and the table
     covers the tail.  Pairs are grouped by (head letters, tail qubits); each
-    group's table is read, then dropped.  A group with few members is summed
-    record by record instead (see ``_TABLE_COST``).
+    group bincounts its tail histogram, weighted by the head factors, and its
+    table is read, then dropped.
     """
     cells = np.ascontiguousarray(records.cells.T)
     n = records.n
@@ -447,16 +434,6 @@ def _marginal_numerators(records: ShadowRecords, pairs) -> list[int]:
         weights = _record_factors(cells, head, key[head])
         tail_letters = letters[members][:, tail_qubits]
         w = len(tail_qubits)
-        if 3 * len(members) * len(records) * w < _TABLE_COST * 36**w:
-            # (members, records) factors, a few members at a time.
-            step = max(1, DEFAULT_BLOCK_SIZE // len(records))
-            for lo in range(0, len(members), step):
-                by_qubit = tail_letters[lo : lo + step].T
-                factors = _record_factors(cells, tail_qubits, by_qubit, weights)
-                numers[members[lo : lo + step]] = (
-                    len(records) if factors is None else factors.sum(axis=1)
-                )
-            continue
         # Integer weights keep the float histogram exact below 2^53.
         hist = np.bincount(_joint_cells(cells, tail_qubits), weights, minlength=36**w)
         table = _moment_table(hist, w)
@@ -481,10 +458,7 @@ def _numerators(source, n: int, pairs) -> tuple[int, list[int]]:
         raise ValueError("no records")
     if isinstance(source, ShadowRecords):
         return total, _marginal_numerators(source, pairs)
-    letters = _pair_letters(pairs, n)
-    if len(pairs) < _TABLE_COST:
-        return total, [_contract(source.counts, row) for row in letters]
-    return total, source.moments()[_table_index(letters)].tolist()
+    return total, source.moments()[_table_index(_pair_letters(pairs, n))].tolist()
 
 
 def estimate_x(records: ShadowRecords | ShadowCounts, p: PauliString) -> float:

@@ -15,9 +15,7 @@ from paulishadow.channels import (
     ProductChannel,
     TransferMatrix,
     amplitude_damping_ptm,
-    channel_eigenvalue_vector,
     channel_from_config,
-    channel_from_eigenvalue_vector,
     channel_to_config,
     depolarizing_probs,
     depolarizing_ptm,
@@ -129,19 +127,6 @@ def test_min_abs_eigenvalue():
     assert ch.min_abs_eigenvalue(2) == pytest.approx(0.384, abs=1e-12)
     sp = PauliChannel.from_terms(1, {P("X"): 0.1})
     assert sp.min_abs_eigenvalue(1) == pytest.approx(0.8, abs=1e-12)
-
-
-def test_eigenvalue_vector_round_trip():
-    rng = np.random.default_rng(23)
-    ch = random_product_channel(rng, 2)
-    vec = channel_eigenvalue_vector(ch)
-    for p in iter_all_paulis(2):
-        from paulishadow.paulis import pauli_index
-
-        assert vec[pauli_index(p)] == pytest.approx(ch.eigenvalue(p), abs=1e-12)
-    back = channel_from_eigenvalue_vector(2, vec)
-    for p in iter_all_paulis(2):
-        assert back.eigenvalue(p) == pytest.approx(ch.eigenvalue(p), abs=1e-12)
 
 
 # -- Walsh transform -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command line surface: outputs, exit codes, and byte-level determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -20,8 +21,9 @@ from paulishadow.channels import (
     save_channel,
 )
 from paulishadow.clifford import CliffordCircuit, Gate
-from paulishadow.observables import Observable
+from paulishadow.observables import Observable, heisenberg_observable
 from paulishadow.paulis import PauliString, enumerate_low_weight
+from paulishadow.recovery import RecoveryError
 from paulishadow.shadows import plan_sample_size
 
 
@@ -141,6 +143,43 @@ def test_non_completely_positive_ptm_config_exits_one(tmp_path, capsys):
     assert rc == 1
     assert "not completely positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Channel files the digest cases load, written into the working directory so
+# the CSV's "# channel:" line is the same on every machine.
+LEARN_CHANNELS = {
+    "pauli4.json": lambda: PauliChannel.from_qubit_probs([(0.9, 0.05, 0.03, 0.02)] * 4),
+    "ptm6.json": lambda: ProductChannel([amplitude_damping_ptm(0.05 * (j + 1)) for j in range(6)]),
+    "pauli10.json": lambda: PauliChannel.from_qubit_probs(
+        [(0.92 - 0.01 * j, 0.03, 0.03, 0.02 + 0.01 * j) for j in range(10)]
+    ),
+}
+
+# SHA-256 of learn CSVs on both sides of the joint cap.  Every float in a
+# learn CSV is an exact integer ratio or an element-wise product, so the
+# bytes do not depend on the BLAS in use.
+LEARN_DIGESTS = {
+    "reference-k2": ("reference", "2", "20000",
+        "88f3c5ec210ecaf034e99c95297317fc73b5db7c2fc75c7c781fbadabfe15a3b"),
+    "pauli4-k1": ("pauli4.json", "1", "20000",
+        "8a88b996079c029d1f0f10da37835700d5729a7ad0dd4b2790c7132cc1ecc112"),
+    "ptm6-k3": ("ptm6.json", "3", "1500",
+        "23de94ca755364a1992745a657eb797b4e086c06eb854bf2de2f021a1e90b658"),
+    "pauli10-k2": ("pauli10.json", "2", "500",
+        "4354b07fea9a9e10541f02cc0c3ef57b098a095325c027b2dbe0c0d93984d4d0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEARN_DIGESTS))
+def test_learn_csv_digests(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    channel, k, shadows, digest = LEARN_DIGESTS[case]
+    if channel in LEARN_CHANNELS:
+        save_channel(LEARN_CHANNELS[channel](), channel)
+    argv = ["learn", "--channel", channel, "--k", k, "--shadows", shadows, "--seed", "3",
+            "--out", "learn.csv"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(Path("learn.csv").read_bytes()).hexdigest() == digest
 
 
 # -- recover -------------------------------------------------------------------
@@ -400,6 +439,97 @@ def test_fig2_requires_pauli_channel(damping_channel_path, tmp_path):
         fig2_args(tmp_path / "x.csv", ["--channel", damping_channel_path])
     )
     assert rc == 1
+
+
+def test_fig2_survives_a_floor_hit(tmp_path, capsys):
+    # the first sweep point's ZZ estimate of one trial falls below the floor
+    out = tmp_path / "fig2.csv"
+    assert cli.main(["fig2", "--seed", "837327496", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "1 of 200 trials hit the eigenvalue floor; their summaries leave them out"
+    ]
+    _, per_trial, summary = parse_fig2(out)
+    lost = [t for t in per_trial[10_000] if math.isnan(t[2])]
+    assert len(lost) == 1 and math.isnan(lost[0][3]) and lost[0][1] > 0
+    kept = [t for t in per_trial[10_000] if not math.isnan(t[2])]
+    assert summary[10_000][0] == pytest.approx(np.mean([t[1] for t in kept]), rel=1e-12)
+    assert summary[10_000][2] == pytest.approx(np.mean([t[3] for t in kept]), rel=1e-12)
+    assert all(not math.isnan(v) for row in summary.values() for v in row)
+
+
+def test_fig2_summaries_without_floor_hits_are_the_all_trial_means(tmp_path, monkeypatch):
+    results = []
+    run = cli.run_fig2
+
+    def keep(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_fig2", keep)
+    out = tmp_path / "fig2.csv"
+    assert cli.main(fig2_args(out)) == 0
+    (result,) = results
+    assert result.succeeded.all()
+    # with no floor hit, every summary is the plain mean or std over all trials
+    f = cli._fmt
+    want = [
+        f"{count},summary,{f(result.mae_raw[pi].mean())},{f(result.mae_recovered[pi].mean())},"
+        f"{f(result.ratio.mean(axis=1)[pi])},{f(result.ratio.std(axis=1)[pi])}"
+        for pi, count in enumerate(result.sweep)
+    ]
+    assert [line for line in out.read_text().splitlines() if ",summary," in line] == want
+
+
+def test_run_fig2_partial_and_total_floor_hits():
+    channel, observable = reference_product_channel(), heisenberg_observable(2)
+    result = cli.run_fig2(channel, observable, 2, (500, 1000), 5, 4, 11, floor=0.3)
+    hits = (~result.succeeded).sum(axis=1)
+    assert hits.tolist() == [1, 2]
+    assert np.isnan(result.ratio[~result.succeeded]).all()
+    assert not np.isnan(result.ratio[result.succeeded]).any()
+    np.testing.assert_allclose(result.mean_ratio(), np.nanmean(result.ratio, axis=1), rtol=1e-12)
+    np.testing.assert_allclose(result.std_ratio(), np.nanstd(result.ratio, axis=1), rtol=1e-12)
+    with pytest.raises(RecoveryError, match="every trial at 500 shadows hit the eigenvalue floor"):
+        cli.run_fig2(channel, observable, 2, (500, 1000), 5, 4, 11, floor=1.5)
+
+
+BAD_INPUTS = {
+    "learn-no-shadows": "learn --channel reference --shadows 0",
+    "learn-k-above-n": "learn --channel reference --k 3",
+    "recover-no-shadows": "recover --channel reference --observable heisenberg --shadows 0",
+    "recover-k-above-n": "recover --channel reference --observable heisenberg --k 3",
+    "recover-k-below-locality": "recover --channel reference --observable heisenberg --k 1",
+    "recover-exact-k-below-locality":
+        "recover --channel reference --observable heisenberg --k 1 --exact-eigenvalues",
+    "general-no-shadows":
+        "recover-general --channel reference --observable heisenberg --shadows -1",
+    "general-k-above-n": "recover-general --channel reference --observable heisenberg --k 3",
+    "general-k-below-locality": "recover-general --channel reference --observable heisenberg --k 1",
+    "mitigate-no-shadows": "mitigate --circuit CIRCUIT --observable heisenberg --shadows 0",
+    "fig2-k-above-n": "fig2 --k 3 --sweep 100",
+    "fig2-k-below-locality": "fig2 --k 1 --sweep 100",
+    "fig2-no-states": "fig2 --states 0 --sweep 100",
+    "fig2-no-repeats": "fig2 --repeats 0 --sweep 100",
+    "fig2-sweep-not-integer": "fig2 --sweep 100,2.5",
+    "fig2-few-expectation-shadows":
+        "fig2 --sweep 100 --estimated-expectations --expectation-shadows 9",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_one_before_any_draw(case, circuit_path, monkeypatch, capsys):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("records drawn before the input was checked")
+
+    for name in ("iter_channel_shadow_blocks", "sample_gate_shadows",
+                 "estimate_state_expectations"):
+        monkeypatch.setattr(cli, name, no_draws)
+    argv = BAD_INPUTS[case].replace("CIRCUIT", circuit_path).split()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("configuration error: ")
 
 
 # -- shared plumbing -----------------------------------------------------------

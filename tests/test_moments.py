@@ -1,17 +1,14 @@
 """Moment tables against a per-record brute force, and records text I/O.
 
-Every estimator reads an exact integer numerator off a moment table or,
-when only a few are read, directly: a per-pair contraction of the histogram,
-or past the joint-histogram cap a record-by-record sum.  Tests marked
-``BOTH_PATHS`` force each in turn.  The oracle here is the mask scan: for
+Every estimator reads an exact integer numerator off a moment table: the
+table of the joint histogram up to the cap, or past it the table of each
+union support's marginal histogram.  The oracle here is the mask scan: for
 each (input, output) Pauli pair, mask the records whose prepared and
 measured axes match every letter and sum their sign parities.  Both sides
 are exact integers, so they must agree bit for bit on any records, on either
 side of the cap.  Property tests are derandomized, so every run draws the
 same examples.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,12 +31,6 @@ from paulishadow.shadows import (
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
-# table cost 0 reads every numerator from a table; a huge one never builds one
-BOTH_PATHS = pytest.mark.parametrize("table_cost", [0, 10**12], ids=["tables", "direct"])
-
-
-def numerator_path(table_cost):
-    return mock.patch.object(shadows, "_TABLE_COST", table_cost)
 
 
 def random_records(n, count, seed):
@@ -104,30 +95,26 @@ def records_and_pairs(draw, n_min=1, n_max=6):
 # -- lookups against the brute force ------------------------------------------
 
 
-@BOTH_PATHS
 @PROPERTY
 @given(records_and_pairs())
-def test_transfer_entries_match_brute_force(table_cost, case):
+def test_transfer_entries_match_brute_force(case):
     # Pairs are unrestricted: below-block (|P| > |Q|) and, past four qubits,
     # union supports wider than the cap are drawn too.
     records, pairs = case
     for p, q in pairs:
-        with numerator_path(table_cost):
-            got = estimate_transfer_entry(records, p, q)
+        got = estimate_transfer_entry(records, p, q)
         if q.is_identity:
             assert got == (1.0 if p.is_identity else 0.0)
         else:
             assert got == brute_entry(records, p, q)
 
 
-@BOTH_PATHS
 @PROPERTY
 @given(records_and_pairs())
-def test_estimate_x_matches_brute_force(table_cost, case):
+def test_estimate_x_matches_brute_force(case):
     records, pairs = case
     for _, q in pairs:
-        with numerator_path(table_cost):
-            got = estimate_x(records, q)
+        got = estimate_x(records, q)
         assert got == brute_numerator(records, q, q) / len(records)
 
 
@@ -142,24 +129,20 @@ def test_counts_moment_table_matches_brute_force(case):
         assert table[table_index(p, q)] == brute_numerator(records, p, q)
 
 
-@BOTH_PATHS
-def test_wide_union_supports_past_the_cap(table_cost):
+def test_wide_union_supports_past_the_cap():
     # weight-3 strings on disjoint supports: union weight 6 splits into a
     # two-qubit head and a four-qubit tail
     records = random_records(6, 400, seed=61)
     for p, q in [("XYZIII", "IIIZYX"), ("ZZZIII", "IIIXXX"), ("XIYIZI", "IXIYIZ"),
                  ("YYIIII", "YIZIIX"), ("IIIIIZ", "ZIIIIZ")]:
         p, q = PauliString.from_label(p), PauliString.from_label(q)
-        with numerator_path(table_cost):
-            got = estimate_transfer_entry(records, p, q)
+        got = estimate_transfer_entry(records, p, q)
         assert got == brute_entry(records, p, q)
 
 
-@BOTH_PATHS
-def test_transfer_matrix_past_the_cap_matches_brute_force(table_cost):
+def test_transfer_matrix_past_the_cap_matches_brute_force():
     records = random_records(5, 300, seed=5)
-    with numerator_path(table_cost):
-        m = estimate_transfer_matrix(records, 5, 2)
+    m = estimate_transfer_matrix(records, 5, 2)
     assert m.basis == tuple(enumerate_low_weight(5, 2))
     for col, q in enumerate(m.basis):
         for row, p in enumerate(m.basis):
@@ -172,25 +155,21 @@ def test_transfer_matrix_past_the_cap_matches_brute_force(table_cost):
             assert m.matrix[row, col] == want, (p, q)
 
 
-@BOTH_PATHS
-def test_eigenvalues_past_the_cap_match_brute_force(table_cost):
+def test_eigenvalues_past_the_cap_match_brute_force():
     records = random_records(7, 500, seed=7)
-    with numerator_path(table_cost):
-        est = estimate_eigenvalues(records, 7, 3)
+    est = estimate_eigenvalues(records, 7, 3)
     assert est.n_records == 500
     for p in enumerate_low_weight(7, 3):
         if not p.is_identity:
             assert est[p] == brute_entry(records, p, p)
 
 
-@BOTH_PATHS
-def test_records_and_counts_sources_agree_exactly(table_cost):
+def test_records_and_counts_sources_agree_exactly():
     records = random_records(3, 2000, seed=44)
     counts = ShadowCounts.from_records(records)
-    with numerator_path(table_cost):
-        a = estimate_transfer_matrix(records, 3, 2)
-        b = estimate_transfer_matrix(counts, 3, 2)
-        c = estimate_transfer_matrix(iter([records[:700], records[700:]]), 3, 2)
+    a = estimate_transfer_matrix(records, 3, 2)
+    b = estimate_transfer_matrix(counts, 3, 2)
+    c = estimate_transfer_matrix(iter([records[:700], records[700:]]), 3, 2)
     assert a.matrix[1, 1] == brute_entry(records, a.basis[1], a.basis[1])
     np.testing.assert_array_equal(a.matrix, b.matrix)
     np.testing.assert_array_equal(a.matrix, c.matrix)
@@ -199,13 +178,11 @@ def test_records_and_counts_sources_agree_exactly(table_cost):
 # -- gate estimates ------------------------------------------------------------
 
 
-@BOTH_PATHS
-def test_gate_eigenvalues_from_records_equal_counts_and_brute_force(table_cost):
+def test_gate_eigenvalues_from_records_equal_counts_and_brute_force():
     for kind in ("H", "S", "CNOT"):
         records = ShadowRecords.concatenate(list(sample_gate_shadows(kind, None, 3000, seed=17)))
-        with numerator_path(table_cost):
-            from_records = estimate_gate_eigenvalues(records, kind)
-            from_counts = estimate_gate_eigenvalues(ShadowCounts.from_records(records), kind)
+        from_records = estimate_gate_eigenvalues(records, kind)
+        from_counts = estimate_gate_eigenvalues(ShadowCounts.from_records(records), kind)
         assert from_records.values == from_counts.values
         qubits = tuple(range(records.n))
         for p in iter_all_paulis(records.n):
