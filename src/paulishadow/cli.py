@@ -4,8 +4,10 @@ Subcommands: ``learn`` (channel eigenvalue estimation report),
 ``recover`` / ``recover-general`` (noise-corrected expectation values),
 ``mitigate`` (Clifford circuit mitigation), ``plan`` (sample-size planning),
 and ``fig2`` (the bundled mean-absolute-error ratio experiment sweeping the
-shadow count).  All output is deterministic under fixed seeds: every run
-seed, and every derived per-trial seed, is a pure function of the command
+shadow count).  Each command is one function that checks its arguments,
+passes record streams to the estimators (which choose their own statistic)
+and prints.  All output is deterministic under fixed seeds: every run seed,
+and every derived per-trial seed, is a pure function of the command
 arguments, so repeated runs are byte-identical.
 
 Exit status: 0 on success, 2 when recovery fails its eigenvalue floor or
@@ -43,10 +45,8 @@ from .recovery import (
     recovery_report,
 )
 from .shadows import (
-    COUNTS_QUBIT_CAP,
     EigenvalueEstimates,
     ShadowCounts,
-    ShadowRecords,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
     estimate_state_expectations,
@@ -74,6 +74,11 @@ def _check_k(k: int, n: int, locality: int = 0) -> None:
 def _check_shadows(shadows: int) -> None:
     if shadows < 1:
         raise ConfigError(f"shadow count must be at least 1, got {shadows}")
+
+
+def _check_floor(floor: float) -> None:
+    if not 0.0 < floor <= 1.0:  # also rejects nan
+        raise ConfigError(f"eigenvalue floor must be in (0, 1], got {floor}")
 
 
 def _fmt(x: float) -> str:
@@ -114,47 +119,30 @@ def _resolve_observable(arg: str, args: argparse.Namespace) -> Observable:
         ) from None
 
 
-def _shadow_source(channel, n: int, shadows: int, seed: int):
-    """Sample and reduce to the smallest sufficient statistic for estimation."""
-    _check_shadows(shadows)
-    blocks = iter_channel_shadow_blocks(channel, shadows, seed)
-    if n <= COUNTS_QUBIT_CAP:
-        return ShadowCounts.accumulate(blocks, n)
-    return ShadowRecords.concatenate(blocks, (shadows, n))
-
-
 # -- learn ---------------------------------------------------------------------
-
-
-def run_learn(channel, k: int, shadows: int, seed: int) -> list[tuple[str, float, float, float]]:
-    """Rows of (pauli label, estimate, exact value, absolute error)."""
-    n = channel.n
-    _check_k(k, n)
-    source = _shadow_source(channel, n, shadows, seed)
-    estimates = estimate_eigenvalues(source, n, k)
-    exact_diag = exact_transfer_matrix(channel, k)
-    rows = []
-    for p in enumerate_low_weight(n, k):
-        est = estimates[p]
-        truth = exact_diag.entry(p, p)
-        rows.append((str(p), est, truth, abs(est - truth)))
-    return rows
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
     channel = _resolve_channel(args.channel)
-    rows = run_learn(channel, args.k, args.shadows, args.seed)
+    n = channel.n
+    _check_k(args.k, n)
+    _check_shadows(args.shadows)
+    estimates = estimate_eigenvalues(
+        iter_channel_shadow_blocks(channel, args.shadows, args.seed), n, args.k
+    )
+    exact_diag = exact_transfer_matrix(channel, args.k)
     lines = [
         f"# paulishadow learn {CSV_VERSION}",
         f"# channel: {args.channel}",
-        f"# n: {channel.n}",
+        f"# n: {n}",
         f"# k: {args.k}",
         f"# shadows: {args.shadows}",
         f"# seed: {args.seed}",
         "pauli,estimate,exact,abs_error",
     ]
-    for label, est, truth, err in rows:
-        lines.append(f"{label},{_fmt(est)},{_fmt(truth)},{_fmt(err)}")
+    for p in enumerate_low_weight(n, args.k):
+        est, truth = estimates[p], exact_diag.entry(p, p)
+        lines.append(f"{p},{_fmt(est)},{_fmt(truth)},{_fmt(abs(est - truth))}")
     _emit(lines, args.out)
     return 0
 
@@ -162,141 +150,85 @@ def cmd_learn(args: argparse.Namespace) -> int:
 # -- recover / recover-general / mitigate -------------------------------------
 
 
-def run_recover(
-    channel,
-    observable: Observable,
-    k: int,
-    shadows: int,
-    seed: int,
-    state_seed: int,
-    exact_eigenvalues: bool,
-    floor: float,
-    general: bool,
-    baseline: bool,
-) -> dict:
-    n = channel.n
-    if observable.n != n:
-        raise ConfigError(
-            f"observable acts on {observable.n} qubits, channel on {n}"
-        )
-    _check_k(k, n, observable.locality)
-    state = exact.haar_random_state(n, _derive_seed(state_seed, 11))
-    noisy = exact.apply_channel(channel, state)
-    ideal = exact.expectation(observable, state)
-    if baseline:
+def _print_report(back, observable: Observable, noisy, ideal: float, out_path: str | None) -> int:
+    """Print the recovered value of ``noisy``, or with ``back`` None the
+    uncorrected baseline, and write the JSON report to ``out_path``."""
+    if back is None:
         value = exact.expectation(observable, noisy)
-        return {
-            "value": value,
-            "provenance": "baseline",
-            "ideal": ideal,
-            "absolute_error": abs(value - ideal),
-        }
-    if general:
-        if exact_eigenvalues:
-            transfer = exact_transfer_matrix(channel, k)
-        else:
-            source = _shadow_source(channel, n, shadows, seed)
-            transfer = estimate_transfer_matrix(source, n, k)
-        back = backward_observable_general(observable, transfer)
+        report = {"value": value, "provenance": "baseline", "ideal": ideal,
+                  "absolute_error": abs(value - ideal)}
     else:
-        if exact_eigenvalues:
-            estimates = EigenvalueEstimates.from_channel(channel, k)
-        else:
-            source = _shadow_source(channel, n, shadows, seed)
-            estimates = estimate_eigenvalues(source, n, k)
-        back = backward_observable(observable, estimates, floor)
-    value = exact.expectation(back.as_observable(), noisy)
-    return recovery_report(back, value, ideal)
-
-
-def _print_report(report: dict, out_path: str | None) -> None:
-    label = "baseline" if report.get("provenance") == "baseline" else "recovered"
-    print(f"{label}: {_fmt(report['value'])}")
+        report = recovery_report(back, exact.expectation(back.as_observable(), noisy), ideal)
+    print(f"{'baseline' if back is None else 'recovered'}: {_fmt(report['value'])}")
     print(f"ideal: {_fmt(report['ideal'])}")
     print(f"absolute_error: {_fmt(report['absolute_error'])}")
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(report, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
+    return 0
 
 
 def cmd_recover(args: argparse.Namespace, general: bool) -> int:
     channel = _resolve_channel(args.channel)
+    if not (general or isinstance(channel, PauliChannel)):
+        raise ConfigError("recover expects a Pauli channel; use recover-general "
+                          "for other weight-contracting channels")
     observable = _resolve_observable(args.observable, args)
+    n = channel.n
+    if observable.n != n:
+        raise ConfigError(f"observable acts on {observable.n} qubits, channel on {n}")
     k = args.k if args.k is not None else observable.locality
-    report = run_recover(
-        channel,
-        observable,
-        k,
-        args.shadows,
-        args.seed,
-        args.state_seed,
-        args.exact_eigenvalues,
-        args.floor,
-        general,
-        args.baseline,
-    )
-    _print_report(report, args.out)
-    return 0
-
-
-def run_mitigate(
-    circuit: CliffordCircuit,
-    observable: Observable,
-    shadows: int,
-    seed: int,
-    state_seed: int,
-    exact_eigenvalues: bool,
-    floor: float,
-    baseline: bool = False,
-) -> dict:
-    if observable.n != circuit.n:
-        raise ConfigError(
-            f"observable acts on {observable.n} qubits, circuit on {circuit.n}"
-        )
-    psi = exact.haar_random_vector(circuit.n, _derive_seed(state_seed, 11))
-    noisy = exact.simulate_noisy_circuit(circuit, exact.DenseState.from_unit_vector(psi))
-    ideal = exact.expectation(observable, exact.simulate_ideal_statevector(circuit, psi))
-    if baseline:
-        value = exact.expectation(observable, noisy)
-        return {
-            "value": value,
-            "provenance": "baseline",
-            "ideal": ideal,
-            "absolute_error": abs(value - ideal),
-        }
-    if exact_eigenvalues:
-        estimates = exact_gate_estimates(circuit)
+    _check_k(k, n, observable.locality)
+    if not general:
+        _check_floor(args.floor)
+    if not (args.baseline or args.exact_eigenvalues):
+        _check_shadows(args.shadows)
+    state = exact.haar_random_state(n, _derive_seed(args.state_seed, 11))
+    noisy = exact.apply_channel(channel, state)
+    ideal = exact.expectation(observable, state)
+    if args.baseline:
+        back = None
+    elif general:
+        transfer = (exact_transfer_matrix(channel, k) if args.exact_eigenvalues else
+                    estimate_transfer_matrix(
+                        iter_channel_shadow_blocks(channel, args.shadows, args.seed), n, k))
+        back = backward_observable_general(observable, transfer)
     else:
-        _check_shadows(shadows)
-        estimates = {}
-        for kind in sorted({g.kind for g in circuit.gates}):
-            blocks = sample_gate_shadows(
-                kind, circuit.noise.get(kind), shadows,
-                _derive_seed(seed, 23, *(ord(c) for c in kind)),
-            )
-            counts = ShadowCounts.accumulate(blocks, gate_arity(kind))
-            estimates[kind] = estimate_gate_eigenvalues(counts, kind)
-    back = mitigation_coefficients(circuit, estimates, observable, floor)
-    value = exact.expectation(back.as_observable(), noisy)
-    return recovery_report(back, value, ideal)
+        estimates = (EigenvalueEstimates.from_channel(channel, k) if args.exact_eigenvalues else
+                     estimate_eigenvalues(
+                         iter_channel_shadow_blocks(channel, args.shadows, args.seed), n, k))
+        back = backward_observable(observable, estimates, args.floor)
+    return _print_report(back, observable, noisy, ideal, args.out)
 
 
 def cmd_mitigate(args: argparse.Namespace) -> int:
     circuit = CliffordCircuit.load(args.circuit)
     observable = _resolve_observable(args.observable, args)
-    report = run_mitigate(
-        circuit,
-        observable,
-        args.shadows,
-        args.seed,
-        args.state_seed,
-        args.exact_eigenvalues,
-        args.floor,
-        args.baseline,
-    )
-    _print_report(report, args.out)
-    return 0
+    if observable.n != circuit.n:
+        raise ConfigError(f"observable acts on {observable.n} qubits, circuit on {circuit.n}")
+    _check_floor(args.floor)
+    if not (args.baseline or args.exact_eigenvalues):
+        _check_shadows(args.shadows)
+    psi = exact.haar_random_vector(circuit.n, _derive_seed(args.state_seed, 11))
+    noisy = exact.simulate_noisy_circuit(circuit, exact.DenseState.from_unit_vector(psi))
+    ideal = exact.expectation(observable, exact.simulate_ideal_statevector(circuit, psi))
+    if args.baseline:
+        back = None
+    else:
+        if args.exact_eigenvalues:
+            estimates = exact_gate_estimates(circuit)
+        else:
+            estimates = {}
+            for kind in sorted({g.kind for g in circuit.gates}):
+                blocks = sample_gate_shadows(
+                    kind, circuit.noise.get(kind), args.shadows,
+                    _derive_seed(args.seed, 23, *(ord(c) for c in kind)),
+                )
+                counts = ShadowCounts.accumulate(blocks, gate_arity(kind))
+                estimates[kind] = estimate_gate_eigenvalues(counts, kind)
+        back = mitigation_coefficients(circuit, estimates, observable, args.floor)
+    return _print_report(back, observable, noisy, ideal, args.out)
 
 
 # -- plan ----------------------------------------------------------------------
@@ -424,10 +356,10 @@ def run_fig2(
             if exact_eigenvalues:
                 estimates = EigenvalueEstimates.from_channel(channel, k)
             else:
-                source = _shadow_source(
-                    channel, n, count, _derive_seed(seed, 3001, rep, pi)
+                blocks = iter_channel_shadow_blocks(
+                    channel, count, _derive_seed(seed, 3001, rep, pi)
                 )
-                estimates = estimate_eigenvalues(source, n, k)
+                estimates = estimate_eigenvalues(blocks, n, k)
             try:
                 back = backward_observable(observable, estimates, floor)
             except RecoveryFloorError:
@@ -519,10 +451,14 @@ def _add_recover_options(sub: argparse.ArgumentParser) -> None:
                      help="seed of the Haar-random test state")
     sub.add_argument("--exact-eigenvalues", action="store_true",
                      help="use oracle noise characterization instead of sampling")
-    sub.add_argument("--floor", type=float, default=DEFAULT_EIGENVALUE_FLOOR)
     sub.add_argument("--baseline", action="store_true",
                      help="report the uncorrected noisy expectation instead")
     sub.add_argument("--out", default=None, help="write a JSON report here")
+
+
+def _add_floor_option(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--floor", type=float, default=DEFAULT_EIGENVALUE_FLOOR,
+                     help="smallest eigenvalue magnitude the inversion divides by, in (0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -552,12 +488,15 @@ def build_parser() -> argparse.ArgumentParser:
         rec.add_argument("--k", type=int, default=None,
                          help="estimation weight cutoff (default: observable locality)")
         _add_recover_options(rec)
+        if not general:
+            _add_floor_option(rec)
         rec.set_defaults(func=lambda a, g=general: cmd_recover(a, g))
 
     mit = subs.add_parser("mitigate", help="mitigate a noisy Clifford circuit")
     mit.add_argument("--circuit", required=True, help="circuit JSON path")
     _add_observable_options(mit)
     _add_recover_options(mit)
+    _add_floor_option(mit)
     mit.set_defaults(func=cmd_mitigate)
 
     plan = subs.add_parser("plan", help="sufficient shadow count for a target accuracy")

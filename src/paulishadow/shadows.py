@@ -445,10 +445,12 @@ def _numerators(source, n: int, pairs) -> tuple[int, list[int]]:
     """Record count and the exact numerator of every (input, output) pair.
 
     ``source`` is a ShadowCounts, a ShadowRecords, or a stream of record
-    blocks; records up to the joint cap are reduced to counts first.
+    blocks; up to the joint cap, records and streams are reduced to counts,
+    and past it a stream is joined into records.
     """
     if not isinstance(source, (ShadowCounts, ShadowRecords)):
-        source = ShadowCounts.accumulate(source, n)
+        source = (ShadowCounts.accumulate(source, n) if n <= COUNTS_QUBIT_CAP
+                  else ShadowRecords.concatenate(source))
     if source.n != n:
         raise ValueError(f"source has n={source.n}, expected {n}")
     if isinstance(source, ShadowRecords) and n <= COUNTS_QUBIT_CAP:

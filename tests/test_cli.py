@@ -506,6 +506,17 @@ BAD_INPUTS = {
     "general-k-above-n": "recover-general --channel reference --observable heisenberg --k 3",
     "general-k-below-locality": "recover-general --channel reference --observable heisenberg --k 1",
     "mitigate-no-shadows": "mitigate --circuit CIRCUIT --observable heisenberg --shadows 0",
+    "recover-non-pauli-channel": "recover --channel DAMPING --observable heisenberg",
+    "recover-exact-non-pauli-channel":
+        "recover --channel DAMPING --observable heisenberg --exact-eigenvalues",
+    "recover-floor-zero": "recover --channel reference --observable heisenberg --floor 0",
+    "recover-floor-negative": "recover --channel reference --observable heisenberg --floor -1",
+    "recover-floor-nan": "recover --channel reference --observable heisenberg --floor nan",
+    "recover-floor-above-one": "recover --channel reference --observable heisenberg --floor 1.5",
+    "mitigate-floor-zero": "mitigate --circuit CIRCUIT --observable heisenberg --floor 0",
+    "mitigate-floor-negative": "mitigate --circuit CIRCUIT --observable heisenberg --floor -1",
+    "mitigate-floor-nan": "mitigate --circuit CIRCUIT --observable heisenberg --floor nan",
+    "mitigate-floor-above-one": "mitigate --circuit CIRCUIT --observable heisenberg --floor 1.5",
     "fig2-k-above-n": "fig2 --k 3 --sweep 100",
     "fig2-k-below-locality": "fig2 --k 1 --sweep 100",
     "fig2-no-states": "fig2 --states 0 --sweep 100",
@@ -517,14 +528,16 @@ BAD_INPUTS = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_one_before_any_draw(case, circuit_path, monkeypatch, capsys):
+def test_bad_input_exits_one_before_any_draw(case, circuit_path, damping_channel_path,
+                                             monkeypatch, capsys):
     def no_draws(*args, **kwargs):
         raise AssertionError("records drawn before the input was checked")
 
     for name in ("iter_channel_shadow_blocks", "sample_gate_shadows",
                  "estimate_state_expectations"):
         monkeypatch.setattr(cli, name, no_draws)
-    argv = BAD_INPUTS[case].replace("CIRCUIT", circuit_path).split()
+    argv = BAD_INPUTS[case].replace("CIRCUIT", circuit_path).replace(
+        "DAMPING", damping_channel_path).split()
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -544,6 +557,20 @@ def test_observable_required_where_no_default(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["recover", "--channel", "reference"])
     assert err.value.code == 2  # argparse usage error
+
+
+def test_floor_is_an_option_of_recover_and_mitigate_only(circuit_path, capsys):
+    floor = ["--floor", "0.2", "--exact-eigenvalues"]
+    assert cli.main(["recover", "--channel", "reference", "--observable", "heisenberg",
+                     *floor]) == 0
+    assert cli.main(["mitigate", "--circuit", circuit_path, "--observable", "heisenberg",
+                     *floor]) == 0
+    # recover-general back-substitutes through the transfer blocks: no floor
+    with pytest.raises(SystemExit) as err:
+        cli.main(["recover-general", "--channel", "reference", "--observable", "heisenberg",
+                  *floor])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --floor 0.2" in capsys.readouterr().err
 
 
 def test_custom_heisenberg_couplings(capsys):

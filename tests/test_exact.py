@@ -1,6 +1,8 @@
 """Dense density-matrix oracle: states, channels, circuits, and the exact
 finite-sum check that the shadow estimator is unbiased."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -243,13 +245,21 @@ def test_circuit_simulation_matches_full_register_reference():
     )
 
 
-def test_mitigate_report_matches_full_register_reference():
+def test_mitigate_report_matches_full_register_reference(tmp_path, capsys):
     """The report's oracle values agree with the reference simulation and a
     dense trace to float rounding."""
     rng = np.random.default_rng(77)
     circuit = random_circuit(5, rng, depth=20)
     observable = heisenberg_observable(5)
-    report = cli.run_mitigate(circuit, observable, 0, 1, 9, True, 1e-3)
+    circuit.save(tmp_path / "circuit.json")
+    out = tmp_path / "report.json"
+    rc = cli.main(["mitigate", "--circuit", str(tmp_path / "circuit.json"),
+                   "--observable", "heisenberg", "--n", "5", "--shadows", "0", "--seed", "1",
+                   "--state-seed", "9", "--exact-eigenvalues", "--floor", "1e-3",
+                   "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text(encoding="utf-8"))
     state = exact.haar_random_state(5, cli._derive_seed(9, 11))
     noisy = full_register_circuit(circuit, state, True)
     ideal = np.trace(observable.matrix() @ full_register_circuit(circuit, state, False)).real

@@ -173,6 +173,26 @@ def test_records_and_counts_sources_agree_exactly():
     assert a.matrix[1, 1] == brute_entry(records, a.basis[1], a.basis[1])
     np.testing.assert_array_equal(a.matrix, b.matrix)
     np.testing.assert_array_equal(a.matrix, c.matrix)
+    # Past the cap a stream is joined into records: the same numbers, bitwise.
+    for n in (5, 6):
+        records = random_records(n, 2000, seed=44 + n)
+
+        def stream():
+            return iter([records[:700], records[700:1999], records[1999:]])
+
+        a, c = estimate_eigenvalues(records, n, 2), estimate_eigenvalues(stream(), n, 2)
+        assert a.values == c.values and c.n_records == 2000
+        a, c = estimate_transfer_matrix(records, n, 2), estimate_transfer_matrix(stream(), n, 2)
+        assert a.matrix[1, 1] == brute_entry(records, a.basis[1], a.basis[1])
+        np.testing.assert_array_equal(a.matrix, c.matrix)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_empty_stream_raises_on_either_side_of_the_cap(n):
+    # no records to count up to the cap, nothing to join past it
+    for estimate in (estimate_eigenvalues, estimate_transfer_matrix):
+        with pytest.raises(ValueError):
+            estimate(iter([]), n, 2)
 
 
 # -- gate estimates ------------------------------------------------------------
