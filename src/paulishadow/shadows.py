@@ -44,14 +44,21 @@ so record ``i`` depends only on (seed, block size, i): the records for a
 smaller count are a prefix of those for a larger one, but another block
 size gives other records.  Channel and gate shadows share this block driver
 and are both streamed, so a caller that reduces each block into a histogram
-holds one block at a time, and the histogram does not depend on how the
-records are re-chunked for reduction.
+holds one block per usable CPU at a time, and the histogram does not depend
+on how the records are re-chunked for reduction.  The driver samples blocks
+on one helper thread per usable CPU past the first, and the records do not
+depend on that count: under ``taskset -c 0`` it samples on one thread.
+Samplers draw their uniforms in slices, which give the same doubles as one
+call, so their temporaries stay small.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, Sequence
@@ -59,7 +66,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import exact
-from .channels import PauliChannel, ProductChannel, TransferMatrix
+from .channels import PauliChannel, ProductChannel, TransferMatrix, uniform_slices
 from .clifford import conjugate_pauli, gate_arity
 from .observables import locality_norm_constant
 from .paulis import (
@@ -209,14 +216,93 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     )
 
 
+def _helper_count() -> int:
+    """Helper threads that sample blocks: one per usable CPU past the first."""
+    try:
+        return len(os.sched_getaffinity(0)) - 1
+    except AttributeError:  # no affinity outside Linux
+        return (os.cpu_count() or 1) - 1
+
+
+class _HelperBlock:
+    """A block being sampled on a helper thread.  ``result()`` waits for it
+    and returns it, or raises the exception the sampler raised.
+
+    The block is returned as a copy made by the calling thread, so a
+    consumer that holds blocks (past the joint cap they are joined) holds
+    them in its own heap, and the helper's holds one block's temporaries."""
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.records = self.error = None
+
+    def result(self) -> ShadowRecords:
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return ShadowRecords.from_cells(self.records.cells.copy())
+
+
+class _Helpers:
+    """Helper threads that sample blocks, started on first use and kept for
+    the life of the process.  glibc gives each thread a heap that keeps its
+    high-water mark; a thread started afresh for each group now and then got
+    a new heap before the last one's was released (1.7 MB more peak RSS in
+    four of ten ``mitigate-n8`` runs)."""
+
+    def __init__(self):
+        self._reset()
+        if hasattr(os, "register_at_fork"):  # a forked child has no helper threads
+            os.register_at_fork(after_in_child=self._reset)
+
+    def _reset(self) -> None:
+        self.tasks = queue.SimpleQueue()
+        self.threads = []
+        self.lock = threading.Lock()
+
+    def submit(self, sample, rng: np.random.Generator, helpers: int) -> _HelperBlock:
+        """Queue one block, first starting threads until there are ``helpers``."""
+        with self.lock:
+            while len(self.threads) < helpers:
+                self.threads.append(threading.Thread(target=self._serve, daemon=True))
+                self.threads[-1].start()
+        block = _HelperBlock()
+        self.tasks.put((sample, rng, block))
+        return block
+
+    def _serve(self) -> None:
+        while True:
+            sample, rng, block = self.tasks.get()
+            try:
+                block.records = sample(rng)
+            except BaseException as exc:  # raised again in the consumer
+                block.error = exc
+            block.done.set()
+
+
+_HELPERS = _Helpers()
+
+
 def _iter_blocks(count: int, seed: int, block_size: int, sample) -> Iterator[ShadowRecords]:
     """The block driver: ``sample(rng)`` draws one full block from block b's
-    generator, and the last block is sliced to the records still wanted."""
+    generator, and the last block is sliced to the records still wanted.
+
+    Blocks are taken in groups, one block per usable CPU: the calling thread
+    samples the group's first block and one helper thread each of the rest
+    (numpy releases the GIL in the Philox fills and large ufuncs).  Blocks
+    are yielded in block order, and every block draws from its own
+    generator, so the records do not depend on the number of helpers."""
     if count < 0:
         raise ValueError(f"record count must be >= 0, got {count}")
-    for block, start in enumerate(range(0, count, block_size)):
-        records = sample(block_rng(seed, block))
-        yield records[: count - start] if count - start < block_size else records
+    blocks = range(-(-count // block_size))
+    helpers = _helper_count()
+    for first in range(0, len(blocks), helpers + 1):
+        group = blocks[first : first + helpers + 1]
+        pending = [_HELPERS.submit(sample, block_rng(seed, b), helpers) for b in group[1:]]
+        sampled = itertools.chain([sample(block_rng(seed, first))], (p.result() for p in pending))
+        for block, records in zip(group, sampled):
+            left = count - block * block_size
+            yield records[:left] if left < block_size else records
 
 
 def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam: float):
@@ -232,27 +318,53 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
     elif not isinstance(channel, PauliChannel):
         raise TypeError(f"cannot sample shadows of {type(channel).__name__}")
 
+    def flips(rng: np.random.Generator) -> np.ndarray:
+        out = np.empty(shape, dtype=np.uint8)
+        for rows, u in uniform_slices(rng, shape):
+            np.less(u, spam, out=out[rows])
+        return out
+
     def sample(rng: np.random.Generator) -> ShadowRecords:
         s_axis = rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)
         s_bit = rng.integers(0, 2, shape, dtype=np.int8).view(np.uint8)
         physical_bit = s_bit
         if spam > 0.0:
-            physical_bit = s_bit ^ (rng.random(shape) < spam)
+            physical_bit = flips(rng)
+            physical_bit ^= s_bit
         if isinstance(channel, PauliChannel):
             errors = channel.sample_errors(block_size, rng).view(np.uint8)
+            # An error other than I and the prepared axis flips the outcome
+            # read in the prepared axis.
+            axis_bit = (errors != 0).view(np.uint8)
+            errors -= 1
+            axis_bit &= errors != s_axis
+            axis_bit ^= physical_bit
+            del errors  # before two more block-sized draws
             t_axis = rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)
-            coin = rng.integers(0, 2, shape, dtype=np.int8).view(np.uint8)
-            # An error other than I and the prepared axis flips the outcome; a
-            # basis other than the prepared axis reads a fair coin.
-            flips = (errors != 0) & (errors != s_axis + 1)
-            t_bit = np.where(t_axis == s_axis, physical_bit ^ flips, coin)
+            # Another basis reads a fair coin.
+            t_bit = rng.integers(0, 2, shape, dtype=np.int8).view(np.uint8)
+            np.copyto(t_bit, axis_bit, where=t_axis == s_axis)
         else:
             t_axis = rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)
-            u = rng.random(shape)
-            t_bit = u >= p_plus.take((s_axis * 2 + physical_bit) * 3 + t_axis + offsets)
+            # Each record's entry of p_plus, then in place its outcome bit.
+            t_bit = np.multiply(s_axis, 2, dtype=offsets.dtype)
+            t_bit += physical_bit
+            t_bit *= 3
+            t_bit += t_axis
+            t_bit += offsets
+            for rows, u in uniform_slices(rng, shape):
+                np.greater_equal(u, p_plus.take(t_bit[rows]), out=t_bit[rows])
         if spam > 0.0:
-            t_bit = t_bit ^ (rng.random(shape) < spam)
-        return ShadowRecords.from_cells(((s_axis * 2 + s_bit) * 3 + t_axis) * 2 + t_bit)
+            t_bit ^= flips(rng)
+        # The cells, in place in the input axes.
+        cells = s_axis
+        cells *= 2
+        cells += s_bit
+        cells *= 3
+        cells += t_axis
+        cells *= 2
+        cells += t_bit
+        return ShadowRecords.from_cells(cells)
 
     return sample
 
@@ -296,7 +408,6 @@ def _cell_factor_table() -> np.ndarray:
 
 _CELL_FACTORS = _cell_factor_table()
 _CELL_FACTORS_T = _CELL_FACTORS.T.astype(np.float64)  # (36, 16), for BLAS
-_SLAB = 1024  # histogram columns per product: a 288 kB float slab
 
 
 def _joint_cells(cells: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
@@ -312,11 +423,14 @@ def _joint_cells(cells: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
 def _moment_table(hist: np.ndarray, w: int) -> np.ndarray:
     """Contract a 36^w histogram of integers into its int64 16^w moment table.
 
-    Each step is float64 matrix products through BLAS: it contracts the
-    leading qubit axis and appends that qubit's letter axis, so after w
-    steps qubit 0 is the most significant digit again.  The histogram is
-    converted in slabs, so no float copy of it is held.  A factor is at most
-    3 in magnitude, so every partial sum is an integer of magnitude at most
+    The table is contracted one leading cell at a time: each 36^(w-1) slab
+    of the histogram gives its own 16^(w-1) table in w - 1 float64 matrix
+    products through BLAS, each contracting the leading qubit axis and
+    appending that qubit's letter axis (so qubit 0 ends most significant
+    again), and one product with the factor table sums the 36 slab tables
+    over the leading cell.  So no float copy of the histogram is held, and
+    no (36^(w-1), 16) intermediate (6 MB at w = 4).  A factor is at most 3 in
+    magnitude, so every partial sum is an integer of magnitude at most
     3^w N, with N the histogram's total absolute count.  Below 2^53 that is
     exact in float64 under any summation order; past it this raises.
     """
@@ -324,15 +438,14 @@ def _moment_table(hist: np.ndarray, w: int) -> np.ndarray:
     if 3.0**w * total >= 2.0**53:
         raise ValueError(f"3^{w} times a total count of {total:.6g} is past 2^53: "
                          "the moments would round")
-    table = hist
-    for _ in range(w):
-        table = table.reshape(36, -1)
-        out = np.empty((table.shape[1], 16))
-        for lo in range(0, len(out), _SLAB):
-            np.matmul(table[:, lo : lo + _SLAB].T.astype(np.float64, copy=False),
-                      _CELL_FACTORS_T, out=out[lo : lo + _SLAB])
-        table = out
-    return table.reshape(-1).astype(np.int64)
+    if w == 0:
+        return hist.reshape(-1).astype(np.int64)
+    slabs = np.empty((36, 16 ** (w - 1)))
+    for cell, table in enumerate(hist.reshape(36, -1)):
+        for _ in range(w - 1):
+            table = table.reshape(36, -1).T.astype(np.float64, copy=False) @ _CELL_FACTORS_T
+        slabs[cell] = table.reshape(-1)
+    return (_CELL_FACTORS_T.T @ slabs).reshape(-1).astype(np.int64)
 
 
 def _pair_letters(pairs, n: int) -> np.ndarray:
@@ -449,8 +562,11 @@ def _numerators(source, n: int, pairs) -> tuple[int, list[int]]:
     and past it a stream is joined into records.
     """
     if not isinstance(source, (ShadowCounts, ShadowRecords)):
-        source = (ShadowCounts.accumulate(source, n) if n <= COUNTS_QUBIT_CAP
-                  else ShadowRecords.concatenate(source))
+        if n <= COUNTS_QUBIT_CAP:
+            source = ShadowCounts.accumulate(source, n)
+        else:  # an empty first batch joins an empty stream to zero records
+            empty = ShadowRecords.from_cells(np.empty((0, n), dtype=np.uint8))
+            source = ShadowRecords.concatenate([empty, *source])
     if source.n != n:
         raise ValueError(f"source has n={source.n}, expected {n}")
     if isinstance(source, ShadowRecords) and n <= COUNTS_QUBIT_CAP:
@@ -615,11 +731,11 @@ def sample_gate_shadows(
     every block is the gate arity; blocks follow the (seed, block) scheme of
     ``iter_channel_shadow_blocks``.
 
-    A block draws int64 input digits, int64 basis digits, then one uniform
+    A block draws int32 input digits, int32 basis digits, then one uniform
     per record.  The row of ``_gate_outcome_cdfs`` is built in place from the
-    digit arrays, the outcome counts the row's thresholds at or below the
-    uniform, and ``row * 2^g + outcome`` indexes a table that holds the
-    record's g cells as one g-byte word."""
+    digits, the outcome counts the row's thresholds at or below the uniform,
+    and ``row * 2^g + outcome`` indexes a table that holds the record's g
+    cells as one g-byte word."""
     g = gate_arity(kind)
     outcomes = 2**g
     # Threshold k of every row, one contiguous row per k.
@@ -631,21 +747,24 @@ def sample_gate_shadows(
 
     def sample(rng: np.random.Generator) -> ShadowRecords:
         shape = (block_size, g)
-        row_digits = rng.integers(0, 6, shape, dtype=np.int64)  # input digits, for now
-        b_digits = rng.integers(0, 3, shape, dtype=np.int64)
-        u = rng.random(block_size)
-        row_digits *= 3
-        row_digits += b_digits
-        row = row_digits[:, 0]
+        # int32 draws take the same 32-bit words as int64 ones; each is
+        # narrowed before the next, so no two block-sized int32 arrays meet.
+        digits = rng.integers(0, 6, shape, dtype=np.int32).astype(np.uint8)  # input digits
+        digits *= 3
+        digits += rng.integers(0, 3, shape, dtype=np.int32).astype(np.uint8)  # basis digits
+        row = digits[:, 0].astype(np.int16)
         for j in range(1, g):
-            row = row * 18
-            row += row_digits[:, j]
-        outcome = (u >= thresholds[0].take(row)).view(np.uint8)
-        for k in range(1, outcomes - 1):
-            outcome += u >= thresholds[k].take(row)
-        row *= outcomes
-        row += outcome
-        return ShadowRecords.from_cells(cell_words.take(row).view(np.uint8).reshape(shape))
+            row *= 18
+            row += digits[:, j]
+        for rows, u in uniform_slices(rng, (block_size,)):
+            part = row[rows]
+            # Fancy indexing reads the int16 rows without an intp copy.
+            outcome = (u >= thresholds[0][part]).view(np.uint8)
+            for k in range(1, outcomes - 1):
+                outcome += u >= thresholds[k][part]
+            part *= outcomes
+            part += outcome
+        return ShadowRecords.from_cells(cell_words[row].view(np.uint8).reshape(shape))
 
     yield from _iter_blocks(count, seed, block_size, sample)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paulishadow import cli, exact
+from paulishadow import cli, exact, shadows
 from paulishadow.channels import (
     PauliChannel,
     ProductChannel,
@@ -180,6 +180,24 @@ def test_learn_csv_digests(case, tmp_path, monkeypatch):
             "--out", "learn.csv"]
     assert cli.main(argv) == 0
     assert hashlib.sha256(Path("learn.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("helpers", [0, 1, 3])
+def test_learn_csv_digests_do_not_depend_on_the_helper_count(helpers, tmp_path, monkeypatch):
+    monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
+    for case in sorted(LEARN_DIGESTS):
+        (tmp_path / case).mkdir()
+        test_learn_csv_digests(case, tmp_path / case, monkeypatch)
+    # Each digest case fits in one block; five blocks give the helpers work.
+    def learn(path):
+        argv = ["learn", "--channel", "reference", "--k", "2", "--shadows",
+                str(4 * shadows.DEFAULT_BLOCK_SIZE + 1), "--seed", "3", "--out", str(path)]
+        assert cli.main(argv) == 0
+        return path.read_bytes()
+
+    grouped = learn(tmp_path / "grouped.csv")
+    monkeypatch.setattr(shadows, "_helper_count", lambda: 0)
+    assert grouped == learn(tmp_path / "serial.csv")
 
 
 # -- recover -------------------------------------------------------------------

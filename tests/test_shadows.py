@@ -9,11 +9,16 @@ to 1e-12 or exactly.
 import hashlib
 import itertools
 import math
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from paulishadow import exact, shadows
+from paulishadow import channels, exact, shadows
 from paulishadow.channels import (
     PauliChannel,
     ProductChannel,
@@ -289,11 +294,125 @@ def golden_records(case):
     return ShadowRecords.concatenate(list(sample_gate_shadows(source, noise, count, 11, block_size)))
 
 
+def saved_digest(records, path):
+    records.save(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_SAVE_SHA256))
 def test_saved_records_match_golden_digest(case, tmp_path):
-    path = tmp_path / "records.txt"
-    golden_records(case).save(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SAVE_SHA256[case]
+    assert saved_digest(golden_records(case), tmp_path / "records.txt") == GOLDEN_SAVE_SHA256[case]
+
+
+# -- the draws and the helper threads the records must not depend on -------------
+
+
+def test_draw_identities_the_samplers_rely_on(monkeypatch):
+    # The gate sampler draws int32 digits where the records were pinned with
+    # int64 ones, and every sampler draws its uniforms in slices.  A numpy
+    # that breaks either identity fails here before it fails a golden digest.
+    for m in (2, 3, 6):
+        for shape in ((1,), (1001,), (4097, 2)):
+            a, b = block_rng(9, m), block_rng(9, m)
+            np.testing.assert_array_equal(a.integers(0, m, shape, dtype=np.int32),
+                                          b.integers(0, m, shape, dtype=np.int64))
+            assert a.integers(0, m, dtype=np.int32) == b.integers(0, m)  # still in step
+            assert a.random() == b.random()
+    monkeypatch.setattr(channels, "UNIFORM_SLICE", 64)
+    for shape in ((1000,), (333, 3), (5, 100)):
+        a, b = block_rng(4, 1), block_rng(4, 1)
+        a.integers(0, 3, 7, dtype=np.int8)  # a draw before, as in the samplers
+        b.integers(0, 3, 7, dtype=np.int8)
+        whole = a.random(shape)
+        sliced = np.empty(shape)
+        for rows, u in channels.uniform_slices(b, shape):
+            sliced[rows] = u
+        np.testing.assert_array_equal(sliced, whole)
+        assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("helpers", [0, 1, 3])
+def test_blocks_are_sampled_in_groups_of_one_per_cpu(helpers, monkeypatch):
+    monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
+
+    def sample(rng):
+        block = rng.bit_generator.state["state"]["counter"][2]  # counter = block << 128
+        on_caller = threading.current_thread() is threading.main_thread()
+        return ShadowRecords.from_cells(np.tile(np.uint8([block, on_caller]), (10, 1)))
+
+    blocks = list(shadows._iter_blocks(95, seed=0, block_size=10, sample=sample))
+    assert [len(b) for b in blocks] == [10] * 9 + [5]
+    assert [b.cells[0, 0] for b in blocks] == list(range(10))
+    # The calling thread samples the first block of each group, helpers the rest.
+    assert [b.cells[0, 1] for b in blocks] == [b % (helpers + 1) == 0 for b in range(10)]
+
+
+def test_many_helpers_under_fast_thread_switching_keep_every_block(monkeypatch):
+    # More helpers than cores, switching threads every microsecond: a block
+    # lost, repeated or yielded out of order changes the records.
+    channel = GOLDEN_CHANNELS["ptm-product"]()
+    monkeypatch.setattr(shadows, "_helper_count", lambda: 0)
+    serial = sample_channel_shadows(channel, 5000, seed=6, block_size=64)
+    monkeypatch.setattr(shadows, "_helper_count", lambda: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        grouped = sample_channel_shadows(channel, 5000, seed=6, block_size=64)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(grouped.cells, serial.cells)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_samples_with_its_own_helpers(monkeypatch):
+    # The helper threads live for the process; a child forked after they
+    # started has none, and must start its own instead of waiting forever.
+    monkeypatch.setattr(shadows, "_helper_count", lambda: 1)
+    channel = GOLDEN_CHANNELS["ptm-product"]()
+    want = sample_channel_shadows(channel, 300, seed=2, block_size=64).cells
+    pid = os.fork()
+    if pid == 0:
+        try:
+            got = sample_channel_shadows(channel, 300, seed=2, block_size=64).cells
+            os._exit(0 if np.array_equal(got, want) else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish sampling")
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+def test_sampler_exception_on_a_helper_reaches_the_consumer(monkeypatch):
+    monkeypatch.setattr(shadows, "_helper_count", lambda: 1)
+
+    class SamplerFault(RuntimeError):
+        pass
+
+    def sample(rng):
+        if threading.current_thread() is not threading.main_thread():
+            raise SamplerFault("block drawn on a helper")
+        return ShadowRecords.from_cells(np.zeros((10, 1), np.uint8))
+
+    blocks = shadows._iter_blocks(20, seed=0, block_size=10, sample=sample)
+    assert len(next(blocks)) == 10  # the calling thread's block
+    with pytest.raises(SamplerFault, match="^block drawn on a helper$") as caught:
+        next(blocks)
+    assert type(caught.value) is SamplerFault
+
+
+@pytest.mark.parametrize("helpers", [0, 1, 3])
+def test_records_and_gate_estimates_do_not_depend_on_the_helper_count(
+    helpers, monkeypatch, tmp_path
+):
+    monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
+    for case in sorted(GOLDEN_SAVE_SHA256):
+        assert saved_digest(golden_records(case), tmp_path / "records.txt") == GOLDEN_SAVE_SHA256[case]
+    test_gate_shadow_stream_reduces_like_records()
 
 
 @pytest.mark.parametrize("spam", [0.0, 0.1])
