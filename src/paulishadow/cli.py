@@ -35,7 +35,7 @@ from .channels import (
 )
 from .clifford import CliffordCircuit, exact_gate_estimates, gate_arity, mitigation_coefficients
 from .observables import Observable, heisenberg_observable
-from .paulis import PauliString, enumerate_low_weight
+from .paulis import PauliString, enumerate_low_weight, letter_codes
 from .recovery import (
     DEFAULT_EIGENVALUE_FLOOR,
     RecoveryError,
@@ -74,6 +74,11 @@ def _check_k(k: int, n: int, locality: int = 0) -> None:
 def _check_shadows(shadows: int) -> None:
     if shadows < 1:
         raise ConfigError(f"shadow count must be at least 1, got {shadows}")
+
+
+def _check_qubits(n: int, cap: int) -> None:
+    if n > cap:
+        raise ConfigError(f"{n} qubits exceed the {cap}-qubit limit of this command's oracle")
 
 
 def _check_floor(floor: float) -> None:
@@ -150,15 +155,19 @@ def cmd_learn(args: argparse.Namespace) -> int:
 # -- recover / recover-general / mitigate -------------------------------------
 
 
-def _print_report(back, observable: Observable, noisy, ideal: float, out_path: str | None) -> int:
-    """Print the recovered value of ``noisy``, or with ``back`` None the
-    uncorrected baseline, and write the JSON report to ``out_path``."""
+def _print_report(back, observable: Observable, noise, psi: np.ndarray, ideal: float,
+                  out_path: str | None) -> int:
+    """Print the recovered value on the state ``psi`` sent through ``noise``
+    (a channel or a noisy circuit), or with ``back`` None the uncorrected
+    baseline, and write the JSON report to ``out_path``."""
+    terms = observable.terms() if back is None else back.terms
+    noisy = exact.noisy_expectations(noise, list(terms), psi)
+    value = float((np.array(list(terms.values())) * noisy).sum())
     if back is None:
-        value = exact.expectation(observable, noisy)
         report = {"value": value, "provenance": "baseline", "ideal": ideal,
                   "absolute_error": abs(value - ideal)}
     else:
-        report = recovery_report(back, exact.expectation(back.as_observable(), noisy), ideal)
+        report = recovery_report(back, value, ideal)
     print(f"{'baseline' if back is None else 'recovered'}: {_fmt(report['value'])}")
     print(f"ideal: {_fmt(report['ideal'])}")
     print(f"absolute_error: {_fmt(report['absolute_error'])}")
@@ -180,13 +189,13 @@ def cmd_recover(args: argparse.Namespace, general: bool) -> int:
         raise ConfigError(f"observable acts on {observable.n} qubits, channel on {n}")
     k = args.k if args.k is not None else observable.locality
     _check_k(k, n, observable.locality)
+    _check_qubits(n, exact.STATEVECTOR_QUBIT_CAP)
     if not general:
         _check_floor(args.floor)
     if not (args.baseline or args.exact_eigenvalues):
         _check_shadows(args.shadows)
-    state = exact.haar_random_state(n, _derive_seed(args.state_seed, 11))
-    noisy = exact.apply_channel(channel, state)
-    ideal = exact.expectation(observable, state)
+    psi = exact.haar_random_vector(n, _derive_seed(args.state_seed, 11))
+    ideal = exact.expectation(observable, psi)
     if args.baseline:
         back = None
     elif general:
@@ -199,11 +208,12 @@ def cmd_recover(args: argparse.Namespace, general: bool) -> int:
                      estimate_eigenvalues(
                          iter_channel_shadow_blocks(channel, args.shadows, args.seed), n, k))
         back = backward_observable(observable, estimates, args.floor)
-    return _print_report(back, observable, noisy, ideal, args.out)
+    return _print_report(back, observable, channel, psi, ideal, args.out)
 
 
 def cmd_mitigate(args: argparse.Namespace) -> int:
     circuit = CliffordCircuit.load(args.circuit)
+    _check_qubits(circuit.n, exact.STATEVECTOR_QUBIT_CAP)
     observable = _resolve_observable(args.observable, args)
     if observable.n != circuit.n:
         raise ConfigError(f"observable acts on {observable.n} qubits, circuit on {circuit.n}")
@@ -211,7 +221,6 @@ def cmd_mitigate(args: argparse.Namespace) -> int:
     if not (args.baseline or args.exact_eigenvalues):
         _check_shadows(args.shadows)
     psi = exact.haar_random_vector(circuit.n, _derive_seed(args.state_seed, 11))
-    noisy = exact.simulate_noisy_circuit(circuit, exact.DenseState.from_unit_vector(psi))
     ideal = exact.expectation(observable, exact.simulate_ideal_statevector(circuit, psi))
     if args.baseline:
         back = None
@@ -228,7 +237,7 @@ def cmd_mitigate(args: argparse.Namespace) -> int:
                 counts = ShadowCounts.accumulate(blocks, gate_arity(kind))
                 estimates[kind] = estimate_gate_eigenvalues(counts, kind)
         back = mitigation_coefficients(circuit, estimates, observable, args.floor)
-    return _print_report(back, observable, noisy, ideal, args.out)
+    return _print_report(back, observable, circuit, psi, ideal, args.out)
 
 
 # -- plan ----------------------------------------------------------------------
@@ -313,6 +322,7 @@ def run_fig2(
     if observable.n != n:
         raise ConfigError(f"observable acts on {observable.n} qubits, channel on {n}")
     _check_k(k, n, observable.locality)
+    _check_qubits(n, exact.STATE_QUBIT_CAP)  # the dense spectral norm below
     if n_states < 1 or repeats < 1:
         raise ConfigError(f"need at least one state and one repeat, got {n_states} and {repeats}")
     if estimated_expectations and expectation_shadows < 10:
@@ -326,21 +336,20 @@ def run_fig2(
     paulis = [p for p in observable.support() if not p.is_identity]
     alpha = np.array([observable.coefficient(p) for p in paulis])
     alpha_id = observable.coefficient(PauliString.identity(n))
-    pauli_mats = np.stack([p.matrix() for p in paulis])
+    codes = letter_codes(paulis, n)
     lam = np.array([channel.eigenvalue(p) for p in paulis])
 
     mae_raw = np.empty((len(sweep), repeats))
     mae_rec = np.empty((len(sweep), repeats))
     for rep in range(repeats):
         rng = np.random.default_rng(_derive_seed(seed, 5001, rep))
-        states = [exact.haar_random_state(n, rng) for _ in range(n_states)]
-        rhos = np.stack([st.rho for st in states])
-        t = np.einsum("pij,sji->sp", pauli_mats, rhos).real  # tr(P sigma)
+        psis = np.stack([exact.haar_random_vector(n, rng) for _ in range(n_states)])
+        t = exact.pauli_expectations(codes, psis).real  # tr(P sigma)
         ideal_vals = t @ alpha + alpha_id
         if estimated_expectations:
             noisy_t = np.empty_like(t)
-            for i, st in enumerate(states):
-                noisy = exact.apply_channel(channel, st)
+            for i, psi in enumerate(psis):
+                noisy = exact.apply_channel(channel, exact.DenseState.from_unit_vector(psi))
                 ests = estimate_state_expectations(
                     noisy,
                     paulis,

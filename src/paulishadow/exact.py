@@ -1,26 +1,42 @@
-"""Dense-matrix oracle: small-system ground truth for every estimator.
+"""Oracles: exact ground truth for every estimator.
 
-Everything here works on explicit 2^n x 2^n arrays and is deliberately
-independent of the sampling code, so Monte-Carlo results can be checked
-against an implementation that shares no formulas with them.  State-vector
-work is capped at 12 qubits, all-Pauli sweeps at 10.
+Everything here is deliberately independent of the sampling code, so
+Monte-Carlo results can be checked against an implementation that shares no
+formulas with them.
 
-Circuits are simulated in the Schroedinger picture.  The noisy run is on
-the density matrix, held as a (2,)*2n tensor (row qubits, then column
-qubits).  Each gate applies one local superoperator, sum_Q p_Q (QU) (x)
-conj(QU) on the gate's a qubits, contracted against the gate's row and
-column axes: O(4^(n+a)) work per gate instead of dense 2^n x 2^n products.
-The superoperator is built from the gate's local unitary and its noise
-channel's full term map, so correlated (non-product) gate noise is handled,
-and nothing here reuses the Heisenberg-picture conjugation tables of the
-mitigation code.  The ideal run is unitary, so on a pure state it evolves
-the 2^n statevector, one local unitary per gate; the dense ideal run is
-kept as a reference.
+The report commands' oracles are matrix-free.  Their test state is a pure
+Haar vector psi, so every value they need is <psi|A|psi> for some operator A
+that a few Pauli strings span, and each string costs one gather of 2^n
+amplitudes (``pauli_expectations``): a Pauli string has one nonzero entry per
+row, P[r, r ^ x], so <psi|P|psi> sums conj(psi[r]) P[r, r ^ x] psi[r ^ x]
+and tr(P rho) sums P[r, r ^ x] rho[r ^ x, r].  The gather takes a whole
+letter-code array of strings at once, in chunks of terms that bound its
+temporaries.  ``noisy_expectations`` gives tr(Q E(|psi><psi|)) =
+<psi|E^dagger(Q)|psi> in the Heisenberg picture:
 
-Expectations of Pauli strings and observables are one gather per term: a
-Pauli string has one nonzero entry per row, P[r, r ^ x], so tr(P rho) sums
-P[r, r ^ x] rho[r ^ x, r] over the 2^n rows, and <psi|P|psi> sums
-conj(psi[r]) P[r, r ^ x] psi[r ^ x].
+* a sparse Pauli channel multiplies Q by its eigenvalue, the commutation
+  sum over the channel's terms;
+* a product channel, Pauli or not, maps Q to the product of per-qubit
+  adjoint rows on the support of Q, read off each qubit's dense 2x2
+  superoperator, so every image stays on supp Q and each distinct image is
+  gathered once;
+* a noisy Clifford circuit carries each string backward through its gates
+  with one signed table per gate kind, built from the kind's dense local
+  unitary and its noise channel's full term map (so correlated gate noise
+  is covered), without the mitigation code's conjugation tables.
+
+None of these reads ``PauliChannel.eigenvalue``, ``adjoint_factor`` or
+``exact_transfer_matrix``, which supply ``--exact-eigenvalues``, so that
+mode does not divide by the very numbers the oracle multiplied by.
+Statevector oracles are capped at 20 qubits.
+
+The Schroedinger-picture dense runs remain as references for the tests, on
+explicit 2^n x 2^n arrays capped at 12 qubits (all-Pauli sweeps at 10).  The
+noisy circuit run holds the density matrix as a (2,)*2n tensor (row qubits,
+then column qubits), and each gate applies one local superoperator, sum_Q
+p_Q (QU) (x) conj(QU) on the gate's a qubits: O(4^(n+a)) work per gate.  The
+ideal run is unitary, so on a pure state it evolves the 2^n statevector, one
+local unitary per gate.
 """
 
 from __future__ import annotations
@@ -34,10 +50,20 @@ import numpy as np
 
 from .channels import PauliChannel, ProductChannel, TransferMatrix
 from .observables import Observable
-from .paulis import PAULI_MATRICES, PauliString, enumerate_low_weight
+from .paulis import (
+    PAULI_MATRICES,
+    PauliString,
+    enumerate_low_weight,
+    letter_codes,
+    pauli_from_index,
+)
 
-STATE_QUBIT_CAP = 12
+STATE_QUBIT_CAP = 12         # dense density matrices
+STATEVECTOR_QUBIT_CAP = 20   # the report commands' matrix-free oracles
 HERMITICITY_TOLERANCE = 1e-10
+# (state, term, amplitude) triples per gather chunk: about 40 bytes of
+# temporaries each, so a chunk stays near 10 MB at any n.
+GATHER_CHUNK = 1 << 18
 
 # Rotations taking the +1 eigenvector of X/Y/Z to |0>.
 BASIS_ROTATIONS = (
@@ -204,22 +230,67 @@ def apply_channel(channel, state: DenseState) -> DenseState:
     return DenseState(state.n, out)
 
 
+# -- Pauli expectations -------------------------------------------------------
+
+
+def _parity_signs(n: int) -> np.ndarray:
+    """(-1)^popcount(v) for v < 2^n, as floats."""
+    signs = np.ones(1)
+    for _ in range(n):
+        signs = np.concatenate([signs, -signs])
+    return signs
+
+
+# (-i)^e for e = 0..3, built from components so that no entry holds a -0.0.
+_MINUS_I_POWERS = np.array([complex(1, 0), complex(0, -1), complex(-1, 0), complex(0, 1)])
+
+
+def pauli_expectations(codes: np.ndarray, state: DenseState | np.ndarray) -> np.ndarray:
+    """<P> of the unsigned string in each row of a (terms, n) letter-code
+    array (``paulis.letter_codes``): tr(P rho), shape (terms,), of a
+    DenseState, or <psi|P|psi>, shape (..., terms), of each unit statevector
+    of a (..., 2^n) amplitude array.  Complex; for a valid state the
+    imaginary parts are rounding.  The gather runs over chunks of terms (see
+    the module docstring)."""
+    codes = np.asarray(codes)
+    n = codes.shape[1]
+    dim = 1 << n
+    dense = isinstance(state, DenseState)
+    amplitudes = state.rho.reshape(-1) if dense else np.asarray(state)
+    size = len(state.rho) if dense else amplitudes.shape[-1]
+    if size != dim:
+        raise ValueError(f"strings act on {n} qubits, the state has dimension {size}")
+    # Row-index bits: qubit 0 is the most significant.
+    place = 1 << np.arange(n - 1, -1, -1)
+    x = ((codes == 1) | (codes == 2)) @ place
+    z = ((codes == 2) | (codes == 3)) @ place
+    phase = _MINUS_I_POWERS[(codes == 2).sum(axis=1) % 4]
+    rows = np.arange(dim)
+    parity = _parity_signs(n)
+    batch = () if dense else amplitudes.shape[:-1]
+    out = np.empty((*batch, len(codes)), complex)
+    step = max(1, GATHER_CHUNK // (dim * math.prod(batch)))
+    for lo in range(0, len(codes), step):
+        terms = slice(lo, lo + step)
+        columns = rows ^ x[terms, None]
+        signs = parity.take(rows & z[terms, None])  # (-1)^popcount(r & z)
+        if dense:
+            out[terms] = np.einsum("tr,tr->t", amplitudes.take(columns * dim + rows), signs)
+        else:
+            out[..., terms] = np.einsum("...tr,tr,...r->...t", amplitudes.take(columns, axis=-1),
+                                        signs, amplitudes.conj())
+    return out * phase
+
+
 def expectation(observable: PauliString | Observable, state: DenseState | np.ndarray) -> float:
     """tr(O rho) of a DenseState, or <psi|O|psi> of a unit statevector, by
-    one gather of 2^n entries per Pauli term (see the module docstring)."""
-    psi = None if isinstance(state, DenseState) else np.asarray(state).reshape(-1)
-    dim = len(state.rho) if psi is None else len(psi)
-    if dim != 1 << observable.n:
-        raise ValueError(f"observable acts on {observable.n} qubits, the state has dimension {dim}")
-    terms = observable.terms().items() if isinstance(observable, Observable) else [(observable, 1.0)]
-    rows = np.arange(dim)
-    value = 0j
-    for p, coeff in terms:
-        columns, entries = p.row_entries()
-        if psi is None:
-            value += coeff * np.dot(entries, state.rho[columns, rows])
-        else:
-            value += coeff * np.vdot(psi, entries * psi[columns])
+    one gather of 2^n entries per Pauli term (see ``pauli_expectations``)."""
+    if not isinstance(state, DenseState):
+        state = np.asarray(state).reshape(-1)
+    terms = observable.terms() if isinstance(observable, Observable) else {observable: 1.0}
+    strings = list(terms)
+    signed = np.array([c * p.sign for p, c in terms.items()])
+    value = (signed * pauli_expectations(letter_codes(strings, observable.n), state)).sum()
     if abs(value.imag) > 1e-8:
         raise ValueError(f"expectation has imaginary part {value.imag:g}")
     return float(value.real)
@@ -304,6 +375,108 @@ def simulate_ideal_statevector(circuit, psi: np.ndarray) -> np.ndarray:
         tensor = np.tensordot(unitaries[gate.kind], tensor, axes=(range(a, 2 * a), gate.qubits))
         tensor = np.moveaxis(tensor, range(a), gate.qubits)
     return tensor.reshape(-1)
+
+
+# -- matrix-free noisy oracles -------------------------------------------------
+
+
+def _commutation_eigenvalues(channel: PauliChannel, codes: np.ndarray) -> np.ndarray:
+    """lambda_P = sum_Q p_Q (-1)^<P,Q> over a sparse channel's terms, for each
+    row of ``codes``: letters anticommute where both are set and differ."""
+    terms = channel.sparse_terms()
+    letters = letter_codes(list(terms), channel.n)
+    odd = np.zeros((len(codes), len(letters)), dtype=bool)
+    for j in range(channel.n):
+        p, q = codes[:, j, None], letters[None, :, j]
+        odd ^= (p != 0) & (q != 0) & (p != q)
+    return np.einsum("tq,q->t", 1.0 - 2.0 * odd, np.array(list(terms.values())))
+
+
+def _qubit_adjoint_rows(channel: PauliChannel | ProductChannel) -> np.ndarray:
+    """(n, 4, 4): entry [j, a, b] is the coefficient of sigma_b in
+    E_j^dagger(sigma_a) = 1/2 tr(sigma_a E_j(sigma_b)), read off qubit j's
+    dense 2x2 superoperator S[r, c, r', c'] (rho'_{rc} = sum S rho_{r'c'})."""
+    paulis = np.stack(PAULI_MATRICES)
+    if isinstance(channel, PauliChannel):
+        superops = [np.einsum("b,brx,bcw->rcxw", probs, paulis, paulis.conj())
+                    for probs in channel.qubit_probs()]
+    else:
+        superops = [_superop_from_ptm(channel.ptm(j)) for j in range(channel.n)]
+    rows = np.stack([0.5 * np.einsum("acr,rcxw,bxw->ab", paulis, s, paulis).real
+                     for s in superops])
+    rows[:, 0] = (1.0, 0.0, 0.0, 0.0)  # the adjoint of a trace-preserving channel is unital
+    return rows
+
+
+def _product_images(rows: np.ndarray, codes: np.ndarray):
+    """E^dagger of each string for the product channel of ``rows``: the image
+    strings, their coefficients, and the row of ``codes`` each came from.
+    Letters off a string's support stay the identity."""
+    images, coefficients, owner = codes, np.ones(len(codes)), np.arange(len(codes))
+    for j in range(len(rows)):
+        parts = []
+        for b in range(4):
+            scaled = coefficients * rows[j].take(images[:, j] * 4 + b)
+            keep = scaled != 0.0
+            image = images[keep]
+            image[:, j] = b
+            parts.append((image, scaled[keep], owner[keep]))
+        images, coefficients, owner = (np.concatenate(part) for part in zip(*parts))
+    return images, coefficients, owner
+
+
+def _heisenberg_table(kind: str, arity: int, noise: PauliChannel | None):
+    """One gate kind's backward step, by local index (``pauli_index`` order).
+    U^dagger N(P) U is sign * lambda_P times one Pauli string, where N(P) =
+    sum_Q p_Q Q P Q over the noise channel's full term map; returns that
+    string's (arity, 4^arity) letter codes and the factors sign * lambda_P,
+    both read off the dense local matrices."""
+    u = gate_unitary(kind, range(arity), arity)
+    terms = noise.terms() if noise is not None else {PauliString.identity(arity): 1.0}
+    errors = np.stack([q.matrix() for q in terms])
+    locals_ = np.stack([pauli_from_index(arity, i).matrix() for i in range(4**arity)])
+    noisy = np.einsum("q,qab,ibc,qcd->iad", list(terms.values()), errors, locals_, errors)
+    images = np.einsum("ba,ibc,cd->iad", u.conj(), noisy, u)
+    coefficients = np.einsum("jab,iba->ij", locals_, images).real / 2**arity
+    image_index = np.abs(coefficients).argmax(axis=1)
+    letters = np.array([(image_index >> 2 * (arity - 1 - q)) & 3 for q in range(arity)])
+    return letters, coefficients[np.arange(4**arity), image_index]
+
+
+def _heisenberg_images(circuit, codes: np.ndarray):
+    """Each string carried backward through the noisy circuit: the letter
+    codes of its image and the image's coefficient."""
+    codes = codes.T.astype(np.intp, order="C")  # (n, terms)
+    factors = np.ones(codes.shape[1])
+    tables = {}
+    for gate in reversed(circuit.gates):
+        if gate.kind not in tables:
+            tables[gate.kind] = _heisenberg_table(
+                gate.kind, len(gate.qubits), circuit.noise.get(gate.kind))
+        letters, factor = tables[gate.kind]
+        local = codes[gate.qubits[0]]
+        for q in gate.qubits[1:]:
+            local = 4 * local + codes[q]
+        factors *= factor.take(local)
+        codes[list(gate.qubits)] = letters.take(local, axis=1)
+    return codes.T, factors
+
+
+def noisy_expectations(noise, strings: Sequence[PauliString], psi: np.ndarray) -> np.ndarray:
+    """tr(Q E(|psi><psi|)) = <psi|E^dagger(Q)|psi> for each unsigned string Q,
+    where E is a Pauli or product channel or a noisy Clifford circuit (an
+    object with ``gates`` and ``noise``); see the module docstring."""
+    n = len(psi).bit_length() - 1
+    codes = letter_codes(strings, n)
+    if hasattr(noise, "gates"):
+        images, factors = _heisenberg_images(noise, codes)
+        return factors * pauli_expectations(images, psi).real
+    if isinstance(noise, PauliChannel) and not noise.is_product:
+        return _commutation_eigenvalues(noise, codes) * pauli_expectations(codes, psi).real
+    images, coefficients, owner = _product_images(_qubit_adjoint_rows(noise), codes)
+    distinct, inverse = np.unique(images, axis=0, return_inverse=True)
+    values = coefficients * pauli_expectations(distinct, psi).real[inverse.reshape(-1)]
+    return np.bincount(owner, weights=values, minlength=len(codes))
 
 
 # -- brute-force spectra -------------------------------------------------------

@@ -170,13 +170,16 @@ class PauliString:
             z |= ((self.z >> pos) & 1) << j
         return PauliString(n, x, z, self.sign)
 
-    def row_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The one nonzero entry of each row of ``matrix()``: (columns, values).
+    def matrix(self) -> np.ndarray:
+        """Dense 2^n x 2^n matrix (sign included), intended for small n.
 
-        With qubit 0 the most significant bit of the row index r, the entry
-        is at column r ^ x and equals sign * (-i)^#Y * (-1)^popcount(r & z).
+        It is a signed permutation: with qubit 0 the most significant bit of
+        the row index r, row r's one nonzero entry is at column r ^ x and
+        equals sign * (-i)^#Y * (-1)^popcount(r & z).
         """
         n = self.n
+        if n > 14:
+            raise ValueError(f"dense matrix for n={n} qubits is not supported")
         x = z = 0
         for j in range(n):
             x = x << 1 | (self.x >> j) & 1
@@ -187,16 +190,8 @@ class PauliString:
         for j in range(n):
             if (z >> j) & 1:
                 exponent += 2 * ((rows >> j) & 1)
-        return rows ^ x, _I_POWERS[exponent % 4]
-
-    def matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix (sign included): a signed permutation, see
-        ``row_entries``.  Intended for small n."""
-        if self.n > 14:
-            raise ValueError(f"dense matrix for n={self.n} qubits is not supported")
-        columns, values = self.row_entries()
-        out = np.zeros((1 << self.n, 1 << self.n), dtype=np.complex128)
-        out[np.arange(1 << self.n), columns] = values
+        out = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+        out[rows, rows ^ x] = _I_POWERS[exponent % 4]
         return out
 
     # -- dunder plumbing --------------------------------------------------

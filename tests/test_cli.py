@@ -542,25 +542,93 @@ BAD_INPUTS = {
     "fig2-sweep-not-integer": "fig2 --sweep 100,2.5",
     "fig2-few-expectation-shadows":
         "fig2 --sweep 100 --estimated-expectations --expectation-shadows 9",
+    # Past its oracle's qubit cap: the statevector cap for the report
+    # commands, the dense cap for fig2 (its spectral norm is dense).
+    "recover-over-statevector-cap": "recover --channel PAULI21 --observable heisenberg --n 21",
+    "general-over-statevector-cap":
+        "recover-general --channel PAULI21 --observable heisenberg --n 21 --exact-eigenvalues",
+    "mitigate-over-statevector-cap": "mitigate --circuit WIDE21 --observable heisenberg --n 21",
+    "fig2-over-dense-cap": "fig2 --channel PAULI13 --n 13 --sweep 100",
 }
+
+
+@pytest.fixture
+def wide_paths(tmp_path):
+    """Channels and a circuit on more qubits than an oracle takes; small on disk."""
+    qubit = (0.97, 0.01, 0.01, 0.01)
+    paths = {}
+    for n in (13, 21):
+        paths[f"PAULI{n}"] = str(tmp_path / f"pauli{n}.json")
+        save_channel(PauliChannel.from_qubit_probs([qubit] * n), paths[f"PAULI{n}"])
+    paths["WIDE21"] = str(tmp_path / "wide21.json")
+    CliffordCircuit(21, (Gate("H", (20,)),), {}).save(paths["WIDE21"])
+    return paths
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_one_before_any_draw(case, circuit_path, damping_channel_path,
-                                             monkeypatch, capsys):
+                                             wide_paths, monkeypatch, capsys):
     def no_draws(*args, **kwargs):
-        raise AssertionError("records drawn before the input was checked")
+        raise AssertionError("records drawn or a state built before the input was checked")
 
     for name in ("iter_channel_shadow_blocks", "sample_gate_shadows",
                  "estimate_state_expectations"):
         monkeypatch.setattr(cli, name, no_draws)
+    monkeypatch.setattr(exact, "haar_random_vector", no_draws)
+    monkeypatch.setattr(Observable, "spectral_norm", no_draws)
     argv = BAD_INPUTS[case].replace("CIRCUIT", circuit_path).replace(
-        "DAMPING", damping_channel_path).split()
+        "DAMPING", damping_channel_path)
+    for name, path in wide_paths.items():
+        argv = argv.replace(name, path)
+    argv = argv.split()
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("configuration error: ")
+
+
+# Children's peak resident set allowed for a report command at 16 qubits.
+PAPER_SCALE_RSS_MB = 200
+
+
+def test_report_commands_run_at_sixteen_qubits_in_bounded_memory(tmp_path):
+    """recover, recover-general and mitigate at n = 16, where a density matrix
+    would take 64 GB.  A wrapper process runs them, so that its
+    RUSAGE_CHILDREN peak counts these three commands only."""
+    n = 16
+    qubit = (0.98, 0.01, 0.005, 0.005)
+    save_channel(PauliChannel.from_qubit_probs([qubit] * n), tmp_path / "pauli.json")
+    save_channel(ProductChannel([amplitude_damping_ptm(0.05)] * n), tmp_path / "damping.json")
+    gates = [Gate("H", (q,)) for q in range(n)]
+    gates += [Gate("CNOT", (q, q + 1)) for q in range(n - 1)]
+    gates += [Gate("S", (q,)) for q in range(n)]
+    noise = {"H": PauliChannel.from_qubit_probs([qubit]),
+             "S": PauliChannel.from_qubit_probs([qubit]),
+             "CNOT": PauliChannel.from_terms(2, {"XX": 0.01, "ZI": 0.01})}
+    CliffordCircuit(n, tuple(gates), noise).save(tmp_path / "circuit.json")
+    observable = ["--observable", "heisenberg", "--n", str(n)]
+    commands = [
+        ["recover", "--channel", "pauli.json", *observable, "--shadows", "20000"],
+        ["recover-general", "--channel", "damping.json", *observable, "--exact-eigenvalues"],
+        ["mitigate", "--circuit", "circuit.json", *observable, "--exact-eigenvalues"],
+    ]
+    script = (
+        "import json, resource, subprocess, sys\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    subprocess.run([sys.executable, '-m', 'paulishadow', *argv], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    *reports, peak_kb = done.stdout.splitlines()
+    errors = [float(line.split(": ")[1]) for line in reports if line.startswith("absolute_error")]
+    assert len(errors) == 3
+    assert max(errors[1:]) < 1e-12  # exact eigenvalues recover the ideal value
+    assert int(peak_kb) / 1024 < PAPER_SCALE_RSS_MB
 
 
 # -- shared plumbing -----------------------------------------------------------

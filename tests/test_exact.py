@@ -1,5 +1,6 @@
-"""Dense density-matrix oracle: states, channels, circuits, and the exact
-finite-sum check that the shadow estimator is unbiased."""
+"""Oracles: dense states, channels and circuits, the matrix-free
+expectations the report commands take, and the exact finite-sum check that
+the shadow estimator is unbiased."""
 
 import json
 
@@ -16,13 +17,24 @@ from paulishadow.channels import (
     reference_product_channel,
 )
 from paulishadow.clifford import (
+    CNOT_CONJUGATION,
+    H_CONJUGATION,
+    S_CONJUGATION,
     CliffordCircuit,
     Gate,
     exact_gate_estimates,
     mitigation_coefficients,
 )
 from paulishadow.observables import Observable, heisenberg_observable
-from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis, pauli_from_index
+from paulishadow.paulis import (
+    LETTERS,
+    PauliString,
+    enumerate_low_weight,
+    iter_all_paulis,
+    letter_codes,
+    pauli_from_index,
+    pauli_index,
+)
 
 
 def P(label):
@@ -318,6 +330,75 @@ def test_statevector_ideal_run_matches_dense_run_and_trace():
                                  for i in rng.integers(0, 4**n, 10)})
             want = np.trace(obs.matrix() @ dense.rho).real
             assert abs(exact.expectation(obs, out) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [exact.GATHER_CHUNK, 1])
+def test_batched_gather_matches_dense_traces(chunk, monkeypatch):
+    """Every chunking gives each state's trace; a one-element budget gathers
+    one term per chunk."""
+    monkeypatch.setattr(exact, "GATHER_CHUNK", chunk)
+    rng = np.random.default_rng(47)
+    for n in (1, 3, 5):
+        strings = [pauli_from_index(n, int(i)) for i in rng.integers(0, 4**n, 9)]
+        mats = np.stack([p.matrix() for p in strings])
+        codes = letter_codes(strings, n)
+        psis = np.stack([exact.haar_random_vector(n, rng) for _ in range(4)])
+        want = np.einsum("sa,pab,sb->sp", psis.conj(), mats, psis)
+        np.testing.assert_allclose(exact.pauli_expectations(codes, psis), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(exact.pauli_expectations(codes, psis[0]), want[0],
+                                   rtol=0, atol=1e-12)
+        mixed = exact.apply_channel(PauliChannel.from_qubit_probs(rng.dirichlet(np.ones(4), n)),
+                                    exact.DenseState.from_unit_vector(psis[1]))
+        np.testing.assert_allclose(exact.pauli_expectations(codes, mixed),
+                                   np.einsum("pab,ba->p", mats, mixed.rho), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, table", [("H", H_CONJUGATION), ("S", S_CONJUGATION),
+                                         ("CNOT", CNOT_CONJUGATION)])
+def test_heisenberg_tables_from_unitaries_equal_the_signed_conjugation_tables(kind, table):
+    arity = len(next(iter(table)))
+    letters, factors = exact._heisenberg_table(kind, arity, None)
+    assert letters.shape == (arity, 4**arity)
+    for before, (*after, sign) in table.items():
+        index = pauli_index(PauliString.from_label("".join(before)))
+        assert "".join(LETTERS[c] for c in letters[:, index]) == "".join(after)
+        assert factors[index] == pytest.approx(sign, abs=1e-15)
+
+
+def test_heisenberg_oracle_matches_dense_noisy_run():
+    rng = np.random.default_rng(53)
+    sparse = PauliChannel.from_terms(2, {"XX": 0.1, "ZI": 0.05, "YZ": 0.02})
+    assert not sparse.is_product
+    for n in range(2, 9):
+        for trial in range(2):
+            circuit = random_circuit(n, rng, depth=int(rng.integers(10, 40)))
+            if trial:
+                circuit.noise["CNOT"] = sparse
+            psi = exact.haar_random_vector(n, rng)
+            strings = [pauli_from_index(n, int(i)) for i in rng.integers(0, 4**n, 12)]
+            noisy = exact.simulate_noisy_circuit(circuit, exact.DenseState.from_unit_vector(psi))
+            want = [exact.expectation(p, noisy) for p in strings]
+            got = exact.noisy_expectations(circuit, strings, psi)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_channel_oracles_match_dense_channel(random_cp_ptm):
+    """Product Pauli, sparse Pauli and non-unital ``ptm-product`` channels."""
+    rng = np.random.default_rng(59)
+    for n in range(1, 7):
+        strings = [pauli_from_index(n, int(i)) for i in rng.integers(0, 4**n, 20)]
+        errors = {pauli_from_index(n, int(i)): 0.04 for i in rng.integers(1, 4**n, 4)}
+        channels = [
+            PauliChannel.from_qubit_probs(rng.dirichlet((6, 1, 1, 1), n)),
+            PauliChannel.from_terms(n, errors),
+            ProductChannel([random_cp_ptm(rng) for _ in range(n)]),
+        ]
+        psi = exact.haar_random_vector(n, rng)
+        for channel in channels:
+            noisy = exact.apply_channel(channel, exact.DenseState.from_unit_vector(psi))
+            want = [exact.expectation(p, noisy) for p in strings]
+            got = exact.noisy_expectations(channel, strings, psi)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # -- measurement ---------------------------------------------------------------
