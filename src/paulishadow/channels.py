@@ -31,7 +31,6 @@ from .paulis import (
     enumerate_low_weight,
     letter_codes,
     pauli_from_index,
-    symplectic_product,
 )
 
 PROBABILITY_TOLERANCE = 1e-12
@@ -177,18 +176,7 @@ class PauliChannel:
 
     def eigenvalue(self, p: PauliString) -> float:
         """lambda_P = sum_Q (-1)^<P,Q> p(Q)."""
-        if p.n != self.n:
-            raise ValueError(f"{p} has {p.n} qubits, channel has {self.n}")
-        if self._qubit_probs is not None:
-            eigs = self.qubit_eigenvalues()
-            out = 1.0
-            for j in range(self.n):
-                out *= eigs[j, p.letter_code(j)]
-            return out
-        return sum(
-            prob * (1.0 - 2.0 * symplectic_product(p, q))
-            for q, prob in self._terms.items()
-        )
+        return float(exact_diagonal(self, [p])[0])
 
     def min_abs_eigenvalue(self, k: int) -> float:
         """min |lambda_P| over all strings of weight <= k."""
@@ -200,9 +188,7 @@ class PauliChannel:
             per_qubit = np.min(np.abs(eigs[:, 1:]), axis=1)
             worst = np.sort(per_qubit)[:k]
             return float(np.prod(worst)) if worst.size else 1.0
-        return min(
-            abs(self.eigenvalue(p)) for p in enumerate_low_weight(self.n, k)
-        )
+        return float(np.abs(exact_diagonal(self, list(enumerate_low_weight(self.n, k)))).min())
 
     # -- conversions ---------------------------------------------------------
 
@@ -412,10 +398,7 @@ def exact_transfer_matrix(channel, k: int) -> TransferMatrix:
     basis = tuple(enumerate_low_weight(channel.n, k))
     size = len(basis)
     if isinstance(channel, PauliChannel):
-        matrix = np.zeros((size, size))
-        for i, p in enumerate(basis):
-            matrix[i, i] = channel.eigenvalue(p)
-        return TransferMatrix(channel.n, k, basis, matrix)
+        return TransferMatrix(channel.n, k, basis, np.diag(exact_diagonal(channel, basis)))
     if isinstance(channel, ProductChannel):
         codes = letter_codes(basis, channel.n)
         matrix = np.ones((size, size))
@@ -426,6 +409,33 @@ def exact_transfer_matrix(channel, k: int) -> TransferMatrix:
         f"no analytic transfer matrix for {type(channel).__name__}; "
         "use paulishadow.exact.brute_force_transfer"
     )
+
+
+def exact_diagonal(channel, strings: Sequence[PauliString]) -> np.ndarray:
+    """The diagonal adjoint transfer entries M[P][P] of an analytic channel,
+    one per string: for a Pauli channel its eigenvalues lambda_P.
+
+    Per qubit factors multiply in qubit order, identity letters included,
+    and a sparse channel's terms add in term order, so each entry is the
+    float that a per-string product or sum gives."""
+    codes = letter_codes(strings, channel.n)
+    if isinstance(channel, PauliChannel) and not channel.is_product:
+        out = np.zeros(len(codes))
+        for q, prob in channel.sparse_terms().items():
+            letters = letter_codes([q], channel.n)
+            odd = ((codes != 0) & (letters != 0) & (codes != letters)).sum(axis=1) % 2
+            out += prob * (1.0 - 2.0 * odd)  # (-1)^<P,Q> p(Q)
+        return out
+    if isinstance(channel, PauliChannel):
+        factors = channel.qubit_eigenvalues()
+    elif isinstance(channel, ProductChannel):
+        factors = np.diagonal(channel._ptms, axis1=1, axis2=2)
+    else:
+        raise TypeError(f"no analytic diagonal for {type(channel).__name__}")
+    out = np.ones(len(codes))
+    for j in range(channel.n):
+        out *= factors[j].take(codes[:, j])
+    return out
 
 
 def is_weight_contracting(channel_or_transfer, k: int | None = None,

@@ -29,6 +29,7 @@ from .channels import (
     ConfigError,
     PauliChannel,
     ProductChannel,
+    exact_diagonal,
     exact_transfer_matrix,
     load_channel,
     reference_product_channel,
@@ -135,7 +136,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
     estimates = estimate_eigenvalues(
         iter_channel_shadow_blocks(channel, args.shadows, args.seed), n, args.k
     )
-    exact_diag = exact_transfer_matrix(channel, args.k)
+    basis = list(enumerate_low_weight(n, args.k))
+    exact_diag = exact_diagonal(channel, basis).tolist()
     lines = [
         f"# paulishadow learn {CSV_VERSION}",
         f"# channel: {args.channel}",
@@ -145,8 +147,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
         f"# seed: {args.seed}",
         "pauli,estimate,exact,abs_error",
     ]
-    for p in enumerate_low_weight(n, args.k):
-        est, truth = estimates[p], exact_diag.entry(p, p)
+    for p, truth in zip(basis, exact_diag):
+        est = estimates[p]
         lines.append(f"{p},{_fmt(est)},{_fmt(truth)},{_fmt(abs(est - truth))}")
     _emit(lines, args.out)
     return 0
@@ -337,17 +339,15 @@ def run_fig2(
     alpha = np.array([observable.coefficient(p) for p in paulis])
     alpha_id = observable.coefficient(PauliString.identity(n))
     codes = letter_codes(paulis, n)
-    lam = np.array([channel.eigenvalue(p) for p in paulis])
 
     mae_raw = np.empty((len(sweep), repeats))
     mae_rec = np.empty((len(sweep), repeats))
     for rep in range(repeats):
         rng = np.random.default_rng(_derive_seed(seed, 5001, rep))
         psis = np.stack([exact.haar_random_vector(n, rng) for _ in range(n_states)])
-        t = exact.pauli_expectations(codes, psis).real  # tr(P sigma)
-        ideal_vals = t @ alpha + alpha_id
+        ideal_vals = exact.pauli_expectations(codes, psis).real @ alpha + alpha_id
         if estimated_expectations:
-            noisy_t = np.empty_like(t)
+            noisy_t = np.empty((n_states, len(paulis)))
             for i, psi in enumerate(psis):
                 noisy = exact.apply_channel(channel, exact.DenseState.from_unit_vector(psi))
                 ests = estimate_state_expectations(
@@ -358,7 +358,7 @@ def run_fig2(
                 )
                 noisy_t[i] = [ests[p] for p in paulis]
         else:
-            noisy_t = t * lam[None, :]  # tr(P channel(sigma)) for Pauli channels
+            noisy_t = exact.noisy_expectations(channel, paulis, psis)  # tr(P channel(sigma))
         raw_vals = noisy_t @ alpha + alpha_id
         mae_raw[:, rep] = np.abs(raw_vals - ideal_vals).mean()
         for pi, count in enumerate(sweep):

@@ -28,9 +28,10 @@ from .channels import (
     PauliChannel,
     channel_from_config,
     channel_to_config,
+    exact_diagonal,
 )
 from .observables import Observable
-from .paulis import LETTERS, PauliString, letter_codes, pauli_from_index
+from .paulis import LETTERS, PauliString, iter_all_paulis, letter_codes, pauli_from_index
 from .recovery import (
     DEFAULT_EIGENVALUE_FLOOR,
     BackwardObservable,
@@ -327,13 +328,12 @@ def exact_gate_estimates(
     circuit: CliffordCircuit,
 ) -> dict[str, dict[PauliString, float]]:
     """Oracle per-kind eigenvalue tables from the circuit's noise channels."""
-    from .paulis import iter_all_paulis
-
     out: dict[str, dict[PauliString, float]] = {}
     for kind in sorted({g.kind for g in circuit.gates}):
         channel = circuit.noise.get(kind)
         arity = gate_arity(kind)
         if channel is None:
             channel = PauliChannel.identity(arity)
-        out[kind] = {p: channel.eigenvalue(p) for p in iter_all_paulis(arity)}
+        strings = list(iter_all_paulis(arity))
+        out[kind] = dict(zip(strings, exact_diagonal(channel, strings).tolist()))
     return out

@@ -25,9 +25,10 @@ temporaries.  ``noisy_expectations`` gives tr(Q E(|psi><psi|)) =
   unitary and its noise channel's full term map (so correlated gate noise
   is covered), without the mitigation code's conjugation tables.
 
-None of these reads ``PauliChannel.eigenvalue``, ``adjoint_factor`` or
-``exact_transfer_matrix``, which supply ``--exact-eigenvalues``, so that
-mode does not divide by the very numbers the oracle multiplied by.
+None of these reads ``PauliChannel.eigenvalue``, ``adjoint_factor``,
+``exact_transfer_matrix`` or ``exact_diagonal``, which supply
+``--exact-eigenvalues``, so that mode does not divide by the very numbers
+the oracle multiplied by.
 Statevector oracles are capped at 20 qubits.
 
 The Schroedinger-picture dense runs remain as references for the tests, on
@@ -464,9 +465,11 @@ def _heisenberg_images(circuit, codes: np.ndarray):
 
 def noisy_expectations(noise, strings: Sequence[PauliString], psi: np.ndarray) -> np.ndarray:
     """tr(Q E(|psi><psi|)) = <psi|E^dagger(Q)|psi> for each unsigned string Q,
-    where E is a Pauli or product channel or a noisy Clifford circuit (an
-    object with ``gates`` and ``noise``); see the module docstring."""
-    n = len(psi).bit_length() - 1
+    shape (..., strings), of each unit statevector of a (..., 2^n) amplitude
+    array ``psi``, where E is a Pauli or product channel or a noisy Clifford
+    circuit (an object with ``gates`` and ``noise``); see the module
+    docstring."""
+    n = np.shape(psi)[-1].bit_length() - 1
     codes = letter_codes(strings, n)
     if hasattr(noise, "gates"):
         images, factors = _heisenberg_images(noise, codes)
@@ -475,8 +478,10 @@ def noisy_expectations(noise, strings: Sequence[PauliString], psi: np.ndarray) -
         return _commutation_eigenvalues(noise, codes) * pauli_expectations(codes, psi).real
     images, coefficients, owner = _product_images(_qubit_adjoint_rows(noise), codes)
     distinct, inverse = np.unique(images, axis=0, return_inverse=True)
-    values = coefficients * pauli_expectations(distinct, psi).real[inverse.reshape(-1)]
-    return np.bincount(owner, weights=values, minlength=len(codes))
+    values = coefficients * pauli_expectations(distinct, psi).real[..., inverse.reshape(-1)]
+    out = np.zeros((len(codes), *values.shape[:-1]))
+    np.add.at(out, owner, np.moveaxis(values, -1, 0))  # in image order, as bincount would
+    return np.moveaxis(out, 0, -1)
 
 
 # -- brute-force spectra -------------------------------------------------------

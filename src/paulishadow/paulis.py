@@ -228,6 +228,9 @@ def _masks(codes: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 def letter_codes(strings: Sequence[PauliString], n: int) -> np.ndarray:
     """(len(strings), n) int8 letter codes (I=0, X=1, Y=2, Z=3), column j for qubit j."""
+    wrong = next((p for p in strings if p.n != n), None)
+    if wrong is not None:
+        raise ValueError(f"{wrong} has {wrong.n} qubits, expected {n}")
     size = (n + 7) // 8
 
     def bits(masks):

@@ -46,8 +46,9 @@ size gives other records.  Channel and gate shadows share this block driver
 and are both streamed, so a caller that reduces each block into a histogram
 holds one block per usable CPU at a time, and the histogram does not depend
 on how the records are re-chunked for reduction.  The driver samples blocks
-on one helper thread per usable CPU past the first, and the records do not
-depend on that count: under ``taskset -c 0`` it samples on one thread.
+on a ``concurrent.futures.ThreadPoolExecutor`` with one helper thread per
+usable CPU past the first, and the records do not depend on that count:
+under ``taskset -c 0`` it starts no executor and samples on one thread.
 Samplers draw their uniforms in slices, which give the same doubles as one
 call, so their temporaries stay small.
 """
@@ -57,16 +58,21 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import exact
-from .channels import PauliChannel, ProductChannel, TransferMatrix, uniform_slices
+from .channels import (
+    PauliChannel,
+    ProductChannel,
+    TransferMatrix,
+    exact_diagonal,
+    uniform_slices,
+)
 from .clifford import conjugate_pauli, gate_arity
 from .observables import locality_norm_constant
 from .paulis import (
@@ -135,8 +141,9 @@ class ShadowRecords:
         return self.cells.shape[1]
 
     def __getitem__(self, key) -> "ShadowRecords":
-        if isinstance(key, int):
-            key = slice(key, key + 1)
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]  # negative from the end; IndexError out of range
+            key = slice(i, i + 1)
         return ShadowRecords.from_cells(self.cells[key])
 
     @classmethod
@@ -224,63 +231,18 @@ def _helper_count() -> int:
         return (os.cpu_count() or 1) - 1
 
 
-class _HelperBlock:
-    """A block being sampled on a helper thread.  ``result()`` waits for it
-    and returns it, or raises the exception the sampler raised.
-
-    The block is returned as a copy made by the calling thread, so a
-    consumer that holds blocks (past the joint cap they are joined) holds
-    them in its own heap, and the helper's holds one block's temporaries."""
-
-    def __init__(self):
-        self.done = threading.Event()
-        self.records = self.error = None
-
-    def result(self) -> ShadowRecords:
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-        return ShadowRecords.from_cells(self.records.cells.copy())
+@lru_cache(maxsize=None)
+def _helpers(count: int) -> ThreadPoolExecutor:
+    """The executor of ``count`` helper threads that sample blocks, started
+    on first use and kept for the life of the process.  glibc gives each
+    thread a heap that keeps its high-water mark; a thread started afresh
+    for each group now and then got a new heap before the last one's was
+    released (1.7 MB more peak RSS in four of ten ``mitigate-n8`` runs)."""
+    return ThreadPoolExecutor(count, thread_name_prefix="paulishadow-sampler")
 
 
-class _Helpers:
-    """Helper threads that sample blocks, started on first use and kept for
-    the life of the process.  glibc gives each thread a heap that keeps its
-    high-water mark; a thread started afresh for each group now and then got
-    a new heap before the last one's was released (1.7 MB more peak RSS in
-    four of ten ``mitigate-n8`` runs)."""
-
-    def __init__(self):
-        self._reset()
-        if hasattr(os, "register_at_fork"):  # a forked child has no helper threads
-            os.register_at_fork(after_in_child=self._reset)
-
-    def _reset(self) -> None:
-        self.tasks = queue.SimpleQueue()
-        self.threads = []
-        self.lock = threading.Lock()
-
-    def submit(self, sample, rng: np.random.Generator, helpers: int) -> _HelperBlock:
-        """Queue one block, first starting threads until there are ``helpers``."""
-        with self.lock:
-            while len(self.threads) < helpers:
-                self.threads.append(threading.Thread(target=self._serve, daemon=True))
-                self.threads[-1].start()
-        block = _HelperBlock()
-        self.tasks.put((sample, rng, block))
-        return block
-
-    def _serve(self) -> None:
-        while True:
-            sample, rng, block = self.tasks.get()
-            try:
-                block.records = sample(rng)
-            except BaseException as exc:  # raised again in the consumer
-                block.error = exc
-            block.done.set()
-
-
-_HELPERS = _Helpers()
+if hasattr(os, "register_at_fork"):  # a forked child has no helper threads
+    os.register_at_fork(after_in_child=_helpers.cache_clear)
 
 
 def _iter_blocks(count: int, seed: int, block_size: int, sample) -> Iterator[ShadowRecords]:
@@ -288,8 +250,11 @@ def _iter_blocks(count: int, seed: int, block_size: int, sample) -> Iterator[Sha
     generator, and the last block is sliced to the records still wanted.
 
     Blocks are taken in groups, one block per usable CPU: the calling thread
-    samples the group's first block and one helper thread each of the rest
-    (numpy releases the GIL in the Philox fills and large ufuncs).  Blocks
+    samples the group's first block and submits each of the rest to the
+    ``_helpers`` ThreadPoolExecutor (numpy releases the GIL in the Philox
+    fills and large ufuncs).  ``Future.result()`` raises a sampler's own
+    exception again here, and each helper block is copied into the calling
+    thread's heap, so a consumer that holds blocks holds them there.  Blocks
     are yielded in block order, and every block draws from its own
     generator, so the records do not depend on the number of helpers."""
     if count < 0:
@@ -298,8 +263,9 @@ def _iter_blocks(count: int, seed: int, block_size: int, sample) -> Iterator[Sha
     helpers = _helper_count()
     for first in range(0, len(blocks), helpers + 1):
         group = blocks[first : first + helpers + 1]
-        pending = [_HELPERS.submit(sample, block_rng(seed, b), helpers) for b in group[1:]]
-        sampled = itertools.chain([sample(block_rng(seed, first))], (p.result() for p in pending))
+        pending = [_helpers(helpers).submit(sample, block_rng(seed, b)) for b in group[1:]]
+        sampled = itertools.chain([sample(block_rng(seed, first))], (
+            ShadowRecords.from_cells(p.result().cells.copy()) for p in pending))
         for block, records in zip(group, sampled):
             left = count - block * block_size
             yield records[:left] if left < block_size else records
@@ -612,12 +578,8 @@ class EigenvalueEstimates:
     @classmethod
     def from_channel(cls, channel: PauliChannel, k: int) -> "EigenvalueEstimates":
         """Oracle table: exact eigenvalues, usable wherever estimates are."""
-        values = {
-            p: channel.eigenvalue(p)
-            for p in enumerate_low_weight(channel.n, k)
-            if not p.is_identity
-        }
-        return cls(channel.n, values, 0)
+        strings = [p for p in enumerate_low_weight(channel.n, k) if not p.is_identity]
+        return cls(channel.n, dict(zip(strings, exact_diagonal(channel, strings).tolist())), 0)
 
 
 def estimate_eigenvalues(

@@ -19,6 +19,7 @@ from paulishadow.channels import (
     channel_to_config,
     depolarizing_probs,
     depolarizing_ptm,
+    exact_diagonal,
     exact_transfer_matrix,
     is_weight_contracting,
     load_channel,
@@ -27,7 +28,13 @@ from paulishadow.channels import (
     walsh_eigenvalues,
     walsh_probabilities,
 )
-from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis
+from paulishadow.paulis import (
+    PauliString,
+    enumerate_low_weight,
+    iter_all_paulis,
+    pauli_from_index,
+    symplectic_product,
+)
 
 
 def P(label):
@@ -406,3 +413,28 @@ def test_to_product_channel():
     m1 = exact_transfer_matrix(ch, 2)
     m2 = exact_transfer_matrix(ptm, 2)
     np.testing.assert_allclose(m1.matrix, m2.matrix, atol=1e-12)
+
+
+def test_exact_diagonal_is_the_per_string_product_or_sum_bitwise(random_cp_ptm):
+    """Per qubit in qubit order, identity letters included; sparse terms in
+    term order."""
+    rng = np.random.default_rng(41)
+    for n in (1, 3, 5):
+        strings = list(enumerate_low_weight(n, min(n, 3)))
+        product = random_product_channel(rng, n)
+        sparse = PauliChannel.from_terms(
+            n, {pauli_from_index(n, int(i)): 0.03 for i in rng.integers(1, 4**n, 5)})
+        ptms = ProductChannel([random_cp_ptm(rng) for _ in range(n)])
+        eigs = product.qubit_eigenvalues()
+        for channel, want in [
+            (product, [reduce(lambda acc, j: acc * eigs[j, p.letter_code(j)], range(n), 1.0)
+                       for p in strings]),
+            (sparse, [sum(prob * (1.0 - 2.0 * symplectic_product(p, q))
+                          for q, prob in sparse.sparse_terms().items()) for p in strings]),
+            (ptms, [reduce(lambda acc, j: acc * ptms.ptm(j)[p.letter_code(j), p.letter_code(j)],
+                           range(n), 1.0) for p in strings]),
+        ]:
+            got = exact_diagonal(channel, strings)
+            assert got.tolist() == want
+            np.testing.assert_array_equal(np.diag(exact_transfer_matrix(channel, min(n, 3)).matrix), got)
+        assert [product.eigenvalue(p) for p in strings] == exact_diagonal(product, strings).tolist()

@@ -432,6 +432,18 @@ def test_fig2_exact_eigenvalue_injection_is_lossless(tmp_path):
         assert r <= 1e-9
 
 
+def test_fig2_exact_eigenvalues_are_checked_against_an_independent_oracle(tmp_path, monkeypatch):
+    # The noisy values come from the channel's probabilities, so eigenvalues
+    # corrupted on the --exact-eigenvalues side no longer cancel them.
+    true_eigenvalues = PauliChannel.qubit_eigenvalues
+    monkeypatch.setattr(PauliChannel, "qubit_eigenvalues",
+                        lambda self: true_eigenvalues(self) * [1.0, 0.99, 1.01, 0.98])
+    out = tmp_path / "corrupt.csv"
+    assert cli.main(fig2_args(out, ["--exact-eigenvalues"])) == 0
+    _, per_trial, _ = parse_fig2(out)
+    assert min(r for trials in per_trial.values() for _, _, _, r, _ in trials) > 1e-6
+
+
 def test_fig2_estimated_expectations_smoke(tmp_path):
     out = tmp_path / "est.csv"
     rc = cli.main(
@@ -594,12 +606,15 @@ PAPER_SCALE_RSS_MB = 200
 
 def test_report_commands_run_at_sixteen_qubits_in_bounded_memory(tmp_path):
     """recover, recover-general and mitigate at n = 16, where a density matrix
-    would take 64 GB.  A wrapper process runs them, so that its
-    RUSAGE_CHILDREN peak counts these three commands only."""
+    would take 64 GB, and learn at k = 3, where the transfer matrix its
+    exact column was once read from would take 2.1 GB.  A wrapper process
+    runs them, so that its RUSAGE_CHILDREN peak counts these four commands
+    only."""
     n = 16
     qubit = (0.98, 0.01, 0.005, 0.005)
     save_channel(PauliChannel.from_qubit_probs([qubit] * n), tmp_path / "pauli.json")
-    save_channel(ProductChannel([amplitude_damping_ptm(0.05)] * n), tmp_path / "damping.json")
+    damping = ProductChannel([amplitude_damping_ptm(0.05)] * n)
+    save_channel(damping, tmp_path / "damping.json")
     gates = [Gate("H", (q,)) for q in range(n)]
     gates += [Gate("CNOT", (q, q + 1)) for q in range(n - 1)]
     gates += [Gate("S", (q,)) for q in range(n)]
@@ -612,6 +627,8 @@ def test_report_commands_run_at_sixteen_qubits_in_bounded_memory(tmp_path):
         ["recover", "--channel", "pauli.json", *observable, "--shadows", "20000"],
         ["recover-general", "--channel", "damping.json", *observable, "--exact-eigenvalues"],
         ["mitigate", "--circuit", "circuit.json", *observable, "--exact-eigenvalues"],
+        ["learn", "--channel", "damping.json", "--k", "3", "--shadows", "100000",
+         "--out", "learn.csv"],
     ]
     script = (
         "import json, resource, subprocess, sys\n"
@@ -629,6 +646,13 @@ def test_report_commands_run_at_sixteen_qubits_in_bounded_memory(tmp_path):
     assert len(errors) == 3
     assert max(errors[1:]) < 1e-12  # exact eigenvalues recover the ideal value
     assert int(peak_kb) / 1024 < PAPER_SCALE_RSS_MB
+    rows = [line.split(",") for line in (tmp_path / "learn.csv").read_text().splitlines()
+            if not line.startswith("#")][1:]
+    basis = list(enumerate_low_weight(n, 3))
+    assert [row[0] for row in rows] == [str(p) for p in basis]
+    diagonal = np.diag(damping.ptm(0))
+    assert [row[2] for row in rows] == [
+        cli._fmt(math.prod(diagonal[p.letter_code(j)] for j in range(n))) for p in basis]
 
 
 # -- shared plumbing -----------------------------------------------------------

@@ -401,6 +401,26 @@ def test_channel_oracles_match_dense_channel(random_cp_ptm):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_noisy_expectations_of_a_batch_are_each_state_s(random_cp_ptm):
+    """A (states, 2^n) amplitude array gives each row's values bitwise."""
+    rng = np.random.default_rng(61)
+    n = 4
+    strings = [pauli_from_index(n, int(i)) for i in rng.integers(0, 4**n, 30)]
+    circuit = random_circuit(n, rng, depth=20)
+    circuit.noise["CNOT"] = PauliChannel.from_terms(2, {"XX": 0.1, "ZI": 0.05})
+    psis = np.stack([exact.haar_random_vector(n, rng) for _ in range(3)])
+    for noise in [
+        PauliChannel.from_qubit_probs(rng.dirichlet((6, 1, 1, 1), n)),
+        PauliChannel.from_terms(n, {pauli_from_index(n, 7): 0.1, pauli_from_index(n, 200): 0.05}),
+        ProductChannel([random_cp_ptm(rng) for _ in range(n)]),
+        circuit,
+    ]:
+        got = exact.noisy_expectations(noise, strings, psis)
+        assert got.shape == (3, len(strings))
+        for psi, row in zip(psis, got):
+            np.testing.assert_array_equal(row, exact.noisy_expectations(noise, strings, psi))
+
+
 # -- measurement ---------------------------------------------------------------
 
 

@@ -185,3 +185,10 @@ def test_letter_codes_match_letter_code():
     strings = [pauli_from_index(12, int(i)) for i in rng.integers(0, 4**12, 300)]
     np.testing.assert_array_equal(letter_codes(strings, 12), reference(strings, 12))
     assert letter_codes([], 3).shape == (0, 3)
+
+
+def test_letter_codes_reject_strings_of_another_width():
+    with pytest.raises(ValueError, match="XZZ has 3 qubits, expected 2"):
+        letter_codes([PauliString.from_label("XZ"), PauliString.from_label("XZZ")], 2)
+    with pytest.raises(ValueError, match="has 10 qubits, expected 3"):
+        letter_codes([PauliString.from_label("X" * 10)], 3)

@@ -11,6 +11,7 @@ import itertools
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -81,6 +82,19 @@ def test_records_slicing_and_concat():
     np.testing.assert_array_equal(both.t_sign, r.t_sign)
     single = r[7]
     assert len(single) == 1
+
+
+def test_records_index_and_iterate_like_a_sequence():
+    r = sample_channel_shadows(PauliChannel.identity(2), 5, seed=1)
+    np.testing.assert_array_equal(r[-1].cells, r.cells[4:])
+    np.testing.assert_array_equal(r[-5].cells, r.cells[:1])
+    np.testing.assert_array_equal(r[np.int64(3)].cells, r.cells[3:4])
+    for bad in (5, -6, np.int32(5)):
+        with pytest.raises(IndexError):
+            r[bad]
+    items = list(r)
+    assert len(items) == 5
+    np.testing.assert_array_equal(np.concatenate([b.cells for b in items]), r.cells)
 
 
 def test_records_text_round_trip(tmp_path):
@@ -387,6 +401,23 @@ def test_a_forked_child_samples_with_its_own_helpers(monkeypatch):
     assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
+def test_a_process_that_abandons_a_stream_exits():
+    # The executor's threads are not daemons: interpreter exit waits for the
+    # blocks already submitted, then for the threads to stop.
+    script = (
+        "from paulishadow import shadows\n"
+        "from paulishadow.channels import reference_product_channel\n"
+        "shadows._helper_count = lambda: 3\n"
+        "blocks = shadows.iter_channel_shadow_blocks(reference_product_channel(), 10**7, 1, 4096)\n"
+        "assert len(next(blocks)) == 4096\n"
+    )
+    src = os.path.dirname(os.path.dirname(shadows.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+
+
 def test_sampler_exception_on_a_helper_reaches_the_consumer(monkeypatch):
     monkeypatch.setattr(shadows, "_helper_count", lambda: 1)
 
@@ -483,6 +514,15 @@ def test_estimate_x_single_record_values():
         records_from_lists([[2]], [[1]], [[2]], [[-1]]), 1, 1
     )
     assert est[P("Z")] == pytest.approx(-9.0)  # single records are unbounded
+
+
+def test_strings_of_another_width_are_rejected():
+    for n in (2, 6):
+        records = sample_channel_shadows(PauliChannel.identity(n), 500, seed=1)
+        for source in (records, ShadowCounts.from_records(records)) if n <= 4 else (records,):
+            for p in (P("XZZ" + "I" * (n - 2)), P("X" * 10)):
+                with pytest.raises(ValueError, match=f"{p} has {p.n} qubits, expected {n}"):
+                    estimate_x(source, p)
 
 
 def test_per_record_values_in_allowed_set():
