@@ -97,6 +97,8 @@ class PauliChannel:
 
     @staticmethod
     def _validate_probs(flat: np.ndarray) -> None:
+        if not np.isfinite(flat).all():
+            raise ValueError(f"non-finite probability {flat[~np.isfinite(flat)][0]}")
         if flat.size and float(np.min(flat)) < -PROBABILITY_TOLERANCE:
             raise ValueError(f"negative probability {float(np.min(flat))}")
 
@@ -294,6 +296,8 @@ class ProductChannel:
             ptms = ptms[None, :, :]
         if ptms.ndim != 3 or ptms.shape[1:] != (4, 4):
             raise ValueError(f"expected (n, 4, 4) transfer matrices, got {ptms.shape}")
+        if not np.isfinite(ptms).all():
+            raise ValueError(f"non-finite PTM entry {ptms[~np.isfinite(ptms)][0]}")
         first_rows = ptms[:, 0, :]
         target = np.zeros((ptms.shape[0], 4))
         target[:, 0] = 1.0
@@ -358,6 +362,7 @@ class TransferMatrix:
     basis: tuple[PauliString, ...]
     matrix: np.ndarray
     _index: dict[PauliString, int] = field(init=False, repr=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -367,6 +372,7 @@ class TransferMatrix:
                 f"matrix shape {self.matrix.shape} does not match basis size {expected}"
             )
         self._index = {p: i for i, p in enumerate(self.basis)}
+        self._weights = np.array([p.weight for p in self.basis], dtype=np.int64)
 
     def index(self, p: PauliString) -> int:
         try:
@@ -379,17 +385,11 @@ class TransferMatrix:
 
     def block_slices(self) -> list[tuple[int, slice]]:
         """Contiguous (weight, slice) pairs of the weight-major basis."""
-        out: list[tuple[int, slice]] = []
-        start = 0
-        for w in range(self.k + 1):
-            size = sum(1 for p in self.basis if p.weight == w)
-            out.append((w, slice(start, start + size)))
-            start += size
-        return out
+        edges = np.searchsorted(self._weights, np.arange(self.k + 2)).tolist()
+        return [(w, slice(edges[w], edges[w + 1])) for w in range(self.k + 1)]
 
     def is_upper_block_triangular(self, tol: float = TRIANGULARITY_TOLERANCE) -> bool:
-        weights = np.array([p.weight for p in self.basis])
-        below = weights[:, None] > weights[None, :]
+        below = self._weights[:, None] > self._weights[None, :]
         return bool(np.max(np.abs(self.matrix[below]), initial=0.0) <= tol)
 
 

@@ -107,22 +107,24 @@ def _resolve_channel(arg: str) -> PauliChannel | ProductChannel:
 
 
 def _resolve_observable(arg: str, args: argparse.Namespace) -> Observable:
-    if arg == "heisenberg":
-        return heisenberg_observable(
-            args.n,
-            jx=args.jx,
-            jy=args.jy,
-            jz=args.jz,
-            hz=args.hz,
-            field_on_all=args.field_on_all,
-            periodic=args.periodic,
-        )
     try:
+        if arg == "heisenberg":
+            return heisenberg_observable(
+                args.n,
+                jx=args.jx,
+                jy=args.jy,
+                jz=args.jz,
+                hz=args.hz,
+                field_on_all=args.field_on_all,
+                periodic=args.periodic,
+            )
         return Observable.load(arg)
     except FileNotFoundError:
         raise ConfigError(
             f"observable {arg!r} is neither a readable file nor a built-in name"
         ) from None
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"observable {arg!r}: {exc}") from None
 
 
 # -- learn ---------------------------------------------------------------------

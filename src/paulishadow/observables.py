@@ -36,6 +36,8 @@ class Observable:
             coeff = float(coeff) * p.sign
             p = p.unsigned()
             self._terms[p] = self._terms.get(p, 0.0) + coeff
+            if not math.isfinite(self._terms[p]):
+                raise ValueError(f"term {p} has non-finite coefficient {self._terms[p]}")
         if drop_tolerance > 0.0:
             self._terms = {
                 p: c for p, c in self._terms.items() if abs(c) > drop_tolerance

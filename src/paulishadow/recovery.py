@@ -120,9 +120,8 @@ def solve_upper_block_triangular(
     blocks: Sequence[slice],
     rhs: np.ndarray,
     condition_threshold: float = DEFAULT_CONDITION_THRESHOLD,
-    block_weights: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Back-substitute over diagonal blocks, heaviest block first.
+    """Back-substitute over diagonal blocks (block w: weight w), heaviest first.
 
     Returns the solution and the largest 1-norm condition estimate among the
     diagonal blocks.  Entries of ``matrix`` below the block diagonal are
@@ -132,9 +131,7 @@ def solve_upper_block_triangular(
     rhs = np.asarray(rhs, dtype=float)
     x = np.zeros_like(rhs)
     worst_condition = 0.0
-    if block_weights is None:
-        block_weights = list(range(len(blocks)))
-    for weight, sl in reversed(list(zip(block_weights, blocks))):
+    for weight, sl in reversed(list(enumerate(blocks))):
         diag = matrix[sl, sl]
         residual = rhs[sl] - matrix[sl, sl.stop:] @ x[sl.stop:]
         try:
@@ -169,9 +166,8 @@ def backward_observable_general(
     for p, alpha in observable.terms().items():
         rhs[transfer.index(p)] = alpha  # raises KeyError past weight k
     slices = [sl for _, sl in transfer.block_slices()]
-    weights = [w for w, _ in transfer.block_slices()]
     solution, condition = solve_upper_block_triangular(
-        transfer.matrix, slices, rhs, condition_threshold, block_weights=weights
+        transfer.matrix, slices, rhs, condition_threshold
     )
     terms = {
         p: float(solution[i])

@@ -25,7 +25,8 @@ per-qubit factors gives the 16^n *moment table*: the entry at mixed-radix
 index sum_j (P_j * 4 + Q_j) * 16^(n-1-j), with letter codes I=0, X=1, Y=2,
 Z=3 and qubit 0 most significant, is the numerator of (P, Q): the sum over
 records of prod_j tr(P_j s_j) tr(Q_j (3 t_j - I)).  Every eigenvalue,
-transfer entry and gate estimate is one lookup, ``3^|P| * numer / N``.
+transfer entry and gate estimate is one lookup, ``3^|P| * numer / N``; an
+estimator passes its pairs as one (pairs, n) int8 array of digits P_j * 4 + Q_j.
 The contraction is float64 matrix products through BLAS; every partial sum
 is an integer below 2^53 (it raises otherwise), so the table is exact and
 each estimate is the same float as a per-record sum would give.
@@ -58,7 +59,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
@@ -232,12 +232,14 @@ def _helper_count() -> int:
 
 
 @lru_cache(maxsize=None)
-def _helpers(count: int) -> ThreadPoolExecutor:
+def _helpers(count: int):
     """The executor of ``count`` helper threads that sample blocks, started
     on first use and kept for the life of the process.  glibc gives each
     thread a heap that keeps its high-water mark; a thread started afresh
     for each group now and then got a new heap before the last one's was
     released (1.7 MB more peak RSS in four of ten ``mitigate-n8`` runs)."""
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: 6-8 ms, 0.6 MB
+
     return ThreadPoolExecutor(count, thread_name_prefix="paulishadow-sampler")
 
 
@@ -414,15 +416,9 @@ def _moment_table(hist: np.ndarray, w: int) -> np.ndarray:
     return (_CELL_FACTORS_T.T @ slabs).reshape(-1).astype(np.int64)
 
 
-def _pair_letters(pairs, n: int) -> np.ndarray:
-    """(len(pairs), n) int8 letter of every (input, output) pair on every
-    qubit, in_code * 4 + out_code: the moment-table digit of that qubit."""
-    return 4 * letter_codes([p for p, _ in pairs], n) + letter_codes([q for _, q in pairs], n)
-
-
-def _table_index(letters: np.ndarray) -> np.ndarray:
-    """Moment-table index of each row of letters, first column most significant."""
-    return letters @ 16 ** np.arange(letters.shape[1] - 1, -1, -1, dtype=np.int64)
+def _table_index(digits: np.ndarray) -> np.ndarray:
+    """Moment-table index of each row of digits, first column most significant."""
+    return digits @ 16 ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
 class ShadowCounts:
@@ -475,53 +471,52 @@ class ShadowCounts:
         return _moment_table(self.counts, self.n)
 
 
-def _record_factors(cells: np.ndarray, qubits, letters) -> np.ndarray | None:
-    """Each record's exact integer factor on ``qubits`` for the given letters;
+def _record_factors(cells: np.ndarray, qubits, digits) -> np.ndarray | None:
+    """Each record's exact integer factor on ``qubits`` for the given digits;
     None stands for all ones (no qubits)."""
     weights = None
-    for j, letter in zip(qubits, letters):
-        factor = _CELL_FACTORS[letter].take(cells[j])
+    for j, digit in zip(qubits, digits):
+        factor = _CELL_FACTORS[digit].take(cells[j])
         weights = factor if weights is None else weights * factor
     return weights
 
 
-def _marginal_numerators(records: ShadowRecords, pairs) -> list[int]:
+def _marginal_numerators(records: ShadowRecords, digits: np.ndarray) -> np.ndarray:
     """Numerators past the joint cap, from one moment table per union support.
 
     A support wider than the cap splits into a head and a cap-wide tail: the
-    head's letters weight each record by its factor there, and the table
-    covers the tail.  Pairs are grouped by (head letters, tail qubits); each
+    head's digits weight each record by its factor there, and the table
+    covers the tail.  Pairs are grouped by (head digits, tail qubits); each
     group bincounts its tail histogram, weighted by the head factors, and its
     table is read, then dropped.
     """
     cells = np.ascontiguousarray(records.cells.T)
     n = records.n
-    letters = _pair_letters(pairs, n)
-    support = letters != 0
-    # The tail is the last COUNTS_QUBIT_CAP qubits of each pair's support.
-    tail = support & (np.cumsum(support[:, ::-1], axis=1)[:, ::-1] <= COUNTS_QUBIT_CAP)
-    keys = np.hstack([np.where(tail, 0, letters), tail])
+    support = digits != 0
+    # The tail is the last COUNTS_QUBIT_CAP qubits of each pair's support (int8: <= 2k).
+    last = np.cumsum(support[:, ::-1], axis=1, dtype=np.int8)[:, ::-1]
+    tail = support & (last <= COUNTS_QUBIT_CAP)
+    keys = np.hstack([np.where(tail, 0, digits), tail])
     order = np.lexsort(keys.T)
     keys = keys[order]
     change = (keys[1:] != keys[:-1]).any(axis=1)
-    starts = np.flatnonzero(np.r_[True, change]) if len(pairs) else []
-    numers = np.empty(len(pairs), dtype=np.int64)
-    for start, stop in zip(starts, [*starts[1:], len(pairs)]):
+    starts = np.flatnonzero(np.r_[True, change]) if len(digits) else []
+    numers = np.empty(len(digits), dtype=np.int64)
+    for start, stop in zip(starts, [*starts[1:], len(digits)]):
         key, members = keys[start], order[start:stop]
         head = np.flatnonzero(key[:n])
         tail_qubits = np.flatnonzero(key[n:])
         weights = _record_factors(cells, head, key[head])
-        tail_letters = letters[members][:, tail_qubits]
         w = len(tail_qubits)
         # Integer weights keep the float histogram exact below 2^53.
         hist = np.bincount(_joint_cells(cells, tail_qubits), weights, minlength=36**w)
         table = _moment_table(hist, w)
-        numers[members] = table[_table_index(tail_letters)]
-    return numers.tolist()
+        numers[members] = table[_table_index(digits[members][:, tail_qubits])]
+    return numers
 
 
-def _numerators(source, n: int, pairs) -> tuple[int, list[int]]:
-    """Record count and the exact numerator of every (input, output) pair.
+def _numerators(source, n: int, digits: np.ndarray) -> tuple[int, np.ndarray]:
+    """Record count and the exact int64 numerator of each row of digits in * 4 + out.
 
     ``source`` is a ShadowCounts, a ShadowRecords, or a stream of record
     blocks; up to the joint cap, records and streams are reduced to counts,
@@ -541,14 +536,14 @@ def _numerators(source, n: int, pairs) -> tuple[int, list[int]]:
     if total == 0:
         raise ValueError("no records")
     if isinstance(source, ShadowRecords):
-        return total, _marginal_numerators(source, pairs)
-    return total, source.moments()[_table_index(_pair_letters(pairs, n))].tolist()
+        return total, _marginal_numerators(source, digits)
+    return total, source.moments()[_table_index(digits)]
 
 
 def estimate_x(records: ShadowRecords | ShadowCounts, p: PauliString) -> float:
     """x_hat(P): mean per-record estimator value (no 3^|P| rescaling)."""
-    total, (numer,) = _numerators(records, records.n, [(p, p)])
-    return numer / total
+    total, numers = _numerators(records, records.n, 5 * letter_codes([p], records.n))
+    return numers.item() / total
 
 
 @dataclass
@@ -589,19 +584,21 @@ def estimate_eigenvalues(
 ) -> EigenvalueEstimates:
     """lambda_hat(P) = 3^|P| x_hat(P) for every weight <= k string."""
     strings = [p for p in enumerate_low_weight(n, k) if not p.is_identity]
-    total, numers = _numerators(source, n, [(p, p) for p in strings])
-    values = {p: 3.0 ** p.weight * numer / total for p, numer in zip(strings, numers)}
-    return EigenvalueEstimates(n, values, total)
+    codes = letter_codes(strings, n)
+    total, numers = _numerators(source, n, 5 * codes)  # in_code * 4 + out_code, both P
+    values = 3.0 ** (codes != 0).sum(axis=1) * numers / total
+    return EigenvalueEstimates(n, dict(zip(strings, values.tolist())), total)
 
 
 def estimate_transfer_entry(
     records: ShadowRecords | ShadowCounts, in_pauli: PauliString, out_pauli: PauliString
 ) -> float:
     """lambda_hat_P(Q) = 3^|P| x_hat(P, Q): input side against s, output against t."""
-    total, (numer,) = _numerators(records, records.n, [(in_pauli, out_pauli)])
+    digits = 4 * letter_codes([in_pauli], records.n) + letter_codes([out_pauli], records.n)
+    total, numers = _numerators(records, records.n, digits)
     if out_pauli.is_identity:
         return 1.0 if in_pauli.is_identity else 0.0
-    return 3.0 ** in_pauli.weight * numer / total
+    return 3.0 ** in_pauli.weight * numers.item() / total
 
 
 def estimate_transfer_matrix(
@@ -615,13 +612,14 @@ def estimate_transfer_matrix(
     assumption and are pinned to 0; the identity column is exact.
     """
     basis = tuple(enumerate_low_weight(n, k))
-    weights = np.array([p.weight for p in basis])
+    codes = letter_codes(basis, n)
+    weights = (codes != 0).sum(axis=1)
     # Estimated entries, column by column: Q is not the identity, |P| <= |Q|.
     cols, rows = np.nonzero((weights[None, :] <= weights[:, None]) & (weights[:, None] > 0))
-    total, numers = _numerators(source, n, [(basis[r], basis[c]) for r, c in zip(rows, cols)])
+    total, numers = _numerators(source, n, 4 * codes[rows] + codes[cols])
     matrix = np.zeros((len(basis), len(basis)))
     matrix[0, 0] = 1.0  # identity column: lambda_P(I) = delta_PI
-    matrix[rows, cols] = 3.0 ** weights[rows] * np.array(numers, dtype=np.int64) / total
+    matrix[rows, cols] = 3.0 ** weights[rows] * numers / total
     return TransferMatrix(n, k, basis, matrix)
 
 
@@ -746,10 +744,11 @@ def estimate_gate_eigenvalues(
     qubits = tuple(range(g))
     strings = [p for p in iter_all_paulis(g) if not p.is_identity]
     backs = [conjugate_pauli(kind, qubits, p) for p in strings]
-    total, numers = _numerators(records, g, list(zip(backs, strings)))
+    digits = 4 * letter_codes(backs, g) + letter_codes(strings, g)
+    total, numers = _numerators(records, g, digits)
     values = {
         p: back.sign * 3.0 ** back.weight * numer / total
-        for p, back, numer in zip(strings, backs, numers)
+        for p, back, numer in zip(strings, backs, numers.tolist())
     }
     return EigenvalueEstimates(g, values, total)
 

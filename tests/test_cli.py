@@ -600,6 +600,55 @@ def test_bad_input_exits_one_before_any_draw(case, circuit_path, damping_channel
     assert captured.err.startswith("configuration error: ")
 
 
+NAN_NOISE = {"pI": math.nan, "pX": 0.04, "pY": 0.03, "pZ": 0.03}
+NAN_PTM = [1, 0, 0, 0, 0, math.nan, 0, 0, 0, 0, 0.9, 0, 0.1, 0, 0, 0.9]
+# Input files, by name, and the commands that read them.
+UNREADABLE_INPUTS = {
+    "files": {
+        "nan-circuit.json": {"n": 2, "gates": [{"g": "H", "q": [0]}],
+                             "noise": {"H": {"kind": "pauli-product", "qubits": [NAN_NOISE]}}},
+        "nan-pauli.json": {"kind": "pauli-product", "qubits": [NAN_NOISE] * 2},
+        "nan-sparse.json": {"kind": "pauli-sparse", "n": 2, "terms": [["II", math.nan]]},
+        "nan-ptm.json": {"kind": "ptm-product", "qubits": [NAN_PTM] * 2},
+        "nan.txt": "XX nan\n",
+        "overflow.txt": "XX 1e400\n",
+        "bad-letter.txt": "XQ 0.3\n",
+        "two-widths.txt": "XX 0.3\nXXX 0.2\n",
+        "comments.txt": "# no terms\n\n",
+    },
+    "commands": {
+        "mitigate-nan-noise": "mitigate --circuit nan-circuit.json --observable heisenberg",
+        "mitigate-exact-nan-noise":
+            "mitigate --circuit nan-circuit.json --observable heisenberg --exact-eigenvalues",
+        "learn-nan-pauli-product": "learn --channel nan-pauli.json",
+        "learn-nan-pauli-sparse": "learn --channel nan-sparse.json",
+        "learn-nan-ptm-product": "learn --channel nan-ptm.json",
+        "recover-nan-coefficient": "recover --channel reference --observable nan.txt",
+        "recover-overflow-coefficient": "recover --channel reference --observable overflow.txt",
+        "recover-nan-heisenberg": "recover --channel reference --observable heisenberg --jx nan",
+        "recover-bad-letter": "recover --channel reference --observable bad-letter.txt",
+        "recover-two-widths": "recover --channel reference --observable two-widths.txt",
+        "recover-comments-only": "recover --channel reference --observable comments.txt",
+        "recover-directory": "recover --channel reference --observable .",
+        "recover-heisenberg-one-qubit": "recover --channel reference --observable heisenberg --n 1",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS["commands"]))
+def test_non_finite_or_malformed_input_is_a_configuration_error(case, tmp_path, monkeypatch,
+                                                                capsys):
+    for name, content in UNREADABLE_INPUTS["files"].items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(UNREADABLE_INPUTS["commands"][case].split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("configuration error: ")
+
+
 # Children's peak resident set allowed for a report command at 16 qubits.
 PAPER_SCALE_RSS_MB = 200
 

@@ -153,6 +153,19 @@ def test_transfer_matrix_past_the_cap_matches_brute_force():
             else:
                 want = brute_entry(records, p, q)
             assert m.matrix[row, col] == want, (p, q)
+    # At k = 3 a union support reaches six qubits, past the four-qubit table:
+    # a seeded sample of the estimated entries, with many wide unions.
+    records = random_records(6, 300, seed=63)
+    m = estimate_transfer_matrix(records, 6, 3)
+    weights = np.array([p.weight for p in m.basis])
+    cols, rows = np.nonzero((weights[None, :] <= weights[:, None]) & (weights[:, None] > 0))
+    picks = np.random.default_rng(63).choice(len(rows), 2000, replace=False)
+    wide = 0
+    for row, col in zip(rows[picks], cols[picks]):
+        p, q = m.basis[row], m.basis[col]
+        wide += (p.x | p.z | q.x | q.z).bit_count() > 4
+        assert m.matrix[row, col] == brute_entry(records, p, q), (p, q)
+    assert wide >= 500
 
 
 def test_eigenvalues_past_the_cap_match_brute_force():
@@ -174,16 +187,17 @@ def test_records_and_counts_sources_agree_exactly():
     np.testing.assert_array_equal(a.matrix, b.matrix)
     np.testing.assert_array_equal(a.matrix, c.matrix)
     # Past the cap a stream is joined into records: the same numbers, bitwise.
-    for n in (5, 6):
+    for n, k in ((5, 2), (6, 2), (6, 3)):
         records = random_records(n, 2000, seed=44 + n)
 
         def stream():
             return iter([records[:700], records[700:1999], records[1999:]])
 
-        a, c = estimate_eigenvalues(records, n, 2), estimate_eigenvalues(stream(), n, 2)
+        a, c = estimate_eigenvalues(records, n, k), estimate_eigenvalues(stream(), n, k)
         assert a.values == c.values and c.n_records == 2000
-        a, c = estimate_transfer_matrix(records, n, 2), estimate_transfer_matrix(stream(), n, 2)
+        a, c = estimate_transfer_matrix(records, n, k), estimate_transfer_matrix(stream(), n, k)
         assert a.matrix[1, 1] == brute_entry(records, a.basis[1], a.basis[1])
+        assert a.matrix[1, -1] == brute_entry(records, a.basis[1], a.basis[-1])
         np.testing.assert_array_equal(a.matrix, c.matrix)
 
 

@@ -126,7 +126,7 @@ def test_block_solver_flags_singular_block():
     mat = np.array([[1.0, 0.5, 0.5], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 1e-9]])
     blocks = [slice(0, 1), slice(1, 3)]
     with pytest.raises(IllConditionedError) as err:
-        solve_upper_block_triangular(mat, blocks, np.ones(3), block_weights=[0, 1])
+        solve_upper_block_triangular(mat, blocks, np.ones(3))
     assert err.value.block_weight == 1
     assert err.value.condition > err.value.threshold
 

@@ -418,6 +418,27 @@ def test_a_process_that_abandons_a_stream_exits():
     assert done.returncode == 0, done.stderr
 
 
+def test_no_executor_module_is_imported_until_a_helper_samples():
+    # concurrent.futures imports logging; a process that samples no helper
+    # block, such as one on a single CPU, should not pay for either.
+    script = (
+        "import sys\n"
+        "import paulishadow.cli\n"
+        "from paulishadow import shadows\n"
+        "from paulishadow.channels import reference_product_channel\n"
+        "lazy = {'concurrent.futures', 'logging'}\n"
+        "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
+        "shadows._helper_count = lambda: 0\n"
+        "shadows.sample_channel_shadows(reference_product_channel(), 300, 1, 64)\n"
+        "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
+    )
+    src = os.path.dirname(os.path.dirname(shadows.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+
+
 def test_sampler_exception_on_a_helper_reaches_the_consumer(monkeypatch):
     monkeypatch.setattr(shadows, "_helper_count", lambda: 1)
 
