@@ -11,7 +11,8 @@ chaining (S^dagger X S = -Y), but eigenvalue lookups use the unsigned string:
 the two sign occurrences cancel in the identity being exploited.  So the
 mitigation chain drops the signs: it runs on a (qubits, terms) array of
 letter codes, through code tables derived from the signed tables, and looks
-up each gate kind's eigenvalues in one array indexed by the local string.
+up each gate kind's eigenvalues in one array indexed by the local string,
+built by the division rule that ``recovery`` applies to a diagonal divide.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from .channels import (
     exact_diagonal,
 )
 from .observables import Observable
-from .paulis import LETTERS, PauliString, iter_all_paulis, letter_codes, pauli_from_index
+from .paulis import LETTERS, PauliString, iter_all_paulis, letter_codes
 from .recovery import (
     DEFAULT_EIGENVALUE_FLOOR,
     BackwardObservable,
     RecoveryFloorError,
+    _divisors,
 )
 
 GATE_ARITY = {"H": 1, "S": 1, "CNOT": 2}
@@ -148,9 +150,12 @@ class CliffordCircuit:
         for kind, sub in (cfg.get("noise") or {}).items():
             if kind not in GATE_ARITY:
                 raise ConfigError(f"noise for unknown gate kind {kind!r}")
-            channel = channel_from_config(sub)
+            try:
+                channel = channel_from_config(sub)
+            except ConfigError as exc:
+                raise ConfigError(f"noise for {kind}: {exc}") from None
             if not isinstance(channel, PauliChannel):
-                raise ConfigError(f"gate noise must be a Pauli channel, got {sub.get('kind')}")
+                raise ConfigError(f"noise for {kind}: must be a Pauli channel, got {sub.get('kind')}")
             noise[kind] = channel
         try:
             return cls(n, tuple(gates), noise)
@@ -221,49 +226,6 @@ _CONJUGATION_CODES = {
 }
 
 
-class _LayerTable(NamedTuple):
-    """One gate kind's noise-layer lookups, by local index (0 is the identity)."""
-
-    kind: str
-    estimate: np.ndarray   # the estimate as given; 1 for the identity
-    clamped: np.ndarray    # the estimate clamped into [-1, 1]
-    magnitude: np.ndarray  # |clamped|; inf at the identity, which is not used
-    missing: np.ndarray    # no estimate for this string
-    failing: np.ndarray    # missing, or used and below the floor
-
-    def error(self, index: int, floor: float) -> Exception:
-        local = pauli_from_index(gate_arity(self.kind), index)
-        if self.missing[index]:
-            return KeyError(f"no eigenvalue estimate for {self.kind} noise on {local}")
-        return RecoveryFloorError(local, float(self.clamped[index]), floor)
-
-    def warning(self, index: int) -> str:
-        local = pauli_from_index(gate_arity(self.kind), index)
-        return f"clamped estimate {self.estimate[index]:.6g} for {self.kind} noise on {local}"
-
-
-def _layer_table(
-    estimates: Mapping[str, Mapping[PauliString, float]], kind: str, floor: float
-) -> _LayerTable:
-    """Every local string's lookup for one gate kind.  A kind without a table
-    has no recorded noise (every eigenvalue 1); a string missing from a table
-    fails only where the chain reaches it."""
-    arity = gate_arity(kind)
-    estimate = np.ones(4**arity)
-    missing = np.zeros(4**arity, dtype=bool)
-    table = estimates.get(kind)
-    if table is not None:
-        for index in range(1, 4**arity):
-            try:
-                estimate[index] = float(table[pauli_from_index(arity, index)])
-            except KeyError:
-                missing[index] = True
-    clamped = np.array([max(-1.0, min(1.0, raw)) for raw in estimate.tolist()])
-    magnitude = np.abs(clamped)
-    magnitude[0] = np.inf
-    return _LayerTable(kind, estimate, clamped, magnitude, missing, missing | (magnitude < floor))
-
-
 def mitigation_coefficients(
     circuit: CliffordCircuit,
     gate_estimates: Mapping[str, Mapping[PauliString, float]],
@@ -276,12 +238,13 @@ def mitigation_coefficients(
     gate to the first, of that layer's eigenvalue at the backward-conjugated
     Pauli (restricted to the gate's qubits, unsigned).  The chain runs for
     all terms at once on a (qubits, terms) array of letter codes: each gate
-    reads its local index from its qubits' rows, looks up its layer's
-    eigenvalue there, and writes back the conjugated letters.  Every term
-    multiplies its eigenvalues in its own chain order, so the coefficients
-    are the floats a term-by-term chain gives; clamp warnings are listed,
-    and the first failure (a missing estimate or one below the floor) is
-    raised, in (term, gate from the last) order.
+    reads its local index from its qubits' rows and writes back the
+    conjugated letters.  The (steps, terms) eigenvalues are then gathered
+    from each kind's table under ``recovery``'s division rule; a kind without
+    a table has no recorded noise, and a string missing from a table fails
+    only where the chain reaches it.  The coefficients are the floats a
+    term-by-term chain gives; clamp warnings are listed, and the first
+    failure is raised, in (term, gate from the last) order.
     """
     if observable.n != circuit.n:
         raise ValueError(
@@ -290,37 +253,44 @@ def mitigation_coefficients(
     terms = observable.terms()
     strings = list(terms)
     codes = letter_codes(strings, circuit.n).T.astype(np.intp, order="C")  # (n, terms)
-    layers = {kind: _layer_table(gate_estimates, kind, floor) for kind in {g.kind for g in circuit.gates}}
-    denominator = np.ones(len(strings))
-    smallest = np.full(len(strings), np.inf)
-    failures: list[tuple[int, int, _LayerTable, int]] = []  # (term, step, layer, local index)
-    clamps: list[tuple[int, int, str]] = []  # (term, step, warning)
+    # Every kind's local strings in one table, a kind's from its offset on;
+    # entry 0 stands for every identity: it divides by 1 and never fails.
+    offset, local_strings = {}, [("", PauliString.identity(1))]
+    parts = [(np.ones(1), np.ones(1), np.zeros(1, dtype=bool), np.zeros(1, dtype=bool))]
+    for kind in sorted({g.kind for g in circuit.gates}):
+        offset[kind] = len(local_strings)
+        local = list(iter_all_paulis(gate_arity(kind)))
+        local_strings += [(kind, q) for q in local]
+        table = gate_estimates.get(kind)
+        parts.append(_divisors(dict.fromkeys(local, 1.0) if table is None else table, local, floor))
+    raw, clamped, moved, failing = (np.concatenate(arrays) for arrays in zip(*parts))
+    lookups = np.empty((circuit.depth, len(strings)), dtype=np.intp)
     for step, gate in enumerate(reversed(circuit.gates)):
-        layer = layers[gate.kind]
         local = codes[gate.qubits[0]]
         for q in gate.qubits[1:]:
             local = 4 * local + codes[q]
-        clamped = layer.clamped.take(local)
-        denominator *= clamped
-        np.minimum(smallest, layer.magnitude.take(local), out=smallest)
-        for term in np.flatnonzero(layer.failing.take(local)):
-            failures.append((term, step, layer, local[term]))
-        for term in np.flatnonzero(clamped != layer.estimate.take(local)):
-            clamps.append((term, step, layer.warning(local[term])))
+        lookups[step] = np.where(local == 0, 0, offset[gate.kind] + local)
         conjugated = _CONJUGATION_CODES[gate.kind].take(local, axis=1)
         for q, letters in zip(gate.qubits, conjugated):
             codes[q] = letters
-    if failures:
-        _term, _step, layer, index = min(failures, key=lambda f: f[:2])
-        raise layer.error(index, floor)
-    coefficients = np.array(list(terms.values())) / denominator
-    min_used = float(smallest.min(initial=np.inf))
+    failed = lookups.T[failing[lookups].T]  # in (term, step) order, as the warnings
+    if failed.size:
+        kind, local = local_strings[failed[0]]
+        if local not in gate_estimates[kind]:
+            raise KeyError(f"no eigenvalue estimate for {kind} noise on {local}")
+        raise RecoveryFloorError(local, float(clamped[failed[0]]), floor)
+    divisors = clamped[lookups]
+    coefficients = np.array(list(terms.values())) / np.multiply.reduce(divisors, axis=0)
+    magnitudes = np.abs(divisors[lookups != 0])
     return BackwardObservable(
         circuit.n,
         dict(zip(strings, coefficients.tolist())),
         provenance="clifford-chain",
-        min_abs_eigenvalue=min_used if min_used != np.inf else None,
-        warnings=[message for *_, message in sorted(clamps)],
+        min_abs_eigenvalue=float(magnitudes.min()) if magnitudes.size else None,
+        warnings=[
+            "clamped estimate {:.6g} for {} noise on {}".format(raw[index], *local_strings[index])
+            for index in lookups.T[moved[lookups].T]
+        ],
     )
 
 

@@ -5,10 +5,21 @@ coefficient divides by its eigenvalue estimate.  For a general
 weight-contracting channel the coefficients solve ``M alpha_bar = alpha``
 restricted to the weight <= k block, by back-substitution over weight blocks
 from the heaviest down.
+
+One division rule (``_divisors``) serves this diagonal divide and the
+Clifford chain in ``clifford``: an estimate is clamped into [-1, 1], with a
+warning; one that is not a number or below the floor after the clamp raises
+:class:`RecoveryFloorError`, and a missing one ``KeyError``.  The block solve
+raises :class:`IllConditionedError` instead when a diagonal block's 1-norm
+condition estimate is past ``DEFAULT_CONDITION_THRESHOLD`` or not a number.
+A 1x1 block's 1-norm condition is always 1, so on the diagonal only a floor
+sees a small eigenvalue; a larger block's near-singularity shows in its
+condition estimate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -27,16 +38,17 @@ class RecoveryError(Exception):
 
 
 class RecoveryFloorError(RecoveryError):
-    """An eigenvalue estimate fell below the inversion floor."""
+    """An eigenvalue estimate fell below the inversion floor or is not a number."""
 
     def __init__(self, pauli: PauliString, estimate: float, floor: float):
         self.pauli = pauli
         self.estimate = estimate
         self.floor = floor
-        super().__init__(
-            f"|eigenvalue estimate| {abs(estimate):.3g} for {pauli} is below "
-            f"the floor {floor:g}; the direction is unrecoverable at this noise level"
+        problem = (
+            f"eigenvalue estimate for {pauli} is not a number" if math.isnan(estimate) else
+            f"|eigenvalue estimate| {abs(estimate):.3g} for {pauli} is below the floor {floor:g}"
         )
+        super().__init__(f"{problem}; the direction is unrecoverable at this noise level")
 
 
 class IllConditionedError(RecoveryError):
@@ -46,9 +58,10 @@ class IllConditionedError(RecoveryError):
         self.block_weight = block_weight
         self.condition = condition
         self.threshold = threshold
+        bound = "" if math.isnan(condition) else f" > {threshold:g}"
         super().__init__(
             f"weight-{block_weight} diagonal block has condition estimate "
-            f"{condition:.3g} > {threshold:g}; the block is unrecoverable"
+            f"{condition:.3g}{bound}; the block is unrecoverable"
         )
 
 
@@ -73,8 +86,15 @@ class BackwardObservable:
         return Observable(self.n, self.terms)
 
 
-def _clamped(value: float) -> float:
-    return max(-1.0, min(1.0, value))
+def _divisors(
+    estimates: Mapping[PauliString, float], strings: Sequence[PauliString], floor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The division rule as arrays over ``strings``: the estimates as given
+    (NaN where missing), clamped into [-1, 1], where the clamp moved one, and
+    where one fails (missing, not a number, or below ``floor`` once clamped)."""
+    raw = np.array([estimates[p] if p in estimates else np.nan for p in strings], dtype=float)
+    clamped = np.clip(raw, -1.0, 1.0)
+    return raw, clamped, np.abs(raw) > 1.0, ~(np.abs(clamped) >= floor)
 
 
 def backward_observable(
@@ -84,34 +104,25 @@ def backward_observable(
 ) -> BackwardObservable:
     """Divide each coefficient by its (clamped) eigenvalue estimate.
 
-    Estimates are clamped into [-1, 1] before dividing; a magnitude below
-    ``floor`` raises :class:`RecoveryFloorError`.  The identity term divides
-    by exactly 1.
+    The identity term divides by exactly 1; every other term follows the
+    division rule, and the first failing term, in term order, raises.
     """
-    terms: dict[PauliString, float] = {}
-    min_used: float | None = None
-    warnings: list[str] = []
-    for p, alpha in observable.terms().items():
-        if p.is_identity:
-            terms[p] = alpha
-            continue
-        try:
-            raw = estimates[p]
-        except KeyError:
-            raise KeyError(f"no eigenvalue estimate for {p}") from None
-        lam = _clamped(float(raw))
-        if lam != raw:
-            warnings.append(f"clamped estimate {raw:.6g} for {p} into [-1, 1]")
-        if abs(lam) < floor:
-            raise RecoveryFloorError(p, lam, floor)
-        terms[p] = alpha / lam
-        min_used = abs(lam) if min_used is None else min(min_used, abs(lam))
+    terms = observable.terms()
+    strings = [p for p in terms if not p.is_identity]
+    raw, clamped, moved, failing = _divisors(estimates, strings, floor)
+    if failing.any():
+        i = int(np.argmax(failing))
+        if strings[i] not in estimates:
+            raise KeyError(f"no eigenvalue estimate for {strings[i]}")
+        raise RecoveryFloorError(strings[i], float(clamped[i]), floor)
+    divided = dict(zip(strings, (np.array([terms[p] for p in strings]) / clamped).tolist()))
     return BackwardObservable(
         observable.n,
-        terms,
+        {p: divided.get(p, alpha) for p, alpha in terms.items()},
         provenance="diagonal",
-        min_abs_eigenvalue=min_used,
-        warnings=warnings,
+        min_abs_eigenvalue=float(np.abs(clamped).min()) if strings else None,
+        warnings=[f"clamped estimate {raw[i]:.6g} for {strings[i]} into [-1, 1]"
+                  for i in np.flatnonzero(moved)],
     )
 
 
@@ -119,13 +130,14 @@ def solve_upper_block_triangular(
     matrix: np.ndarray,
     blocks: Sequence[slice],
     rhs: np.ndarray,
-    condition_threshold: float = DEFAULT_CONDITION_THRESHOLD,
 ) -> tuple[np.ndarray, float]:
     """Back-substitute over diagonal blocks (block w: weight w), heaviest first.
 
     Returns the solution and the largest 1-norm condition estimate among the
-    diagonal blocks.  Entries of ``matrix`` below the block diagonal are
-    ignored (assumed zero).
+    diagonal blocks.  A block that is singular, whose condition estimate
+    exceeds ``DEFAULT_CONDITION_THRESHOLD`` or is not a number raises
+    :class:`IllConditionedError`.  Entries of ``matrix`` below the block
+    diagonal are ignored (assumed zero).
     """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -137,13 +149,13 @@ def solve_upper_block_triangular(
         try:
             inverse = np.linalg.inv(diag)
         except np.linalg.LinAlgError:
-            raise IllConditionedError(weight, float("inf"), condition_threshold) from None
+            raise IllConditionedError(weight, float("inf"), DEFAULT_CONDITION_THRESHOLD) from None
         condition = float(
             np.linalg.norm(diag, 1) * np.linalg.norm(inverse, 1)
         )
+        if not condition <= DEFAULT_CONDITION_THRESHOLD:
+            raise IllConditionedError(weight, condition, DEFAULT_CONDITION_THRESHOLD)
         worst_condition = max(worst_condition, condition)
-        if condition > condition_threshold:
-            raise IllConditionedError(weight, condition, condition_threshold)
         x[sl] = inverse @ residual
     return x, worst_condition
 
@@ -151,7 +163,6 @@ def solve_upper_block_triangular(
 def backward_observable_general(
     observable: Observable,
     transfer: TransferMatrix,
-    condition_threshold: float = DEFAULT_CONDITION_THRESHOLD,
 ) -> BackwardObservable:
     """Solve M alpha_bar = alpha on the weight <= k basis, blockwise.
 
@@ -166,9 +177,7 @@ def backward_observable_general(
     for p, alpha in observable.terms().items():
         rhs[transfer.index(p)] = alpha  # raises KeyError past weight k
     slices = [sl for _, sl in transfer.block_slices()]
-    solution, condition = solve_upper_block_triangular(
-        transfer.matrix, slices, rhs, condition_threshold
-    )
+    solution, condition = solve_upper_block_triangular(transfer.matrix, slices, rhs)
     terms = {
         p: float(solution[i])
         for i, p in enumerate(transfer.basis)

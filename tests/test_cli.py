@@ -602,11 +602,14 @@ def test_bad_input_exits_one_before_any_draw(case, circuit_path, damping_channel
 
 NAN_NOISE = {"pI": math.nan, "pX": 0.04, "pY": 0.03, "pZ": 0.03}
 NAN_PTM = [1, 0, 0, 0, 0, math.nan, 0, 0, 0, 0, 0.9, 0, 0.1, 0, 0, 0.9]
+DAMPING_PTM = [1, 0, 0, 0, 0, 0.9 ** 0.5, 0, 0, 0, 0, 0.9 ** 0.5, 0, 0.1, 0, 0, 0.9]
 # Input files, by name, and the commands that read them.
 UNREADABLE_INPUTS = {
     "files": {
         "nan-circuit.json": {"n": 2, "gates": [{"g": "H", "q": [0]}],
                              "noise": {"H": {"kind": "pauli-product", "qubits": [NAN_NOISE]}}},
+        "ptm-circuit.json": {"n": 2, "gates": [{"g": "CNOT", "q": [0, 1]}],
+                             "noise": {"CNOT": {"kind": "ptm-product", "qubits": [DAMPING_PTM] * 2}}},
         "nan-pauli.json": {"kind": "pauli-product", "qubits": [NAN_NOISE] * 2},
         "nan-sparse.json": {"kind": "pauli-sparse", "n": 2, "terms": [["II", math.nan]]},
         "nan-ptm.json": {"kind": "ptm-product", "qubits": [NAN_PTM] * 2},
@@ -620,6 +623,7 @@ UNREADABLE_INPUTS = {
         "mitigate-nan-noise": "mitigate --circuit nan-circuit.json --observable heisenberg",
         "mitigate-exact-nan-noise":
             "mitigate --circuit nan-circuit.json --observable heisenberg --exact-eigenvalues",
+        "mitigate-ptm-noise": "mitigate --circuit ptm-circuit.json --observable heisenberg",
         "learn-nan-pauli-product": "learn --channel nan-pauli.json",
         "learn-nan-pauli-sparse": "learn --channel nan-sparse.json",
         "learn-nan-ptm-product": "learn --channel nan-ptm.json",
@@ -631,6 +635,12 @@ UNREADABLE_INPUTS = {
         "recover-comments-only": "recover --channel reference --observable comments.txt",
         "recover-directory": "recover --channel reference --observable .",
         "recover-heisenberg-one-qubit": "recover --channel reference --observable heisenberg --n 1",
+    },
+    # What the one stderr line must say, where a case pins it.
+    "messages": {
+        "mitigate-nan-noise": "noise for H: non-finite probability nan",
+        "mitigate-exact-nan-noise": "noise for H: non-finite probability nan",
+        "mitigate-ptm-noise": "noise for CNOT: must be a Pauli channel, got ptm-product",
     },
 }
 
@@ -647,6 +657,7 @@ def test_non_finite_or_malformed_input_is_a_configuration_error(case, tmp_path, 
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("configuration error: ")
+    assert UNREADABLE_INPUTS["messages"].get(case, "") in captured.err
 
 
 # Children's peak resident set allowed for a report command at 16 qubits.
@@ -761,3 +772,18 @@ def test_python_dash_m_runs_the_cli():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert bad.returncode == 1
+
+
+def test_readme_quick_start_runs():
+    """The README's one Python block runs, and its recovered and ideal values
+    agree."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", blocks[0].split("```")[0]], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    recovered, ideal = map(float, done.stdout.split())
+    assert abs(recovered - ideal) < 0.05

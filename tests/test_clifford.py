@@ -21,7 +21,12 @@ from paulishadow.clifford import (
 )
 from paulishadow.observables import Observable
 from paulishadow.paulis import PauliString, iter_all_paulis, pauli_from_index
-from paulishadow.recovery import DEFAULT_EIGENVALUE_FLOOR, RecoveryFloorError
+from paulishadow.recovery import (
+    DEFAULT_EIGENVALUE_FLOOR,
+    RecoveryError,
+    RecoveryFloorError,
+    backward_observable,
+)
 
 
 def P(label):
@@ -406,3 +411,44 @@ def test_partial_table_fails_only_where_the_chain_reaches_it():
         mitigation_coefficients(circuit, {"H": {P("Z"): 0.5}}, Observable(1, {P("X"): 1.0}))
     with pytest.raises(KeyError):
         mitigation_coefficients(circuit, {"H": {}}, Observable(1, {P("X"): 1.0}))
+
+
+# -- one division rule for the diagonal divide and the chain ---------------------
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("estimate", [
+    0.5, -0.7, 1.25, -1.25, np.inf, -np.inf, DEFAULT_EIGENVALUE_FLOOR,
+    DEFAULT_EIGENVALUE_FLOOR / 2, np.nan, MISSING,
+])
+def test_divide_and_chain_share_one_division_rule(estimate):
+    """Z through one S gate stays Z (S^dagger Z S = Z), so the chain divides by
+    the same estimate the diagonal divide does, and must treat it alike."""
+    obs = Observable(1, {P("Z"): 0.37})
+    z_table = {} if estimate is MISSING else {P("Z"): estimate}
+    circuit = CliffordCircuit(1, (Gate("S", (0,)),))
+    routes = [
+        lambda: backward_observable(obs, z_table),
+        lambda: mitigation_coefficients(circuit, {"S": {P("X"): 0.9, P("Y"): 0.9, **z_table}}, obs),
+    ]
+    results = []
+    for route in routes:
+        try:
+            back = route()
+        except (RecoveryError, KeyError) as err:
+            results.append(type(err))
+        else:
+            results.append((back.terms[P("Z")].hex(), len(back.warnings), back.min_abs_eigenvalue))
+    assert results[0] == results[1]
+
+
+def test_chain_nan_estimate_raises_and_names_the_string():
+    circuit = CliffordCircuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
+    estimates = {"H": {P("X"): 0.9, P("Y"): 0.9, P("Z"): 0.9},
+                 "CNOT": {p: 0.9 for p in iter_all_paulis(2) if not p.is_identity}}
+    estimates["CNOT"][P("ZZ")] = float("nan")
+    obs = Observable(2, {P("ZZ"): 1.0})  # the last gate's noise reads ZZ itself
+    with pytest.raises(RecoveryError, match="ZZ is not a number"):
+        mitigation_coefficients(circuit, estimates, obs)

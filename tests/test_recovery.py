@@ -73,6 +73,13 @@ def test_backward_missing_estimate_raises():
         backward_observable(obs, {P("X"): 0.9})
 
 
+def test_backward_nan_estimate_raises_and_names_the_string():
+    obs = Observable(2, {P("ZI"): 0.6, P("XZ"): -0.3})
+    with pytest.raises(RecoveryError, match="XZ is not a number") as err:
+        backward_observable(obs, {P("ZI"): 0.5, P("XZ"): float("nan")})
+    assert err.value.pauli == P("XZ")
+
+
 def test_backward_coefficient_respects_sign():
     back = backward_observable(Observable(1, {P("Z"): 0.4}), {P("Z"): 0.8})
     assert back.coefficient(P("Z")) == pytest.approx(0.5)
@@ -129,6 +136,15 @@ def test_block_solver_flags_singular_block():
         solve_upper_block_triangular(mat, blocks, np.ones(3))
     assert err.value.block_weight == 1
     assert err.value.condition > err.value.threshold
+
+
+def test_block_solver_flags_nan_block():
+    mat = np.array([[1.0, 0.5, 0.5], [0.0, 1.0, 0.2], [0.0, 0.1, np.nan]])
+    blocks = [slice(0, 1), slice(1, 3)]
+    with pytest.raises(RecoveryError, match="weight-1 diagonal block") as err:
+        solve_upper_block_triangular(mat, blocks, np.ones(3))
+    assert isinstance(err.value, IllConditionedError)
+    assert err.value.block_weight == 1 and np.isnan(err.value.condition)
 
 
 # -- general route -------------------------------------------------------------
