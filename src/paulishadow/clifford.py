@@ -6,20 +6,23 @@ Conjugating an observable's Pauli terms backward through the gates turns the
 noisy expectation into a product of per-layer eigenvalues times the ideal
 expectation; dividing the coefficients by that product undoes the noise.
 
-Conjugation is by U^dagger P U with fixed signed tables.  Signs matter while
+Conjugation U^dagger P U is one fixed signed table per gate kind,
+``CONJUGATION_TABLES``: the image of every local string, in ``pauli_index``
+order.  ``GATE_ARITY``, ``conjugate_pauli`` (one lookup of the gate qubits'
+local index), the mitigation chain's letter-code table and
+``shadows.estimate_gate_eigenvalues`` all read it.  Signs matter while
 chaining (S^dagger X S = -Y), but eigenvalue lookups use the unsigned string:
 the two sign occurrences cancel in the identity being exploited.  So the
 mitigation chain drops the signs: it runs on a (qubits, terms) array of
-letter codes, through code tables derived from the signed tables, and looks
-up each gate kind's eigenvalues in one array indexed by the local string,
-built by the division rule that ``recovery`` applies to a diagonal divide.
+letter codes through the table's image codes, and looks up each gate kind's
+eigenvalues in one array indexed by the local string, built by the division
+rule that ``recovery`` applies to a diagonal divide.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -32,7 +35,7 @@ from .channels import (
     exact_diagonal,
 )
 from .observables import Observable
-from .paulis import LETTERS, PauliString, iter_all_paulis, letter_codes
+from .paulis import PauliString, iter_all_paulis, letter_codes, pauli_index
 from .recovery import (
     DEFAULT_EIGENVALUE_FLOOR,
     BackwardObservable,
@@ -40,29 +43,22 @@ from .recovery import (
     _divisors,
 )
 
-GATE_ARITY = {"H": 1, "S": 1, "CNOT": 2}
-
-# U^dagger P U tables.  Single-qubit entries map letter -> (letter, sign);
-# the CNOT table maps (control letter, target letter) -> (.., .., sign).
-H_CONJUGATION = {"I": ("I", 1), "X": ("Z", 1), "Y": ("Y", -1), "Z": ("X", 1)}
-S_CONJUGATION = {"I": ("I", 1), "X": ("Y", -1), "Y": ("X", 1), "Z": ("Z", 1)}
-CNOT_CONJUGATION = {
-    ("I", "I"): ("I", "I", 1),
-    ("X", "I"): ("X", "X", 1),
-    ("Y", "I"): ("Y", "X", 1),
-    ("Z", "I"): ("Z", "I", 1),
-    ("I", "X"): ("I", "X", 1),
-    ("I", "Y"): ("Z", "Y", 1),
-    ("I", "Z"): ("Z", "Z", 1),
-    ("X", "X"): ("X", "I", 1),
-    ("X", "Y"): ("Y", "Z", 1),
-    ("X", "Z"): ("Y", "Y", -1),
-    ("Y", "X"): ("Y", "I", 1),
-    ("Y", "Y"): ("X", "Z", -1),
-    ("Y", "Z"): ("X", "Y", 1),
-    ("Z", "X"): ("Z", "X", 1),
-    ("Z", "Y"): ("I", "Y", 1),
-    ("Z", "Z"): ("I", "Z", 1),
+# U^dagger P U of every local string P of a gate kind, in ``pauli_index``
+# order (first gate qubit most significant), as signed strings.
+CONJUGATION_TABLES = {
+    kind: tuple(map(PauliString.from_label, labels))
+    for kind, labels in {
+        "H": ("I", "Z", "-Y", "X"),
+        "S": ("I", "-Y", "X", "Z"),
+        "CNOT": ("II", "IX", "ZY", "ZZ", "XX", "XI", "YZ", "-YY",
+                 "YX", "YI", "-XZ", "XY", "ZI", "ZX", "IY", "IZ"),
+    }.items()
+}
+GATE_ARITY = {kind: images[0].n for kind, images in CONJUGATION_TABLES.items()}
+# The chain's view of the tables: (g, 4^g) letter codes of the unsigned images.
+_IMAGE_CODES = {
+    kind: letter_codes(images, GATE_ARITY[kind]).T.astype(np.intp)
+    for kind, images in CONJUGATION_TABLES.items()
 }
 
 
@@ -83,20 +79,9 @@ def conjugate_pauli(kind: str, qubits: Sequence[int], p: PauliString) -> PauliSt
     qubits = tuple(qubits)
     if len(qubits) != gate_arity(kind):
         raise ValueError(f"{kind} acts on {gate_arity(kind)} qubits, got {qubits}")
-    letters = {j: p.letter(j) for j in range(p.n)}
-    sign = p.sign
-    if kind in ("H", "S"):
-        table = H_CONJUGATION if kind == "H" else S_CONJUGATION
-        new_letter, s = table[letters[qubits[0]]]
-        letters[qubits[0]] = new_letter
-        sign *= s
-    else:
-        control, target = qubits
-        new_c, new_t, s = CNOT_CONJUGATION[(letters[control], letters[target])]
-        letters[control], letters[target] = new_c, new_t
-        sign *= s
-    sparse = {j: ch for j, ch in letters.items() if ch != "I"}
-    return PauliString.from_letters(p.n, sparse, sign)
+    image = CONJUGATION_TABLES[kind][pauli_index(p.restrict(qubits))].embed(p.n, qubits)
+    kept = ~sum(1 << q for q in qubits)
+    return PauliString(p.n, p.x & kept | image.x, p.z & kept | image.z, p.sign * image.sign)
 
 
 @dataclass
@@ -207,25 +192,6 @@ def conjugate_through_circuit(
     return chain
 
 
-def _conjugation_codes(table: Mapping) -> np.ndarray:
-    """A signed conjugation table as (g, 4^g) letter codes: column ``i`` holds
-    the letters of the unsigned U^dagger P U for the local string of index
-    ``i``, first gate qubit most significant (``pauli_index`` order)."""
-    arity = len(tuple(next(iter(table))))
-    out = np.zeros((arity, 4**arity), dtype=np.intp)
-    for before, (*after, _sign) in table.items():
-        index = reduce(lambda acc, letter: 4 * acc + LETTERS.index(letter), tuple(before), 0)
-        out[:, index] = [LETTERS.index(letter) for letter in after]
-    return out
-
-
-_CONJUGATION_CODES = {
-    "H": _conjugation_codes(H_CONJUGATION),
-    "S": _conjugation_codes(S_CONJUGATION),
-    "CNOT": _conjugation_codes(CNOT_CONJUGATION),
-}
-
-
 def mitigation_coefficients(
     circuit: CliffordCircuit,
     gate_estimates: Mapping[str, Mapping[PauliString, float]],
@@ -270,7 +236,7 @@ def mitigation_coefficients(
         for q in gate.qubits[1:]:
             local = 4 * local + codes[q]
         lookups[step] = np.where(local == 0, 0, offset[gate.kind] + local)
-        conjugated = _CONJUGATION_CODES[gate.kind].take(local, axis=1)
+        conjugated = _IMAGE_CODES[gate.kind].take(local, axis=1)
         for q, letters in zip(gate.qubits, conjugated):
             codes[q] = letters
     failed = lookups.T[failing[lookups].T]  # in (term, step) order, as the warnings
@@ -300,10 +266,8 @@ def exact_gate_estimates(
     """Oracle per-kind eigenvalue tables from the circuit's noise channels."""
     out: dict[str, dict[PauliString, float]] = {}
     for kind in sorted({g.kind for g in circuit.gates}):
-        channel = circuit.noise.get(kind)
         arity = gate_arity(kind)
-        if channel is None:
-            channel = PauliChannel.identity(arity)
+        channel = circuit.noise.get(kind) or PauliChannel.identity(arity)
         strings = list(iter_all_paulis(arity))
         out[kind] = dict(zip(strings, exact_diagonal(channel, strings).tolist()))
     return out

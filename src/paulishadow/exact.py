@@ -187,43 +187,37 @@ def _superop_from_ptm(ptm: np.ndarray) -> np.ndarray:
     return s
 
 
-def _apply_qubit_superop(op_tensor: np.ndarray, s: np.ndarray, j: int, n: int) -> np.ndarray:
-    out = np.tensordot(op_tensor, s, axes=[(j, n + j), (2, 3)])
-    return np.moveaxis(out, (2 * n - 2, 2 * n - 1), (j, n + j))
+def _apply_local_superop(tensor: np.ndarray, s: np.ndarray, qubits: Sequence[int], n: int):
+    """Apply a (2,)*4a superoperator S[r, c, r', c'] on ``qubits`` to a
+    (2,)*2n operator tensor (row qubits, then column qubits)."""
+    a = len(qubits)
+    axes = [*qubits, *(n + q for q in qubits)]
+    out = np.tensordot(tensor, s, axes=(axes, range(2 * a, 4 * a)))
+    return np.moveaxis(out, range(2 * n - 2 * a, 2 * n), axes)
 
 
 def apply_to_operator(channel, op: np.ndarray) -> np.ndarray:
     """Linear action of a channel on an arbitrary (not necessarily PSD) matrix."""
     op = np.asarray(op, dtype=np.complex128)
     n = int(round(math.log2(op.shape[0])))
+    if not isinstance(channel, (PauliChannel, ProductChannel, DenseChannel)):
+        raise TypeError(f"cannot apply {type(channel).__name__}")
+    if channel.n != n:
+        raise ValueError(f"channel acts on {channel.n} qubits, operator on {n}")
+    if isinstance(channel, PauliChannel) and channel.is_product:
+        channel = channel.to_product_channel()
+    if isinstance(channel, ProductChannel):
+        tensor = op.reshape((2,) * (2 * n))
+        for j in range(n):
+            tensor = _apply_local_superop(tensor, _superop_from_ptm(channel.ptm(j)), [j], n)
+        return tensor.reshape(op.shape)
     if isinstance(channel, PauliChannel):
-        if channel.n != n:
-            raise ValueError(f"channel acts on {channel.n} qubits, operator on {n}")
-        if channel.is_product:
-            eigs = channel.qubit_eigenvalues()
-            tensor = op.reshape((2,) * (2 * n))
-            for j in range(n):
-                s = _superop_from_ptm(np.diag(eigs[j]))
-                tensor = _apply_qubit_superop(tensor, s, j, n)
-            return tensor.reshape(op.shape)
         out = np.zeros_like(op)
         for q, prob in channel.sparse_terms().items():
             m = q.matrix()
             out += prob * (m @ op @ m)
         return out
-    if isinstance(channel, ProductChannel):
-        if channel.n != n:
-            raise ValueError(f"channel acts on {channel.n} qubits, operator on {n}")
-        tensor = op.reshape((2,) * (2 * n))
-        for j in range(n):
-            s = _superop_from_ptm(channel.ptm(j))
-            tensor = _apply_qubit_superop(tensor, s, j, n)
-        return tensor.reshape(op.shape)
-    if isinstance(channel, DenseChannel):
-        if channel.n != n:
-            raise ValueError(f"channel acts on {channel.n} qubits, operator on {n}")
-        return sum(k @ op @ k.conj().T for k in channel.kraus)
-    raise TypeError(f"cannot apply {type(channel).__name__}")
+    return sum(k @ op @ k.conj().T for k in channel.kraus)
 
 
 def apply_channel(channel, state: DenseState) -> DenseState:
@@ -344,13 +338,10 @@ def simulate_circuit(circuit, state: DenseState, noisy: bool) -> DenseState:
     superops: dict[str, np.ndarray] = {}
     rho = state.rho.reshape((2,) * (2 * n))
     for gate in circuit.gates:
-        a = len(gate.qubits)
         if gate.kind not in superops:
             noise = circuit.noise.get(gate.kind) if noisy else None
-            superops[gate.kind] = gate_superop(gate.kind, a, noise)
-        axes = [*gate.qubits, *(n + q for q in gate.qubits)]
-        rho = np.tensordot(rho, superops[gate.kind], axes=(axes, range(2 * a, 4 * a)))
-        rho = np.moveaxis(rho, range(2 * n - 2 * a, 2 * n), axes)
+            superops[gate.kind] = gate_superop(gate.kind, len(gate.qubits), noise)
+        rho = _apply_local_superop(rho, superops[gate.kind], gate.qubits, n)
     return DenseState(n, rho.reshape(2**n, 2**n))
 
 

@@ -11,7 +11,8 @@ Clifford chain in ``clifford``: an estimate is clamped into [-1, 1], with a
 warning; one that is not a number or below the floor after the clamp raises
 :class:`RecoveryFloorError`, and a missing one ``KeyError``.  The block solve
 raises :class:`IllConditionedError` instead when a diagonal block's 1-norm
-condition estimate is past ``DEFAULT_CONDITION_THRESHOLD`` or not a number.
+condition estimate is past ``DEFAULT_CONDITION_THRESHOLD`` or not a number,
+and :class:`RecoveryError` when a block's right-hand side is not finite.
 A 1x1 block's 1-norm condition is always 1, so on the diagonal only a floor
 sees a small eigenvalue; a larger block's near-singularity shows in its
 condition estimate.
@@ -136,8 +137,10 @@ def solve_upper_block_triangular(
     Returns the solution and the largest 1-norm condition estimate among the
     diagonal blocks.  A block that is singular, whose condition estimate
     exceeds ``DEFAULT_CONDITION_THRESHOLD`` or is not a number raises
-    :class:`IllConditionedError`.  Entries of ``matrix`` below the block
-    diagonal are ignored (assumed zero).
+    :class:`IllConditionedError`; a block whose right-hand side, once the
+    heavier blocks are substituted, is not finite (say, from a NaN above the
+    block diagonal) raises :class:`RecoveryError`.  Entries of ``matrix``
+    below the block diagonal are ignored (assumed zero).
     """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -155,6 +158,9 @@ def solve_upper_block_triangular(
         )
         if not condition <= DEFAULT_CONDITION_THRESHOLD:
             raise IllConditionedError(weight, condition, DEFAULT_CONDITION_THRESHOLD)
+        if not np.isfinite(residual).all():
+            raise RecoveryError(f"weight-{weight} block has a non-finite right-hand side; "
+                                "the block is unrecoverable")
         worst_condition = max(worst_condition, condition)
         x[sl] = inverse @ residual
     return x, worst_condition

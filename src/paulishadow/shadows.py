@@ -73,7 +73,7 @@ from .channels import (
     exact_diagonal,
     uniform_slices,
 )
-from .clifford import conjugate_pauli, gate_arity
+from .clifford import CONJUGATION_TABLES, gate_arity
 from .observables import locality_norm_constant
 from .paulis import (
     PAULI_MATRICES,
@@ -388,7 +388,7 @@ def _joint_cells(cells: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     return codes
 
 
-def _moment_table(hist: np.ndarray, w: int) -> np.ndarray:
+def _moment_table(hist: np.ndarray, w: int, bound: int) -> np.ndarray:
     """Contract a 36^w histogram of integers into its int64 16^w moment table.
 
     The table is contracted one leading cell at a time: each 36^(w-1) slab
@@ -400,11 +400,12 @@ def _moment_table(hist: np.ndarray, w: int) -> np.ndarray:
     no (36^(w-1), 16) intermediate (6 MB at w = 4).  A factor is at most 3 in
     magnitude, so every partial sum is an integer of magnitude at most
     3^w N, with N the histogram's total absolute count.  Below 2^53 that is
-    exact in float64 under any summation order; past it this raises.
+    exact in float64 under any summation order; past it this raises.  The
+    caller passes ``bound`` >= N from the counts it already has, so the
+    histogram is not scanned for it.
     """
-    total = float(hist.sum() if hist.min() >= 0 else np.abs(hist).sum())
-    if 3.0**w * total >= 2.0**53:
-        raise ValueError(f"3^{w} times a total count of {total:.6g} is past 2^53: "
+    if 3.0**w * bound >= 2.0**53:
+        raise ValueError(f"3^{w} times a total count of {bound:.6g} is past 2^53: "
                          "the moments would round")
     if w == 0:
         return hist.reshape(-1).astype(np.int64)
@@ -468,7 +469,7 @@ class ShadowCounts:
 
     def moments(self) -> np.ndarray:
         """The 16^n moment table of the current counts."""
-        return _moment_table(self.counts, self.n)
+        return _moment_table(self.counts, self.n, self.n_records)
 
 
 def _record_factors(cells: np.ndarray, qubits, digits) -> np.ndarray | None:
@@ -508,9 +509,10 @@ def _marginal_numerators(records: ShadowRecords, digits: np.ndarray) -> np.ndarr
         tail_qubits = np.flatnonzero(key[n:])
         weights = _record_factors(cells, head, key[head])
         w = len(tail_qubits)
-        # Integer weights keep the float histogram exact below 2^53.
+        # Integer weights keep the float histogram exact below 2^53; a head
+        # factor is at most 3 in magnitude, so 3^|head| N bounds its total.
         hist = np.bincount(_joint_cells(cells, tail_qubits), weights, minlength=36**w)
-        table = _moment_table(hist, w)
+        table = _moment_table(hist, w, 3 ** len(head) * len(records))
         numers[members] = table[_table_index(digits[members][:, tail_qubits])]
     return numers
 
@@ -734,16 +736,16 @@ def estimate_gate_eigenvalues(
 ) -> EigenvalueEstimates:
     """Noise eigenvalues of a gate from its shadow records.
 
-    The input-side Pauli is the backward conjugation U^dagger P U; its sign
-    multiplies the estimate, and the 3^|.| rescaling uses the conjugated
-    weight (the input side is what the random eigenstate sees).
+    The input-side Pauli is the backward conjugation U^dagger P U, read from
+    the kind's conjugation table; its sign multiplies the estimate, and the
+    3^|.| rescaling uses the conjugated weight (the input side is what the
+    random eigenstate sees).
     """
     g = gate_arity(kind)
     if records.n != g:
         raise ValueError(f"{kind} records must have n={g}, got {records.n}")
-    qubits = tuple(range(g))
-    strings = [p for p in iter_all_paulis(g) if not p.is_identity]
-    backs = [conjugate_pauli(kind, qubits, p) for p in strings]
+    strings = list(iter_all_paulis(g))[1:]  # table order, the identity dropped
+    backs = CONJUGATION_TABLES[kind][1:]
     digits = 4 * letter_codes(backs, g) + letter_codes(strings, g)
     total, numers = _numerators(records, g, digits)
     values = {

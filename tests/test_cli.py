@@ -362,6 +362,40 @@ def test_mitigate_is_byte_deterministic(circuit_path, tmp_path):
     assert set(json.loads(first)) >= {"value", "ideal", "terms", "min_abs_eigenvalue"}
 
 
+# SHA-256 of what a sampled mitigate report derives from the gate records: the
+# terms, min_abs_eigenvalue and warnings.  They are exact integer ratios and
+# element-wise products, so they do not depend on the BLAS in use; value and
+# ideal go through the statevector oracle and are left out.
+MITIGATE_DIGEST = "c58d2b2f41e118991162081158116197070a49494b77d5c057aeac16bd224141"
+
+
+@pytest.mark.parametrize("helpers", [0, 1, 3])
+def test_mitigate_report_digest_does_not_depend_on_the_helper_count(helpers, tmp_path,
+                                                                     monkeypatch):
+    monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
+    n, gates = 4, []
+    for _ in range(2):  # brickwork layers: H, CNOT on even bonds, S, CNOT on odd bonds
+        gates += [Gate("H", (q,)) for q in range(n)]
+        gates += [Gate("CNOT", (q, q + 1)) for q in range(0, n - 1, 2)]
+        gates += [Gate("S", (q,)) for q in range(n)]
+        gates += [Gate("CNOT", (q, q + 1)) for q in range(1, n - 1, 2)]
+    # Noise light enough that some estimates land past 1 and are clamped.
+    noise = {"H": PauliChannel.from_qubit_probs([(0.995, 0.002, 0.002, 0.001)]),
+             "S": PauliChannel.from_qubit_probs([(0.998, 0.001, 0.0005, 0.0005)]),
+             "CNOT": PauliChannel.from_qubit_probs([(0.99, 0.004, 0.003, 0.003),
+                                                    (0.998, 0.001, 0.0005, 0.0005)])}
+    CliffordCircuit(n, tuple(gates), noise).save(tmp_path / "brick.json")
+    # Five blocks per gate kind give the helpers work.
+    argv = ["mitigate", "--circuit", str(tmp_path / "brick.json"), "--observable", "heisenberg",
+            "--n", str(n), "--shadows", str(4 * shadows.DEFAULT_BLOCK_SIZE + 1), "--seed", "3",
+            "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    derived = [report[key] for key in ("terms", "min_abs_eigenvalue", "warnings")]
+    assert len(report["warnings"]) == 34
+    assert hashlib.sha256(json.dumps(derived).encode()).hexdigest() == MITIGATE_DIGEST
+
+
 def test_mitigate_bad_circuit_file_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -17,9 +17,7 @@ from paulishadow.channels import (
     reference_product_channel,
 )
 from paulishadow.clifford import (
-    CNOT_CONJUGATION,
-    H_CONJUGATION,
-    S_CONJUGATION,
+    CONJUGATION_TABLES,
     CliffordCircuit,
     Gate,
     exact_gate_estimates,
@@ -353,16 +351,15 @@ def test_batched_gather_matches_dense_traces(chunk, monkeypatch):
                                    np.einsum("pab,ba->p", mats, mixed.rho), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind, table", [("H", H_CONJUGATION), ("S", S_CONJUGATION),
-                                         ("CNOT", CNOT_CONJUGATION)])
+@pytest.mark.parametrize("kind, table", list(CONJUGATION_TABLES.items()))
 def test_heisenberg_tables_from_unitaries_equal_the_signed_conjugation_tables(kind, table):
-    arity = len(next(iter(table)))
+    arity = table[0].n
     letters, factors = exact._heisenberg_table(kind, arity, None)
     assert letters.shape == (arity, 4**arity)
-    for before, (*after, sign) in table.items():
-        index = pauli_index(PauliString.from_label("".join(before)))
-        assert "".join(LETTERS[c] for c in letters[:, index]) == "".join(after)
-        assert factors[index] == pytest.approx(sign, abs=1e-15)
+    for before, after in zip(iter_all_paulis(arity), table):
+        index = pauli_index(before)
+        assert "".join(LETTERS[c] for c in letters[:, index]) == after.unsigned().to_label()
+        assert factors[index] == pytest.approx(after.sign, abs=1e-15)
 
 
 def test_heisenberg_oracle_matches_dense_noisy_run():

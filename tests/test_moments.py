@@ -246,7 +246,7 @@ def test_moment_table_equals_int64_contraction(w):
     # Past the cap a histogram is weighted by head factors: signed, float.
     weighted = (rng.integers(-9, 10, 36**w) * rng.integers(0, 50, 36**w)).astype(np.float64)
     for hist in (counts, weighted, np.zeros(36**w, np.int64)):
-        got = shadows._moment_table(hist, w)
+        got = shadows._moment_table(hist, w, np.abs(hist).sum())
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, moment_table_int64(hist, w))
 
@@ -259,12 +259,35 @@ def test_moment_table_is_exact_up_to_the_bound_and_raises_past_it(w):
     cells = rng.choice(36**w, 5, replace=False)
     hist[cells[:4]] = rng.integers(1, 1000, 4)
     hist[cells[4]] = limit - hist.sum()
-    np.testing.assert_array_equal(shadows._moment_table(hist, w), moment_table_int64(hist, w))
+    table = shadows._moment_table(hist, w, np.abs(hist).sum())
+    np.testing.assert_array_equal(table, moment_table_int64(hist, w))
     hist[cells[4]] = -hist[cells[4]]  # the bound is on the absolute count
-    np.testing.assert_array_equal(shadows._moment_table(hist, w), moment_table_int64(hist, w))
+    table = shadows._moment_table(hist, w, np.abs(hist).sum())
+    np.testing.assert_array_equal(table, moment_table_int64(hist, w))
     hist[cells[0]] += np.sign(hist[cells[0]])
     with pytest.raises(ValueError, match="2\\^53"):
-        shadows._moment_table(hist, w)
+        shadows._moment_table(hist, w, np.abs(hist).sum())
+
+
+def test_past_the_cap_bound_covers_the_weighted_histogram(monkeypatch):
+    """The bound passed for each union support, 3^|head| N, is at least its
+    weighted histogram's total absolute count, the bound the guard needs."""
+    calls = []
+    moment_table = shadows._moment_table
+
+    def spy(hist, w, bound):
+        calls.append((w, bound, np.abs(hist).sum()))
+        return moment_table(hist, w, bound)
+
+    monkeypatch.setattr(shadows, "_moment_table", spy)
+    r = random_records(7, 300, 90)
+    # Every measurement along Z: a head digit (I, Z) has factor +-3 on every
+    # record, so supports with such heads reach the bound.
+    along_z = ShadowRecords(r.s_axis, r.s_sign, np.full_like(r.t_axis, 2), r.t_sign)
+    estimate_transfer_matrix(along_z, 7, 3)
+    assert {w for w, _, _ in calls} == {1, 2, 3, 4}
+    assert all(bound >= total for _, bound, total in calls)
+    assert any(bound == total > 300 for _, bound, total in calls)
 
 
 # -- the table after update and merge ------------------------------------------

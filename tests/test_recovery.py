@@ -147,6 +147,13 @@ def test_block_solver_flags_nan_block():
     assert err.value.block_weight == 1 and np.isnan(err.value.condition)
 
 
+def test_block_solver_flags_nan_above_the_diagonal():
+    mat = np.array([[1.0, np.nan, 0.5], [0.0, 1.0, 0.2], [0.0, 0.1, 1.0]])
+    blocks = [slice(0, 1), slice(1, 3)]
+    with pytest.raises(RecoveryError, match="weight-0 block has a non-finite right-hand side"):
+        solve_upper_block_triangular(mat, blocks, np.ones(3))
+
+
 # -- general route -------------------------------------------------------------
 
 
