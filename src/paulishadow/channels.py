@@ -438,16 +438,6 @@ def exact_diagonal(channel, strings: Sequence[PauliString]) -> np.ndarray:
     return out
 
 
-def is_weight_contracting(channel_or_transfer, k: int | None = None,
-                          tol: float = TRIANGULARITY_TOLERANCE) -> bool:
-    """Whether the adjoint action never raises Pauli weight (up to weight k)."""
-    if isinstance(channel_or_transfer, TransferMatrix):
-        return channel_or_transfer.is_upper_block_triangular(tol)
-    if k is None:
-        raise ValueError("k is required when passing a channel")
-    return exact_transfer_matrix(channel_or_transfer, k).is_upper_block_triangular(tol)
-
-
 # -- error-rate / eigenvalue transforms ----------------------------------------
 
 
@@ -460,14 +450,14 @@ def walsh_eigenvalues(probs: np.ndarray) -> np.ndarray:
     return _walsh_apply(np.asarray(probs, dtype=float), WALSH_KERNEL)
 
 
-def walsh_probabilities(eigenvalues: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def walsh_probabilities(eigenvalues: np.ndarray) -> np.ndarray:
     """Inverse of :func:`walsh_eigenvalues`; rejects non-channel spectra.
 
-    A result with a probability below ``-tol`` means the input vector is not
+    A result with a probability below -1e-10 means the input vector is not
     the spectrum of any Pauli channel.
     """
     probs = _walsh_apply(np.asarray(eigenvalues, dtype=float), WALSH_KERNEL / 4.0)
-    if probs.size and float(np.min(probs)) < -tol:
+    if probs.size and float(np.min(probs)) < -1e-10:
         raise ValueError(
             f"eigenvalue vector is not a Pauli-channel spectrum "
             f"(probability {float(np.min(probs)):g})"

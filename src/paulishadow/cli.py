@@ -46,6 +46,7 @@ from .recovery import (
     recovery_report,
 )
 from .shadows import (
+    EXPECTATION_BATCHES,
     EigenvalueEstimates,
     ShadowCounts,
     estimate_eigenvalues,
@@ -295,7 +296,6 @@ class Fig2Result:
 def run_fig2(
     channel: PauliChannel,
     observable: Observable,
-    k: int,
     sweep: Sequence[int],
     n_states: int,
     repeats: int,
@@ -309,7 +309,8 @@ def run_fig2(
 
     For each sweep point: learn eigenvalues from that many fresh shadows,
     recover tr(O sigma) for a batch of Haar-random states, and compare the
-    recovered mean absolute error to the uncorrected one.  The observable is
+    recovered mean absolute error to the uncorrected one.  The eigenvalues
+    are learned up to the observable's locality.  The observable is
     normalized to unit spectral norm first.  Noisy-state expectations come
     from the dense oracle unless ``estimated_expectations`` is set, in which
     case they are median-of-means shadow estimates.
@@ -325,12 +326,12 @@ def run_fig2(
     n = channel.n
     if observable.n != n:
         raise ConfigError(f"observable acts on {observable.n} qubits, channel on {n}")
-    _check_k(k, n, observable.locality)
+    k = observable.locality
     _check_qubits(n, exact.STATE_QUBIT_CAP)  # the dense spectral norm below
     if n_states < 1 or repeats < 1:
         raise ConfigError(f"need at least one state and one repeat, got {n_states} and {repeats}")
-    if estimated_expectations and expectation_shadows < 10:
-        raise ConfigError(f"expectation estimates take 10 batch means, "
+    if estimated_expectations and expectation_shadows < EXPECTATION_BATCHES:
+        raise ConfigError(f"expectation estimates take {EXPECTATION_BATCHES} batch means, "
                           f"got {expectation_shadows} shadows")
     norm = observable.spectral_norm()
     if norm == 0.0:
@@ -398,7 +399,6 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     result = run_fig2(
         channel,
         observable,
-        args.k,
         sweep,
         args.states,
         args.repeats,
@@ -412,7 +412,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
         f"# channel: {args.channel}",
         f"# observable: {args.observable}",
         f"# n: {channel.n}",
-        f"# k: {args.k}",
+        f"# k: {observable.locality}",
         f"# states: {args.states}",
         f"# repeats: {args.repeats}",
         f"# seed: {args.seed}",
@@ -522,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig2 = subs.add_parser("fig2", help="error-ratio sweep over shadow counts")
     fig2.add_argument("--channel", default="reference")
     _add_observable_options(fig2, default="heisenberg")
-    fig2.add_argument("--k", type=int, default=2)
     fig2.add_argument("--sweep", default=None,
                       help="comma-separated shadow counts (default 10000..200000)")
     fig2.add_argument("--states", type=int, default=500)

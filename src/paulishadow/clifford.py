@@ -112,10 +112,6 @@ class CliffordCircuit:
                     f"got {channel.n}"
                 )
 
-    @property
-    def depth(self) -> int:
-        return len(self.gates)
-
     # -- JSON --------------------------------------------------------------
 
     @classmethod
@@ -183,8 +179,8 @@ def conjugate_through_circuit(
     """
     if p.n != circuit.n:
         raise ValueError(f"{p} acts on {p.n} qubits, circuit on {circuit.n}")
-    stop = circuit.depth if from_gate_index is None else from_gate_index + 1
-    if not 0 <= stop <= circuit.depth:
+    stop = len(circuit.gates) if from_gate_index is None else from_gate_index + 1
+    if not 0 <= stop <= len(circuit.gates):
         raise ValueError(f"gate index {from_gate_index} out of range")
     chain = [p]
     for gate in reversed(circuit.gates[:stop]):
@@ -230,7 +226,7 @@ def mitigation_coefficients(
         table = gate_estimates.get(kind)
         parts.append(_divisors(dict.fromkeys(local, 1.0) if table is None else table, local, floor))
     raw, clamped, moved, failing = (np.concatenate(arrays) for arrays in zip(*parts))
-    lookups = np.empty((circuit.depth, len(strings)), dtype=np.intp)
+    lookups = np.empty((len(circuit.gates), len(strings)), dtype=np.intp)
     for step, gate in enumerate(reversed(circuit.gates)):
         local = codes[gate.qubits[0]]
         for q in gate.qubits[1:]:

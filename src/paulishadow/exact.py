@@ -130,9 +130,6 @@ class DenseState:
             rho = np.kron(rho, qubit)
         return cls(len(tuple(axes)), rho)
 
-    def expectation(self, p: PauliString | Observable) -> float:
-        return expectation(p, self)
-
 
 def haar_random_vector(n: int, seed_or_rng) -> np.ndarray:
     """Haar-random unit statevector: a normalized complex Gaussian vector."""
@@ -158,14 +155,12 @@ def haar_random_state(n: int, seed_or_rng) -> DenseState:
 class DenseChannel:
     """A channel given by explicit Kraus operators (e.g. unitary conjugation)."""
 
-    def __init__(self, n: int, kraus: Iterable[np.ndarray], check: bool = True):
+    def __init__(self, n: int, kraus: Iterable[np.ndarray]):
         self.n = n
         self.kraus = [np.asarray(k, dtype=np.complex128) for k in kraus]
-        if check:
-            dim = 2**n
-            total = sum(k.conj().T @ k for k in self.kraus)
-            if np.max(np.abs(total - np.eye(dim))) > 1e-9:
-                raise ValueError("Kraus operators do not sum to the identity")
+        total = sum(k.conj().T @ k for k in self.kraus)
+        if np.max(np.abs(total - np.eye(2**n))) > 1e-9:
+            raise ValueError("Kraus operators do not sum to the identity")
 
     @classmethod
     def from_unitary(cls, unitary: np.ndarray) -> "DenseChannel":
@@ -343,14 +338,6 @@ def simulate_circuit(circuit, state: DenseState, noisy: bool) -> DenseState:
             superops[gate.kind] = gate_superop(gate.kind, len(gate.qubits), noise)
         rho = _apply_local_superop(rho, superops[gate.kind], gate.qubits, n)
     return DenseState(n, rho.reshape(2**n, 2**n))
-
-
-def simulate_noisy_circuit(circuit, state: DenseState) -> DenseState:
-    return simulate_circuit(circuit, state, noisy=True)
-
-
-def simulate_ideal_circuit(circuit, state: DenseState) -> DenseState:
-    return simulate_circuit(circuit, state, noisy=False)
 
 
 def simulate_ideal_statevector(circuit, psi: np.ndarray) -> np.ndarray:
@@ -554,20 +541,6 @@ def sample_pauli_basis_outcomes(
 
 
 # -- exact estimator moments (the unbiasedness oracle) -------------------------
-
-
-def shadow_estimator_expectations(
-    channel, paulis: Iterable[PauliString]
-) -> dict[PauliString, float]:
-    """Exact expectation of the per-record channel-shadow estimator.
-
-    Enumerates every (input eigenstate, basis, outcome) combination with its
-    probability and averages the estimator value.  For a Pauli channel this
-    must equal (1/3)^|P| lambda_P.  Exponential in n; intended for n <= 3.
-    """
-    pairs = [(p, p) for p in paulis]
-    moments = shadow_transfer_estimator_expectations(channel, pairs)
-    return {p: moments[(p, p)] for p, _ in pairs}
 
 
 def shadow_transfer_estimator_expectations(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class Observable:
         self,
         n: int,
         terms: Mapping[PauliString, float] | Iterable[tuple[PauliString | str, float]] = (),
-        drop_tolerance: float = 0.0,
     ):
         if n < 1:
             raise ValueError(f"need at least one qubit, got n={n}")
@@ -38,10 +37,6 @@ class Observable:
             self._terms[p] = self._terms.get(p, 0.0) + coeff
             if not math.isfinite(self._terms[p]):
                 raise ValueError(f"term {p} has non-finite coefficient {self._terms[p]}")
-        if drop_tolerance > 0.0:
-            self._terms = {
-                p: c for p, c in self._terms.items() if abs(c) > drop_tolerance
-            }
 
     # -- access -----------------------------------------------------------
 
@@ -105,12 +100,6 @@ class Observable:
     def spectral_norm(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix()))))
 
-    def normalized(self) -> "Observable":
-        norm = self.spectral_norm()
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero observable")
-        return self.scaled(1.0 / norm)
-
     # -- text format -------------------------------------------------------
     #
     # One term per line: a letter string then a coefficient, e.g. "XZI 0.27".
@@ -155,27 +144,12 @@ class Observable:
             fh.write(self.to_text())
 
 
-class ObservableStats(NamedTuple):
-    locality: int
-    degree: int
-    pauli_norm_1: float
-    pauli_norm_2: float
-
-
-def observable_stats(obs: Observable) -> ObservableStats:
-    return ObservableStats(obs.locality, obs.degree, obs.pauli_norm(1), obs.pauli_norm(2))
-
-
-def pauli_decompose(
-    matrix: np.ndarray,
-    drop_tolerance: float = 1e-12,
-    hermitian_tolerance: float = 1e-9,
-) -> Observable:
+def pauli_decompose(matrix: np.ndarray) -> Observable:
     """Expand a Hermitian matrix in the Pauli basis.
 
     Uses the per-qubit tensor transform, O(n 4^n) instead of the naive 16^n
-    trace loop.  Coefficients whose magnitude is at most ``drop_tolerance``
-    are discarded.
+    trace loop.  Coefficients whose magnitude is at most 1e-12 are discarded;
+    a matrix more than 1e-9 from Hermitian raises.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     dim = matrix.shape[0]
@@ -186,7 +160,7 @@ def pauli_decompose(
         raise ValueError(f"matrix dimension {dim} is not a power of two")
     if n > 12:
         raise ValueError(f"dense decomposition capped at 12 qubits, got n={n}")
-    if np.max(np.abs(matrix - matrix.conj().T)) > hermitian_tolerance:
+    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-9:
         raise ValueError("matrix is not Hermitian within tolerance")
 
     # B[a, i, j] = (P_a)_{ji} / 2, so contracting over (i, j) yields tr(P_a .)/2.
@@ -202,10 +176,10 @@ def pauli_decompose(
     # The per-qubit contraction consumed row axis first, so the letter axes come
     # out with qubit 0 first => index = sum code_j * 4^(n-1-j), matching
     # ``pauli_index``.
-    if np.max(np.abs(coeffs.imag)) > hermitian_tolerance:
+    if np.max(np.abs(coeffs.imag)) > 1e-9:
         raise ValueError("decomposition produced complex coefficients")
     terms = []
-    for idx in np.flatnonzero(np.abs(coeffs.real) > drop_tolerance):
+    for idx in np.flatnonzero(np.abs(coeffs.real) > 1e-12):
         terms.append((pauli_from_index(n, int(idx)), float(coeffs.real[idx])))
     return Observable(n, terms)
 

@@ -114,9 +114,6 @@ class PauliString:
         bits = self.x | self.z
         return tuple(j for j in range(self.n) if (bits >> j) & 1)
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        return symplectic_product(self, other) == 0
-
     def unsigned(self) -> "PauliString":
         return self if self.sign == 1 else PauliString(self.n, self.x, self.z, 1)
 

@@ -4,7 +4,10 @@ For a Pauli channel the adjoint transfer matrix is diagonal, so each
 coefficient divides by its eigenvalue estimate.  For a general
 weight-contracting channel the coefficients solve ``M alpha_bar = alpha``
 restricted to the weight <= k block, by back-substitution over weight blocks
-from the heaviest down.
+from the heaviest down.  Only the blocks the observable reaches (weight at
+most its locality) are solved and condition-checked: a heavier block has a
+zero right-hand side, so its part of the solution is zero, and a cutoff k
+above the locality costs time only.
 
 One division rule (``_divisors``) serves this diagonal divide and the
 Clifford chain in ``clifford``: an estimate is clamped into [-1, 1], with a
@@ -83,9 +86,6 @@ class BackwardObservable:
     def support(self) -> tuple[PauliString, ...]:
         return tuple(self.terms)
 
-    def as_observable(self) -> Observable:
-        return Observable(self.n, self.terms)
-
 
 def _divisors(
     estimates: Mapping[PauliString, float], strings: Sequence[PauliString], floor: float
@@ -140,7 +140,8 @@ def solve_upper_block_triangular(
     :class:`IllConditionedError`; a block whose right-hand side, once the
     heavier blocks are substituted, is not finite (say, from a NaN above the
     block diagonal) raises :class:`RecoveryError`.  Entries of ``matrix``
-    below the block diagonal are ignored (assumed zero).
+    below the block diagonal are ignored (assumed zero), and the solution
+    past the last block stays zero.
     """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -173,7 +174,11 @@ def backward_observable_general(
     """Solve M alpha_bar = alpha on the weight <= k basis, blockwise.
 
     Every term of the observable must sit inside the transfer matrix's basis;
-    the solution's support stays inside that basis by construction.
+    the solution's support stays inside that basis by construction.  Blocks
+    heavier than the observable's locality have a zero right-hand side: they
+    are neither solved nor condition-checked, so the condition estimate and
+    :class:`IllConditionedError` cover only the blocks the observable
+    reaches, and the heavier blocks' coefficients stay zero.
     """
     if observable.n != transfer.n:
         raise ValueError(
@@ -182,7 +187,7 @@ def backward_observable_general(
     rhs = np.zeros(len(transfer.basis))
     for p, alpha in observable.terms().items():
         rhs[transfer.index(p)] = alpha  # raises KeyError past weight k
-    slices = [sl for _, sl in transfer.block_slices()]
+    slices = [sl for w, sl in transfer.block_slices() if w <= observable.locality]
     solution, condition = solve_upper_block_triangular(transfer.matrix, slices, rhs)
     terms = {
         p: float(solution[i])

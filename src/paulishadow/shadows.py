@@ -90,6 +90,7 @@ _DIGITS = np.full((256, 256), -1, dtype=np.int8)
 _DIGITS[tuple(np.array([(ord(a), ord(s)) for a in AXES for s in "+-"]).T)] = np.arange(6)
 DEFAULT_BLOCK_SIZE = 1 << 16
 COUNTS_QUBIT_CAP = 4  # 36^n histogram cells
+EXPECTATION_BATCHES = 10  # median-of-means batches of estimate_state_expectations
 
 
 # -- records -------------------------------------------------------------------
@@ -569,9 +570,6 @@ class EigenvalueEstimates:
         p = p.unsigned()
         return p.is_identity or p in self.values
 
-    def items(self):
-        return self.values.items()
-
     @classmethod
     def from_channel(cls, channel: PauliChannel, k: int) -> "EigenvalueEstimates":
         """Oracle table: exact eigenvalues, usable wherever estimates are."""
@@ -782,29 +780,28 @@ def estimate_state_expectations(
     paulis: Sequence[PauliString],
     count: int,
     seed: int,
-    n_batches: int = 10,
 ) -> dict[PauliString, float]:
     """Median-of-means Pauli expectations of a state from random-basis shadows.
 
     Measures ``count`` snapshots in uniformly random product Pauli bases
     (outcomes drawn from the exact distribution), reconstructs each Pauli's
-    single-shot estimator, and returns the median of ``n_batches`` batch
-    means.
+    single-shot estimator, and returns the median of ``EXPECTATION_BATCHES``
+    batch means.
     """
-    if count < n_batches:
-        raise ValueError(f"need at least {n_batches} records, got {count}")
+    if count < EXPECTATION_BATCHES:
+        raise ValueError(f"need at least {EXPECTATION_BATCHES} records, got {count}")
     n = state.n
     rng = block_rng(seed, 0)
     bases = rng.integers(0, 3, (count, n), dtype=np.int8)
     signs = exact.sample_pauli_basis_outcomes(state, bases, rng)
-    edges = np.linspace(0, count, n_batches + 1).astype(int)
+    edges = np.linspace(0, count, EXPECTATION_BATCHES + 1).astype(int)
     out: dict[PauliString, float] = {}
     for p, codes in zip(paulis, letter_codes(paulis, n)):
         support = np.flatnonzero(codes)
         hit = (bases[:, support] == codes[support] - 1).all(axis=1)
         values = np.where(hit, signs[:, support].prod(axis=1, dtype=np.int64), 0)
         batch_means = [
-            p.sign * 3.0 ** p.weight * values[a:b].sum() / max(b - a, 1)
+            p.sign * 3.0 ** p.weight * values[a:b].sum() / (b - a)
             for a, b in zip(edges[:-1], edges[1:])
         ]
         out[p] = float(np.median(batch_means))

@@ -88,10 +88,11 @@ def test_criterion_2_estimator_unbiasedness():
     assert len(channels) == 20
     for ch in channels:
         paulis = [p for p in iter_all_paulis(ch.n) if not p.is_identity]
-        expectations = exact.shadow_estimator_expectations(ch, paulis)
+        expectations = exact.shadow_transfer_estimator_expectations(
+            ch, [(p, p) for p in paulis])
         for p in paulis:
             want = (1.0 / 3.0) ** p.weight * ch.eigenvalue(p)
-            assert expectations[p] == pytest.approx(want, abs=1e-12)
+            assert expectations[(p, p)] == pytest.approx(want, abs=1e-12)
 
 
 def test_criterion_3_concentration():
@@ -139,7 +140,6 @@ def test_criterion_4_error_ratio_sweep():
     result = cli.run_fig2(
         reference_product_channel(),
         heisenberg_observable(2),
-        k=2,
         sweep=sweep,
         n_states=500,
         repeats=10,
@@ -250,8 +250,8 @@ def test_criterion_6_circuit_mitigation():
         for table in exact_gate_estimates(circuit).values():
             assert min(table.values()) >= 0.3  # noise stays invertible
         state = exact.haar_random_state(n, cli._derive_seed(60, run))
-        noisy = exact.simulate_noisy_circuit(circuit, state)
-        ideal_state = exact.simulate_ideal_circuit(circuit, state)
+        noisy = exact.simulate_circuit(circuit, state, noisy=True)
+        ideal_state = exact.simulate_circuit(circuit, state, noisy=False)
 
         for p in enumerate_low_weight(n, min(2, n)):
             if p.is_identity:
@@ -264,7 +264,7 @@ def test_criterion_6_circuit_mitigation():
         obs = Observable(n, {target: 0.9})
         ideal = exact.expectation(obs, ideal_state)
         back = mitigation_coefficients(circuit, exact_gate_estimates(circuit), obs)
-        assert exact.expectation(back.as_observable(), noisy) == pytest.approx(
+        assert exact.expectation(Observable(back.n, back.terms), noisy) == pytest.approx(
             ideal, abs=1e-10
         )
 
@@ -279,7 +279,7 @@ def test_criterion_6_circuit_mitigation():
             counts = ShadowCounts.accumulate(blocks, gate_arity(kind))
             learned[kind] = estimate_gate_eigenvalues(counts, kind)
         back = mitigation_coefficients(circuit, learned, obs)
-        f = exact.expectation(back.as_observable(), noisy)
+        f = exact.expectation(Observable(back.n, back.terms), noisy)
         if abs(f - ideal) <= 0.05:
             hits += 1
     assert hits >= 0.85 * runs

@@ -21,7 +21,6 @@ from paulishadow.channels import (
     depolarizing_ptm,
     exact_diagonal,
     exact_transfer_matrix,
-    is_weight_contracting,
     load_channel,
     reference_product_channel,
     save_channel,
@@ -284,14 +283,14 @@ def test_transfer_block_structure():
 
 
 def test_is_weight_contracting():
-    assert is_weight_contracting(ProductChannel([amplitude_damping_ptm(0.2)]), k=1)
-    assert is_weight_contracting(reference_product_channel(), k=2)
+    damping = ProductChannel([amplitude_damping_ptm(0.2)])
+    assert exact_transfer_matrix(damping, 1).is_upper_block_triangular()
+    assert exact_transfer_matrix(reference_product_channel(), 2).is_upper_block_triangular()
     # a CNOT conjugation grows weight (X on control -> XX)
     unitary = exact.gate_unitary("CNOT", (0, 1), 2)
     dense = exact.DenseChannel.from_unitary(unitary)
     bf = exact.brute_force_transfer(dense, 2)
     assert not bf.is_upper_block_triangular()
-    assert not is_weight_contracting(bf)
 
 
 # -- config round trips --------------------------------------------------------

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import paulishadow
 from paulishadow import cli, exact, shadows
 from paulishadow.channels import (
     PauliChannel,
@@ -454,6 +455,20 @@ def test_fig2_byte_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# SHA-256 of a sampled fig2 CSV.  Its eigenvalue cutoff is the observable's
+# locality (the CSV's "# k: 2" line for the two-qubit Heisenberg chain).
+FIG2_DIGEST = "4c84b78fcb9490c2a6acf6430ce2d6151b60590081d0ff33b2e64b095bfad353"
+
+
+def test_fig2_csv_digest(tmp_path):
+    out = tmp_path / "fig2.csv"
+    argv = ["fig2", "--states", "20", "--repeats", "3", "--sweep", "5000,20000", "--seed", "5",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert "# k: 2" in out.read_text().splitlines()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG2_DIGEST
+
+
 def test_fig2_exact_eigenvalue_injection_is_lossless(tmp_path):
     # with oracle eigenvalues the recovery pipeline must be exact
     out = tmp_path / "exact.csv"
@@ -546,7 +561,7 @@ def test_fig2_summaries_without_floor_hits_are_the_all_trial_means(tmp_path, mon
 
 def test_run_fig2_partial_and_total_floor_hits():
     channel, observable = reference_product_channel(), heisenberg_observable(2)
-    result = cli.run_fig2(channel, observable, 2, (500, 1000), 5, 4, 11, floor=0.3)
+    result = cli.run_fig2(channel, observable, (500, 1000), 5, 4, 11, floor=0.3)
     hits = (~result.succeeded).sum(axis=1)
     assert hits.tolist() == [1, 2]
     assert np.isnan(result.ratio[~result.succeeded]).all()
@@ -554,7 +569,7 @@ def test_run_fig2_partial_and_total_floor_hits():
     np.testing.assert_allclose(result.mean_ratio(), np.nanmean(result.ratio, axis=1), rtol=1e-12)
     np.testing.assert_allclose(result.std_ratio(), np.nanstd(result.ratio, axis=1), rtol=1e-12)
     with pytest.raises(RecoveryError, match="every trial at 500 shadows hit the eigenvalue floor"):
-        cli.run_fig2(channel, observable, 2, (500, 1000), 5, 4, 11, floor=1.5)
+        cli.run_fig2(channel, observable, (500, 1000), 5, 4, 11, floor=1.5)
 
 
 BAD_INPUTS = {
@@ -581,8 +596,6 @@ BAD_INPUTS = {
     "mitigate-floor-negative": "mitigate --circuit CIRCUIT --observable heisenberg --floor -1",
     "mitigate-floor-nan": "mitigate --circuit CIRCUIT --observable heisenberg --floor nan",
     "mitigate-floor-above-one": "mitigate --circuit CIRCUIT --observable heisenberg --floor 1.5",
-    "fig2-k-above-n": "fig2 --k 3 --sweep 100",
-    "fig2-k-below-locality": "fig2 --k 1 --sweep 100",
     "fig2-no-states": "fig2 --states 0 --sweep 100",
     "fig2-no-repeats": "fig2 --repeats 0 --sweep 100",
     "fig2-sweep-not-integer": "fig2 --sweep 100,2.5",
@@ -750,6 +763,10 @@ def test_report_commands_run_at_sixteen_qubits_in_bounded_memory(tmp_path):
 
 
 # -- shared plumbing -----------------------------------------------------------
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in paulishadow.__all__ if not hasattr(paulishadow, name)] == []
 
 
 def test_derive_seed_is_stable_and_sensitive():

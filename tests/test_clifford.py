@@ -145,7 +145,7 @@ def test_circuit_validation():
 def test_circuit_accepts_tuple_gates():
     circuit = CliffordCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
     assert circuit.gates[0] == Gate("H", (0,))
-    assert circuit.depth == 2
+    assert len(circuit.gates) == 2
 
 
 def test_circuit_json_round_trip(tmp_path):
@@ -186,7 +186,7 @@ def test_circuit_config_errors():
 def test_chain_structure():
     circuit = noisy_demo_circuit()
     chain = conjugate_through_circuit(circuit, P("ZZ"))
-    assert len(chain) == circuit.depth + 1
+    assert len(chain) == len(circuit.gates) + 1
     assert chain[0] == P("ZZ")
     assert chain[1] == conjugate_pauli("S", (1,), P("ZZ"))
     partial = conjugate_through_circuit(circuit, P("ZZ"), from_gate_index=0)
@@ -256,10 +256,10 @@ def test_mitigation_with_exact_estimates_recovers_ideal():
         circuit = CliffordCircuit(n, circuit.gates, noise)
         obs = Observable(n, {pauli_from_index(n, int(rng.integers(1, 4**n))): 0.8})
         state = exact.haar_random_state(n, 300 + trial)
-        noisy = exact.simulate_noisy_circuit(circuit, state)
-        ideal = exact.simulate_ideal_circuit(circuit, state)
+        noisy = exact.simulate_circuit(circuit, state, noisy=True)
+        ideal = exact.simulate_circuit(circuit, state, noisy=False)
         back = mitigation_coefficients(circuit, exact_gate_estimates(circuit), obs)
-        got = exact.expectation(back.as_observable(), noisy)
+        got = exact.expectation(Observable(back.n, back.terms), noisy)
         want = exact.expectation(obs, ideal)
         assert got == pytest.approx(want, abs=1e-10)
 

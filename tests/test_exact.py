@@ -174,7 +174,7 @@ def test_gate_unitary_embedding():
 def test_simulate_ideal_circuit():
     circ = CliffordCircuit(1, [Gate("H", (0,))], {})
     st = exact.DenseState.product_eigenstate([2], [+1])  # |0>
-    out = exact.simulate_ideal_circuit(circ, st)
+    out = exact.simulate_circuit(circ, st, noisy=False)
     assert exact.expectation(P("X"), out) == pytest.approx(1.0)
 
 
@@ -182,7 +182,7 @@ def test_simulate_noisy_circuit_matches_manual():
     noise = PauliChannel.from_qubit_probs([(0.9, 0.04, 0.03, 0.03)])
     circ = CliffordCircuit(2, [Gate("H", (0,))], {"H": noise})
     st = exact.haar_random_state(2, 19)
-    out = exact.simulate_noisy_circuit(circ, st)
+    out = exact.simulate_circuit(circ, st, noisy=True)
     u = exact.gate_unitary("H", (0,), 2)
     mid = u @ st.rho @ u.conj().T
     want = np.zeros_like(mid)
@@ -249,7 +249,7 @@ def test_circuit_simulation_matches_full_register_reference():
     assert not noise.is_product
     circuit = CliffordCircuit(4, [Gate("H", (3,)), Gate("CNOT", (3, 0))], {"CNOT": noise})
     state = exact.haar_random_state(4, 5)
-    got = exact.simulate_noisy_circuit(circuit, state).rho
+    got = exact.simulate_circuit(circuit, state, noisy=True).rho
     np.testing.assert_allclose(
         got, full_register_circuit(circuit, state, True), rtol=0, atol=1e-12
     )
@@ -274,7 +274,7 @@ def test_mitigate_report_matches_full_register_reference(tmp_path, capsys):
     noisy = full_register_circuit(circuit, state, True)
     ideal = np.trace(observable.matrix() @ full_register_circuit(circuit, state, False)).real
     back = mitigation_coefficients(circuit, exact_gate_estimates(circuit), observable, 1e-3)
-    value = np.trace(back.as_observable().matrix() @ noisy).real
+    value = np.trace(Observable(back.n, back.terms).matrix() @ noisy).real
     assert abs(report["ideal"] - ideal) <= 1e-12
     assert abs(report["value"] - value) <= 1e-12
     assert abs(report["absolute_error"] - abs(value - ideal)) <= 1e-12
@@ -321,7 +321,8 @@ def test_statevector_ideal_run_matches_dense_run_and_trace():
         for trial in range(3):
             circuit = random_circuit(n, rng, depth=int(rng.integers(1, 40)))
             psi = exact.haar_random_vector(n, rng)
-            dense = exact.simulate_ideal_circuit(circuit, exact.DenseState.from_unit_vector(psi))
+            dense = exact.simulate_circuit(circuit, exact.DenseState.from_unit_vector(psi),
+                                           noisy=False)
             out = exact.simulate_ideal_statevector(circuit, psi)
             np.testing.assert_allclose(np.outer(out, out.conj()), dense.rho, rtol=0, atol=1e-12)
             obs = Observable(n, {pauli_from_index(n, int(i)): float(rng.normal())
@@ -373,7 +374,8 @@ def test_heisenberg_oracle_matches_dense_noisy_run():
                 circuit.noise["CNOT"] = sparse
             psi = exact.haar_random_vector(n, rng)
             strings = [pauli_from_index(n, int(i)) for i in rng.integers(0, 4**n, 12)]
-            noisy = exact.simulate_noisy_circuit(circuit, exact.DenseState.from_unit_vector(psi))
+            noisy = exact.simulate_circuit(circuit, exact.DenseState.from_unit_vector(psi),
+                                           noisy=True)
             want = [exact.expectation(p, noisy) for p in strings]
             got = exact.noisy_expectations(circuit, strings, psi)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -475,8 +477,8 @@ def test_brute_force_identity_channel():
 def test_estimator_expectation_single_qubit_value():
     # E[x_hat(Z)] over the exact record distribution = (1/3) * 0.60
     ch = PauliChannel.from_qubit_probs([(0.75, 0.10, 0.10, 0.05)])
-    exp = exact.shadow_estimator_expectations(ch, [P("Z")])
-    assert exp[P("Z")] == pytest.approx(0.60 / 3.0, abs=1e-12)
+    exp = exact.shadow_transfer_estimator_expectations(ch, [(P("Z"), P("Z"))])
+    assert exp[(P("Z"), P("Z"))] == pytest.approx(0.60 / 3.0, abs=1e-12)
 
 
 def test_estimator_unbiasedness_exact_enumeration():
@@ -487,10 +489,10 @@ def test_estimator_unbiasedness_exact_enumeration():
         for trial in range(4):
             probs = rng.dirichlet((8.0, 1.0, 1.0, 1.0), size=n)
             ch = PauliChannel.from_qubit_probs(probs)
-            exp = exact.shadow_estimator_expectations(ch, paulis)
+            exp = exact.shadow_transfer_estimator_expectations(ch, [(p, p) for p in paulis])
             for p in paulis:
                 want = ch.eigenvalue(p) / 3.0**p.weight
-                assert exp[p] == pytest.approx(want, abs=1e-12)
+                assert exp[(p, p)] == pytest.approx(want, abs=1e-12)
 
 
 def test_transfer_estimator_expectation_matches_exact_matrix():

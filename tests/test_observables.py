@@ -9,7 +9,6 @@ from paulishadow.observables import (
     Observable,
     heisenberg_observable,
     locality_norm_constant,
-    observable_stats,
     pauli_decompose,
 )
 from paulishadow.paulis import PauliString, iter_all_paulis, pauli_index
@@ -30,12 +29,6 @@ def test_terms_fold_signs():
 def test_duplicate_terms_accumulate():
     obs = Observable(1, [(P("Z"), 0.25), (P("-Z"), 0.1)])
     assert obs.coefficient(P("Z")) == pytest.approx(0.15)
-
-
-def test_drop_tolerance():
-    obs = Observable(1, {P("X"): 1e-15, P("Z"): 1.0}, drop_tolerance=1e-12)
-    assert P("X") not in obs.terms()
-    assert len(obs) == 1
 
 
 def test_qubit_count_mismatch():
@@ -74,17 +67,15 @@ def test_spectral_norm_against_dense():
     obs = Observable(2, terms)
     dense = np.abs(np.linalg.eigvalsh(obs.matrix())).max()
     assert obs.spectral_norm() == pytest.approx(dense, abs=1e-12)
-    normed = obs.normalized()
+    normed = obs.scaled(1 / obs.spectral_norm())
     assert normed.spectral_norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_locality_and_degree():
     obs = heisenberg_observable(2)
-    stats = observable_stats(obs)
-    assert stats.locality == 2
+    assert obs.locality == 2
     # qubit 0 carries XX, YY, ZZ and the field term
-    assert stats.degree == 4
-    assert obs.locality == 2 and obs.degree == 4
+    assert obs.degree == 4
 
 
 def test_pauli_norms():
@@ -106,7 +97,7 @@ def test_pauli_decompose_round_trip():
 
 def test_pauli_decompose_drops_small_terms():
     matrix = 0.5 * P("Z").matrix() + 1e-14 * P("X").matrix()
-    decomposed = pauli_decompose(matrix, drop_tolerance=1e-12)
+    decomposed = pauli_decompose(matrix)
     assert set(decomposed.terms()) == {P("Z")}
 
 

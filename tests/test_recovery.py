@@ -8,6 +8,7 @@ from paulishadow import exact
 from paulishadow.channels import (
     PauliChannel,
     ProductChannel,
+    TransferMatrix,
     amplitude_damping_ptm,
     depolarizing_ptm,
     exact_transfer_matrix,
@@ -85,7 +86,7 @@ def test_backward_coefficient_respects_sign():
     assert back.coefficient(P("Z")) == pytest.approx(0.5)
     assert back.coefficient(P("-Z")) == pytest.approx(-0.5)
     assert back.coefficient(P("X")) == 0.0
-    as_obs = back.as_observable()
+    as_obs = Observable(back.n, back.terms)
     assert as_obs.terms()[P("Z")] == pytest.approx(0.5)
 
 
@@ -180,6 +181,22 @@ def test_general_backward_rejects_terms_past_weight_cap():
     obs = Observable(2, {P("ZZ"): 1.0})  # weight 2 > k = 1
     with pytest.raises(KeyError):
         backward_observable_general(obs, transfer)
+
+
+def test_general_backward_stops_at_the_observable_locality():
+    """A cutoff k above the locality changes nothing: the heavier blocks are
+    neither solved nor condition-checked, even when one is singular."""
+    ch = ProductChannel([amplitude_damping_ptm(0.2), amplitude_damping_ptm(0.3)])
+    full = exact_transfer_matrix(ch, 2)
+    matrix = full.matrix.copy()
+    heavy = dict(full.block_slices())[2]
+    matrix[heavy, heavy] = 0.0  # a singular weight-2 block
+    transfer = TransferMatrix(2, 2, full.basis, matrix)
+    obs = Observable(2, {P("ZI"): 1.0, P("IZ"): 0.5})
+    back = backward_observable_general(obs, transfer)
+    want = backward_observable_general(obs, exact_transfer_matrix(ch, 1))
+    assert back.terms == want.terms
+    assert back.condition_estimate == want.condition_estimate
 
 
 def test_general_matches_diagonal_on_pauli_channel():

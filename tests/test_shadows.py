@@ -931,4 +931,4 @@ def test_state_expectations_signed_pauli():
 def test_state_expectations_needs_enough_records():
     zero = exact.DenseState.product_eigenstate([2], [+1])
     with pytest.raises(ValueError):
-        estimate_state_expectations(zero, [P("Z")], 5, seed=0, n_batches=10)
+        estimate_state_expectations(zero, [P("Z")], 5, seed=0)
