@@ -47,7 +47,6 @@ from .recovery import (
 )
 from .shadows import (
     EXPECTATION_BATCHES,
-    EigenvalueEstimates,
     ShadowCounts,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
@@ -136,10 +135,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
     n = channel.n
     _check_k(args.k, n)
     _check_shadows(args.shadows)
+    basis = enumerate_low_weight(n, args.k)
     estimates = estimate_eigenvalues(
-        iter_channel_shadow_blocks(channel, args.shadows, args.seed), n, args.k
+        iter_channel_shadow_blocks(channel, args.shadows, args.seed), n, basis
     )
-    basis = list(enumerate_low_weight(n, args.k))
     exact_diag = exact_diagonal(channel, basis).tolist()
     lines = [
         f"# paulishadow learn {CSV_VERSION}",
@@ -192,8 +191,8 @@ def cmd_recover(args: argparse.Namespace, general: bool) -> int:
     n = channel.n
     if observable.n != n:
         raise ConfigError(f"observable acts on {observable.n} qubits, channel on {n}")
-    k = args.k if args.k is not None else observable.locality
-    _check_k(k, n, observable.locality)
+    if args.k is not None:  # checked only: the estimates follow the observable
+        _check_k(args.k, n, observable.locality)
     _check_qubits(n, exact.STATEVECTOR_QUBIT_CAP)
     if not general:
         _check_floor(args.floor)
@@ -204,14 +203,15 @@ def cmd_recover(args: argparse.Namespace, general: bool) -> int:
     if args.baseline:
         back = None
     elif general:
-        transfer = (exact_transfer_matrix(channel, k) if args.exact_eigenvalues else
-                    estimate_transfer_matrix(
-                        iter_channel_shadow_blocks(channel, args.shadows, args.seed), n, k))
+        transfer = (exact_transfer_matrix(channel, observable.locality) if args.exact_eigenvalues
+                    else estimate_transfer_matrix(iter_channel_shadow_blocks(
+                        channel, args.shadows, args.seed), n, observable.locality))
         back = backward_observable_general(observable, transfer)
     else:
-        estimates = (EigenvalueEstimates.from_channel(channel, k) if args.exact_eigenvalues else
-                     estimate_eigenvalues(
-                         iter_channel_shadow_blocks(channel, args.shadows, args.seed), n, k))
+        strings = [p for p in observable.support() if not p.is_identity]
+        estimates = (dict(zip(strings, exact_diagonal(channel, strings).tolist()))
+                     if args.exact_eigenvalues else estimate_eigenvalues(
+                         iter_channel_shadow_blocks(channel, args.shadows, args.seed), n, strings))
         back = backward_observable(observable, estimates, args.floor)
     return _print_report(back, observable, channel, psi, ideal, args.out)
 
@@ -309,8 +309,8 @@ def run_fig2(
 
     For each sweep point: learn eigenvalues from that many fresh shadows,
     recover tr(O sigma) for a batch of Haar-random states, and compare the
-    recovered mean absolute error to the uncorrected one.  The eigenvalues
-    are learned up to the observable's locality.  The observable is
+    recovered mean absolute error to the uncorrected one.  Only the
+    observable's own eigenvalues are learned.  The observable is
     normalized to unit spectral norm first.  Noisy-state expectations come
     from the dense oracle unless ``estimated_expectations`` is set, in which
     case they are median-of-means shadow estimates.
@@ -326,7 +326,8 @@ def run_fig2(
     n = channel.n
     if observable.n != n:
         raise ConfigError(f"observable acts on {observable.n} qubits, channel on {n}")
-    k = observable.locality
+    if observable.locality == 0:
+        raise ConfigError("an identity-only observable has no noise to undo and no error ratio")
     _check_qubits(n, exact.STATE_QUBIT_CAP)  # the dense spectral norm below
     if n_states < 1 or repeats < 1:
         raise ConfigError(f"need at least one state and one repeat, got {n_states} and {repeats}")
@@ -366,12 +367,12 @@ def run_fig2(
         mae_raw[:, rep] = np.abs(raw_vals - ideal_vals).mean()
         for pi, count in enumerate(sweep):
             if exact_eigenvalues:
-                estimates = EigenvalueEstimates.from_channel(channel, k)
+                estimates = dict(zip(paulis, exact_diagonal(channel, paulis).tolist()))
             else:
                 blocks = iter_channel_shadow_blocks(
                     channel, count, _derive_seed(seed, 3001, rep, pi)
                 )
-                estimates = estimate_eigenvalues(blocks, n, k)
+                estimates = estimate_eigenvalues(blocks, n, paulis)
             try:
                 back = backward_observable(observable, estimates, floor)
             except RecoveryFloorError:
@@ -497,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         rec.add_argument("--channel", required=True)
         _add_observable_options(rec)
         rec.add_argument("--k", type=int, default=None,
-                         help="estimation weight cutoff (default: observable locality)")
+                         help="checked only (locality <= k <= n); estimates follow the observable")
         _add_recover_options(rec)
         if not general:
             _add_floor_option(rec)

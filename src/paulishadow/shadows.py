@@ -31,10 +31,10 @@ The contraction is float64 matrix products through BLAS; every partial sum
 is an integer below 2^53 (it raises otherwise), so the table is exact and
 each estimate is the same float as a per-record sum would give.
 Past the cap, each (P, Q) is read from the table of its union support,
-built from that support's marginal histogram: weight <= k supports for
-eigenvalues, <= 2k for transfer entries.  One 36^w histogram and its 16^w
-table live at a time.  A support wider than four qubits keeps a four-qubit
-table, and the records' factors on the other qubits weight its histogram.
+built from that support's marginal histogram (2k qubits at most for a
+weight <= k transfer entry).  One 36^w histogram and its 16^w table live
+at a time.  A support wider than four qubits keeps a four-qubit table,
+and the records' factors on the other qubits weight its histogram.
 
 Randomness
 ----------
@@ -70,7 +70,6 @@ from .channels import (
     PauliChannel,
     ProductChannel,
     TransferMatrix,
-    exact_diagonal,
     uniform_slices,
 )
 from .clifford import CONJUGATION_TABLES, gate_arity
@@ -551,7 +550,7 @@ def estimate_x(records: ShadowRecords | ShadowCounts, p: PauliString) -> float:
 
 @dataclass
 class EigenvalueEstimates:
-    """Estimated eigenvalues for every string of weight <= k."""
+    """Estimated eigenvalues of the strings an estimator was asked for."""
 
     n: int
     values: dict[PauliString, float]
@@ -570,20 +569,14 @@ class EigenvalueEstimates:
         p = p.unsigned()
         return p.is_identity or p in self.values
 
-    @classmethod
-    def from_channel(cls, channel: PauliChannel, k: int) -> "EigenvalueEstimates":
-        """Oracle table: exact eigenvalues, usable wherever estimates are."""
-        strings = [p for p in enumerate_low_weight(channel.n, k) if not p.is_identity]
-        return cls(channel.n, dict(zip(strings, exact_diagonal(channel, strings).tolist())), 0)
-
 
 def estimate_eigenvalues(
     source: ShadowRecords | ShadowCounts | Iterable[ShadowRecords],
     n: int,
-    k: int,
+    strings: Sequence[PauliString],
 ) -> EigenvalueEstimates:
-    """lambda_hat(P) = 3^|P| x_hat(P) for every weight <= k string."""
-    strings = [p for p in enumerate_low_weight(n, k) if not p.is_identity]
+    """lambda_hat(P) = 3^|P| x_hat(P) for each of ``strings``; the identity's
+    numerator is the record count, so its estimate is exactly 1.0."""
     codes = letter_codes(strings, n)
     total, numers = _numerators(source, n, 5 * codes)  # in_code * 4 + out_code, both P
     values = 3.0 ** (codes != 0).sum(axis=1) * numers / total

@@ -41,7 +41,6 @@ from paulishadow.recovery import (
     solve_upper_block_triangular,
 )
 from paulishadow.shadows import (
-    EigenvalueEstimates,
     ShadowCounts,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
@@ -122,7 +121,7 @@ def test_criterion_3_concentration():
     runs, hits = 200, 0
     for run in range(runs):
         records = sample_channel_shadows(ch, budget, seed=cli._derive_seed(30, run))
-        est = estimate_eigenvalues(records, n, k)
+        est = estimate_eigenvalues(records, n, paulis)
         state = exact.haar_random_state(n, cli._derive_seed(31, run))
         back = backward_observable(obs, est)
         noisy = {p: lam[p] * exact.expectation(p, state) for p in paulis}

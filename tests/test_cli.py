@@ -291,6 +291,60 @@ def test_recover_general_sampled(damping_channel_path, capsys):
     assert err < 0.25
 
 
+@pytest.fixture
+def six_qubit_paths(tmp_path):
+    """A six-qubit Pauli product channel and a six-qubit amplitude-damping
+    channel (gamma 0.05, 0.10, ..., 0.30)."""
+    pauli, damping = tmp_path / "pauli6.json", tmp_path / "damping6.json"
+    save_channel(PauliChannel.from_qubit_probs([(0.9, 0.04, 0.03, 0.03)] * 6), pauli)
+    save_channel(ProductChannel([amplitude_damping_ptm(0.05 * (j + 1)) for j in range(6)]),
+                 damping)
+    return {"recover": str(pauli), "recover-general": str(damping)}
+
+
+def test_recover_commands_estimate_only_what_the_observable_reaches(six_qubit_paths,
+                                                                     monkeypatch):
+    """The Heisenberg observable is 2-local: whatever --k says, recover asks
+    for its own 20 non-identity strings and recover-general for the weight
+    <= 2 transfer matrix."""
+    asked = {}
+    estimate_eigenvalues = cli.estimate_eigenvalues
+    estimate_transfer_matrix = cli.estimate_transfer_matrix
+
+    def eigenvalues(source, n, strings):
+        asked["strings"] = list(strings)
+        return estimate_eigenvalues(source, n, strings)
+
+    def transfer(source, n, k):
+        asked["transfer"] = estimate_transfer_matrix(source, n, k)
+        return asked["transfer"]
+
+    monkeypatch.setattr(cli, "estimate_eigenvalues", eigenvalues)
+    monkeypatch.setattr(cli, "estimate_transfer_matrix", transfer)
+    common = ["--observable", "heisenberg", "--n", "6", "--shadows", "20000", "--seed", "1"]
+    assert cli.main(["recover", "--channel", six_qubit_paths["recover"], "--k", "4",
+                     *common]) == 0
+    heisenberg = [p for p in heisenberg_observable(6).support() if not p.is_identity]
+    assert len(heisenberg) == 20 and asked["strings"] == heisenberg
+    assert cli.main(["recover-general", "--channel", six_qubit_paths["recover-general"],
+                     "--k", "3", *common]) == 0
+    assert asked["transfer"].basis == tuple(enumerate_low_weight(6, 2))
+
+
+@pytest.mark.parametrize("command, k_above", [("recover", 4), ("recover-general", 3)])
+def test_k_above_the_locality_leaves_the_report_unchanged(command, k_above, six_qubit_paths,
+                                                          tmp_path, capsys):
+    runs = []
+    for k in (2, k_above):
+        out = tmp_path / f"k{k}.json"
+        argv = [command, "--channel", six_qubit_paths[command], "--observable", "heisenberg",
+                "--n", "6", "--k", str(k), "--shadows", "140000", "--seed", "8",
+                "--state-seed", "9", "--out", str(out)]
+        assert cli.main(argv) == 0
+        runs.append((capsys.readouterr().out, out.read_bytes()))
+    assert runs[0] == runs[1]
+
+
 # -- mitigate ------------------------------------------------------------------
 
 
@@ -608,12 +662,15 @@ BAD_INPUTS = {
         "recover-general --channel PAULI21 --observable heisenberg --n 21 --exact-eigenvalues",
     "mitigate-over-statevector-cap": "mitigate --circuit WIDE21 --observable heisenberg --n 21",
     "fig2-over-dense-cap": "fig2 --channel PAULI13 --n 13 --sweep 100",
+    # No non-identity term: nothing to learn and no error to take a ratio of.
+    "fig2-identity-observable": "fig2 --observable IDENTITY --sweep 100",
 }
 
 
 @pytest.fixture
 def wide_paths(tmp_path):
-    """Channels and a circuit on more qubits than an oracle takes; small on disk."""
+    """Channels and a circuit on more qubits than an oracle takes, small on
+    disk, and a two-qubit identity-only observable."""
     qubit = (0.97, 0.01, 0.01, 0.01)
     paths = {}
     for n in (13, 21):
@@ -621,6 +678,8 @@ def wide_paths(tmp_path):
         save_channel(PauliChannel.from_qubit_probs([qubit] * n), paths[f"PAULI{n}"])
     paths["WIDE21"] = str(tmp_path / "wide21.json")
     CliffordCircuit(21, (Gate("H", (20,)),), {}).save(paths["WIDE21"])
+    paths["IDENTITY"] = str(tmp_path / "identity.txt")
+    Path(paths["IDENTITY"]).write_text("II 1.0\n")
     return paths
 
 

@@ -170,7 +170,7 @@ def test_transfer_matrix_past_the_cap_matches_brute_force():
 
 def test_eigenvalues_past_the_cap_match_brute_force():
     records = random_records(7, 500, seed=7)
-    est = estimate_eigenvalues(records, 7, 3)
+    est = estimate_eigenvalues(records, 7, enumerate_low_weight(7, 3))
     assert est.n_records == 500
     for p in enumerate_low_weight(7, 3):
         if not p.is_identity:
@@ -193,7 +193,8 @@ def test_records_and_counts_sources_agree_exactly():
         def stream():
             return iter([records[:700], records[700:1999], records[1999:]])
 
-        a, c = estimate_eigenvalues(records, n, k), estimate_eigenvalues(stream(), n, k)
+        basis = enumerate_low_weight(n, k)
+        a, c = estimate_eigenvalues(records, n, basis), estimate_eigenvalues(stream(), n, basis)
         assert a.values == c.values and c.n_records == 2000
         a, c = estimate_transfer_matrix(records, n, k), estimate_transfer_matrix(stream(), n, k)
         assert a.matrix[1, 1] == brute_entry(records, a.basis[1], a.basis[1])
@@ -204,9 +205,10 @@ def test_records_and_counts_sources_agree_exactly():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_empty_stream_raises_on_either_side_of_the_cap(n):
     # no records to count up to the cap, nothing to join past it
-    for estimate in (estimate_eigenvalues, estimate_transfer_matrix):
-        with pytest.raises(ValueError, match="no records"):
-            estimate(iter([]), n, 2)
+    with pytest.raises(ValueError, match="no records"):
+        estimate_eigenvalues(iter([]), n, enumerate_low_weight(n, 2))
+    with pytest.raises(ValueError, match="no records"):
+        estimate_transfer_matrix(iter([]), n, 2)
 
 
 # -- gate estimates ------------------------------------------------------------

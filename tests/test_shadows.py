@@ -513,8 +513,9 @@ def test_ptm_sampling_matches_pauli_sampling_statistics():
     # the same Pauli channel sampled via its PTM must estimate identically
     ch = reference_product_channel()
     ptm = ch.to_product_channel()
-    est_a = estimate_eigenvalues(sample_channel_shadows(ch, 150_000, seed=2), 2, 2)
-    est_b = estimate_eigenvalues(sample_channel_shadows(ptm, 150_000, seed=3), 2, 2)
+    basis = enumerate_low_weight(2, 2)
+    est_a = estimate_eigenvalues(sample_channel_shadows(ch, 150_000, seed=2), 2, basis)
+    est_b = estimate_eigenvalues(sample_channel_shadows(ptm, 150_000, seed=3), 2, basis)
     for p in enumerate_low_weight(2, 2):
         if p.is_identity:
             continue
@@ -532,7 +533,7 @@ def test_estimate_x_single_record_values():
     r = records_from_lists([[0]], [[1]], [[2]], [[-1]])  # s=(X,+): mismatch
     assert estimate_x(r, P("Z")) == 0.0
     est = estimate_eigenvalues(
-        records_from_lists([[2]], [[1]], [[2]], [[-1]]), 1, 1
+        records_from_lists([[2]], [[1]], [[2]], [[-1]]), 1, enumerate_low_weight(1, 1)
     )
     assert est[P("Z")] == pytest.approx(-9.0)  # single records are unbounded
 
@@ -563,7 +564,7 @@ def test_estimate_x_rejects_empty():
 
 def test_estimate_eigenvalues_identity_exact():
     r = sample_channel_shadows(reference_product_channel(), 100, seed=1)
-    est = estimate_eigenvalues(r, 2, 2)
+    est = estimate_eigenvalues(r, 2, enumerate_low_weight(2, 2))
     assert est[P("II")] == 1.0
     assert est.n_records == 100
     with pytest.raises(KeyError):
@@ -572,7 +573,8 @@ def test_estimate_eigenvalues_identity_exact():
 
 def test_estimates_converge_to_oracle():
     ch = reference_product_channel()
-    est = estimate_eigenvalues(sample_channel_shadows(ch, 100_000, seed=20), 2, 2)
+    est = estimate_eigenvalues(sample_channel_shadows(ch, 100_000, seed=20), 2,
+                               enumerate_low_weight(2, 2))
     for p in enumerate_low_weight(2, 2):
         assert est[p] == pytest.approx(ch.eigenvalue(p), abs=0.05)
 
@@ -581,13 +583,6 @@ def test_estimates_signed_lookup():
     est = EigenvalueEstimates(1, {P("Z"): 0.5}, 10)
     assert est[P("-Z")] == 0.5  # unsigned key lookup
     assert P("Z") in est and P("I") in est and P("X") not in est
-
-
-def test_from_channel_oracle_table():
-    ch = reference_product_channel()
-    est = EigenvalueEstimates.from_channel(ch, 2)
-    assert est.n_records == 0
-    assert est[P("ZZ")] == pytest.approx(0.384, abs=1e-12)
 
 
 # -- counts sufficient statistic ----------------------------------------------
@@ -628,7 +623,8 @@ def test_counts_qubit_cap():
 
 def test_estimating_from_block_stream():
     ch = reference_product_channel()
-    est = estimate_eigenvalues(iter_channel_shadow_blocks(ch, 50_000, 3), 2, 1)
+    est = estimate_eigenvalues(iter_channel_shadow_blocks(ch, 50_000, 3), 2,
+                               enumerate_low_weight(2, 1))
     assert est[P("ZI")] == pytest.approx(0.60, abs=0.05)
 
 
