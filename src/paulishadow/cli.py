@@ -34,7 +34,7 @@ from .channels import (
     load_channel,
     reference_product_channel,
 )
-from .clifford import CliffordCircuit, exact_gate_estimates, gate_arity, mitigation_coefficients
+from .clifford import CliffordCircuit, exact_gate_estimates, mitigation_coefficients
 from .observables import Observable, heisenberg_observable
 from .paulis import PauliString, enumerate_low_weight, letter_codes
 from .recovery import (
@@ -47,7 +47,7 @@ from .recovery import (
 )
 from .shadows import (
     EXPECTATION_BATCHES,
-    ShadowCounts,
+    ShadowCounts,  # unused here; perfbench/tracing.py wraps cli.ShadowCounts.accumulate
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
     estimate_state_expectations,
@@ -239,8 +239,7 @@ def cmd_mitigate(args: argparse.Namespace) -> int:
                     kind, circuit.noise.get(kind), args.shadows,
                     _derive_seed(args.seed, 23, *(ord(c) for c in kind)),
                 )
-                counts = ShadowCounts.accumulate(blocks, gate_arity(kind))
-                estimates[kind] = estimate_gate_eigenvalues(counts, kind)
+                estimates[kind] = estimate_gate_eigenvalues(blocks, kind)
         back = mitigation_coefficients(circuit, estimates, observable, args.floor)
     return _print_report(back, observable, circuit, psi, ideal, args.out)
 
@@ -543,6 +542,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for option in ("seed", "state_seed"):  # SeedSequence takes no negative seed
+            if getattr(args, option, 0) < 0:
+                raise ConfigError(f"--{option.replace('_', '-')} must be >= 0")
         return args.func(args)
     except RecoveryError as err:
         print(f"recovery failed: {err}", file=sys.stderr)

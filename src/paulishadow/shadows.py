@@ -19,11 +19,12 @@ Estimation
 ----------
 A record is one uint8 cell per qubit: (s axis, s sign, t axis, t sign) in
 mixed radix (3, 2, 3, 2), which every sampler writes directly.
-``ShadowCounts`` holds the joint 36^n histogram of cells (n <= 4).
-Contracting it once, qubit by qubit, against the (16, 36) table of
-per-qubit factors gives the 16^n *moment table*: the entry at mixed-radix
-index sum_j (P_j * 4 + Q_j) * 16^(n-1-j), with letter codes I=0, X=1, Y=2,
-Z=3 and qubit 0 most significant, is the numerator of (P, Q): the sum over
+``ShadowCounts`` holds the joint 36^n histogram of cells (n <= 4), as int32
+counts up to 2^31 - 1 records and as int64 past that.  Contracting it
+once, qubit by qubit, against the (16, 36) table of per-qubit factors
+gives the 16^n *moment table*: the entry at mixed-radix index
+sum_j (P_j * 4 + Q_j) * 16^(n-1-j), with letter codes I=0, X=1, Y=2, Z=3
+and qubit 0 most significant, is the numerator of (P, Q): the sum over
 records of prod_j tr(P_j s_j) tr(Q_j (3 t_j - I)).  Every eigenvalue,
 transfer entry and gate estimate is one lookup, ``3^|P| * numer / N``; an
 estimator passes its pairs as one (pairs, n) int8 array of digits P_j * 4 + Q_j.
@@ -89,6 +90,7 @@ _DIGITS = np.full((256, 256), -1, dtype=np.int8)
 _DIGITS[tuple(np.array([(ord(a), ord(s)) for a in AXES for s in "+-"]).T)] = np.arange(6)
 DEFAULT_BLOCK_SIZE = 1 << 16
 COUNTS_QUBIT_CAP = 4  # 36^n histogram cells
+INT32_RECORDS = np.iinfo(np.int32).max  # records an int32 histogram holds
 EXPECTATION_BATCHES = 10  # median-of-means batches of estimate_state_expectations
 
 
@@ -279,10 +281,10 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
     shape = (block_size, n)
     if isinstance(channel, ProductChannel):
         # P(+) by (qubit, input axis, physical sign bit, measured axis), and each
-        # record's offset of its qubit's 18 entries (a same-shape add is fast).
+        # record's offset of its qubit's 6 input digits (a same-shape add is fast).
         p_plus = np.ravel([(1.0 + channel.output_bloch(j, axis, sign)) / 2.0
                            for j in range(n) for axis in range(3) for sign in (1, -1)])
-        offsets = np.tile(18 * np.arange(n), (block_size, 1)).astype(np.min_scalar_type(18 * n))
+        offsets = np.tile(6 * np.arange(n), (block_size, 1)).astype(np.min_scalar_type(18 * n))
     elif not isinstance(channel, PauliChannel):
         raise TypeError(f"cannot sample shadows of {type(channel).__name__}")
 
@@ -295,11 +297,12 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
     def sample(rng: np.random.Generator) -> ShadowRecords:
         s_axis = rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)
         s_bit = rng.integers(0, 2, shape, dtype=np.int8).view(np.uint8)
-        physical_bit = s_bit
-        if spam > 0.0:
-            physical_bit = flips(rng)
-            physical_bit ^= s_bit
+        cells = s_axis  # the cells, built in place in the input axes
         if isinstance(channel, PauliChannel):
+            physical_bit = s_bit
+            if spam > 0.0:
+                physical_bit = flips(rng)
+                physical_bit ^= s_bit
             errors = channel.sample_errors(block_size, rng).view(np.uint8)
             # An error other than I and the prepared axis flips the outcome
             # read in the prepared axis.
@@ -312,24 +315,31 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
             # Another basis reads a fair coin.
             t_bit = rng.integers(0, 2, shape, dtype=np.int8).view(np.uint8)
             np.copyto(t_bit, axis_bit, where=t_axis == s_axis)
+            cells *= 2
+            cells += s_bit
+            cells *= 3
+            cells += t_axis
         else:
+            # Each draw is folded into the cells as it is drawn, so two block
+            # arrays live through the uniform loop: the cells, and each
+            # record's entry of p_plus, then in place its outcome bit.
+            cells *= 2
+            cells += s_bit
+            del s_bit
+            t_bit = np.add(cells, offsets)  # 6j + input digit: the sign bit is its low bit
+            if spam > 0.0:
+                t_bit ^= flips(rng)  # the prepared sign bit becomes the physical one
             t_axis = rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)
-            # Each record's entry of p_plus, then in place its outcome bit.
-            t_bit = np.multiply(s_axis, 2, dtype=offsets.dtype)
-            t_bit += physical_bit
+            cells *= 3
+            cells += t_axis
             t_bit *= 3
-            t_bit += t_axis
-            t_bit += offsets
+            t_bit += t_axis  # 18j + physical digit * 3 + measured axis
+            del t_axis
             for rows, u in uniform_slices(rng, shape):
-                np.greater_equal(u, p_plus.take(t_bit[rows]), out=t_bit[rows])
+                # Fancy indexing reads the narrow entries without an intp copy.
+                np.greater_equal(u, p_plus[t_bit[rows]], out=t_bit[rows])
         if spam > 0.0:
             t_bit ^= flips(rng)
-        # The cells, in place in the input axes.
-        cells = s_axis
-        cells *= 2
-        cells += s_bit
-        cells *= 3
-        cells += t_axis
         cells *= 2
         cells += t_bit
         return ShadowRecords.from_cells(cells)
@@ -396,13 +406,14 @@ def _moment_table(hist: np.ndarray, w: int, bound: int) -> np.ndarray:
     products through BLAS, each contracting the leading qubit axis and
     appending that qubit's letter axis (so qubit 0 ends most significant
     again), and one product with the factor table sums the 36 slab tables
-    over the leading cell.  So no float copy of the histogram is held, and
-    no (36^(w-1), 16) intermediate (6 MB at w = 4).  A factor is at most 3 in
-    magnitude, so every partial sum is an integer of magnitude at most
-    3^w N, with N the histogram's total absolute count.  Below 2^53 that is
-    exact in float64 under any summation order; past it this raises.  The
-    caller passes ``bound`` >= N from the counts it already has, so the
-    histogram is not scanned for it.
+    over the leading cell.  So no float copy of the histogram is held, only
+    of one slab (an int32 ``ShadowCounts`` slab converts faster than an
+    int64 one), and no (36^(w-1), 16) intermediate (6 MB at w = 4).  A
+    factor is at most 3 in magnitude, so every partial sum is an integer of
+    magnitude at most 3^w N, with N the histogram's total absolute count.
+    Below 2^53 that is exact in float64 under any summation order; past it
+    this raises.  The caller passes ``bound`` >= N from the counts it
+    already has, so the histogram is not scanned for it.
     """
     if 3.0**w * bound >= 2.0**53:
         raise ValueError(f"3^{w} times a total count of {bound:.6g} is past 2^53: "
@@ -428,14 +439,16 @@ class ShadowCounts:
     A sufficient statistic for every estimator in this module: 36 cells per
     qubit, 36^n joint cells (n <= 4).  Counts are integers, so estimates
     derived from them are exact functions of the drawn records, and two
-    histograms merge by addition.
+    histograms merge by addition.  No cell exceeds the record total, so the
+    counts are int32 (6.7 MB at n = 4) up to 2^31 - 1 records; ``update``
+    and ``merge`` widen them to int64 before a total passes that.
     """
 
     def __init__(self, n: int):
         if not 1 <= n <= COUNTS_QUBIT_CAP:
             raise ValueError(f"counts need 1 <= n <= {COUNTS_QUBIT_CAP}, got {n}")
         self.n = n
-        self.counts = np.zeros(36**n, dtype=np.int64)
+        self.counts = np.zeros(36**n, dtype=np.int32)
         self.n_records = 0
 
     @classmethod
@@ -454,17 +467,21 @@ class ShadowCounts:
     def update(self, records: ShadowRecords) -> None:
         if records.n != self.n:
             raise ValueError(f"records have n={records.n}, counts have n={self.n}")
+        self.n_records += len(records)
+        if self.n_records > INT32_RECORDS:
+            self.counts = self.counts.astype(np.int64, copy=False)
+        one = self.counts.dtype.type(1)  # keeps np.add.at on its fast path
         for start in range(0, len(records), DEFAULT_BLOCK_SIZE):  # bounds the temporaries
             block = records[start : start + DEFAULT_BLOCK_SIZE]
-            np.add.at(self.counts, _joint_cells(block.cells.T, range(self.n)), 1)
-        self.n_records += len(records)
+            np.add.at(self.counts, _joint_cells(block.cells.T, range(self.n)), one)
 
     def merge(self, other: "ShadowCounts") -> "ShadowCounts":
         if other.n != self.n:
             raise ValueError(f"cannot merge n={other.n} into n={self.n}")
         out = ShadowCounts(self.n)
-        out.counts = self.counts + other.counts
         out.n_records = self.n_records + other.n_records
+        out.counts = np.add(self.counts, other.counts,
+                            dtype=np.int64 if out.n_records > INT32_RECORDS else np.int32)
         return out
 
     def moments(self) -> np.ndarray:
@@ -723,9 +740,10 @@ def sample_gate_shadows(
 
 
 def estimate_gate_eigenvalues(
-    records: ShadowRecords | ShadowCounts, kind: str
+    source: ShadowRecords | ShadowCounts | Iterable[ShadowRecords], kind: str
 ) -> EigenvalueEstimates:
-    """Noise eigenvalues of a gate from its shadow records.
+    """Noise eigenvalues of a gate from its shadow records, counts or block
+    stream, whose ``n`` must be the gate's arity.
 
     The input-side Pauli is the backward conjugation U^dagger P U, read from
     the kind's conjugation table; its sign multiplies the estimate, and the
@@ -733,12 +751,10 @@ def estimate_gate_eigenvalues(
     random eigenstate sees).
     """
     g = gate_arity(kind)
-    if records.n != g:
-        raise ValueError(f"{kind} records must have n={g}, got {records.n}")
     strings = list(iter_all_paulis(g))[1:]  # table order, the identity dropped
     backs = CONJUGATION_TABLES[kind][1:]
     digits = 4 * letter_codes(backs, g) + letter_codes(strings, g)
-    total, numers = _numerators(records, g, digits)
+    total, numers = _numerators(source, g, digits)
     values = {
         p: back.sign * 3.0 ** back.weight * numer / total
         for p, back, numer in zip(strings, backs, numers.tolist())

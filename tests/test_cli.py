@@ -664,6 +664,11 @@ BAD_INPUTS = {
     "fig2-over-dense-cap": "fig2 --channel PAULI13 --n 13 --sweep 100",
     # No non-identity term: nothing to learn and no error to take a ratio of.
     "fig2-identity-observable": "fig2 --observable IDENTITY --sweep 100",
+    # Seeds are non-negative in every command.
+    "learn-negative-seed": "learn --channel reference --seed -1",
+    "mitigate-negative-seed": "mitigate --circuit CIRCUIT --observable heisenberg --seed -1",
+    "fig2-negative-seed": "fig2 --sweep 100 --seed -1",
+    "recover-negative-state-seed": "recover --channel reference --observable heisenberg --state-seed -1",
 }
 
 

@@ -247,7 +247,7 @@ def test_moment_table_equals_int64_contraction(w):
     counts = rng.integers(0, 1000, 36**w)
     # Past the cap a histogram is weighted by head factors: signed, float.
     weighted = (rng.integers(-9, 10, 36**w) * rng.integers(0, 50, 36**w)).astype(np.float64)
-    for hist in (counts, weighted, np.zeros(36**w, np.int64)):
+    for hist in (counts, counts.astype(np.int32), weighted, np.zeros(36**w, np.int64)):
         got = shadows._moment_table(hist, w, np.abs(hist).sum())
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, moment_table_int64(hist, w))

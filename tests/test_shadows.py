@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -612,6 +613,50 @@ def test_counts_merge_and_accumulate():
     assert merged.n_records == 9000
     streamed = ShadowCounts.accumulate(iter_channel_shadow_blocks(ch, 9000, 44), 2)
     np.testing.assert_array_equal(streamed.counts, whole.counts)
+
+
+def test_counts_are_int32():
+    for n in range(1, shadows.COUNTS_QUBIT_CAP + 1):
+        assert ShadowCounts(n).counts.dtype == np.int32
+
+
+def test_counts_widen_to_int64_before_a_total_passes_int32():
+    # One cell already holds every one of 2^31 - 10 records; a block that
+    # adds to it would wrap an int32 count.
+    block = sample_channel_shadows(reference_product_channel(), 400, seed=12)
+    small = ShadowCounts.from_records(block)
+    near = ShadowCounts(2)
+    near.counts[small.counts.argmax()] = near.n_records = 2**31 - 10
+    want = near.counts.astype(np.int64) + small.counts
+    merged = near.merge(small)
+    near.update(block)
+    for got in (near, merged):
+        assert got.counts.dtype == np.int64
+        np.testing.assert_array_equal(got.counts, want)
+        assert got.n_records == 2**31 + 390
+    assert small.merge(small).counts.dtype == np.int32
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_four_qubit_reduce_path_stays_small(monkeypatch):
+    # The int32 histogram is 6.4 MiB, and a transfer-matrix block keeps two
+    # block arrays through its uniform loop (the cells and the p_plus entries).
+    monkeypatch.setattr(shadows, "_helper_count", lambda: 1)  # two blocks at a time
+    channel = ProductChannel([amplitude_damping_ptm(0.1 * (j + 1)) for j in range(4)])
+    sample = shadows._block_sampler(channel, DEFAULT_BLOCK_SIZE, 0.0)
+    sample(block_rng(1, 0))
+    assert _traced_peak(lambda: sample(block_rng(1, 1))) < 1.3 * 2**20
+    blocks = iter_channel_shadow_blocks(channel, 200_000, seed=5)
+    assert _traced_peak(lambda: ShadowCounts.accumulate(blocks, 4)) < 12 * 2**20
 
 
 def test_counts_qubit_cap():
