@@ -45,12 +45,14 @@ fixed-size blocks; block ``b`` of a run with seed ``s`` always draws from
 so record ``i`` depends only on (seed, block size, i): the records for a
 smaller count are a prefix of those for a larger one, but another block
 size gives other records.  Channel and gate shadows share this block driver
-and are both streamed, so a caller that reduces each block into a histogram
-holds one block per usable CPU at a time, and the histogram does not depend
-on how the records are re-chunked for reduction.  The driver samples blocks
-on a ``concurrent.futures.ThreadPoolExecutor`` with one helper thread per
-usable CPU past the first, and the records do not depend on that count:
-under ``taskset -c 0`` it starts no executor and samples on one thread.
+and are both streamed as a ``BlockStream``.  Blocks are sampled on a
+``concurrent.futures.ThreadPoolExecutor`` with one helper thread per usable
+CPU past the first, and nothing depends on that count: under ``taskset -c 0``
+no executor starts.  Iterating a stream yields its blocks in block order, one
+block per usable CPU at a time.  ``ShadowCounts.accumulate`` counts an
+unstarted stream where each block is drawn: every thread adds its blocks
+straight into the one histogram, and as integer addition commutes, any
+split of the blocks between threads gives the same counts.
 Samplers draw their uniforms in slices, which give the same doubles as one
 call, so their temporaries stay small.
 """
@@ -60,6 +62,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
@@ -220,9 +223,12 @@ class ShadowRecords:
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
     """The deterministic generator owning block ``block`` of run ``seed``."""
-    return np.random.Generator(
-        np.random.Philox(key=seed % (1 << 128), counter=block << 128)
-    )
+    bit_generator = np.random.Philox(0)  # Philox(key=...) reads OS entropy for a seed it drops
+    key = seed % (1 << 128)  # key and counter in little-endian 64-bit words
+    bit_generator.state = {**bit_generator.state, "state": {
+        "counter": np.array([0, 0, block % (1 << 64), block >> 64], np.uint64),
+        "key": np.array([key % (1 << 64), key >> 64], np.uint64)}}
+    return np.random.Generator(bit_generator)
 
 
 def _helper_count() -> int:
@@ -261,8 +267,6 @@ def _iter_blocks(count: int, seed: int, block_size: int, sample) -> Iterator[Sha
     thread's heap, so a consumer that holds blocks holds them there.  Blocks
     are yielded in block order, and every block draws from its own
     generator, so the records do not depend on the number of helpers."""
-    if count < 0:
-        raise ValueError(f"record count must be >= 0, got {count}")
     blocks = range(-(-count // block_size))
     helpers = _helper_count()
     for first in range(0, len(blocks), helpers + 1):
@@ -273,6 +277,62 @@ def _iter_blocks(count: int, seed: int, block_size: int, sample) -> Iterator[Sha
         for block, records in zip(group, sampled):
             left = count - block * block_size
             yield records[:left] if left < block_size else records
+
+
+class BlockStream(Iterator[ShadowRecords]):
+    """The records of one sampling run, yielded by ``_iter_blocks``; ``len``
+    is the number of records in all.  ``tally(rng, left)`` draws one block
+    and returns the joint cells and amounts that its first ``left`` records
+    add to a histogram, so an unstarted stream can be counted as it is drawn."""
+
+    def __init__(self, n: int, count: int, seed: int, block_size: int, sample, tally):
+        if count < 0:
+            raise ValueError(f"record count must be >= 0, got {count}")
+        self.n, self.count, self.seed, self.block_size = n, count, seed, block_size
+        self.sample, self.tally, self.blocks = sample, tally, None  # blocks: once started
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __next__(self) -> ShadowRecords:
+        if self.blocks is None:
+            self.blocks = _iter_blocks(self.count, self.seed, self.block_size, self.sample)
+        return next(self.blocks)
+
+    def count_into(self, counts: np.ndarray) -> None:
+        """Add every record into ``counts``: the calling thread and up to one
+        ``_helpers`` thread per further block take block numbers from one
+        shared list and add each tallied block under a lock.  A tally that
+        raises empties the list, and reaches the caller once no helper runs."""
+        if self.blocks is not None:
+            raise ValueError("a stream that has started cannot be counted whole")
+        todo, lock = list(reversed(range(-(-self.count // self.block_size)))), threading.Lock()
+        self.blocks = iter(())  # taken, as by a generator run to its end
+
+        def take() -> int | None:
+            with lock:
+                return todo.pop() if todo else None
+
+        def work() -> None:
+            try:
+                for block in iter(take, None):
+                    left = self.count - block * self.block_size
+                    where, amounts = self.tally(block_rng(self.seed, block), left)
+                    with lock:  # amounts of the counts' dtype keep np.add.at on its fast path
+                        np.add.at(counts, where, np.asarray(amounts, counts.dtype))
+            finally:  # after a fault, no thread takes another block
+                with lock:
+                    todo.clear()
+
+        helpers = _helper_count()
+        pending = [_helpers(helpers).submit(work) for _ in range(min(helpers, len(todo) - 1))]
+        try:
+            work()
+        finally:
+            for future in pending:
+                future.exception()  # waits for the helper
+        for future in pending:
+            future.result()
 
 
 def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam: float):
@@ -292,6 +352,7 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
         out = np.empty(shape, dtype=np.uint8)
         for rows, u in uniform_slices(rng, shape):
             np.less(u, spam, out=out[rows])
+            del u  # before the next slice is drawn
         return out
 
     def sample(rng: np.random.Generator) -> ShadowRecords:
@@ -338,6 +399,7 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
             for rows, u in uniform_slices(rng, shape):
                 # Fancy indexing reads the narrow entries without an intp copy.
                 np.greater_equal(u, p_plus[t_bit[rows]], out=t_bit[rows])
+                del u  # before the next slice or the flips are drawn
         if spam > 0.0:
             t_bit ^= flips(rng)
         cells *= 2
@@ -353,12 +415,14 @@ def iter_channel_shadow_blocks(
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
     spam_flip_probability: float = 0.0,
-) -> Iterator[ShadowRecords]:
+) -> BlockStream:
     """Stream records in deterministic blocks (see module docstring)."""
     if not 0.0 <= spam_flip_probability <= 1.0:
         raise ValueError(f"flip probability must be in [0, 1], got {spam_flip_probability}")
     sample = _block_sampler(channel, block_size, spam_flip_probability)
-    yield from _iter_blocks(count, seed, block_size, sample)
+    # int32 codes (36^4 < 2^31): every thread that counts holds one block's.
+    return BlockStream(channel.n, count, seed, block_size, sample, lambda rng, left: (
+        _joint_cells(sample(rng).cells[:left].T, range(channel.n), np.int32), 1))
 
 
 def sample_channel_shadows(
@@ -369,7 +433,7 @@ def sample_channel_shadows(
     spam_flip_probability: float = 0.0,
 ) -> ShadowRecords:
     blocks = iter_channel_shadow_blocks(channel, count, seed, block_size, spam_flip_probability)
-    return ShadowRecords.concatenate(blocks, (max(count, 0), channel.n))
+    return ShadowRecords.concatenate(blocks, (len(blocks), channel.n))
 
 
 # -- estimation ----------------------------------------------------------------
@@ -388,10 +452,10 @@ _CELL_FACTORS = _cell_factor_table()
 _CELL_FACTORS_T = _CELL_FACTORS.T.astype(np.float64)  # (36, 16), for BLAS
 
 
-def _joint_cells(cells: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+def _joint_cells(cells: np.ndarray, qubits: Sequence[int], dtype=np.int64) -> np.ndarray:
     """Joint cell of every record on ``qubits``, first qubit most significant;
     ``cells`` is (n, N), one row per qubit."""
-    codes = np.zeros(cells.shape[1], dtype=np.int64)
+    codes = np.zeros(cells.shape[1], dtype=dtype)
     for j in qubits:
         codes *= 36
         codes += cells[j]
@@ -460,20 +524,26 @@ class ShadowCounts:
     @classmethod
     def accumulate(cls, blocks: Iterable[ShadowRecords], n: int) -> "ShadowCounts":
         out = cls(n)
+        if isinstance(blocks, BlockStream) and blocks.blocks is None:
+            blocks = [blocks]  # counted whole, where each block is drawn
         for block in blocks:
             out.update(block)
         return out
 
-    def update(self, records: ShadowRecords) -> None:
+    def update(self, records: ShadowRecords | BlockStream) -> None:
+        """Add a batch of records, or every record of an unstarted stream."""
         if records.n != self.n:
             raise ValueError(f"records have n={records.n}, counts have n={self.n}")
-        self.n_records += len(records)
-        if self.n_records > INT32_RECORDS:
+        if self.n_records + len(records) > INT32_RECORDS:
             self.counts = self.counts.astype(np.int64, copy=False)
-        one = self.counts.dtype.type(1)  # keeps np.add.at on its fast path
-        for start in range(0, len(records), DEFAULT_BLOCK_SIZE):  # bounds the temporaries
-            block = records[start : start + DEFAULT_BLOCK_SIZE]
-            np.add.at(self.counts, _joint_cells(block.cells.T, range(self.n)), one)
+        if isinstance(records, BlockStream):
+            records.count_into(self.counts)
+        else:
+            one = self.counts.dtype.type(1)  # keeps np.add.at on its fast path
+            for start in range(0, len(records), DEFAULT_BLOCK_SIZE):  # bounds the temporaries
+                block = records[start : start + DEFAULT_BLOCK_SIZE]
+                np.add.at(self.counts, _joint_cells(block.cells.T, range(self.n)), one)
+        self.n_records += len(records)
 
     def merge(self, other: "ShadowCounts") -> "ShadowCounts":
         if other.n != self.n:
@@ -546,7 +616,7 @@ def _numerators(source, n: int, digits: np.ndarray) -> tuple[int, np.ndarray]:
             source = ShadowCounts.accumulate(source, n)
         else:  # an empty first batch joins an empty stream to zero records
             empty = ShadowRecords.from_cells(np.empty((0, n), dtype=np.uint8))
-            source = ShadowRecords.concatenate([empty, *source])
+            source = ShadowRecords.concatenate(itertools.chain([empty], source))
     if source.n != n:
         raise ValueError(f"source has n={source.n}, expected {n}")
     if isinstance(source, ShadowRecords) and n <= COUNTS_QUBIT_CAP:
@@ -695,7 +765,7 @@ def sample_gate_shadows(
     count: int,
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
-) -> Iterator[ShadowRecords]:
+) -> BlockStream:
     """Stream shadow records of a noisy gate in deterministic blocks: random
     eigenstate in, gate plus noise, random Pauli measurement out.  ``n`` of
     every block is the gate arity; blocks follow the (seed, block) scheme of
@@ -705,7 +775,8 @@ def sample_gate_shadows(
     per record.  The row of ``_gate_outcome_cdfs`` is built in place from the
     digits, the outcome counts the row's thresholds at or below the uniform,
     and ``row * 2^g + outcome`` indexes a table that holds the record's g
-    cells as one g-byte word."""
+    cells as one g-byte word.  A histogram bincounts that index instead and
+    adds the bins at each index's joint cell."""
     g = gate_arity(kind)
     outcomes = 2**g
     # Threshold k of every row, one contiguous row per k.
@@ -714,8 +785,9 @@ def sample_gate_shadows(
     digits = np.unravel_index(np.arange(36**g), (18,) * g + (2,) * g)
     cell_table = np.stack([2 * digits[j] + digits[g + j] for j in range(g)], 1).astype(np.uint8)
     cell_words = cell_table.view(f"u{g}").reshape(-1)  # gates act on one or two qubits
+    joint_cells = _joint_cells(cell_table.T, range(g))
 
-    def sample(rng: np.random.Generator) -> ShadowRecords:
+    def outcome_index(rng: np.random.Generator) -> np.ndarray:
         shape = (block_size, g)
         # int32 draws take the same 32-bit words as int64 ones; each is
         # narrowed before the next, so no two block-sized int32 arrays meet.
@@ -734,9 +806,15 @@ def sample_gate_shadows(
                 outcome += u >= thresholds[k][part]
             part *= outcomes
             part += outcome
-        return ShadowRecords.from_cells(cell_words[row].view(np.uint8).reshape(shape))
+        return row
 
-    yield from _iter_blocks(count, seed, block_size, sample)
+    def sample(rng: np.random.Generator) -> ShadowRecords:
+        return ShadowRecords.from_cells(cell_words[outcome_index(rng)].view(np.uint8).reshape(-1, g))
+
+    def tally(rng: np.random.Generator, left: int) -> tuple[np.ndarray, np.ndarray]:
+        return joint_cells, np.bincount(outcome_index(rng)[:left], minlength=36**g)
+
+    return BlockStream(g, count, seed, block_size, sample, tally)
 
 
 def estimate_gate_eigenvalues(

@@ -6,6 +6,7 @@ values, counts-vs-records agreement, unbiasedness enumerations) are checked
 to 1e-12 or exactly.
 """
 
+import contextlib
 import hashlib
 import itertools
 import math
@@ -362,20 +363,31 @@ def test_blocks_are_sampled_in_groups_of_one_per_cpu(helpers, monkeypatch):
     assert [b.cells[0, 1] for b in blocks] == [b % (helpers + 1) == 0 for b in range(10)]
 
 
+@contextlib.contextmanager
+def fast_thread_switching():
+    """Switch threads every microsecond, so a lost or repeated update shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_many_helpers_under_fast_thread_switching_keep_every_block(monkeypatch):
     # More helpers than cores, switching threads every microsecond: a block
-    # lost, repeated or yielded out of order changes the records.
+    # lost, repeated or yielded out of order changes the records, and one
+    # lost, repeated or raced in the count route changes the histogram.
     channel = GOLDEN_CHANNELS["ptm-product"]()
     monkeypatch.setattr(shadows, "_helper_count", lambda: 0)
     serial = sample_channel_shadows(channel, 5000, seed=6, block_size=64)
     monkeypatch.setattr(shadows, "_helper_count", lambda: 5)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+    with fast_thread_switching():
         grouped = sample_channel_shadows(channel, 5000, seed=6, block_size=64)
-    finally:
-        sys.setswitchinterval(interval)
+        counted = ShadowCounts.accumulate(
+            iter_channel_shadow_blocks(channel, 5000, seed=6, block_size=64), 3)
     np.testing.assert_array_equal(grouped.cells, serial.cells)
+    np.testing.assert_array_equal(counted.counts, ShadowCounts.from_records(serial).counts)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -432,6 +444,10 @@ def test_no_executor_module_is_imported_until_a_helper_samples():
         "shadows._helper_count = lambda: 0\n"
         "shadows.sample_channel_shadows(reference_product_channel(), 300, 1, 64)\n"
         "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
+        "shadows._helper_count = lambda: 1\n"
+        "blocks = shadows.iter_channel_shadow_blocks(reference_product_channel(), 64, 1, 64)\n"
+        "assert shadows.ShadowCounts.accumulate(blocks, 2).n_records == 64\n"
+        "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
     )
     src = os.path.dirname(os.path.dirname(shadows.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -458,6 +474,43 @@ def test_sampler_exception_on_a_helper_reaches_the_consumer(monkeypatch):
     assert type(caught.value) is SamplerFault
 
 
+@pytest.mark.parametrize("helpers", [1, 3])
+@pytest.mark.parametrize("faulty", ["caller", "helper"])
+def test_sampler_exception_in_the_count_route_reaches_the_caller(helpers, faulty, monkeypatch):
+    monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
+
+    class SamplerFault(RuntimeError):
+        pass
+
+    tallied = []
+
+    def tally(rng, left):
+        block = int(rng.bit_generator.state["state"]["counter"][2])
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (faulty == "caller"):
+            raise SamplerFault(f"block drawn on the {faulty}")
+        time.sleep(0.002)  # leaves the faulty thread time to take a block
+        tallied.append(block)
+        return np.array([block % 36]), 1
+
+    stream = shadows.BlockStream(1, 400, 0, 1, sample=None, tally=tally)
+    with pytest.raises(SamplerFault, match=f"^block drawn on the {faulty}$") as caught:
+        ShadowCounts.accumulate(stream, 1)
+    assert type(caught.value) is SamplerFault
+    # No thread took a block once the fault was raised, and none is still
+    # tallying: every helper stopped before the exception reached here.
+    stopped = len(tallied)
+    assert stopped < 100
+    time.sleep(0.05)
+    assert len(tallied) == stopped
+    assert list(stream) == []  # the stream was taken, as a generator that raised
+    # The helpers are free for the next count, which is whole.
+    channel = GOLDEN_CHANNELS["pauli-sparse"]()
+    counted = ShadowCounts.accumulate(iter_channel_shadow_blocks(channel, 1001, 7, 64), 3)
+    whole = ShadowCounts.from_records(sample_channel_shadows(channel, 1001, 7, 64))
+    np.testing.assert_array_equal(counted.counts, whole.counts)
+
+
 @pytest.mark.parametrize("helpers", [0, 1, 3])
 def test_records_and_gate_estimates_do_not_depend_on_the_helper_count(
     helpers, monkeypatch, tmp_path
@@ -465,19 +518,46 @@ def test_records_and_gate_estimates_do_not_depend_on_the_helper_count(
     monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
     for case in sorted(GOLDEN_SAVE_SHA256):
         assert saved_digest(golden_records(case), tmp_path / "records.txt") == GOLDEN_SAVE_SHA256[case]
-    test_gate_shadow_stream_reduces_like_records()
+    check_gate_streams_reduce_like_records()
+
+
+# (block size, count): partial last blocks, whole blocks only, one exact
+# block, and fewer records than one block.
+STREAM_SIZES = [(64, 1001), (250, 1001), (250, 1000), (250, 250), (250, 100)]
 
 
 @pytest.mark.parametrize("spam", [0.0, 0.1])
 @pytest.mark.parametrize("source", sorted(GOLDEN_CHANNELS))
-def test_channel_stream_reduces_like_records(source, spam):
+def test_channel_stream_reduces_like_records(source, spam, monkeypatch):
+    # An unstarted stream is counted where each block is drawn; any other
+    # iterable of blocks is counted block by block; both match the records.
     channel = GOLDEN_CHANNELS[source]()
-    for block_size in (64, 250):
-        stream = iter_channel_shadow_blocks(channel, 1001, 7, block_size, spam)
-        streamed = ShadowCounts.accumulate(stream, 3)
-        whole = ShadowCounts.from_records(sample_channel_shadows(channel, 1001, 7, block_size, spam))
-        np.testing.assert_array_equal(streamed.counts, whole.counts)
-        assert streamed.n_records == whole.n_records == 1001
+    for helpers in (0, 1, 3):
+        monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
+        for block_size, count in STREAM_SIZES:
+            args = (channel, count, 7, block_size, spam)
+            whole = ShadowCounts.from_records(sample_channel_shadows(*args))
+            with fast_thread_switching():
+                counted = ShadowCounts.accumulate(iter_channel_shadow_blocks(*args), 3)
+                ordered = ShadowCounts.accumulate((b for b in iter_channel_shadow_blocks(*args)), 3)
+            for streamed in (counted, ordered):
+                np.testing.assert_array_equal(streamed.counts, whole.counts)
+                assert streamed.n_records == whole.n_records == count
+
+
+def test_a_started_stream_is_counted_block_by_block():
+    channel = GOLDEN_CHANNELS["ptm-product"]()
+    stream = iter_channel_shadow_blocks(channel, 1001, 7, 250)
+    assert len(stream) == 1001  # records in all, however many are left
+    first = next(stream)
+    rest = ShadowCounts.accumulate(stream, 3)
+    whole = ShadowCounts.from_records(sample_channel_shadows(channel, 1001, 7, 250))
+    np.testing.assert_array_equal(rest.merge(ShadowCounts.from_records(first)).counts, whole.counts)
+    assert rest.n_records == 751
+    started = iter_channel_shadow_blocks(channel, 1001, 7, 250)
+    next(started)
+    with pytest.raises(ValueError, match="has started"):
+        ShadowCounts(3).update(started)
 
 
 def test_block_rng_is_counter_based():
@@ -486,6 +566,20 @@ def test_block_rng_is_counter_based():
     np.testing.assert_array_equal(a, b)
     c = block_rng(99, 1).integers(0, 1000, 5)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed, block", [(0, 0), (99, 1), (2**64 + 3, 2**64 + 5),
+                                         (2**128 + 17, 3), (2**200 - 1, 2**70), (-5, 2)])
+def test_block_rng_sets_the_philox_key_and_counter_without_os_entropy(seed, block):
+    def plain(state):
+        return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
+                for k, v in state.items()}
+
+    want = np.random.Philox(key=seed % (1 << 128), counter=block << 128).state
+    got = block_rng(seed, block).bit_generator
+    assert plain(got.state) == plain(want)
+    # A seed sequence drawn from OS entropy would differ between calls.
+    assert got.seed_seq.entropy == block_rng(seed, block).bit_generator.seed_seq.entropy
 
 
 def test_identity_channel_sampling_marginals():
@@ -635,6 +729,11 @@ def test_counts_widen_to_int64_before_a_total_passes_int32():
         np.testing.assert_array_equal(got.counts, want)
         assert got.n_records == 2**31 + 390
     assert small.merge(small).counts.dtype == np.int32
+    # A stream is counted whole, so the widening comes before its first block.
+    stream = shadows.BlockStream(2, 2**31, 0, 2**31, None, lambda rng, left: (np.array([5]), left))
+    counted = ShadowCounts.accumulate(stream, 2)
+    assert counted.counts.dtype == np.int64
+    assert counted.counts[5] == counted.n_records == 2**31
 
 
 def _traced_peak(run) -> int:
@@ -649,13 +748,19 @@ def _traced_peak(run) -> int:
 
 def test_four_qubit_reduce_path_stays_small(monkeypatch):
     # The int32 histogram is 6.4 MiB, and a transfer-matrix block keeps two
-    # block arrays through its uniform loop (the cells and the p_plus entries).
+    # block arrays through its uniform loop (the cells and the p_plus entries),
+    # with preparation/measurement flips as without: no uniform slice lives
+    # on while the next is drawn.
     monkeypatch.setattr(shadows, "_helper_count", lambda: 1)  # two blocks at a time
     channel = ProductChannel([amplitude_damping_ptm(0.1 * (j + 1)) for j in range(4)])
-    sample = shadows._block_sampler(channel, DEFAULT_BLOCK_SIZE, 0.0)
-    sample(block_rng(1, 0))
-    assert _traced_peak(lambda: sample(block_rng(1, 1))) < 1.3 * 2**20
-    blocks = iter_channel_shadow_blocks(channel, 200_000, seed=5)
+    peaks = []
+    for spam in (0.0, 0.1):
+        sample = shadows._block_sampler(channel, DEFAULT_BLOCK_SIZE, spam)
+        sample(block_rng(1, 0))
+        peaks.append(_traced_peak(lambda: sample(block_rng(1, 1))))
+    assert max(peaks) < 1.3 * 2**20
+    assert peaks[1] < peaks[0] + 2**16
+    blocks = iter_channel_shadow_blocks(channel, 200_000, seed=5)  # counted as drawn
     assert _traced_peak(lambda: ShadowCounts.accumulate(blocks, 4)) < 12 * 2**20
 
 
@@ -896,19 +1001,23 @@ def test_gate_shadow_stream_blocks_and_prefixes():
         next(sample_gate_shadows("CNOT", noise, -1, seed=8))
 
 
-def test_gate_shadow_stream_reduces_like_records():
+def check_gate_streams_reduce_like_records():
+    """At the current helper count, a gate stream counted where each block is
+    drawn (its outcome index bincounted) and one counted block by block give
+    the histogram of its records."""
     noise = PauliChannel.from_terms(2, {"XX": 0.05, "ZI": 0.03, "YZ": 0.02})
     for kind, chan in (("H", None), ("S", None), ("CNOT", noise)):
         g = 2 if kind == "CNOT" else 1
-        for block_size in (1000, 4096):
-            stream = sample_gate_shadows(kind, chan, 20_000, seed=12, block_size=block_size)
-            streamed = ShadowCounts.accumulate(stream, g)
-            records = ShadowRecords.concatenate(
-                list(sample_gate_shadows(kind, chan, 20_000, seed=12, block_size=block_size))
-            )
+        for block_size, count in ((1000, 20_000), (4096, 20_000), (1000, 1000), (4096, 300)):
+            args = (kind, chan, count, 12, block_size)
+            with fast_thread_switching():
+                counted = ShadowCounts.accumulate(sample_gate_shadows(*args), g)
+                ordered = ShadowCounts.accumulate((b for b in sample_gate_shadows(*args)), g)
+            records = ShadowRecords.concatenate(list(sample_gate_shadows(*args)))
             whole = ShadowCounts.from_records(records)
-            np.testing.assert_array_equal(streamed.counts, whole.counts)
-            assert streamed.n_records == whole.n_records == 20_000
+            for streamed in (counted, ordered):
+                np.testing.assert_array_equal(streamed.counts, whole.counts)
+                assert streamed.n_records == whole.n_records == count
             # The histogram does not depend on how the records are cut into blocks.
             for size in (13, 777, 20_000):
                 rechunked = ShadowCounts.accumulate(
@@ -916,9 +1025,15 @@ def test_gate_shadow_stream_reduces_like_records():
                 )
                 np.testing.assert_array_equal(rechunked.counts, whole.counts)
             assert (
-                estimate_gate_eigenvalues(streamed, kind).values
+                estimate_gate_eigenvalues(counted, kind).values
                 == estimate_gate_eigenvalues(records, kind).values
             )
+
+
+def test_gate_shadow_stream_reduces_like_records(monkeypatch):
+    for helpers in (0, 1, 3):
+        monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
+        check_gate_streams_reduce_like_records()
 
 
 # -- preparation/measurement error --------------------------------------------
