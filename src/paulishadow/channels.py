@@ -212,14 +212,17 @@ class PauliChannel:
             for rows, u in uniform_slices(rng, (count, self.n)):
                 for threshold in cdf[:, :-1].T:
                     letters[rows] += u >= threshold
+                del u  # before the next slice is drawn
             return letters
         labels = list(self._terms)
         probs = np.array([self._terms[p] for p in labels])
         cdf = np.cumsum(probs)
         cdf[-1] = 1.0
-        picks = np.empty(count, dtype=np.intp)
+        # Narrow picks index the codes without an intp copy.
+        picks = np.empty(count, dtype=np.min_scalar_type(len(labels) - 1))
         for rows, u in uniform_slices(rng, (count,)):
             picks[rows] = np.searchsorted(cdf, u, side="right")
+            del u  # before the next slice is drawn
         return letter_codes(labels, self.n)[picks]
 
     def __repr__(self) -> str:

@@ -44,15 +44,17 @@ fixed-size blocks; block ``b`` of a run with seed ``s`` always draws from
 ``Philox(key=s, counter=b << 128)`` and always draws full-block-sized arrays,
 so record ``i`` depends only on (seed, block size, i): the records for a
 smaller count are a prefix of those for a larger one, but another block
-size gives other records.  Channel and gate shadows share this block driver
-and are both streamed as a ``BlockStream``.  Blocks are sampled on a
-``concurrent.futures.ThreadPoolExecutor`` with one helper thread per usable
-CPU past the first, and nothing depends on that count: under ``taskset -c 0``
-no executor starts.  Iterating a stream yields its blocks in block order, one
-block per usable CPU at a time.  ``ShadowCounts.accumulate`` counts an
-unstarted stream where each block is drawn: every thread adds its blocks
-straight into the one histogram, and as integer addition commutes, any
-split of the blocks between threads gives the same counts.
+size gives other records.  Channel and gate shadows are both streamed as a
+``BlockStream``, a stateless recipe with one parallel driver: the calling
+thread and up to one helper per further block (one per usable CPU past the
+first, on a ``concurrent.futures.ThreadPoolExecutor``; under ``taskset -c 0``
+no executor starts) take block numbers from one shared list.
+``ShadowCounts.accumulate`` counts a stream where each block is drawn, every
+thread adding its blocks into the one histogram, and ``BlockStream.records``
+writes block b into its own rows of one array.  Integer addition commutes and
+the rows are disjoint, so any split of the blocks between threads gives the
+same counts and records.  Iterating a stream yields its blocks in block
+order on the calling thread.
 Samplers draw their uniforms in slices, which give the same doubles as one
 call, so their temporaries stay small.
 """
@@ -152,21 +154,8 @@ class ShadowRecords:
         return ShadowRecords.from_cells(self.cells[key])
 
     @classmethod
-    def concatenate(
-        cls, batches: Iterable["ShadowRecords"], shape: tuple[int, int] | None = None
-    ) -> "ShadowRecords":
-        """Join batches.  Given the total ``shape``, the batches may be a
-        stream: each is copied into one preallocated array as it arrives."""
-        if shape is None:
-            return cls.from_cells(np.concatenate([b.cells for b in batches]))
-        cells = np.empty(shape, dtype=np.uint8)
-        stop = 0
-        for batch in batches:
-            cells[stop : stop + len(batch)] = batch.cells
-            stop += len(batch)
-        if stop != shape[0]:
-            raise ValueError(f"expected {shape[0]} records, got {stop}")
-        return cls.from_cells(cells)
+    def concatenate(cls, batches: Iterable["ShadowRecords"]) -> "ShadowRecords":
+        return cls.from_cells(np.concatenate([b.cells for b in batches]))
 
     # one record per line: "s:Z+X- t:Z-Y+"
 
@@ -255,59 +244,36 @@ if hasattr(os, "register_at_fork"):  # a forked child has no helper threads
     os.register_at_fork(after_in_child=_helpers.cache_clear)
 
 
-def _iter_blocks(count: int, seed: int, block_size: int, sample) -> Iterator[ShadowRecords]:
-    """The block driver: ``sample(rng)`` draws one full block from block b's
-    generator, and the last block is sliced to the records still wanted.
+class BlockStream:
+    """The recipe of one sampling run; ``len`` is the number of records in all.
 
-    Blocks are taken in groups, one block per usable CPU: the calling thread
-    samples the group's first block and submits each of the rest to the
-    ``_helpers`` ThreadPoolExecutor (numpy releases the GIL in the Philox
-    fills and large ufuncs).  ``Future.result()`` raises a sampler's own
-    exception again here, and each helper block is copied into the calling
-    thread's heap, so a consumer that holds blocks holds them there.  Blocks
-    are yielded in block order, and every block draws from its own
-    generator, so the records do not depend on the number of helpers."""
-    blocks = range(-(-count // block_size))
-    helpers = _helper_count()
-    for first in range(0, len(blocks), helpers + 1):
-        group = blocks[first : first + helpers + 1]
-        pending = [_helpers(helpers).submit(sample, block_rng(seed, b)) for b in group[1:]]
-        sampled = itertools.chain([sample(block_rng(seed, first))], (
-            ShadowRecords.from_cells(p.result().cells.copy()) for p in pending))
-        for block, records in zip(group, sampled):
-            left = count - block * block_size
-            yield records[:left] if left < block_size else records
-
-
-class BlockStream(Iterator[ShadowRecords]):
-    """The records of one sampling run, yielded by ``_iter_blocks``; ``len``
-    is the number of records in all.  ``tally(rng, left)`` draws one block
-    and returns the joint cells and amounts that its first ``left`` records
-    add to a histogram, so an unstarted stream can be counted as it is drawn."""
+    ``sample(rng)`` draws one full block from block b's generator, and
+    ``tally(rng, left)`` draws it and returns the joint cells and amounts
+    that its first ``left`` records add to a histogram.  A stream keeps no
+    state, so it can be iterated, counted and recorded any number of times.
+    """
 
     def __init__(self, n: int, count: int, seed: int, block_size: int, sample, tally):
         if count < 0:
             raise ValueError(f"record count must be >= 0, got {count}")
         self.n, self.count, self.seed, self.block_size = n, count, seed, block_size
-        self.sample, self.tally, self.blocks = sample, tally, None  # blocks: once started
+        self.sample, self.tally = sample, tally
 
     def __len__(self) -> int:
         return self.count
 
-    def __next__(self) -> ShadowRecords:
-        if self.blocks is None:
-            self.blocks = _iter_blocks(self.count, self.seed, self.block_size, self.sample)
-        return next(self.blocks)
+    def __iter__(self) -> Iterator[ShadowRecords]:
+        """The blocks in block order, each drawn on the calling thread."""
+        for block in range(-(-self.count // self.block_size)):
+            yield self.sample(block_rng(self.seed, block))[: self.count - block * self.block_size]
 
-    def count_into(self, counts: np.ndarray) -> None:
-        """Add every record into ``counts``: the calling thread and up to one
+    def _drive(self, visit) -> None:
+        """Call ``visit(block, left)`` once per block, ``left`` being the
+        records still wanted from its start: the calling thread and up to one
         ``_helpers`` thread per further block take block numbers from one
-        shared list and add each tallied block under a lock.  A tally that
-        raises empties the list, and reaches the caller once no helper runs."""
-        if self.blocks is not None:
-            raise ValueError("a stream that has started cannot be counted whole")
+        shared list.  A visit that raises empties the list, and reaches the
+        caller once no helper runs."""
         todo, lock = list(reversed(range(-(-self.count // self.block_size)))), threading.Lock()
-        self.blocks = iter(())  # taken, as by a generator run to its end
 
         def take() -> int | None:
             with lock:
@@ -316,10 +282,7 @@ class BlockStream(Iterator[ShadowRecords]):
         def work() -> None:
             try:
                 for block in iter(take, None):
-                    left = self.count - block * self.block_size
-                    where, amounts = self.tally(block_rng(self.seed, block), left)
-                    with lock:  # amounts of the counts' dtype keep np.add.at on its fast path
-                        np.add.at(counts, where, np.asarray(amounts, counts.dtype))
+                    visit(block, self.count - block * self.block_size)
             finally:  # after a fault, no thread takes another block
                 with lock:
                     todo.clear()
@@ -333,6 +296,37 @@ class BlockStream(Iterator[ShadowRecords]):
                 future.exception()  # waits for the helper
         for future in pending:
             future.result()
+
+    def count_into(self, counts: np.ndarray) -> None:
+        """Add every record into ``counts``, each block under a lock as it is tallied."""
+        lock = threading.Lock()
+
+        def visit(block: int, left: int) -> None:
+            where, amounts = self.tally(block_rng(self.seed, block), left)
+            with lock:  # amounts of the counts' dtype keep np.add.at on its fast path
+                np.add.at(counts, where, np.asarray(amounts, counts.dtype))
+
+        self._drive(visit)
+
+    def records(self) -> ShadowRecords:
+        """Every record, each block written into its own rows of one array."""
+        cells = np.empty((self.count, self.n), dtype=np.uint8)
+
+        def visit(block: int, left: int) -> None:
+            start, records = block * self.block_size, self.sample(block_rng(self.seed, block))
+            cells[start : start + self.block_size] = records.cells[:left]
+
+        self._drive(visit)
+        return ShadowRecords.from_cells(cells)
+
+
+# By error letter * 6 + input digit: the outcome bit read in the prepared
+# axis.  An error other than I and the prepared axis flips the input's bit.
+_PREPARED_AXIS_BIT = np.array([
+    (digit & 1) ^ (letter not in (0, digit // 2 + 1)) for letter in range(4) for digit in range(6)
+], dtype=np.uint8)
+# By input digit * 3 + measured axis: whether the measured axis is the prepared one.
+_SAME_AXIS = np.array([digit // 2 == axis for digit in range(6) for axis in range(3)])
 
 
 def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam: float):
@@ -359,34 +353,28 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
         s_axis = rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)
         s_bit = rng.integers(0, 2, shape, dtype=np.int8).view(np.uint8)
         cells = s_axis  # the cells, built in place in the input axes
+        cells *= 2
+        cells += s_bit  # the input digit
+        del s_bit
+        # Each draw is folded into the cells as soon as it can be.
         if isinstance(channel, PauliChannel):
-            physical_bit = s_bit
-            if spam > 0.0:
-                physical_bit = flips(rng)
-                physical_bit ^= s_bit
+            # At most four block arrays meet: at the error lookup and at the coin's mask.
+            prep_flips = flips(rng) if spam > 0.0 else 0
             errors = channel.sample_errors(block_size, rng).view(np.uint8)
-            # An error other than I and the prepared axis flips the outcome
-            # read in the prepared axis.
-            axis_bit = (errors != 0).view(np.uint8)
-            errors -= 1
-            axis_bit &= errors != s_axis
-            axis_bit ^= physical_bit
-            del errors  # before two more block-sized draws
-            t_axis = rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)
+            errors *= 6
+            errors += cells
+            axis_bit = _PREPARED_AXIS_BIT[errors]
+            axis_bit ^= prep_flips  # the prepared bit becomes the physical one
+            del errors, prep_flips  # before two more block-sized draws
+            cells *= 3
+            cells += rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)  # measured axis
             # Another basis reads a fair coin.
             t_bit = rng.integers(0, 2, shape, dtype=np.int8).view(np.uint8)
-            np.copyto(t_bit, axis_bit, where=t_axis == s_axis)
-            cells *= 2
-            cells += s_bit
-            cells *= 3
-            cells += t_axis
+            np.copyto(t_bit, axis_bit, where=_SAME_AXIS[cells])
+            del axis_bit
         else:
-            # Each draw is folded into the cells as it is drawn, so two block
-            # arrays live through the uniform loop: the cells, and each
-            # record's entry of p_plus, then in place its outcome bit.
-            cells *= 2
-            cells += s_bit
-            del s_bit
+            # Two block arrays live through the uniform loop: the cells, and
+            # each record's entry of p_plus, then in place its outcome bit.
             t_bit = np.add(cells, offsets)  # 6j + input digit: the sign bit is its low bit
             if spam > 0.0:
                 t_bit ^= flips(rng)  # the prepared sign bit becomes the physical one
@@ -433,7 +421,7 @@ def sample_channel_shadows(
     spam_flip_probability: float = 0.0,
 ) -> ShadowRecords:
     blocks = iter_channel_shadow_blocks(channel, count, seed, block_size, spam_flip_probability)
-    return ShadowRecords.concatenate(blocks, (len(blocks), channel.n))
+    return blocks.records()
 
 
 # -- estimation ----------------------------------------------------------------
@@ -522,16 +510,15 @@ class ShadowCounts:
         return out
 
     @classmethod
-    def accumulate(cls, blocks: Iterable[ShadowRecords], n: int) -> "ShadowCounts":
+    def accumulate(cls, blocks: Iterable[ShadowRecords] | BlockStream, n: int) -> "ShadowCounts":
+        """Count batches of records, or a stream whole, where each block is drawn."""
         out = cls(n)
-        if isinstance(blocks, BlockStream) and blocks.blocks is None:
-            blocks = [blocks]  # counted whole, where each block is drawn
-        for block in blocks:
+        for block in [blocks] if isinstance(blocks, BlockStream) else blocks:
             out.update(block)
         return out
 
     def update(self, records: ShadowRecords | BlockStream) -> None:
-        """Add a batch of records, or every record of an unstarted stream."""
+        """Add a batch of records, or every record of a stream."""
         if records.n != self.n:
             raise ValueError(f"records have n={records.n}, counts have n={self.n}")
         if self.n_records + len(records) > INT32_RECORDS:
@@ -607,19 +594,15 @@ def _marginal_numerators(records: ShadowRecords, digits: np.ndarray) -> np.ndarr
 def _numerators(source, n: int, digits: np.ndarray) -> tuple[int, np.ndarray]:
     """Record count and the exact int64 numerator of each row of digits in * 4 + out.
 
-    ``source`` is a ShadowCounts, a ShadowRecords, or a stream of record
-    blocks; up to the joint cap, records and streams are reduced to counts,
-    and past it a stream is joined into records.
+    ``source`` is a ShadowCounts, a ShadowRecords or a BlockStream; up to
+    the joint cap, records and streams are reduced to counts, and past it a
+    stream is drawn into records.
     """
-    if not isinstance(source, (ShadowCounts, ShadowRecords)):
-        if n <= COUNTS_QUBIT_CAP:
-            source = ShadowCounts.accumulate(source, n)
-        else:  # an empty first batch joins an empty stream to zero records
-            empty = ShadowRecords.from_cells(np.empty((0, n), dtype=np.uint8))
-            source = ShadowRecords.concatenate(itertools.chain([empty], source))
     if source.n != n:
         raise ValueError(f"source has n={source.n}, expected {n}")
-    if isinstance(source, ShadowRecords) and n <= COUNTS_QUBIT_CAP:
+    if isinstance(source, BlockStream):
+        source = ShadowCounts.accumulate(source, n) if n <= COUNTS_QUBIT_CAP else source.records()
+    elif isinstance(source, ShadowRecords) and n <= COUNTS_QUBIT_CAP:
         source = ShadowCounts.from_records(source)
     total = source.n_records if isinstance(source, ShadowCounts) else len(source)
     if total == 0:
@@ -658,7 +641,7 @@ class EigenvalueEstimates:
 
 
 def estimate_eigenvalues(
-    source: ShadowRecords | ShadowCounts | Iterable[ShadowRecords],
+    source: ShadowRecords | ShadowCounts | BlockStream,
     n: int,
     strings: Sequence[PauliString],
 ) -> EigenvalueEstimates:
@@ -682,7 +665,7 @@ def estimate_transfer_entry(
 
 
 def estimate_transfer_matrix(
-    source: ShadowRecords | ShadowCounts | Iterable[ShadowRecords],
+    source: ShadowRecords | ShadowCounts | BlockStream,
     n: int,
     k: int,
 ) -> TransferMatrix:
@@ -818,7 +801,7 @@ def sample_gate_shadows(
 
 
 def estimate_gate_eigenvalues(
-    source: ShadowRecords | ShadowCounts | Iterable[ShadowRecords], kind: str
+    source: ShadowRecords | ShadowCounts | BlockStream, kind: str
 ) -> EigenvalueEstimates:
     """Noise eigenvalues of a gate from its shadow records, counts or block
     stream, whose ``n`` must be the gate's arity.

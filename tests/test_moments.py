@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulishadow import shadows
+from paulishadow.channels import ProductChannel, amplitude_damping_ptm
 from paulishadow.clifford import conjugate_pauli
 from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis
 from paulishadow.shadows import (
@@ -27,6 +28,7 @@ from paulishadow.shadows import (
     estimate_transfer_entry,
     estimate_transfer_matrix,
     estimate_x,
+    iter_channel_shadow_blocks,
     sample_gate_shadows,
 )
 
@@ -177,26 +179,31 @@ def test_eigenvalues_past_the_cap_match_brute_force():
             assert est[p] == brute_entry(records, p, p)
 
 
+def damping_stream(n, count, seed):
+    """A stream of 700-record blocks from an amplitude-damping channel, whose
+    transfer matrices have entries off the diagonal."""
+    channel = ProductChannel([amplitude_damping_ptm(0.05 * (j + 1)) for j in range(n)])
+    return iter_channel_shadow_blocks(channel, count, seed, block_size=700)
+
+
 def test_records_and_counts_sources_agree_exactly():
-    records = random_records(3, 2000, seed=44)
+    stream = damping_stream(3, 2000, seed=44)
+    records = ShadowRecords.concatenate(list(stream))
     counts = ShadowCounts.from_records(records)
     a = estimate_transfer_matrix(records, 3, 2)
     b = estimate_transfer_matrix(counts, 3, 2)
-    c = estimate_transfer_matrix(iter([records[:700], records[700:]]), 3, 2)
+    c = estimate_transfer_matrix(stream, 3, 2)
     assert a.matrix[1, 1] == brute_entry(records, a.basis[1], a.basis[1])
     np.testing.assert_array_equal(a.matrix, b.matrix)
     np.testing.assert_array_equal(a.matrix, c.matrix)
-    # Past the cap a stream is joined into records: the same numbers, bitwise.
+    # Past the cap a stream is drawn into records: the same numbers, bitwise.
     for n, k in ((5, 2), (6, 2), (6, 3)):
-        records = random_records(n, 2000, seed=44 + n)
-
-        def stream():
-            return iter([records[:700], records[700:1999], records[1999:]])
-
+        stream = damping_stream(n, 2000, seed=44 + n)
+        records = ShadowRecords.concatenate(list(stream))
         basis = enumerate_low_weight(n, k)
-        a, c = estimate_eigenvalues(records, n, basis), estimate_eigenvalues(stream(), n, basis)
+        a, c = estimate_eigenvalues(records, n, basis), estimate_eigenvalues(stream, n, basis)
         assert a.values == c.values and c.n_records == 2000
-        a, c = estimate_transfer_matrix(records, n, k), estimate_transfer_matrix(stream(), n, k)
+        a, c = estimate_transfer_matrix(records, n, k), estimate_transfer_matrix(stream, n, k)
         assert a.matrix[1, 1] == brute_entry(records, a.basis[1], a.basis[1])
         assert a.matrix[1, -1] == brute_entry(records, a.basis[1], a.basis[-1])
         np.testing.assert_array_equal(a.matrix, c.matrix)
@@ -204,11 +211,12 @@ def test_records_and_counts_sources_agree_exactly():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_empty_stream_raises_on_either_side_of_the_cap(n):
-    # no records to count up to the cap, nothing to join past it
-    with pytest.raises(ValueError, match="no records"):
-        estimate_eigenvalues(iter([]), n, enumerate_low_weight(n, 2))
-    with pytest.raises(ValueError, match="no records"):
-        estimate_transfer_matrix(iter([]), n, 2)
+    # no records to count up to the cap, nor to read past it
+    for source in (damping_stream(n, 0, seed=1), ShadowRecords.from_cells(np.empty((0, n), np.uint8))):
+        with pytest.raises(ValueError, match="no records"):
+            estimate_eigenvalues(source, n, enumerate_low_weight(n, 2))
+        with pytest.raises(ValueError, match="no records"):
+            estimate_transfer_matrix(source, n, 2)
 
 
 # -- gate estimates ------------------------------------------------------------

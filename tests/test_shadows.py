@@ -224,13 +224,8 @@ def test_concatenate_streams_into_one_array():
     ch = reference_product_channel()
     blocks = list(iter_channel_shadow_blocks(ch, 1000, seed=3, block_size=300))
     listed = ShadowRecords.concatenate(blocks)
-    streamed = ShadowRecords.concatenate(iter(blocks), (1000, 2))
-    assert streamed.cells.dtype == np.uint8
-    np.testing.assert_array_equal(streamed.cells, listed.cells)
+    assert listed.cells.dtype == np.uint8
     np.testing.assert_array_equal(sample_channel_shadows(ch, 1000, 3, 300).cells, listed.cells)
-    for wrong in (999, 1001):
-        with pytest.raises(ValueError):
-            ShadowRecords.concatenate(iter(blocks), (wrong, 2))
     empty = sample_channel_shadows(ch, 0, seed=3)
     assert len(empty) == 0 and empty.n == 2
 
@@ -348,19 +343,33 @@ def test_draw_identities_the_samplers_rely_on(monkeypatch):
 
 
 @pytest.mark.parametrize("helpers", [0, 1, 3])
-def test_blocks_are_sampled_in_groups_of_one_per_cpu(helpers, monkeypatch):
+def test_each_block_lands_in_its_own_rows(helpers, monkeypatch):
     monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
+    helper_drew, drawn_on = threading.Event(), {}
 
     def sample(rng):
-        block = rng.bit_generator.state["state"]["counter"][2]  # counter = block << 128
+        block = int(rng.bit_generator.state["state"]["counter"][2])  # counter = block << 128
         on_caller = threading.current_thread() is threading.main_thread()
-        return ShadowRecords.from_cells(np.tile(np.uint8([block, on_caller]), (10, 1)))
+        if not on_caller:
+            helper_drew.set()
+        elif helpers:  # the caller's first block waits until a helper has one
+            assert helper_drew.wait(30)
+        drawn_on[block] = on_caller
+        cells = np.zeros((10, 2), np.uint8)
+        cells[:, 0], cells[:, 1] = block, np.arange(10)  # (block, row in the block)
+        return ShadowRecords.from_cells(cells)
 
-    blocks = list(shadows._iter_blocks(95, seed=0, block_size=10, sample=sample))
+    stream = shadows.BlockStream(2, 95, 0, 10, sample, tally=None)
+    want = np.stack([np.arange(95) // 10, np.arange(95) % 10], 1)
+    np.testing.assert_array_equal(stream.records().cells, want)
+    assert sorted(drawn_on) == list(range(10))
+    assert (not all(drawn_on.values())) == (helpers > 0)
+    # Iteration yields the same blocks in order, each drawn on the calling thread.
+    drawn_on.clear()
+    blocks = list(stream)
     assert [len(b) for b in blocks] == [10] * 9 + [5]
-    assert [b.cells[0, 0] for b in blocks] == list(range(10))
-    # The calling thread samples the first block of each group, helpers the rest.
-    assert [b.cells[0, 1] for b in blocks] == [b % (helpers + 1) == 0 for b in range(10)]
+    np.testing.assert_array_equal(ShadowRecords.concatenate(blocks).cells, want)
+    assert drawn_on == dict.fromkeys(range(10), True)
 
 
 @contextlib.contextmanager
@@ -414,23 +423,6 @@ def test_a_forked_child_samples_with_its_own_helpers(monkeypatch):
     assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
-def test_a_process_that_abandons_a_stream_exits():
-    # The executor's threads are not daemons: interpreter exit waits for the
-    # blocks already submitted, then for the threads to stop.
-    script = (
-        "from paulishadow import shadows\n"
-        "from paulishadow.channels import reference_product_channel\n"
-        "shadows._helper_count = lambda: 3\n"
-        "blocks = shadows.iter_channel_shadow_blocks(reference_product_channel(), 10**7, 1, 4096)\n"
-        "assert len(next(blocks)) == 4096\n"
-    )
-    src = os.path.dirname(os.path.dirname(shadows.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=30)
-    assert done.returncode == 0, done.stderr
-
-
 def test_no_executor_module_is_imported_until_a_helper_samples():
     # concurrent.futures imports logging; a process that samples no helper
     # block, such as one on a single CPU, should not pay for either.
@@ -456,59 +448,57 @@ def test_no_executor_module_is_imported_until_a_helper_samples():
     assert done.returncode == 0, done.stderr
 
 
-def test_sampler_exception_on_a_helper_reaches_the_consumer(monkeypatch):
-    monkeypatch.setattr(shadows, "_helper_count", lambda: 1)
-
-    class SamplerFault(RuntimeError):
-        pass
-
-    def sample(rng):
-        if threading.current_thread() is not threading.main_thread():
-            raise SamplerFault("block drawn on a helper")
-        return ShadowRecords.from_cells(np.zeros((10, 1), np.uint8))
-
-    blocks = shadows._iter_blocks(20, seed=0, block_size=10, sample=sample)
-    assert len(next(blocks)) == 10  # the calling thread's block
-    with pytest.raises(SamplerFault, match="^block drawn on a helper$") as caught:
-        next(blocks)
-    assert type(caught.value) is SamplerFault
-
-
-@pytest.mark.parametrize("helpers", [1, 3])
-@pytest.mark.parametrize("faulty", ["caller", "helper"])
-def test_sampler_exception_in_the_count_route_reaches_the_caller(helpers, faulty, monkeypatch):
+def check_sampler_fault_reaches_the_caller(route, helpers, faulty, monkeypatch):
+    """A block that raises on the caller or on a helper while the stream is
+    counted or recorded: its own exception reaches the caller after every
+    helper has stopped, and the helpers are free for the next stream."""
     monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
 
     class SamplerFault(RuntimeError):
         pass
 
-    tallied = []
+    drawn = []
 
-    def tally(rng, left):
+    def sample(rng):
         block = int(rng.bit_generator.state["state"]["counter"][2])
         on_caller = threading.current_thread() is threading.main_thread()
         if on_caller == (faulty == "caller"):
             raise SamplerFault(f"block drawn on the {faulty}")
         time.sleep(0.002)  # leaves the faulty thread time to take a block
-        tallied.append(block)
-        return np.array([block % 36]), 1
+        drawn.append(block)
+        return ShadowRecords.from_cells(np.full((1, 1), block % 36, np.uint8))
 
-    stream = shadows.BlockStream(1, 400, 0, 1, sample=None, tally=tally)
+    stream = shadows.BlockStream(1, 400, 0, 1, sample, lambda rng, left: (sample(rng).cells[:, 0], 1))
     with pytest.raises(SamplerFault, match=f"^block drawn on the {faulty}$") as caught:
-        ShadowCounts.accumulate(stream, 1)
+        if route == "records":
+            stream.records()
+        else:
+            ShadowCounts.accumulate(stream, 1)
     assert type(caught.value) is SamplerFault
     # No thread took a block once the fault was raised, and none is still
-    # tallying: every helper stopped before the exception reached here.
-    stopped = len(tallied)
+    # drawing: every helper stopped before the exception reached here.
+    stopped = len(drawn)
     assert stopped < 100
     time.sleep(0.05)
-    assert len(tallied) == stopped
-    assert list(stream) == []  # the stream was taken, as a generator that raised
-    # The helpers are free for the next count, which is whole.
-    channel = GOLDEN_CHANNELS["pauli-sparse"]()
-    counted = ShadowCounts.accumulate(iter_channel_shadow_blocks(channel, 1001, 7, 64), 3)
-    whole = ShadowCounts.from_records(sample_channel_shadows(channel, 1001, 7, 64))
-    np.testing.assert_array_equal(counted.counts, whole.counts)
+    assert len(drawn) == stopped
+    # The helpers are free for the next stream, which counts and records whole.
+    fresh = iter_channel_shadow_blocks(GOLDEN_CHANNELS["pauli-sparse"](), 1001, 7, 64)
+    serial = ShadowRecords.concatenate(list(fresh))
+    np.testing.assert_array_equal(fresh.records().cells, serial.cells)
+    np.testing.assert_array_equal(ShadowCounts.accumulate(fresh, 3).counts,
+                                  ShadowCounts.from_records(serial).counts)
+
+
+@pytest.mark.parametrize("helpers", [1, 3])
+@pytest.mark.parametrize("faulty", ["caller", "helper"])
+def test_sampler_exception_in_the_count_route_reaches_the_caller(helpers, faulty, monkeypatch):
+    check_sampler_fault_reaches_the_caller("count_into", helpers, faulty, monkeypatch)
+
+
+@pytest.mark.parametrize("helpers", [1, 3])
+@pytest.mark.parametrize("faulty", ["caller", "helper"])
+def test_sampler_exception_in_the_records_route_reaches_the_caller(helpers, faulty, monkeypatch):
+    check_sampler_fault_reaches_the_caller("records", helpers, faulty, monkeypatch)
 
 
 @pytest.mark.parametrize("helpers", [0, 1, 3])
@@ -529,35 +519,39 @@ STREAM_SIZES = [(64, 1001), (250, 1001), (250, 1000), (250, 250), (250, 100)]
 @pytest.mark.parametrize("spam", [0.0, 0.1])
 @pytest.mark.parametrize("source", sorted(GOLDEN_CHANNELS))
 def test_channel_stream_reduces_like_records(source, spam, monkeypatch):
-    # An unstarted stream is counted where each block is drawn; any other
-    # iterable of blocks is counted block by block; both match the records.
+    # The driver's records and counts, whichever thread draws each block,
+    # match the blocks that iteration draws in order on the calling thread.
     channel = GOLDEN_CHANNELS[source]()
     for helpers in (0, 1, 3):
         monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
         for block_size, count in STREAM_SIZES:
-            args = (channel, count, 7, block_size, spam)
-            whole = ShadowCounts.from_records(sample_channel_shadows(*args))
+            stream = iter_channel_shadow_blocks(channel, count, 7, block_size, spam)
+            serial = ShadowRecords.concatenate(list(stream))
+            whole = ShadowCounts.from_records(serial)
             with fast_thread_switching():
-                counted = ShadowCounts.accumulate(iter_channel_shadow_blocks(*args), 3)
-                ordered = ShadowCounts.accumulate((b for b in iter_channel_shadow_blocks(*args)), 3)
+                recorded = stream.records()
+                counted = ShadowCounts.accumulate(stream, 3)
+                ordered = ShadowCounts.accumulate((b for b in stream), 3)
+            np.testing.assert_array_equal(recorded.cells, serial.cells)
             for streamed in (counted, ordered):
                 np.testing.assert_array_equal(streamed.counts, whole.counts)
                 assert streamed.n_records == whole.n_records == count
 
 
-def test_a_started_stream_is_counted_block_by_block():
+def test_an_iterated_stream_still_counts_and_records_whole():
+    # A stream keeps no state: iterating it, in full or in part, leaves
+    # every record to the next count, recording or iteration.
     channel = GOLDEN_CHANNELS["ptm-product"]()
     stream = iter_channel_shadow_blocks(channel, 1001, 7, 250)
-    assert len(stream) == 1001  # records in all, however many are left
-    first = next(stream)
-    rest = ShadowCounts.accumulate(stream, 3)
-    whole = ShadowCounts.from_records(sample_channel_shadows(channel, 1001, 7, 250))
-    np.testing.assert_array_equal(rest.merge(ShadowCounts.from_records(first)).counts, whole.counts)
-    assert rest.n_records == 751
-    started = iter_channel_shadow_blocks(channel, 1001, 7, 250)
-    next(started)
-    with pytest.raises(ValueError, match="has started"):
-        ShadowCounts(3).update(started)
+    assert len(stream) == 1001
+    whole = ShadowRecords.concatenate(list(stream))
+    blocks = iter(stream)
+    first = next(blocks)
+    np.testing.assert_array_equal(stream.records().cells, whole.cells)
+    counted = ShadowCounts.accumulate(stream, 3)
+    np.testing.assert_array_equal(counted.counts, ShadowCounts.from_records(whole).counts)
+    assert counted.n_records == len(stream) == 1001
+    np.testing.assert_array_equal(ShadowRecords.concatenate([first, *blocks]).cells, whole.cells)
 
 
 def test_block_rng_is_counter_based():
@@ -746,6 +740,17 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+def _block_peaks(channel) -> list[int]:
+    """Traced peak bytes of drawing one full block, without and with
+    preparation/measurement flips, each after a warm-up block."""
+    peaks = []
+    for spam in (0.0, 0.1):
+        sample = shadows._block_sampler(channel, DEFAULT_BLOCK_SIZE, spam)
+        sample(block_rng(1, 0))
+        peaks.append(_traced_peak(lambda: sample(block_rng(1, 1))))
+    return peaks
+
+
 def test_four_qubit_reduce_path_stays_small(monkeypatch):
     # The int32 histogram is 6.4 MiB, and a transfer-matrix block keeps two
     # block arrays through its uniform loop (the cells and the p_plus entries),
@@ -753,15 +758,21 @@ def test_four_qubit_reduce_path_stays_small(monkeypatch):
     # on while the next is drawn.
     monkeypatch.setattr(shadows, "_helper_count", lambda: 1)  # two blocks at a time
     channel = ProductChannel([amplitude_damping_ptm(0.1 * (j + 1)) for j in range(4)])
-    peaks = []
-    for spam in (0.0, 0.1):
-        sample = shadows._block_sampler(channel, DEFAULT_BLOCK_SIZE, spam)
-        sample(block_rng(1, 0))
-        peaks.append(_traced_peak(lambda: sample(block_rng(1, 1))))
+    peaks = _block_peaks(channel)
     assert max(peaks) < 1.3 * 2**20
     assert peaks[1] < peaks[0] + 2**16
     blocks = iter_channel_shadow_blocks(channel, 200_000, seed=5)  # counted as drawn
     assert _traced_peak(lambda: ShadowCounts.accumulate(blocks, 4)) < 12 * 2**20
+
+
+def test_four_qubit_pauli_block_stays_small():
+    # A Pauli-channel block folds its input digit, its error lookup and its
+    # measured axis into the cells as they are drawn, and the error sampler
+    # drops each uniform slice before the next: at most four 256 KiB block
+    # arrays meet, with flips as without.
+    peaks = _block_peaks(PauliChannel.from_qubit_probs([(0.85, 0.05, 0.06, 0.04)] * 4))
+    assert max(peaks) < 1.2 * 2**20
+    assert peaks[1] < peaks[0] + 2**16
 
 
 def test_counts_qubit_cap():
@@ -981,7 +992,7 @@ def test_gate_shadow_record_shape_and_determinism():
     with pytest.raises(ValueError):
         estimate_gate_eigenvalues(r1, "H")  # arity mismatch
     with pytest.raises(ValueError):
-        next(sample_gate_shadows("H", PauliChannel.identity(2), 10, seed=0))
+        sample_gate_shadows("H", PauliChannel.identity(2), 10, seed=0)
 
 
 def test_gate_shadow_stream_blocks_and_prefixes():
@@ -998,22 +1009,25 @@ def test_gate_shadow_stream_blocks_and_prefixes():
             np.testing.assert_array_equal(getattr(short, field), getattr(full, field)[:count])
     assert list(sample_gate_shadows("CNOT", noise, 0, seed=8)) == []
     with pytest.raises(ValueError):
-        next(sample_gate_shadows("CNOT", noise, -1, seed=8))
+        sample_gate_shadows("CNOT", noise, -1, seed=8)
 
 
 def check_gate_streams_reduce_like_records():
-    """At the current helper count, a gate stream counted where each block is
-    drawn (its outcome index bincounted) and one counted block by block give
-    the histogram of its records."""
+    """At the current helper count, a gate stream's driver records and counts
+    (its outcome index bincounted where each block is drawn), and its blocks
+    counted one by one, match the blocks iteration draws on the calling thread."""
     noise = PauliChannel.from_terms(2, {"XX": 0.05, "ZI": 0.03, "YZ": 0.02})
+    sizes = [*STREAM_SIZES, (1000, 20_000), (4096, 20_000), (1000, 1000), (4096, 300)]
     for kind, chan in (("H", None), ("S", None), ("CNOT", noise)):
         g = 2 if kind == "CNOT" else 1
-        for block_size, count in ((1000, 20_000), (4096, 20_000), (1000, 1000), (4096, 300)):
-            args = (kind, chan, count, 12, block_size)
+        for block_size, count in sizes:
+            stream = sample_gate_shadows(kind, chan, count, 12, block_size)
+            records = ShadowRecords.concatenate(list(stream))
             with fast_thread_switching():
-                counted = ShadowCounts.accumulate(sample_gate_shadows(*args), g)
-                ordered = ShadowCounts.accumulate((b for b in sample_gate_shadows(*args)), g)
-            records = ShadowRecords.concatenate(list(sample_gate_shadows(*args)))
+                recorded = stream.records()
+                counted = ShadowCounts.accumulate(stream, g)
+                ordered = ShadowCounts.accumulate((b for b in stream), g)
+            np.testing.assert_array_equal(recorded.cells, records.cells)
             whole = ShadowCounts.from_records(records)
             for streamed in (counted, ordered):
                 np.testing.assert_array_equal(streamed.counts, whole.counts)
