@@ -218,12 +218,14 @@ class PauliChannel:
         probs = np.array([self._terms[p] for p in labels])
         cdf = np.cumsum(probs)
         cdf[-1] = 1.0
-        # Narrow picks index the codes without an intp copy.
-        picks = np.empty(count, dtype=np.min_scalar_type(len(labels) - 1))
-        for rows, u in uniform_slices(rng, (count,)):
-            picks[rows] = np.searchsorted(cdf, u, side="right")
-            del u  # before the next slice is drawn
-        return letter_codes(labels, self.n)[picks]
+        codes = letter_codes(labels, self.n)
+        letters = np.empty((count, self.n), dtype=np.int8)
+        # One uniform and one intp pick per record, in slices of about
+        # UNIFORM_SLICE letters.
+        for rows in row_slices((count, self.n)):
+            picks = np.searchsorted(cdf, rng.random(rows.stop - rows.start), side="right")
+            letters[rows] = codes[picks]
+        return letters
 
     def __repr__(self) -> str:
         kind = "product" if self.is_product else f"sparse[{len(self._terms)}]"
@@ -238,15 +240,20 @@ class PauliChannel:
 UNIFORM_SLICE = 1 << 15
 
 
-def uniform_slices(rng: np.random.Generator, shape: tuple[int, ...]):
-    """Yield (row slice, uniforms) pairs that together draw the doubles of one
-    ``rng.random(shape)`` call, split along the first axis into slices of
-    about ``UNIFORM_SLICE`` values."""
+def row_slices(shape: tuple[int, ...]):
+    """Yield the slices that split ``shape`` along its first axis into
+    pieces of about ``UNIFORM_SLICE`` values."""
     count, *rest = shape
     step = max(UNIFORM_SLICE // math.prod(rest), 1)
     for start in range(0, count, step):
-        rows = slice(start, min(start + step, count))
-        yield rows, rng.random((rows.stop - start, *rest))
+        yield slice(start, min(start + step, count))
+
+
+def uniform_slices(rng: np.random.Generator, shape: tuple[int, ...]):
+    """Yield (row slice, uniforms) pairs that together draw the doubles of one
+    ``rng.random(shape)`` call, a ``row_slices`` slice at a time."""
+    for rows in row_slices(shape):
+        yield rows, rng.random((rows.stop - rows.start, *shape[1:]))
 
 
 # -- single-qubit building blocks ---------------------------------------------

@@ -56,7 +56,14 @@ the rows are disjoint, so any split of the blocks between threads gives the
 same counts and records.  Iterating a stream yields its blocks in block
 order on the calling thread.
 Samplers draw their uniforms in slices, which give the same doubles as one
-call, so their temporaries stay small.
+call, so their temporaries stay small.  They draw their base-2 and base-3
+digits as whole 32-bit words (``_draw_digits``), with the same values and
+generator state as ``Generator.integers(..., dtype=np.int8)``, which draws
+byte by byte.  Some numpy operations hold the GIL, so a helper thread waits
+while one runs: fancy indexing through a narrow (uint8 or int16) index,
+``np.add.at`` and full-range uint32 draws.  The kernels gather through intp
+indices converted one slice at a time and work their bits out with uint8
+ufuncs; a kernel should not bring the others back without a measurement.
 """
 
 from __future__ import annotations
@@ -76,6 +83,7 @@ from .channels import (
     PauliChannel,
     ProductChannel,
     TransferMatrix,
+    row_slices,
     uniform_slices,
 )
 from .clifford import CONJUGATION_TABLES, gate_arity
@@ -220,6 +228,47 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
+# 32-bit words per draw of _draw_digits.  A base-3 draw holds three arrays of
+# that many bytes at once (words, mask, kept bytes); at 2^15 words the
+# measured-axis draw became the 4-qubit transfer-matrix block's peak.
+_DIGIT_WORDS = 1 << 14
+
+
+def _draw_digits(rng: np.random.Generator, high: int, shape) -> np.ndarray:
+    """``rng.integers(0, high, shape, dtype=np.int8)`` as uint8, for ``high``
+    2 or 3, drawn as whole 32-bit words.
+
+    numpy's buffered Lemire draw of int8 reads the little-endian bytes of
+    successive ``next_uint32`` words (a half-word that an earlier draw left
+    pending first) and maps byte b to ``(high * b) >> 8``, rejecting b = 0
+    for 3; the bytes after the last digit's are dropped.  A full-range uint32
+    draw takes the same words, and per-array arithmetic does the rest at a
+    fraction of numpy's per-byte cost.  Each top-up draws ceil(remaining / 4)
+    words, so no draw goes past the word holding the last digit and the
+    generator ends where numpy's one call would.
+    """
+    out = np.empty(shape, dtype=np.uint8)
+    flat = out.reshape(-1)
+    done = 0
+    while done < flat.size:
+        left = flat.size - done
+        words = rng.integers(0, 1 << 32, min(-(-left // 4), _DIGIT_WORDS), dtype=np.uint32)
+        b = words.astype("<u4", copy=False).view(np.uint8)
+        del words
+        if high == 3:
+            b = b[b != 0]
+        b = b[:left]
+        part = flat[done : done + b.size]
+        if high == 2:
+            np.right_shift(b, 7, out=part)  # (2 b) >> 8
+        else:
+            np.subtract(b, 1, out=part)
+            np.floor_divide(part, 85, out=part)  # (3 b) >> 8 for b >= 1
+        done += b.size
+        del b  # before the next words are drawn
+    return out
+
+
 def _helper_count() -> int:
     """Helper threads that sample blocks: one per usable CPU past the first."""
     try:
@@ -256,6 +305,8 @@ class BlockStream:
     def __init__(self, n: int, count: int, seed: int, block_size: int, sample, tally):
         if count < 0:
             raise ValueError(f"record count must be >= 0, got {count}")
+        if block_size < 1:
+            raise ValueError(f"block size must be >= 1, got {block_size}")
         self.n, self.count, self.seed, self.block_size = n, count, seed, block_size
         self.sample, self.tally = sample, tally
 
@@ -320,15 +371,6 @@ class BlockStream:
         return ShadowRecords.from_cells(cells)
 
 
-# By error letter * 6 + input digit: the outcome bit read in the prepared
-# axis.  An error other than I and the prepared axis flips the input's bit.
-_PREPARED_AXIS_BIT = np.array([
-    (digit & 1) ^ (letter not in (0, digit // 2 + 1)) for letter in range(4) for digit in range(6)
-], dtype=np.uint8)
-# By input digit * 3 + measured axis: whether the measured axis is the prepared one.
-_SAME_AXIS = np.array([digit // 2 == axis for digit in range(6) for axis in range(3)])
-
-
 def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam: float):
     """The kernel drawing one full block of channel shadow records as cells."""
     n = channel.n
@@ -350,44 +392,54 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
         return out
 
     def sample(rng: np.random.Generator) -> ShadowRecords:
-        s_axis = rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)
-        s_bit = rng.integers(0, 2, shape, dtype=np.int8).view(np.uint8)
-        cells = s_axis  # the cells, built in place in the input axes
+        cells = _draw_digits(rng, 3, shape)  # the cells, built in place in the input axes
         cells *= 2
-        cells += s_bit  # the input digit
-        del s_bit
+        cells += _draw_digits(rng, 2, shape)  # the input digit
         # Each draw is folded into the cells as soon as it can be.
         if isinstance(channel, PauliChannel):
-            # At most four block arrays meet: at the error lookup and at the coin's mask.
+            # At most four block arrays meet: while the outcome read in the
+            # prepared axis is worked out, and at the coin's mask.
             prep_flips = flips(rng) if spam > 0.0 else 0
             errors = channel.sample_errors(block_size, rng).view(np.uint8)
-            errors *= 6
-            errors += cells
-            axis_bit = _PREPARED_AXIS_BIT[errors]
+            # An error other than I and the prepared axis flips the input's bit.
+            axis_bit = np.right_shift(cells, 1)
+            axis_bit += 1  # the prepared axis as a letter code
+            np.not_equal(errors, axis_bit, out=axis_bit.view(np.bool_))
+            np.minimum(errors, 1, out=errors)
+            axis_bit &= errors
+            np.bitwise_and(cells, 1, out=errors)
+            axis_bit ^= errors
             axis_bit ^= prep_flips  # the prepared bit becomes the physical one
             del errors, prep_flips  # before two more block-sized draws
+            t_axis = _draw_digits(rng, 3, shape)  # measured axis
+            same = np.right_shift(cells, 1)
+            np.equal(same, t_axis, out=same.view(np.bool_))  # the prepared axis is measured
             cells *= 3
-            cells += rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)  # measured axis
+            cells += t_axis
+            del t_axis
             # Another basis reads a fair coin.
-            t_bit = rng.integers(0, 2, shape, dtype=np.int8).view(np.uint8)
-            np.copyto(t_bit, axis_bit, where=_SAME_AXIS[cells])
-            del axis_bit
+            t_bit = _draw_digits(rng, 2, shape)
+            np.copyto(t_bit, axis_bit, where=same.view(np.bool_))
+            del axis_bit, same
         else:
             # Two block arrays live through the uniform loop: the cells, and
             # each record's entry of p_plus, then in place its outcome bit.
             t_bit = np.add(cells, offsets)  # 6j + input digit: the sign bit is its low bit
             if spam > 0.0:
                 t_bit ^= flips(rng)  # the prepared sign bit becomes the physical one
-            t_axis = rng.integers(0, 3, shape, dtype=np.int8).view(np.uint8)
+            t_axis = _draw_digits(rng, 3, shape)
             cells *= 3
             cells += t_axis
             t_bit *= 3
             t_bit += t_axis  # 18j + physical digit * 3 + measured axis
             del t_axis
-            for rows, u in uniform_slices(rng, shape):
-                # Fancy indexing reads the narrow entries without an intp copy.
-                np.greater_equal(u, p_plus[t_bit[rows]], out=t_bit[rows])
-                del u  # before the next slice or the flips are drawn
+            for rows in row_slices(shape):
+                index = t_bit[rows].astype(np.intp)
+                p = p_plus[index]
+                # The slice's uniforms reuse the index's buffer: a third array per
+                # slice grew the heap (0.6 MB more peak RSS on general-n4).
+                np.greater_equal(rng.random(out=index.view(np.float64)), p, out=t_bit[rows])
+                del index, p  # before the next slice or the flips are drawn
         if spam > 0.0:
             t_bit ^= flips(rng)
         cells *= 2
@@ -781,18 +833,25 @@ def sample_gate_shadows(
         for j in range(1, g):
             row *= 18
             row += digits[:, j]
-        for rows, u in uniform_slices(rng, (block_size,)):
+        del digits  # before the uniforms and their intp indices
+        # A slice holds each record's uniform, intp row and one gathered
+        # threshold, so it takes UNIFORM_SLICE / outcomes records.
+        for rows in row_slices((block_size, outcomes)):
             part = row[rows]
-            # Fancy indexing reads the int16 rows without an intp copy.
-            outcome = (u >= thresholds[0][part]).view(np.uint8)
+            index = part.astype(np.intp)
+            u = rng.random(len(index))
+            outcome = (u >= thresholds[0][index]).view(np.uint8)
             for k in range(1, outcomes - 1):
-                outcome += u >= thresholds[k][part]
+                outcome += u >= thresholds[k][index]
             part *= outcomes
             part += outcome
         return row
 
     def sample(rng: np.random.Generator) -> ShadowRecords:
-        return ShadowRecords.from_cells(cell_words[outcome_index(rng)].view(np.uint8).reshape(-1, g))
+        index, words = outcome_index(rng), np.empty(block_size, cell_words.dtype)
+        for rows in row_slices((block_size,)):
+            words[rows] = cell_words[index[rows].astype(np.intp)]
+        return ShadowRecords.from_cells(words.view(np.uint8).reshape(-1, g))
 
     def tally(rng: np.random.Generator, left: int) -> tuple[np.ndarray, np.ndarray]:
         return joint_cells, np.bincount(outcome_index(rng)[:left], minlength=36**g)

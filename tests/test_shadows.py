@@ -342,6 +342,44 @@ def test_draw_identities_the_samplers_rely_on(monkeypatch):
         assert a.random() == b.random()
 
 
+def assert_digits_match_int8_draw(a, b, high, shape):
+    """``_draw_digits`` on ``a`` gives ``b``'s int8 draw, and both generators
+    end in step."""
+    np.testing.assert_array_equal(shadows._draw_digits(a, high, shape),
+                                  b.integers(0, high, shape, dtype=np.int8).view(np.uint8))
+    np.testing.assert_array_equal(a.integers(0, 3, 5, dtype=np.int8),
+                                  b.integers(0, 3, 5, dtype=np.int8))
+    assert a.integers(0, 7, dtype=np.int32) == b.integers(0, 7, dtype=np.int32)
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("high", [2, 3])
+@pytest.mark.parametrize("before", [0, 3, 7])  # int8 digits drawn first; 3 leaves a half-word
+def test_digits_drawn_as_words_match_numpys_int8_draw(high, before):
+    # numpy's buffered Lemire draw of int8 reads the bytes of successive
+    # 32-bit words; _draw_digits draws the words whole and must give the same
+    # digits and leave the generator where numpy's one call would.
+    for shape in ((1,), (3,), (1001,), (4097, 2), (65536, 4)):
+        a, b = block_rng(6, before), block_rng(6, before)
+        a.integers(0, 3, before, dtype=np.int8)
+        b.integers(0, 3, before, dtype=np.int8)
+        pending = a.bit_generator.state["has_uint32"]
+        assert pending == (before == 3)  # Philox keeps half of a 64-bit word
+        assert_digits_match_int8_draw(a, b, high, shape)
+
+
+@pytest.mark.parametrize("high", [2, 3])
+def test_digit_top_ups_skip_zero_bytes_like_numpy(high, monkeypatch):
+    # One word per draw: every byte past the first four digits is a top-up.
+    monkeypatch.setattr(shadows, "_DIGIT_WORDS", 1)
+    count = 1001
+    a, b = block_rng(2, 5), block_rng(2, 5)
+    assert_digits_match_int8_draw(a, b, high, (count,))
+    # The first count bytes hold a zero, so a draw of 3 rejected it and topped up.
+    words = block_rng(2, 5).integers(0, 1 << 32, count, dtype=np.uint32)
+    assert (words.astype("<u4").view(np.uint8)[:count] == 0).any()
+
+
 @pytest.mark.parametrize("helpers", [0, 1, 3])
 def test_each_block_lands_in_its_own_rows(helpers, monkeypatch):
     monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
@@ -766,10 +804,10 @@ def test_four_qubit_reduce_path_stays_small(monkeypatch):
 
 
 def test_four_qubit_pauli_block_stays_small():
-    # A Pauli-channel block folds its input digit, its error lookup and its
-    # measured axis into the cells as they are drawn, and the error sampler
-    # drops each uniform slice before the next: at most four 256 KiB block
-    # arrays meet, with flips as without.
+    # A Pauli-channel block folds its input digit and its measured axis into
+    # the cells as they are drawn, works the error's outcome bit out in place,
+    # and the error sampler drops each uniform slice before the next: at most
+    # four 256 KiB block arrays meet, with flips as without.
     peaks = _block_peaks(PauliChannel.from_qubit_probs([(0.85, 0.05, 0.06, 0.04)] * 4))
     assert max(peaks) < 1.2 * 2**20
     assert peaks[1] < peaks[0] + 2**16
@@ -1010,6 +1048,20 @@ def test_gate_shadow_stream_blocks_and_prefixes():
     assert list(sample_gate_shadows("CNOT", noise, 0, seed=8)) == []
     with pytest.raises(ValueError):
         sample_gate_shadows("CNOT", noise, -1, seed=8)
+
+
+@pytest.mark.parametrize("block_size", [0, -5])
+def test_block_size_below_one_is_rejected(block_size):
+    # A size of 0 divided by zero and a negative one returned empty rows.
+    streams = [
+        lambda: iter_channel_shadow_blocks(PauliChannel.identity(1), 10, 1, block_size=block_size),
+        lambda: sample_gate_shadows("H", None, 10, 1, block_size=block_size),
+    ]
+    for stream in streams:
+        with pytest.raises(ValueError, match="block size must be >= 1"):
+            stream().records()
+        with pytest.raises(ValueError, match="block size must be >= 1"):
+            stream().count_into(np.zeros(36, np.int64))
 
 
 def check_gate_streams_reduce_like_records():
