@@ -393,7 +393,8 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     channel = _resolve_channel(args.channel)
     observable = _resolve_observable(args.observable, args)
     try:
-        sweep = tuple(int(s) for s in args.sweep.split(",")) if args.sweep else DEFAULT_SWEEP
+        sweep = (DEFAULT_SWEEP if args.sweep is None  # an empty --sweep is an error
+                 else tuple(int(s) for s in args.sweep.split(",")))
     except ValueError:
         raise ConfigError(f"sweep must be comma-separated integers, got {args.sweep!r}") from None
     result = run_fig2(
@@ -542,9 +543,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for option in ("seed", "state_seed"):  # SeedSequence takes no negative seed
-            if getattr(args, option, 0) < 0:
-                raise ConfigError(f"--{option.replace('_', '-')} must be >= 0")
+        for option in ("seed", "state_seed"):  # one seed range; block_rng wraps at 2^128
+            if not 0 <= getattr(args, option, 0) < 2**128:
+                raise ConfigError(f"--{option.replace('_', '-')} must be in [0, 2^128)")
         return args.func(args)
     except RecoveryError as err:
         print(f"recovery failed: {err}", file=sys.stderr)

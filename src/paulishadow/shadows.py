@@ -19,10 +19,11 @@ Estimation
 ----------
 A record is one uint8 cell per qubit: (s axis, s sign, t axis, t sign) in
 mixed radix (3, 2, 3, 2), which every sampler writes directly.
-``ShadowCounts`` holds the joint 36^n histogram of cells (n <= 4), as int32
-counts up to 2^31 - 1 records and as int64 past that.  Contracting it
-once, qubit by qubit, against the (16, 36) table of per-qubit factors
-gives the 16^n *moment table*: the entry at mixed-radix index
+A stream of up to four qubits is counted where it is drawn into
+``ShadowCounts``, the joint 36^n histogram of cells, as int32 counts up to
+2^31 - 1 records and as int64 past that.  Contracting it once, qubit by
+qubit, against the (16, 36) table of per-qubit factors gives the 16^n
+*moment table*: the entry at mixed-radix index
 sum_j (P_j * 4 + Q_j) * 16^(n-1-j), with letter codes I=0, X=1, Y=2, Z=3
 and qubit 0 most significant, is the numerator of (P, Q): the sum over
 records of prod_j tr(P_j s_j) tr(Q_j (3 t_j - I)).  Every eigenvalue,
@@ -31,11 +32,13 @@ estimator passes its pairs as one (pairs, n) int8 array of digits P_j * 4 + Q_j.
 The contraction is float64 matrix products through BLAS; every partial sum
 is an integer below 2^53 (it raises otherwise), so the table is exact and
 each estimate is the same float as a per-record sum would give.
-Past the cap, each (P, Q) is read from the table of its union support,
-built from that support's marginal histogram (2k qubits at most for a
-weight <= k transfer entry).  One 36^w histogram and its 16^w table live
-at a time.  A support wider than four qubits keeps a four-qubit table,
-and the records' factors on the other qubits weight its histogram.
+Records are read with one table per union support, which up to four
+qubits is the whole register's.  Past four, a stream is drawn into records,
+held once, and each (P, Q) is read from its union support's table, built
+from that support's marginal histogram (2k qubits at most for a weight <= k
+transfer entry).  One 36^w histogram and its 16^w table live at a time.  A
+support wider than four qubits keeps a four-qubit table, and the records'
+factors on the other qubits weight its histogram.
 
 Randomness
 ----------
@@ -124,8 +127,8 @@ class ShadowRecords:
     A cell codes a qubit's intended input eigenstate and its measurement,
     ``((s_axis * 2 + s_bit) * 3 + t_axis) * 2 + t_bit``, with axis codes
     0=X, 1=Y, 2=Z and a negative sign as bit 1.  The samplers write cells;
-    the constructor encodes them from (N, n) ``s_axis``, ``s_sign``,
-    ``t_axis`` and ``t_sign`` arrays (signs +-1), which the properties decode.
+    the constructor checks and encodes them from (N, n) ``s_axis``, ``s_sign``,
+    ``t_axis`` and ``t_sign`` arrays (axes 0-2, signs +-1), which the properties decode.
     """
 
     def __init__(self, s_axis, s_sign, t_axis, t_sign):
@@ -133,6 +136,9 @@ class ShadowRecords:
         s_axis, s_sign, t_axis, t_sign = fields
         if len({f.shape for f in fields}) > 1 or s_axis.ndim != 2:
             raise ValueError(f"expected four (N, n) arrays, got shapes {[f.shape for f in fields]}")
+        if not (np.isin(s_axis, (0, 1, 2)).all() and np.isin(t_axis, (0, 1, 2)).all()
+                and np.isin(s_sign, (1, -1)).all() and np.isin(t_sign, (1, -1)).all()):
+            raise ValueError("axes must be 0, 1 or 2 and signs +1 or -1")
         cells = ((s_axis * 2 + (s_sign < 0)) * 3 + t_axis) * 2 + (t_sign < 0)
         self.cells = cells.astype(np.uint8)
 
@@ -361,7 +367,7 @@ class BlockStream:
 
     def records(self) -> ShadowRecords:
         """Every record, each block written into its own rows of one array."""
-        cells = np.empty((self.count, self.n), dtype=np.uint8)
+        cells = np.empty((self.n, self.count), dtype=np.uint8).T  # qubit rows read in place
 
         def visit(block: int, left: int) -> None:
             start, records = block * self.block_size, self.sample(block_rng(self.seed, block))
@@ -540,11 +546,11 @@ def _table_index(digits: np.ndarray) -> np.ndarray:
 class ShadowCounts:
     """Joint histogram over per-qubit (s_axis, s_sign, t_axis, t_sign) cells.
 
-    A sufficient statistic for every estimator in this module: 36 cells per
-    qubit, 36^n joint cells (n <= 4).  Counts are integers, so estimates
+    A stream's sufficient statistic for every estimator in this module: 36
+    cells per qubit, 36^n joint cells (n <= 4).  Counts are integers, so estimates
     derived from them are exact functions of the drawn records, and two
     histograms merge by addition.  No cell exceeds the record total, so the
-    counts are int32 (6.7 MB at n = 4) up to 2^31 - 1 records; ``update``
+    counts are int32 (6.7 MB at n = 4) up to 2^31 - 1 records; ``accumulate``
     and ``merge`` widen them to int64 before a total passes that.
     """
 
@@ -556,33 +562,14 @@ class ShadowCounts:
         self.n_records = 0
 
     @classmethod
-    def from_records(cls, records: ShadowRecords) -> "ShadowCounts":
-        out = cls(records.n)
-        out.update(records)
+    def accumulate(cls, stream: BlockStream) -> "ShadowCounts":
+        """Count every record of a stream where its block is drawn."""
+        out = cls(stream.n)
+        if len(stream) > INT32_RECORDS:
+            out.counts = out.counts.astype(np.int64)
+        stream.count_into(out.counts)
+        out.n_records = len(stream)
         return out
-
-    @classmethod
-    def accumulate(cls, blocks: Iterable[ShadowRecords] | BlockStream, n: int) -> "ShadowCounts":
-        """Count batches of records, or a stream whole, where each block is drawn."""
-        out = cls(n)
-        for block in [blocks] if isinstance(blocks, BlockStream) else blocks:
-            out.update(block)
-        return out
-
-    def update(self, records: ShadowRecords | BlockStream) -> None:
-        """Add a batch of records, or every record of a stream."""
-        if records.n != self.n:
-            raise ValueError(f"records have n={records.n}, counts have n={self.n}")
-        if self.n_records + len(records) > INT32_RECORDS:
-            self.counts = self.counts.astype(np.int64, copy=False)
-        if isinstance(records, BlockStream):
-            records.count_into(self.counts)
-        else:
-            one = self.counts.dtype.type(1)  # keeps np.add.at on its fast path
-            for start in range(0, len(records), DEFAULT_BLOCK_SIZE):  # bounds the temporaries
-                block = records[start : start + DEFAULT_BLOCK_SIZE]
-                np.add.at(self.counts, _joint_cells(block.cells.T, range(self.n)), one)
-        self.n_records += len(records)
 
     def merge(self, other: "ShadowCounts") -> "ShadowCounts":
         if other.n != self.n:
@@ -609,16 +596,21 @@ def _record_factors(cells: np.ndarray, qubits, digits) -> np.ndarray | None:
 
 
 def _marginal_numerators(records: ShadowRecords, digits: np.ndarray) -> np.ndarray:
-    """Numerators past the joint cap, from one moment table per union support.
+    """Numerators of records, from one moment table per union support.
 
-    A support wider than the cap splits into a head and a cap-wide tail: the
-    head's digits weight each record by its factor there, and the table
+    Up to the joint cap, the whole register's table serves every pair.  Past
+    it, a support wider than the cap splits into a head and a cap-wide tail:
+    the head's digits weight each record by its factor there, and the table
     covers the tail.  Pairs are grouped by (head digits, tail qubits); each
     group bincounts its tail histogram, weighted by the head factors, and its
     table is read, then dropped.
     """
-    cells = np.ascontiguousarray(records.cells.T)
+    cells = np.ascontiguousarray(records.cells.T)  # a view of a stream's records
     n = records.n
+    if n <= COUNTS_QUBIT_CAP:  # one table beats one per support; int32 slabs convert faster
+        hist = np.zeros(36**n, np.int32 if len(records) <= INT32_RECORDS else np.int64)
+        np.add.at(hist, _joint_cells(cells, range(n)), hist.dtype.type(1))
+        return _moment_table(hist, n, len(records))[_table_index(digits)]
     support = digits != 0
     # The tail is the last COUNTS_QUBIT_CAP qubits of each pair's support (int8: <= 2k).
     last = np.cumsum(support[:, ::-1], axis=1, dtype=np.int8)[:, ::-1]
@@ -638,6 +630,7 @@ def _marginal_numerators(records: ShadowRecords, digits: np.ndarray) -> np.ndarr
         # Integer weights keep the float histogram exact below 2^53; a head
         # factor is at most 3 in magnitude, so 3^|head| N bounds its total.
         hist = np.bincount(_joint_cells(cells, tail_qubits), weights, minlength=36**w)
+        del weights  # before the next group's are built
         table = _moment_table(hist, w, 3 ** len(head) * len(records))
         numers[members] = table[_table_index(digits[members][:, tail_qubits])]
     return numers
@@ -647,15 +640,13 @@ def _numerators(source, n: int, digits: np.ndarray) -> tuple[int, np.ndarray]:
     """Record count and the exact int64 numerator of each row of digits in * 4 + out.
 
     ``source`` is a ShadowCounts, a ShadowRecords or a BlockStream; up to
-    the joint cap, records and streams are reduced to counts, and past it a
+    the joint cap a stream is counted where it is drawn, and past it a
     stream is drawn into records.
     """
     if source.n != n:
         raise ValueError(f"source has n={source.n}, expected {n}")
     if isinstance(source, BlockStream):
-        source = ShadowCounts.accumulate(source, n) if n <= COUNTS_QUBIT_CAP else source.records()
-    elif isinstance(source, ShadowRecords) and n <= COUNTS_QUBIT_CAP:
-        source = ShadowCounts.from_records(source)
+        source = ShadowCounts.accumulate(source) if n <= COUNTS_QUBIT_CAP else source.records()
     total = source.n_records if isinstance(source, ShadowCounts) else len(source)
     if total == 0:
         raise ValueError("no records")

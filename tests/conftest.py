@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paulishadow.channels import amplitude_damping_ptm, depolarizing_ptm
+from paulishadow.shadows import ShadowCounts
 
 
 @pytest.fixture
@@ -24,3 +25,22 @@ def random_cp_ptm():
         return rotation(rng) @ damping @ rotation(rng) @ depolarizing_ptm(rng.uniform(0.5, 1.0))
 
     return draw
+
+
+@pytest.fixture(scope="session")
+def counts_of():
+    """A function of shadow records returning their ``ShadowCounts``, built
+    by ``np.bincount`` of each record's joint cell code (qubit 0 most
+    significant): a reference independent of the stream's block counts and
+    of the estimators' readers."""
+
+    def count(records):
+        codes = np.zeros(len(records), np.int64)
+        for j in range(records.n):
+            codes = codes * 36 + records.cells[:, j]
+        out = ShadowCounts(records.n)
+        out.counts = np.bincount(codes, minlength=36**records.n).astype(np.int32)
+        out.n_records = len(records)
+        return out
+
+    return count

@@ -170,7 +170,7 @@ def test_criterion_5_weight_contracting_recovery():
     runs, hits = 50, 0
     for run in range(runs):
         counts = ShadowCounts.accumulate(
-            iter_channel_shadow_blocks(ch, 1_000_000, cli._derive_seed(51, run)), 2
+            iter_channel_shadow_blocks(ch, 1_000_000, cli._derive_seed(51, run))
         )
         estimated = estimate_transfer_matrix(counts, 2, 2)
         back_est = backward_observable_general(obs, estimated)
@@ -275,7 +275,7 @@ def test_criterion_6_circuit_mitigation():
                 100_000,
                 cli._derive_seed(61, run, *(ord(c) for c in kind)),
             )
-            counts = ShadowCounts.accumulate(blocks, gate_arity(kind))
+            counts = ShadowCounts.accumulate(blocks)
             learned[kind] = estimate_gate_eigenvalues(counts, kind)
         back = mitigation_coefficients(circuit, learned, obs)
         f = exact.expectation(Observable(back.n, back.terms), noisy)

@@ -345,6 +345,47 @@ def test_k_above_the_locality_leaves_the_report_unchanged(command, k_above, six_
     assert runs[0] == runs[1]
 
 
+# SHA-256 of recover's JSON report and recover-general's stdout and JSON
+# report, on both sides of the joint cap (a four-qubit stream is counted, a
+# six-qubit one drawn into records).  recover-general's report holds its
+# block solve's floats, whose bits follow the BLAS thread count, so it is
+# written in a subprocess with one OpenBLAS thread.
+RECOVER_DIGESTS = {
+    ("recover", 4, "report"): "b8581c532dca42ee2af695fb4c785685a45f2712b3a87357faf617777594ee8a",
+    ("recover", 6, "report"): "8385f6054d79cd03ec9f0326594a050219411621f02750e551f184fb7cbf713d",
+    ("recover-general", 4, "stdout"):
+        "7372e6e6dd90f75a4f1b1981cbfc17460adf95584943225f66c7c8f61fe7befb",
+    ("recover-general", 6, "stdout"):
+        "22d82fe7235a8253eebf7ca62c3cef9848d6f09755f9b6a5ea9568ca3a329b11",
+    ("recover-general", 4, "report"):
+        "4a23b36646e88157f8632810df095926a0d846f4d637f7e47cb3b4c1ed004850",
+    ("recover-general", 6, "report"):
+        "a4b7f7fb73aad44160811525e65f37828f9391278feaa8b3c7d839fe5f609155",
+}
+
+
+@pytest.mark.parametrize("command, n, output", sorted(RECOVER_DIGESTS))
+def test_recover_report_digests(command, n, output, tmp_path, capsys):
+    if command == "recover":
+        channel = PauliChannel.from_qubit_probs([(0.9, 0.04, 0.03, 0.03)] * n)
+    else:
+        channel = ProductChannel([amplitude_damping_ptm(0.05 * (j + 1)) for j in range(n)])
+    save_channel(channel, tmp_path / "channel.json")
+    argv = [command, "--channel", str(tmp_path / "channel.json"), "--observable", "heisenberg",
+            "--n", str(n), "--shadows", "20000", "--seed", "8", "--state-seed", "9"]
+    report = tmp_path / "report.json"
+    if command == "recover-general" and output == "report":
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "paulishadow", *argv, "--out", str(report)],
+                       env=env, check=True, capture_output=True, timeout=120)
+    else:
+        assert cli.main([*argv, "--out", str(report)]) == 0
+    got = capsys.readouterr().out.encode() if output == "stdout" else report.read_bytes()
+    assert hashlib.sha256(got).hexdigest() == RECOVER_DIGESTS[command, n, output]
+
+
 # -- mitigate ------------------------------------------------------------------
 
 
@@ -669,6 +710,18 @@ BAD_INPUTS = {
     "mitigate-negative-seed": "mitigate --circuit CIRCUIT --observable heisenberg --seed -1",
     "fig2-negative-seed": "fig2 --sweep 100 --seed -1",
     "recover-negative-state-seed": "recover --channel reference --observable heisenberg --state-seed -1",
+    # Philox keys on the seed mod 2^128, so 2^128 + 1 would draw what 1 does.
+    "learn-seed-past-128-bits": f"learn --channel reference --seed {2**128 + 1}",
+    "recover-seed-past-128-bits":
+        f"recover --channel reference --observable heisenberg --seed {2**128}",
+    "general-seed-past-128-bits":
+        f"recover-general --channel DAMPING --observable heisenberg --seed {2**128}",
+    "recover-state-seed-past-128-bits":
+        f"recover --channel reference --observable heisenberg --state-seed {2**128}",
+    "mitigate-seed-past-128-bits":
+        f"mitigate --circuit CIRCUIT --observable heisenberg --seed {2**128}",
+    # Only an absent --sweep means the default sweep.
+    "fig2-empty-sweep": "fig2 --sweep=",
 }
 
 

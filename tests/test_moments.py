@@ -122,13 +122,16 @@ def test_estimate_x_matches_brute_force(case):
 
 @PROPERTY
 @given(records_and_pairs(n_max=4))
-def test_counts_moment_table_matches_brute_force(case):
+def test_counts_moment_table_matches_brute_force(counts_of, case):
     records, pairs = case
-    table = ShadowCounts.from_records(records).moments()
+    table = counts_of(records).moments()
     assert table.shape == (16**records.n,)
     assert table[0] == len(records)  # the all-identity moment counts records
     for p, q in pairs:
         assert table[table_index(p, q)] == brute_numerator(records, p, q)
+    # Up to the cap, records are read from the whole register's table.
+    digits = np.array(list(np.ndindex((16,) * records.n)), np.int8).reshape(-1, records.n)
+    np.testing.assert_array_equal(shadows._marginal_numerators(records, digits), table)
 
 
 def test_wide_union_supports_past_the_cap():
@@ -186,20 +189,16 @@ def damping_stream(n, count, seed):
     return iter_channel_shadow_blocks(channel, count, seed, block_size=700)
 
 
-def test_records_and_counts_sources_agree_exactly():
-    stream = damping_stream(3, 2000, seed=44)
-    records = ShadowRecords.concatenate(list(stream))
-    counts = ShadowCounts.from_records(records)
-    a = estimate_transfer_matrix(records, 3, 2)
-    b = estimate_transfer_matrix(counts, 3, 2)
-    c = estimate_transfer_matrix(stream, 3, 2)
-    assert a.matrix[1, 1] == brute_entry(records, a.basis[1], a.basis[1])
-    np.testing.assert_array_equal(a.matrix, b.matrix)
-    np.testing.assert_array_equal(a.matrix, c.matrix)
-    # Past the cap a stream is drawn into records: the same numbers, bitwise.
-    for n, k in ((5, 2), (6, 2), (6, 3)):
+def test_records_and_counts_sources_agree_exactly(counts_of):
+    """Every estimator reads a batch of records as it reads the stream that
+    drew them, bitwise: up to the cap the stream is counted where it is
+    drawn, and past it drawn into records qubit by qubit."""
+    for n, k in ((1, 1), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (6, 3)):
         stream = damping_stream(n, 2000, seed=44 + n)
         records = ShadowRecords.concatenate(list(stream))
+        drawn = ShadowCounts.accumulate(stream) if n <= 4 else stream.records()
+        if n <= 4:
+            np.testing.assert_array_equal(drawn.counts, counts_of(records).counts)
         basis = enumerate_low_weight(n, k)
         a, c = estimate_eigenvalues(records, n, basis), estimate_eigenvalues(stream, n, basis)
         assert a.values == c.values and c.n_records == 2000
@@ -207,6 +206,9 @@ def test_records_and_counts_sources_agree_exactly():
         assert a.matrix[1, 1] == brute_entry(records, a.basis[1], a.basis[1])
         assert a.matrix[1, -1] == brute_entry(records, a.basis[1], a.basis[-1])
         np.testing.assert_array_equal(a.matrix, c.matrix)
+        for p, q in ((a.basis[1], a.basis[-1]), (a.basis[-1], a.basis[-1])):
+            assert estimate_x(records, q) == estimate_x(drawn, q)
+            assert estimate_transfer_entry(records, p, q) == estimate_transfer_entry(drawn, p, q)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -224,9 +226,10 @@ def test_empty_stream_raises_on_either_side_of_the_cap(n):
 
 def test_gate_eigenvalues_from_records_equal_counts_and_brute_force():
     for kind in ("H", "S", "CNOT"):
-        records = ShadowRecords.concatenate(list(sample_gate_shadows(kind, None, 3000, seed=17)))
+        stream = sample_gate_shadows(kind, None, 3000, seed=17)
+        records = ShadowRecords.concatenate(list(stream))
         from_records = estimate_gate_eigenvalues(records, kind)
-        from_counts = estimate_gate_eigenvalues(ShadowCounts.from_records(records), kind)
+        from_counts = estimate_gate_eigenvalues(ShadowCounts.accumulate(stream), kind)
         assert from_records.values == from_counts.values
         qubits = tuple(range(records.n))
         for p in iter_all_paulis(records.n):
@@ -300,44 +303,40 @@ def test_past_the_cap_bound_covers_the_weighted_histogram(monkeypatch):
     assert any(bound == total > 300 for _, bound, total in calls)
 
 
-# -- the table after update and merge ------------------------------------------
+# -- the table after merge -------------------------------------------------------
 
 
 @PROPERTY
 @given(st.integers(1, 4), st.integers(1, 200), st.integers(0, 200), st.integers(0, 2**32 - 1))
-def test_moment_table_follows_update_and_merge(n, first, second, seed):
+def test_moment_table_follows_merge(counts_of, n, first, second, seed):
     records = random_records(n, first + second, seed)
-    whole = ShadowCounts.from_records(records).moments()
-    counts = ShadowCounts.from_records(records[:first])
+    whole = counts_of(records).moments()
+    counts = counts_of(records[:first])
     before = counts.moments()
-    other = ShadowCounts.from_records(records[first:])
-    merged = counts.merge(other)
+    merged = counts.merge(counts_of(records[first:]))
     np.testing.assert_array_equal(merged.moments(), whole)
     np.testing.assert_array_equal(counts.moments(), before)  # merge leaves its inputs
-    counts.update(records[first:])
-    np.testing.assert_array_equal(counts.moments(), whole)
-    assert counts.moments()[0] == first + second
+    assert merged.moments()[0] == first + second
 
 
 @PROPERTY
 @given(st.integers(1, 4), st.lists(st.integers(0, 150), min_size=1, max_size=4),
        st.integers(0, 2**32 - 1))
-def test_merged_histograms_equal_the_concatenated_records(n, sizes, seed):
+def test_merged_histograms_equal_the_concatenated_records(counts_of, n, sizes, seed):
     parts = [random_records(n, size, seed + i) for i, size in enumerate(sizes)]
     merged = ShadowCounts(n)
     for part in parts:
-        merged = merged.merge(ShadowCounts.from_records(part))
-    whole = ShadowCounts.from_records(ShadowRecords.concatenate(parts))
+        merged = merged.merge(counts_of(part))
+    whole = counts_of(ShadowRecords.concatenate(parts))
     np.testing.assert_array_equal(merged.counts, whole.counts)
     assert merged.n_records == whole.n_records == sum(sizes)
 
 
-def test_counts_of_many_records_equal_the_sum_of_small_blocks():
-    # from_records reduces a large batch in bounded chunks
-    records = random_records(3, 150_000, seed=9)
-    whole = ShadowCounts.from_records(records)
-    blocks = (records[i : i + 7000] for i in range(0, len(records), 7000))
-    parts = ShadowCounts.accumulate(blocks, 3)
+def test_counts_of_many_records_equal_the_sum_of_small_blocks(counts_of):
+    # 215 blocks of 700 records, each added to the histogram where it is drawn
+    stream = damping_stream(3, 150_000, seed=9)
+    whole = counts_of(stream.records())
+    parts = ShadowCounts.accumulate(stream)
     np.testing.assert_array_equal(whole.counts, parts.counts)
     assert whole.n_records == parts.n_records == 150_000
 
