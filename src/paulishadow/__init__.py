@@ -74,12 +74,9 @@ from .shadows import (
     estimate_gate_eigenvalues,
     estimate_spam_factor,
     estimate_state_expectations,
-    estimate_transfer_entry,
     estimate_transfer_matrix,
-    estimate_x,
     iter_channel_shadow_blocks,
     plan_sample_size,
-    sample_channel_shadows,
     sample_gate_shadows,
 )
 
@@ -140,11 +137,8 @@ __all__ = [
     "estimate_gate_eigenvalues",
     "estimate_spam_factor",
     "estimate_state_expectations",
-    "estimate_transfer_entry",
     "estimate_transfer_matrix",
-    "estimate_x",
     "iter_channel_shadow_blocks",
     "plan_sample_size",
-    "sample_channel_shadows",
     "sample_gate_shadows",
 ]

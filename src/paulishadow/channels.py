@@ -500,10 +500,10 @@ def channel_from_config(cfg: Mapping) -> PauliChannel | ProductChannel:
         kind = cfg["kind"]
     except (TypeError, KeyError):
         raise ConfigError("channel config needs a 'kind' field") from None
+    qubits = cfg.get("qubits")
+    if kind in ("pauli-product", "ptm-product") and not (isinstance(qubits, list) and qubits):
+        raise ConfigError(f"{kind} config needs a non-empty 'qubits' list")
     if kind == "pauli-product":
-        qubits = cfg.get("qubits")
-        if not qubits:
-            raise ConfigError("pauli-product config needs a non-empty 'qubits' list")
         rows = []
         for i, entry in enumerate(qubits):
             try:
@@ -519,31 +519,32 @@ def channel_from_config(cfg: Mapping) -> PauliChannel | ProductChannel:
         terms = cfg.get("terms")
         if not isinstance(n, int) or n < 1:
             raise ConfigError("pauli-sparse config needs an integer 'n' >= 1")
-        if terms is None:
+        if not isinstance(terms, list):
             raise ConfigError("pauli-sparse config needs a 'terms' list")
         pairs = []
         for i, item in enumerate(terms):
             try:
                 label, prob = item
-            except (TypeError, ValueError):
-                raise ConfigError(f"terms[{i}] must be [label, probability]") from None
-            p = PauliString.from_label(str(label))
+                p, prob = PauliString.from_label(label), float(prob)
+            except (AttributeError, TypeError, ValueError):
+                raise ConfigError(f"terms[{i}] must be [label, probability], "
+                                  f"got {item!r}") from None
             if p.n != n:
                 raise ConfigError(f"terms[{i}]: {label!r} is not an {n}-qubit string")
-            pairs.append((p, float(prob)))
+            pairs.append((p, prob))
         try:
             return PauliChannel.from_terms(n, pairs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     if kind == "ptm-product":
-        qubits = cfg.get("qubits")
-        if not qubits:
-            raise ConfigError("ptm-product config needs a non-empty 'qubits' list")
         ptms = []
         for i, flat in enumerate(qubits):
-            arr = np.asarray(flat, dtype=float)
-            if arr.shape != (16,):
-                raise ConfigError(f"qubits[{i}] must hold 16 reals (row-major 4x4)")
+            try:
+                arr = np.asarray(flat, dtype=float)
+                if arr.shape != (16,):
+                    raise ValueError
+            except (TypeError, ValueError):  # a ragged row or a non-number too
+                raise ConfigError(f"qubits[{i}] must hold 16 reals (row-major 4x4)") from None
             ptms.append(arr.reshape(4, 4))
         try:
             return ProductChannel(np.stack(ptms))

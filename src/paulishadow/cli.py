@@ -137,7 +137,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     _check_shadows(args.shadows)
     basis = enumerate_low_weight(n, args.k)
     estimates = estimate_eigenvalues(
-        iter_channel_shadow_blocks(channel, args.shadows, args.seed), n, basis
+        iter_channel_shadow_blocks(channel, args.shadows, args.seed), basis
     )
     exact_diag = exact_diagonal(channel, basis).tolist()
     lines = [
@@ -205,13 +205,13 @@ def cmd_recover(args: argparse.Namespace, general: bool) -> int:
     elif general:
         transfer = (exact_transfer_matrix(channel, observable.locality) if args.exact_eigenvalues
                     else estimate_transfer_matrix(iter_channel_shadow_blocks(
-                        channel, args.shadows, args.seed), n, observable.locality))
+                        channel, args.shadows, args.seed), observable.locality))
         back = backward_observable_general(observable, transfer)
     else:
         strings = [p for p in observable.support() if not p.is_identity]
         estimates = (dict(zip(strings, exact_diagonal(channel, strings).tolist()))
                      if args.exact_eigenvalues else estimate_eigenvalues(
-                         iter_channel_shadow_blocks(channel, args.shadows, args.seed), n, strings))
+                         iter_channel_shadow_blocks(channel, args.shadows, args.seed), strings))
         back = backward_observable(observable, estimates, args.floor)
     return _print_report(back, observable, channel, psi, ideal, args.out)
 
@@ -371,7 +371,7 @@ def run_fig2(
                 blocks = iter_channel_shadow_blocks(
                     channel, count, _derive_seed(seed, 3001, rep, pi)
                 )
-                estimates = estimate_eigenvalues(blocks, n, paulis)
+                estimates = estimate_eigenvalues(blocks, paulis)
             try:
                 back = backward_observable(observable, estimates, floor)
             except RecoveryFloorError:

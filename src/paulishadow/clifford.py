@@ -22,6 +22,7 @@ rule that ``recovery`` applies to a diagonal divide.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -70,7 +71,7 @@ class Gate(NamedTuple):
 def gate_arity(kind: str) -> int:
     try:
         return GATE_ARITY[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind read from JSON
         raise ValueError(f"unknown gate kind {kind!r}") from None
 
 
@@ -93,6 +94,8 @@ class CliffordCircuit:
     noise: dict[str, PauliChannel] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"qubit count must be an integer, got {self.n!r}")
         self.gates = tuple(
             g if isinstance(g, Gate) else Gate(g[0], tuple(g[1])) for g in self.gates
         )
@@ -103,8 +106,8 @@ class CliffordCircuit:
             if len(set(gate.qubits)) != len(gate.qubits):
                 raise ValueError(f"repeated qubit in {gate}")
             for q in gate.qubits:
-                if not 0 <= q < self.n:
-                    raise ValueError(f"qubit {q} out of range for n={self.n}")
+                if not (isinstance(q, numbers.Integral) and 0 <= q < self.n):
+                    raise ValueError(f"qubit {q!r} is not an integer in [0, {self.n})")
         for kind, channel in self.noise.items():
             if channel.n != gate_arity(kind):
                 raise ValueError(
@@ -121,14 +124,18 @@ class CliffordCircuit:
             raw_gates = cfg["gates"]
         except (TypeError, KeyError) as exc:
             raise ConfigError(f"circuit config missing field {exc}") from None
+        if not isinstance(raw_gates, list):
+            raise ConfigError("circuit config needs a 'gates' list")
         gates = []
         for i, item in enumerate(raw_gates):
             try:
                 gates.append(Gate(item["g"], tuple(item["q"])))
             except (TypeError, KeyError):
                 raise ConfigError(f"gates[{i}] must look like {{'g': 'H', 'q': [0]}}") from None
-        noise = {}
-        for kind, sub in (cfg.get("noise") or {}).items():
+        noise, noise_cfg = {}, cfg.get("noise") or {}
+        if not isinstance(noise_cfg, dict):
+            raise ConfigError("circuit 'noise' must map gate kinds to channels")
+        for kind, sub in noise_cfg.items():
             if kind not in GATE_ARITY:
                 raise ConfigError(f"noise for unknown gate kind {kind!r}")
             try:

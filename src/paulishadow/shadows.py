@@ -26,9 +26,12 @@ qubit, against the (16, 36) table of per-qubit factors gives the 16^n
 *moment table*: the entry at mixed-radix index
 sum_j (P_j * 4 + Q_j) * 16^(n-1-j), with letter codes I=0, X=1, Y=2, Z=3
 and qubit 0 most significant, is the numerator of (P, Q): the sum over
-records of prod_j tr(P_j s_j) tr(Q_j (3 t_j - I)).  Every eigenvalue,
-transfer entry and gate estimate is one lookup, ``3^|P| * numer / N``; an
-estimator passes its pairs as one (pairs, n) int8 array of digits P_j * 4 + Q_j.
+records of prod_j tr(P_j s_j) tr(Q_j (3 t_j - I)).  An estimator takes a
+source (records, a stream, or a stream's counts) and the source's width: a
+string of another width fails in ``letter_codes``, before any block is drawn.
+Every estimator reads its pairs through one pair reader, ``_read_pairs``: it
+takes (P, Q) as rows of letter codes, builds the digits P_j * 4 + Q_j, and
+returns each pair's ``3^|P| * numer / N``.
 The contraction is float64 matrix products through BLAS; every partial sum
 is an integer below 2^53 (it raises otherwise), so the table is exact and
 each estimate is the same float as a per-record sum would give.
@@ -471,17 +474,6 @@ def iter_channel_shadow_blocks(
         _joint_cells(sample(rng).cells[:left].T, range(channel.n), np.int32), 1))
 
 
-def sample_channel_shadows(
-    channel: PauliChannel | ProductChannel,
-    count: int,
-    seed: int,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    spam_flip_probability: float = 0.0,
-) -> ShadowRecords:
-    blocks = iter_channel_shadow_blocks(channel, count, seed, block_size, spam_flip_probability)
-    return blocks.records()
-
-
 # -- estimation ----------------------------------------------------------------
 
 
@@ -636,17 +628,16 @@ def _marginal_numerators(records: ShadowRecords, digits: np.ndarray) -> np.ndarr
     return numers
 
 
-def _numerators(source, n: int, digits: np.ndarray) -> tuple[int, np.ndarray]:
+def _numerators(source, digits: np.ndarray) -> tuple[int, np.ndarray]:
     """Record count and the exact int64 numerator of each row of digits in * 4 + out.
 
     ``source`` is a ShadowCounts, a ShadowRecords or a BlockStream; up to
     the joint cap a stream is counted where it is drawn, and past it a
     stream is drawn into records.
     """
-    if source.n != n:
-        raise ValueError(f"source has n={source.n}, expected {n}")
     if isinstance(source, BlockStream):
-        source = ShadowCounts.accumulate(source) if n <= COUNTS_QUBIT_CAP else source.records()
+        counted = source.n <= COUNTS_QUBIT_CAP
+        source = ShadowCounts.accumulate(source) if counted else source.records()
     total = source.n_records if isinstance(source, ShadowCounts) else len(source)
     if total == 0:
         raise ValueError("no records")
@@ -655,10 +646,12 @@ def _numerators(source, n: int, digits: np.ndarray) -> tuple[int, np.ndarray]:
     return total, source.moments()[_table_index(digits)]
 
 
-def estimate_x(records: ShadowRecords | ShadowCounts, p: PauliString) -> float:
-    """x_hat(P): mean per-record estimator value (no 3^|P| rescaling)."""
-    total, numers = _numerators(records, records.n, 5 * letter_codes([p], records.n))
-    return numers.item() / total
+def _read_pairs(source, in_codes: np.ndarray, out_codes: np.ndarray) -> tuple[int, np.ndarray]:
+    """Record count and lambda_hat_P(Q) = 3^|P| numer / N of each (P, Q) pair,
+    given as rows of input and output letter codes: P is read against the
+    prepared eigenstate s, Q against the measurement t."""
+    total, numers = _numerators(source, 4 * in_codes + out_codes)
+    return total, 3.0 ** (in_codes != 0).sum(axis=1) * numers / total
 
 
 @dataclass
@@ -684,49 +677,33 @@ class EigenvalueEstimates:
 
 
 def estimate_eigenvalues(
-    source: ShadowRecords | ShadowCounts | BlockStream,
-    n: int,
-    strings: Sequence[PauliString],
+    source: ShadowRecords | ShadowCounts | BlockStream, strings: Sequence[PauliString]
 ) -> EigenvalueEstimates:
-    """lambda_hat(P) = 3^|P| x_hat(P) for each of ``strings``; the identity's
-    numerator is the record count, so its estimate is exactly 1.0."""
-    codes = letter_codes(strings, n)
-    total, numers = _numerators(source, n, 5 * codes)  # in_code * 4 + out_code, both P
-    values = 3.0 ** (codes != 0).sum(axis=1) * numers / total
-    return EigenvalueEstimates(n, dict(zip(strings, values.tolist())), total)
-
-
-def estimate_transfer_entry(
-    records: ShadowRecords | ShadowCounts, in_pauli: PauliString, out_pauli: PauliString
-) -> float:
-    """lambda_hat_P(Q) = 3^|P| x_hat(P, Q): input side against s, output against t."""
-    digits = 4 * letter_codes([in_pauli], records.n) + letter_codes([out_pauli], records.n)
-    total, numers = _numerators(records, records.n, digits)
-    if out_pauli.is_identity:
-        return 1.0 if in_pauli.is_identity else 0.0
-    return 3.0 ** in_pauli.weight * numers.item() / total
+    """lambda_hat(P) = 3^|P| x_hat(P) for each of ``strings``, of the source's
+    width; the identity's numerator is the record count, so its estimate is
+    exactly 1.0."""
+    codes = letter_codes(strings, source.n)
+    total, values = _read_pairs(source, codes, codes)
+    return EigenvalueEstimates(source.n, dict(zip(strings, values.tolist())), total)
 
 
 def estimate_transfer_matrix(
-    source: ShadowRecords | ShadowCounts | BlockStream,
-    n: int,
-    k: int,
+    source: ShadowRecords | ShadowCounts | BlockStream, k: int
 ) -> TransferMatrix:
-    """Estimated adjoint transfer matrix on the weight <= k basis.
+    """Estimated adjoint transfer matrix on the source's weight <= k basis.
 
     Entries with |P| > |Q| are structurally zero under the weight-contracting
     assumption and are pinned to 0; the identity column is exact.
     """
-    basis = tuple(enumerate_low_weight(n, k))
-    codes = letter_codes(basis, n)
+    basis = tuple(enumerate_low_weight(source.n, k))
+    codes = letter_codes(basis, source.n)
     weights = (codes != 0).sum(axis=1)
     # Estimated entries, column by column: Q is not the identity, |P| <= |Q|.
     cols, rows = np.nonzero((weights[None, :] <= weights[:, None]) & (weights[:, None] > 0))
-    total, numers = _numerators(source, n, 4 * codes[rows] + codes[cols])
     matrix = np.zeros((len(basis), len(basis)))
     matrix[0, 0] = 1.0  # identity column: lambda_P(I) = delta_PI
-    matrix[rows, cols] = 3.0 ** weights[rows] * numers / total
-    return TransferMatrix(n, k, basis, matrix)
+    matrix[rows, cols] = _read_pairs(source, codes[rows], codes[cols])[1]
+    return TransferMatrix(source.n, k, basis, matrix)
 
 
 # -- sample-size planning ------------------------------------------------------
@@ -854,23 +831,19 @@ def estimate_gate_eigenvalues(
     source: ShadowRecords | ShadowCounts | BlockStream, kind: str
 ) -> EigenvalueEstimates:
     """Noise eigenvalues of a gate from its shadow records, counts or block
-    stream, whose ``n`` must be the gate's arity.
+    stream, whose width must be the gate's arity.
 
     The input-side Pauli is the backward conjugation U^dagger P U, read from
     the kind's conjugation table; its sign multiplies the estimate, and the
     3^|.| rescaling uses the conjugated weight (the input side is what the
     random eigenstate sees).
     """
-    g = gate_arity(kind)
-    strings = list(iter_all_paulis(g))[1:]  # table order, the identity dropped
+    strings = list(iter_all_paulis(gate_arity(kind)))[1:]  # table order, the identity dropped
     backs = CONJUGATION_TABLES[kind][1:]
-    digits = 4 * letter_codes(backs, g) + letter_codes(strings, g)
-    total, numers = _numerators(source, g, digits)
-    values = {
-        p: back.sign * 3.0 ** back.weight * numer / total
-        for p, back, numer in zip(strings, backs, numers.tolist())
-    }
-    return EigenvalueEstimates(g, values, total)
+    total, values = _read_pairs(source, letter_codes(backs, source.n),
+                                letter_codes(strings, source.n))
+    values *= [back.sign for back in backs]
+    return EigenvalueEstimates(source.n, dict(zip(strings, values.tolist())), total)
 
 
 # -- preparation/measurement error ---------------------------------------------
@@ -885,11 +858,10 @@ def estimate_spam_factor(flip_probability: float, count: int, seed: int) -> floa
     value concentrates on (p0 - p1)^2; divide estimates from the same hardware
     by it to undo the prep/measurement bias.
     """
-    records = sample_channel_shadows(
-        PauliChannel.identity(1), count, seed, spam_flip_probability=flip_probability
-    )
+    stream = iter_channel_shadow_blocks(PauliChannel.identity(1), count, seed,
+                                        spam_flip_probability=flip_probability)
     x = PauliString.from_label("X")
-    return 3.0 * estimate_x(records, x)
+    return estimate_eigenvalues(stream, [x])[x]
 
 
 # -- state expectation estimation ---------------------------------------------

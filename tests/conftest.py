@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from paulishadow.channels import amplitude_damping_ptm, depolarizing_ptm
+from paulishadow import shadows
+from paulishadow.paulis import letter_codes
 from paulishadow.shadows import ShadowCounts
 
 
@@ -44,3 +46,19 @@ def counts_of():
         return out
 
     return count
+
+
+@pytest.fixture(scope="session")
+def read_pairs():
+    """A function of a shadow source and (P, Q) Pauli string pairs returning
+    each pair's lambda_hat_P(Q) through the estimators' pair reader, after
+    checking the record count that the reader reports."""
+
+    def read(source, pairs):
+        ins, outs = zip(*pairs)
+        total, values = shadows._read_pairs(source, letter_codes(ins, source.n),
+                                            letter_codes(outs, source.n))
+        assert total == (source.n_records if isinstance(source, ShadowCounts) else len(source))
+        return values
+
+    return read

@@ -46,10 +46,8 @@ from paulishadow.shadows import (
     estimate_gate_eigenvalues,
     estimate_spam_factor,
     estimate_transfer_matrix,
-    estimate_x,
     iter_channel_shadow_blocks,
     plan_sample_size,
-    sample_channel_shadows,
     sample_gate_shadows,
 )
 
@@ -120,8 +118,8 @@ def test_criterion_3_concentration():
     lam = {p: ch.eigenvalue(p) for p in paulis}
     runs, hits = 200, 0
     for run in range(runs):
-        records = sample_channel_shadows(ch, budget, seed=cli._derive_seed(30, run))
-        est = estimate_eigenvalues(records, n, paulis)
+        stream = iter_channel_shadow_blocks(ch, budget, seed=cli._derive_seed(30, run))
+        est = estimate_eigenvalues(stream, paulis)
         state = exact.haar_random_state(n, cli._derive_seed(31, run))
         back = backward_observable(obs, est)
         noisy = {p: lam[p] * exact.expectation(p, state) for p in paulis}
@@ -172,7 +170,7 @@ def test_criterion_5_weight_contracting_recovery():
         counts = ShadowCounts.accumulate(
             iter_channel_shadow_blocks(ch, 1_000_000, cli._derive_seed(51, run))
         )
-        estimated = estimate_transfer_matrix(counts, 2, 2)
+        estimated = estimate_transfer_matrix(counts, 2)
         back_est = backward_observable_general(obs, estimated)
         state = exact.haar_random_state(2, cli._derive_seed(52, run))
         noisy = exact.apply_channel(ch, state)
@@ -291,14 +289,14 @@ def test_criterion_7_spam_factor():
     factor = estimate_spam_factor(0.1, 1_000_000, seed=70)
     assert factor == pytest.approx(0.64, abs=0.02)
 
-    records = sample_channel_shadows(
+    stream = iter_channel_shadow_blocks(
         PauliChannel.identity(1), 1_000_000, seed=71, spam_flip_probability=0.1
     )
     divisor = estimate_spam_factor(0.1, 1_000_000, seed=72)  # fresh calibration
-    for letter in "XYZ":
-        p = P(letter)
-        raw = 3.0 * estimate_x(records, p)
-        assert raw / divisor == pytest.approx(1.0, abs=0.02)
+    strings = [P(letter) for letter in "XYZ"]
+    raw = estimate_eigenvalues(stream, strings)
+    for p in strings:
+        assert raw[p] / divisor == pytest.approx(1.0, abs=0.02)
 
 
 def test_criterion_8_determinism(tmp_path):

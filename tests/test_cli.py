@@ -311,12 +311,12 @@ def test_recover_commands_estimate_only_what_the_observable_reaches(six_qubit_pa
     estimate_eigenvalues = cli.estimate_eigenvalues
     estimate_transfer_matrix = cli.estimate_transfer_matrix
 
-    def eigenvalues(source, n, strings):
+    def eigenvalues(source, strings):
         asked["strings"] = list(strings)
-        return estimate_eigenvalues(source, n, strings)
+        return estimate_eigenvalues(source, strings)
 
-    def transfer(source, n, k):
-        asked["transfer"] = estimate_transfer_matrix(source, n, k)
+    def transfer(source, k):
+        asked["transfer"] = estimate_transfer_matrix(source, k)
         return asked["transfer"]
 
     monkeypatch.setattr(cli, "estimate_eigenvalues", eigenvalues)
@@ -782,6 +782,19 @@ UNREADABLE_INPUTS = {
         "bad-letter.txt": "XQ 0.3\n",
         "two-widths.txt": "XX 0.3\nXXX 0.2\n",
         "comments.txt": "# no terms\n\n",
+        # JSON values of the wrong type
+        "int-pauli-qubits.json": {"kind": "pauli-product", "qubits": 5},
+        "int-terms.json": {"kind": "pauli-sparse", "n": 1, "terms": 5},
+        "text-probability.json": {"kind": "pauli-sparse", "n": 2, "terms": [["XI", "abc"]]},
+        "null-probability.json": {"kind": "pauli-sparse", "n": 2, "terms": [["XI", None]]},
+        "bad-letter-term.json": {"kind": "pauli-sparse", "n": 2, "terms": [["XQ", 0.1]]},
+        "int-ptm-qubits.json": {"kind": "ptm-product", "qubits": 5},
+        "text-ptm-entry.json": {"kind": "ptm-product", "qubits": [DAMPING_PTM[:-1] + ["x"]]},
+        "text-n-circuit.json": {"n": "2", "gates": [{"g": "H", "q": [0]}]},
+        "int-gates-circuit.json": {"n": 2, "gates": 5},
+        "fractional-qubit-circuit.json": {"n": 2, "gates": [{"g": "CNOT", "q": [0, 1.5]}]},
+        "int-noise-circuit.json": {"n": 2, "gates": [{"g": "H", "q": [0]}], "noise": 5},
+        "list-kind-circuit.json": {"n": 2, "gates": [{"g": ["H"], "q": [0]}]},
     },
     "commands": {
         "mitigate-nan-noise": "mitigate --circuit nan-circuit.json --observable heisenberg",
@@ -799,6 +812,19 @@ UNREADABLE_INPUTS = {
         "recover-comments-only": "recover --channel reference --observable comments.txt",
         "recover-directory": "recover --channel reference --observable .",
         "recover-heisenberg-one-qubit": "recover --channel reference --observable heisenberg --n 1",
+        "learn-int-pauli-qubits": "learn --channel int-pauli-qubits.json",
+        "learn-int-terms": "learn --channel int-terms.json",
+        "learn-text-probability": "learn --channel text-probability.json",
+        "learn-null-probability": "learn --channel null-probability.json",
+        "learn-bad-letter-term": "learn --channel bad-letter-term.json",
+        "learn-int-ptm-qubits": "learn --channel int-ptm-qubits.json",
+        "learn-text-ptm-entry": "learn --channel text-ptm-entry.json",
+        "mitigate-text-n": "mitigate --circuit text-n-circuit.json --observable heisenberg",
+        "mitigate-int-gates": "mitigate --circuit int-gates-circuit.json --observable heisenberg",
+        "mitigate-fractional-qubit":
+            "mitigate --circuit fractional-qubit-circuit.json --observable heisenberg",
+        "mitigate-int-noise": "mitigate --circuit int-noise-circuit.json --observable heisenberg",
+        "mitigate-list-kind": "mitigate --circuit list-kind-circuit.json --observable heisenberg",
     },
     # What the one stderr line must say, where a case pins it.
     "messages": {

@@ -10,24 +10,30 @@ side of the cap.  Property tests are derandomized, so every run draws the
 same examples.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulishadow import shadows
-from paulishadow.channels import ProductChannel, amplitude_damping_ptm
+from paulishadow.channels import (
+    PauliChannel,
+    ProductChannel,
+    amplitude_damping_ptm,
+    depolarizing_ptm,
+)
 from paulishadow.clifford import conjugate_pauli
-from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis
+from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis, letter_codes
 from paulishadow.shadows import (
     AXES,
     ShadowCounts,
     ShadowRecords,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
-    estimate_transfer_entry,
+    estimate_spam_factor,
     estimate_transfer_matrix,
-    estimate_x,
     iter_channel_shadow_blocks,
     sample_gate_shadows,
 )
@@ -99,25 +105,26 @@ def records_and_pairs(draw, n_min=1, n_max=6):
 
 @PROPERTY
 @given(records_and_pairs())
-def test_transfer_entries_match_brute_force(case):
-    # Pairs are unrestricted: below-block (|P| > |Q|) and, past four qubits,
-    # union supports wider than the cap are drawn too.
+def test_transfer_entries_match_brute_force(read_pairs, case):
+    # Pairs are unrestricted: below-block (|P| > |Q|), Q = I and, past four
+    # qubits, union supports wider than the cap are drawn too.
     records, pairs = case
-    for p, q in pairs:
-        got = estimate_transfer_entry(records, p, q)
-        if q.is_identity:
-            assert got == (1.0 if p.is_identity else 0.0)
-        else:
-            assert got == brute_entry(records, p, q)
+    got = read_pairs(records, pairs)
+    assert got.tolist() == [brute_entry(records, p, q) for p, q in pairs]
 
 
 @PROPERTY
 @given(records_and_pairs())
 def test_estimate_x_matches_brute_force(case):
+    # x_hat(Q) = numer / N, and the eigenvalue estimate is 3^|Q| x_hat(Q)
     records, pairs = case
-    for _, q in pairs:
-        got = estimate_x(records, q)
-        assert got == brute_numerator(records, q, q) / len(records)
+    strings = [q for _, q in pairs]
+    codes = letter_codes(strings, records.n)
+    total, numers = shadows._numerators(records, 5 * codes)
+    assert total == len(records)
+    assert (numers / total).tolist() == [brute_numerator(records, q, q) / total for q in strings]
+    est = estimate_eigenvalues(records, strings)
+    assert [est.values[q] for q in strings] == [brute_entry(records, q, q) for q in strings]
 
 
 @PROPERTY
@@ -134,20 +141,19 @@ def test_counts_moment_table_matches_brute_force(counts_of, case):
     np.testing.assert_array_equal(shadows._marginal_numerators(records, digits), table)
 
 
-def test_wide_union_supports_past_the_cap():
+def test_wide_union_supports_past_the_cap(read_pairs):
     # weight-3 strings on disjoint supports: union weight 6 splits into a
     # two-qubit head and a four-qubit tail
     records = random_records(6, 400, seed=61)
-    for p, q in [("XYZIII", "IIIZYX"), ("ZZZIII", "IIIXXX"), ("XIYIZI", "IXIYIZ"),
-                 ("YYIIII", "YIZIIX"), ("IIIIIZ", "ZIIIIZ")]:
-        p, q = PauliString.from_label(p), PauliString.from_label(q)
-        got = estimate_transfer_entry(records, p, q)
-        assert got == brute_entry(records, p, q)
+    pairs = [(PauliString.from_label(p), PauliString.from_label(q)) for p, q in [
+        ("XYZIII", "IIIZYX"), ("ZZZIII", "IIIXXX"), ("XIYIZI", "IXIYIZ"),
+        ("YYIIII", "YIZIIX"), ("IIIIIZ", "ZIIIIZ")]]
+    assert read_pairs(records, pairs).tolist() == [brute_entry(records, p, q) for p, q in pairs]
 
 
 def test_transfer_matrix_past_the_cap_matches_brute_force():
     records = random_records(5, 300, seed=5)
-    m = estimate_transfer_matrix(records, 5, 2)
+    m = estimate_transfer_matrix(records, 2)
     assert m.basis == tuple(enumerate_low_weight(5, 2))
     for col, q in enumerate(m.basis):
         for row, p in enumerate(m.basis):
@@ -161,7 +167,7 @@ def test_transfer_matrix_past_the_cap_matches_brute_force():
     # At k = 3 a union support reaches six qubits, past the four-qubit table:
     # a seeded sample of the estimated entries, with many wide unions.
     records = random_records(6, 300, seed=63)
-    m = estimate_transfer_matrix(records, 6, 3)
+    m = estimate_transfer_matrix(records, 3)
     weights = np.array([p.weight for p in m.basis])
     cols, rows = np.nonzero((weights[None, :] <= weights[:, None]) & (weights[:, None] > 0))
     picks = np.random.default_rng(63).choice(len(rows), 2000, replace=False)
@@ -175,7 +181,7 @@ def test_transfer_matrix_past_the_cap_matches_brute_force():
 
 def test_eigenvalues_past_the_cap_match_brute_force():
     records = random_records(7, 500, seed=7)
-    est = estimate_eigenvalues(records, 7, enumerate_low_weight(7, 3))
+    est = estimate_eigenvalues(records, enumerate_low_weight(7, 3))
     assert est.n_records == 500
     for p in enumerate_low_weight(7, 3):
         if not p.is_identity:
@@ -189,7 +195,7 @@ def damping_stream(n, count, seed):
     return iter_channel_shadow_blocks(channel, count, seed, block_size=700)
 
 
-def test_records_and_counts_sources_agree_exactly(counts_of):
+def test_records_and_counts_sources_agree_exactly(counts_of, read_pairs):
     """Every estimator reads a batch of records as it reads the stream that
     drew them, bitwise: up to the cap the stream is counted where it is
     drawn, and past it drawn into records qubit by qubit."""
@@ -200,15 +206,16 @@ def test_records_and_counts_sources_agree_exactly(counts_of):
         if n <= 4:
             np.testing.assert_array_equal(drawn.counts, counts_of(records).counts)
         basis = enumerate_low_weight(n, k)
-        a, c = estimate_eigenvalues(records, n, basis), estimate_eigenvalues(stream, n, basis)
+        a, c = estimate_eigenvalues(records, basis), estimate_eigenvalues(stream, basis)
         assert a.values == c.values and c.n_records == 2000
-        a, c = estimate_transfer_matrix(records, n, k), estimate_transfer_matrix(stream, n, k)
+        a, c = estimate_transfer_matrix(records, k), estimate_transfer_matrix(stream, k)
         assert a.matrix[1, 1] == brute_entry(records, a.basis[1], a.basis[1])
         assert a.matrix[1, -1] == brute_entry(records, a.basis[1], a.basis[-1])
         np.testing.assert_array_equal(a.matrix, c.matrix)
-        for p, q in ((a.basis[1], a.basis[-1]), (a.basis[-1], a.basis[-1])):
-            assert estimate_x(records, q) == estimate_x(drawn, q)
-            assert estimate_transfer_entry(records, p, q) == estimate_transfer_entry(drawn, p, q)
+        # estimated pairs, and below-block and identity-column ones, which the matrix pins
+        b = a.basis
+        pairs = [(b[1], b[-1]), (b[-1], b[-1]), (b[-1], b[1]), (b[1], b[0])]
+        np.testing.assert_array_equal(read_pairs(records, pairs), read_pairs(drawn, pairs))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -216,9 +223,9 @@ def test_empty_stream_raises_on_either_side_of_the_cap(n):
     # no records to count up to the cap, nor to read past it
     for source in (damping_stream(n, 0, seed=1), ShadowRecords.from_cells(np.empty((0, n), np.uint8))):
         with pytest.raises(ValueError, match="no records"):
-            estimate_eigenvalues(source, n, enumerate_low_weight(n, 2))
+            estimate_eigenvalues(source, enumerate_low_weight(n, 2))
         with pytest.raises(ValueError, match="no records"):
-            estimate_transfer_matrix(source, n, 2)
+            estimate_transfer_matrix(source, 2)
 
 
 # -- gate estimates ------------------------------------------------------------
@@ -238,6 +245,57 @@ def test_gate_eigenvalues_from_records_equal_counts_and_brute_force():
             back = conjugate_pauli(kind, qubits, p)
             numer = brute_numerator(records, back, p)
             assert from_records[p] == back.sign * 3.0**back.weight * numer / len(records)
+
+
+# -- every estimator, pinned ----------------------------------------------------
+
+# SHA-256 of the float64 bytes of every estimate in ``estimates_digest``,
+# recorded before the estimators read their pairs through one function.  A
+# change to a numerator, to the 3^|P| / N scaling or to its order of
+# operations changes it.
+ESTIMATES_SHA256 = "f4e26eccde19a7084f898412dec45976a285d50eb33f3bbbf6f84545efc23271"
+
+
+def digest_channel(kind, n):
+    if kind == "ptm-product":
+        return ProductChannel([amplitude_damping_ptm(0.05 * (j + 1))
+                               @ depolarizing_ptm(0.97 - 0.01 * j) for j in range(n)])
+    return PauliChannel.from_qubit_probs([(0.9 - 0.01 * j, 0.03, 0.04 + 0.01 * j, 0.03)
+                                          for j in range(n)])
+
+
+def estimates_digest():
+    """Weight <= 2 eigenvalues and transfer matrices of channel streams on
+    either side of the cap, and gate eigenvalues, each from the stream and
+    from its records."""
+    digest = hashlib.sha256()
+    for kind in ("ptm-product", "pauli-product"):
+        for n in (1, 2, 4, 5, 6):
+            stream = iter_channel_shadow_blocks(digest_channel(kind, n), 3000, 40 + n, 700)
+            k = min(n, 2)
+            basis = enumerate_low_weight(n, k)
+            for source in (stream, stream.records()):
+                est = estimate_eigenvalues(source, basis)
+                digest.update(np.array([est.values[p] for p in basis]).tobytes())
+                digest.update(estimate_transfer_matrix(source, k).matrix.tobytes())
+    gates = [("H", None), ("S", PauliChannel.from_qubit_probs([(0.92, 0.02, 0.02, 0.04)])),
+             ("CNOT", PauliChannel.from_terms(2, {"XX": 0.02, "ZI": 0.03, "IY": 0.01}))]
+    for kind, noise in gates:
+        stream = sample_gate_shadows(kind, noise, 3000, seed=17, block_size=700)
+        for source in (stream, stream.records()):
+            digest.update(np.array(list(estimate_gate_eigenvalues(source, kind).values.values()))
+                          .tobytes())
+    return digest.hexdigest()
+
+
+def test_estimates_match_golden_digest():
+    assert estimates_digest() == ESTIMATES_SHA256
+
+
+def test_spam_factor_golden_values():
+    assert estimate_spam_factor(0.0, 50_000, seed=2) == 1.02474
+    # 3 * numer / N, rounded once; 3 * (numer / N) rounded twice to 0.6329925000000001.
+    assert estimate_spam_factor(0.1, 400_000, seed=4) == 0.6329925
 
 
 # -- the float64 contraction against the int64 one ------------------------------
@@ -297,7 +355,7 @@ def test_past_the_cap_bound_covers_the_weighted_histogram(monkeypatch):
     # Every measurement along Z: a head digit (I, Z) has factor +-3 on every
     # record, so supports with such heads reach the bound.
     along_z = ShadowRecords(r.s_axis, r.s_sign, np.full_like(r.t_axis, 2), r.t_sign)
-    estimate_transfer_matrix(along_z, 7, 3)
+    estimate_transfer_matrix(along_z, 3)
     assert {w for w, _, _ in calls} == {1, 2, 3, 4}
     assert all(bound >= total for _, bound, total in calls)
     assert any(bound == total > 300 for _, bound, total in calls)

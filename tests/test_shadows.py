@@ -42,12 +42,9 @@ from paulishadow.shadows import (
     estimate_gate_eigenvalues,
     estimate_spam_factor,
     estimate_state_expectations,
-    estimate_transfer_entry,
     estimate_transfer_matrix,
-    estimate_x,
     iter_channel_shadow_blocks,
     plan_sample_size,
-    sample_channel_shadows,
     sample_gate_shadows,
 )
 
@@ -93,7 +90,7 @@ def test_records_constructor_rejects_fields_out_of_range():
 
 
 def test_records_slicing_and_concat():
-    r = sample_channel_shadows(PauliChannel.identity(2), 100, seed=1)
+    r = iter_channel_shadow_blocks(PauliChannel.identity(2), 100, seed=1).records()
     assert len(r) == 100 and r.n == 2
     front, back = r[:40], r[40:]
     both = ShadowRecords.concatenate([front, back])
@@ -104,7 +101,7 @@ def test_records_slicing_and_concat():
 
 
 def test_records_index_and_iterate_like_a_sequence():
-    r = sample_channel_shadows(PauliChannel.identity(2), 5, seed=1)
+    r = iter_channel_shadow_blocks(PauliChannel.identity(2), 5, seed=1).records()
     np.testing.assert_array_equal(r[-1].cells, r.cells[4:])
     np.testing.assert_array_equal(r[-5].cells, r.cells[:1])
     np.testing.assert_array_equal(r[np.int64(3)].cells, r.cells[3:4])
@@ -117,7 +114,7 @@ def test_records_index_and_iterate_like_a_sequence():
 
 
 def test_records_text_round_trip(tmp_path):
-    r = sample_channel_shadows(reference_product_channel(), 50, seed=9)
+    r = iter_channel_shadow_blocks(reference_product_channel(), 50, seed=9).records()
     lines = r.to_lines()
     assert all(line.startswith("s:") and " t:" in line for line in lines)
     back = ShadowRecords.from_lines(lines)
@@ -148,19 +145,19 @@ def test_records_parse_examples_and_errors():
 
 def test_sampling_is_deterministic():
     ch = reference_product_channel()
-    a = sample_channel_shadows(ch, 3000, seed=5)
-    b = sample_channel_shadows(ch, 3000, seed=5)
+    a = iter_channel_shadow_blocks(ch, 3000, seed=5).records()
+    b = iter_channel_shadow_blocks(ch, 3000, seed=5).records()
     np.testing.assert_array_equal(a.s_axis, b.s_axis)
     np.testing.assert_array_equal(a.t_sign, b.t_sign)
-    c = sample_channel_shadows(ch, 3000, seed=6)
+    c = iter_channel_shadow_blocks(ch, 3000, seed=6).records()
     assert not np.array_equal(a.t_sign, c.t_sign)
 
 
 def test_sampling_prefix_stability():
     # record i depends only on (seed, block size, i), not on the total record count
     ch = reference_product_channel()
-    small = sample_channel_shadows(ch, 1000, seed=12)
-    big = sample_channel_shadows(ch, 70_000, seed=12)  # spans two blocks
+    small = iter_channel_shadow_blocks(ch, 1000, seed=12).records()
+    big = iter_channel_shadow_blocks(ch, 70_000, seed=12).records()  # spans two blocks
     np.testing.assert_array_equal(big.s_axis[:1000], small.s_axis)
     np.testing.assert_array_equal(big.s_sign[:1000], small.s_sign)
     np.testing.assert_array_equal(big.t_axis[:1000], small.t_axis)
@@ -172,7 +169,7 @@ def test_block_iteration_matches_batch():
     blocks = list(iter_channel_shadow_blocks(ch, 70_000, seed=4))
     assert len(blocks) == 2 and len(blocks[0]) == 65536
     merged = ShadowRecords.concatenate(blocks)
-    batch = sample_channel_shadows(ch, 70_000, seed=4)
+    batch = iter_channel_shadow_blocks(ch, 70_000, seed=4).records()
     np.testing.assert_array_equal(merged.t_sign, batch.t_sign)
 
 
@@ -206,8 +203,8 @@ def test_ptm_sampling_matches_per_qubit_reference(random_cp_ptm, block_size, spa
     rng = np.random.default_rng(17)
     for n in range(1, 6):
         ch = ProductChannel([random_cp_ptm(rng) for _ in range(n)])
-        got = sample_channel_shadows(ch, 1000, seed=n, block_size=block_size,
-                                     spam_flip_probability=spam)
+        got = iter_channel_shadow_blocks(ch, 1000, seed=n, block_size=block_size,
+                                         spam_flip_probability=spam).records()
         blocks = -(-1000 // block_size)
         want = ShadowRecords.concatenate([
             _sample_ptm_block_per_qubit(ch, block_rng(n, b), block_size, spam)
@@ -242,8 +239,9 @@ def test_concatenate_streams_into_one_array():
     blocks = list(iter_channel_shadow_blocks(ch, 1000, seed=3, block_size=300))
     listed = ShadowRecords.concatenate(blocks)
     assert listed.cells.dtype == np.uint8
-    np.testing.assert_array_equal(sample_channel_shadows(ch, 1000, 3, 300).cells, listed.cells)
-    empty = sample_channel_shadows(ch, 0, seed=3)
+    recorded = iter_channel_shadow_blocks(ch, 1000, 3, 300).records()
+    np.testing.assert_array_equal(recorded.cells, listed.cells)
+    empty = iter_channel_shadow_blocks(ch, 0, seed=3).records()
     assert len(empty) == 0 and empty.n == 2
 
 
@@ -317,7 +315,8 @@ def golden_records(case):
     count = GOLDEN_COUNTS[block_size]
     if source in GOLDEN_CHANNELS:
         spam = float(variant.removeprefix("spam"))
-        return sample_channel_shadows(GOLDEN_CHANNELS[source](), count, 7, block_size, spam)
+        stream = iter_channel_shadow_blocks(GOLDEN_CHANNELS[source](), count, 7, block_size, spam)
+        return stream.records()
     noise = GOLDEN_GATE_NOISE[source]() if variant == "noisy" else None
     return ShadowRecords.concatenate(list(sample_gate_shadows(source, noise, count, 11, block_size)))
 
@@ -444,10 +443,10 @@ def test_many_helpers_under_fast_thread_switching_keep_every_block(counts_of, mo
     # lost, repeated or raced in the count route changes the histogram.
     channel = GOLDEN_CHANNELS["ptm-product"]()
     monkeypatch.setattr(shadows, "_helper_count", lambda: 0)
-    serial = sample_channel_shadows(channel, 5000, seed=6, block_size=64)
+    serial = iter_channel_shadow_blocks(channel, 5000, seed=6, block_size=64).records()
     monkeypatch.setattr(shadows, "_helper_count", lambda: 5)
     with fast_thread_switching():
-        grouped = sample_channel_shadows(channel, 5000, seed=6, block_size=64)
+        grouped = iter_channel_shadow_blocks(channel, 5000, seed=6, block_size=64).records()
         counted = ShadowCounts.accumulate(
             iter_channel_shadow_blocks(channel, 5000, seed=6, block_size=64))
     np.testing.assert_array_equal(grouped.cells, serial.cells)
@@ -460,11 +459,11 @@ def test_a_forked_child_samples_with_its_own_helpers(monkeypatch):
     # started has none, and must start its own instead of waiting forever.
     monkeypatch.setattr(shadows, "_helper_count", lambda: 1)
     channel = GOLDEN_CHANNELS["ptm-product"]()
-    want = sample_channel_shadows(channel, 300, seed=2, block_size=64).cells
+    want = iter_channel_shadow_blocks(channel, 300, seed=2, block_size=64).records().cells
     pid = os.fork()
     if pid == 0:
         try:
-            got = sample_channel_shadows(channel, 300, seed=2, block_size=64).cells
+            got = iter_channel_shadow_blocks(channel, 300, seed=2, block_size=64).records().cells
             os._exit(0 if np.array_equal(got, want) else 1)
         finally:
             os._exit(2)
@@ -489,7 +488,7 @@ def test_no_executor_module_is_imported_until_a_helper_samples():
         "lazy = {'concurrent.futures', 'logging'}\n"
         "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
         "shadows._helper_count = lambda: 0\n"
-        "shadows.sample_channel_shadows(reference_product_channel(), 300, 1, 64)\n"
+        "shadows.iter_channel_shadow_blocks(reference_product_channel(), 300, 1, 64).records()\n"
         "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
         "shadows._helper_count = lambda: 1\n"
         "blocks = shadows.iter_channel_shadow_blocks(reference_product_channel(), 64, 1, 64)\n"
@@ -632,7 +631,7 @@ def test_block_rng_sets_the_philox_key_and_counter_without_os_entropy(seed, bloc
 
 def test_identity_channel_sampling_marginals():
     # matched basis reproduces the prepared sign; mismatched is a fair coin
-    r = sample_channel_shadows(PauliChannel.identity(1), 30_000, seed=8)
+    r = iter_channel_shadow_blocks(PauliChannel.identity(1), 30_000, seed=8).records()
     match = r.t_axis[:, 0] == r.s_axis[:, 0]
     assert np.all(r.t_sign[match, 0] == r.s_sign[match, 0])
     flip = r.t_sign[~match, 0].astype(float)
@@ -646,7 +645,7 @@ def test_identity_channel_sampling_marginals():
 def test_pauli_channel_sampling_flip_rate():
     # Z+ input measured in Z flips with probability pX + pY = 0.20
     ch = PauliChannel.from_qubit_probs([(0.75, 0.10, 0.10, 0.05)])
-    r = sample_channel_shadows(ch, 100_000, seed=14)
+    r = iter_channel_shadow_blocks(ch, 100_000, seed=14).records()
     sel = (r.s_axis[:, 0] == 2) & (r.t_axis[:, 0] == 2)
     kept = (r.t_sign[sel, 0] == r.s_sign[sel, 0]).mean()
     assert kept == pytest.approx(0.80, abs=0.02)
@@ -657,8 +656,8 @@ def test_ptm_sampling_matches_pauli_sampling_statistics():
     ch = reference_product_channel()
     ptm = ch.to_product_channel()
     basis = enumerate_low_weight(2, 2)
-    est_a = estimate_eigenvalues(sample_channel_shadows(ch, 150_000, seed=2), 2, basis)
-    est_b = estimate_eigenvalues(sample_channel_shadows(ptm, 150_000, seed=3), 2, basis)
+    est_a = estimate_eigenvalues(iter_channel_shadow_blocks(ch, 150_000, seed=2).records(), basis)
+    est_b = estimate_eigenvalues(iter_channel_shadow_blocks(ptm, 150_000, seed=3).records(), basis)
     for p in enumerate_low_weight(2, 2):
         if p.is_identity:
             continue
@@ -670,45 +669,67 @@ def test_ptm_sampling_matches_pauli_sampling_statistics():
 
 
 def test_estimate_x_single_record_values():
-    # worked single-record examples
+    # worked single-record examples: x_hat(Z) is the numerator over one
+    # record, and the eigenvalue estimate is 3 x_hat
+    z_pair = np.array([[5 * 3]], np.int8)  # digit in * 4 + out of (Z, Z)
     r = records_from_lists([[2]], [[1]], [[2]], [[-1]])  # s=(Z,+), t=(Z,-)
-    assert estimate_x(r, P("Z")) == pytest.approx(-3.0)
+    assert shadows._numerators(r, z_pair)[1].tolist() == [-3]
+    assert estimate_eigenvalues(r, [P("Z")])[P("Z")] == -9.0  # single records are unbounded
     r = records_from_lists([[0]], [[1]], [[2]], [[-1]])  # s=(X,+): mismatch
-    assert estimate_x(r, P("Z")) == 0.0
-    est = estimate_eigenvalues(
-        records_from_lists([[2]], [[1]], [[2]], [[-1]]), 1, enumerate_low_weight(1, 1)
-    )
-    assert est[P("Z")] == pytest.approx(-9.0)  # single records are unbounded
+    assert shadows._numerators(r, z_pair)[1].tolist() == [0]
+    assert estimate_eigenvalues(r, [P("Z")])[P("Z")] == 0.0
+
+
+def undrawable(stream):
+    """The stream with a sampler that fails the test if a block is drawn."""
+
+    def draw(*_):
+        raise AssertionError("a block was drawn")
+
+    stream.sample = stream.tally = draw
+    return stream
 
 
 def test_strings_of_another_width_are_rejected():
+    # An estimator takes its width from the source, and a string of another
+    # width fails before any block is drawn.
     for n in (2, 6):
         stream = iter_channel_shadow_blocks(PauliChannel.identity(n), 500, seed=1)
         records = stream.records()
-        for source in (records, ShadowCounts.accumulate(stream)) if n <= 4 else (records,):
+        sources = [records, undrawable(stream)]
+        if n <= 4:
+            sources.append(ShadowCounts.accumulate(iter_channel_shadow_blocks(
+                PauliChannel.identity(n), 500, seed=1)))
+        for source in sources:
             for p in (P("XZZ" + "I" * (n - 2)), P("X" * 10)):
                 with pytest.raises(ValueError, match=f"{p} has {p.n} qubits, expected {n}"):
-                    estimate_x(source, p)
+                    estimate_eigenvalues(source, [P("Z" * n), p])
+    # A CNOT's table on an H stream: two-qubit strings against one qubit.
+    with pytest.raises(ValueError, match="has 2 qubits, expected 1"):
+        estimate_gate_eigenvalues(undrawable(sample_gate_shadows("H", None, 500, seed=1)), "CNOT")
 
 
 def test_per_record_values_in_allowed_set():
+    # x_hat(P) of one record is 0 or +-3^|P|, so its eigenvalue estimate is
+    # 0 or +-9^|P|
     ch = reference_product_channel()
-    r = sample_channel_shadows(ch, 300, seed=6)
-    for p in [P("ZI"), P("XZ")]:
-        allowed = {0.0, 3.0**p.weight, -(3.0**p.weight)}
-        for i in range(len(r)):
-            assert estimate_x(r[i], p) in allowed
+    r = iter_channel_shadow_blocks(ch, 300, seed=6).records()
+    strings = [P("ZI"), P("XZ")]
+    for i in range(len(r)):
+        est = estimate_eigenvalues(r[i], strings)
+        for p in strings:
+            assert est[p] in {0.0, 9.0**p.weight, -(9.0**p.weight)}
 
 
 def test_estimate_x_rejects_empty():
-    empty = sample_channel_shadows(PauliChannel.identity(1), 0, seed=0)
+    empty = iter_channel_shadow_blocks(PauliChannel.identity(1), 0, seed=0).records()
     with pytest.raises(ValueError):
-        estimate_x(empty, P("Z"))
+        estimate_eigenvalues(empty, [P("Z")])
 
 
 def test_estimate_eigenvalues_identity_exact():
-    r = sample_channel_shadows(reference_product_channel(), 100, seed=1)
-    est = estimate_eigenvalues(r, 2, enumerate_low_weight(2, 2))
+    r = iter_channel_shadow_blocks(reference_product_channel(), 100, seed=1).records()
+    est = estimate_eigenvalues(r, enumerate_low_weight(2, 2))
     assert est[P("II")] == 1.0
     assert est.n_records == 100
     with pytest.raises(KeyError):
@@ -717,7 +738,7 @@ def test_estimate_eigenvalues_identity_exact():
 
 def test_estimates_converge_to_oracle():
     ch = reference_product_channel()
-    est = estimate_eigenvalues(sample_channel_shadows(ch, 100_000, seed=20), 2,
+    est = estimate_eigenvalues(iter_channel_shadow_blocks(ch, 100_000, seed=20).records(),
                                enumerate_low_weight(2, 2))
     for p in enumerate_low_weight(2, 2):
         assert est[p] == pytest.approx(ch.eigenvalue(p), abs=0.05)
@@ -732,22 +753,21 @@ def test_estimates_signed_lookup():
 # -- counts sufficient statistic ----------------------------------------------
 
 
-def test_counts_match_direct_records_exactly():
+def test_counts_match_direct_records_exactly(read_pairs):
     ch = reference_product_channel()
-    r = sample_channel_shadows(ch, 20_000, seed=33)
+    r = iter_channel_shadow_blocks(ch, 20_000, seed=33).records()
     counts = ShadowCounts.accumulate(iter_channel_shadow_blocks(ch, 20_000, seed=33))
     assert counts.n_records == len(r)
-    for p in enumerate_low_weight(2, 2):
-        if p.is_identity:
-            continue
-        assert estimate_x(counts, p) == estimate_x(r, p)  # bit-for-bit equal
-    for p, q in [(P("II"), P("ZI")), (P("XI"), P("XZ")), (P("ZI"), P("ZZ"))]:
-        assert estimate_transfer_entry(counts, p, q) == estimate_transfer_entry(r, p, q)
+    basis = enumerate_low_weight(2, 2)
+    # bit-for-bit equal
+    assert estimate_eigenvalues(counts, basis).values == estimate_eigenvalues(r, basis).values
+    pairs = [(P(p), P(q)) for p, q in [("II", "ZI"), ("XI", "XZ"), ("ZI", "ZZ"), ("ZZ", "II")]]
+    np.testing.assert_array_equal(read_pairs(counts, pairs), read_pairs(r, pairs))
 
 
 def test_counts_merge_and_accumulate(counts_of):
     ch = reference_product_channel()
-    r = sample_channel_shadows(ch, 9000, seed=44)
+    r = iter_channel_shadow_blocks(ch, 9000, seed=44).records()
     whole = counts_of(r)
     merged = counts_of(r[:5000]).merge(counts_of(r[5000:]))
     np.testing.assert_array_equal(merged.counts, whole.counts)
@@ -825,9 +845,9 @@ def test_records_past_the_cap_are_held_once(monkeypatch):
     monkeypatch.setattr(shadows, "_helper_count", lambda: 1)  # two blocks at a time
     channel = PauliChannel.from_qubit_probs([(0.9, 0.04, 0.03, 0.03)] * 10)
     strings = [p for p in heisenberg_observable(10).support() if not p.is_identity]
-    estimate_eigenvalues(iter_channel_shadow_blocks(channel, 1000, 3), 10, strings)  # warm-up
+    estimate_eigenvalues(iter_channel_shadow_blocks(channel, 1000, 3), strings)  # warm-up
     stream = iter_channel_shadow_blocks(channel, 500_000, 3)
-    assert _traced_peak(lambda: estimate_eigenvalues(stream, 10, strings)) < 2.5 * 500_000 * 10
+    assert _traced_peak(lambda: estimate_eigenvalues(stream, strings)) < 2.5 * 500_000 * 10
 
 
 def test_four_qubit_pauli_block_stays_small():
@@ -849,7 +869,7 @@ def test_counts_qubit_cap():
 
 def test_estimating_from_block_stream():
     ch = reference_product_channel()
-    est = estimate_eigenvalues(iter_channel_shadow_blocks(ch, 50_000, 3), 2,
+    est = estimate_eigenvalues(iter_channel_shadow_blocks(ch, 50_000, 3),
                                enumerate_low_weight(2, 1))
     assert est[P("ZI")] == pytest.approx(0.60, abs=0.05)
 
@@ -857,42 +877,46 @@ def test_estimating_from_block_stream():
 # -- transfer estimation -------------------------------------------------------
 
 
-def test_transfer_entry_identity_column():
-    r = sample_channel_shadows(reference_product_channel(), 100, seed=2)
-    assert estimate_transfer_entry(r, P("II"), P("II")) == 1.0
-    assert estimate_transfer_entry(r, P("ZI"), P("II")) == 0.0
+def test_transfer_entry_identity_column(read_pairs):
+    # lambda_P(I) = delta_PI: the pair reader gives (I, I) as N / N, and the
+    # transfer matrix pins the rest of the column
+    r = iter_channel_shadow_blocks(reference_product_channel(), 100, seed=2).records()
+    assert read_pairs(r, [(P("II"), P("II"))]).tolist() == [1.0]
+    m = estimate_transfer_matrix(r, 2)
+    assert m.matrix[0, 0] == 1.0
+    np.testing.assert_array_equal(m.matrix[1:, 0], 0.0)
 
 
-def test_transfer_entry_damping_leak():
+def test_transfer_entry_damping_leak(read_pairs):
     # the (I, Z) entry estimates gamma
     ch = ProductChannel([amplitude_damping_ptm(0.2), np.eye(4)])
-    r = sample_channel_shadows(ch, 200_000, seed=7)
-    leak = estimate_transfer_entry(r, P("II"), P("ZI"))
+    r = iter_channel_shadow_blocks(ch, 200_000, seed=7).records()
+    m = estimate_transfer_matrix(r, 1)
+    leak = m.matrix[m.index(P("II")), m.index(P("ZI"))]
+    assert leak == read_pairs(r, [(P("II"), P("ZI"))]).item()
     assert leak == pytest.approx(0.2, abs=0.03)
 
 
-def test_transfer_diagonal_matches_eigenvalues_on_pauli_channel():
+def test_transfer_diagonal_matches_eigenvalues_on_pauli_channel(read_pairs):
     ch = reference_product_channel()
     counts = ShadowCounts.accumulate(iter_channel_shadow_blocks(ch, 100_000, seed=9))
+    m = estimate_transfer_matrix(counts, 2)
+    est = estimate_eigenvalues(counts, m.basis)
     for p in [P("ZI"), P("XZ")]:
-        diag = estimate_transfer_entry(counts, p, p)
-        lam = 3.0**p.weight * estimate_x(counts, p)
-        assert diag == pytest.approx(lam, abs=1e-12)
+        assert m.matrix[m.index(p), m.index(p)] == est[p]
     # off-diagonal entries vanish within a loose Hoeffding envelope
     envelope = 4 * 9 / math.sqrt(counts.n_records)
-    hits = 0
-    pairs = [(P("ZI"), P("XI")), (P("XI"), P("XZ")), (P("IZ"), P("ZZ")),
-             (P("YI"), P("YZ")), (P("IX"), P("ZX"))]
-    for p, q in pairs:
-        if abs(estimate_transfer_entry(counts, p, q)) <= envelope:
-            hits += 1
-    assert hits >= len(pairs) - 1
+    pairs = [(P(p), P(q)) for p, q in [("ZI", "XI"), ("XI", "XZ"), ("IZ", "ZZ"), ("YI", "YZ"),
+                                       ("IX", "ZX")]]
+    off = [m.matrix[m.index(p), m.index(q)] for p, q in pairs]
+    np.testing.assert_array_equal(off, read_pairs(counts, pairs))
+    assert sum(abs(entry) <= envelope for entry in off) >= len(pairs) - 1
 
 
 def test_estimate_transfer_matrix_structure():
     ch = ProductChannel([amplitude_damping_ptm(0.2), depolarizing_ptm(0.8)])
     src = ShadowCounts.accumulate(iter_channel_shadow_blocks(ch, 300_000, 5))
-    m = estimate_transfer_matrix(src, 2, 2)
+    m = estimate_transfer_matrix(src, 2)
     assert m.basis == tuple(enumerate_low_weight(2, 2))
     assert m.matrix[0, 0] == 1.0
     np.testing.assert_array_equal(m.matrix[1:, 0], 0.0)
@@ -1133,9 +1157,7 @@ def test_spam_factor_squared_contrast():
 
 def test_spam_flip_probability_validation():
     with pytest.raises(ValueError):
-        sample_channel_shadows(
-            PauliChannel.identity(1), 10, seed=0, spam_flip_probability=1.5
-        )
+        iter_channel_shadow_blocks(PauliChannel.identity(1), 10, seed=0, spam_flip_probability=1.5)
 
 
 # -- state expectation estimation ---------------------------------------------
