@@ -68,7 +68,6 @@ from .clifford import (
 )
 from .shadows import (
     EigenvalueEstimates,
-    ShadowCounts,
     ShadowRecords,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
@@ -131,7 +130,6 @@ __all__ = [
     "exact_gate_estimates",
     "mitigation_coefficients",
     "EigenvalueEstimates",
-    "ShadowCounts",
     "ShadowRecords",
     "estimate_eigenvalues",
     "estimate_gate_eigenvalues",

@@ -494,6 +494,16 @@ def _walsh_apply(vec: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # -- configuration (JSON) ------------------------------------------------------
 
 
+def _number(value, field: str) -> float:
+    """A config's JSON number as a float; anything else names its field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ConfigError(f"{field} is too large for a float") from None
+
+
 def channel_from_config(cfg: Mapping) -> PauliChannel | ProductChannel:
     """Build a channel from its JSON object form.  See README for the schema."""
     try:
@@ -507,7 +517,7 @@ def channel_from_config(cfg: Mapping) -> PauliChannel | ProductChannel:
         rows = []
         for i, entry in enumerate(qubits):
             try:
-                rows.append([entry["pI"], entry["pX"], entry["pY"], entry["pZ"]])
+                rows.append([_number(entry["p" + a], f"qubit {i}: p{a}") for a in "IXYZ"])
             except (TypeError, KeyError) as exc:
                 raise ConfigError(f"qubit {i}: missing probability {exc}") from None
         try:
@@ -517,7 +527,7 @@ def channel_from_config(cfg: Mapping) -> PauliChannel | ProductChannel:
     if kind == "pauli-sparse":
         n = cfg.get("n")
         terms = cfg.get("terms")
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ConfigError("pauli-sparse config needs an integer 'n' >= 1")
         if not isinstance(terms, list):
             raise ConfigError("pauli-sparse config needs a 'terms' list")
@@ -525,13 +535,13 @@ def channel_from_config(cfg: Mapping) -> PauliChannel | ProductChannel:
         for i, item in enumerate(terms):
             try:
                 label, prob = item
-                p, prob = PauliString.from_label(label), float(prob)
+                p = PauliString.from_label(label)
             except (AttributeError, TypeError, ValueError):
                 raise ConfigError(f"terms[{i}] must be [label, probability], "
                                   f"got {item!r}") from None
             if p.n != n:
                 raise ConfigError(f"terms[{i}]: {label!r} is not an {n}-qubit string")
-            pairs.append((p, prob))
+            pairs.append((p, _number(prob, f"terms[{i}]: probability")))
         try:
             return PauliChannel.from_terms(n, pairs)
         except ValueError as exc:
@@ -539,13 +549,10 @@ def channel_from_config(cfg: Mapping) -> PauliChannel | ProductChannel:
     if kind == "ptm-product":
         ptms = []
         for i, flat in enumerate(qubits):
-            try:
-                arr = np.asarray(flat, dtype=float)
-                if arr.shape != (16,):
-                    raise ValueError
-            except (TypeError, ValueError):  # a ragged row or a non-number too
-                raise ConfigError(f"qubits[{i}] must hold 16 reals (row-major 4x4)") from None
-            ptms.append(arr.reshape(4, 4))
+            if not isinstance(flat, list) or len(flat) != 16:
+                raise ConfigError(f"qubits[{i}] must hold 16 reals (row-major 4x4)")
+            ptms.append(np.reshape([_number(x, f"qubits[{i}][{j}]") for j, x in enumerate(flat)],
+                                   (4, 4)))
         try:
             return ProductChannel(np.stack(ptms))
         except ValueError as exc:

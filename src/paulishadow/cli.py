@@ -47,7 +47,6 @@ from .recovery import (
 )
 from .shadows import (
     EXPECTATION_BATCHES,
-    ShadowCounts,  # unused here; perfbench/tracing.py wraps cli.ShadowCounts.accumulate
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
     estimate_state_expectations,

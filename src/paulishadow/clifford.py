@@ -94,7 +94,7 @@ class CliffordCircuit:
     noise: dict[str, PauliChannel] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
             raise ValueError(f"qubit count must be an integer, got {self.n!r}")
         self.gates = tuple(
             g if isinstance(g, Gate) else Gate(g[0], tuple(g[1])) for g in self.gates
@@ -106,7 +106,7 @@ class CliffordCircuit:
             if len(set(gate.qubits)) != len(gate.qubits):
                 raise ValueError(f"repeated qubit in {gate}")
             for q in gate.qubits:
-                if not (isinstance(q, numbers.Integral) and 0 <= q < self.n):
+                if isinstance(q, bool) or not (isinstance(q, numbers.Integral) and 0 <= q < self.n):
                     raise ValueError(f"qubit {q!r} is not an integer in [0, {self.n})")
         for kind, channel in self.noise.items():
             if channel.n != gate_arity(kind):

@@ -12,36 +12,34 @@ core estimator for a Pauli string P is
 
 whose per-record value is 0 or +-3^|P|; the eigenvalue estimate is
 ``3^|P| * x_hat``.  Because the values are exact integers, estimators
-accumulate signed integer counts (no floating-point summation error) and are
-mergeable across blocks.
+accumulate signed integer counts (no floating-point summation error), and
+blocks add into one histogram in any order.
 
 Estimation
 ----------
 A record is one uint8 cell per qubit: (s axis, s sign, t axis, t sign) in
-mixed radix (3, 2, 3, 2), which every sampler writes directly.
-A stream of up to four qubits is counted where it is drawn into
-``ShadowCounts``, the joint 36^n histogram of cells, as int32 counts up to
-2^31 - 1 records and as int64 past that.  Contracting it once, qubit by
-qubit, against the (16, 36) table of per-qubit factors gives the 16^n
-*moment table*: the entry at mixed-radix index
+mixed radix (3, 2, 3, 2), which every sampler writes directly.  An estimator
+takes a source (records or a stream) and the source's width: a string of
+another width fails in ``letter_codes``, before any block is drawn.  Every
+estimator reads its pairs through one pair reader, ``_read_pairs``: it takes
+(P, Q) as rows of letter codes, builds the digits P_j * 4 + Q_j, and returns
+each pair's ``3^|P| * numer / N``.  Up to four qubits, ``_numerators``
+counts the source into one joint 36^n histogram of cells (``count_into``), as
+int32 counts up to 2^31 - 1 records and as int64 past that.  Contracting it
+once, qubit by qubit, against the (16, 36) table of per-qubit factors gives
+the 16^n *moment table*: the entry at mixed-radix index
 sum_j (P_j * 4 + Q_j) * 16^(n-1-j), with letter codes I=0, X=1, Y=2, Z=3
 and qubit 0 most significant, is the numerator of (P, Q): the sum over
-records of prod_j tr(P_j s_j) tr(Q_j (3 t_j - I)).  An estimator takes a
-source (records, a stream, or a stream's counts) and the source's width: a
-string of another width fails in ``letter_codes``, before any block is drawn.
-Every estimator reads its pairs through one pair reader, ``_read_pairs``: it
-takes (P, Q) as rows of letter codes, builds the digits P_j * 4 + Q_j, and
-returns each pair's ``3^|P| * numer / N``.
+records of prod_j tr(P_j s_j) tr(Q_j (3 t_j - I)).
 The contraction is float64 matrix products through BLAS; every partial sum
 is an integer below 2^53 (it raises otherwise), so the table is exact and
 each estimate is the same float as a per-record sum would give.
-Records are read with one table per union support, which up to four
-qubits is the whole register's.  Past four, a stream is drawn into records,
-held once, and each (P, Q) is read from its union support's table, built
-from that support's marginal histogram (2k qubits at most for a weight <= k
-transfer entry).  One 36^w histogram and its 16^w table live at a time.  A
-support wider than four qubits keeps a four-qubit table, and the records'
-factors on the other qubits weight its histogram.
+Past four qubits, a stream is drawn into records, held once, and each
+(P, Q) is read from its union support's table, built from that support's
+marginal histogram (2k qubits at most for a weight <= k transfer entry).
+One 36^w histogram and its 16^w table live at a time.  A support wider than
+four qubits keeps a four-qubit table, and the records' factors on the other
+qubits weight its histogram.
 
 Randomness
 ----------
@@ -55,7 +53,7 @@ size gives other records.  Channel and gate shadows are both streamed as a
 thread and up to one helper per further block (one per usable CPU past the
 first, on a ``concurrent.futures.ThreadPoolExecutor``; under ``taskset -c 0``
 no executor starts) take block numbers from one shared list.
-``ShadowCounts.accumulate`` counts a stream where each block is drawn, every
+``BlockStream.count_into`` counts a stream where each block is drawn, every
 thread adding its blocks into the one histogram, and ``BlockStream.records``
 writes block b into its own rows of one array.  Integer addition commutes and
 the rows are disjoint, so any split of the blocks between threads gives the
@@ -213,6 +211,15 @@ class ShadowRecords:
                              f"got {lines[row]!r}")
         # A cell's first digit in radix 6 is its input's, the second its measurement's.
         return cls.from_cells((6 * digits[:, :n] + digits[:, n:]).view(np.uint8))
+
+    def count_into(self, counts: np.ndarray) -> None:
+        """Add every record into ``counts``, the 36^n histogram of joint cells."""
+        cells = np.ascontiguousarray(self.cells.T)  # a view of a stream's records
+        np.add.at(counts, _joint_cells(cells, range(self.n)), counts.dtype.type(1))
+
+    def records(self) -> "ShadowRecords":
+        """These records, as ``BlockStream.records`` gives a stream's."""
+        return self
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -509,8 +516,8 @@ def _moment_table(hist: np.ndarray, w: int, bound: int) -> np.ndarray:
     appending that qubit's letter axis (so qubit 0 ends most significant
     again), and one product with the factor table sums the 36 slab tables
     over the leading cell.  So no float copy of the histogram is held, only
-    of one slab (an int32 ``ShadowCounts`` slab converts faster than an
-    int64 one), and no (36^(w-1), 16) intermediate (6 MB at w = 4).  A
+    of one slab (an int32 slab of ``_numerators``' histogram converts faster
+    than an int64 one), and no (36^(w-1), 16) intermediate (6 MB at w = 4).  A
     factor is at most 3 in magnitude, so every partial sum is an integer of
     magnitude at most 3^w N, with N the histogram's total absolute count.
     Below 2^53 that is exact in float64 under any summation order; past it
@@ -535,48 +542,6 @@ def _table_index(digits: np.ndarray) -> np.ndarray:
     return digits @ 16 ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
-class ShadowCounts:
-    """Joint histogram over per-qubit (s_axis, s_sign, t_axis, t_sign) cells.
-
-    A stream's sufficient statistic for every estimator in this module: 36
-    cells per qubit, 36^n joint cells (n <= 4).  Counts are integers, so estimates
-    derived from them are exact functions of the drawn records, and two
-    histograms merge by addition.  No cell exceeds the record total, so the
-    counts are int32 (6.7 MB at n = 4) up to 2^31 - 1 records; ``accumulate``
-    and ``merge`` widen them to int64 before a total passes that.
-    """
-
-    def __init__(self, n: int):
-        if not 1 <= n <= COUNTS_QUBIT_CAP:
-            raise ValueError(f"counts need 1 <= n <= {COUNTS_QUBIT_CAP}, got {n}")
-        self.n = n
-        self.counts = np.zeros(36**n, dtype=np.int32)
-        self.n_records = 0
-
-    @classmethod
-    def accumulate(cls, stream: BlockStream) -> "ShadowCounts":
-        """Count every record of a stream where its block is drawn."""
-        out = cls(stream.n)
-        if len(stream) > INT32_RECORDS:
-            out.counts = out.counts.astype(np.int64)
-        stream.count_into(out.counts)
-        out.n_records = len(stream)
-        return out
-
-    def merge(self, other: "ShadowCounts") -> "ShadowCounts":
-        if other.n != self.n:
-            raise ValueError(f"cannot merge n={other.n} into n={self.n}")
-        out = ShadowCounts(self.n)
-        out.n_records = self.n_records + other.n_records
-        out.counts = np.add(self.counts, other.counts,
-                            dtype=np.int64 if out.n_records > INT32_RECORDS else np.int32)
-        return out
-
-    def moments(self) -> np.ndarray:
-        """The 16^n moment table of the current counts."""
-        return _moment_table(self.counts, self.n, self.n_records)
-
-
 def _record_factors(cells: np.ndarray, qubits, digits) -> np.ndarray | None:
     """Each record's exact integer factor on ``qubits`` for the given digits;
     None stands for all ones (no qubits)."""
@@ -588,10 +553,10 @@ def _record_factors(cells: np.ndarray, qubits, digits) -> np.ndarray | None:
 
 
 def _marginal_numerators(records: ShadowRecords, digits: np.ndarray) -> np.ndarray:
-    """Numerators of records, from one moment table per union support.
+    """Numerators of records past the joint cap, from one moment table per
+    union support.
 
-    Up to the joint cap, the whole register's table serves every pair.  Past
-    it, a support wider than the cap splits into a head and a cap-wide tail:
+    A support wider than the cap splits into a head and a cap-wide tail:
     the head's digits weight each record by its factor there, and the table
     covers the tail.  Pairs are grouped by (head digits, tail qubits); each
     group bincounts its tail histogram, weighted by the head factors, and its
@@ -599,10 +564,6 @@ def _marginal_numerators(records: ShadowRecords, digits: np.ndarray) -> np.ndarr
     """
     cells = np.ascontiguousarray(records.cells.T)  # a view of a stream's records
     n = records.n
-    if n <= COUNTS_QUBIT_CAP:  # one table beats one per support; int32 slabs convert faster
-        hist = np.zeros(36**n, np.int32 if len(records) <= INT32_RECORDS else np.int64)
-        np.add.at(hist, _joint_cells(cells, range(n)), hist.dtype.type(1))
-        return _moment_table(hist, n, len(records))[_table_index(digits)]
     support = digits != 0
     # The tail is the last COUNTS_QUBIT_CAP qubits of each pair's support (int8: <= 2k).
     last = np.cumsum(support[:, ::-1], axis=1, dtype=np.int8)[:, ::-1]
@@ -628,22 +589,23 @@ def _marginal_numerators(records: ShadowRecords, digits: np.ndarray) -> np.ndarr
     return numers
 
 
-def _numerators(source, digits: np.ndarray) -> tuple[int, np.ndarray]:
+def _numerators(source: ShadowRecords | BlockStream, digits: np.ndarray) -> tuple[int, np.ndarray]:
     """Record count and the exact int64 numerator of each row of digits in * 4 + out.
 
-    ``source`` is a ShadowCounts, a ShadowRecords or a BlockStream; up to
-    the joint cap a stream is counted where it is drawn, and past it a
-    stream is drawn into records.
+    Up to the joint cap the source is counted into one 36^n histogram, a
+    stream where each block is drawn, and its moment table serves every pair.
+    No cell exceeds the record total, so the counts are int32 (6.7 MB at
+    n = 4) up to 2^31 - 1 records and int64 past that.  Past the cap the
+    source's records are read per union support, a stream's drawn first.
     """
-    if isinstance(source, BlockStream):
-        counted = source.n <= COUNTS_QUBIT_CAP
-        source = ShadowCounts.accumulate(source) if counted else source.records()
-    total = source.n_records if isinstance(source, ShadowCounts) else len(source)
+    total = len(source)
     if total == 0:
         raise ValueError("no records")
-    if isinstance(source, ShadowRecords):
-        return total, _marginal_numerators(source, digits)
-    return total, source.moments()[_table_index(digits)]
+    if source.n > COUNTS_QUBIT_CAP:
+        return total, _marginal_numerators(source.records(), digits)
+    hist = np.zeros(36**source.n, np.int32 if total <= INT32_RECORDS else np.int64)
+    source.count_into(hist)
+    return total, _moment_table(hist, source.n, total)[_table_index(digits)]
 
 
 def _read_pairs(source, in_codes: np.ndarray, out_codes: np.ndarray) -> tuple[int, np.ndarray]:
@@ -677,7 +639,7 @@ class EigenvalueEstimates:
 
 
 def estimate_eigenvalues(
-    source: ShadowRecords | ShadowCounts | BlockStream, strings: Sequence[PauliString]
+    source: ShadowRecords | BlockStream, strings: Sequence[PauliString]
 ) -> EigenvalueEstimates:
     """lambda_hat(P) = 3^|P| x_hat(P) for each of ``strings``, of the source's
     width; the identity's numerator is the record count, so its estimate is
@@ -687,9 +649,7 @@ def estimate_eigenvalues(
     return EigenvalueEstimates(source.n, dict(zip(strings, values.tolist())), total)
 
 
-def estimate_transfer_matrix(
-    source: ShadowRecords | ShadowCounts | BlockStream, k: int
-) -> TransferMatrix:
+def estimate_transfer_matrix(source: ShadowRecords | BlockStream, k: int) -> TransferMatrix:
     """Estimated adjoint transfer matrix on the source's weight <= k basis.
 
     Entries with |P| > |Q| are structurally zero under the weight-contracting
@@ -828,10 +788,10 @@ def sample_gate_shadows(
 
 
 def estimate_gate_eigenvalues(
-    source: ShadowRecords | ShadowCounts | BlockStream, kind: str
+    source: ShadowRecords | BlockStream, kind: str
 ) -> EigenvalueEstimates:
-    """Noise eigenvalues of a gate from its shadow records, counts or block
-    stream, whose width must be the gate's arity.
+    """Noise eigenvalues of a gate from its shadow records or block stream,
+    whose width must be the gate's arity.
 
     The input-side Pauli is the backward conjugation U^dagger P U, read from
     the kind's conjugation table; its sign multiplies the estimate, and the

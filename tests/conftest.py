@@ -6,7 +6,6 @@ import pytest
 from paulishadow.channels import amplitude_damping_ptm, depolarizing_ptm
 from paulishadow import shadows
 from paulishadow.paulis import letter_codes
-from paulishadow.shadows import ShadowCounts
 
 
 @pytest.fixture
@@ -31,19 +30,29 @@ def random_cp_ptm():
 
 @pytest.fixture(scope="session")
 def counts_of():
-    """A function of shadow records returning their ``ShadowCounts``, built
-    by ``np.bincount`` of each record's joint cell code (qubit 0 most
-    significant): a reference independent of the stream's block counts and
-    of the estimators' readers."""
+    """A function of shadow records returning their int32 36^n histogram,
+    built by ``np.bincount`` of each record's joint cell code (qubit 0 most
+    significant): a reference independent of ``count_into`` and of the
+    estimators' readers."""
 
     def count(records):
         codes = np.zeros(len(records), np.int64)
         for j in range(records.n):
             codes = codes * 36 + records.cells[:, j]
-        out = ShadowCounts(records.n)
-        out.counts = np.bincount(codes, minlength=36**records.n).astype(np.int32)
-        out.n_records = len(records)
-        return out
+        return np.bincount(codes, minlength=36**records.n).astype(np.int32)
+
+    return count
+
+
+@pytest.fixture(scope="session")
+def hist_of():
+    """A function of a records or stream source returning the int32 36^n
+    histogram that its ``count_into`` fills."""
+
+    def count(source):
+        hist = np.zeros(36**source.n, np.int32)
+        source.count_into(hist)
+        return hist
 
     return count
 
@@ -58,7 +67,7 @@ def read_pairs():
         ins, outs = zip(*pairs)
         total, values = shadows._read_pairs(source, letter_codes(ins, source.n),
                                             letter_codes(outs, source.n))
-        assert total == (source.n_records if isinstance(source, ShadowCounts) else len(source))
+        assert total == len(source)
         return values
 
     return read

@@ -8,9 +8,6 @@ are stated inline; Monte Carlo gates use fixed seeds with success-count
 thresholds, so every run is reproducible.
 """
 
-import itertools
-import math
-
 import numpy as np
 import pytest
 
@@ -22,7 +19,6 @@ from paulishadow.channels import (
     depolarizing_ptm,
     exact_transfer_matrix,
     reference_product_channel,
-    save_channel,
 )
 from paulishadow.clifford import (
     CliffordCircuit,
@@ -41,7 +37,6 @@ from paulishadow.recovery import (
     solve_upper_block_triangular,
 )
 from paulishadow.shadows import (
-    ShadowCounts,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
     estimate_spam_factor,
@@ -167,10 +162,8 @@ def test_criterion_5_weight_contracting_recovery():
 
     runs, hits = 50, 0
     for run in range(runs):
-        counts = ShadowCounts.accumulate(
-            iter_channel_shadow_blocks(ch, 1_000_000, cli._derive_seed(51, run))
-        )
-        estimated = estimate_transfer_matrix(counts, 2)
+        blocks = iter_channel_shadow_blocks(ch, 1_000_000, cli._derive_seed(51, run))
+        estimated = estimate_transfer_matrix(blocks, 2)
         back_est = backward_observable_general(obs, estimated)
         state = exact.haar_random_state(2, cli._derive_seed(52, run))
         noisy = exact.apply_channel(ch, state)
@@ -273,8 +266,7 @@ def test_criterion_6_circuit_mitigation():
                 100_000,
                 cli._derive_seed(61, run, *(ord(c) for c in kind)),
             )
-            counts = ShadowCounts.accumulate(blocks)
-            learned[kind] = estimate_gate_eigenvalues(counts, kind)
+            learned[kind] = estimate_gate_eigenvalues(blocks, kind)
         back = mitigation_coefficients(circuit, learned, obs)
         f = exact.expectation(Observable(back.n, back.terms), noisy)
         if abs(f - ideal) <= 0.05:

@@ -13,7 +13,6 @@ from paulishadow.channels import (
     ConfigError,
     PauliChannel,
     ProductChannel,
-    TransferMatrix,
     amplitude_damping_ptm,
     channel_from_config,
     channel_to_config,

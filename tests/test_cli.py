@@ -1,5 +1,6 @@
 """Command line surface: outputs, exit codes, and byte-level determinism."""
 
+import ast
 import hashlib
 import json
 import math
@@ -17,7 +18,6 @@ from paulishadow.channels import (
     PauliChannel,
     ProductChannel,
     amplitude_damping_ptm,
-    exact_transfer_matrix,
     reference_product_channel,
     save_channel,
 )
@@ -765,6 +765,7 @@ def test_bad_input_exits_one_before_any_draw(case, circuit_path, damping_channel
 
 
 NAN_NOISE = {"pI": math.nan, "pX": 0.04, "pY": 0.03, "pZ": 0.03}
+NULL_NOISE = {**NAN_NOISE, "pI": None}
 NAN_PTM = [1, 0, 0, 0, 0, math.nan, 0, 0, 0, 0, 0.9, 0, 0.1, 0, 0, 0.9]
 DAMPING_PTM = [1, 0, 0, 0, 0, 0.9 ** 0.5, 0, 0, 0, 0, 0.9 ** 0.5, 0, 0.1, 0, 0, 0.9]
 # Input files, by name, and the commands that read them.
@@ -795,6 +796,21 @@ UNREADABLE_INPUTS = {
         "fractional-qubit-circuit.json": {"n": 2, "gates": [{"g": "CNOT", "q": [0, 1.5]}]},
         "int-noise-circuit.json": {"n": 2, "gates": [{"g": "H", "q": [0]}], "noise": 5},
         "list-kind-circuit.json": {"n": 2, "gates": [{"g": ["H"], "q": [0]}]},
+        # Only JSON numbers are probabilities and transfer matrix entries.
+        "null-pauli.json": {"kind": "pauli-product", "qubits": [NULL_NOISE]},
+        "text-pauli.json": {"kind": "pauli-product", "qubits": [{**NAN_NOISE, "pI": "0.9"}]},
+        "bool-pauli.json": {"kind": "pauli-product", "qubits": [{**NAN_NOISE, "pI": True}]},
+        "numeric-text-probability.json": {"kind": "pauli-sparse", "n": 2,
+                                          "terms": [["XI", "0.1"]]},
+        "bool-probability.json": {"kind": "pauli-sparse", "n": 2, "terms": [["XI", True]]},
+        "bool-n-sparse.json": {"kind": "pauli-sparse", "n": True, "terms": [["X", 0.1]]},
+        "bool-ptm-entry.json": {"kind": "ptm-product", "qubits": [[True, *DAMPING_PTM[1:]]]},
+        "null-ptm-entry.json": {"kind": "ptm-product", "qubits": [[*DAMPING_PTM[:-1], None]]},
+        "huge-ptm-entry.json": {"kind": "ptm-product", "qubits": [[10**400, *DAMPING_PTM[1:]]]},
+        "bool-n-circuit.json": {"n": True, "gates": [{"g": "H", "q": [0]}]},
+        "bool-qubit-circuit.json": {"n": 2, "gates": [{"g": "H", "q": [True]}]},
+        "null-noise-circuit.json": {"n": 2, "gates": [{"g": "H", "q": [0]}],
+                                    "noise": {"H": {"kind": "pauli-product", "qubits": [NULL_NOISE]}}},
     },
     "commands": {
         "mitigate-nan-noise": "mitigate --circuit nan-circuit.json --observable heisenberg",
@@ -825,12 +841,39 @@ UNREADABLE_INPUTS = {
             "mitigate --circuit fractional-qubit-circuit.json --observable heisenberg",
         "mitigate-int-noise": "mitigate --circuit int-noise-circuit.json --observable heisenberg",
         "mitigate-list-kind": "mitigate --circuit list-kind-circuit.json --observable heisenberg",
+        "learn-null-pauli-product": "learn --channel null-pauli.json",
+        "learn-text-pauli-product": "learn --channel text-pauli.json",
+        "learn-bool-pauli-product": "learn --channel bool-pauli.json",
+        "learn-numeric-text-probability": "learn --channel numeric-text-probability.json",
+        "learn-bool-probability": "learn --channel bool-probability.json",
+        "learn-bool-n-sparse": "learn --channel bool-n-sparse.json",
+        "learn-bool-ptm-entry": "learn --channel bool-ptm-entry.json",
+        "learn-null-ptm-entry": "learn --channel null-ptm-entry.json",
+        "learn-huge-ptm-entry": "learn --channel huge-ptm-entry.json",
+        "mitigate-null-noise": "mitigate --circuit null-noise-circuit.json --observable heisenberg",
+        "mitigate-bool-n": "mitigate --circuit bool-n-circuit.json --observable heisenberg",
+        "mitigate-bool-qubit": "mitigate --circuit bool-qubit-circuit.json --observable heisenberg",
     },
     # What the one stderr line must say, where a case pins it.
     "messages": {
         "mitigate-nan-noise": "noise for H: non-finite probability nan",
         "mitigate-exact-nan-noise": "noise for H: non-finite probability nan",
         "mitigate-ptm-noise": "noise for CNOT: must be a Pauli channel, got ptm-product",
+        "learn-text-probability": "terms[0]: probability must be a number, got 'abc'",
+        "learn-null-probability": "terms[0]: probability must be a number, got None",
+        "learn-text-ptm-entry": "qubits[0][15] must be a number, got 'x'",
+        "learn-null-pauli-product": "qubit 0: pI must be a number, got None",
+        "learn-text-pauli-product": "qubit 0: pI must be a number, got '0.9'",
+        "learn-bool-pauli-product": "qubit 0: pI must be a number, got True",
+        "learn-numeric-text-probability": "terms[0]: probability must be a number, got '0.1'",
+        "learn-bool-probability": "terms[0]: probability must be a number, got True",
+        "learn-bool-n-sparse": "pauli-sparse config needs an integer 'n' >= 1",
+        "learn-bool-ptm-entry": "qubits[0][0] must be a number, got True",
+        "learn-null-ptm-entry": "qubits[0][15] must be a number, got None",
+        "learn-huge-ptm-entry": "qubits[0][0] is too large for a float",
+        "mitigate-null-noise": "noise for H: qubit 0: pI must be a number, got None",
+        "mitigate-bool-n": "qubit count must be an integer, got True",
+        "mitigate-bool-qubit": "qubit True is not an integer in [0, 2)",
     },
 }
 
@@ -910,6 +953,30 @@ def test_report_commands_run_at_sixteen_qubits_in_bounded_memory(tmp_path):
 
 def test_every_exported_name_resolves():
     assert [name for name in paulishadow.__all__ if not hasattr(paulishadow, name)] == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never references; a name listed in its
+    ``__all__`` counts as referenced."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({a.asname or a.name.partition(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted([*root.glob("src/paulishadow/*.py"), *root.glob("tests/*.py")])
+    assert len(paths) > 20
+    assert [line for path in paths for line in unused_imports(path)] == []
 
 
 def test_derive_seed_is_stable_and_sensitive():

@@ -1,7 +1,5 @@
 """Clifford conjugation tables, circuit objects, and chain-based mitigation."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

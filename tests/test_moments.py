@@ -28,7 +28,6 @@ from paulishadow.clifford import conjugate_pauli
 from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis, letter_codes
 from paulishadow.shadows import (
     AXES,
-    ShadowCounts,
     ShadowRecords,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
@@ -131,14 +130,14 @@ def test_estimate_x_matches_brute_force(case):
 @given(records_and_pairs(n_max=4))
 def test_counts_moment_table_matches_brute_force(counts_of, case):
     records, pairs = case
-    table = counts_of(records).moments()
+    table = shadows._moment_table(counts_of(records), records.n, len(records))
     assert table.shape == (16**records.n,)
     assert table[0] == len(records)  # the all-identity moment counts records
     for p, q in pairs:
         assert table[table_index(p, q)] == brute_numerator(records, p, q)
-    # Up to the cap, records are read from the whole register's table.
+    # Up to the cap, every pair is read from the whole register's table.
     digits = np.array(list(np.ndindex((16,) * records.n)), np.int8).reshape(-1, records.n)
-    np.testing.assert_array_equal(shadows._marginal_numerators(records, digits), table)
+    np.testing.assert_array_equal(shadows._numerators(records, digits)[1], table)
 
 
 def test_wide_union_supports_past_the_cap(read_pairs):
@@ -195,16 +194,18 @@ def damping_stream(n, count, seed):
     return iter_channel_shadow_blocks(channel, count, seed, block_size=700)
 
 
-def test_records_and_counts_sources_agree_exactly(counts_of, read_pairs):
+def test_records_and_counts_sources_agree_exactly(counts_of, hist_of, read_pairs):
     """Every estimator reads a batch of records as it reads the stream that
-    drew them, bitwise: up to the cap the stream is counted where it is
-    drawn, and past it drawn into records qubit by qubit."""
+    drew them, bitwise: up to the cap both are counted into one histogram,
+    the stream where each block is drawn, and past it the stream is drawn
+    into records qubit by qubit."""
     for n, k in ((1, 1), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (6, 3)):
         stream = damping_stream(n, 2000, seed=44 + n)
         records = ShadowRecords.concatenate(list(stream))
-        drawn = ShadowCounts.accumulate(stream) if n <= 4 else stream.records()
         if n <= 4:
-            np.testing.assert_array_equal(drawn.counts, counts_of(records).counts)
+            np.testing.assert_array_equal(hist_of(stream), counts_of(records))
+        else:
+            np.testing.assert_array_equal(stream.records().cells, records.cells)
         basis = enumerate_low_weight(n, k)
         a, c = estimate_eigenvalues(records, basis), estimate_eigenvalues(stream, basis)
         assert a.values == c.values and c.n_records == 2000
@@ -215,7 +216,7 @@ def test_records_and_counts_sources_agree_exactly(counts_of, read_pairs):
         # estimated pairs, and below-block and identity-column ones, which the matrix pins
         b = a.basis
         pairs = [(b[1], b[-1]), (b[-1], b[-1]), (b[-1], b[1]), (b[1], b[0])]
-        np.testing.assert_array_equal(read_pairs(records, pairs), read_pairs(drawn, pairs))
+        np.testing.assert_array_equal(read_pairs(records, pairs), read_pairs(stream, pairs))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -236,8 +237,8 @@ def test_gate_eigenvalues_from_records_equal_counts_and_brute_force():
         stream = sample_gate_shadows(kind, None, 3000, seed=17)
         records = ShadowRecords.concatenate(list(stream))
         from_records = estimate_gate_eigenvalues(records, kind)
-        from_counts = estimate_gate_eigenvalues(ShadowCounts.accumulate(stream), kind)
-        assert from_records.values == from_counts.values
+        from_stream = estimate_gate_eigenvalues(stream, kind)
+        assert from_records.values == from_stream.values
         qubits = tuple(range(records.n))
         for p in iter_all_paulis(records.n):
             if p.is_identity:
@@ -361,42 +362,56 @@ def test_past_the_cap_bound_covers_the_weighted_histogram(monkeypatch):
     assert any(bound == total > 300 for _, bound, total in calls)
 
 
-# -- the table after merge -------------------------------------------------------
+# -- one histogram, added to in any order --------------------------------------
 
 
 @PROPERTY
 @given(st.integers(1, 4), st.integers(1, 200), st.integers(0, 200), st.integers(0, 2**32 - 1))
 def test_moment_table_follows_merge(counts_of, n, first, second, seed):
+    # The table is linear in the histogram: the table of two summed
+    # histograms is the sum of their tables, and the whole records' table.
     records = random_records(n, first + second, seed)
-    whole = counts_of(records).moments()
-    counts = counts_of(records[:first])
-    before = counts.moments()
-    merged = counts.merge(counts_of(records[first:]))
-    np.testing.assert_array_equal(merged.moments(), whole)
-    np.testing.assert_array_equal(counts.moments(), before)  # merge leaves its inputs
-    assert merged.moments()[0] == first + second
+    whole = shadows._moment_table(counts_of(records), n, len(records))
+    head, tail = counts_of(records[:first]), counts_of(records[first:])
+    summed = shadows._moment_table(head + tail, n, len(records))
+    np.testing.assert_array_equal(summed, whole)
+    np.testing.assert_array_equal(
+        summed, shadows._moment_table(head, n, first) + shadows._moment_table(tail, n, second))
+    assert summed[0] == first + second
 
 
 @PROPERTY
 @given(st.integers(1, 4), st.lists(st.integers(0, 150), min_size=1, max_size=4),
        st.integers(0, 2**32 - 1))
 def test_merged_histograms_equal_the_concatenated_records(counts_of, n, sizes, seed):
+    # Batches counted into one histogram, in either order, give the
+    # histogram of their concatenation.
     parts = [random_records(n, size, seed + i) for i, size in enumerate(sizes)]
-    merged = ShadowCounts(n)
-    for part in parts:
-        merged = merged.merge(counts_of(part))
     whole = counts_of(ShadowRecords.concatenate(parts))
-    np.testing.assert_array_equal(merged.counts, whole.counts)
-    assert merged.n_records == whole.n_records == sum(sizes)
+    for order in (parts, parts[::-1]):
+        hist = np.zeros(36**n, np.int32)
+        for part in order:
+            part.count_into(hist)
+        np.testing.assert_array_equal(hist, whole)
+    assert whole.sum() == sum(sizes)
 
 
-def test_counts_of_many_records_equal_the_sum_of_small_blocks(counts_of):
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_records_count_into_equals_the_bincount_reference(counts_of, n, dtype):
+    records = random_records(n, 3000, seed=30 + n)
+    hist = np.zeros(36**n, dtype)
+    records.count_into(hist)
+    assert hist.dtype == dtype
+    np.testing.assert_array_equal(hist, counts_of(records))
+
+
+def test_counts_of_many_records_equal_the_sum_of_small_blocks(counts_of, hist_of):
     # 215 blocks of 700 records, each added to the histogram where it is drawn
     stream = damping_stream(3, 150_000, seed=9)
     whole = counts_of(stream.records())
-    parts = ShadowCounts.accumulate(stream)
-    np.testing.assert_array_equal(whole.counts, parts.counts)
-    assert whole.n_records == parts.n_records == 150_000
+    np.testing.assert_array_equal(hist_of(stream), whole)
+    assert whole.sum() == 150_000
 
 
 # -- records text format -------------------------------------------------------

@@ -11,7 +11,7 @@ from paulishadow.observables import (
     locality_norm_constant,
     pauli_decompose,
 )
-from paulishadow.paulis import PauliString, iter_all_paulis, pauli_index
+from paulishadow.paulis import PauliString, iter_all_paulis
 
 
 def P(label):

@@ -31,11 +31,10 @@ from paulishadow.channels import (
     reference_product_channel,
 )
 from paulishadow.observables import heisenberg_observable
-from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis
+from paulishadow.paulis import PauliString, enumerate_low_weight
 from paulishadow.shadows import (
     DEFAULT_BLOCK_SIZE,
     EigenvalueEstimates,
-    ShadowCounts,
     ShadowRecords,
     block_rng,
     estimate_eigenvalues,
@@ -437,7 +436,8 @@ def fast_thread_switching():
         sys.setswitchinterval(interval)
 
 
-def test_many_helpers_under_fast_thread_switching_keep_every_block(counts_of, monkeypatch):
+def test_many_helpers_under_fast_thread_switching_keep_every_block(counts_of, hist_of,
+                                                                   monkeypatch):
     # More helpers than cores, switching threads every microsecond: a block
     # lost, repeated or yielded out of order changes the records, and one
     # lost, repeated or raced in the count route changes the histogram.
@@ -447,10 +447,9 @@ def test_many_helpers_under_fast_thread_switching_keep_every_block(counts_of, mo
     monkeypatch.setattr(shadows, "_helper_count", lambda: 5)
     with fast_thread_switching():
         grouped = iter_channel_shadow_blocks(channel, 5000, seed=6, block_size=64).records()
-        counted = ShadowCounts.accumulate(
-            iter_channel_shadow_blocks(channel, 5000, seed=6, block_size=64))
+        counted = hist_of(iter_channel_shadow_blocks(channel, 5000, seed=6, block_size=64))
     np.testing.assert_array_equal(grouped.cells, serial.cells)
-    np.testing.assert_array_equal(counted.counts, counts_of(serial).counts)
+    np.testing.assert_array_equal(counted, counts_of(serial))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -482,6 +481,7 @@ def test_no_executor_module_is_imported_until_a_helper_samples():
     # block, such as one on a single CPU, should not pay for either.
     script = (
         "import sys\n"
+        "import numpy as np\n"
         "import paulishadow.cli\n"
         "from paulishadow import shadows\n"
         "from paulishadow.channels import reference_product_channel\n"
@@ -492,7 +492,9 @@ def test_no_executor_module_is_imported_until_a_helper_samples():
         "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
         "shadows._helper_count = lambda: 1\n"
         "blocks = shadows.iter_channel_shadow_blocks(reference_product_channel(), 64, 1, 64)\n"
-        "assert shadows.ShadowCounts.accumulate(blocks).n_records == 64\n"
+        "hist = np.zeros(36**2, np.int32)\n"
+        "blocks.count_into(hist)\n"
+        "assert hist.sum() == 64\n"
         "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
     )
     src = os.path.dirname(os.path.dirname(shadows.__file__))
@@ -502,7 +504,8 @@ def test_no_executor_module_is_imported_until_a_helper_samples():
     assert done.returncode == 0, done.stderr
 
 
-def check_sampler_fault_reaches_the_caller(route, helpers, faulty, monkeypatch, counts_of):
+def check_sampler_fault_reaches_the_caller(route, helpers, faulty, monkeypatch, counts_of,
+                                           hist_of):
     """A block that raises on the caller or on a helper while the stream is
     counted or recorded: its own exception reaches the caller after every
     helper has stopped, and the helpers are free for the next stream."""
@@ -527,7 +530,7 @@ def check_sampler_fault_reaches_the_caller(route, helpers, faulty, monkeypatch, 
         if route == "records":
             stream.records()
         else:
-            ShadowCounts.accumulate(stream)
+            stream.count_into(np.zeros(36, np.int32))
     assert type(caught.value) is SamplerFault
     # No thread took a block once the fault was raised, and none is still
     # drawing: every helper stopped before the exception reached here.
@@ -539,32 +542,33 @@ def check_sampler_fault_reaches_the_caller(route, helpers, faulty, monkeypatch, 
     fresh = iter_channel_shadow_blocks(GOLDEN_CHANNELS["pauli-sparse"](), 1001, 7, 64)
     serial = ShadowRecords.concatenate(list(fresh))
     np.testing.assert_array_equal(fresh.records().cells, serial.cells)
-    np.testing.assert_array_equal(ShadowCounts.accumulate(fresh).counts,
-                                  counts_of(serial).counts)
+    np.testing.assert_array_equal(hist_of(fresh), counts_of(serial))
 
 
 @pytest.mark.parametrize("helpers", [1, 3])
 @pytest.mark.parametrize("faulty", ["caller", "helper"])
 def test_sampler_exception_in_the_count_route_reaches_the_caller(helpers, faulty, monkeypatch,
-                                                                counts_of):
-    check_sampler_fault_reaches_the_caller("count_into", helpers, faulty, monkeypatch, counts_of)
+                                                                counts_of, hist_of):
+    check_sampler_fault_reaches_the_caller("count_into", helpers, faulty, monkeypatch, counts_of,
+                                           hist_of)
 
 
 @pytest.mark.parametrize("helpers", [1, 3])
 @pytest.mark.parametrize("faulty", ["caller", "helper"])
 def test_sampler_exception_in_the_records_route_reaches_the_caller(helpers, faulty, monkeypatch,
-                                                                  counts_of):
-    check_sampler_fault_reaches_the_caller("records", helpers, faulty, monkeypatch, counts_of)
+                                                                  counts_of, hist_of):
+    check_sampler_fault_reaches_the_caller("records", helpers, faulty, monkeypatch, counts_of,
+                                           hist_of)
 
 
 @pytest.mark.parametrize("helpers", [0, 1, 3])
 def test_records_and_gate_estimates_do_not_depend_on_the_helper_count(
-    helpers, monkeypatch, tmp_path, counts_of
+    helpers, monkeypatch, tmp_path, counts_of, hist_of
 ):
     monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
     for case in sorted(GOLDEN_SAVE_SHA256):
         assert saved_digest(golden_records(case), tmp_path / "records.txt") == GOLDEN_SAVE_SHA256[case]
-    check_gate_streams_reduce_like_records(counts_of)
+    check_gate_streams_reduce_like_records(counts_of, hist_of)
 
 
 # (block size, count): partial last blocks, whole blocks only, one exact
@@ -574,7 +578,7 @@ STREAM_SIZES = [(64, 1001), (250, 1001), (250, 1000), (250, 250), (250, 100)]
 
 @pytest.mark.parametrize("spam", [0.0, 0.1])
 @pytest.mark.parametrize("source", sorted(GOLDEN_CHANNELS))
-def test_channel_stream_reduces_like_records(source, spam, monkeypatch, counts_of):
+def test_channel_stream_reduces_like_records(source, spam, monkeypatch, counts_of, hist_of):
     # The driver's records and counts, whichever thread draws each block,
     # match the blocks that iteration draws in order on the calling thread.
     channel = GOLDEN_CHANNELS[source]()
@@ -585,13 +589,13 @@ def test_channel_stream_reduces_like_records(source, spam, monkeypatch, counts_o
             serial = ShadowRecords.concatenate(list(stream))
             with fast_thread_switching():
                 recorded = stream.records()
-                counted = ShadowCounts.accumulate(stream)
+                counted = hist_of(stream)
             np.testing.assert_array_equal(recorded.cells, serial.cells)
-            np.testing.assert_array_equal(counted.counts, counts_of(serial).counts)
-            assert counted.n_records == count
+            np.testing.assert_array_equal(counted, counts_of(serial))
+            assert counted.sum() == count
 
 
-def test_an_iterated_stream_still_counts_and_records_whole(counts_of):
+def test_an_iterated_stream_still_counts_and_records_whole(counts_of, hist_of):
     # A stream keeps no state: iterating it, in full or in part, leaves
     # every record to the next count, recording or iteration.
     channel = GOLDEN_CHANNELS["ptm-product"]()
@@ -601,9 +605,9 @@ def test_an_iterated_stream_still_counts_and_records_whole(counts_of):
     blocks = iter(stream)
     first = next(blocks)
     np.testing.assert_array_equal(stream.records().cells, whole.cells)
-    counted = ShadowCounts.accumulate(stream)
-    np.testing.assert_array_equal(counted.counts, counts_of(whole).counts)
-    assert counted.n_records == len(stream) == 1001
+    counted = hist_of(stream)
+    np.testing.assert_array_equal(counted, counts_of(whole))
+    assert counted.sum() == len(stream) == 1001
     np.testing.assert_array_equal(ShadowRecords.concatenate([first, *blocks]).cells, whole.cells)
 
 
@@ -696,11 +700,7 @@ def test_strings_of_another_width_are_rejected():
     for n in (2, 6):
         stream = iter_channel_shadow_blocks(PauliChannel.identity(n), 500, seed=1)
         records = stream.records()
-        sources = [records, undrawable(stream)]
-        if n <= 4:
-            sources.append(ShadowCounts.accumulate(iter_channel_shadow_blocks(
-                PauliChannel.identity(n), 500, seed=1)))
-        for source in sources:
+        for source in (records, undrawable(stream)):
             for p in (P("XZZ" + "I" * (n - 2)), P("X" * 10)):
                 with pytest.raises(ValueError, match=f"{p} has {p.n} qubits, expected {n}"):
                     estimate_eigenvalues(source, [P("Z" * n), p])
@@ -756,51 +756,65 @@ def test_estimates_signed_lookup():
 def test_counts_match_direct_records_exactly(read_pairs):
     ch = reference_product_channel()
     r = iter_channel_shadow_blocks(ch, 20_000, seed=33).records()
-    counts = ShadowCounts.accumulate(iter_channel_shadow_blocks(ch, 20_000, seed=33))
-    assert counts.n_records == len(r)
+    stream = iter_channel_shadow_blocks(ch, 20_000, seed=33)
+    assert len(stream) == len(r)
     basis = enumerate_low_weight(2, 2)
     # bit-for-bit equal
-    assert estimate_eigenvalues(counts, basis).values == estimate_eigenvalues(r, basis).values
+    assert estimate_eigenvalues(stream, basis).values == estimate_eigenvalues(r, basis).values
     pairs = [(P(p), P(q)) for p, q in [("II", "ZI"), ("XI", "XZ"), ("ZI", "ZZ"), ("ZZ", "II")]]
-    np.testing.assert_array_equal(read_pairs(counts, pairs), read_pairs(r, pairs))
+    np.testing.assert_array_equal(read_pairs(stream, pairs), read_pairs(r, pairs))
 
 
-def test_counts_merge_and_accumulate(counts_of):
+def test_counts_merge_and_accumulate(counts_of, hist_of):
+    # Two batches counted into one histogram, and the stream that drew them
+    # counted where each block is drawn, give the records' histogram.
     ch = reference_product_channel()
     r = iter_channel_shadow_blocks(ch, 9000, seed=44).records()
     whole = counts_of(r)
-    merged = counts_of(r[:5000]).merge(counts_of(r[5000:]))
-    np.testing.assert_array_equal(merged.counts, whole.counts)
-    assert merged.n_records == 9000
-    streamed = ShadowCounts.accumulate(iter_channel_shadow_blocks(ch, 9000, 44))
-    np.testing.assert_array_equal(streamed.counts, whole.counts)
-    assert streamed.n_records == 9000
+    merged = np.zeros(36**2, np.int32)
+    r[:5000].count_into(merged)
+    r[5000:].count_into(merged)
+    np.testing.assert_array_equal(merged, whole)
+    assert merged.sum() == 9000
+    np.testing.assert_array_equal(hist_of(iter_channel_shadow_blocks(ch, 9000, 44)), whole)
+
+
+class CountedStream:
+    """A stream of ``count`` records, every one in joint cell 5, that checks
+    the dtype of the histogram it is counted into."""
+
+    def __init__(self, n, count, dtype):
+        self.n, self.count, self.dtype = n, count, dtype
+
+    def __len__(self):
+        return self.count
+
+    def count_into(self, counts):
+        assert counts.dtype == self.dtype
+        counts[5] += self.count
 
 
 def test_counts_are_int32():
     for n in range(1, shadows.COUNTS_QUBIT_CAP + 1):
-        assert ShadowCounts(n).counts.dtype == np.int32
+        # Cell 5 is X+ in and Z- out on the last qubit: I in, Z out reads -3.
+        digits = np.zeros((2, n), np.int64)
+        digits[1, -1] = 3
+        total, numers = shadows._numerators(CountedStream(n, 1000, np.int32), digits)
+        assert total == 1000
+        assert numers.tolist() == [1000, -3000]
 
 
 def test_counts_widen_to_int64_before_a_total_passes_int32():
-    # One cell already holds every one of 2^31 - 10 records; adding 400
-    # more to it would wrap an int32 count.
-    small = ShadowCounts.accumulate(iter_channel_shadow_blocks(reference_product_channel(), 400, 12))
-    near = ShadowCounts(2)
-    near.counts[small.counts.argmax()] = near.n_records = 2**31 - 10
-    want = near.counts.astype(np.int64) + small.counts
-    merged = near.merge(small)
-    assert merged.counts.dtype == np.int64
-    np.testing.assert_array_equal(merged.counts, want)
-    assert merged.n_records == 2**31 + 390
-    assert small.merge(small).counts.dtype == np.int32
-    # A stream is counted whole, so the widening comes before its first block;
-    # this one adds all of its records to one cell in one block.
+    # A source is counted whole, so the widening comes before its first
+    # record: 2^31 - 1 records fit an int32 cell, one more would wrap it.
+    digits = np.array([[0, 0], [0, 3]])
     for count, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):
+        total, numers = shadows._numerators(CountedStream(2, count, dtype), digits)
+        assert total == count and numers.tolist() == [count, -3 * count]
+        # A block stream's tally adds all of its records to one cell in one
+        # block; into an int32 histogram, 2^31 of them would not convert.
         stream = shadows.BlockStream(2, count, 0, count, None, lambda rng, left: (np.array([5]), left))
-        counted = ShadowCounts.accumulate(stream)
-        assert counted.counts.dtype == dtype
-        assert counted.counts[5] == counted.n_records == count
+        assert shadows._numerators(stream, digits)[1].tolist() == [count, -3 * count]
 
 
 def _traced_peak(run) -> int:
@@ -824,7 +838,7 @@ def _block_peaks(channel) -> list[int]:
     return peaks
 
 
-def test_four_qubit_reduce_path_stays_small(monkeypatch):
+def test_four_qubit_reduce_path_stays_small(monkeypatch, hist_of):
     # The int32 histogram is 6.4 MiB, and a transfer-matrix block keeps two
     # block arrays through its uniform loop (the cells and the p_plus entries),
     # with preparation/measurement flips as without: no uniform slice lives
@@ -835,7 +849,7 @@ def test_four_qubit_reduce_path_stays_small(monkeypatch):
     assert max(peaks) < 1.3 * 2**20
     assert peaks[1] < peaks[0] + 2**16
     blocks = iter_channel_shadow_blocks(channel, 200_000, seed=5)  # counted as drawn
-    assert _traced_peak(lambda: ShadowCounts.accumulate(blocks)) < 12 * 2**20
+    assert _traced_peak(lambda: hist_of(blocks)) < 12 * 2**20
 
 
 def test_records_past_the_cap_are_held_once(monkeypatch):
@@ -858,13 +872,6 @@ def test_four_qubit_pauli_block_stays_small():
     peaks = _block_peaks(PauliChannel.from_qubit_probs([(0.85, 0.05, 0.06, 0.04)] * 4))
     assert max(peaks) < 1.2 * 2**20
     assert peaks[1] < peaks[0] + 2**16
-
-
-def test_counts_qubit_cap():
-    with pytest.raises(ValueError):
-        ShadowCounts(5)
-    with pytest.raises(ValueError):
-        ShadowCounts(0)
 
 
 def test_estimating_from_block_stream():
@@ -899,24 +906,23 @@ def test_transfer_entry_damping_leak(read_pairs):
 
 def test_transfer_diagonal_matches_eigenvalues_on_pauli_channel(read_pairs):
     ch = reference_product_channel()
-    counts = ShadowCounts.accumulate(iter_channel_shadow_blocks(ch, 100_000, seed=9))
-    m = estimate_transfer_matrix(counts, 2)
-    est = estimate_eigenvalues(counts, m.basis)
+    stream = iter_channel_shadow_blocks(ch, 100_000, seed=9)
+    m = estimate_transfer_matrix(stream, 2)
+    est = estimate_eigenvalues(stream, m.basis)
     for p in [P("ZI"), P("XZ")]:
         assert m.matrix[m.index(p), m.index(p)] == est[p]
     # off-diagonal entries vanish within a loose Hoeffding envelope
-    envelope = 4 * 9 / math.sqrt(counts.n_records)
+    envelope = 4 * 9 / math.sqrt(len(stream))
     pairs = [(P(p), P(q)) for p, q in [("ZI", "XI"), ("XI", "XZ"), ("IZ", "ZZ"), ("YI", "YZ"),
                                        ("IX", "ZX")]]
     off = [m.matrix[m.index(p), m.index(q)] for p, q in pairs]
-    np.testing.assert_array_equal(off, read_pairs(counts, pairs))
+    np.testing.assert_array_equal(off, read_pairs(stream, pairs))
     assert sum(abs(entry) <= envelope for entry in off) >= len(pairs) - 1
 
 
 def test_estimate_transfer_matrix_structure():
     ch = ProductChannel([amplitude_damping_ptm(0.2), depolarizing_ptm(0.8)])
-    src = ShadowCounts.accumulate(iter_channel_shadow_blocks(ch, 300_000, 5))
-    m = estimate_transfer_matrix(src, 2)
+    m = estimate_transfer_matrix(iter_channel_shadow_blocks(ch, 300_000, 5), 2)
     assert m.basis == tuple(enumerate_low_weight(2, 2))
     assert m.matrix[0, 0] == 1.0
     np.testing.assert_array_equal(m.matrix[1:, 0], 0.0)
@@ -1114,7 +1120,7 @@ def test_block_size_below_one_is_rejected(block_size):
             stream().count_into(np.zeros(36, np.int64))
 
 
-def check_gate_streams_reduce_like_records(counts_of):
+def check_gate_streams_reduce_like_records(counts_of, hist_of):
     """At the current helper count, a gate stream's driver records and counts
     (its outcome index bincounted where each block is drawn) match the blocks
     iteration draws on the calling thread."""
@@ -1127,20 +1133,20 @@ def check_gate_streams_reduce_like_records(counts_of):
             records = ShadowRecords.concatenate(list(stream))
             with fast_thread_switching():
                 recorded = stream.records()
-                counted = ShadowCounts.accumulate(stream)
+                counted = hist_of(stream)
             np.testing.assert_array_equal(recorded.cells, records.cells)
-            np.testing.assert_array_equal(counted.counts, counts_of(records).counts)
-            assert counted.n_records == count
+            np.testing.assert_array_equal(counted, counts_of(records))
+            assert counted.sum() == count
             assert (
-                estimate_gate_eigenvalues(counted, kind).values
+                estimate_gate_eigenvalues(stream, kind).values
                 == estimate_gate_eigenvalues(records, kind).values
             )
 
 
-def test_gate_shadow_stream_reduces_like_records(monkeypatch, counts_of):
+def test_gate_shadow_stream_reduces_like_records(monkeypatch, counts_of, hist_of):
     for helpers in (0, 1, 3):
         monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
-        check_gate_streams_reduce_like_records(counts_of)
+        check_gate_streams_reduce_like_records(counts_of, hist_of)
 
 
 # -- preparation/measurement error --------------------------------------------
