@@ -43,9 +43,7 @@ from .channels import (
 from .exact import (
     DenseChannel,
     DenseState,
-    brute_force_eigenvalues,
     brute_force_transfer,
-    haar_random_state,
 )
 from .recovery import (
     BackwardObservable,
@@ -62,7 +60,6 @@ from .clifford import (
     CliffordCircuit,
     Gate,
     conjugate_pauli,
-    conjugate_through_circuit,
     exact_gate_estimates,
     mitigation_coefficients,
 )
@@ -111,9 +108,7 @@ __all__ = [
     "walsh_probabilities",
     "DenseChannel",
     "DenseState",
-    "brute_force_eigenvalues",
     "brute_force_transfer",
-    "haar_random_state",
     "BackwardObservable",
     "IllConditionedError",
     "RecoveryError",
@@ -126,7 +121,6 @@ __all__ = [
     "CliffordCircuit",
     "Gate",
     "conjugate_pauli",
-    "conjugate_through_circuit",
     "exact_gate_estimates",
     "mitigation_coefficients",
     "EigenvalueEstimates",

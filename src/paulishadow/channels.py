@@ -163,11 +163,6 @@ class PauliChannel:
                 out[p] = prob
         return out
 
-    def sparse_terms(self) -> dict[PauliString, float]:
-        if self._terms is None:
-            raise ValueError("channel is stored in product form")
-        return dict(self._terms)
-
     # -- spectra -----------------------------------------------------------
 
     def qubit_eigenvalues(self) -> np.ndarray:
@@ -175,10 +170,6 @@ class PauliChannel:
         if self._qubit_probs is None:
             raise ValueError("channel is stored in sparse form")
         return self._qubit_probs @ WALSH_KERNEL.T
-
-    def eigenvalue(self, p: PauliString) -> float:
-        """lambda_P = sum_Q (-1)^<P,Q> p(Q)."""
-        return float(exact_diagonal(self, [p])[0])
 
     def min_abs_eigenvalue(self, k: int) -> float:
         """min |lambda_P| over all strings of weight <= k."""
@@ -322,10 +313,6 @@ class ProductChannel:
     def ptm(self, j: int) -> np.ndarray:
         return self._ptms[j].copy()
 
-    def adjoint_factor(self, j: int) -> np.ndarray:
-        """Per-qubit factor of the adjoint transfer matrix (the transpose)."""
-        return self._ptms[j].T.copy()
-
     def choi_minimum_eigenvalue(self, j: int) -> float:
         choi = _choi_from_ptm(self._ptms[j])
         return float(np.min(np.linalg.eigvalsh(choi)))
@@ -390,9 +377,6 @@ class TransferMatrix:
         except KeyError:
             raise KeyError(f"{p} is not in the weight <= {self.k} basis") from None
 
-    def entry(self, p: PauliString, q: PauliString) -> float:
-        return float(self.matrix[self.index(p), self.index(q)])
-
     def block_slices(self) -> list[tuple[int, slice]]:
         """Contiguous (weight, slice) pairs of the weight-major basis."""
         edges = np.searchsorted(self._weights, np.arange(self.k + 2)).tolist()
@@ -413,7 +397,7 @@ def exact_transfer_matrix(channel, k: int) -> TransferMatrix:
         codes = letter_codes(basis, channel.n)
         matrix = np.ones((size, size))
         for j in range(channel.n):  # in qubit order, as a per-entry product would
-            matrix *= channel.adjoint_factor(j)[codes[:, j, None], codes[None, :, j]]
+            matrix *= channel.ptm(j).T[codes[:, j, None], codes[None, :, j]]
         return TransferMatrix(channel.n, k, basis, matrix)
     raise TypeError(
         f"no analytic transfer matrix for {type(channel).__name__}; "
@@ -431,7 +415,7 @@ def exact_diagonal(channel, strings: Sequence[PauliString]) -> np.ndarray:
     codes = letter_codes(strings, channel.n)
     if isinstance(channel, PauliChannel) and not channel.is_product:
         out = np.zeros(len(codes))
-        for q, prob in channel.sparse_terms().items():
+        for q, prob in channel.terms().items():
             letters = letter_codes([q], channel.n)
             odd = ((codes != 0) & (letters != 0) & (codes != letters)).sum(axis=1) % 2
             out += prob * (1.0 - 2.0 * odd)  # (-1)^<P,Q> p(Q)
@@ -574,7 +558,7 @@ def channel_to_config(channel: PauliChannel | ProductChannel) -> dict:
         return {
             "kind": "pauli-sparse",
             "n": channel.n,
-            "terms": [[p.to_label(), prob] for p, prob in channel.sparse_terms().items()],
+            "terms": [[p.to_label(), prob] for p, prob in channel.terms().items()],
         }
     if isinstance(channel, ProductChannel):
         return {
@@ -584,15 +568,20 @@ def channel_to_config(channel: PauliChannel | ProductChannel) -> dict:
     raise TypeError(f"cannot serialize {type(channel).__name__}")
 
 
-def load_channel(path) -> PauliChannel | ProductChannel:
+def _read_json(path, what: str):
+    """The JSON value in a ``what`` config file.  A file that cannot be read,
+    is not UTF-8 or is not JSON raises ``ConfigError`` naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read channel config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot read {what} config {path}: {exc}") from None
+    except ValueError as exc:  # JSON syntax, or bytes that are not UTF-8
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    return channel_from_config(cfg)
+
+
+def load_channel(path) -> PauliChannel | ProductChannel:
+    return channel_from_config(_read_json(path, "channel"))
 
 
 def save_channel(channel: PauliChannel | ProductChannel, path) -> None:

@@ -31,6 +31,7 @@ import numpy as np
 from .channels import (
     ConfigError,
     PauliChannel,
+    _read_json,
     channel_from_config,
     channel_to_config,
     exact_diagonal,
@@ -159,40 +160,12 @@ class CliffordCircuit:
 
     @classmethod
     def load(cls, path) -> "CliffordCircuit":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read circuit config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-        return cls.from_dict(cfg)
+        return cls.from_dict(_read_json(path, "circuit"))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
-
-
-def conjugate_through_circuit(
-    circuit: CliffordCircuit, p: PauliString, from_gate_index: int | None = None
-) -> list[PauliString]:
-    """Backward conjugation chain of ``p`` through the circuit.
-
-    Entry 0 is ``p`` itself; entry m is ``p`` conjugated through the last m
-    gates (at or before ``from_gate_index``, defaulting to the final gate).
-    Entry m is the signed Pauli whose trace appears after peeling m gates,
-    and the string hitting the noise layer of the (d-m)-th gate.
-    """
-    if p.n != circuit.n:
-        raise ValueError(f"{p} acts on {p.n} qubits, circuit on {circuit.n}")
-    stop = len(circuit.gates) if from_gate_index is None else from_gate_index + 1
-    if not 0 <= stop <= len(circuit.gates):
-        raise ValueError(f"gate index {from_gate_index} out of range")
-    chain = [p]
-    for gate in reversed(circuit.gates[:stop]):
-        chain.append(conjugate_pauli(gate.kind, gate.qubits, chain[-1]))
-    return chain
 
 
 def mitigation_coefficients(

@@ -25,10 +25,9 @@ temporaries.  ``noisy_expectations`` gives tr(Q E(|psi><psi|)) =
   unitary and its noise channel's full term map (so correlated gate noise
   is covered), without the mitigation code's conjugation tables.
 
-None of these reads ``PauliChannel.eigenvalue``, ``adjoint_factor``,
-``exact_transfer_matrix`` or ``exact_diagonal``, which supply
-``--exact-eigenvalues``, so that mode does not divide by the very numbers
-the oracle multiplied by.
+None of these reads ``exact_transfer_matrix`` or ``exact_diagonal``,
+which supply ``--exact-eigenvalues``, so that mode does not divide by the
+very numbers the oracle multiplied by.
 Statevector oracles are capped at 20 qubits.
 
 The Schroedinger-picture dense runs remain as references for the tests, on
@@ -103,15 +102,6 @@ class DenseState:
         return cls(n, rho)
 
     @classmethod
-    def pure(cls, vector: np.ndarray) -> "DenseState":
-        """|psi><psi| of ``vector``, normalized first."""
-        vector = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        norm = np.linalg.norm(vector)
-        if norm == 0:
-            raise ValueError("zero vector")
-        return cls.from_unit_vector(vector / norm)
-
-    @classmethod
     def from_unit_vector(cls, psi: np.ndarray) -> "DenseState":
         """|psi><psi| of a statevector that already has unit norm."""
         return cls.from_matrix(np.outer(psi, psi.conj()), validate=False)
@@ -144,11 +134,6 @@ def haar_random_vector(n: int, seed_or_rng) -> np.ndarray:
     return vector / np.linalg.norm(vector)
 
 
-def haar_random_state(n: int, seed_or_rng) -> DenseState:
-    """The density matrix of ``haar_random_vector``."""
-    return DenseState.from_unit_vector(haar_random_vector(n, seed_or_rng))
-
-
 # -- channel application -------------------------------------------------------
 
 
@@ -161,12 +146,6 @@ class DenseChannel:
         total = sum(k.conj().T @ k for k in self.kraus)
         if np.max(np.abs(total - np.eye(2**n))) > 1e-9:
             raise ValueError("Kraus operators do not sum to the identity")
-
-    @classmethod
-    def from_unitary(cls, unitary: np.ndarray) -> "DenseChannel":
-        unitary = np.asarray(unitary, dtype=np.complex128)
-        n = int(round(math.log2(unitary.shape[0])))
-        return cls(n, [unitary])
 
 
 def _superop_from_ptm(ptm: np.ndarray) -> np.ndarray:
@@ -208,7 +187,7 @@ def apply_to_operator(channel, op: np.ndarray) -> np.ndarray:
         return tensor.reshape(op.shape)
     if isinstance(channel, PauliChannel):
         out = np.zeros_like(op)
-        for q, prob in channel.sparse_terms().items():
+        for q, prob in channel.terms().items():
             m = q.matrix()
             out += prob * (m @ op @ m)
         return out
@@ -362,7 +341,7 @@ def simulate_ideal_statevector(circuit, psi: np.ndarray) -> np.ndarray:
 def _commutation_eigenvalues(channel: PauliChannel, codes: np.ndarray) -> np.ndarray:
     """lambda_P = sum_Q p_Q (-1)^<P,Q> over a sparse channel's terms, for each
     row of ``codes``: letters anticommute where both are set and differ."""
-    terms = channel.sparse_terms()
+    terms = channel.terms()
     letters = letter_codes(list(terms), channel.n)
     odd = np.zeros((len(codes), len(letters)), dtype=bool)
     for j in range(channel.n):
@@ -463,21 +442,6 @@ def noisy_expectations(noise, strings: Sequence[PauliString], psi: np.ndarray) -
 
 
 # -- brute-force spectra -------------------------------------------------------
-
-
-def brute_force_eigenvalues(channel, k: int) -> dict[PauliString, float]:
-    """lambda_P = tr(P E(P)) / 2^n for every weight <= k string."""
-    n = channel.n
-    out: dict[PauliString, float] = {}
-    scale = 1.0 / 2**n
-    for p in enumerate_low_weight(n, k):
-        mat = p.matrix()
-        img = apply_to_operator(channel, mat)
-        value = np.trace(mat @ img) * scale
-        if abs(value.imag) > 1e-9:
-            raise ValueError(f"eigenvalue of {p} is not real: {value}")
-        out[p] = float(value.real)
-    return out
 
 
 def brute_force_transfer(channel, k: int) -> TransferMatrix:

@@ -17,6 +17,7 @@ from paulishadow.channels import (
     ProductChannel,
     amplitude_damping_ptm,
     depolarizing_ptm,
+    exact_diagonal,
     exact_transfer_matrix,
     reference_product_channel,
 )
@@ -60,12 +61,15 @@ def test_criterion_1_eigenvalue_oracle():
     """Closed-form product-channel eigenvalues match brute-force enumeration
     on every two-qubit Pauli to 1e-12, with the three pinned spot values."""
     ch = reference_product_channel()
-    brute = exact.brute_force_eigenvalues(ch, 2)
-    for p in iter_all_paulis(2):
-        assert ch.eigenvalue(p) == pytest.approx(brute[p], abs=1e-12)
-    assert ch.eigenvalue(P("ZI")) == pytest.approx(0.60, abs=1e-12)
-    assert ch.eigenvalue(P("IZ")) == pytest.approx(0.64, abs=1e-12)
-    assert ch.eigenvalue(P("ZZ")) == pytest.approx(0.384, abs=1e-12)
+    dense = exact.brute_force_transfer(ch, 2)  # tr(P E(P)) / 2^n on the diagonal
+    brute = dict(zip(dense.basis, np.diag(dense.matrix).tolist()))
+    strings = list(iter_all_paulis(2))
+    lam = dict(zip(strings, exact_diagonal(ch, strings).tolist()))
+    for p in strings:
+        assert lam[p] == pytest.approx(brute[p], abs=1e-12)
+    assert lam[P("ZI")] == pytest.approx(0.60, abs=1e-12)
+    assert lam[P("IZ")] == pytest.approx(0.64, abs=1e-12)
+    assert lam[P("ZZ")] == pytest.approx(0.384, abs=1e-12)
 
 
 def test_criterion_2_estimator_unbiasedness():
@@ -82,8 +86,8 @@ def test_criterion_2_estimator_unbiasedness():
         paulis = [p for p in iter_all_paulis(ch.n) if not p.is_identity]
         expectations = exact.shadow_transfer_estimator_expectations(
             ch, [(p, p) for p in paulis])
-        for p in paulis:
-            want = (1.0 / 3.0) ** p.weight * ch.eigenvalue(p)
+        for p, lam in zip(paulis, exact_diagonal(ch, paulis)):
+            want = (1.0 / 3.0) ** p.weight * lam
             assert expectations[(p, p)] == pytest.approx(want, abs=1e-12)
 
 
@@ -110,12 +114,13 @@ def test_criterion_3_concentration():
 
     paulis = [p for p in obs.support() if not p.is_identity]
     alpha_id = obs.coefficient(PauliString.identity(n))
-    lam = {p: ch.eigenvalue(p) for p in paulis}
+    lam = dict(zip(paulis, exact_diagonal(ch, paulis).tolist()))
     runs, hits = 200, 0
     for run in range(runs):
         stream = iter_channel_shadow_blocks(ch, budget, seed=cli._derive_seed(30, run))
         est = estimate_eigenvalues(stream, paulis)
-        state = exact.haar_random_state(n, cli._derive_seed(31, run))
+        state = exact.DenseState.from_unit_vector(
+            exact.haar_random_vector(n, cli._derive_seed(31, run)))
         back = backward_observable(obs, est)
         noisy = {p: lam[p] * exact.expectation(p, state) for p in paulis}
         f = recover_expectation(back, noisy)
@@ -155,7 +160,8 @@ def test_criterion_5_weight_contracting_recovery():
     back = backward_observable_general(obs, transfer)
     support = [p for p in back.support() if not p.is_identity]
     for trial in range(100):
-        state = exact.haar_random_state(2, cli._derive_seed(50, trial))
+        state = exact.DenseState.from_unit_vector(
+            exact.haar_random_vector(2, cli._derive_seed(50, trial)))
         noisy = exact.apply_channel(ch, state)
         f = recover_expectation(back, {p: exact.expectation(p, noisy) for p in support})
         assert abs(f - exact.expectation(obs, state)) <= 1e-10
@@ -165,7 +171,8 @@ def test_criterion_5_weight_contracting_recovery():
         blocks = iter_channel_shadow_blocks(ch, 1_000_000, cli._derive_seed(51, run))
         estimated = estimate_transfer_matrix(blocks, 2)
         back_est = backward_observable_general(obs, estimated)
-        state = exact.haar_random_state(2, cli._derive_seed(52, run))
+        state = exact.DenseState.from_unit_vector(
+            exact.haar_random_vector(2, cli._derive_seed(52, run)))
         noisy = exact.apply_channel(ch, state)
         f = recover_expectation(
             back_est,
@@ -222,7 +229,7 @@ def chain_eigenvalue_product(circuit, p):
     for gate in reversed(circuit.gates):
         local = current.restrict(gate.qubits).unsigned()
         if not local.is_identity:
-            product *= circuit.noise[gate.kind].eigenvalue(local)
+            product *= exact_diagonal(circuit.noise[gate.kind], [local])[0]
         current = conjugate_pauli(gate.kind, gate.qubits, current)
     return product
 
@@ -239,7 +246,8 @@ def test_criterion_6_circuit_mitigation():
         n = circuit.n
         for table in exact_gate_estimates(circuit).values():
             assert min(table.values()) >= 0.3  # noise stays invertible
-        state = exact.haar_random_state(n, cli._derive_seed(60, run))
+        state = exact.DenseState.from_unit_vector(
+            exact.haar_random_vector(n, cli._derive_seed(60, run)))
         noisy = exact.simulate_circuit(circuit, state, noisy=True)
         ideal_state = exact.simulate_circuit(circuit, state, noisy=False)
 

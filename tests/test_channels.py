@@ -68,9 +68,9 @@ def test_product_rejects_bad_probs():
         PauliChannel.from_qubit_probs([(0.5, 0.1, 0.1, 0.1)])  # sum != 1
 
 
-def test_sparse_terms_and_identity_fill():
+def test_sparse_term_map_and_identity_fill():
     ch = PauliChannel.from_terms(2, {P("XZ"): 0.1, P("ZI"): 0.2})
-    terms = ch.sparse_terms()
+    terms = ch.terms()
     assert terms[P("II")] == pytest.approx(0.7)
     with pytest.raises(ValueError):
         PauliChannel.from_terms(2, {P("XZ"): 0.8, P("ZI"): 0.3})  # sum > 1
@@ -84,9 +84,9 @@ def test_exactly_one_construction_form():
 
 
 def test_identity_channel():
-    ch = PauliChannel.identity(3)
-    for p in enumerate_low_weight(3, 2):
-        assert ch.eigenvalue(p) == pytest.approx(1.0)
+    strings = enumerate_low_weight(3, 2)
+    assert exact_diagonal(PauliChannel.identity(3), strings).tolist() == pytest.approx(
+        [1.0] * len(strings))
 
 
 # -- eigenvalues ---------------------------------------------------------------
@@ -100,30 +100,27 @@ def test_reference_qubit_eigenvalues():
 
 
 def test_reference_spot_eigenvalues():
-    ch = reference_product_channel()
-    assert ch.eigenvalue(P("ZI")) == pytest.approx(0.60, abs=1e-12)
-    assert ch.eigenvalue(P("IZ")) == pytest.approx(0.64, abs=1e-12)
-    assert ch.eigenvalue(P("ZZ")) == pytest.approx(0.384, abs=1e-12)
-    assert ch.eigenvalue(P("II")) == 1.0
+    zi, iz, zz, ii = exact_diagonal(reference_product_channel(),
+                                    [P("ZI"), P("IZ"), P("ZZ"), P("II")]).tolist()
+    assert zi == pytest.approx(0.60, abs=1e-12)
+    assert iz == pytest.approx(0.64, abs=1e-12)
+    assert zz == pytest.approx(0.384, abs=1e-12)
+    assert ii == 1.0
 
 
 def test_eigenvalue_sign_convention():
     # lambda_P = sum_Q (-1)^{<P,Q>} p(Q) with the symplectic pairing
     ch = PauliChannel.from_terms(1, {P("I"): 0.9, P("X"): 0.1})
-    assert ch.eigenvalue(P("X")) == pytest.approx(1.0)
-    assert ch.eigenvalue(P("Z")) == pytest.approx(0.8)
-    assert ch.eigenvalue(P("Y")) == pytest.approx(0.8)
+    assert exact_diagonal(ch, [P("X"), P("Z"), P("Y")]).tolist() == pytest.approx([1.0, 0.8, 0.8])
 
 
 def test_eigenvalues_against_brute_force():
     rng = np.random.default_rng(17)
     for trial in range(5):
-        ch = random_product_channel(rng, 2)
-        for p, lam in exact.brute_force_eigenvalues(ch, 2).items():
-            assert ch.eigenvalue(p) == pytest.approx(lam, abs=1e-12)
-        sp = random_sparse_channel(rng, 2)
-        for p, lam in exact.brute_force_eigenvalues(sp, 2).items():
-            assert sp.eigenvalue(p) == pytest.approx(lam, abs=1e-12)
+        for ch in (random_product_channel(rng, 2), random_sparse_channel(rng, 2)):
+            dense = exact.brute_force_transfer(ch, 2)  # lambda_P = tr(P E(P)) / 2^n
+            assert exact_diagonal(ch, dense.basis).tolist() == pytest.approx(
+                np.diag(dense.matrix).tolist(), abs=1e-12)
 
 
 def test_min_abs_eigenvalue():
@@ -175,8 +172,8 @@ def test_depolarizing_builders():
         np.diag(depolarizing_ptm(0.8)), [1.0, 0.8, 0.8, 0.8], atol=1e-15
     )
     ch = PauliChannel.from_qubit_probs([probs])
-    for letter in "XYZ":
-        assert ch.eigenvalue(P(letter)) == pytest.approx(0.8, abs=1e-12)
+    assert exact_diagonal(ch, [P("X"), P("Y"), P("Z")]).tolist() == pytest.approx(
+        [0.8] * 3, abs=1e-12)
 
 
 # -- product (PTM) channels ----------------------------------------------------
@@ -224,10 +221,9 @@ def test_output_bloch_amplitude_damping():
 def test_exact_transfer_diagonal_for_pauli_channels():
     ch = reference_product_channel()
     m = exact_transfer_matrix(ch, 2)
-    for p in m.basis:
-        for q in m.basis:
-            want = ch.eigenvalue(p) if p == q else 0.0
-            assert m.entry(p, q) == pytest.approx(want, abs=1e-12)
+    bf = exact.brute_force_transfer(ch, 2)
+    assert m.basis == bf.basis
+    np.testing.assert_allclose(m.matrix, bf.matrix, rtol=0, atol=1e-12)
 
 
 def test_exact_transfer_against_brute_force():
@@ -240,7 +236,7 @@ def test_exact_transfer_against_brute_force():
 
 def per_entry_transfer_matrix(channel, basis):
     """Each adjoint transfer entry as a product over qubits, in qubit order."""
-    factors = [channel.adjoint_factor(j) for j in range(channel.n)]
+    factors = [channel.ptm(j).T for j in range(channel.n)]
     matrix = np.empty((len(basis), len(basis)))
     for i, p in enumerate(basis):
         for j, q in enumerate(basis):
@@ -262,10 +258,11 @@ def test_product_transfer_matrix_equals_per_entry_product(random_cp_ptm):
 def test_amplitude_damping_transfer_entries():
     gamma = 0.2
     m = exact_transfer_matrix(ProductChannel([amplitude_damping_ptm(gamma)]), 1)
-    assert m.entry(P("I"), P("Z")) == pytest.approx(gamma, abs=1e-12)
-    assert m.entry(P("Z"), P("Z")) == pytest.approx(1 - gamma, abs=1e-12)
-    assert m.entry(P("X"), P("X")) == pytest.approx(np.sqrt(1 - gamma), abs=1e-12)
-    assert m.entry(P("Z"), P("I")) == 0.0
+    i, x, z = m.index(P("I")), m.index(P("X")), m.index(P("Z"))
+    assert m.matrix[i, z] == pytest.approx(gamma, abs=1e-12)
+    assert m.matrix[z, z] == pytest.approx(1 - gamma, abs=1e-12)
+    assert m.matrix[x, x] == pytest.approx(np.sqrt(1 - gamma), abs=1e-12)
+    assert m.matrix[z, i] == 0.0
 
 
 def test_transfer_block_structure():
@@ -287,7 +284,7 @@ def test_is_weight_contracting():
     assert exact_transfer_matrix(reference_product_channel(), 2).is_upper_block_triangular()
     # a CNOT conjugation grows weight (X on control -> XX)
     unitary = exact.gate_unitary("CNOT", (0, 1), 2)
-    dense = exact.DenseChannel.from_unitary(unitary)
+    dense = exact.DenseChannel(2, [unitary])
     bf = exact.brute_force_transfer(dense, 2)
     assert not bf.is_upper_block_triangular()
 
@@ -309,9 +306,7 @@ def test_config_round_trip_sparse(tmp_path):
     path = tmp_path / "sparse.json"
     save_channel(ch, path)
     back = load_channel(path)
-    assert back.sparse_terms() == pytest.approx(
-        {p: v for p, v in ch.sparse_terms().items()}
-    )
+    assert back.terms() == pytest.approx(ch.terms())
 
 
 def test_config_round_trip_ptm_product(tmp_path):
@@ -343,7 +338,7 @@ def test_config_identity_fill_convention():
     ch = channel_from_config(
         {"kind": "pauli-sparse", "n": 1, "terms": [["X", 0.25]]}
     )
-    assert ch.sparse_terms()[P("I")] == pytest.approx(0.75)
+    assert ch.terms()[P("I")] == pytest.approx(0.75)
 
 
 def test_channel_to_config_kinds():
@@ -428,11 +423,10 @@ def test_exact_diagonal_is_the_per_string_product_or_sum_bitwise(random_cp_ptm):
             (product, [reduce(lambda acc, j: acc * eigs[j, p.letter_code(j)], range(n), 1.0)
                        for p in strings]),
             (sparse, [sum(prob * (1.0 - 2.0 * symplectic_product(p, q))
-                          for q, prob in sparse.sparse_terms().items()) for p in strings]),
+                          for q, prob in sparse.terms().items()) for p in strings]),
             (ptms, [reduce(lambda acc, j: acc * ptms.ptm(j)[p.letter_code(j), p.letter_code(j)],
                            range(n), 1.0) for p in strings]),
         ]:
             got = exact_diagonal(channel, strings)
             assert got.tolist() == want
             np.testing.assert_array_equal(np.diag(exact_transfer_matrix(channel, min(n, 3)).matrix), got)
-        assert [product.eigenvalue(p) for p in strings] == exact_diagonal(product, strings).tolist()

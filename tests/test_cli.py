@@ -18,6 +18,7 @@ from paulishadow.channels import (
     PauliChannel,
     ProductChannel,
     amplitude_damping_ptm,
+    channel_from_config,
     reference_product_channel,
     save_channel,
 )
@@ -93,15 +94,16 @@ def test_learn_csv_contents(tmp_path):
     header_index = lines.index("pauli,estimate,exact,abs_error")
     rows = lines[header_index + 1:]
     assert len(rows) == 16  # all weight <= 2 strings on 2 qubits
-    ch = reference_product_channel()
+    # The exact column against the dense reference's diagonal, tr(P E(P)) / 2^n.
+    dense = exact.brute_force_transfer(reference_product_channel(), 2)
     by_label = {}
     for row in rows:
         label, est, truth, err = row.split(",")
         by_label[label] = (float(est), float(truth), float(err))
     assert set(by_label) == {str(p) for p in enumerate_low_weight(2, 2)}
-    for p in enumerate_low_weight(2, 2):
+    for p, lam in zip(dense.basis, np.diag(dense.matrix)):
         est, truth, err = by_label[str(p)]
-        assert truth == pytest.approx(ch.eigenvalue(p), abs=1e-10)
+        assert truth == pytest.approx(lam, abs=1e-10)
         assert err == pytest.approx(abs(est - truth), abs=1e-10)
         # weight-2 entries fluctuate with scale 27/sqrt(N) ~ 0.19 at this size
         assert abs(est - truth) < 0.25
@@ -146,9 +148,15 @@ def test_non_completely_positive_ptm_config_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+# A correlated Pauli channel in sparse form: the only kind whose sampler and
+# oracles read a term map instead of per-qubit factors.
+SPARSE4 = {"kind": "pauli-sparse", "n": 4,
+           "terms": [["XIII", 0.02], ["ZZII", 0.03], ["IYYI", 0.02], ["IIXZ", 0.01]]}
+
 # Channel files the digest cases load, written into the working directory so
 # the CSV's "# channel:" line is the same on every machine.
 LEARN_CHANNELS = {
+    "sparse4.json": lambda: channel_from_config(SPARSE4),
     "pauli4.json": lambda: PauliChannel.from_qubit_probs([(0.9, 0.05, 0.03, 0.02)] * 4),
     "ptm6.json": lambda: ProductChannel([amplitude_damping_ptm(0.05 * (j + 1)) for j in range(6)]),
     "pauli10.json": lambda: PauliChannel.from_qubit_probs(
@@ -168,6 +176,8 @@ LEARN_DIGESTS = {
         "23de94ca755364a1992745a657eb797b4e086c06eb854bf2de2f021a1e90b658"),
     "pauli10-k2": ("pauli10.json", "2", "500",
         "4354b07fea9a9e10541f02cc0c3ef57b098a095325c027b2dbe0c0d93984d4d0"),
+    "sparse4-k2": ("sparse4.json", "2", "20000",
+        "c45f6f2d3e609a16f529390ffe918433a37dce101329acdc8ed73a8dc3783231"),
 }
 
 
@@ -347,28 +357,36 @@ def test_k_above_the_locality_leaves_the_report_unchanged(command, k_above, six_
 
 # SHA-256 of recover's JSON report and recover-general's stdout and JSON
 # report, on both sides of the joint cap (a four-qubit stream is counted, a
-# six-qubit one drawn into records).  recover-general's report holds its
-# block solve's floats, whose bits follow the BLAS thread count, so it is
-# written in a subprocess with one OpenBLAS thread.
+# six-qubit one drawn into records), by command, channel and output.  The
+# channel is a product channel on "4" or "6" qubits, or SPARSE4.
+# recover-general's report holds its block solve's floats, whose bits follow
+# the BLAS thread count, so it is written in a subprocess with one OpenBLAS
+# thread.
 RECOVER_DIGESTS = {
-    ("recover", 4, "report"): "b8581c532dca42ee2af695fb4c785685a45f2712b3a87357faf617777594ee8a",
-    ("recover", 6, "report"): "8385f6054d79cd03ec9f0326594a050219411621f02750e551f184fb7cbf713d",
-    ("recover-general", 4, "stdout"):
+    ("recover", "4", "report"): "b8581c532dca42ee2af695fb4c785685a45f2712b3a87357faf617777594ee8a",
+    ("recover", "6", "report"): "8385f6054d79cd03ec9f0326594a050219411621f02750e551f184fb7cbf713d",
+    ("recover", "sparse4", "report"):
+        "65843f759c714b1917608c972bb51ad0b37a2e0e0425b3421710d28df0fa913c",
+    ("recover-general", "4", "stdout"):
         "7372e6e6dd90f75a4f1b1981cbfc17460adf95584943225f66c7c8f61fe7befb",
-    ("recover-general", 6, "stdout"):
+    ("recover-general", "6", "stdout"):
         "22d82fe7235a8253eebf7ca62c3cef9848d6f09755f9b6a5ea9568ca3a329b11",
-    ("recover-general", 4, "report"):
+    ("recover-general", "4", "report"):
         "4a23b36646e88157f8632810df095926a0d846f4d637f7e47cb3b4c1ed004850",
-    ("recover-general", 6, "report"):
+    ("recover-general", "6", "report"):
         "a4b7f7fb73aad44160811525e65f37828f9391278feaa8b3c7d839fe5f609155",
 }
 
 
-@pytest.mark.parametrize("command, n, output", sorted(RECOVER_DIGESTS))
-def test_recover_report_digests(command, n, output, tmp_path, capsys):
-    if command == "recover":
+@pytest.mark.parametrize("command, name, output", sorted(RECOVER_DIGESTS))
+def test_recover_report_digests(command, name, output, tmp_path, capsys):
+    if name == "sparse4":
+        n, channel = 4, channel_from_config(SPARSE4)
+    elif command == "recover":
+        n = int(name)
         channel = PauliChannel.from_qubit_probs([(0.9, 0.04, 0.03, 0.03)] * n)
     else:
+        n = int(name)
         channel = ProductChannel([amplitude_damping_ptm(0.05 * (j + 1)) for j in range(n)])
     save_channel(channel, tmp_path / "channel.json")
     argv = [command, "--channel", str(tmp_path / "channel.json"), "--observable", "heisenberg",
@@ -383,7 +401,7 @@ def test_recover_report_digests(command, n, output, tmp_path, capsys):
     else:
         assert cli.main([*argv, "--out", str(report)]) == 0
     got = capsys.readouterr().out.encode() if output == "stdout" else report.read_bytes()
-    assert hashlib.sha256(got).hexdigest() == RECOVER_DIGESTS[command, n, output]
+    assert hashlib.sha256(got).hexdigest() == RECOVER_DIGESTS[command, name, output]
 
 
 # -- mitigate ------------------------------------------------------------------
@@ -811,6 +829,11 @@ UNREADABLE_INPUTS = {
         "bool-qubit-circuit.json": {"n": 2, "gates": [{"g": "H", "q": [True]}]},
         "null-noise-circuit.json": {"n": 2, "gates": [{"g": "H", "q": [0]}],
                                     "noise": {"H": {"kind": "pauli-product", "qubits": [NULL_NOISE]}}},
+        # Valid JSON in UTF-16, whose byte-order mark FF FE is not UTF-8.
+        "utf16-channel.json":
+            json.dumps({"kind": "pauli-product", "qubits": [NAN_NOISE]}).encode("utf-16"),
+        "utf16-circuit.json":
+            json.dumps({"n": 1, "gates": [{"g": "H", "q": [0]}]}).encode("utf-16"),
     },
     "commands": {
         "mitigate-nan-noise": "mitigate --circuit nan-circuit.json --observable heisenberg",
@@ -853,6 +876,10 @@ UNREADABLE_INPUTS = {
         "mitigate-null-noise": "mitigate --circuit null-noise-circuit.json --observable heisenberg",
         "mitigate-bool-n": "mitigate --circuit bool-n-circuit.json --observable heisenberg",
         "mitigate-bool-qubit": "mitigate --circuit bool-qubit-circuit.json --observable heisenberg",
+        "learn-utf16-channel": "learn --channel utf16-channel.json",
+        "general-utf16-channel":
+            "recover-general --channel utf16-channel.json --observable heisenberg",
+        "mitigate-utf16-circuit": "mitigate --circuit utf16-circuit.json --observable heisenberg",
     },
     # What the one stderr line must say, where a case pins it.
     "messages": {
@@ -874,6 +901,9 @@ UNREADABLE_INPUTS = {
         "mitigate-null-noise": "noise for H: qubit 0: pI must be a number, got None",
         "mitigate-bool-n": "qubit count must be an integer, got True",
         "mitigate-bool-qubit": "qubit True is not an integer in [0, 2)",
+        "learn-utf16-channel": "invalid JSON in utf16-channel.json: 'utf-8' codec can't decode",
+        "general-utf16-channel": "invalid JSON in utf16-channel.json: 'utf-8' codec can't decode",
+        "mitigate-utf16-circuit": "invalid JSON in utf16-circuit.json: 'utf-8' codec can't decode",
     },
 }
 
@@ -882,8 +912,12 @@ UNREADABLE_INPUTS = {
 def test_non_finite_or_malformed_input_is_a_configuration_error(case, tmp_path, monkeypatch,
                                                                 capsys):
     for name, content in UNREADABLE_INPUTS["files"].items():
-        text = content if isinstance(content, str) else json.dumps(content)
-        (tmp_path / name).write_text(text)
+        if not isinstance(content, (str, bytes)):
+            content = json.dumps(content)
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
     monkeypatch.chdir(tmp_path)
     assert cli.main(UNREADABLE_INPUTS["commands"][case].split()) == 1
     captured = capsys.readouterr()

@@ -13,6 +13,7 @@ from paulishadow.channels import (
     ProductChannel,
     amplitude_damping_ptm,
     depolarizing_ptm,
+    exact_diagonal,
     exact_transfer_matrix,
     reference_product_channel,
 )
@@ -70,9 +71,9 @@ def test_from_matrix_validation():
         exact.DenseState.from_matrix(np.array([[0.5, 1j], [2j, 0.5]]))  # hermiticity
 
 
-def test_haar_random_state_is_pure_and_seeded():
-    st1 = exact.haar_random_state(2, 42)
-    st2 = exact.haar_random_state(2, 42)
+def test_haar_random_vector_state_is_pure_and_seeded():
+    st1 = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 42))
+    st2 = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 42))
     np.testing.assert_allclose(st1.rho, st2.rho, atol=0)
     assert np.trace(st1.rho).real == pytest.approx(1.0)
     assert np.trace(st1.rho @ st1.rho).real == pytest.approx(1.0)
@@ -86,10 +87,10 @@ def test_haar_random_state_is_pure_and_seeded():
 def test_pauli_channel_apply_matches_kraus_sum():
     rng = np.random.default_rng(7)
     ch = PauliChannel.from_terms(2, {P("XZ"): 0.15, P("ZI"): 0.25})
-    st = exact.haar_random_state(2, rng)
+    st = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, rng))
     out = exact.apply_channel(ch, st)
     want = np.zeros((4, 4), dtype=complex)
-    for q, prob in ch.sparse_terms().items():
+    for q, prob in ch.terms().items():
         m = q.matrix()
         want += prob * (m @ st.rho @ m.conj().T)
     np.testing.assert_allclose(out.rho, want, atol=1e-12)
@@ -98,7 +99,7 @@ def test_pauli_channel_apply_matches_kraus_sum():
 def test_product_and_sparse_agree():
     ch = reference_product_channel()
     sparse = PauliChannel.from_terms(2, ch.terms())
-    st = exact.haar_random_state(2, 3)
+    st = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 3))
     a = exact.apply_channel(ch, st).rho
     b = exact.apply_channel(sparse, st).rho
     np.testing.assert_allclose(a, b, atol=1e-12)
@@ -111,7 +112,7 @@ def test_ptm_superop_matches_kraus_oracle():
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
     dense = exact.DenseChannel(1, [k0, k1])
     ptm = ProductChannel([amplitude_damping_ptm(gamma)])
-    st = exact.haar_random_state(1, 11)
+    st = exact.DenseState.from_unit_vector(exact.haar_random_vector(1, 11))
     np.testing.assert_allclose(
         exact.apply_channel(ptm, st).rho, exact.apply_channel(dense, st).rho, atol=1e-12
     )
@@ -119,13 +120,13 @@ def test_ptm_superop_matches_kraus_oracle():
 
 def test_ptm_superop_multi_qubit():
     ch = ProductChannel([amplitude_damping_ptm(0.2), depolarizing_ptm(0.8)])
-    st = exact.haar_random_state(2, 13)
+    st = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 13))
     out = exact.apply_channel(ch, st)
     # adjoint identity: tr(Q E(rho)) = sum_P M[P][Q] tr(P rho)
     m = exact_transfer_matrix(ch, 2)
     for q in enumerate_low_weight(2, 2):
         want = sum(
-            m.entry(p, q) * exact.expectation(p, st) for p in m.basis
+            m.matrix[m.index(p), m.index(q)] * exact.expectation(p, st) for p in m.basis
         )
         assert exact.expectation(q, out) == pytest.approx(want, abs=1e-12)
 
@@ -181,7 +182,7 @@ def test_simulate_ideal_circuit():
 def test_simulate_noisy_circuit_matches_manual():
     noise = PauliChannel.from_qubit_probs([(0.9, 0.04, 0.03, 0.03)])
     circ = CliffordCircuit(2, [Gate("H", (0,))], {"H": noise})
-    st = exact.haar_random_state(2, 19)
+    st = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 19))
     out = exact.simulate_circuit(circ, st, noisy=True)
     u = exact.gate_unitary("H", (0,), 2)
     mid = u @ st.rho @ u.conj().T
@@ -237,7 +238,7 @@ def test_circuit_simulation_matches_full_register_reference():
     for n in range(1, 6):
         for trial in range(4):
             circuit = random_circuit(n, rng)
-            state = exact.haar_random_state(n, rng)
+            state = exact.DenseState.from_unit_vector(exact.haar_random_vector(n, rng))
             for noisy in (True, False):
                 got = exact.simulate_circuit(circuit, state, noisy).rho
                 np.testing.assert_allclose(
@@ -248,7 +249,7 @@ def test_circuit_simulation_matches_full_register_reference():
     noise = PauliChannel.from_terms(2, {"XX": 0.1, "ZI": 0.05})
     assert not noise.is_product
     circuit = CliffordCircuit(4, [Gate("H", (3,)), Gate("CNOT", (3, 0))], {"CNOT": noise})
-    state = exact.haar_random_state(4, 5)
+    state = exact.DenseState.from_unit_vector(exact.haar_random_vector(4, 5))
     got = exact.simulate_circuit(circuit, state, noisy=True).rho
     np.testing.assert_allclose(
         got, full_register_circuit(circuit, state, True), rtol=0, atol=1e-12
@@ -270,7 +271,7 @@ def test_mitigate_report_matches_full_register_reference(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     report = json.loads(out.read_text(encoding="utf-8"))
-    state = exact.haar_random_state(5, cli._derive_seed(9, 11))
+    state = exact.DenseState.from_unit_vector(exact.haar_random_vector(5, cli._derive_seed(9, 11)))
     noisy = full_register_circuit(circuit, state, True)
     ideal = np.trace(observable.matrix() @ full_register_circuit(circuit, state, False)).real
     back = mitigation_coefficients(circuit, exact_gate_estimates(circuit), observable, 1e-3)
@@ -282,7 +283,7 @@ def test_mitigate_report_matches_full_register_reference(tmp_path, capsys):
 
 def test_expectation_matches_dense_trace():
     rng = np.random.default_rng(3)
-    state = exact.haar_random_state(4, rng)
+    state = exact.DenseState.from_unit_vector(exact.haar_random_vector(4, rng))
     for p in list(iter_all_paulis(4))[::7]:
         want = np.trace(p.matrix() @ state.rho).real
         assert exact.expectation(p, state) == pytest.approx(want, abs=1e-14)
@@ -304,15 +305,10 @@ def test_expectation_gather_matches_dense_trace_for_observables_and_vectors():
             want = np.vdot(psi, o.matrix() @ psi).real
             assert abs(exact.expectation(o, psi) - want) <= 1e-12
     with pytest.raises(ValueError, match="dimension"):
-        exact.expectation(P("ZZ"), exact.haar_random_state(3, 1))
+        exact.expectation(P("ZZ"),
+                          exact.DenseState.from_unit_vector(exact.haar_random_vector(3, 1)))
     with pytest.raises(ValueError, match="dimension"):
         exact.expectation(P("ZZ"), exact.haar_random_vector(1, 1))
-
-
-def test_haar_state_is_the_outer_product_of_the_haar_vector():
-    psi = exact.haar_random_vector(4, 12)
-    np.testing.assert_array_equal(exact.haar_random_state(4, 12).rho, np.outer(psi, psi.conj()))
-    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_statevector_ideal_run_matches_dense_run_and_trace():
@@ -434,7 +430,7 @@ def test_basis_outcome_probabilities():
     # Bell state: ZZ outcomes perfectly correlated
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
-    st = exact.DenseState.pure(bell)
+    st = exact.DenseState.from_unit_vector(bell / np.linalg.norm(bell))
     np.testing.assert_allclose(
         exact.basis_outcome_probabilities(st, [2, 2]), [0.5, 0, 0, 0.5], atol=1e-12
     )
@@ -467,10 +463,7 @@ def test_reference_channel_outcome_probability():
 
 
 def test_brute_force_identity_channel():
-    ch = PauliChannel.identity(2)
-    for p, lam in exact.brute_force_eigenvalues(ch, 2).items():
-        assert lam == pytest.approx(1.0, abs=1e-12)
-    m = exact.brute_force_transfer(ch, 2)
+    m = exact.brute_force_transfer(PauliChannel.identity(2), 2)
     np.testing.assert_allclose(m.matrix, np.eye(len(m.basis)), atol=1e-12)
 
 
@@ -490,9 +483,8 @@ def test_estimator_unbiasedness_exact_enumeration():
             probs = rng.dirichlet((8.0, 1.0, 1.0, 1.0), size=n)
             ch = PauliChannel.from_qubit_probs(probs)
             exp = exact.shadow_transfer_estimator_expectations(ch, [(p, p) for p in paulis])
-            for p in paulis:
-                want = ch.eigenvalue(p) / 3.0**p.weight
-                assert exp[(p, p)] == pytest.approx(want, abs=1e-12)
+            for p, lam in zip(paulis, exact_diagonal(ch, paulis)):
+                assert exp[(p, p)] == pytest.approx(lam / 3.0**p.weight, abs=1e-12)
 
 
 def test_transfer_estimator_expectation_matches_exact_matrix():
@@ -502,5 +494,5 @@ def test_transfer_estimator_expectation_matches_exact_matrix():
              (P("IZ"), P("ZZ"))]
     exp = exact.shadow_transfer_estimator_expectations(ch, pairs)
     for p, q in pairs:
-        want = m.entry(p, q) / 3.0**p.weight
+        want = m.matrix[m.index(p), m.index(q)] / 3.0**p.weight
         assert exp[(p, q)] == pytest.approx(want, abs=1e-12)

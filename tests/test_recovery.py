@@ -11,6 +11,7 @@ from paulishadow.channels import (
     TransferMatrix,
     amplitude_damping_ptm,
     depolarizing_ptm,
+    exact_diagonal,
     exact_transfer_matrix,
     reference_product_channel,
 )
@@ -202,9 +203,8 @@ def test_general_backward_stops_at_the_observable_locality():
 def test_general_matches_diagonal_on_pauli_channel():
     ch = reference_product_channel()
     obs = heisenberg_observable(2)
-    back_d = backward_observable(
-        obs, {p: ch.eigenvalue(p) for p in enumerate_low_weight(2, 2)}
-    )
+    strings = enumerate_low_weight(2, 2)
+    back_d = backward_observable(obs, dict(zip(strings, exact_diagonal(ch, strings).tolist())))
     back_g = backward_observable_general(obs, exact_transfer_matrix(ch, 2))
     for p, coeff in back_d.terms.items():
         assert back_g.terms.get(p, 0.0) == pytest.approx(coeff, abs=1e-12)
@@ -228,11 +228,10 @@ def test_exact_recovery_identity_pauli_channels():
         probs = rng.dirichlet([12, 1, 1, 1], size=2)
         ch = PauliChannel.from_qubit_probs(probs)
         obs = heisenberg_observable(2)
-        state = exact.haar_random_state(2, 100 + trial)
+        state = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 100 + trial))
         noisy = exact.apply_channel(ch, state)
-        back = backward_observable(
-            obs, {p: ch.eigenvalue(p) for p in enumerate_low_weight(2, 2)}
-        )
+        strings = enumerate_low_weight(2, 2)
+        back = backward_observable(obs, dict(zip(strings, exact_diagonal(ch, strings).tolist())))
         expectations = {
             p: exact.expectation(p, noisy) for p in back.support() if not p.is_identity
         }
@@ -247,7 +246,7 @@ def test_exact_recovery_identity_general_channel():
     transfer = exact_transfer_matrix(ch, 2)
     back = backward_observable_general(obs, transfer)
     for trial in range(6):
-        state = exact.haar_random_state(2, 200 + trial)
+        state = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 200 + trial))
         noisy = exact.apply_channel(ch, state)
         expectations = {
             p: exact.expectation(p, noisy) for p in back.support() if not p.is_identity
