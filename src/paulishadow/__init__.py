@@ -3,8 +3,8 @@
 The package samples classical shadows of quantum channels (simulated
 exactly), estimates channel eigenvalues and adjoint transfer matrices from
 them, rescales observables to undo the noise, and mitigates noisy Clifford
-circuits gate by gate.  A dense density-matrix oracle verifies everything at
-small scale.
+circuits gate by gate.  Matrix-free statevector oracles supply the ideal and
+noisy values that the commands compare against.
 """
 
 from .paulis import (
@@ -20,7 +20,6 @@ from .observables import (
     Observable,
     heisenberg_observable,
     locality_norm_constant,
-    pauli_decompose,
 )
 from .channels import (
     ConfigError,
@@ -40,11 +39,7 @@ from .channels import (
     walsh_eigenvalues,
     walsh_probabilities,
 )
-from .exact import (
-    DenseChannel,
-    DenseState,
-    brute_force_transfer,
-)
+from .exact import DenseState
 from .recovery import (
     BackwardObservable,
     IllConditionedError,
@@ -89,7 +84,6 @@ __all__ = [
     "Observable",
     "heisenberg_observable",
     "locality_norm_constant",
-    "pauli_decompose",
     "ConfigError",
     "PauliChannel",
     "ProductChannel",
@@ -106,9 +100,7 @@ __all__ = [
     "save_channel",
     "walsh_eigenvalues",
     "walsh_probabilities",
-    "DenseChannel",
     "DenseState",
-    "brute_force_transfer",
     "BackwardObservable",
     "IllConditionedError",
     "RecoveryError",

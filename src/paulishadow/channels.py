@@ -399,10 +399,7 @@ def exact_transfer_matrix(channel, k: int) -> TransferMatrix:
         for j in range(channel.n):  # in qubit order, as a per-entry product would
             matrix *= channel.ptm(j).T[codes[:, j, None], codes[None, :, j]]
         return TransferMatrix(channel.n, k, basis, matrix)
-    raise TypeError(
-        f"no analytic transfer matrix for {type(channel).__name__}; "
-        "use paulishadow.exact.brute_force_transfer"
-    )
+    raise TypeError(f"no analytic transfer matrix for {type(channel).__name__}")
 
 
 def exact_diagonal(channel, strings: Sequence[PauliString]) -> np.ndarray:

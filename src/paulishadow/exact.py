@@ -30,30 +30,25 @@ which supply ``--exact-eigenvalues``, so that mode does not divide by the
 very numbers the oracle multiplied by.
 Statevector oracles are capped at 20 qubits.
 
-The Schroedinger-picture dense runs remain as references for the tests, on
-explicit 2^n x 2^n arrays capped at 12 qubits (all-Pauli sweeps at 10).  The
-noisy circuit run holds the density matrix as a (2,)*2n tensor (row qubits,
-then column qubits), and each gate applies one local superoperator, sum_Q
-p_Q (QU) (x) conj(QU) on the gate's a qubits: O(4^(n+a)) work per gate.  The
-ideal run is unitary, so on a pure state it evolves the 2^n statevector, one
-local unitary per gate.
+The ideal circuit run is unitary, so on a pure state it evolves the 2^n
+statevector, one local unitary per gate.  Dense density matrices, capped at
+12 qubits, serve ``fig2 --estimated-expectations``, which measures the noisy
+state itself (``apply_channel``, ``sample_pauli_basis_outcomes``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channels import PauliChannel, ProductChannel, TransferMatrix
+from .channels import PauliChannel, ProductChannel
 from .observables import Observable
 from .paulis import (
     PAULI_MATRICES,
     PauliString,
-    enumerate_low_weight,
     letter_codes,
     pauli_from_index,
 )
@@ -106,20 +101,6 @@ class DenseState:
         """|psi><psi| of a statevector that already has unit norm."""
         return cls.from_matrix(np.outer(psi, psi.conj()), validate=False)
 
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "DenseState":
-        dim = 2**n
-        return cls(n, np.eye(dim, dtype=np.complex128) / dim)
-
-    @classmethod
-    def product_eigenstate(cls, axes: Sequence[int], signs: Sequence[int]) -> "DenseState":
-        """Product of single-qubit Pauli eigenstates; axes coded 0=X,1=Y,2=Z."""
-        rho = np.array([[1.0]], dtype=np.complex128)
-        for axis, sign in zip(axes, signs):
-            qubit = (np.eye(2) + sign * PAULI_MATRICES[axis + 1]) / 2.0
-            rho = np.kron(rho, qubit)
-        return cls(len(tuple(axes)), rho)
-
 
 def haar_random_vector(n: int, seed_or_rng) -> np.ndarray:
     """Haar-random unit statevector: a normalized complex Gaussian vector."""
@@ -135,17 +116,6 @@ def haar_random_vector(n: int, seed_or_rng) -> np.ndarray:
 
 
 # -- channel application -------------------------------------------------------
-
-
-class DenseChannel:
-    """A channel given by explicit Kraus operators (e.g. unitary conjugation)."""
-
-    def __init__(self, n: int, kraus: Iterable[np.ndarray]):
-        self.n = n
-        self.kraus = [np.asarray(k, dtype=np.complex128) for k in kraus]
-        total = sum(k.conj().T @ k for k in self.kraus)
-        if np.max(np.abs(total - np.eye(2**n))) > 1e-9:
-            raise ValueError("Kraus operators do not sum to the identity")
 
 
 def _superop_from_ptm(ptm: np.ndarray) -> np.ndarray:
@@ -171,10 +141,11 @@ def _apply_local_superop(tensor: np.ndarray, s: np.ndarray, qubits: Sequence[int
 
 
 def apply_to_operator(channel, op: np.ndarray) -> np.ndarray:
-    """Linear action of a channel on an arbitrary (not necessarily PSD) matrix."""
+    """Linear action of a Pauli or product channel on an arbitrary (not
+    necessarily PSD) matrix."""
     op = np.asarray(op, dtype=np.complex128)
     n = int(round(math.log2(op.shape[0])))
-    if not isinstance(channel, (PauliChannel, ProductChannel, DenseChannel)):
+    if not isinstance(channel, (PauliChannel, ProductChannel)):
         raise TypeError(f"cannot apply {type(channel).__name__}")
     if channel.n != n:
         raise ValueError(f"channel acts on {channel.n} qubits, operator on {n}")
@@ -185,13 +156,11 @@ def apply_to_operator(channel, op: np.ndarray) -> np.ndarray:
         for j in range(n):
             tensor = _apply_local_superop(tensor, _superop_from_ptm(channel.ptm(j)), [j], n)
         return tensor.reshape(op.shape)
-    if isinstance(channel, PauliChannel):
-        out = np.zeros_like(op)
-        for q, prob in channel.terms().items():
-            m = q.matrix()
-            out += prob * (m @ op @ m)
-        return out
-    return sum(k @ op @ k.conj().T for k in channel.kraus)
+    out = np.zeros_like(op)
+    for q, prob in channel.terms().items():
+        m = q.matrix()
+        out += prob * (m @ op @ m)
+    return out
 
 
 def apply_channel(channel, state: DenseState) -> DenseState:
@@ -304,19 +273,6 @@ def gate_superop(kind: str, arity: int, noise: PauliChannel | None) -> np.ndarra
         kraus = q.matrix() @ u
         s += prob * np.kron(kraus, kraus.conj())
     return s.reshape((2,) * (4 * arity))
-
-
-def simulate_circuit(circuit, state: DenseState, noisy: bool) -> DenseState:
-    """Run a Clifford circuit on a dense state, with or without gate noise."""
-    n = circuit.n
-    superops: dict[str, np.ndarray] = {}
-    rho = state.rho.reshape((2,) * (2 * n))
-    for gate in circuit.gates:
-        if gate.kind not in superops:
-            noise = circuit.noise.get(gate.kind) if noisy else None
-            superops[gate.kind] = gate_superop(gate.kind, len(gate.qubits), noise)
-        rho = _apply_local_superop(rho, superops[gate.kind], gate.qubits, n)
-    return DenseState(n, rho.reshape(2**n, 2**n))
 
 
 def simulate_ideal_statevector(circuit, psi: np.ndarray) -> np.ndarray:
@@ -441,26 +397,6 @@ def noisy_expectations(noise, strings: Sequence[PauliString], psi: np.ndarray) -
     return np.moveaxis(out, 0, -1)
 
 
-# -- brute-force spectra -------------------------------------------------------
-
-
-def brute_force_transfer(channel, k: int) -> TransferMatrix:
-    """M[P][Q] = tr(E(P) Q) / 2^n on the weight <= k basis, via dense algebra."""
-    n = channel.n
-    basis = tuple(enumerate_low_weight(n, k))
-    mats = [p.matrix() for p in basis]
-    scale = 1.0 / 2**n
-    matrix = np.empty((len(basis), len(basis)))
-    for i, p in enumerate(basis):
-        img = apply_to_operator(channel, mats[i])
-        for j in range(len(basis)):
-            value = np.trace(img @ mats[j]) * scale
-            if abs(value.imag) > 1e-9:
-                raise ValueError(f"transfer entry ({p}, {basis[j]}) is not real")
-            matrix[i, j] = value.real
-    return TransferMatrix(n, k, basis, matrix)
-
-
 # -- measurement simulation ----------------------------------------------------
 
 
@@ -502,55 +438,3 @@ def sample_pauli_basis_outcomes(
         bits = (outcomes[:, None] >> bit_shift[None, :]) & 1
         signs[rows] = (1 - 2 * bits).astype(np.int8)
     return signs
-
-
-# -- exact estimator moments (the unbiasedness oracle) -------------------------
-
-
-def shadow_transfer_estimator_expectations(
-    channel, pairs: Sequence[tuple[PauliString, PauliString]]
-) -> dict[tuple[PauliString, PauliString], float]:
-    """Exact expectation of the transfer-entry estimator for (in P, out Q) pairs.
-
-    The estimator's input-side factor uses P against the prepared eigenstate;
-    the output side accumulates prod_j tr(Q_j (3|t_j><t_j| - I)).  For each
-    pair the return value is E[x_hat], which for the diagonal P = Q case is
-    (1/3)^|P| lambda_P.
-    """
-    n = channel.n
-    if n > 3:
-        raise ValueError(f"exact estimator enumeration capped at 3 qubits, got n={n}")
-    out = {pair: 0.0 for pair in pairs}
-    state_weight = 1.0 / 6**n
-    basis_weight = 1.0 / 3**n
-    axis_choices = list(itertools.product(range(3), repeat=n))
-    sign_choices = list(itertools.product((1, -1), repeat=n))
-    for axes in axis_choices:
-        for in_signs in sign_choices:
-            prep = DenseState.product_eigenstate(axes, in_signs)
-            in_values = {
-                p: expectation(p, prep) for p in {p for p, _ in pairs}
-            }
-            evolved = apply_channel(channel, prep)
-            for basis in axis_choices:
-                probs = basis_outcome_probabilities(evolved, basis)
-                for outcome_idx, prob in enumerate(probs):
-                    if prob == 0.0:
-                        continue
-                    t_signs = [
-                        1 - 2 * ((outcome_idx >> (n - 1 - j)) & 1) for j in range(n)
-                    ]
-                    weight = prob * state_weight * basis_weight
-                    for p, q in pairs:
-                        factor = 1.0
-                        for j in range(n):
-                            code = q.letter_code(j)
-                            if code == 0:
-                                continue
-                            if basis[j] != code - 1:
-                                factor = 0.0
-                                break
-                            factor *= 3.0 * t_signs[j]
-                        if factor:
-                            out[(p, q)] += weight * factor * in_values[p]
-    return out

@@ -7,7 +7,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .paulis import PauliString, pauli_from_index
+from .paulis import PauliString
 
 
 class Observable:
@@ -142,46 +142,6 @@ class Observable:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_text())
-
-
-def pauli_decompose(matrix: np.ndarray) -> Observable:
-    """Expand a Hermitian matrix in the Pauli basis.
-
-    Uses the per-qubit tensor transform, O(n 4^n) instead of the naive 16^n
-    trace loop.  Coefficients whose magnitude is at most 1e-12 are discarded;
-    a matrix more than 1e-9 from Hermitian raises.
-    """
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    dim = matrix.shape[0]
-    if matrix.ndim != 2 or matrix.shape[1] != dim:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    n = int(round(math.log2(dim)))
-    if 2**n != dim:
-        raise ValueError(f"matrix dimension {dim} is not a power of two")
-    if n > 12:
-        raise ValueError(f"dense decomposition capped at 12 qubits, got n={n}")
-    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-9:
-        raise ValueError("matrix is not Hermitian within tolerance")
-
-    # B[a, i, j] = (P_a)_{ji} / 2, so contracting over (i, j) yields tr(P_a .)/2.
-    from .paulis import PAULI_MATRICES
-
-    basis = np.stack([m.T / 2.0 for m in PAULI_MATRICES])  # (4, 2, 2)
-    # Reshape into 2n axes: (r_0, ..., r_{n-1}, c_0, ..., c_{n-1}).
-    tensor = matrix.reshape((2,) * (2 * n))
-    for j in range(n):
-        # Contract qubit j's row/column pair into a letter axis, appended last.
-        tensor = np.tensordot(tensor, basis, axes=[(0, n - j), (1, 2)])
-    coeffs = tensor.reshape(-1)  # base-4 index order, qubit 0 most significant
-    # The per-qubit contraction consumed row axis first, so the letter axes come
-    # out with qubit 0 first => index = sum code_j * 4^(n-1-j), matching
-    # ``pauli_index``.
-    if np.max(np.abs(coeffs.imag)) > 1e-9:
-        raise ValueError("decomposition produced complex coefficients")
-    terms = []
-    for idx in np.flatnonzero(np.abs(coeffs.real) > 1e-12):
-        terms.append((pauli_from_index(n, int(idx)), float(coeffs.real[idx])))
-    return Observable(n, terms)
 
 
 def locality_norm_constant(k: int, d: int) -> float:

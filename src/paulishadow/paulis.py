@@ -3,9 +3,7 @@
 A Pauli string is stored as two bit masks ``x`` and ``z`` plus a real sign in
 {+1, -1}.  Bit ``j`` of ``x``/``z`` gives the X/Z component on qubit ``j``:
 (0,0) = I, (1,0) = X, (1,1) = Y, (0,1) = Z.  Qubit 0 is the leftmost letter of
-a label such as ``"XZI"``.  Products with an imaginary global phase are
-rejected: every quantity in this package is a real coefficient against a
-Hermitian Pauli, so an ``i`` surviving a product is a usage bug.
+a label such as ``"XZI"``.
 """
 
 from __future__ import annotations
@@ -24,12 +22,6 @@ PAULI_MATRICES = (
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
-
-# i-exponent of the single-qubit product sigma_a sigma_b = i^e sigma_(a xor b).
-_PHASE_EXPONENT = {
-    (1, 2): 1, (2, 3): 1, (3, 1): 1,
-    (2, 1): 3, (3, 2): 3, (1, 3): 3,
-}
 
 _CODE_FROM_BITS = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
 
@@ -121,27 +113,6 @@ class PauliString:
         return PauliString(self.n, self.x, self.z, -self.sign)
 
     # -- algebra ---------------------------------------------------------
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if not isinstance(other, PauliString):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"qubit counts differ: {self.n} != {other.n}")
-        exponent = 0
-        bits = (self.x | self.z | other.x | other.z)
-        j = 0
-        while bits >> j:
-            if (bits >> j) & 1:
-                pair = (self.letter_code(j), other.letter_code(j))
-                exponent += _PHASE_EXPONENT.get(pair, 0)
-            j += 1
-        exponent %= 4
-        if exponent % 2:
-            raise ValueError(
-                f"product {self} * {other} has imaginary phase i^{exponent}"
-            )
-        sign = self.sign * other.sign * (1 if exponent == 0 else -1)
-        return PauliString(self.n, self.x ^ other.x, self.z ^ other.z, sign)
 
     def restrict(self, qubits: Iterable[int]) -> "PauliString":
         """Project onto the given qubits (in the given order), keeping the sign."""

@@ -22,10 +22,11 @@ mixed radix (3, 2, 3, 2), which every sampler writes directly.  An estimator
 takes a source (records or a stream) and the source's width: a string of
 another width fails in ``letter_codes``, before any block is drawn.  Every
 estimator reads its pairs through one pair reader, ``_read_pairs``: it takes
-(P, Q) as rows of letter codes, builds the digits P_j * 4 + Q_j, and returns
-each pair's ``3^|P| * numer / N``.  Up to four qubits, ``_numerators``
-counts the source into one joint 36^n histogram of cells (``count_into``), as
-int32 counts up to 2^31 - 1 records and as int64 past that.  Contracting it
+(P, Q) as rows of digits P_j * 4 + Q_j, which the estimator builds from
+letter codes, and returns each pair's ``3^|P| * numer / N``.  Up to four
+qubits, ``_numerators`` counts the source into one joint 36^n histogram of
+cells (``count_into``), as int32 counts up to 2^31 - 1 records and as int64
+past that.  Contracting it
 once, qubit by qubit, against the (16, 36) table of per-qubit factors gives
 the 16^n *moment table*: the entry at mixed-radix index
 sum_j (P_j * 4 + Q_j) * 16^(n-1-j), with letter codes I=0, X=1, Y=2, Z=3
@@ -101,10 +102,6 @@ from .paulis import (
     low_weight_count,
 )
 
-AXES = "XYZ"
-# (axis letter, sign) bytes -> input or measurement digit axis * 2 + sign bit
-_DIGITS = np.full((256, 256), -1, dtype=np.int8)
-_DIGITS[tuple(np.array([(ord(a), ord(s)) for a in AXES for s in "+-"]).T)] = np.arange(6)
 DEFAULT_BLOCK_SIZE = 1 << 16
 COUNTS_QUBIT_CAP = 4  # 36^n histogram cells
 INT32_RECORDS = np.iinfo(np.int32).max  # records an int32 histogram holds
@@ -115,40 +112,23 @@ EXPECTATION_BATCHES = 10  # median-of-means batches of estimate_state_expectatio
 
 
 # Every cell's (s_axis, s_sign, t_axis, t_sign), as the rows of a (4, 36)
-# int8 decode table, and its four characters of text.
+# int8 decode table.
 _CELL_FIELDS = np.array(list(itertools.product(range(3), (1, -1), range(3), (1, -1))), np.int8).T
-_CELL_TEXT = np.frombuffer(
-    "".join(map("".join, itertools.product(AXES, "+-", AXES, "+-"))).encode(), np.uint8
-).reshape(36, 4)
 
 
 class ShadowRecords:
-    """A batch of shadow records: one (N, n) uint8 ``cells`` array.
+    """A batch of shadow records: one (N, n) uint8 ``cells`` array, held
+    without a copy.
 
     A cell codes a qubit's intended input eigenstate and its measurement,
     ``((s_axis * 2 + s_bit) * 3 + t_axis) * 2 + t_bit``, with axis codes
     0=X, 1=Y, 2=Z and a negative sign as bit 1.  The samplers write cells;
-    the constructor checks and encodes them from (N, n) ``s_axis``, ``s_sign``,
-    ``t_axis`` and ``t_sign`` arrays (axes 0-2, signs +-1), which the properties decode.
+    the ``s_axis``, ``s_sign``, ``t_axis`` and ``t_sign`` properties decode
+    them into (N, n) int8 arrays (axes 0-2, signs +-1).
     """
 
-    def __init__(self, s_axis, s_sign, t_axis, t_sign):
-        fields = [np.asarray(f) for f in (s_axis, s_sign, t_axis, t_sign)]
-        s_axis, s_sign, t_axis, t_sign = fields
-        if len({f.shape for f in fields}) > 1 or s_axis.ndim != 2:
-            raise ValueError(f"expected four (N, n) arrays, got shapes {[f.shape for f in fields]}")
-        if not (np.isin(s_axis, (0, 1, 2)).all() and np.isin(t_axis, (0, 1, 2)).all()
-                and np.isin(s_sign, (1, -1)).all() and np.isin(t_sign, (1, -1)).all()):
-            raise ValueError("axes must be 0, 1 or 2 and signs +1 or -1")
-        cells = ((s_axis * 2 + (s_sign < 0)) * 3 + t_axis) * 2 + (t_sign < 0)
-        self.cells = cells.astype(np.uint8)
-
-    @classmethod
-    def from_cells(cls, cells: np.ndarray) -> "ShadowRecords":
-        """Wrap an (N, n) uint8 cell array, without a copy."""
-        out = cls.__new__(cls)
-        out.cells = cells
-        return out
+    def __init__(self, cells: np.ndarray):
+        self.cells = cells
 
     s_axis = property(lambda self: _CELL_FIELDS[0].take(self.cells))
     s_sign = property(lambda self: _CELL_FIELDS[1].take(self.cells))
@@ -166,51 +146,11 @@ class ShadowRecords:
         if isinstance(key, (int, np.integer)):
             i = range(len(self))[key]  # negative from the end; IndexError out of range
             key = slice(i, i + 1)
-        return ShadowRecords.from_cells(self.cells[key])
+        return ShadowRecords(self.cells[key])
 
     @classmethod
     def concatenate(cls, batches: Iterable["ShadowRecords"]) -> "ShadowRecords":
-        return cls.from_cells(np.concatenate([b.cells for b in batches]))
-
-    # one record per line: "s:Z+X- t:Z-Y+"
-
-    def to_lines(self) -> list[str]:
-        n = self.n
-        text = np.empty((len(self), 4 * n + 6), dtype=np.uint8)
-        text[:, :2] = np.frombuffer(b"s:", np.uint8)
-        text[:, 2 * n + 2 : 2 * n + 5] = np.frombuffer(b" t:", np.uint8)
-        text[:, -1] = ord("\n")
-        chars = _CELL_TEXT[self.cells]  # (N, n, 4)
-        text[:, 2 : 2 * n + 2] = chars[:, :, :2].reshape(len(self), 2 * n)
-        text[:, 2 * n + 5 : 4 * n + 5] = chars[:, :, 2:].reshape(len(self), 2 * n)
-        return text.tobytes().decode("ascii").splitlines()
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "ShadowRecords":
-        lines = [" ".join(raw.split()) for raw in lines]
-        first = next((line for line in lines if line and line[0] != "#"), None)
-        if first is None:
-            raise ValueError("no records found")
-        n = max(len(first) - 5, 0) // 4
-        # One code point per column; a longer line shows in the last column.
-        text = np.array(lines, dtype=f"U{4 * n + 6}")
-        text = np.minimum(text.view(np.uint32).reshape(len(lines), 4 * n + 6), 255)
-        kept = np.flatnonzero((text[:, 0] != 0) & (text[:, 0] != ord("#")))
-        text = text[kept]
-        axes = np.r_[2 : 2 * n + 2 : 2, 2 * n + 5 : 4 * n + 5 : 2]
-        digits = _DIGITS[text[:, axes], text[:, axes + 1]]
-        ok = (
-            (text[:, :2] == [ord("s"), ord(":")]).all(axis=1)
-            & (text[:, 2 * n + 2 : 2 * n + 5] == [ord(" "), ord("t"), ord(":")]).all(axis=1)
-            & (digits >= 0).all(axis=1)
-            & (text[:, 4 * n + 5 :] == 0).all(axis=1)
-        )
-        if not ok.all():
-            row = kept[np.argmin(ok)]
-            raise ValueError(f"line {row + 1}: expected 's:... t:...' with {n} qubits a side, "
-                             f"got {lines[row]!r}")
-        # A cell's first digit in radix 6 is its input's, the second its measurement's.
-        return cls.from_cells((6 * digits[:, :n] + digits[:, n:]).view(np.uint8))
+        return cls(np.concatenate([b.cells for b in batches]))
 
     def count_into(self, counts: np.ndarray) -> None:
         """Add every record into ``counts``, the 36^n histogram of joint cells."""
@@ -220,15 +160,6 @@ class ShadowRecords:
     def records(self) -> "ShadowRecords":
         """These records, as ``BlockStream.records`` gives a stream's."""
         return self
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.to_lines()) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "ShadowRecords":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_lines(fh)
 
 
 # -- sampling ------------------------------------------------------------------
@@ -384,7 +315,7 @@ class BlockStream:
             cells[start : start + self.block_size] = records.cells[:left]
 
         self._drive(visit)
-        return ShadowRecords.from_cells(cells)
+        return ShadowRecords(cells)
 
 
 def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam: float):
@@ -460,7 +391,7 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
             t_bit ^= flips(rng)
         cells *= 2
         cells += t_bit
-        return ShadowRecords.from_cells(cells)
+        return ShadowRecords(cells)
 
     return sample
 
@@ -608,12 +539,14 @@ def _numerators(source: ShadowRecords | BlockStream, digits: np.ndarray) -> tupl
     return total, _moment_table(hist, source.n, total)[_table_index(digits)]
 
 
-def _read_pairs(source, in_codes: np.ndarray, out_codes: np.ndarray) -> tuple[int, np.ndarray]:
+def _read_pairs(source, digits: np.ndarray) -> tuple[int, np.ndarray]:
     """Record count and lambda_hat_P(Q) = 3^|P| numer / N of each (P, Q) pair,
-    given as rows of input and output letter codes: P is read against the
-    prepared eigenstate s, Q against the measurement t."""
-    total, numers = _numerators(source, 4 * in_codes + out_codes)
-    return total, 3.0 ** (in_codes != 0).sum(axis=1) * numers / total
+    given as rows of digits P_j * 4 + Q_j of input and output letter codes:
+    P is read against the prepared eigenstate s, Q against the measurement t.
+    The caller builds the one digit array, so no copy of either side's codes
+    is held while the numerators are counted."""
+    total, numers = _numerators(source, digits)
+    return total, 3.0 ** (digits >= 4).sum(axis=1) * numers / total
 
 
 @dataclass
@@ -644,8 +577,7 @@ def estimate_eigenvalues(
     """lambda_hat(P) = 3^|P| x_hat(P) for each of ``strings``, of the source's
     width; the identity's numerator is the record count, so its estimate is
     exactly 1.0."""
-    codes = letter_codes(strings, source.n)
-    total, values = _read_pairs(source, codes, codes)
+    total, values = _read_pairs(source, 5 * letter_codes(strings, source.n))
     return EigenvalueEstimates(source.n, dict(zip(strings, values.tolist())), total)
 
 
@@ -662,7 +594,7 @@ def estimate_transfer_matrix(source: ShadowRecords | BlockStream, k: int) -> Tra
     cols, rows = np.nonzero((weights[None, :] <= weights[:, None]) & (weights[:, None] > 0))
     matrix = np.zeros((len(basis), len(basis)))
     matrix[0, 0] = 1.0  # identity column: lambda_P(I) = delta_PI
-    matrix[rows, cols] = _read_pairs(source, codes[rows], codes[cols])[1]
+    matrix[rows, cols] = _read_pairs(source, 4 * codes[rows] + codes[cols])[1]
     return TransferMatrix(source.n, k, basis, matrix)
 
 
@@ -779,7 +711,7 @@ def sample_gate_shadows(
         index, words = outcome_index(rng), np.empty(block_size, cell_words.dtype)
         for rows in row_slices((block_size,)):
             words[rows] = cell_words[index[rows].astype(np.intp)]
-        return ShadowRecords.from_cells(words.view(np.uint8).reshape(-1, g))
+        return ShadowRecords(words.view(np.uint8).reshape(-1, g))
 
     def tally(rng: np.random.Generator, left: int) -> tuple[np.ndarray, np.ndarray]:
         return joint_cells, np.bincount(outcome_index(rng)[:left], minlength=36**g)
@@ -800,8 +732,8 @@ def estimate_gate_eigenvalues(
     """
     strings = list(iter_all_paulis(gate_arity(kind)))[1:]  # table order, the identity dropped
     backs = CONJUGATION_TABLES[kind][1:]
-    total, values = _read_pairs(source, letter_codes(backs, source.n),
-                                letter_codes(strings, source.n))
+    total, values = _read_pairs(source, 4 * letter_codes(backs, source.n)
+                                + letter_codes(strings, source.n))
     values *= [back.sign for back in backs]
     return EigenvalueEstimates(source.n, dict(zip(strings, values.tolist())), total)
 

@@ -65,8 +65,8 @@ def read_pairs():
 
     def read(source, pairs):
         ins, outs = zip(*pairs)
-        total, values = shadows._read_pairs(source, letter_codes(ins, source.n),
-                                            letter_codes(outs, source.n))
+        digits = 4 * letter_codes(ins, source.n) + letter_codes(outs, source.n)
+        total, values = shadows._read_pairs(source, digits)
         assert total == len(source)
         return values
 

@@ -1,0 +1,156 @@
+"""Dense Schroedinger-picture references that the tests check the package against.
+
+No command runs these.  They work on explicit 2^n x 2^n arrays, capped at
+12 qubits (all-Pauli sweeps at 10).  The noisy circuit run holds the density
+matrix as a (2,)*2n tensor (row qubits, then column qubits), and each gate
+applies one local superoperator, sum_Q p_Q (QU) (x) conj(QU) on the gate's a
+qubits: O(4^(n+a)) work per gate.  The estimator expectations enumerate every
+prepared eigenstate, basis and outcome exactly.  Shadow records are built
+from their decoded fields by the documented cell code.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from paulishadow.channels import TransferMatrix
+from paulishadow.exact import (
+    DenseState,
+    _apply_local_superop,
+    apply_channel,
+    apply_to_operator,
+    basis_outcome_probabilities,
+    expectation,
+    gate_superop,
+)
+from paulishadow.paulis import PAULI_MATRICES, PauliString, enumerate_low_weight
+from paulishadow.shadows import ShadowRecords
+
+
+def records_from_fields(s_axis, s_sign, t_axis, t_sign) -> ShadowRecords:
+    """Records from (N, n) ``s_axis``, ``s_sign``, ``t_axis`` and ``t_sign``
+    arrays (axes 0-2, signs +-1), each cell
+    ``((s_axis * 2 + (s_sign < 0)) * 3 + t_axis) * 2 + (t_sign < 0)``."""
+    s_axis, s_sign, t_axis, t_sign = (np.asarray(f) for f in (s_axis, s_sign, t_axis, t_sign))
+    cells = ((s_axis * 2 + (s_sign < 0)) * 3 + t_axis) * 2 + (t_sign < 0)
+    return ShadowRecords(cells.astype(np.uint8))
+
+
+# -- states and channels -------------------------------------------------------
+
+
+def maximally_mixed(n: int) -> DenseState:
+    dim = 2**n
+    return DenseState(n, np.eye(dim, dtype=np.complex128) / dim)
+
+
+def product_eigenstate(axes: Sequence[int], signs: Sequence[int]) -> DenseState:
+    """Product of single-qubit Pauli eigenstates; axes coded 0=X,1=Y,2=Z."""
+    rho = np.array([[1.0]], dtype=np.complex128)
+    for axis, sign in zip(axes, signs):
+        qubit = (np.eye(2) + sign * PAULI_MATRICES[axis + 1]) / 2.0
+        rho = np.kron(rho, qubit)
+    return DenseState(len(tuple(axes)), rho)
+
+
+class DenseChannel:
+    """A channel given by explicit Kraus operators (e.g. unitary conjugation)."""
+
+    def __init__(self, n: int, kraus: Iterable[np.ndarray]):
+        self.n = n
+        self.kraus = [np.asarray(k, dtype=np.complex128) for k in kraus]
+        total = sum(k.conj().T @ k for k in self.kraus)
+        if np.max(np.abs(total - np.eye(2**n))) > 1e-9:
+            raise ValueError("Kraus operators do not sum to the identity")
+
+
+def simulate_circuit(circuit, state: DenseState, noisy: bool) -> DenseState:
+    """Run a Clifford circuit on a dense state, with or without gate noise."""
+    n = circuit.n
+    superops: dict[str, np.ndarray] = {}
+    rho = state.rho.reshape((2,) * (2 * n))
+    for gate in circuit.gates:
+        if gate.kind not in superops:
+            noise = circuit.noise.get(gate.kind) if noisy else None
+            superops[gate.kind] = gate_superop(gate.kind, len(gate.qubits), noise)
+        rho = _apply_local_superop(rho, superops[gate.kind], gate.qubits, n)
+    return DenseState(n, rho.reshape(2**n, 2**n))
+
+
+# -- brute-force spectra -------------------------------------------------------
+
+
+def brute_force_transfer(channel, k: int) -> TransferMatrix:
+    """M[P][Q] = tr(E(P) Q) / 2^n on the weight <= k basis, via dense algebra;
+    ``channel`` is a ``DenseChannel`` or a channel ``apply_to_operator`` takes."""
+    n = channel.n
+    basis = tuple(enumerate_low_weight(n, k))
+    mats = [p.matrix() for p in basis]
+    scale = 1.0 / 2**n
+    matrix = np.empty((len(basis), len(basis)))
+    for i, p in enumerate(basis):
+        if isinstance(channel, DenseChannel):
+            img = sum(kraus @ mats[i] @ kraus.conj().T for kraus in channel.kraus)
+        else:
+            img = apply_to_operator(channel, mats[i])
+        for j in range(len(basis)):
+            value = np.trace(img @ mats[j]) * scale
+            if abs(value.imag) > 1e-9:
+                raise ValueError(f"transfer entry ({p}, {basis[j]}) is not real")
+            matrix[i, j] = value.real
+    return TransferMatrix(n, k, basis, matrix)
+
+
+# -- exact estimator moments (the unbiasedness oracle) -------------------------
+
+
+def shadow_transfer_estimator_expectations(
+    channel, pairs: Sequence[tuple[PauliString, PauliString]]
+) -> dict[tuple[PauliString, PauliString], float]:
+    """Exact expectation of the transfer-entry estimator for (in P, out Q) pairs.
+
+    The estimator's input-side factor uses P against the prepared eigenstate;
+    the output side accumulates prod_j tr(Q_j (3|t_j><t_j| - I)).  For each
+    pair the return value is E[x_hat], which for the diagonal P = Q case is
+    (1/3)^|P| lambda_P.
+    """
+    n = channel.n
+    if n > 3:
+        raise ValueError(f"exact estimator enumeration capped at 3 qubits, got n={n}")
+    out = {pair: 0.0 for pair in pairs}
+    state_weight = 1.0 / 6**n
+    basis_weight = 1.0 / 3**n
+    axis_choices = list(itertools.product(range(3), repeat=n))
+    sign_choices = list(itertools.product((1, -1), repeat=n))
+    for axes in axis_choices:
+        for in_signs in sign_choices:
+            prep = product_eigenstate(axes, in_signs)
+            in_values = {
+                p: expectation(p, prep) for p in {p for p, _ in pairs}
+            }
+            evolved = apply_channel(channel, prep)
+            for basis in axis_choices:
+                probs = basis_outcome_probabilities(evolved, basis)
+                for outcome_idx, prob in enumerate(probs):
+                    if prob == 0.0:
+                        continue
+                    t_signs = [
+                        1 - 2 * ((outcome_idx >> (n - 1 - j)) & 1) for j in range(n)
+                    ]
+                    weight = prob * state_weight * basis_weight
+                    for p, q in pairs:
+                        factor = 1.0
+                        for j in range(n):
+                            code = q.letter_code(j)
+                            if code == 0:
+                                continue
+                            if basis[j] != code - 1:
+                                factor = 0.0
+                                break
+                            factor *= 3.0 * t_signs[j]
+                        if factor:
+                            out[(p, q)] += weight * factor * in_values[p]
+    return out

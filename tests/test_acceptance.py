@@ -47,6 +47,12 @@ from paulishadow.shadows import (
     sample_gate_shadows,
 )
 
+from reference import (
+    brute_force_transfer,
+    shadow_transfer_estimator_expectations,
+    simulate_circuit,
+)
+
 
 def P(label):
     return PauliString.from_label(label)
@@ -61,7 +67,7 @@ def test_criterion_1_eigenvalue_oracle():
     """Closed-form product-channel eigenvalues match brute-force enumeration
     on every two-qubit Pauli to 1e-12, with the three pinned spot values."""
     ch = reference_product_channel()
-    dense = exact.brute_force_transfer(ch, 2)  # tr(P E(P)) / 2^n on the diagonal
+    dense = brute_force_transfer(ch, 2)  # tr(P E(P)) / 2^n on the diagonal
     brute = dict(zip(dense.basis, np.diag(dense.matrix).tolist()))
     strings = list(iter_all_paulis(2))
     lam = dict(zip(strings, exact_diagonal(ch, strings).tolist()))
@@ -84,7 +90,7 @@ def test_criterion_2_estimator_unbiasedness():
     assert len(channels) == 20
     for ch in channels:
         paulis = [p for p in iter_all_paulis(ch.n) if not p.is_identity]
-        expectations = exact.shadow_transfer_estimator_expectations(
+        expectations = shadow_transfer_estimator_expectations(
             ch, [(p, p) for p in paulis])
         for p, lam in zip(paulis, exact_diagonal(ch, paulis)):
             want = (1.0 / 3.0) ** p.weight * lam
@@ -248,8 +254,8 @@ def test_criterion_6_circuit_mitigation():
             assert min(table.values()) >= 0.3  # noise stays invertible
         state = exact.DenseState.from_unit_vector(
             exact.haar_random_vector(n, cli._derive_seed(60, run)))
-        noisy = exact.simulate_circuit(circuit, state, noisy=True)
-        ideal_state = exact.simulate_circuit(circuit, state, noisy=False)
+        noisy = simulate_circuit(circuit, state, noisy=True)
+        ideal_state = simulate_circuit(circuit, state, noisy=False)
 
         for p in enumerate_low_weight(n, min(2, n)):
             if p.is_identity:

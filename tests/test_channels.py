@@ -34,6 +34,8 @@ from paulishadow.paulis import (
     symplectic_product,
 )
 
+from reference import DenseChannel, brute_force_transfer
+
 
 def P(label):
     return PauliString.from_label(label)
@@ -118,7 +120,7 @@ def test_eigenvalues_against_brute_force():
     rng = np.random.default_rng(17)
     for trial in range(5):
         for ch in (random_product_channel(rng, 2), random_sparse_channel(rng, 2)):
-            dense = exact.brute_force_transfer(ch, 2)  # lambda_P = tr(P E(P)) / 2^n
+            dense = brute_force_transfer(ch, 2)  # lambda_P = tr(P E(P)) / 2^n
             assert exact_diagonal(ch, dense.basis).tolist() == pytest.approx(
                 np.diag(dense.matrix).tolist(), abs=1e-12)
 
@@ -221,7 +223,7 @@ def test_output_bloch_amplitude_damping():
 def test_exact_transfer_diagonal_for_pauli_channels():
     ch = reference_product_channel()
     m = exact_transfer_matrix(ch, 2)
-    bf = exact.brute_force_transfer(ch, 2)
+    bf = brute_force_transfer(ch, 2)
     assert m.basis == bf.basis
     np.testing.assert_allclose(m.matrix, bf.matrix, rtol=0, atol=1e-12)
 
@@ -229,7 +231,7 @@ def test_exact_transfer_diagonal_for_pauli_channels():
 def test_exact_transfer_against_brute_force():
     ch = ProductChannel([amplitude_damping_ptm(0.2), depolarizing_ptm(0.8)])
     m = exact_transfer_matrix(ch, 2)
-    bf = exact.brute_force_transfer(ch, 2)
+    bf = brute_force_transfer(ch, 2)
     assert m.basis == bf.basis
     np.testing.assert_allclose(m.matrix, bf.matrix, atol=1e-12)
 
@@ -284,8 +286,8 @@ def test_is_weight_contracting():
     assert exact_transfer_matrix(reference_product_channel(), 2).is_upper_block_triangular()
     # a CNOT conjugation grows weight (X on control -> XX)
     unitary = exact.gate_unitary("CNOT", (0, 1), 2)
-    dense = exact.DenseChannel(2, [unitary])
-    bf = exact.brute_force_transfer(dense, 2)
+    dense = DenseChannel(2, [unitary])
+    bf = brute_force_transfer(dense, 2)
     assert not bf.is_upper_block_triangular()
 
 

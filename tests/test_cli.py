@@ -28,6 +28,8 @@ from paulishadow.paulis import PauliString, enumerate_low_weight
 from paulishadow.recovery import RecoveryError
 from paulishadow.shadows import plan_sample_size
 
+from reference import brute_force_transfer
+
 
 def P(label):
     return PauliString.from_label(label)
@@ -95,7 +97,7 @@ def test_learn_csv_contents(tmp_path):
     rows = lines[header_index + 1:]
     assert len(rows) == 16  # all weight <= 2 strings on 2 qubits
     # The exact column against the dense reference's diagonal, tr(P E(P)) / 2^n.
-    dense = exact.brute_force_transfer(reference_product_channel(), 2)
+    dense = brute_force_transfer(reference_product_channel(), 2)
     by_label = {}
     for row in rows:
         label, est, truth, err = row.split(",")

@@ -25,6 +25,8 @@ from paulishadow.recovery import (
     backward_observable,
 )
 
+from reference import brute_force_transfer, simulate_circuit
+
 
 def P(label):
     return PauliString.from_label(label)
@@ -241,8 +243,8 @@ def test_mitigation_with_exact_estimates_recovers_ideal():
         circuit = CliffordCircuit(n, circuit.gates, noise)
         obs = Observable(n, {pauli_from_index(n, int(rng.integers(1, 4**n))): 0.8})
         state = exact.DenseState.from_unit_vector(exact.haar_random_vector(n, 300 + trial))
-        noisy = exact.simulate_circuit(circuit, state, noisy=True)
-        ideal = exact.simulate_circuit(circuit, state, noisy=False)
+        noisy = simulate_circuit(circuit, state, noisy=True)
+        ideal = simulate_circuit(circuit, state, noisy=False)
         back = mitigation_coefficients(circuit, exact_gate_estimates(circuit), obs)
         got = exact.expectation(Observable(back.n, back.terms), noisy)
         want = exact.expectation(obs, ideal)
@@ -273,7 +275,7 @@ def test_exact_gate_estimates_tables():
     assert len(tables["CNOT"]) == 16 and len(tables["H"]) == 4
     assert tables["H"][P("I")] == 1.0
     # Against the dense reference's diagonal, tr(P E(P)) / 2^n.
-    dense = exact.brute_force_transfer(circuit.noise["CNOT"], 2)
+    dense = brute_force_transfer(circuit.noise["CNOT"], 2)
     for p, lam in zip(dense.basis, np.diag(dense.matrix)):
         assert tables["CNOT"][p] == pytest.approx(lam, abs=1e-12)
 

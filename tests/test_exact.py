@@ -35,6 +35,15 @@ from paulishadow.paulis import (
     pauli_index,
 )
 
+from reference import (
+    DenseChannel,
+    brute_force_transfer,
+    maximally_mixed,
+    product_eigenstate,
+    shadow_transfer_estimator_expectations,
+    simulate_circuit,
+)
+
 
 def P(label):
     return PauliString.from_label(label)
@@ -45,10 +54,10 @@ def P(label):
 
 def test_product_eigenstate_expectations():
     # axes 0=X, 1=Y, 2=Z
-    st = exact.DenseState.product_eigenstate([2], [+1])
+    st = product_eigenstate([2], [+1])
     assert exact.expectation(P("Z"), st) == pytest.approx(1.0)
     assert exact.expectation(P("X"), st) == pytest.approx(0.0)
-    st = exact.DenseState.product_eigenstate([0, 1], [-1, +1])
+    st = product_eigenstate([0, 1], [-1, +1])
     assert exact.expectation(P("XI"), st) == pytest.approx(-1.0)
     assert exact.expectation(P("IY"), st) == pytest.approx(1.0)
     assert exact.expectation(P("XY"), st) == pytest.approx(-1.0)
@@ -56,7 +65,7 @@ def test_product_eigenstate_expectations():
 
 
 def test_maximally_mixed():
-    st = exact.DenseState.maximally_mixed(2)
+    st = maximally_mixed(2)
     for p in iter_all_paulis(2):
         want = 1.0 if p.is_identity else 0.0
         assert exact.expectation(p, st) == pytest.approx(want)
@@ -110,12 +119,11 @@ def test_ptm_superop_matches_kraus_oracle():
     gamma = 0.3
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]])
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
-    dense = exact.DenseChannel(1, [k0, k1])
+    dense = DenseChannel(1, [k0, k1])
     ptm = ProductChannel([amplitude_damping_ptm(gamma)])
     st = exact.DenseState.from_unit_vector(exact.haar_random_vector(1, 11))
-    np.testing.assert_allclose(
-        exact.apply_channel(ptm, st).rho, exact.apply_channel(dense, st).rho, atol=1e-12
-    )
+    kraus_image = sum(k @ st.rho @ k.conj().T for k in dense.kraus)
+    np.testing.assert_allclose(exact.apply_channel(ptm, st).rho, kraus_image, atol=1e-12)
 
 
 def test_ptm_superop_multi_qubit():
@@ -133,12 +141,12 @@ def test_ptm_superop_multi_qubit():
 
 def test_dense_channel_trace_preservation_check():
     with pytest.raises(ValueError):
-        exact.DenseChannel(1, [np.array([[1.0, 0.0], [0.0, 0.5]])])
+        DenseChannel(1, [np.array([[1.0, 0.0], [0.0, 0.5]])])
 
 
 def test_expectation_observable():
     obs = Observable(1, {P("Z"): 2.0, P("I"): 0.5})
-    st = exact.DenseState.product_eigenstate([2], [-1])
+    st = product_eigenstate([2], [-1])
     assert exact.expectation(obs, st) == pytest.approx(-1.5)
 
 
@@ -174,8 +182,8 @@ def test_gate_unitary_embedding():
 
 def test_simulate_ideal_circuit():
     circ = CliffordCircuit(1, [Gate("H", (0,))], {})
-    st = exact.DenseState.product_eigenstate([2], [+1])  # |0>
-    out = exact.simulate_circuit(circ, st, noisy=False)
+    st = product_eigenstate([2], [+1])  # |0>
+    out = simulate_circuit(circ, st, noisy=False)
     assert exact.expectation(P("X"), out) == pytest.approx(1.0)
 
 
@@ -183,7 +191,7 @@ def test_simulate_noisy_circuit_matches_manual():
     noise = PauliChannel.from_qubit_probs([(0.9, 0.04, 0.03, 0.03)])
     circ = CliffordCircuit(2, [Gate("H", (0,))], {"H": noise})
     st = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 19))
-    out = exact.simulate_circuit(circ, st, noisy=True)
+    out = simulate_circuit(circ, st, noisy=True)
     u = exact.gate_unitary("H", (0,), 2)
     mid = u @ st.rho @ u.conj().T
     want = np.zeros_like(mid)
@@ -240,7 +248,7 @@ def test_circuit_simulation_matches_full_register_reference():
             circuit = random_circuit(n, rng)
             state = exact.DenseState.from_unit_vector(exact.haar_random_vector(n, rng))
             for noisy in (True, False):
-                got = exact.simulate_circuit(circuit, state, noisy).rho
+                got = simulate_circuit(circuit, state, noisy).rho
                 np.testing.assert_allclose(
                     got, full_register_circuit(circuit, state, noisy), rtol=0, atol=1e-12
                 )
@@ -250,7 +258,7 @@ def test_circuit_simulation_matches_full_register_reference():
     assert not noise.is_product
     circuit = CliffordCircuit(4, [Gate("H", (3,)), Gate("CNOT", (3, 0))], {"CNOT": noise})
     state = exact.DenseState.from_unit_vector(exact.haar_random_vector(4, 5))
-    got = exact.simulate_circuit(circuit, state, noisy=True).rho
+    got = simulate_circuit(circuit, state, noisy=True).rho
     np.testing.assert_allclose(
         got, full_register_circuit(circuit, state, True), rtol=0, atol=1e-12
     )
@@ -317,7 +325,7 @@ def test_statevector_ideal_run_matches_dense_run_and_trace():
         for trial in range(3):
             circuit = random_circuit(n, rng, depth=int(rng.integers(1, 40)))
             psi = exact.haar_random_vector(n, rng)
-            dense = exact.simulate_circuit(circuit, exact.DenseState.from_unit_vector(psi),
+            dense = simulate_circuit(circuit, exact.DenseState.from_unit_vector(psi),
                                            noisy=False)
             out = exact.simulate_ideal_statevector(circuit, psi)
             np.testing.assert_allclose(np.outer(out, out.conj()), dense.rho, rtol=0, atol=1e-12)
@@ -370,7 +378,7 @@ def test_heisenberg_oracle_matches_dense_noisy_run():
                 circuit.noise["CNOT"] = sparse
             psi = exact.haar_random_vector(n, rng)
             strings = [pauli_from_index(n, int(i)) for i in rng.integers(0, 4**n, 12)]
-            noisy = exact.simulate_circuit(circuit, exact.DenseState.from_unit_vector(psi),
+            noisy = simulate_circuit(circuit, exact.DenseState.from_unit_vector(psi),
                                            noisy=True)
             want = [exact.expectation(p, noisy) for p in strings]
             got = exact.noisy_expectations(circuit, strings, psi)
@@ -420,7 +428,7 @@ def test_noisy_expectations_of_a_batch_are_each_state_s(random_cp_ptm):
 
 
 def test_basis_outcome_probabilities():
-    zero = exact.DenseState.product_eigenstate([2], [+1])
+    zero = product_eigenstate([2], [+1])
     np.testing.assert_allclose(
         exact.basis_outcome_probabilities(zero, [2]), [1.0, 0.0], atol=1e-12
     )
@@ -440,7 +448,7 @@ def test_basis_outcome_probabilities():
 
 
 def test_sample_pauli_basis_outcomes():
-    zero = exact.DenseState.product_eigenstate([2], [+1])
+    zero = product_eigenstate([2], [+1])
     rng = np.random.default_rng(23)
     bases = np.zeros((4000, 1), dtype=np.int8)
     bases[:2000, 0] = 2  # Z first, then X
@@ -453,7 +461,7 @@ def test_sample_pauli_basis_outcomes():
 def test_reference_channel_outcome_probability():
     # qubit-1 channel keeps a Z eigenstate with probability pI + pZ = 0.80
     ch = PauliChannel.from_qubit_probs([(0.75, 0.10, 0.10, 0.05)])
-    zero = exact.DenseState.product_eigenstate([2], [+1])
+    zero = product_eigenstate([2], [+1])
     out = exact.apply_channel(ch, zero)
     probs = exact.basis_outcome_probabilities(out, [2])
     np.testing.assert_allclose(probs, [0.80, 0.20], atol=1e-12)
@@ -463,14 +471,14 @@ def test_reference_channel_outcome_probability():
 
 
 def test_brute_force_identity_channel():
-    m = exact.brute_force_transfer(PauliChannel.identity(2), 2)
+    m = brute_force_transfer(PauliChannel.identity(2), 2)
     np.testing.assert_allclose(m.matrix, np.eye(len(m.basis)), atol=1e-12)
 
 
 def test_estimator_expectation_single_qubit_value():
     # E[x_hat(Z)] over the exact record distribution = (1/3) * 0.60
     ch = PauliChannel.from_qubit_probs([(0.75, 0.10, 0.10, 0.05)])
-    exp = exact.shadow_transfer_estimator_expectations(ch, [(P("Z"), P("Z"))])
+    exp = shadow_transfer_estimator_expectations(ch, [(P("Z"), P("Z"))])
     assert exp[(P("Z"), P("Z"))] == pytest.approx(0.60 / 3.0, abs=1e-12)
 
 
@@ -482,7 +490,7 @@ def test_estimator_unbiasedness_exact_enumeration():
         for trial in range(4):
             probs = rng.dirichlet((8.0, 1.0, 1.0, 1.0), size=n)
             ch = PauliChannel.from_qubit_probs(probs)
-            exp = exact.shadow_transfer_estimator_expectations(ch, [(p, p) for p in paulis])
+            exp = shadow_transfer_estimator_expectations(ch, [(p, p) for p in paulis])
             for p, lam in zip(paulis, exact_diagonal(ch, paulis)):
                 assert exp[(p, p)] == pytest.approx(lam / 3.0**p.weight, abs=1e-12)
 
@@ -492,7 +500,7 @@ def test_transfer_estimator_expectation_matches_exact_matrix():
     m = exact_transfer_matrix(ch, 2)
     pairs = [(P("II"), P("ZI")), (P("ZI"), P("ZI")), (P("XI"), P("XZ")),
              (P("IZ"), P("ZZ"))]
-    exp = exact.shadow_transfer_estimator_expectations(ch, pairs)
+    exp = shadow_transfer_estimator_expectations(ch, pairs)
     for p, q in pairs:
         want = m.matrix[m.index(p), m.index(q)] / 3.0**p.weight
         assert exp[(p, q)] == pytest.approx(want, abs=1e-12)

@@ -1,4 +1,4 @@
-"""Moment tables against a per-record brute force, and records text I/O.
+"""Moment tables against a per-record brute force.
 
 Every estimator reads an exact integer numerator off a moment table: the
 table of the joint histogram up to the cap, or past it the table of each
@@ -27,7 +27,6 @@ from paulishadow.channels import (
 from paulishadow.clifford import conjugate_pauli
 from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis, letter_codes
 from paulishadow.shadows import (
-    AXES,
     ShadowRecords,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
@@ -37,13 +36,15 @@ from paulishadow.shadows import (
     sample_gate_shadows,
 )
 
+from reference import records_from_fields
+
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
 
 def random_records(n, count, seed):
     rng = np.random.default_rng(seed)
     shape = (count, n)
-    return ShadowRecords(
+    return records_from_fields(
         rng.integers(0, 3, shape, dtype=np.int8),
         (1 - 2 * rng.integers(0, 2, shape)).astype(np.int8),
         rng.integers(0, 3, shape, dtype=np.int8),
@@ -222,7 +223,7 @@ def test_records_and_counts_sources_agree_exactly(counts_of, hist_of, read_pairs
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_empty_stream_raises_on_either_side_of_the_cap(n):
     # no records to count up to the cap, nor to read past it
-    for source in (damping_stream(n, 0, seed=1), ShadowRecords.from_cells(np.empty((0, n), np.uint8))):
+    for source in (damping_stream(n, 0, seed=1), ShadowRecords(np.empty((0, n), np.uint8))):
         with pytest.raises(ValueError, match="no records"):
             estimate_eigenvalues(source, enumerate_low_weight(n, 2))
         with pytest.raises(ValueError, match="no records"):
@@ -355,7 +356,7 @@ def test_past_the_cap_bound_covers_the_weighted_histogram(monkeypatch):
     r = random_records(7, 300, 90)
     # Every measurement along Z: a head digit (I, Z) has factor +-3 on every
     # record, so supports with such heads reach the bound.
-    along_z = ShadowRecords(r.s_axis, r.s_sign, np.full_like(r.t_axis, 2), r.t_sign)
+    along_z = records_from_fields(r.s_axis, r.s_sign, np.full_like(r.t_axis, 2), r.t_sign)
     estimate_transfer_matrix(along_z, 3)
     assert {w for w, _, _ in calls} == {1, 2, 3, 4}
     assert all(bound >= total for _, bound, total in calls)
@@ -412,57 +413,3 @@ def test_counts_of_many_records_equal_the_sum_of_small_blocks(counts_of, hist_of
     whole = counts_of(stream.records())
     np.testing.assert_array_equal(hist_of(stream), whole)
     assert whole.sum() == 150_000
-
-
-# -- records text format -------------------------------------------------------
-
-
-def per_character_lines(records):
-    """The text format written one character at a time."""
-    out = []
-    for i in range(len(records)):
-        halves = []
-        for axis, sign in ((records.s_axis, records.s_sign), (records.t_axis, records.t_sign)):
-            halves.append("".join(
-                AXES[axis[i, j]] + ("+" if sign[i, j] > 0 else "-") for j in range(records.n)
-            ))
-        out.append(f"s:{halves[0]} t:{halves[1]}")
-    return out
-
-
-def test_save_matches_per_character_writer(tmp_path):
-    records = random_records(3, 10_000, seed=3)
-    path = tmp_path / "records.txt"
-    records.save(path)
-    assert path.read_bytes() == ("\n".join(per_character_lines(records)) + "\n").encode()
-
-
-def assert_same_records(a, b):
-    for field in ("s_axis", "s_sign", "t_axis", "t_sign"):
-        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-        assert getattr(b, field).dtype == np.int8
-
-
-def test_records_text_round_trip_twelve_qubits(tmp_path):
-    records = random_records(12, 3000, seed=12)
-    path = tmp_path / "records.txt"
-    records.save(path)
-    assert_same_records(records, ShadowRecords.load(path))
-
-
-@PROPERTY
-@given(st.integers(1, 8), st.integers(1, 50), st.integers(0, 2**32 - 1))
-def test_records_text_round_trip(n, count, seed):
-    records = random_records(n, count, seed)
-    lines = records.to_lines()
-    assert lines == per_character_lines(records)
-    noisy = ["# header", ""] + ["  " + line.replace(" ", "\t") + " " for line in lines]
-    assert_same_records(records, ShadowRecords.from_lines(noisy))
-
-
-def test_records_text_rejects_other_qubit_counts():
-    # the first record fixes n; a later line with more or fewer qubits fails
-    for lines in (["s:Z+ t:Z-", "s:Z+ t:Z-Y+"], ["s:Z+X- t:Z-Y+", "s:Z+ t:Z-"],
-                  ["# n=1", "s:X- t:Y+", "s:Z+ t:Z- t:Z-"]):
-        with pytest.raises(ValueError, match=f"line {len(lines)}:"):
-            ShadowRecords.from_lines(lines)

@@ -1,4 +1,4 @@
-"""Observable container, text format, and Pauli decomposition."""
+"""Observable container, text format, and norm constants."""
 
 import math
 
@@ -9,7 +9,6 @@ from paulishadow.observables import (
     Observable,
     heisenberg_observable,
     locality_norm_constant,
-    pauli_decompose,
 )
 from paulishadow.paulis import PauliString, iter_all_paulis
 
@@ -82,29 +81,6 @@ def test_pauli_norms():
     obs = Observable(1, {P("X"): 3.0, P("Z"): -4.0})
     assert obs.pauli_norm(1) == pytest.approx(7.0)
     assert obs.pauli_norm(2) == pytest.approx(5.0)
-
-
-def test_pauli_decompose_round_trip():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 3):
-        coeffs = {p: rng.uniform(-2, 2) for p in iter_all_paulis(n)}
-        matrix = sum(c * p.matrix() for p, c in coeffs.items())
-        decomposed = pauli_decompose(matrix).terms()
-        assert set(decomposed) == set(coeffs)
-        for p, c in coeffs.items():
-            assert decomposed[p] == pytest.approx(c, abs=1e-10)
-
-
-def test_pauli_decompose_drops_small_terms():
-    matrix = 0.5 * P("Z").matrix() + 1e-14 * P("X").matrix()
-    decomposed = pauli_decompose(matrix)
-    assert set(decomposed.terms()) == {P("Z")}
-
-
-def test_pauli_decompose_rejects_non_hermitian():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        pauli_decompose(bad)
 
 
 def test_locality_norm_constant_spots():

@@ -73,28 +73,6 @@ def test_matrix_matches_kron():
                 np.testing.assert_array_equal(signed.matrix(), kron_matrix(signed))
 
 
-def test_multiplication_against_dense():
-    # Products with a real phase must match dense multiplication exactly.
-    for a, b in itertools.product(iter_all_paulis(2), repeat=2):
-        dense = a.matrix() @ b.matrix()
-        if symplectic_product(a, b) == 0:
-            prod = a * b
-            assert np.allclose(prod.matrix(), dense, atol=1e-12)
-        else:
-            # anticommuting product carries phase +-i and is rejected
-            with pytest.raises(ValueError):
-                a * b
-
-
-def test_multiplication_signs():
-    xx = PauliString.from_label("XX")
-    yy = PauliString.from_label("YY")
-    assert str(xx * yy) == "-ZZ"
-    assert (xx * xx).is_identity and (xx * xx).sign == 1
-    minus = PauliString.from_label("-X")
-    assert (minus * minus).sign == 1  # (-X)(-X) = I
-
-
 def test_commutation_against_dense():
     for a, b in itertools.product(iter_all_paulis(2), repeat=2):
         comm = a.matrix() @ b.matrix() - b.matrix() @ a.matrix()

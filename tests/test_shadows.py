@@ -48,45 +48,14 @@ from paulishadow.shadows import (
     sample_gate_shadows,
 )
 
+from reference import maximally_mixed, product_eigenstate, records_from_fields
+
 
 def P(label):
     return PauliString.from_label(label)
 
 
-def records_from_lists(s_axis, s_sign, t_axis, t_sign):
-    return ShadowRecords(
-        np.array(s_axis, dtype=np.int8),
-        np.array(s_sign, dtype=np.int8),
-        np.array(t_axis, dtype=np.int8),
-        np.array(t_sign, dtype=np.int8),
-    )
-
-
 # -- record container ----------------------------------------------------------
-
-
-def test_records_shape_validation():
-    good = np.zeros((3, 2), dtype=np.int8)
-    with pytest.raises(ValueError):
-        ShadowRecords(good, good, good, np.zeros((3, 1), dtype=np.int8))
-    with pytest.raises(ValueError):
-        ShadowRecords(np.zeros(3, dtype=np.int8), good, good, good)
-
-
-def test_records_constructor_rejects_fields_out_of_range():
-    # An axis of 3 on qubit 1 would encode cell 36, which a count files
-    # under the next qubit; a sign of 0 would read as +1.
-    axes, signs = np.array([[0, 2]]), np.array([[1, -1]])
-    for bad in (
-        (np.array([[0, 3]]), signs, axes, signs),
-        (axes, signs, np.array([[1, -1]]), signs),
-        (axes, np.array([[1, 0]]), axes, signs),
-        (axes, signs, axes, np.array([[0, -1]])),
-        (axes, signs, axes, np.array([[1, 2]])),
-    ):
-        with pytest.raises(ValueError, match="axes must be 0, 1 or 2 and signs"):
-            ShadowRecords(*bad)
-    assert ShadowRecords(axes, signs, axes, signs).cells.tolist() == [[0, 35]]
 
 
 def test_records_slicing_and_concat():
@@ -111,33 +80,6 @@ def test_records_index_and_iterate_like_a_sequence():
     items = list(r)
     assert len(items) == 5
     np.testing.assert_array_equal(np.concatenate([b.cells for b in items]), r.cells)
-
-
-def test_records_text_round_trip(tmp_path):
-    r = iter_channel_shadow_blocks(reference_product_channel(), 50, seed=9).records()
-    lines = r.to_lines()
-    assert all(line.startswith("s:") and " t:" in line for line in lines)
-    back = ShadowRecords.from_lines(lines)
-    np.testing.assert_array_equal(back.s_axis, r.s_axis)
-    np.testing.assert_array_equal(back.s_sign, r.s_sign)
-    np.testing.assert_array_equal(back.t_axis, r.t_axis)
-    np.testing.assert_array_equal(back.t_sign, r.t_sign)
-    path = tmp_path / "records.txt"
-    r.save(path)
-    loaded = ShadowRecords.load(path)
-    np.testing.assert_array_equal(loaded.t_axis, r.t_axis)
-
-
-def test_records_parse_examples_and_errors():
-    r = ShadowRecords.from_lines(["s:Z+X- t:Z-Y+"])
-    assert r.n == 2
-    assert r.s_axis[0].tolist() == [2, 0] and r.s_sign[0].tolist() == [1, -1]
-    assert r.t_axis[0].tolist() == [2, 1] and r.t_sign[0].tolist() == [-1, 1]
-    for bad in ["s:Q+ t:Z-", "s:Z+ u:Z-", "s:Z t:Z-", "s:Z+X- t:Z-"]:
-        with pytest.raises(ValueError):
-            ShadowRecords.from_lines([bad])
-    with pytest.raises(ValueError):
-        ShadowRecords.from_lines(["# only a comment"])
 
 
 # -- sampling determinism ------------------------------------------------------
@@ -194,7 +136,7 @@ def _sample_ptm_block_per_qubit(channel, rng, block_size, spam):
         t_sign[:, j] = np.where(u[:, j] < p_plus, 1, -1)
     if spam > 0.0:
         t_sign = np.where(rng.random(shape) < spam, -t_sign, t_sign).astype(np.int8)
-    return ShadowRecords(s_axis, s_sign, t_axis, t_sign)
+    return records_from_fields(s_axis, s_sign, t_axis, t_sign)
 
 
 @pytest.mark.parametrize("spam", [0.0, 0.1])
@@ -216,7 +158,7 @@ def test_ptm_sampling_matches_per_qubit_reference(random_cp_ptm, block_size, spa
 
 def test_every_cell_decodes_and_encodes_back():
     cells = np.arange(36, dtype=np.uint8).reshape(36, 1)
-    records = ShadowRecords.from_cells(cells)
+    records = ShadowRecords(cells)
     fields = (records.s_axis, records.s_sign, records.t_axis, records.t_sign)
     assert all(f.dtype == np.int8 and f.shape == (36, 1) for f in fields)
     s_axis, s_sign, t_axis, t_sign = (f[:, 0].astype(int) for f in fields)
@@ -224,14 +166,9 @@ def test_every_cell_decodes_and_encodes_back():
     # the documented code: mixed radix (3, 2, 3, 2), a negative sign as bit 1
     code = ((s_axis * 2 + (s_sign < 0)) * 3 + t_axis) * 2 + (t_sign < 0)
     np.testing.assert_array_equal(code, np.arange(36))
-    encoded = ShadowRecords(*fields).cells
+    encoded = records_from_fields(*fields).cells
     assert encoded.dtype == np.uint8
     np.testing.assert_array_equal(encoded, cells)
-    signs = {1: "+", -1: "-"}
-    assert records.to_lines() == [
-        f"s:{'XYZ'[a]}{signs[b]} t:{'XYZ'[c]}{signs[d]}"
-        for a, b, c, d in zip(s_axis, s_sign, t_axis, t_sign)
-    ]
 
 
 def test_concatenate_streams_into_one_array():
@@ -247,46 +184,48 @@ def test_concatenate_streams_into_one_array():
 
 # -- golden records ------------------------------------------------------------
 
-# SHA-256 of ``ShadowRecords.save`` bytes under fixed seeds, recorded when
-# records were still written as four int8 arrays.  Any change to the random
-# draws, their order, or the sign and axis conventions changes a digest.
-GOLDEN_SAVE_SHA256 = {
-    "pauli-product-spam0.0-b64": "933f464d3e8484658414b3ebb6da51582923d523ab5929c40924d145da7ece3a",
-    "pauli-product-spam0.0-b250": "478f4113c0e765f56d6ac66002cf161ac2d482bf327b722ed714656a76c46f62",
-    "pauli-product-spam0.0-b65536": "70ffaed398980c01a433a55a0dfecd18483ed4d1e5429fb828699134692db8eb",
-    "pauli-product-spam0.1-b64": "3838dd2018583c27656b2915c3b740fa0dded91b3547c51d85820b6c9fe43941",
-    "pauli-product-spam0.1-b250": "74692a64d6eca6584b65aa4804f0ed0a8673ca794aaa6c815a1b2d805d5eea0e",
-    "pauli-product-spam0.1-b65536": "147d158f3fa0d3caf612927baa9e31b0629aac5a5ad6cd33a16c75f6bb36ca2e",
-    "pauli-sparse-spam0.0-b64": "e784de21d00879f4fda634138132649c46f40357b062c2b619ebd0ac5fd3397f",
-    "pauli-sparse-spam0.0-b250": "75f2d482b29330191e0894f2ad940fd8d38a33a3a3e43f2539d546de5153d187",
-    "pauli-sparse-spam0.0-b65536": "02b5db2ffa3653f021f80e439fc8522264a5b432e4d5ebbba0ef65b1b63fd592",
-    "pauli-sparse-spam0.1-b64": "bda34390a0133e0f3f5ce0edaa1de2aa4fcf9bd23f10498e3d49524657ee1308",
-    "pauli-sparse-spam0.1-b250": "c4a348097b256c098718b217cf95a52173ec66475085c0760da7ebe1f93a9059",
-    "pauli-sparse-spam0.1-b65536": "19dc554db506f569f631d5b762739e42885f98276c2cc18abdba014f371d9601",
-    "ptm-product-spam0.0-b64": "c917584853f0fe48e82920e22d730ba157e17ccb8797cb047b5df24f6239f3bb",
-    "ptm-product-spam0.0-b250": "2bbe2cc275044b088e1ac8441de00607c2cd2efcd0150d3b32cf2f411a8d5990",
-    "ptm-product-spam0.0-b65536": "68382a393a6d363b6e482ffc37ec3d3612f64fa55efdb05fb89f65c11bdc58e8",
-    "ptm-product-spam0.1-b64": "41bfb60ac8747d1ed4d82e7c036623a5d20d6a1e775aebe44791b1d8644c6360",
-    "ptm-product-spam0.1-b250": "5997a58f2e90dfab75b096aaba0956ba926c23cc04d1a84618dd7e7e885959e2",
-    "ptm-product-spam0.1-b65536": "fce65c461cfa288dd6241aecfb847da4b3a047c3bf5ee41acdb7328ab4d5b945",
-    "H-ideal-b64": "4c246ee17e8af68b1febd84ea23e7cf868fe9bdab03eddf5c1d342961e3deeca",
-    "H-ideal-b250": "99e53920a88392228abab07f33d25e06b34e42be47430720819d8a8a7e8b4870",
-    "H-ideal-b65536": "efef2447607cad6e7804495663517814e7147269f63cabaf5d4c97d22ced5d0d",
-    "H-noisy-b64": "c5d4fd77238b75ebdc0786e4b1ecd40fc16c1cb2a6b6e9bf53c0867ef3d24bc4",
-    "H-noisy-b250": "a7663c537d6dbc081620547e2539096f17a956444f5aaa6da613268aedca2050",
-    "H-noisy-b65536": "fc134c0ad1b90d8d0aedfdaec3789e9f854b0b28c9bd2864ca29b153062f4cd2",
-    "S-ideal-b64": "7962bc7e54ac9dd126ba204a2a892842a6f219e51e6f1f049673ba5e2bf0a254",
-    "S-ideal-b250": "36a54337d86b304f693710f31f0455f13cebd671f88c5e811d31acb980c0a4db",
-    "S-ideal-b65536": "0628003cdf581b9f9da23dfb109626ab9aba73a7cd6e9392414c8db7a84369fe",
-    "S-noisy-b64": "c066b624354358f15a9ff4ae41e38c27a7c7a3a591e93f24c945b9fbbf05989c",
-    "S-noisy-b250": "9874a83266df486d00da21d4458c9d783655a5bab3793386e1b3c87e76d03231",
-    "S-noisy-b65536": "66c74e70f232619d7d08f1d921b234c6bb97462b9c627b611b3aebf848cd29b2",
-    "CNOT-ideal-b64": "3ad86795a8f73514c3e239722f5cded653deef4c4c60740fcd0e3aeed95b9412",
-    "CNOT-ideal-b250": "50ba3e8b09fb63d413fd08320162566649ceae3998189528998c64b93a4db515",
-    "CNOT-ideal-b65536": "0174c913e8473892e57a0bfb294a7d369b0ba4275d9895e04d07d4d8a2cd8c8a",
-    "CNOT-noisy-b64": "36ff0ce702d200199ced955108c4a360dc8de4259a0de636d441a9939c676a9d",
-    "CNOT-noisy-b250": "9c63f1140ba194b4523f38d0fdc47632bc68230b44f03affb8bcecd15a665fdb",
-    "CNOT-noisy-b65536": "2c3f73c2bf2f8e918189c0bb81693321a363799d9bbae70257af817848695b54",
+# SHA-256 of the records' C-ordered (N, n) uint8 cells under fixed seeds.
+# They were pinned from the same records as the digests of the former text
+# format, which were recorded when records were still written as four int8
+# arrays; at fixed n the cells and the text are one-to-one.  Any change to the
+# random draws, their order, or the sign and axis conventions changes a digest.
+GOLDEN_CELLS_SHA256 = {
+    "CNOT-ideal-b250": "9bc5943b3c33bba01faca2c0d8aa226fdd436d6695dd230f770390e53ac01b7e",
+    "CNOT-ideal-b64": "a423006d91930cdfecf9264f048483f049720c9fd4e0f4370a78bfdeca110382",
+    "CNOT-ideal-b65536": "dca8b5f5be75c493d6b1874968de44b91f0a4f4e5c83aee257913ef48efac7c9",
+    "CNOT-noisy-b250": "72343d3366f40f12e1f12529c48f92b9812529d1041f63b3a7bbffc9d12978fb",
+    "CNOT-noisy-b64": "9e93aa5de2961ac15b4d00ce30e442e843fe630a9d4412c0ff69b83ca50b8346",
+    "CNOT-noisy-b65536": "525ae1126ca378abfda9ca5bcc9500e393889ebb7f3dfff412c43407ec69a12e",
+    "H-ideal-b250": "86d8a3c5566618cfad08fb1d0ea56bef8da8341a591b72861be62fb660c6eebc",
+    "H-ideal-b64": "aaa47894d92450a03fab80da448195f3f540c8f77446ee06099731c2a3aabd9c",
+    "H-ideal-b65536": "2f266e3a7ef575b724639c90cc78496e5628d5ec2f82fb5435ee44f0ad317f49",
+    "H-noisy-b250": "c8bee7a3f1c2e78e4b51a37d71078c60432434003587ba781a5618e0e0a846bf",
+    "H-noisy-b64": "1a2474c2593567d1cebb80e1c79a78d504d27640ae0e9b43e82f924e85b3ebe2",
+    "H-noisy-b65536": "3eb3c1cf53515ac5078a6cf8aca7864e041373e7628d233f18fb79f2f994be97",
+    "S-ideal-b250": "4d27a9efa0f1e101a187cc6da09064142df22ebf07fe9c04ed344f7864ab5189",
+    "S-ideal-b64": "dfac4659dc38319084251d97f6e2b28cf047060af2ac9b3b2424b06f9f77e2c2",
+    "S-ideal-b65536": "4c0a19db6b858969ca5fd4c6f204ad326c965f40f9995bd9718dbc796c19c43a",
+    "S-noisy-b250": "6466c410579206f936588c3e8011dfc7117ee0da9e909c1caede486046b75536",
+    "S-noisy-b64": "78756706957c43de85098ab43989bab1e70bbb65630b635aa1def5fb329410ae",
+    "S-noisy-b65536": "505d16c5374960202cc68c563d669ecb7359323f7a1a2cdd39b1b7a61cb683d0",
+    "pauli-product-spam0.0-b250": "b4cc8ea91a8505b46d6187712c0347baf028ce8eb11335f825c9491857a6b740",
+    "pauli-product-spam0.0-b64": "e3ea90d815a607f3296f6dcc0727e71416483cd1a7f1c113f5a428ad7c7c0495",
+    "pauli-product-spam0.0-b65536": "60843cd24072eb7b91e17d637798704adef7fc85e6b7e7d78c86454c71ea839c",
+    "pauli-product-spam0.1-b250": "f104c8c4218800fd145a63f82b72302293c55d4fb152473ceae200af717cec37",
+    "pauli-product-spam0.1-b64": "e09b1ed2b72f6e0b9476f829e0239fcdeef7ec851892931fcecbbe265e31a0f0",
+    "pauli-product-spam0.1-b65536": "a306fb6ace1d112d53a3c26fd4eca287ea7366fac7b5c35e6d709dda25b85e58",
+    "pauli-sparse-spam0.0-b250": "47378b1bba70823e6936cfe68224d6d65c02801ee90a37be4c527b6db1a9c10a",
+    "pauli-sparse-spam0.0-b64": "16c0befe393a6cfe181fc43de1583d0a771ef80ab683462d8b0c2a8be4454f37",
+    "pauli-sparse-spam0.0-b65536": "8d56e98c7ec207f72dd8c580aad0e42335149d88a54f89b0f67d1dd24a1fdd89",
+    "pauli-sparse-spam0.1-b250": "5a1bb96ff12f386cbfbe2bcee8c40d8f1ca79f5ee219737c3af11efd9820c8aa",
+    "pauli-sparse-spam0.1-b64": "dad6f7a821ece62818ac60096358bcd7533d848392b42a02aefec17c538b4791",
+    "pauli-sparse-spam0.1-b65536": "0d929a3119a9eb9b4e629c8096c750bdc2ff01c13401bb0dc9572dca07b1ba96",
+    "ptm-product-spam0.0-b250": "9861e57e43beb6c60dc5cf46a8dce29fbc86eb00206e202bef1c6da53ba9adff",
+    "ptm-product-spam0.0-b64": "71a580b9f152b8a447a2f7ee89ca0bfb30b219586be6f81b0e8e898ff15c2344",
+    "ptm-product-spam0.0-b65536": "2fe3106ceedaa416d158a7ffcd6b8244b088a3cbf1799159a59d297e4e44c864",
+    "ptm-product-spam0.1-b250": "eda83be6872e89f125e9d8cf5b50b23752910f5fa1a3b1d70b8a69a415985cfc",
+    "ptm-product-spam0.1-b64": "a41b0b4066e72ef7dd19d3f0b95857bb2c8157d4954fa807602df28318b492bf",
+    "ptm-product-spam0.1-b65536": "3a42b76cfd1f0a7a33e04ce771a4c1dd9efba5dc25c2ac7ffe3a5444296c91c9",
 }
 _H_PTM = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0]], float)
 GOLDEN_CHANNELS = {
@@ -321,14 +260,13 @@ def golden_records(case):
     return ShadowRecords.concatenate(list(sample_gate_shadows(source, noise, count, 11, block_size)))
 
 
-def saved_digest(records, path):
-    records.save(path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def cells_digest(records):
+    return hashlib.sha256(np.ascontiguousarray(records.cells).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_SAVE_SHA256))
-def test_saved_records_match_golden_digest(case, tmp_path):
-    assert saved_digest(golden_records(case), tmp_path / "records.txt") == GOLDEN_SAVE_SHA256[case]
+@pytest.mark.parametrize("case", sorted(GOLDEN_CELLS_SHA256))
+def test_saved_records_match_golden_digest(case):
+    assert cells_digest(golden_records(case)) == GOLDEN_CELLS_SHA256[case]
 
 
 # -- the draws and the helper threads the records must not depend on -------------
@@ -411,7 +349,7 @@ def test_each_block_lands_in_its_own_rows(helpers, monkeypatch):
         drawn_on[block] = on_caller
         cells = np.zeros((10, 2), np.uint8)
         cells[:, 0], cells[:, 1] = block, np.arange(10)  # (block, row in the block)
-        return ShadowRecords.from_cells(cells)
+        return ShadowRecords(cells)
 
     stream = shadows.BlockStream(2, 95, 0, 10, sample, tally=None)
     want = np.stack([np.arange(95) // 10, np.arange(95) % 10], 1)
@@ -524,7 +462,7 @@ def check_sampler_fault_reaches_the_caller(route, helpers, faulty, monkeypatch, 
             raise SamplerFault(f"block drawn on the {faulty}")
         time.sleep(0.002)  # leaves the faulty thread time to take a block
         drawn.append(block)
-        return ShadowRecords.from_cells(np.full((1, 1), block % 36, np.uint8))
+        return ShadowRecords(np.full((1, 1), block % 36, np.uint8))
 
     stream = shadows.BlockStream(1, 400, 0, 1, sample, lambda rng, left: (sample(rng).cells[:, 0], 1))
     with pytest.raises(SamplerFault, match=f"^block drawn on the {faulty}$") as caught:
@@ -564,11 +502,11 @@ def test_sampler_exception_in_the_records_route_reaches_the_caller(helpers, faul
 
 @pytest.mark.parametrize("helpers", [0, 1, 3])
 def test_records_and_gate_estimates_do_not_depend_on_the_helper_count(
-    helpers, monkeypatch, tmp_path, counts_of, hist_of
+    helpers, monkeypatch, counts_of, hist_of
 ):
     monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
-    for case in sorted(GOLDEN_SAVE_SHA256):
-        assert saved_digest(golden_records(case), tmp_path / "records.txt") == GOLDEN_SAVE_SHA256[case]
+    for case in sorted(GOLDEN_CELLS_SHA256):
+        assert cells_digest(golden_records(case)) == GOLDEN_CELLS_SHA256[case]
     check_gate_streams_reduce_like_records(counts_of, hist_of)
 
 
@@ -677,10 +615,10 @@ def test_estimate_x_single_record_values():
     # worked single-record examples: x_hat(Z) is the numerator over one
     # record, and the eigenvalue estimate is 3 x_hat
     z_pair = np.array([[5 * 3]], np.int8)  # digit in * 4 + out of (Z, Z)
-    r = records_from_lists([[2]], [[1]], [[2]], [[-1]])  # s=(Z,+), t=(Z,-)
+    r = records_from_fields([[2]], [[1]], [[2]], [[-1]])  # s=(Z,+), t=(Z,-)
     assert shadows._numerators(r, z_pair)[1].tolist() == [-3]
     assert estimate_eigenvalues(r, [P("Z")])[P("Z")] == -9.0  # single records are unbounded
-    r = records_from_lists([[0]], [[1]], [[2]], [[-1]])  # s=(X,+): mismatch
+    r = records_from_fields([[0]], [[1]], [[2]], [[-1]])  # s=(X,+): mismatch
     assert shadows._numerators(r, z_pair)[1].tolist() == [0]
     assert estimate_eigenvalues(r, [P("Z")])[P("Z")] == 0.0
 
@@ -980,7 +918,7 @@ def gate_estimator_expectation(kind, noise, p):
     for s_digits in itertools.product(range(6), repeat=g):
         axes = [d // 2 for d in s_digits]
         signs = [1 - 2 * (d % 2) for d in s_digits]
-        rho = exact.DenseState.product_eigenstate(axes, signs).rho
+        rho = product_eigenstate(axes, signs).rho
         rho = unitary @ rho @ unitary.conj().T
         if noise is not None:
             rho = exact.apply_to_operator(noise, rho)
@@ -989,7 +927,7 @@ def gate_estimator_expectation(kind, noise, p):
             probs = exact.basis_outcome_probabilities(state, basis)
             for outcome in range(2**g):
                 t_sign = [1 - 2 * ((outcome >> (g - 1 - j)) & 1) for j in range(g)]
-                rec = records_from_lists([axes], [signs], [basis], [t_sign])
+                rec = records_from_fields([axes], [signs], [basis], [t_sign])
                 value = estimate_gate_eigenvalues(rec, kind)[p]
                 total += probs[outcome] * value / (6**g * 3**g)
     return total
@@ -1006,7 +944,7 @@ def gate_outcome_cdfs_per_state(kind, noise):
     for s_idx, s_digits in enumerate(itertools.product(range(6), repeat=g)):
         axes = [d // 2 for d in s_digits]
         signs = [1 - 2 * (d % 2) for d in s_digits]
-        rho = exact.DenseState.product_eigenstate(axes, signs).rho
+        rho = product_eigenstate(axes, signs).rho
         rho = unitary @ rho @ unitary.conj().T
         if noise is not None:
             rho = exact.apply_to_operator(noise, rho)
@@ -1170,12 +1108,12 @@ def test_spam_flip_probability_validation():
 
 
 def test_state_expectations_fixed_points():
-    zero = exact.DenseState.product_eigenstate([2, 2], [+1, +1])
+    zero = product_eigenstate([2, 2], [+1, +1])
     est = estimate_state_expectations(zero, [P("ZI"), P("ZZ"), P("XI")], 40_000, seed=6)
     assert est[P("ZI")] == pytest.approx(1.0, abs=0.05)
     assert est[P("ZZ")] == pytest.approx(1.0, abs=0.1)
     assert est[P("XI")] == pytest.approx(0.0, abs=0.05)
-    mixed = exact.DenseState.maximally_mixed(1)
+    mixed = maximally_mixed(1)
     est = estimate_state_expectations(mixed, [P("Z")], 40_000, seed=7)
     assert est[P("Z")] == pytest.approx(0.0, abs=0.05)
 
@@ -1190,12 +1128,12 @@ def test_state_expectations_against_dense_oracle():
 
 
 def test_state_expectations_signed_pauli():
-    zero = exact.DenseState.product_eigenstate([2], [+1])
+    zero = product_eigenstate([2], [+1])
     est = estimate_state_expectations(zero, [P("-Z")], 20_000, seed=9)
     assert est[P("-Z")] == pytest.approx(-1.0, abs=0.05)
 
 
 def test_state_expectations_needs_enough_records():
-    zero = exact.DenseState.product_eigenstate([2], [+1])
+    zero = product_eigenstate([2], [+1])
     with pytest.raises(ValueError):
         estimate_state_expectations(zero, [P("Z")], 5, seed=0)
