@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .paulis import (
+    PAULI_MATRICES,
     PauliString,
     enumerate_low_weight,
     letter_codes,
@@ -331,15 +332,14 @@ class ProductChannel:
         return f"<ProductChannel n={self.n}>"
 
 
+# kron(sigma_b.T, sigma_a) / 4 by (a, b): a PTM contracted against it is its Choi matrix.
+_CHOI_BASIS = np.array([[np.kron(PAULI_MATRICES[b].T, PAULI_MATRICES[a]) for b in range(4)]
+                        for a in range(4)]) / 4.0
+
+
 def _choi_from_ptm(ptm: np.ndarray) -> np.ndarray:
     """Choi matrix (trace-normalized to 1) of a single-qubit PTM."""
-    from .paulis import PAULI_MATRICES
-
-    choi = np.zeros((4, 4), dtype=np.complex128)
-    for a in range(4):
-        for b in range(4):
-            choi += ptm[a, b] * np.kron(PAULI_MATRICES[b].T, PAULI_MATRICES[a])
-    return choi / 4.0
+    return np.tensordot(ptm, _CHOI_BASIS, 2)
 
 
 # -- transfer matrices ---------------------------------------------------------

@@ -61,14 +61,23 @@ the rows are disjoint, so any split of the blocks between threads gives the
 same counts and records.  Iterating a stream yields its blocks in block
 order on the calling thread.
 Samplers draw their uniforms in slices, which give the same doubles as one
-call, so their temporaries stay small.  They draw their base-2 and base-3
-digits as whole 32-bit words (``_draw_digits``), with the same values and
-generator state as ``Generator.integers(..., dtype=np.int8)``, which draws
-byte by byte.  Some numpy operations hold the GIL, so a helper thread waits
-while one runs: fancy indexing through a narrow (uint8 or int16) index,
-``np.add.at`` and full-range uint32 draws.  The kernels gather through intp
+call, so their temporaries stay small.  The channel kernels read their digits
+and uniforms straight from the block generator's raw Philox stream
+(``_PhiloxReader``, through ``bit_generator.random_raw``), one digit draw and
+one slice at a time, with the values that ``Generator.integers(...,
+dtype=np.int8)`` and ``Generator.random`` give: digits from the bytes of
+32-bit words, and each outcome bit or flip from a compare of the uniform's
+53-bit integer against a threshold (``_uniform_thresholds``), so no doubles
+are built.  ``PauliChannel.sample_errors`` and the gate kernel draw through
+the ``Generator``.  Both kinds of draw release the GIL: on a shared 2-core
+VM, raw and full-range uint32 draws ran 1.3-1.7x faster on two threads than
+one after the other.  Some numpy operations hold it, so a helper thread
+waits while one runs: ``np.add.at``, ``np.bincount`` and fancy indexing
+through a narrow (uint8 or int16) index.  The kernels gather through intp
 indices converted one slice at a time and work their bits out with uint8
 ufuncs; a kernel should not bring the others back without a measurement.
+On that VM, numpy operations of about 15 us or less barely overlap between
+the two threads (a 262,144-element uint8 add ran 1.15-1.25x faster on two).
 """
 
 from __future__ import annotations
@@ -89,7 +98,6 @@ from .channels import (
     ProductChannel,
     TransferMatrix,
     row_slices,
-    uniform_slices,
 )
 from .clifford import CONJUGATION_TABLES, gate_arity
 from .observables import locality_norm_constant
@@ -175,45 +183,80 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-# 32-bit words per draw of _draw_digits.  A base-3 draw holds three arrays of
-# that many bytes at once (words, mask, kept bytes); at 2^15 words the
-# measured-axis draw became the 4-qubit transfer-matrix block's peak.
+# 32-bit words per top-up of ``_PhiloxReader.digits``.  A base-3 draw holds
+# three arrays of that many bytes at once (words, mask, kept bytes); at 2^15
+# words the measured-axis draw became the 4-qubit transfer-matrix block's peak.
 _DIGIT_WORDS = 1 << 14
 
 
-def _draw_digits(rng: np.random.Generator, high: int, shape) -> np.ndarray:
-    """``rng.integers(0, high, shape, dtype=np.int8)`` as uint8, for ``high``
-    2 or 3, drawn as whole 32-bit words.
+def _uniform_thresholds(p) -> np.ndarray:
+    """ceil(p 2^53) as uint64, clipped to [0, 2^53].  numpy's ``random()``
+    is u = (raw >> 11) 2^-53 for a raw 64-bit output, and p 2^53 is exact,
+    so u >= p exactly when raw >> 11 is at least this threshold."""
+    return np.ceil(np.clip(p, 0.0, 1.0) * 2.0**53).astype(np.uint64)
 
-    numpy's buffered Lemire draw of int8 reads the little-endian bytes of
-    successive ``next_uint32`` words (a half-word that an earlier draw left
-    pending first) and maps byte b to ``(high * b) >> 8``, rejecting b = 0
-    for 3; the bytes after the last digit's are dropped.  A full-range uint32
-    draw takes the same words, and per-array arithmetic does the rest at a
-    fraction of numpy's per-byte cost.  Each top-up draws ceil(remaining / 4)
-    words, so no draw goes past the word holding the last digit and the
-    generator ends where numpy's one call would.
+
+class _PhiloxReader:
+    """One block generator's draws, read from its raw Philox stream
+    (``bit_generator.random_raw``) with the values numpy's own calls give.
+
+    ``words`` gives 32-bit words in ``next_uint32`` order: the low half of
+    each 64-bit output first.  A high half left over stays pending for the
+    next ``words``, also across ``uniform_ints`` draws, which read whole
+    outputs as ``next_double`` does.  So the reader and ``rng.random``, as
+    ``PauliChannel.sample_errors`` draws it, may take turns on one stream.
     """
-    out = np.empty(shape, dtype=np.uint8)
-    flat = out.reshape(-1)
-    done = 0
-    while done < flat.size:
-        left = flat.size - done
-        words = rng.integers(0, 1 << 32, min(-(-left // 4), _DIGIT_WORDS), dtype=np.uint32)
-        b = words.astype("<u4", copy=False).view(np.uint8)
-        del words
-        if high == 3:
-            b = b[b != 0]
-        b = b[:left]
-        part = flat[done : done + b.size]
-        if high == 2:
-            np.right_shift(b, 7, out=part)  # (2 b) >> 8
-        else:
-            np.subtract(b, 1, out=part)
-            np.floor_divide(part, 85, out=part)  # (3 b) >> 8 for b >= 1
-        done += b.size
-        del b  # before the next words are drawn
-    return out
+
+    def __init__(self, rng: np.random.Generator):
+        self.raw = rng.bit_generator.random_raw
+        self.half = None  # the pending high half-word, as a 1-element '<u4' array
+
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` >= 1 words as '<u4', whatever the host's byte
+        order, or only the pending half-word if there is one (joining it to
+        the others would hold a second copy of the draw)."""
+        if self.half is not None:
+            words, self.half = self.half, None
+            return words
+        words = self.raw(-(-count // 2)).astype("<u8", copy=False).view("<u4")
+        self.half = words[count:].copy() if count % 2 else None
+        return words[:count]
+
+    def uniform_ints(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms of ``rng.random`` as the uint64 k of u = k 2^-53."""
+        raw = self.raw(count)
+        raw >>= np.uint64(11)
+        return raw
+
+    def digits(self, high: int, shape) -> np.ndarray:
+        """``rng.integers(0, high, shape, dtype=np.int8)`` as uint8, for
+        ``high`` 2 or 3.
+
+        numpy's buffered Lemire draw of int8 reads the little-endian bytes of
+        successive 32-bit words and maps byte b to ``(high * b) >> 8``,
+        rejecting b = 0 for 3; the bytes after the last digit's are dropped.
+        Each top-up reads ceil(remaining / 4) words, so no draw goes past the
+        word holding the last digit and the stream ends where numpy's one
+        call would.
+        """
+        out = np.empty(shape, dtype=np.uint8)
+        flat = out.reshape(-1)
+        done = 0
+        while done < flat.size:
+            left = flat.size - done
+            b = self.words(min(-(-left // 4), _DIGIT_WORDS)).view(np.uint8)
+            if high == 3:
+                b = b[b != 0]
+            b = b[:left]
+            part = flat[done : done + b.size]
+            if high == 2:
+                np.right_shift(b, 7, out=part)  # (2 b) >> 8
+            else:
+                np.subtract(b, 1, out=part)
+                np.floor_divide(part, 85, out=part)  # (3 b) >> 8 for b >= 1
+            done += b.size
+            del b  # before the next words are drawn
+        return out
 
 
 def _helper_count() -> int:
@@ -322,31 +365,35 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
     """The kernel drawing one full block of channel shadow records as cells."""
     n = channel.n
     shape = (block_size, n)
+    flip_below = _uniform_thresholds(spam)  # a flip is a uniform below spam
     if isinstance(channel, ProductChannel):
-        # P(+) by (qubit, input axis, physical sign bit, measured axis), and each
-        # record's offset of its qubit's 6 input digits (a same-shape add is fast).
-        p_plus = np.ravel([(1.0 + channel.output_bloch(j, axis, sign)) / 2.0
-                           for j in range(n) for axis in range(3) for sign in (1, -1)])
+        # P(+) by (qubit, input axis, physical sign bit, measured axis), as the
+        # threshold that a + outcome's uniform is below, and each record's
+        # offset of its qubit's 6 input digits (a same-shape add is fast).
+        plus_below = _uniform_thresholds(np.ravel(
+            [(1.0 + channel.output_bloch(j, axis, sign)) / 2.0
+             for j in range(n) for axis in range(3) for sign in (1, -1)]))
         offsets = np.tile(6 * np.arange(n), (block_size, 1)).astype(np.min_scalar_type(18 * n))
     elif not isinstance(channel, PauliChannel):
         raise TypeError(f"cannot sample shadows of {type(channel).__name__}")
 
-    def flips(rng: np.random.Generator) -> np.ndarray:
+    def flips(reader: _PhiloxReader) -> np.ndarray:
         out = np.empty(shape, dtype=np.uint8)
-        for rows, u in uniform_slices(rng, shape):
-            np.less(u, spam, out=out[rows])
-            del u  # before the next slice is drawn
+        flat = out.reshape(-1)
+        for rows in row_slices(flat.shape):
+            np.less(reader.uniform_ints(rows.stop - rows.start), flip_below, out=flat[rows])
         return out
 
     def sample(rng: np.random.Generator) -> ShadowRecords:
-        cells = _draw_digits(rng, 3, shape)  # the cells, built in place in the input axes
+        reader = _PhiloxReader(rng)
+        cells = reader.digits(3, shape)  # the cells, built in place in the input axes
         cells *= 2
-        cells += _draw_digits(rng, 2, shape)  # the input digit
+        cells += reader.digits(2, shape)  # the input digit
         # Each draw is folded into the cells as soon as it can be.
         if isinstance(channel, PauliChannel):
             # At most four block arrays meet: while the outcome read in the
             # prepared axis is worked out, and at the coin's mask.
-            prep_flips = flips(rng) if spam > 0.0 else 0
+            prep_flips = flips(reader) if spam > 0.0 else 0
             errors = channel.sample_errors(block_size, rng).view(np.uint8)
             # An error other than I and the prepared axis flips the input's bit.
             axis_bit = np.right_shift(cells, 1)
@@ -358,37 +405,39 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
             axis_bit ^= errors
             axis_bit ^= prep_flips  # the prepared bit becomes the physical one
             del errors, prep_flips  # before two more block-sized draws
-            t_axis = _draw_digits(rng, 3, shape)  # measured axis
+            t_axis = reader.digits(3, shape)  # measured axis
             same = np.right_shift(cells, 1)
             np.equal(same, t_axis, out=same.view(np.bool_))  # the prepared axis is measured
             cells *= 3
             cells += t_axis
             del t_axis
             # Another basis reads a fair coin.
-            t_bit = _draw_digits(rng, 2, shape)
+            t_bit = reader.digits(2, shape)
             np.copyto(t_bit, axis_bit, where=same.view(np.bool_))
             del axis_bit, same
         else:
-            # Two block arrays live through the uniform loop: the cells, and
-            # each record's entry of p_plus, then in place its outcome bit.
+            # Two block arrays live through the outcome loop: the cells, and
+            # each record's entry of plus_below, then in place its outcome bit.
             t_bit = np.add(cells, offsets)  # 6j + input digit: the sign bit is its low bit
             if spam > 0.0:
-                t_bit ^= flips(rng)  # the prepared sign bit becomes the physical one
-            t_axis = _draw_digits(rng, 3, shape)
+                t_bit ^= flips(reader)  # the prepared sign bit becomes the physical one
+            t_axis = reader.digits(3, shape)
             cells *= 3
             cells += t_axis
             t_bit *= 3
             t_bit += t_axis  # 18j + physical digit * 3 + measured axis
             del t_axis
-            for rows in row_slices(shape):
-                index = t_bit[rows].astype(np.intp)
-                p = p_plus[index]
-                # The slice's uniforms reuse the index's buffer: a third array per
-                # slice grew the heap (0.6 MB more peak RSS on general-n4).
-                np.greater_equal(rng.random(out=index.view(np.float64)), p, out=t_bit[rows])
-                del index, p  # before the next slice or the flips are drawn
+            flat = t_bit.reshape(-1)
+            for rows in row_slices((block_size * n,)):
+                # A slice holds two arrays at a time: the intp index and the
+                # gathered thresholds, then the thresholds and the uniforms.
+                index = flat[rows].astype(np.intp)
+                at = plus_below[index]
+                del index
+                np.greater_equal(reader.uniform_ints(at.size), at, out=flat[rows])
+                del at  # before the next slice or the flips are drawn
         if spam > 0.0:
-            t_bit ^= flips(rng)
+            t_bit ^= flips(reader)
         cells *= 2
         cells += t_bit
         return ShadowRecords(cells)

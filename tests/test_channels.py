@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulishadow import exact
+from paulishadow import channels, exact
 from paulishadow.channels import (
     ConfigError,
     PauliChannel,
@@ -27,6 +27,7 @@ from paulishadow.channels import (
     walsh_probabilities,
 )
 from paulishadow.paulis import (
+    PAULI_MATRICES,
     PauliString,
     enumerate_low_weight,
     iter_all_paulis,
@@ -204,6 +205,16 @@ def test_product_channel_cp_check():
     stretch = np.diag([1.0, 1.2, 1.2, 1.2])  # not completely positive
     with pytest.raises(ValueError, match="not completely positive"):
         ProductChannel([stretch])
+
+
+def test_choi_matrix_equals_the_kron_sum(random_cp_ptm):
+    # The Choi matrix is sum_ab T_ab kron(sigma_b^T, sigma_a) / 4; the
+    # contraction sums the same terms in another order, so a few ulps apart.
+    rng = np.random.default_rng(5)
+    for ptm in [np.diag([1.0, 1.2, 1.2, 1.2])] + [random_cp_ptm(rng) for _ in range(50)]:
+        want = sum(ptm[a, b] * np.kron(PAULI_MATRICES[b].T, PAULI_MATRICES[a])
+                   for a in range(4) for b in range(4)) / 4.0
+        np.testing.assert_allclose(channels._choi_from_ptm(ptm), want, rtol=0, atol=1e-15)
 
 
 def test_output_bloch_amplitude_damping():

@@ -139,21 +139,34 @@ def _sample_ptm_block_per_qubit(channel, rng, block_size, spam):
     return records_from_fields(s_axis, s_sign, t_axis, t_sign)
 
 
+# Record count and widths by block size.  1000 records end in a partial
+# block of 64 and in none of 250.  The benchmark's shape, 70,000 records of
+# four qubits, is a full block, whose base-3 draws each drop about 1,000 zero
+# bytes, then a partial one.
+PER_QUBIT_RUNS = {64: (1000, range(1, 6)), 250: (1000, range(1, 6)),
+                  DEFAULT_BLOCK_SIZE: (70_000, (4,))}
+
+
 @pytest.mark.parametrize("spam", [0.0, 0.1])
-@pytest.mark.parametrize("block_size", [64, 250])  # 1000 records: a partial last block, none
-def test_ptm_sampling_matches_per_qubit_reference(random_cp_ptm, block_size, spam):
+@pytest.mark.parametrize("block_size", sorted(PER_QUBIT_RUNS))
+def test_ptm_sampling_matches_per_qubit_reference(random_cp_ptm, counts_of, hist_of,
+                                                  block_size, spam):
+    count, widths = PER_QUBIT_RUNS[block_size]
     rng = np.random.default_rng(17)
-    for n in range(1, 6):
+    for n in widths:
         ch = ProductChannel([random_cp_ptm(rng) for _ in range(n)])
-        got = iter_channel_shadow_blocks(ch, 1000, seed=n, block_size=block_size,
-                                         spam_flip_probability=spam).records()
-        blocks = -(-1000 // block_size)
+        stream = iter_channel_shadow_blocks(ch, count, seed=n, block_size=block_size,
+                                            spam_flip_probability=spam)
+        got = stream.records()
+        blocks = -(-count // block_size)
         want = ShadowRecords.concatenate([
             _sample_ptm_block_per_qubit(ch, block_rng(n, b), block_size, spam)
             for b in range(blocks)
-        ])[:1000]
+        ])[:count]
         for field in ("s_axis", "s_sign", "t_axis", "t_sign"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        if n <= shadows.COUNTS_QUBIT_CAP:
+            np.testing.assert_array_equal(hist_of(stream), counts_of(want))
 
 
 def test_every_cell_decodes_and_encodes_back():
@@ -274,8 +287,10 @@ def test_saved_records_match_golden_digest(case):
 
 def test_draw_identities_the_samplers_rely_on(monkeypatch):
     # The gate sampler draws int32 digits where the records were pinned with
-    # int64 ones, and every sampler draws its uniforms in slices.  A numpy
-    # that breaks either identity fails here before it fails a golden digest.
+    # int64 ones, every sampler draws its uniforms in slices, and the channel
+    # samplers read their digits and uniforms from the raw Philox stream.  A
+    # numpy that breaks one of these identities fails here before it fails a
+    # golden digest.
     for m in (2, 3, 6):
         for shape in ((1,), (1001,), (4097, 2)):
             a, b = block_rng(9, m), block_rng(9, m)
@@ -283,6 +298,30 @@ def test_draw_identities_the_samplers_rely_on(monkeypatch):
                                           b.integers(0, m, shape, dtype=np.int64))
             assert a.integers(0, m, dtype=np.int32) == b.integers(0, m)  # still in step
             assert a.random() == b.random()
+    for k in (1, 2, 7, 1000, 1001):
+        # 32-bit words in next_uint32 order: each 64-bit output's low half first
+        a, b = block_rng(3, k), block_rng(3, k)
+        words = a.integers(0, 1 << 32, k, dtype=np.uint32)
+        raw = b.bit_generator.random_raw(-(-k // 2)).astype("<u8").view("<u4")
+        np.testing.assert_array_equal(words, raw[:k])
+        # random() is (raw >> 11) 2^-53, and a pending half-word survives it
+        for _ in range(3):
+            assert a.random() == (int(b.bit_generator.random_raw()) >> 11) * 2.0**-53
+        if k % 2:
+            assert a.integers(0, 1 << 32, dtype=np.uint32) == raw[k]
+        assert a.integers(0, 1 << 32, dtype=np.uint32) == b.bit_generator.random_raw() & 0xFFFFFFFF
+    for high in (2, 3):
+        # digits and uniforms in turn: the reader's digits are numpy's int8
+        # draw, and a half-word a digit draw leaves pending waits through the
+        # uniforms, as numpy's does
+        a, b = block_rng(5, high), block_rng(5, high)
+        reader, pending = shadows._PhiloxReader(a), []
+        for count in (3, 1000, 5):
+            np.testing.assert_array_equal(reader.digits(high, (count,)),
+                                          b.integers(0, high, count, dtype=np.int8).view(np.uint8))
+            pending.append(reader.half is not None)
+            np.testing.assert_array_equal(reader.uniform_ints(2) * 2.0**-53, b.random(2))
+        assert any(pending)
     monkeypatch.setattr(channels, "UNIFORM_SLICE", 64)
     for shape in ((1000,), (333, 3), (5, 100)):
         a, b = block_rng(4, 1), block_rng(4, 1)
@@ -296,30 +335,47 @@ def test_draw_identities_the_samplers_rely_on(monkeypatch):
         assert a.random() == b.random()
 
 
-def assert_digits_match_int8_draw(a, b, high, shape):
-    """``_draw_digits`` on ``a`` gives ``b``'s int8 draw, and both generators
-    end in step."""
-    np.testing.assert_array_equal(shadows._draw_digits(a, high, shape),
+def test_uniform_thresholds_compare_like_the_doubles():
+    # u = (raw >> 11) 2^-53 >= p exactly when raw >> 11 >= ceil(p 2^53),
+    # checked on raw words at and beside each threshold's first and last word.
+    # The edges are dyadic; at 0.1 and 1/3, p 2^53 is not an integer.
+    for p in (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, 0.1, 1.0 / 3.0):
+        threshold = int(shadows._uniform_thresholds(p))
+        raws = [k * 2**11 + d for k in (threshold - 1, threshold, threshold + 1)
+                for d in (-1, 0, 1) if 0 <= k * 2**11 + d < 2**64]
+        raws = np.array(raws, np.uint64)
+        np.testing.assert_array_equal((raws >> np.uint64(11)) >= shadows._uniform_thresholds(p),
+                                      (raws >> np.uint64(11)) * 2.0**-53 >= p)
+    np.testing.assert_array_equal(shadows._uniform_thresholds([-0.5, 0.0, 1.0, 1.5]),
+                                  np.array([0, 0, 2**53, 2**53], np.uint64))
+
+
+def assert_digits_match_int8_draw(reader, b, high, shape):
+    """``reader``'s digits give ``b``'s int8 draw, and both streams end in
+    step: the same pending half-word, and the same outputs after it."""
+    np.testing.assert_array_equal(reader.digits(high, shape),
                                   b.integers(0, high, shape, dtype=np.int8).view(np.uint8))
-    np.testing.assert_array_equal(a.integers(0, 3, 5, dtype=np.int8),
-                                  b.integers(0, 3, 5, dtype=np.int8))
-    assert a.integers(0, 7, dtype=np.int32) == b.integers(0, 7, dtype=np.int32)
-    assert a.random() == b.random()
+    assert (reader.half is not None) == b.bit_generator.state["has_uint32"]
+    np.testing.assert_array_equal(reader.digits(3, 5), b.integers(0, 3, 5, dtype=np.int8))
+    assert reader.uniform_ints(1)[0] * 2.0**-53 == b.random()
+    np.testing.assert_array_equal(reader.words(1), b.integers(0, 1 << 32, 1, dtype=np.uint32))
 
 
 @pytest.mark.parametrize("high", [2, 3])
 @pytest.mark.parametrize("before", [0, 3, 7])  # int8 digits drawn first; 3 leaves a half-word
 def test_digits_drawn_as_words_match_numpys_int8_draw(high, before):
     # numpy's buffered Lemire draw of int8 reads the bytes of successive
-    # 32-bit words; _draw_digits draws the words whole and must give the same
-    # digits and leave the generator where numpy's one call would.
+    # 32-bit words; the reader draws the words whole from the raw stream and
+    # must give the same digits and leave the stream where numpy's one call
+    # would.
     for shape in ((1,), (3,), (1001,), (4097, 2), (65536, 4)):
-        a, b = block_rng(6, before), block_rng(6, before)
-        a.integers(0, 3, before, dtype=np.int8)
+        reader, b = shadows._PhiloxReader(block_rng(6, before)), block_rng(6, before)
+        reader.digits(3, before)
         b.integers(0, 3, before, dtype=np.int8)
-        pending = a.bit_generator.state["has_uint32"]
+        pending = reader.half is not None
         assert pending == (before == 3)  # Philox keeps half of a 64-bit word
-        assert_digits_match_int8_draw(a, b, high, shape)
+        assert pending == b.bit_generator.state["has_uint32"]
+        assert_digits_match_int8_draw(reader, b, high, shape)
 
 
 @pytest.mark.parametrize("high", [2, 3])
@@ -327,8 +383,8 @@ def test_digit_top_ups_skip_zero_bytes_like_numpy(high, monkeypatch):
     # One word per draw: every byte past the first four digits is a top-up.
     monkeypatch.setattr(shadows, "_DIGIT_WORDS", 1)
     count = 1001
-    a, b = block_rng(2, 5), block_rng(2, 5)
-    assert_digits_match_int8_draw(a, b, high, (count,))
+    reader, b = shadows._PhiloxReader(block_rng(2, 5)), block_rng(2, 5)
+    assert_digits_match_int8_draw(reader, b, high, (count,))
     # The first count bytes hold a zero, so a draw of 3 rejected it and topped up.
     words = block_rng(2, 5).integers(0, 1 << 32, count, dtype=np.uint32)
     assert (words.astype("<u4").view(np.uint8)[:count] == 0).any()
