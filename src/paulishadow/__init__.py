@@ -28,14 +28,11 @@ from .channels import (
     TransferMatrix,
     amplitude_damping_ptm,
     channel_from_config,
-    channel_to_config,
-    depolarizing_probs,
     depolarizing_ptm,
     exact_diagonal,
     exact_transfer_matrix,
     load_channel,
     reference_product_channel,
-    save_channel,
     walsh_eigenvalues,
     walsh_probabilities,
 )
@@ -90,14 +87,11 @@ __all__ = [
     "TransferMatrix",
     "amplitude_damping_ptm",
     "channel_from_config",
-    "channel_to_config",
-    "depolarizing_probs",
     "depolarizing_ptm",
     "exact_diagonal",
     "exact_transfer_matrix",
     "load_channel",
     "reference_product_channel",
-    "save_channel",
     "walsh_eigenvalues",
     "walsh_probabilities",
     "DenseState",

@@ -251,14 +251,6 @@ def uniform_slices(rng: np.random.Generator, shape: tuple[int, ...]):
 # -- single-qubit building blocks ---------------------------------------------
 
 
-def depolarizing_probs(shrink: float) -> tuple[float, float, float, float]:
-    """Probability quadruple of the depolarizing channel with eigenvalue ``shrink``."""
-    if not -1.0 / 3.0 <= shrink <= 1.0:
-        raise ValueError(f"depolarizing eigenvalue must be in [-1/3, 1], got {shrink}")
-    perr = (1.0 - shrink) / 4.0
-    return (1.0 - 3.0 * perr, perr, perr, perr)
-
-
 def depolarizing_ptm(shrink: float) -> np.ndarray:
     out = np.diag([1.0, shrink, shrink, shrink])
     return out
@@ -541,30 +533,6 @@ def channel_from_config(cfg: Mapping) -> PauliChannel | ProductChannel:
     raise ConfigError(f"unknown channel kind {kind!r}")
 
 
-def channel_to_config(channel: PauliChannel | ProductChannel) -> dict:
-    if isinstance(channel, PauliChannel):
-        if channel.is_product:
-            probs = channel.qubit_probs()
-            return {
-                "kind": "pauli-product",
-                "qubits": [
-                    {"pI": row[0], "pX": row[1], "pY": row[2], "pZ": row[3]}
-                    for row in probs.tolist()
-                ],
-            }
-        return {
-            "kind": "pauli-sparse",
-            "n": channel.n,
-            "terms": [[p.to_label(), prob] for p, prob in channel.terms().items()],
-        }
-    if isinstance(channel, ProductChannel):
-        return {
-            "kind": "ptm-product",
-            "qubits": [channel.ptm(j).reshape(-1).tolist() for j in range(channel.n)],
-        }
-    raise TypeError(f"cannot serialize {type(channel).__name__}")
-
-
 def _read_json(path, what: str):
     """The JSON value in a ``what`` config file.  A file that cannot be read,
     is not UTF-8 or is not JSON raises ``ConfigError`` naming the path."""
@@ -580,8 +548,3 @@ def _read_json(path, what: str):
 def load_channel(path) -> PauliChannel | ProductChannel:
     return channel_from_config(_read_json(path, "channel"))
 
-
-def save_channel(channel: PauliChannel | ProductChannel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_config(channel), fh, indent=2, sort_keys=False)
-        fh.write("\n")

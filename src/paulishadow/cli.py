@@ -43,6 +43,7 @@ from .recovery import (
     RecoveryFloorError,
     backward_observable,
     backward_observable_general,
+    recover_expectation,
     recovery_report,
 )
 from .shadows import (
@@ -165,7 +166,7 @@ def _print_report(back, observable: Observable, noise, psi: np.ndarray, ideal: f
     baseline, and write the JSON report to ``out_path``."""
     terms = observable.terms() if back is None else back.terms
     noisy = exact.noisy_expectations(noise, list(terms), psi)
-    value = float((np.array(list(terms.values())) * noisy).sum())
+    value = recover_expectation(terms, dict(zip(terms, noisy.tolist())))
     if back is None:
         report = {"value": value, "provenance": "baseline", "ideal": ideal,
                   "absolute_error": abs(value - ideal)}
@@ -283,9 +284,6 @@ class Fig2Result:
     def point_means(self, values: np.ndarray) -> np.ndarray:
         """Per-point mean of (points, repeats) ``values`` over the trials that succeeded."""
         return np.array([row[ok].mean() for row, ok in zip(values, self.succeeded)])
-
-    def mean_ratio(self) -> np.ndarray:
-        return self.point_means(self.ratio)
 
     def std_ratio(self) -> np.ndarray:
         return np.array([row[ok].std() for row, ok in zip(self.ratio, self.succeeded)])
@@ -421,7 +419,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
         "N,trial,mae_raw,mae_recovered,r,std_r",
     ]
     summaries = zip(result.point_means(result.mae_raw), result.point_means(result.mae_recovered),
-                    result.mean_ratio(), result.std_ratio())
+                    result.point_means(result.ratio), result.std_ratio())
     for pi, (count, summary) in enumerate(zip(result.sweep, summaries)):
         for rep in range(args.repeats):
             lines.append(

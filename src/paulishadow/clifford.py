@@ -21,7 +21,6 @@ rule that ``recovery`` applies to a diagonal divide.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
@@ -33,7 +32,6 @@ from .channels import (
     PauliChannel,
     _read_json,
     channel_from_config,
-    channel_to_config,
     exact_diagonal,
 )
 from .observables import Observable
@@ -151,21 +149,9 @@ class CliffordCircuit:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "gates": [{"g": g.kind, "q": list(g.qubits)} for g in self.gates],
-            "noise": {k: channel_to_config(ch) for k, ch in self.noise.items()},
-        }
-
     @classmethod
     def load(cls, path) -> "CliffordCircuit":
         return cls.from_dict(_read_json(path, "circuit"))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def mitigation_coefficients(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -14,8 +14,8 @@ class Observable:
     """A Hermitian observable O = sum_P alpha_P P with real coefficients.
 
     Terms are keyed by unsigned Pauli strings; a signed string folds its sign
-    into the coefficient.  Insertion order is preserved, so iteration and
-    serialization are deterministic.
+    into the coefficient.  Insertion order is preserved, so the term order
+    is deterministic.
     """
 
     def __init__(
@@ -48,12 +48,6 @@ class Observable:
 
     def support(self) -> tuple[PauliString, ...]:
         return tuple(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[PauliString, float]]:
-        return iter(self._terms.items())
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c:g}*{p}" for p, c in list(self._terms.items())[:4])
@@ -105,10 +99,6 @@ class Observable:
     # One term per line: a letter string then a coefficient, e.g. "XZI 0.27".
     # Blank lines and lines starting with '#' are skipped.
 
-    def to_text(self) -> str:
-        lines = [f"{p.to_label()} {c:.17g}" for p, c in self._terms.items()]
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "Observable":
         terms: list[tuple[PauliString, float]] = []
@@ -138,10 +128,6 @@ class Observable:
     def load(cls, path) -> "Observable":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
 
 
 def locality_norm_constant(k: int, d: int) -> float:

@@ -102,10 +102,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
-    def support(self) -> tuple[int, ...]:
-        bits = self.x | self.z
-        return tuple(j for j in range(self.n) if (bits >> j) & 1)
-
     def unsigned(self) -> "PauliString":
         return self if self.sign == 1 else PauliString(self.n, self.x, self.z, 1)
 

@@ -203,20 +203,20 @@ def backward_observable_general(
 
 
 def recover_expectation(
-    back: BackwardObservable, expectations: Mapping[PauliString, float]
+    terms: Mapping[PauliString, float], expectations: Mapping[PauliString, float]
 ) -> float:
-    """f = sum_P alpha_bar_P tr(P E(sigma)); the identity term multiplies 1."""
-    total = 0.0
-    for p, coeff in back.terms.items():
+    """f = sum_P c_P tr(P E(sigma)) over the coefficients ``terms``, summed
+    in term order as one numpy sum; the identity term multiplies 1 unless
+    ``expectations`` gives it."""
+    values = []
+    for p in terms:
         if p.is_identity:
-            value = expectations.get(p, 1.0)  # tr(E(sigma)) = 1 for any channel
+            values.append(expectations.get(p, 1.0))  # tr(E(sigma)) = 1 for any channel
+        elif p in expectations:
+            values.append(expectations[p])
         else:
-            try:
-                value = expectations[p]
-            except KeyError:
-                raise KeyError(f"no noisy expectation supplied for {p}") from None
-        total += coeff * value
-    return total
+            raise KeyError(f"no noisy expectation supplied for {p}")
+    return float((np.array(list(terms.values())) * np.array(values)).sum())
 
 
 def recovery_report(

@@ -662,7 +662,8 @@ def plan_sample_size(
 
     The per-eigenvalue target is ``min_eigenvalue * C(k, degree) * epsilon / 3``
     with C the locality-norm constant; a Hoeffding bound with a union over all
-    weight <= k strings gives the count.  Deliberately conservative.
+    weight <= k strings gives the count.  Deliberately conservative.  A count
+    past the float range (or a target that squares to 0) raises ValueError.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -672,11 +673,14 @@ def plan_sample_size(
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not 0.0 < min_eigenvalue <= 1.0:
         raise ValueError(f"min eigenvalue must be in (0, 1], got {min_eigenvalue}")
-    target = min_eigenvalue * locality_norm_constant(k, degree) * epsilon / 3.0
-    per_string = target / 3.0**k
-    strings = low_weight_count(n, k)
-    bound = 2.0 * 9.0**k * math.log(2.0 * strings / delta) / per_string**2
-    return int(math.ceil(bound))
+    try:
+        target = min_eigenvalue * locality_norm_constant(k, degree) * epsilon / 3.0
+        per_string = target / 3.0**k
+        strings = low_weight_count(n, k)
+        bound = 2.0 * 9.0**k * math.log(2.0 * strings / delta) / per_string**2
+        return int(math.ceil(bound))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("the record count is past the float range") from None
 
 
 # -- gate shadows --------------------------------------------------------------

@@ -6,7 +6,8 @@ matrix as a (2,)*2n tensor (row qubits, then column qubits), and each gate
 applies one local superoperator, sum_Q p_Q (QU) (x) conj(QU) on the gate's a
 qubits: O(4^(n+a)) work per gate.  The estimator expectations enumerate every
 prepared eigenstate, basis and outcome exactly.  Shadow records are built
-from their decoded fields by the documented cell code.
+from their decoded fields by the documented cell code, and channel configs
+in the README's JSON form.
 """
 
 from __future__ import annotations
@@ -40,6 +41,17 @@ def records_from_fields(s_axis, s_sign, t_axis, t_sign) -> ShadowRecords:
 
 
 # -- states and channels -------------------------------------------------------
+
+
+def pauli_product(rows) -> dict:
+    """A ``pauli-product`` channel config, one (pI, pX, pY, pZ) row per qubit."""
+    return {"kind": "pauli-product",
+            "qubits": [dict(zip(("pI", "pX", "pY", "pZ"), row)) for row in rows]}
+
+
+def ptm_product(ptms) -> dict:
+    """A ``ptm-product`` channel config, one 4x4 PTM (listed row-major) per qubit."""
+    return {"kind": "ptm-product", "qubits": [np.ravel(t).tolist() for t in ptms]}
 
 
 def maximally_mixed(n: int) -> DenseState:

@@ -129,7 +129,7 @@ def test_criterion_3_concentration():
             exact.haar_random_vector(n, cli._derive_seed(31, run)))
         back = backward_observable(obs, est)
         noisy = {p: lam[p] * exact.expectation(p, state) for p in paulis}
-        f = recover_expectation(back, noisy)
+        f = recover_expectation(back.terms, noisy)
         ideal = exact.expectation(obs, state)
         if abs(f - ideal) <= epsilon:
             hits += 1
@@ -148,7 +148,7 @@ def test_criterion_4_error_ratio_sweep():
         repeats=10,
         seed=2718,
     )
-    mean_r = result.mean_ratio()
+    mean_r = result.point_means(result.ratio)
     assert mean_r.shape == (len(sweep),)
     assert np.all(mean_r < 1.0)
     assert mean_r[-1] < mean_r[0]
@@ -169,7 +169,7 @@ def test_criterion_5_weight_contracting_recovery():
         state = exact.DenseState.from_unit_vector(
             exact.haar_random_vector(2, cli._derive_seed(50, trial)))
         noisy = exact.apply_channel(ch, state)
-        f = recover_expectation(back, {p: exact.expectation(p, noisy) for p in support})
+        f = recover_expectation(back.terms, {p: exact.expectation(p, noisy) for p in support})
         assert abs(f - exact.expectation(obs, state)) <= 1e-10
 
     runs, hits = 50, 0
@@ -181,7 +181,7 @@ def test_criterion_5_weight_contracting_recovery():
             exact.haar_random_vector(2, cli._derive_seed(52, run)))
         noisy = exact.apply_channel(ch, state)
         f = recover_expectation(
-            back_est,
+            back_est.terms,
             {p: exact.expectation(p, noisy) for p in back_est.support() if not p.is_identity},
         )
         if abs(f - exact.expectation(obs, state)) <= 0.1:

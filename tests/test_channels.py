@@ -1,4 +1,4 @@
-"""Channel models, eigenvalue oracles, transfer matrices, and config IO."""
+"""Channel models, eigenvalue oracles, transfer matrices, and the config reader."""
 
 import json
 from functools import reduce
@@ -15,14 +15,11 @@ from paulishadow.channels import (
     ProductChannel,
     amplitude_damping_ptm,
     channel_from_config,
-    channel_to_config,
-    depolarizing_probs,
     depolarizing_ptm,
     exact_diagonal,
     exact_transfer_matrix,
     load_channel,
     reference_product_channel,
-    save_channel,
     walsh_eigenvalues,
     walsh_probabilities,
 )
@@ -35,7 +32,7 @@ from paulishadow.paulis import (
     symplectic_product,
 )
 
-from reference import DenseChannel, brute_force_transfer
+from reference import DenseChannel, brute_force_transfer, pauli_product, ptm_product
 
 
 def P(label):
@@ -168,13 +165,10 @@ def test_walsh_rejects_invalid_eigenvalues():
 
 
 def test_depolarizing_builders():
-    probs = depolarizing_probs(0.8)
-    assert probs[0] == pytest.approx(0.85)
-    assert probs[1] == probs[2] == probs[3] == pytest.approx(0.05)
     np.testing.assert_allclose(
         np.diag(depolarizing_ptm(0.8)), [1.0, 0.8, 0.8, 0.8], atol=1e-15
     )
-    ch = PauliChannel.from_qubit_probs([probs])
+    ch = PauliChannel.from_qubit_probs([(0.85, 0.05, 0.05, 0.05)])
     assert exact_diagonal(ch, [P("X"), P("Y"), P("Z")]).tolist() == pytest.approx(
         [0.8] * 3, abs=1e-12)
 
@@ -302,13 +296,13 @@ def test_is_weight_contracting():
     assert not bf.is_upper_block_triangular()
 
 
-# -- config round trips --------------------------------------------------------
+# -- config files (the README's examples load in test_cli.py) ------------------
 
 
 def test_config_round_trip_pauli_product(tmp_path):
     ch = reference_product_channel()
     path = tmp_path / "ch.json"
-    save_channel(ch, path)
+    path.write_text(json.dumps(pauli_product(ch.qubit_probs().tolist())))
     back = load_channel(path)
     assert isinstance(back, PauliChannel) and back.is_product
     np.testing.assert_allclose(back.qubit_probs(), ch.qubit_probs(), atol=1e-15)
@@ -317,7 +311,8 @@ def test_config_round_trip_pauli_product(tmp_path):
 def test_config_round_trip_sparse(tmp_path):
     ch = PauliChannel.from_terms(2, {P("XZ"): 0.1, P("ZI"): 0.2})
     path = tmp_path / "sparse.json"
-    save_channel(ch, path)
+    path.write_text(json.dumps({"kind": "pauli-sparse", "n": 2,
+                                "terms": [[q.to_label(), p] for q, p in ch.terms().items()]}))
     back = load_channel(path)
     assert back.terms() == pytest.approx(ch.terms())
 
@@ -325,7 +320,7 @@ def test_config_round_trip_sparse(tmp_path):
 def test_config_round_trip_ptm_product(tmp_path):
     ch = ProductChannel([amplitude_damping_ptm(0.25), depolarizing_ptm(0.7)])
     path = tmp_path / "ptm.json"
-    save_channel(ch, path)
+    path.write_text(json.dumps(ptm_product([ch.ptm(j) for j in range(2)])))
     back = load_channel(path)
     assert isinstance(back, ProductChannel)
     for j in range(2):
@@ -352,16 +347,6 @@ def test_config_identity_fill_convention():
         {"kind": "pauli-sparse", "n": 1, "terms": [["X", 0.25]]}
     )
     assert ch.terms()[P("I")] == pytest.approx(0.75)
-
-
-def test_channel_to_config_kinds():
-    assert channel_to_config(reference_product_channel())["kind"] == "pauli-product"
-    sparse = PauliChannel.from_terms(1, {P("X"): 0.5})
-    assert channel_to_config(sparse)["kind"] == "pauli-sparse"
-    ptm = ProductChannel([depolarizing_ptm(0.9)])
-    cfg = channel_to_config(ptm)
-    assert cfg["kind"] == "ptm-product"
-    assert json.dumps(cfg)  # JSON-serializable
 
 
 # -- error sampling ------------------------------------------------------------

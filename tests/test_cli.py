@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,9 +19,8 @@ from paulishadow.channels import (
     PauliChannel,
     ProductChannel,
     amplitude_damping_ptm,
-    channel_from_config,
+    load_channel,
     reference_product_channel,
-    save_channel,
 )
 from paulishadow.clifford import CliffordCircuit, Gate
 from paulishadow.observables import Observable, heisenberg_observable
@@ -28,7 +28,7 @@ from paulishadow.paulis import PauliString, enumerate_low_weight
 from paulishadow.recovery import RecoveryError
 from paulishadow.shadows import plan_sample_size
 
-from reference import brute_force_transfer
+from reference import brute_force_transfer, pauli_product, ptm_product
 
 
 def P(label):
@@ -38,14 +38,14 @@ def P(label):
 @pytest.fixture
 def damping_channel_path(tmp_path):
     path = tmp_path / "damping.json"
-    save_channel(ProductChannel([amplitude_damping_ptm(0.2), np.eye(4)]), path)
+    path.write_text(json.dumps(ptm_product([amplitude_damping_ptm(0.2), np.eye(4)])))
     return str(path)
 
 
 @pytest.fixture
 def x_observable_path(tmp_path):
     path = tmp_path / "obs.txt"
-    Observable(1, {P("X"): 1.0}).save(path)
+    path.write_text("X 1.0\n")
     return str(path)
 
 
@@ -158,12 +158,11 @@ SPARSE4 = {"kind": "pauli-sparse", "n": 4,
 # Channel files the digest cases load, written into the working directory so
 # the CSV's "# channel:" line is the same on every machine.
 LEARN_CHANNELS = {
-    "sparse4.json": lambda: channel_from_config(SPARSE4),
-    "pauli4.json": lambda: PauliChannel.from_qubit_probs([(0.9, 0.05, 0.03, 0.02)] * 4),
-    "ptm6.json": lambda: ProductChannel([amplitude_damping_ptm(0.05 * (j + 1)) for j in range(6)]),
-    "pauli10.json": lambda: PauliChannel.from_qubit_probs(
-        [(0.92 - 0.01 * j, 0.03, 0.03, 0.02 + 0.01 * j) for j in range(10)]
-    ),
+    "sparse4.json": SPARSE4,
+    "pauli4.json": pauli_product([(0.9, 0.05, 0.03, 0.02)] * 4),
+    "ptm6.json": ptm_product([amplitude_damping_ptm(0.05 * (j + 1)) for j in range(6)]),
+    "pauli10.json": pauli_product([(0.92 - 0.01 * j, 0.03, 0.03, 0.02 + 0.01 * j)
+                                   for j in range(10)]),
 }
 
 # SHA-256 of learn CSVs on both sides of the joint cap.  Every float in a
@@ -188,7 +187,7 @@ def test_learn_csv_digests(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     channel, k, shadows, digest = LEARN_DIGESTS[case]
     if channel in LEARN_CHANNELS:
-        save_channel(LEARN_CHANNELS[channel](), channel)
+        Path(channel).write_text(json.dumps(LEARN_CHANNELS[channel]))
     argv = ["learn", "--channel", channel, "--k", k, "--shadows", shadows, "--seed", "3",
             "--out", "learn.csv"]
     assert cli.main(argv) == 0
@@ -257,7 +256,7 @@ def test_recover_sampled_close_to_ideal(capsys):
 def test_recover_floor_exit_two(tmp_path, x_observable_path, capsys):
     # lambda_X = 0 for this channel, so the X direction is unrecoverable
     dead = tmp_path / "dead.json"
-    save_channel(PauliChannel.from_qubit_probs([(0.5, 0.0, 0.0, 0.5)]), dead)
+    dead.write_text(json.dumps(pauli_product([(0.5, 0.0, 0.0, 0.5)])))
     rc = cli.main(
         [
             "recover", "--channel", str(dead), "--observable", x_observable_path,
@@ -308,9 +307,9 @@ def six_qubit_paths(tmp_path):
     """A six-qubit Pauli product channel and a six-qubit amplitude-damping
     channel (gamma 0.05, 0.10, ..., 0.30)."""
     pauli, damping = tmp_path / "pauli6.json", tmp_path / "damping6.json"
-    save_channel(PauliChannel.from_qubit_probs([(0.9, 0.04, 0.03, 0.03)] * 6), pauli)
-    save_channel(ProductChannel([amplitude_damping_ptm(0.05 * (j + 1)) for j in range(6)]),
-                 damping)
+    pauli.write_text(json.dumps(pauli_product([(0.9, 0.04, 0.03, 0.03)] * 6)))
+    damping.write_text(json.dumps(ptm_product([amplitude_damping_ptm(0.05 * (j + 1))
+                                               for j in range(6)])))
     return {"recover": str(pauli), "recover-general": str(damping)}
 
 
@@ -383,14 +382,14 @@ RECOVER_DIGESTS = {
 @pytest.mark.parametrize("command, name, output", sorted(RECOVER_DIGESTS))
 def test_recover_report_digests(command, name, output, tmp_path, capsys):
     if name == "sparse4":
-        n, channel = 4, channel_from_config(SPARSE4)
+        n, channel = 4, SPARSE4
     elif command == "recover":
         n = int(name)
-        channel = PauliChannel.from_qubit_probs([(0.9, 0.04, 0.03, 0.03)] * n)
+        channel = pauli_product([(0.9, 0.04, 0.03, 0.03)] * n)
     else:
         n = int(name)
-        channel = ProductChannel([amplitude_damping_ptm(0.05 * (j + 1)) for j in range(n)])
-    save_channel(channel, tmp_path / "channel.json")
+        channel = ptm_product([amplitude_damping_ptm(0.05 * (j + 1)) for j in range(n)])
+    (tmp_path / "channel.json").write_text(json.dumps(channel))
     argv = [command, "--channel", str(tmp_path / "channel.json"), "--observable", "heisenberg",
             "--n", str(n), "--shadows", "20000", "--seed", "8", "--state-seed", "9"]
     report = tmp_path / "report.json"
@@ -411,19 +410,17 @@ def test_recover_report_digests(command, name, output, tmp_path, capsys):
 
 @pytest.fixture
 def circuit_path(tmp_path):
-    circuit = CliffordCircuit(
-        2,
-        (Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("S", (1,))),
-        noise={
-            "H": PauliChannel.from_qubit_probs([(0.9, 0.04, 0.03, 0.03)]),
-            "CNOT": PauliChannel.from_qubit_probs(
-                [(0.92, 0.03, 0.03, 0.02), (0.94, 0.02, 0.02, 0.02)]
-            ),
-            "S": PauliChannel.from_qubit_probs([(0.95, 0.02, 0.02, 0.01)]),
+    circuit = {
+        "n": 2,
+        "gates": [{"g": "H", "q": [0]}, {"g": "CNOT", "q": [0, 1]}, {"g": "S", "q": [1]}],
+        "noise": {
+            "H": pauli_product([(0.9, 0.04, 0.03, 0.03)]),
+            "CNOT": pauli_product([(0.92, 0.03, 0.03, 0.02), (0.94, 0.02, 0.02, 0.02)]),
+            "S": pauli_product([(0.95, 0.02, 0.02, 0.01)]),
         },
-    )
+    }
     path = tmp_path / "circuit.json"
-    circuit.save(path)
+    path.write_text(json.dumps(circuit))
     return str(path)
 
 
@@ -491,16 +488,15 @@ def test_mitigate_report_digest_does_not_depend_on_the_helper_count(helpers, tmp
     monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
     n, gates = 4, []
     for _ in range(2):  # brickwork layers: H, CNOT on even bonds, S, CNOT on odd bonds
-        gates += [Gate("H", (q,)) for q in range(n)]
-        gates += [Gate("CNOT", (q, q + 1)) for q in range(0, n - 1, 2)]
-        gates += [Gate("S", (q,)) for q in range(n)]
-        gates += [Gate("CNOT", (q, q + 1)) for q in range(1, n - 1, 2)]
+        gates += [{"g": "H", "q": [q]} for q in range(n)]
+        gates += [{"g": "CNOT", "q": [q, q + 1]} for q in range(0, n - 1, 2)]
+        gates += [{"g": "S", "q": [q]} for q in range(n)]
+        gates += [{"g": "CNOT", "q": [q, q + 1]} for q in range(1, n - 1, 2)]
     # Noise light enough that some estimates land past 1 and are clamped.
-    noise = {"H": PauliChannel.from_qubit_probs([(0.995, 0.002, 0.002, 0.001)]),
-             "S": PauliChannel.from_qubit_probs([(0.998, 0.001, 0.0005, 0.0005)]),
-             "CNOT": PauliChannel.from_qubit_probs([(0.99, 0.004, 0.003, 0.003),
-                                                    (0.998, 0.001, 0.0005, 0.0005)])}
-    CliffordCircuit(n, tuple(gates), noise).save(tmp_path / "brick.json")
+    noise = {"H": pauli_product([(0.995, 0.002, 0.002, 0.001)]),
+             "S": pauli_product([(0.998, 0.001, 0.0005, 0.0005)]),
+             "CNOT": pauli_product([(0.99, 0.004, 0.003, 0.003), (0.998, 0.001, 0.0005, 0.0005)])}
+    (tmp_path / "brick.json").write_text(json.dumps({"n": n, "gates": gates, "noise": noise}))
     # Five blocks per gate kind give the helpers work.
     argv = ["mitigate", "--circuit", str(tmp_path / "brick.json"), "--observable", "heisenberg",
             "--n", str(n), "--shadows", str(4 * shadows.DEFAULT_BLOCK_SIZE + 1), "--seed", "3",
@@ -681,12 +677,13 @@ def test_run_fig2_partial_and_total_floor_hits():
     assert hits.tolist() == [1, 2]
     assert np.isnan(result.ratio[~result.succeeded]).all()
     assert not np.isnan(result.ratio[result.succeeded]).any()
-    np.testing.assert_allclose(result.mean_ratio(), np.nanmean(result.ratio, axis=1), rtol=1e-12)
+    np.testing.assert_allclose(result.point_means(result.ratio), np.nanmean(result.ratio, axis=1), rtol=1e-12)
     np.testing.assert_allclose(result.std_ratio(), np.nanstd(result.ratio, axis=1), rtol=1e-12)
     with pytest.raises(RecoveryError, match="every trial at 500 shadows hit the eigenvalue floor"):
         cli.run_fig2(channel, observable, (500, 1000), 5, 4, 11, floor=1.5)
 
 
+PLAN = "plan --delta 0.1 --degree 4"
 BAD_INPUTS = {
     "learn-no-shadows": "learn --channel reference --shadows 0",
     "learn-k-above-n": "learn --channel reference --k 3",
@@ -742,7 +739,16 @@ BAD_INPUTS = {
         f"mitigate --circuit CIRCUIT --observable heisenberg --seed {2**128}",
     # Only an absent --sweep means the default sweep.
     "fig2-empty-sweep": "fig2 --sweep=",
+    # A record count past the float range: an infinite bound, a target that
+    # squares to 0, and a norm constant whose k^(k + 2.5) or k! overflows.
+    "plan-count-past-float-range": f"{PLAN} --n 2 --k 2 --epsilon 0.1 --min-eigenvalue 1e-150",
+    "plan-target-squares-to-zero": f"{PLAN} --n 2 --k 2 --epsilon 0.1 --min-eigenvalue 1e-160",
+    "plan-epsilon-squares-to-zero": f"{PLAN} --n 2 --k 2 --epsilon 1e-200 --min-eigenvalue 0.5",
+    "plan-power-past-float-range": f"{PLAN} --n 150 --k 150 --epsilon 0.1 --min-eigenvalue 0.5",
+    "plan-factorial-past-float-range":
+        f"{PLAN} --n 200 --k 200 --epsilon 0.1 --min-eigenvalue 0.5",
 }
+PLAN_OVERFLOW = "configuration error: the record count is past the float range\n"
 
 
 @pytest.fixture
@@ -753,9 +759,9 @@ def wide_paths(tmp_path):
     paths = {}
     for n in (13, 21):
         paths[f"PAULI{n}"] = str(tmp_path / f"pauli{n}.json")
-        save_channel(PauliChannel.from_qubit_probs([qubit] * n), paths[f"PAULI{n}"])
+        Path(paths[f"PAULI{n}"]).write_text(json.dumps(pauli_product([qubit] * n)))
     paths["WIDE21"] = str(tmp_path / "wide21.json")
-    CliffordCircuit(21, (Gate("H", (20,)),), {}).save(paths["WIDE21"])
+    Path(paths["WIDE21"]).write_text(json.dumps({"n": 21, "gates": [{"g": "H", "q": [20]}]}))
     paths["IDENTITY"] = str(tmp_path / "identity.txt")
     Path(paths["IDENTITY"]).write_text("II 1.0\n")
     return paths
@@ -782,6 +788,7 @@ def test_bad_input_exits_one_before_any_draw(case, circuit_path, damping_channel
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("configuration error: ")
+    assert captured.err == PLAN_OVERFLOW or not case.startswith("plan-")
 
 
 NAN_NOISE = {"pI": math.nan, "pX": 0.04, "pY": 0.03, "pZ": 0.03}
@@ -941,16 +948,15 @@ def test_report_commands_run_at_sixteen_qubits_in_bounded_memory(tmp_path):
     only."""
     n = 16
     qubit = (0.98, 0.01, 0.005, 0.005)
-    save_channel(PauliChannel.from_qubit_probs([qubit] * n), tmp_path / "pauli.json")
-    damping = ProductChannel([amplitude_damping_ptm(0.05)] * n)
-    save_channel(damping, tmp_path / "damping.json")
-    gates = [Gate("H", (q,)) for q in range(n)]
-    gates += [Gate("CNOT", (q, q + 1)) for q in range(n - 1)]
-    gates += [Gate("S", (q,)) for q in range(n)]
-    noise = {"H": PauliChannel.from_qubit_probs([qubit]),
-             "S": PauliChannel.from_qubit_probs([qubit]),
-             "CNOT": PauliChannel.from_terms(2, {"XX": 0.01, "ZI": 0.01})}
-    CliffordCircuit(n, tuple(gates), noise).save(tmp_path / "circuit.json")
+    (tmp_path / "pauli.json").write_text(json.dumps(pauli_product([qubit] * n)))
+    damping = amplitude_damping_ptm(0.05)
+    (tmp_path / "damping.json").write_text(json.dumps(ptm_product([damping] * n)))
+    gates = [{"g": "H", "q": [q]} for q in range(n)]
+    gates += [{"g": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
+    gates += [{"g": "S", "q": [q]} for q in range(n)]
+    noise = {"H": pauli_product([qubit]), "S": pauli_product([qubit]),
+             "CNOT": {"kind": "pauli-sparse", "n": 2, "terms": [["XX", 0.01], ["ZI", 0.01]]}}
+    (tmp_path / "circuit.json").write_text(json.dumps({"n": n, "gates": gates, "noise": noise}))
     observable = ["--observable", "heisenberg", "--n", str(n)]
     commands = [
         ["recover", "--channel", "pauli.json", *observable, "--shadows", "20000"],
@@ -979,7 +985,7 @@ def test_report_commands_run_at_sixteen_qubits_in_bounded_memory(tmp_path):
             if not line.startswith("#")][1:]
     basis = list(enumerate_low_weight(n, 3))
     assert [row[0] for row in rows] == [str(p) for p in basis]
-    diagonal = np.diag(damping.ptm(0))
+    diagonal = np.diag(damping)
     assert [row[2] for row in rows] == [
         cli._fmt(math.prod(diagonal[p.letter_code(j)] for j in range(n))) for p in basis]
 
@@ -1013,6 +1019,34 @@ def test_no_module_imports_a_name_it_never_uses():
     paths = sorted([*root.glob("src/paulishadow/*.py"), *root.glob("tests/*.py")])
     assert len(paths) > 20
     assert [line for path in paths for line in unused_imports(path)] == []
+
+
+# Exported names that no module of the package references, each with why it
+# stays: the ROADMAP item that claims it, or the test that uses it as a reference.
+UNCALLED_EXPORTS = {
+    "amplitude_damping_ptm": "test_acceptance.py::test_criterion_5_weight_contracting_recovery",
+    "depolarizing_ptm": "test_acceptance.py::test_criterion_5_weight_contracting_recovery",
+    "estimate_spam_factor": "ROADMAP item 6 (preparation and measurement errors)",
+    "walsh_eigenvalues": "ROADMAP item 11 (the contrast with error cancellation)",
+    "walsh_probabilities": "ROADMAP item 11 (the contrast with error cancellation)",
+    "symplectic_product":
+        "test_channels.py::test_exact_diagonal_is_the_per_string_product_or_sum_bitwise",
+    "conjugate_pauli": "test_clifford.py::test_conjugation_matches_dense_all_gates",
+}
+
+
+def test_every_exported_name_has_a_caller_or_a_reason():
+    root = Path(__file__).resolve().parents[1]
+    referenced = set()
+    for path in root.glob("src/paulishadow/*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    uncalled = {name for name in paulishadow.__all__ if name not in referenced}
+    assert uncalled == set(UNCALLED_EXPORTS)
 
 
 def test_derive_seed_is_stable_and_sensitive():
@@ -1084,3 +1118,35 @@ def test_readme_quick_start_runs():
     assert done.returncode == 0, done.stderr
     recovered, ideal = map(float, done.stdout.split())
     assert abs(recovered - ideal) < 0.05
+
+
+def test_readme_file_formats_load(tmp_path):
+    """The README's channel examples, observable and circuit, written to files
+    as they stand, load through the readers the commands use."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = {}
+    for language, body in re.findall(r"```(\w*)\n(.*?)```", readme, re.S):
+        blocks.setdefault(language, []).append(body)
+    (examples,), (observable,), (circuit,) = blocks["jsonc"], blocks[""], blocks["json"]
+    channels = []
+    for i, example in enumerate(examples.split("\n\n")):  # one object per chunk
+        path = tmp_path / f"channel{i}.json"
+        path.write_text("\n".join(line for line in example.splitlines()
+                                  if not line.lstrip().startswith("//")))
+        channels.append(load_channel(path))
+    product, sparse, ptm = channels
+    assert isinstance(product, PauliChannel) and product.is_product
+    assert product.qubit_probs().tolist() == reference_product_channel().qubit_probs().tolist()
+    assert isinstance(sparse, PauliChannel) and not sparse.is_product
+    assert sparse.terms() == pytest.approx({P("XI"): 0.1, P("ZZ"): 0.05, P("II"): 0.85})
+    assert isinstance(ptm, ProductChannel)  # loading checked complete positivity
+    assert ptm.ptm(0).tolist() == [[1, 0, 0, 0], [0, 0.894, 0, 0], [0, 0, 0.894, 0],
+                                   [0.2, 0, 0, 0.8]]
+    (tmp_path / "observable.txt").write_text(observable)
+    assert Observable.load(tmp_path / "observable.txt").terms() == heisenberg_observable(2).terms()
+    (tmp_path / "circuit.json").write_text(circuit)
+    loaded = CliffordCircuit.load(tmp_path / "circuit.json")
+    assert loaded.n == 2 and loaded.gates == (Gate("H", (0,)), Gate("CNOT", (0, 1)))
+    assert set(loaded.noise) == {"CNOT"}
+    assert loaded.noise["CNOT"].qubit_probs().tolist() == [[0.92, 0.03, 0.03, 0.02],
+                                                           [0.94, 0.02, 0.02, 0.02]]

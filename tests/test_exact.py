@@ -39,6 +39,7 @@ from reference import (
     DenseChannel,
     brute_force_transfer,
     maximally_mixed,
+    pauli_product,
     product_eigenstate,
     shadow_transfer_estimator_expectations,
     simulate_circuit,
@@ -219,9 +220,10 @@ def full_register_circuit(circuit, state, noisy):
     return rho
 
 
-def random_circuit(n, rng, depth=12):
-    """H/S/CNOT gates on random (possibly non-adjacent, reversed) qubits, with
-    product noise on H and S and correlated two-qubit noise on CNOT."""
+def random_circuit_config(n, rng, depth=12):
+    """A circuit file's JSON value: H/S/CNOT gates on random (possibly
+    non-adjacent, reversed) qubits, with product noise on H and S and
+    correlated two-qubit noise on CNOT."""
 
     def mild(size):  # no-error probability at least 0.8
         probs = 0.2 * rng.dirichlet(np.ones(size))
@@ -232,13 +234,18 @@ def random_circuit(n, rng, depth=12):
     for _ in range(depth):
         kind = str(rng.choice(["H", "S", "CNOT"] if n > 1 else ["H", "S"]))
         qubits = rng.choice(n, 2 if kind == "CNOT" else 1, replace=False)
-        gates.append(Gate(kind, tuple(int(q) for q in qubits)))
+        gates.append({"g": kind, "q": [int(q) for q in qubits]})
     noise = {
-        "H": PauliChannel.from_qubit_probs([mild(4)]),
-        "S": PauliChannel.from_qubit_probs([mild(4)]),
-        "CNOT": PauliChannel.from_terms(2, dict(zip(iter_all_paulis(2), mild(16)))),
+        "H": pauli_product([mild(4)]),
+        "S": pauli_product([mild(4)]),
+        "CNOT": {"kind": "pauli-sparse", "n": 2,
+                 "terms": [[str(p), float(prob)] for p, prob in zip(iter_all_paulis(2), mild(16))]},
     }
-    return CliffordCircuit(n, gates, noise)
+    return {"n": n, "gates": gates, "noise": noise}
+
+
+def random_circuit(n, rng, depth=12):
+    return CliffordCircuit.from_dict(random_circuit_config(n, rng, depth))
 
 
 def test_circuit_simulation_matches_full_register_reference():
@@ -268,9 +275,10 @@ def test_mitigate_report_matches_full_register_reference(tmp_path, capsys):
     """The report's oracle values agree with the reference simulation and a
     dense trace to float rounding."""
     rng = np.random.default_rng(77)
-    circuit = random_circuit(5, rng, depth=20)
+    config = random_circuit_config(5, rng, depth=20)
+    circuit = CliffordCircuit.from_dict(config)
     observable = heisenberg_observable(5)
-    circuit.save(tmp_path / "circuit.json")
+    (tmp_path / "circuit.json").write_text(json.dumps(config))
     out = tmp_path / "report.json"
     rc = cli.main(["mitigate", "--circuit", str(tmp_path / "circuit.json"),
                    "--observable", "heisenberg", "--n", "5", "--shadows", "0", "--seed", "1",

@@ -22,7 +22,7 @@ def test_terms_fold_signs():
     assert obs.coefficient(P("XZ")) == -0.5
     assert obs.coefficient(P("-XZ")) == 0.5  # sign-aware lookup
     assert obs.coefficient(P("YY")) == 0.0
-    assert len(obs) == 2
+    assert len(obs.terms()) == 2
 
 
 def test_duplicate_terms_accumulate():
@@ -36,16 +36,18 @@ def test_qubit_count_mismatch():
 
 
 def test_text_round_trip(tmp_path):
+    """An observable's text form, as the README documents it, loads back into
+    the observable built in code."""
     obs = Observable(2, {P("XZ"): 0.27, P("II"): -0.3, P("YI"): 1.5})
     path = tmp_path / "obs.txt"
-    obs.save(path)
+    path.write_text("XZ 0.27\nII -0.3\nYI 1.5\n")
     back = Observable.load(path)
     assert back.terms() == obs.terms()
 
 
 def test_from_text_comments_and_errors():
     obs = Observable.from_text("# comment\nXZ 0.5\n\nZI 1\n")
-    assert obs.n == 2 and len(obs) == 2
+    assert obs.n == 2 and len(obs.terms()) == 2
     with pytest.raises(ValueError, match="line 2"):
         Observable.from_text("XZ 0.5\nbogus\n")
     with pytest.raises(ValueError, match="line 3"):
@@ -128,4 +130,4 @@ def test_heisenberg_two_qubit_values():
     assert obs.coefficient(P("YY")) == pytest.approx(0.42)
     assert obs.coefficient(P("ZZ")) == pytest.approx(0.76)
     assert obs.coefficient(P("ZI")) == pytest.approx(0.6)
-    assert len(obs) == 4
+    assert len(obs.terms()) == 4

@@ -37,10 +37,11 @@ def test_from_label_rejects_garbage():
 
 def test_identity_and_weight():
     e = PauliString.identity(3)
-    assert e.is_identity and e.weight == 0 and e.support() == ()
+    assert e.is_identity and e.weight == 0
+    assert not any(e.acts_on(j) for j in range(3))
     p = PauliString.from_label("XIZ")
     assert p.weight == 2
-    assert p.support() == (0, 2)
+    assert [j for j in range(3) if p.acts_on(j)] == [0, 2]
     assert [p.letter(j) for j in range(3)] == ["X", "I", "Z"]
 
 
