@@ -56,7 +56,6 @@ from .clifford import (
     mitigation_coefficients,
 )
 from .shadows import (
-    EigenvalueEstimates,
     ShadowRecords,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
@@ -109,7 +108,6 @@ __all__ = [
     "conjugate_pauli",
     "exact_gate_estimates",
     "mitigation_coefficients",
-    "EigenvalueEstimates",
     "ShadowRecords",
     "estimate_eigenvalues",
     "estimate_gate_eigenvalues",

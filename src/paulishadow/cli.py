@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -91,13 +92,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an ``--out`` path that is a directory or whose parent is not one."""
+    parent = os.path.dirname(path or "") or "."
+    if path not in (None, "-") and (os.path.isdir(path) or not os.path.isdir(parent)):
+        problem = "it is a directory" if os.path.isdir(path) else f"{parent} is not a directory"
+        raise ConfigError(f"cannot write {path}: {problem}")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(lines: Sequence[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write(out_path, text)
 
 
 def _resolve_channel(arg: str) -> PauliChannel | ProductChannel:
@@ -176,9 +192,7 @@ def _print_report(back, observable: Observable, noise, psi: np.ndarray, ideal: f
     print(f"ideal: {_fmt(report['ideal'])}")
     print(f"absolute_error: {_fmt(report['absolute_error'])}")
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        _write(out_path, json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
     return 0
 
 
@@ -543,6 +557,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for option in ("seed", "state_seed"):  # one seed range; block_rng wraps at 2^128
             if not 0 <= getattr(args, option, 0) < 2**128:
                 raise ConfigError(f"--{option.replace('_', '-')} must be in [0, 2^128)")
+        _check_out(getattr(args, "out", None))  # before any record is drawn
         return args.func(args)
     except RecoveryError as err:
         print(f"recovery failed: {err}", file=sys.stderr)

@@ -71,11 +71,11 @@ dtype=np.int8)`` and ``Generator.random`` give: digits from the bytes of
 are built.  ``PauliChannel.sample_errors`` and the gate kernel draw through
 the ``Generator``.  Both kinds of draw release the GIL: on a shared 2-core
 VM, raw and full-range uint32 draws ran 1.3-1.7x faster on two threads than
-one after the other.  Some numpy operations hold it, so a helper thread
-waits while one runs: ``np.add.at``, ``np.bincount`` and fancy indexing
-through a narrow (uint8 or int16) index.  The kernels gather through intp
-indices converted one slice at a time and work their bits out with uint8
-ufuncs; a kernel should not bring the others back without a measurement.
+one after the other.  Gathers release it through any index type, and
+``np.bincount`` and ``np.add.at`` hold it for part of each call.  The
+kernels gather through intp indices converted one slice at a time, faster
+on one thread (32,768 uint64 values: 118 us through uint8 codes, 65 us
+through their intp copy), and work their bits out with uint8 ufuncs.
 On that VM, numpy operations of about 15 us or less barely overlap between
 the two threads (a 262,144-element uint8 add ran 1.15-1.25x faster on two).
 """
@@ -86,8 +86,7 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -174,13 +173,8 @@ class ShadowRecords:
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
-    """The deterministic generator owning block ``block`` of run ``seed``."""
-    bit_generator = np.random.Philox(0)  # Philox(key=...) reads OS entropy for a seed it drops
-    key = seed % (1 << 128)  # key and counter in little-endian 64-bit words
-    bit_generator.state = {**bit_generator.state, "state": {
-        "counter": np.array([0, 0, block % (1 << 64), block >> 64], np.uint64),
-        "key": np.array([key % (1 << 64), key >> 64], np.uint64)}}
-    return np.random.Generator(bit_generator)
+    """Block ``block``'s generator in run ``seed``; the key overrides Philox's OS-entropy seed."""
+    return np.random.Generator(np.random.Philox(key=seed % (1 << 128), counter=block << 128))
 
 
 # 32-bit words per top-up of ``_PhiloxReader.digits``.  A base-3 draw holds
@@ -588,46 +582,38 @@ def _numerators(source: ShadowRecords | BlockStream, digits: np.ndarray) -> tupl
     return total, _moment_table(hist, source.n, total)[_table_index(digits)]
 
 
-def _read_pairs(source, digits: np.ndarray) -> tuple[int, np.ndarray]:
-    """Record count and lambda_hat_P(Q) = 3^|P| numer / N of each (P, Q) pair,
+def _read_pairs(source, digits: np.ndarray) -> np.ndarray:
+    """lambda_hat_P(Q) = 3^|P| numer / N of each (P, Q) pair,
     given as rows of digits P_j * 4 + Q_j of input and output letter codes:
     P is read against the prepared eigenstate s, Q against the measurement t.
     The caller builds the one digit array, so no copy of either side's codes
     is held while the numerators are counted."""
     total, numers = _numerators(source, digits)
-    return total, 3.0 ** (digits >= 4).sum(axis=1) * numers / total
+    return 3.0 ** (digits >= 4).sum(axis=1) * numers / total
 
 
-@dataclass
-class EigenvalueEstimates:
-    """Estimated eigenvalues of the strings an estimator was asked for."""
+class _SizedValues(partial):
+    """``dict.values`` bound to one table, which ``len`` also reads."""
 
-    n: int
-    values: dict[PauliString, float]
-    n_records: int
+    def __len__(self) -> int:
+        return len(self.args[0])
 
-    def __getitem__(self, p: PauliString) -> float:
-        p = p.unsigned()
-        if p.is_identity:
-            return 1.0
-        try:
-            return self.values[p]
-        except KeyError:
-            raise KeyError(f"no eigenvalue estimate for {p}") from None
 
-    def __contains__(self, p: PauliString) -> bool:
-        p = p.unsigned()
-        return p.is_identity or p in self.values
+class _Estimates(dict):
+    """A ``{PauliString: float}`` dict whose ``values`` is also sized, as
+    ``perfbench/tracing.py`` counts estimated entries: ``len(result.values)``."""
+
+    values = property(lambda table: _SizedValues(dict.values, table))
 
 
 def estimate_eigenvalues(
     source: ShadowRecords | BlockStream, strings: Sequence[PauliString]
-) -> EigenvalueEstimates:
+) -> dict[PauliString, float]:
     """lambda_hat(P) = 3^|P| x_hat(P) for each of ``strings``, of the source's
-    width; the identity's numerator is the record count, so its estimate is
-    exactly 1.0."""
-    total, values = _read_pairs(source, 5 * letter_codes(strings, source.n))
-    return EigenvalueEstimates(source.n, dict(zip(strings, values.tolist())), total)
+    width, keyed in the given order; the identity's numerator is the record
+    count, so its estimate is exactly 1.0."""
+    values = _read_pairs(source, 5 * letter_codes(strings, source.n))
+    return _Estimates(zip(strings, values.tolist()))
 
 
 def estimate_transfer_matrix(source: ShadowRecords | BlockStream, k: int) -> TransferMatrix:
@@ -643,7 +629,7 @@ def estimate_transfer_matrix(source: ShadowRecords | BlockStream, k: int) -> Tra
     cols, rows = np.nonzero((weights[None, :] <= weights[:, None]) & (weights[:, None] > 0))
     matrix = np.zeros((len(basis), len(basis)))
     matrix[0, 0] = 1.0  # identity column: lambda_P(I) = delta_PI
-    matrix[rows, cols] = _read_pairs(source, 4 * codes[rows] + codes[cols])[1]
+    matrix[rows, cols] = _read_pairs(source, 4 * codes[rows] + codes[cols])
     return TransferMatrix(source.n, k, basis, matrix)
 
 
@@ -774,21 +760,21 @@ def sample_gate_shadows(
 
 def estimate_gate_eigenvalues(
     source: ShadowRecords | BlockStream, kind: str
-) -> EigenvalueEstimates:
+) -> dict[PauliString, float]:
     """Noise eigenvalues of a gate from its shadow records or block stream,
-    whose width must be the gate's arity.
+    whose width must be the gate's arity: every local string in
+    ``iter_all_paulis`` order, the identity first at exactly 1.0.
 
     The input-side Pauli is the backward conjugation U^dagger P U, read from
     the kind's conjugation table; its sign multiplies the estimate, and the
     3^|.| rescaling uses the conjugated weight (the input side is what the
     random eigenstate sees).
     """
-    strings = list(iter_all_paulis(gate_arity(kind)))[1:]  # table order, the identity dropped
-    backs = CONJUGATION_TABLES[kind][1:]
-    total, values = _read_pairs(source, 4 * letter_codes(backs, source.n)
-                                + letter_codes(strings, source.n))
+    strings, backs = list(iter_all_paulis(gate_arity(kind))), CONJUGATION_TABLES[kind]
+    values = _read_pairs(source, 4 * letter_codes(backs, source.n)
+                         + letter_codes(strings, source.n))
     values *= [back.sign for back in backs]
-    return EigenvalueEstimates(source.n, dict(zip(strings, values.tolist())), total)
+    return _Estimates(zip(strings, values.tolist()))
 
 
 # -- preparation/measurement error ---------------------------------------------

@@ -342,6 +342,42 @@ def test_recover_commands_estimate_only_what_the_observable_reaches(six_qubit_pa
     assert asked["transfer"].basis == tuple(enumerate_low_weight(6, 2))
 
 
+def test_sampled_and_exact_tables_share_keys(circuit_path, monkeypatch, capsys):
+    """recover and mitigate pass the sampled and the --exact-eigenvalues
+    tables as one type, keyed alike: recover by the observable's
+    non-identity strings in term order, mitigate by every local string."""
+    tables = []
+
+    def keep(inverse):
+        def call(observable_or_circuit, estimates, *args):
+            tables.append(estimates)
+            return inverse(observable_or_circuit, estimates, *args)
+        return call
+
+    monkeypatch.setattr(cli, "backward_observable", keep(cli.backward_observable))
+    monkeypatch.setattr(cli, "mitigation_coefficients", keep(cli.mitigation_coefficients))
+    for argv in (["recover", "--channel", "reference"], ["mitigate", "--circuit", circuit_path]):
+        argv += ["--observable", "heisenberg", "--shadows", "2000"]
+        assert cli.main(argv) == 0 and cli.main([*argv, "--exact-eigenvalues"]) == 0
+    capsys.readouterr()
+    recover_sampled, recover_exact, mitigate_sampled, mitigate_exact = tables
+    heisenberg = [p for p in heisenberg_observable(2).support() if not p.is_identity]
+    assert list(recover_sampled) == list(recover_exact) == heisenberg
+    assert list(mitigate_sampled) == list(mitigate_exact) == ["CNOT", "H", "S"]
+    for kind in mitigate_exact:
+        assert list(mitigate_sampled[kind]) == list(mitigate_exact[kind])
+
+
+@pytest.mark.parametrize("command", ["learn --channel reference",
+                                     "recover --channel reference --observable heisenberg"])
+def test_a_failed_write_is_one_configuration_error_line(command, tmp_path, capsys):
+    # A name too long to open passes the checks made before the run.
+    out = tmp_path / ("x" * 300)
+    assert cli.main([*command.split(), "--shadows", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot write {out}: File name too long\n")
+
+
 @pytest.mark.parametrize("command, k_above", [("recover", 4), ("recover-general", 3)])
 def test_k_above_the_locality_leaves_the_report_unchanged(command, k_above, six_qubit_paths,
                                                           tmp_path, capsys):
@@ -739,6 +775,21 @@ BAD_INPUTS = {
         f"mitigate --circuit CIRCUIT --observable heisenberg --seed {2**128}",
     # Only an absent --sweep means the default sweep.
     "fig2-empty-sweep": "fig2 --sweep=",
+    # An --out that no write can create: a directory, or a path under a file.
+    "learn-out-directory": "learn --channel reference --out DIRECTORY",
+    "recover-out-directory": "recover --channel reference --observable heisenberg --out DIRECTORY",
+    "general-out-directory":
+        "recover-general --channel DAMPING --observable heisenberg --out DIRECTORY",
+    "mitigate-out-directory": "mitigate --circuit CIRCUIT --observable heisenberg --out DIRECTORY",
+    "fig2-out-directory": "fig2 --sweep 100 --out DIRECTORY",
+    "learn-out-under-file": "learn --channel reference --out IDENTITY/x.json",
+    "recover-out-under-file":
+        "recover --channel reference --observable heisenberg --out IDENTITY/x.json",
+    "general-out-under-file":
+        "recover-general --channel DAMPING --observable heisenberg --out IDENTITY/x.json",
+    "mitigate-out-under-file":
+        "mitigate --circuit CIRCUIT --observable heisenberg --out IDENTITY/x.json",
+    "fig2-out-under-file": "fig2 --sweep 100 --out IDENTITY/x.json",
     # A record count past the float range: an infinite bound, a target that
     # squares to 0, and a norm constant whose k^(k + 2.5) or k! overflows.
     "plan-count-past-float-range": f"{PLAN} --n 2 --k 2 --epsilon 0.1 --min-eigenvalue 1e-150",
@@ -754,7 +805,7 @@ PLAN_OVERFLOW = "configuration error: the record count is past the float range\n
 @pytest.fixture
 def wide_paths(tmp_path):
     """Channels and a circuit on more qubits than an oracle takes, small on
-    disk, and a two-qubit identity-only observable."""
+    disk, a two-qubit identity-only observable, and a directory."""
     qubit = (0.97, 0.01, 0.01, 0.01)
     paths = {}
     for n in (13, 21):
@@ -764,6 +815,7 @@ def wide_paths(tmp_path):
     Path(paths["WIDE21"]).write_text(json.dumps({"n": 21, "gates": [{"g": "H", "q": [20]}]}))
     paths["IDENTITY"] = str(tmp_path / "identity.txt")
     Path(paths["IDENTITY"]).write_text("II 1.0\n")
+    paths["DIRECTORY"] = str(tmp_path)
     return paths
 
 
