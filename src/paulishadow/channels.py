@@ -20,7 +20,6 @@ Conventions
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -193,59 +192,9 @@ class PauliChannel:
             np.fill_diagonal(ptms[j], eigs[j])
         return ProductChannel(ptms)
 
-    # -- sampling support -----------------------------------------------------
-
-    def sample_errors(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` error strings; returns (count, n) int8 letter codes."""
-        if self._qubit_probs is not None:
-            cdf = np.cumsum(self._qubit_probs, axis=1)  # (n, 4)
-            # The letter counts the qubit's thresholds at or below u.
-            letters = np.zeros((count, self.n), dtype=np.int8)
-            for rows, u in uniform_slices(rng, (count, self.n)):
-                for threshold in cdf[:, :-1].T:
-                    letters[rows] += u >= threshold
-                del u  # before the next slice is drawn
-            return letters
-        labels = list(self._terms)
-        probs = np.array([self._terms[p] for p in labels])
-        cdf = np.cumsum(probs)
-        cdf[-1] = 1.0
-        codes = letter_codes(labels, self.n)
-        letters = np.empty((count, self.n), dtype=np.int8)
-        # One uniform and one intp pick per record, in slices of about
-        # UNIFORM_SLICE letters.
-        for rows in row_slices((count, self.n)):
-            picks = np.searchsorted(cdf, rng.random(rows.stop - rows.start), side="right")
-            letters[rows] = codes[picks]
-        return letters
-
     def __repr__(self) -> str:
         kind = "product" if self.is_product else f"sparse[{len(self._terms)}]"
         return f"<PauliChannel n={self.n} {kind}>"
-
-
-# Doubles per ``Generator.random`` call of a sampler.  Consecutive calls give
-# the same doubles as one, so slicing bounds the float temporaries without
-# changing a draw.  On a 2-core VM, 2^15 kept n = 2 ``sample_errors`` at
-# about 2.4-3.1 ms per 65,536-record block, while 2^17 made the n = 4
-# transfer-matrix sampler fault in about 1,000 fresh pages per block.
-UNIFORM_SLICE = 1 << 15
-
-
-def row_slices(shape: tuple[int, ...]):
-    """Yield the slices that split ``shape`` along its first axis into
-    pieces of about ``UNIFORM_SLICE`` values."""
-    count, *rest = shape
-    step = max(UNIFORM_SLICE // math.prod(rest), 1)
-    for start in range(0, count, step):
-        yield slice(start, min(start + step, count))
-
-
-def uniform_slices(rng: np.random.Generator, shape: tuple[int, ...]):
-    """Yield (row slice, uniforms) pairs that together draw the doubles of one
-    ``rng.random(shape)`` call, a ``row_slices`` slice at a time."""
-    for rows in row_slices(shape):
-        yield rows, rng.random((rows.stop - rows.start, *shape[1:]))
 
 
 # -- single-qubit building blocks ---------------------------------------------

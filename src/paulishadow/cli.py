@@ -93,7 +93,9 @@ def _fmt(x: float) -> str:
 
 
 def _check_out(path: str | None) -> None:
-    """Refuse an ``--out`` path that is a directory or whose parent is not one."""
+    """Refuse an empty ``--out`` path, a directory, or one whose parent is not one."""
+    if path == "":
+        raise ConfigError("--out needs a path, or - for standard output")
     parent = os.path.dirname(path or "") or "."
     if path not in (None, "-") and (os.path.isdir(path) or not os.path.isdir(parent)):
         problem = "it is a directory" if os.path.isdir(path) else f"{parent} is not a directory"
@@ -179,7 +181,7 @@ def _print_report(back, observable: Observable, noise, psi: np.ndarray, ideal: f
                   out_path: str | None) -> int:
     """Print the recovered value on the state ``psi`` sent through ``noise``
     (a channel or a noisy circuit), or with ``back`` None the uncorrected
-    baseline, and write the JSON report to ``out_path``."""
+    baseline, and emit the JSON report to ``out_path`` if one is given."""
     terms = observable.terms() if back is None else back.terms
     noisy = exact.noisy_expectations(noise, list(terms), psi)
     value = recover_expectation(terms, dict(zip(terms, noisy.tolist())))
@@ -191,8 +193,8 @@ def _print_report(back, observable: Observable, noise, psi: np.ndarray, ideal: f
     print(f"{'baseline' if back is None else 'recovered'}: {_fmt(report['value'])}")
     print(f"ideal: {_fmt(report['ideal'])}")
     print(f"absolute_error: {_fmt(report['absolute_error'])}")
-    if out_path:
-        _write(out_path, json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
+    if out_path is not None:
+        _emit([json.dumps(report, indent=2, sort_keys=True, default=str)], out_path)
     return 0
 
 
@@ -476,7 +478,7 @@ def _add_recover_options(sub: argparse.ArgumentParser) -> None:
                      help="use oracle noise characterization instead of sampling")
     sub.add_argument("--baseline", action="store_true",
                      help="report the uncorrected noisy expectation instead")
-    sub.add_argument("--out", default=None, help="write a JSON report here")
+    sub.add_argument("--out", default=None, help="JSON report path; - is stdout (default: none)")
 
 
 def _add_floor_option(sub: argparse.ArgumentParser) -> None:
@@ -497,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--k", type=int, default=2)
     learn.add_argument("--shadows", type=int, default=100_000)
     learn.add_argument("--seed", type=int, default=0)
-    learn.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    learn.add_argument("--out", default=None, help="CSV output path (default or -: stdout)")
     learn.set_defaults(func=cmd_learn)
 
     for name, general in (("recover", False), ("recover-general", True)):
@@ -544,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig2.add_argument("--estimated-expectations", action="store_true",
                       help="estimate noisy-state expectations from shadows too")
     fig2.add_argument("--expectation-shadows", type=int, default=10_000)
-    fig2.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    fig2.add_argument("--out", default=None, help="CSV output path (default or -: stdout)")
     fig2.set_defaults(func=cmd_fig2)
 
     return parser

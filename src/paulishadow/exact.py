@@ -33,7 +33,7 @@ Statevector oracles are capped at 20 qubits.
 The ideal circuit run is unitary, so on a pure state it evolves the 2^n
 statevector, one local unitary per gate.  Dense density matrices, capped at
 12 qubits, serve ``fig2 --estimated-expectations``, which measures the noisy
-state itself (``apply_channel``, ``sample_pauli_basis_outcomes``).
+state itself (``apply_channel``, ``basis_outcome_probabilities``).
 """
 
 from __future__ import annotations
@@ -414,27 +414,3 @@ def basis_outcome_probabilities(state: DenseState, axes: Sequence[int]) -> np.nd
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"outcome probabilities sum to {total:g}")
     return probs / total
-
-
-def sample_pauli_basis_outcomes(
-    state: DenseState, bases: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample measurement signs for each record's product basis.
-
-    ``bases`` is (N, n) with axis codes; returns (N, n) int8 signs.  Records
-    sharing a basis are sampled together from the exact joint distribution.
-    """
-    bases = np.asarray(bases)
-    count, n = bases.shape
-    signs = np.empty((count, n), dtype=np.int8)
-    uniques, inverse = np.unique(bases, axis=0, return_inverse=True)
-    bit_shift = np.arange(n - 1, -1, -1)
-    for g, axes in enumerate(uniques):
-        rows = np.flatnonzero(inverse == g)
-        probs = basis_outcome_probabilities(state, axes)
-        cdf = np.cumsum(probs)
-        cdf[-1] = 1.0
-        outcomes = np.searchsorted(cdf, rng.random(rows.size), side="right")
-        bits = (outcomes[:, None] >> bit_shift[None, :]) & 1
-        signs[rows] = (1 - 2 * bits).astype(np.int8)
-    return signs

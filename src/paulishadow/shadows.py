@@ -61,21 +61,21 @@ the rows are disjoint, so any split of the blocks between threads gives the
 same counts and records.  Iterating a stream yields its blocks in block
 order on the calling thread.
 Samplers draw their uniforms in slices, which give the same doubles as one
-call, so their temporaries stay small.  The channel kernels read their digits
-and uniforms straight from the block generator's raw Philox stream
-(``_PhiloxReader``, through ``bit_generator.random_raw``), one digit draw and
-one slice at a time, with the values that ``Generator.integers(...,
-dtype=np.int8)`` and ``Generator.random`` give: digits from the bytes of
-32-bit words, and each outcome bit or flip from a compare of the uniform's
-53-bit integer against a threshold (``_uniform_thresholds``), so no doubles
-are built.  ``PauliChannel.sample_errors`` and the gate kernel draw through
-the ``Generator``.  Both kinds of draw release the GIL: on a shared 2-core
-VM, raw and full-range uint32 draws ran 1.3-1.7x faster on two threads than
-one after the other.  Gathers release it through any index type, and
-``np.bincount`` and ``np.add.at`` hold it for part of each call.  The
-kernels gather through intp indices converted one slice at a time, faster
-on one thread (32,768 uint64 values: 118 us through uint8 codes, 65 us
-through their intp copy), and work their bits out with uint8 ufuncs.
+call, so their temporaries stay small.  The channel kernels read every draw
+straight from the block generator's raw Philox stream (``_PhiloxReader``,
+through ``bit_generator.random_raw``), one digit draw and one slice at a
+time, with the values that ``Generator.integers(..., dtype=np.int8)`` and
+``Generator.random`` give: digits from the bytes of 32-bit words, and each
+outcome bit, flip or Pauli error from a compare of the uniform's 53-bit
+integer against thresholds (``_uniform_thresholds``), so no doubles are
+built.  Only the gate kernel draws through the ``Generator``.  Both kinds
+of draw release the GIL: on a shared 2-core VM, raw and full-range uint32
+draws ran 1.3-1.7x faster on two threads than one after the other.
+Gathers release it through any index type, and ``np.bincount`` and
+``np.add.at`` hold it for part of each call.  The kernels gather through
+intp indices converted one slice at a time, faster on one thread (32,768
+uint64 values: 118 us through uint8 codes, 65 us through their intp copy),
+and work their bits out with uint8 ufuncs.
 On that VM, numpy operations of about 15 us or less barely overlap between
 the two threads (a 262,144-element uint8 add ran 1.15-1.25x faster on two).
 """
@@ -92,12 +92,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import exact
-from .channels import (
-    PauliChannel,
-    ProductChannel,
-    TransferMatrix,
-    row_slices,
-)
+from .channels import PauliChannel, ProductChannel, TransferMatrix
 from .clifford import CONJUGATION_TABLES, gate_arity
 from .observables import locality_norm_constant
 from .paulis import (
@@ -197,8 +192,9 @@ class _PhiloxReader:
     ``words`` gives 32-bit words in ``next_uint32`` order: the low half of
     each 64-bit output first.  A high half left over stays pending for the
     next ``words``, also across ``uniform_ints`` draws, which read whole
-    outputs as ``next_double`` does.  So the reader and ``rng.random``, as
-    ``PauliChannel.sample_errors`` draws it, may take turns on one stream.
+    outputs as ``next_double`` does: numpy keeps the half buffered through
+    ``rng.random`` calls, so digits and uniforms read in turn are the values
+    that its calls in that order give.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -251,6 +247,47 @@ class _PhiloxReader:
             done += b.size
             del b  # before the next words are drawn
         return out
+
+
+# Values per draw or gather of a sampler's slice.  Consecutive draws give the
+# same values as one, so slicing bounds the temporaries without changing a
+# draw.  On a 2-core VM, 2^15 kept n = 2 Pauli-error draws at about 2.4-3.1 ms
+# per 65,536-record block, while 2^17 made the n = 4 transfer-matrix sampler
+# fault in about 1,000 fresh pages per block.
+UNIFORM_SLICE = 1 << 15
+
+
+def row_slices(shape: tuple[int, ...]):
+    """Yield the slices that split ``shape`` along its first axis into
+    pieces of about ``UNIFORM_SLICE`` values."""
+    count, *rest = shape
+    step = max(UNIFORM_SLICE // math.prod(rest), 1)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
+def _pauli_errors(channel: PauliChannel, count: int, reader: _PhiloxReader) -> np.ndarray:
+    """``count`` error strings of a Pauli channel as (count, n) int8 letter
+    codes: a uniform per qubit (product form) or per record (sparse form),
+    its 53-bit integer compared with the thresholds of the CDFs."""
+    letters = np.zeros((count, channel.n), dtype=np.int8)
+    if channel.is_product:
+        # The letter counts the qubit's thresholds at or below u.
+        thresholds = _uniform_thresholds(np.cumsum(channel.qubit_probs(), axis=1)[:, :-1].T)
+        for rows in row_slices(letters.shape):
+            k = reader.uniform_ints(letters[rows].size).reshape(-1, channel.n)
+            for threshold in thresholds:
+                letters[rows] += k >= threshold
+            del k  # before the next slice is drawn
+        return letters
+    terms = channel.terms()
+    cdf = np.cumsum(list(terms.values()))
+    cdf[-1] = 1.0
+    thresholds, codes = _uniform_thresholds(cdf), letter_codes(list(terms), channel.n)
+    for rows in row_slices(letters.shape):
+        k = reader.uniform_ints(rows.stop - rows.start)
+        letters[rows] = codes[np.searchsorted(thresholds, k, side="right")]
+    return letters
 
 
 def _helper_count() -> int:
@@ -388,7 +425,7 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
             # At most four block arrays meet: while the outcome read in the
             # prepared axis is worked out, and at the coin's mask.
             prep_flips = flips(reader) if spam > 0.0 else 0
-            errors = channel.sample_errors(block_size, rng).view(np.uint8)
+            errors = _pauli_errors(channel, block_size, reader).view(np.uint8)
             # An error other than I and the prepared axis flips the input's bit.
             axis_bit = np.right_shift(cells, 1)
             axis_bit += 1  # the prepared axis as a letter code
@@ -798,6 +835,27 @@ def estimate_spam_factor(flip_probability: float, count: int, seed: int) -> floa
 # -- state expectation estimation ---------------------------------------------
 
 
+def sample_pauli_basis_outcomes(
+    state: "exact.DenseState", bases: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Sample measurement signs for each record's product basis.
+
+    ``bases`` is (N, n) with axis codes; returns (N, n) int8 signs.  Records
+    sharing a basis are sampled together from the exact joint distribution.
+    """
+    signs = np.empty(bases.shape, dtype=np.int8)
+    uniques, inverse = np.unique(bases, axis=0, return_inverse=True)
+    bit_shift = np.arange(bases.shape[1] - 1, -1, -1)
+    for g, axes in enumerate(uniques):
+        rows = np.flatnonzero(inverse == g)
+        cdf = np.cumsum(exact.basis_outcome_probabilities(state, axes))
+        cdf[-1] = 1.0
+        outcomes = np.searchsorted(cdf, rng.random(rows.size), side="right")
+        bits = (outcomes[:, None] >> bit_shift[None, :]) & 1
+        signs[rows] = (1 - 2 * bits).astype(np.int8)
+    return signs
+
+
 def estimate_state_expectations(
     state: "exact.DenseState",
     paulis: Sequence[PauliString],
@@ -816,7 +874,7 @@ def estimate_state_expectations(
     n = state.n
     rng = block_rng(seed, 0)
     bases = rng.integers(0, 3, (count, n), dtype=np.int8)
-    signs = exact.sample_pauli_basis_outcomes(state, bases, rng)
+    signs = sample_pauli_basis_outcomes(state, bases, rng)
     edges = np.linspace(0, count, EXPECTATION_BATCHES + 1).astype(int)
     out: dict[PauliString, float] = {}
     for p, codes in zip(paulis, letter_codes(paulis, n)):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulishadow import channels, exact
+from paulishadow import channels, exact, shadows
 from paulishadow.channels import (
     ConfigError,
     PauliChannel,
@@ -350,12 +350,17 @@ def test_config_identity_fill_convention():
 
 
 # -- error sampling ------------------------------------------------------------
+# The channel kernels draw a Pauli channel's errors through the block's raw
+# Philox reader; the references draw the same uniforms as ``Generator.random``.
+
+
+def pauli_errors(channel, count, seed):
+    return shadows._pauli_errors(channel, count, shadows._PhiloxReader(shadows.block_rng(seed, 0)))
 
 
 def test_sample_errors_product_distribution():
     ch = reference_product_channel()
-    rng = np.random.default_rng(29)
-    draws = ch.sample_errors(200_000, rng)
+    draws = pauli_errors(ch, 200_000, 29)
     assert draws.shape == (200_000, 2)
     freq = np.stack([(draws == c).mean(axis=0) for c in range(4)], axis=1)
     np.testing.assert_allclose(freq, ch.qubit_probs(), atol=0.01)
@@ -378,16 +383,15 @@ def test_sample_errors_product_matches_broadcast_reference():
         probs[0] = (1.0, 0.0, 0.0, 0.0) if n == 3 else probs[0]
         ch = PauliChannel.from_qubit_probs(probs / probs.sum(axis=1, keepdims=True))
         for count, seed in ((1, 0), (1000, 1), (1 << 16, 2)):
-            got = ch.sample_errors(count, np.random.default_rng(seed))
-            want = sample_errors_broadcast(ch, count, np.random.default_rng(seed))
+            got = pauli_errors(ch, count, seed)
+            want = sample_errors_broadcast(ch, count, shadows.block_rng(seed, 0))
             assert got.dtype == np.int8
             np.testing.assert_array_equal(got, want)
 
 
 def test_sample_errors_sparse_distribution():
     ch = PauliChannel.from_terms(2, {P("XZ"): 0.3, P("ZI"): 0.2})
-    rng = np.random.default_rng(31)
-    draws = ch.sample_errors(100_000, rng)
+    draws = pauli_errors(ch, 100_000, 31)
     # letter codes per qubit for XZ are (1, 3), for ZI (3, 0), identity (0, 0)
     frac_xz = np.mean((draws[:, 0] == 1) & (draws[:, 1] == 3))
     frac_zi = np.mean((draws[:, 0] == 3) & (draws[:, 1] == 0))
@@ -395,6 +399,17 @@ def test_sample_errors_sparse_distribution():
     assert frac_xz == pytest.approx(0.3, abs=0.01)
     assert frac_zi == pytest.approx(0.2, abs=0.01)
     assert frac_id == pytest.approx(0.5, abs=0.01)
+    # The reference picks each record's term by a searchsorted over rng.random.
+    ch = PauliChannel.from_terms(3, {P("XZI"): 0.1, P("IYY"): 0.2, P("ZZZ"): 0.05,
+                                     P("IIX"): 0.15})
+    terms = ch.terms()
+    cdf = np.cumsum(list(terms.values()))
+    cdf[-1] = 1.0
+    codes = np.array([[q.letter_code(j) for j in range(3)] for q in terms], np.int8)
+    for count, seed in ((1, 0), (1000, 1), (1 << 16, 2)):
+        u = shadows.block_rng(seed, 0).random(count)
+        np.testing.assert_array_equal(pauli_errors(ch, count, seed),
+                                      codes[np.searchsorted(cdf, u, side="right")])
 
 
 def test_to_product_channel():

@@ -378,6 +378,17 @@ def test_a_failed_write_is_one_configuration_error_line(command, tmp_path, capsy
         f"configuration error: cannot write {out}: File name too long\n")
 
 
+def test_a_report_to_dash_goes_to_stdout_after_the_summary(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["recover", "--channel", "reference", "--observable", "heisenberg",
+            "--shadows", "2000"]
+    assert cli.main([*argv, "--out", "report.json"]) == 0
+    summary = capsys.readouterr().out
+    assert cli.main([*argv, "--out", "-"]) == 0
+    assert capsys.readouterr().out == summary + Path("report.json").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
 @pytest.mark.parametrize("command, k_above", [("recover", 4), ("recover-general", 3)])
 def test_k_above_the_locality_leaves_the_report_unchanged(command, k_above, six_qubit_paths,
                                                           tmp_path, capsys):
@@ -616,6 +627,19 @@ def test_fig2_csv_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG2_DIGEST
 
 
+# SHA-256 of a fig2 CSV whose noisy-state expectations are shadow estimates,
+# the only command that samples a state's Pauli-basis outcomes.
+FIG2_ESTIMATED_DIGEST = "5f20f455a0cdd1a829805f9895a15e3dfc8896ae4b487a4385fe56f32f7ceace"
+
+
+def test_fig2_estimated_expectations_csv_digest(tmp_path):
+    out = tmp_path / "fig2.csv"
+    argv = ["fig2", "--sweep", "3000,6000", "--states", "6", "--repeats", "2", "--seed", "3",
+            "--estimated-expectations", "--expectation-shadows", "3000", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG2_ESTIMATED_DIGEST
+
+
 def test_fig2_exact_eigenvalue_injection_is_lossless(tmp_path):
     # with oracle eigenvalues the recovery pipeline must be exact
     out = tmp_path / "exact.csv"
@@ -790,6 +814,12 @@ BAD_INPUTS = {
     "mitigate-out-under-file":
         "mitigate --circuit CIRCUIT --observable heisenberg --out IDENTITY/x.json",
     "fig2-out-under-file": "fig2 --sweep 100 --out IDENTITY/x.json",
+    # An empty --out names no file; - is standard output.
+    "learn-out-empty": "learn --channel reference --out=",
+    "recover-out-empty": "recover --channel reference --observable heisenberg --out=",
+    "general-out-empty": "recover-general --channel DAMPING --observable heisenberg --out=",
+    "mitigate-out-empty": "mitigate --circuit CIRCUIT --observable heisenberg --out=",
+    "fig2-out-empty": "fig2 --sweep 100 --out=",
     # A record count past the float range: an infinite bound, a target that
     # squares to 0, and a norm constant whose k^(k + 2.5) or k! overflows.
     "plan-count-past-float-range": f"{PLAN} --n 2 --k 2 --epsilon 0.1 --min-eigenvalue 1e-150",

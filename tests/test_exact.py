@@ -455,17 +455,6 @@ def test_basis_outcome_probabilities():
     )
 
 
-def test_sample_pauli_basis_outcomes():
-    zero = product_eigenstate([2], [+1])
-    rng = np.random.default_rng(23)
-    bases = np.zeros((4000, 1), dtype=np.int8)
-    bases[:2000, 0] = 2  # Z first, then X
-    bases[2000:, 0] = 0
-    signs = exact.sample_pauli_basis_outcomes(zero, bases, rng)
-    assert np.all(signs[:2000, 0] == 1)
-    assert abs(signs[2000:, 0].mean()) < 0.1  # fair coin in the X basis
-
-
 def test_reference_channel_outcome_probability():
     # qubit-1 channel keeps a Z eigenstate with probability pI + pZ = 0.80
     ch = PauliChannel.from_qubit_probs([(0.75, 0.10, 0.10, 0.05)])

@@ -21,7 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from paulishadow import channels, exact, shadows
+from paulishadow import exact, shadows
 from paulishadow.channels import (
     PauliChannel,
     ProductChannel,
@@ -322,17 +322,19 @@ def test_draw_identities_the_samplers_rely_on(monkeypatch):
             pending.append(reader.half is not None)
             np.testing.assert_array_equal(reader.uniform_ints(2) * 2.0**-53, b.random(2))
         assert any(pending)
-    monkeypatch.setattr(channels, "UNIFORM_SLICE", 64)
+    monkeypatch.setattr(shadows, "UNIFORM_SLICE", 64)
     for shape in ((1000,), (333, 3), (5, 100)):
         a, b = block_rng(4, 1), block_rng(4, 1)
         a.integers(0, 3, 7, dtype=np.int8)  # a draw before, as in the samplers
-        b.integers(0, 3, 7, dtype=np.int8)
+        reader = shadows._PhiloxReader(b)
+        reader.digits(3, (7,))
         whole = a.random(shape)
         sliced = np.empty(shape)
-        for rows, u in channels.uniform_slices(b, shape):
-            sliced[rows] = u
+        for rows in shadows.row_slices(shape):
+            part = sliced[rows]
+            part[...] = (reader.uniform_ints(part.size) * 2.0**-53).reshape(part.shape)
         np.testing.assert_array_equal(sliced, whole)
-        assert a.random() == b.random()
+        assert a.random() == reader.uniform_ints(1)[0] * 2.0**-53
 
 
 def test_uniform_thresholds_compare_like_the_doubles():
@@ -348,6 +350,21 @@ def test_uniform_thresholds_compare_like_the_doubles():
                                       (raws >> np.uint64(11)) * 2.0**-53 >= p)
     np.testing.assert_array_equal(shadows._uniform_thresholds([-0.5, 0.0, 1.0, 1.5]),
                                   np.array([0, 0, 2**53, 2**53], np.uint64))
+
+
+@pytest.mark.parametrize("cdf", [(0.25, 0.5, 0.75, 1.0), (0.1, 0.3, 0.6, 0.7, 1.0)])
+def test_uniform_thresholds_pick_like_the_doubles(cdf):
+    # A sparse channel's record picks its term by a searchsorted of the
+    # uniform's 53-bit integer over the CDF's thresholds, and rng.random's
+    # double over the CDF itself picks the same term, on raw words at and
+    # beside each threshold's first word.  0.25 is dyadic; 0.1 is not.
+    cdf = np.array(cdf)
+    thresholds = shadows._uniform_thresholds(cdf)
+    raws = np.array([k * 2**11 + d for k in map(int, thresholds) for d in (-1, 0, 1)
+                     if 0 <= k * 2**11 + d < 2**64], np.uint64)
+    k = raws >> np.uint64(11)
+    np.testing.assert_array_equal(np.searchsorted(thresholds, k, side="right"),
+                                  np.searchsorted(cdf, k * 2.0**-53, side="right"))
 
 
 def assert_digits_match_int8_draw(reader, b, high, shape):
@@ -1172,6 +1189,17 @@ def test_spam_flip_probability_validation():
 
 
 # -- state expectation estimation ---------------------------------------------
+
+
+def test_sample_pauli_basis_outcomes():
+    zero = product_eigenstate([2], [+1])
+    rng = np.random.default_rng(23)
+    bases = np.zeros((4000, 1), dtype=np.int8)
+    bases[:2000, 0] = 2  # Z first, then X
+    bases[2000:, 0] = 0
+    signs = shadows.sample_pauli_basis_outcomes(zero, bases, rng)
+    assert np.all(signs[:2000, 0] == 1)
+    assert abs(signs[2000:, 0].mean()) < 0.1  # fair coin in the X basis
 
 
 def test_state_expectations_fixed_points():
