@@ -25,10 +25,11 @@ estimator reads its pairs through one pair reader, ``_read_pairs``: it takes
 (P, Q) as rows of digits P_j * 4 + Q_j, which the estimator builds from
 letter codes, and returns each pair's ``3^|P| * numer / N``.  Up to four
 qubits, ``_numerators`` counts the source into one joint 36^n histogram of
-cells (``count_into``), as int32 counts up to 2^31 - 1 records and as int64
-past that.  Contracting it
-once, qubit by qubit, against the (16, 36) table of per-qubit factors gives
-the 16^n *moment table*: the entry at mixed-radix index
+cells (``count_into``): uint8 counts up to 16 * 18^n records, checked by
+their sum and counted again wider if a cell wrapped, int32 up to 2^31 - 1
+records and int64 past that.  Contracting it once, qubit by qubit, against
+the (16, 36) table of per-qubit factors gives the 16^n *moment table*: the
+entry at mixed-radix index
 sum_j (P_j * 4 + Q_j) * 16^(n-1-j), with letter codes I=0, X=1, Y=2, Z=3
 and qubit 0 most significant, is the numerator of (P, Q): the sum over
 records of prod_j tr(P_j s_j) tr(Q_j (3 t_j - I)).
@@ -375,8 +376,10 @@ class BlockStream:
 
         def visit(block: int, left: int) -> None:
             where, amounts = self.tally(block_rng(self.seed, block), left)
+            # The cast wraps, as the counts do; np.asarray(300, np.uint8) raises.
+            amounts = np.asarray(amounts).astype(counts.dtype, copy=False)
             with lock:  # amounts of the counts' dtype keep np.add.at on its fast path
-                np.add.at(counts, where, np.asarray(amounts, counts.dtype))
+                np.add.at(counts, where, amounts)
 
         self._drive(visit)
 
@@ -525,10 +528,11 @@ def _moment_table(hist: np.ndarray, w: int, bound: int) -> np.ndarray:
     of the histogram gives its own 16^(w-1) table in w - 1 float64 matrix
     products through BLAS, each contracting the leading qubit axis and
     appending that qubit's letter axis (so qubit 0 ends most significant
-    again), and one product with the factor table sums the 36 slab tables
-    over the leading cell.  So no float copy of the histogram is held, only
-    of one slab (an int32 slab of ``_numerators``' histogram converts faster
-    than an int64 one), and no (36^(w-1), 16) intermediate (6 MB at w = 4).  A
+    again).  Six leading cells make a group, and one product with their
+    rows of the factor table adds the group's slab tables into the result.
+    So no float copy of the histogram is held, only of one slab, and no
+    (36^(w-1), 16) intermediate (6 MB at w = 4) nor all 36 slab tables
+    (1.2 MB at w = 4) at once.  A
     factor is at most 3 in magnitude, so every partial sum is an integer of
     magnitude at most 3^w N, with N the histogram's total absolute count.
     Below 2^53 that is exact in float64 under any summation order; past it
@@ -540,12 +544,14 @@ def _moment_table(hist: np.ndarray, w: int, bound: int) -> np.ndarray:
                          "the moments would round")
     if w == 0:
         return hist.reshape(-1).astype(np.int64)
-    slabs = np.empty((36, 16 ** (w - 1)))
-    for cell, table in enumerate(hist.reshape(36, -1)):
-        for _ in range(w - 1):
-            table = table.reshape(36, -1).T.astype(np.float64, copy=False) @ _CELL_FACTORS_T
-        slabs[cell] = table.reshape(-1)
-    return (_CELL_FACTORS_T.T @ slabs).reshape(-1).astype(np.int64)
+    moments, slabs = np.zeros((16, 16 ** (w - 1))), np.empty((6, 16 ** (w - 1)))
+    for group in range(0, 36, 6):
+        for row, table in enumerate(hist.reshape(36, -1)[group : group + 6]):
+            for _ in range(w - 1):
+                table = table.reshape(36, -1).T.astype(np.float64, copy=False) @ _CELL_FACTORS_T
+            slabs[row] = table.reshape(-1)
+        moments += _CELL_FACTORS_T[group : group + 6].T @ slabs
+    return moments.reshape(-1).astype(np.int64)
 
 
 def _table_index(digits: np.ndarray) -> np.ndarray:
@@ -605,17 +611,24 @@ def _numerators(source: ShadowRecords | BlockStream, digits: np.ndarray) -> tupl
 
     Up to the joint cap the source is counted into one 36^n histogram, a
     stream where each block is drawn, and its moment table serves every pair.
-    No cell exceeds the record total, so the counts are int32 (6.7 MB at
-    n = 4) up to 2^31 - 1 records and int64 past that.  Past the cap the
-    source's records are read per union support, a stream's drawn first.
+    A cell expects at most total / 18^n records (uniform input digits and
+    measured axes), so up to 16 * 18^n records the counts are uint8 (1.7 MB
+    at n = 4).  A wrap takes exactly 256 off their sum, so a short sum means
+    a recount of the stateless source at int32; past 2^31 - 1 records the
+    counts are int64.  Past the cap the source's records are read per union
+    support, a stream's drawn first.
     """
     total = len(source)
     if total == 0:
         raise ValueError("no records")
     if source.n > COUNTS_QUBIT_CAP:
         return total, _marginal_numerators(source.records(), digits)
-    hist = np.zeros(36**source.n, np.int32 if total <= INT32_RECORDS else np.int64)
-    source.count_into(hist)
+    wide = np.int32 if total <= INT32_RECORDS else np.int64
+    for dtype in [np.uint8, wide] if total <= 16 * 18**source.n else [wide]:
+        hist = np.zeros(36**source.n, dtype)
+        source.count_into(hist)
+        if hist.sum(dtype=np.int64) == total:  # no cell wrapped
+            break
     return total, _moment_table(hist, source.n, total)[_table_index(digits)]
 
 

@@ -792,28 +792,39 @@ def test_counts_merge_and_accumulate(counts_of, hist_of):
 
 
 class CountedStream:
-    """A stream of ``count`` records, every one in joint cell 5, that checks
-    the dtype of the histogram it is counted into."""
+    """A stream of ``count`` records spread evenly over the joint cells, the
+    remainder in cell 5, that notes the dtype of each histogram it is counted
+    into.  The amounts are cast as ``BlockStream.count_into`` casts them, so
+    they wrap with the counts."""
 
-    def __init__(self, n, count, dtype):
-        self.n, self.count, self.dtype = n, count, dtype
+    def __init__(self, n, count):
+        self.n, self.count, self.dtypes = n, count, []
 
     def __len__(self):
         return self.count
 
     def count_into(self, counts):
-        assert counts.dtype == self.dtype
-        counts[5] += self.count
+        self.dtypes.append(counts.dtype)
+        hist = np.full(len(counts), self.count // len(counts), np.int64)
+        hist[5] += self.count % len(counts)
+        counts += hist.astype(counts.dtype)
 
 
-def test_counts_are_int32():
+def test_count_width_follows_the_record_total():
+    # A cell expects at most total / 18^n records: up to 16 * 18^n records
+    # the counts are uint8, and one record more takes int32.
     for n in range(1, shadows.COUNTS_QUBIT_CAP + 1):
-        # Cell 5 is X+ in and Z- out on the last qubit: I in, Z out reads -3.
+        # Cell 5 is X+ in and Z- out on the last qubit: I in, Z out reads -3;
+        # the evenly spread records read 0.
         digits = np.zeros((2, n), np.int64)
         digits[1, -1] = 3
-        total, numers = shadows._numerators(CountedStream(n, 1000, np.int32), digits)
-        assert total == 1000
-        assert numers.tolist() == [1000, -3000]
+        bound = 16 * 18**n
+        for count, dtype in ((bound, np.uint8), (bound + 1, np.int32)):
+            stream = CountedStream(n, count)
+            total, numers = shadows._numerators(stream, digits)
+            assert stream.dtypes == [dtype]
+            assert total == count
+            assert numers.tolist() == [count, -3 * (count % 36**n)]
 
 
 def test_counts_widen_to_int64_before_a_total_passes_int32():
@@ -821,12 +832,52 @@ def test_counts_widen_to_int64_before_a_total_passes_int32():
     # record: 2^31 - 1 records fit an int32 cell, one more would wrap it.
     digits = np.array([[0, 0], [0, 3]])
     for count, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):
-        total, numers = shadows._numerators(CountedStream(2, count, dtype), digits)
-        assert total == count and numers.tolist() == [count, -3 * count]
+        counted = CountedStream(2, count)
+        total, numers = shadows._numerators(counted, digits)
+        assert counted.dtypes == [dtype]
+        assert total == count and numers.tolist() == [count, -3 * (count % 36**2)]
         # A block stream's tally adds all of its records to one cell in one
         # block; into an int32 histogram, 2^31 of them would not convert.
         stream = shadows.BlockStream(2, count, 0, count, None, lambda rng, left: (np.array([5]), left))
         assert shadows._numerators(stream, digits)[1].tolist() == [count, -3 * count]
+
+
+def _noting_widths(source):
+    """``source`` with its ``count_into`` noting each histogram's dtype in ``source.dtypes``."""
+    count_into, source.dtypes = source.count_into, []
+
+    def noting(counts):
+        source.dtypes.append(counts.dtype)
+        count_into(counts)
+
+    source.count_into = noting
+    return source
+
+
+@pytest.mark.parametrize("source", ["records", "unit amounts", "gate tally", "python int"])
+def test_a_wrapped_uint8_cell_is_counted_again(source, hist_of):
+    # 288 = 16 * 18 one-qubit records fit the uint8 rule, yet all of them sit
+    # in cell 5 (X+ in, Z- out), which wraps to 32: the sum check must catch
+    # it and recount at int32.  Blocks of 100 add unit amounts; the gate-style
+    # tally adds one bincount whose bin 5 is 288; the last tally's amount is a
+    # Python int, which a plain uint8 cast would refuse.
+    count, where = 16 * 18, np.array([5])
+    tallies = {
+        "unit amounts": (100, lambda rng, left: (np.full(min(left, 100), 5), 1)),
+        "gate tally": (count, lambda rng, left: (np.arange(36), np.bincount(where.repeat(left), minlength=36))),
+        "python int": (count, lambda rng, left: (where, left)),
+    }
+    if source == "records":
+        stream = shadows.ShadowRecords(np.full((count, 1), 5, np.uint8))
+    else:
+        block_size, tally = tallies[source]
+        stream = shadows.BlockStream(1, count, 0, block_size, None, tally)
+    digits = np.array([[0], [3], [4], [7], [12], [15]])  # in * 4 + out, read against the table
+    reference = shadows._moment_table(hist_of(stream), 1, count)[shadows._table_index(digits)]
+    total, numers = shadows._numerators(_noting_widths(stream), digits)
+    np.testing.assert_array_equal(numers, reference)
+    assert numers.tolist() == [count, -3 * count, count, -3 * count, 0, 0]
+    assert stream.dtypes == [np.uint8, np.int32]
 
 
 def _traced_peak(run) -> int:
@@ -862,6 +913,18 @@ def test_four_qubit_reduce_path_stays_small(monkeypatch, hist_of):
     assert peaks[1] < peaks[0] + 2**16
     blocks = iter_channel_shadow_blocks(channel, 200_000, seed=5)  # counted as drawn
     assert _traced_peak(lambda: hist_of(blocks)) < 12 * 2**20
+
+
+def test_four_qubit_transfer_estimate_stays_small(monkeypatch):
+    # A million four-qubit records are counted into a 1.6 MiB uint8
+    # histogram while two blocks are drawn at a time, and the moment table
+    # is contracted six leading cells at a time.  An int32 histogram (6.4 MiB)
+    # and all 36 slab tables at once took the traced peak to 9.2 MiB.
+    monkeypatch.setattr(shadows, "_helper_count", lambda: 1)  # two blocks at a time
+    channel = ProductChannel([amplitude_damping_ptm(0.1 * (j + 1)) for j in range(4)])
+    estimate_transfer_matrix(iter_channel_shadow_blocks(channel, 1000, 5), 2)  # warm-up
+    stream = iter_channel_shadow_blocks(channel, 1_000_000, seed=5)
+    assert _traced_peak(lambda: estimate_transfer_matrix(stream, 2)) < 5 * 2**20
 
 
 def test_records_past_the_cap_are_held_once(monkeypatch):
