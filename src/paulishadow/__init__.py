@@ -36,7 +36,6 @@ from .channels import (
     walsh_eigenvalues,
     walsh_probabilities,
 )
-from .exact import DenseState
 from .recovery import (
     BackwardObservable,
     IllConditionedError,
@@ -93,7 +92,6 @@ __all__ = [
     "reference_product_channel",
     "walsh_eigenvalues",
     "walsh_probabilities",
-    "DenseState",
     "BackwardObservable",
     "IllConditionedError",
     "RecoveryError",

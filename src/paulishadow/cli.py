@@ -323,9 +323,10 @@ def run_fig2(
     recover tr(O sigma) for a batch of Haar-random states, and compare the
     recovered mean absolute error to the uncorrected one.  Only the
     observable's own eigenvalues are learned.  The observable is
-    normalized to unit spectral norm first.  Noisy-state expectations come
-    from the dense oracle unless ``estimated_expectations`` is set, in which
-    case they are median-of-means shadow estimates.
+    normalized to unit spectral norm first.  Noisy-state expectations are
+    the statevector oracle's ``noisy_expectations`` unless
+    ``estimated_expectations`` is set, in which case they are
+    median-of-means estimates from random-basis shadows of each noisy state.
 
     A trial whose recovery hits the eigenvalue floor gets ``nan`` recovered
     error and ratio; if every trial at some point hits it, this raises.
@@ -365,9 +366,9 @@ def run_fig2(
         if estimated_expectations:
             noisy_t = np.empty((n_states, len(paulis)))
             for i, psi in enumerate(psis):
-                noisy = exact.apply_channel(channel, exact.DenseState.from_unit_vector(psi))
                 ests = estimate_state_expectations(
-                    noisy,
+                    channel,
+                    psi,
                     paulis,
                     expectation_shadows,
                     _derive_seed(seed, 7001, rep, i),

@@ -8,10 +8,9 @@ The report commands' oracles are matrix-free.  Their test state is a pure
 Haar vector psi, so every value they need is <psi|A|psi> for some operator A
 that a few Pauli strings span, and each string costs one gather of 2^n
 amplitudes (``pauli_expectations``): a Pauli string has one nonzero entry per
-row, P[r, r ^ x], so <psi|P|psi> sums conj(psi[r]) P[r, r ^ x] psi[r ^ x]
-and tr(P rho) sums P[r, r ^ x] rho[r ^ x, r].  The gather takes a whole
-letter-code array of strings at once, in chunks of terms that bound its
-temporaries.  ``noisy_expectations`` gives tr(Q E(|psi><psi|)) =
+row, P[r, r ^ x], so <psi|P|psi> sums conj(psi[r]) P[r, r ^ x] psi[r ^ x].
+The gather takes a whole letter-code array of strings at once, in chunks of
+terms that bound its temporaries.  ``noisy_expectations`` gives tr(Q E(|psi><psi|)) =
 <psi|E^dagger(Q)|psi> in the Heisenberg picture:
 
 * a sparse Pauli channel multiplies Q by its eigenvalue, the commutation
@@ -31,15 +30,16 @@ very numbers the oracle multiplied by.
 Statevector oracles are capped at 20 qubits.
 
 The ideal circuit run is unitary, so on a pure state it evolves the 2^n
-statevector, one local unitary per gate.  Dense density matrices, capped at
-12 qubits, serve ``fig2 --estimated-expectations``, which measures the noisy
-state itself (``apply_channel``, ``basis_outcome_probabilities``).
+statevector, one local unitary per gate.  ``fig2 --estimated-expectations``
+measures the noisy state in random product bases, and a Pauli channel acts
+on such a measurement only by flipping outcomes, so its outcome
+probabilities also come from the ideal statevector
+(``basis_outcome_probabilities``).  No state here is a density matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,9 +53,8 @@ from .paulis import (
     pauli_from_index,
 )
 
-STATE_QUBIT_CAP = 12         # dense density matrices
+STATE_QUBIT_CAP = 12         # fig2's dense spectral norm (Observable.matrix)
 STATEVECTOR_QUBIT_CAP = 20   # the report commands' matrix-free oracles
-HERMITICITY_TOLERANCE = 1e-10
 # (state, term, amplitude) triples per gather chunk: about 40 bytes of
 # temporaries each, so a chunk stays near 10 MB at any n.
 GATHER_CHUNK = 1 << 18
@@ -71,37 +70,6 @@ _H_GATE = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _S_GATE = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
 
 
-@dataclass
-class DenseState:
-    """A validated density matrix."""
-
-    n: int
-    rho: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, rho: np.ndarray, validate: bool = True) -> "DenseState":
-        rho = np.asarray(rho, dtype=np.complex128)
-        dim = rho.shape[0]
-        n = int(round(math.log2(dim)))
-        if rho.ndim != 2 or rho.shape != (dim, dim) or 2**n != dim:
-            raise ValueError(f"expected a 2^n x 2^n matrix, got shape {rho.shape}")
-        if n > STATE_QUBIT_CAP:
-            raise ValueError(f"dense states capped at {STATE_QUBIT_CAP} qubits")
-        if validate:
-            if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOLERANCE:
-                raise ValueError("density matrix is not Hermitian")
-            if abs(np.trace(rho).real - 1.0) > HERMITICITY_TOLERANCE:
-                raise ValueError(f"trace is {np.trace(rho).real:g}, expected 1")
-            if float(np.min(np.linalg.eigvalsh(rho))) < -1e-9:
-                raise ValueError("density matrix has a negative eigenvalue")
-        return cls(n, rho)
-
-    @classmethod
-    def from_unit_vector(cls, psi: np.ndarray) -> "DenseState":
-        """|psi><psi| of a statevector that already has unit norm."""
-        return cls.from_matrix(np.outer(psi, psi.conj()), validate=False)
-
-
 def haar_random_vector(n: int, seed_or_rng) -> np.ndarray:
     """Haar-random unit statevector: a normalized complex Gaussian vector."""
     rng = (
@@ -115,7 +83,7 @@ def haar_random_vector(n: int, seed_or_rng) -> np.ndarray:
     return vector / np.linalg.norm(vector)
 
 
-# -- channel application -------------------------------------------------------
+# -- local superoperators -----------------------------------------------------
 
 
 def _superop_from_ptm(ptm: np.ndarray) -> np.ndarray:
@@ -129,43 +97,6 @@ def _superop_from_ptm(ptm: np.ndarray) -> np.ndarray:
                 "rc,xw->rcwx", PAULI_MATRICES[a], PAULI_MATRICES[b]
             )
     return s
-
-
-def _apply_local_superop(tensor: np.ndarray, s: np.ndarray, qubits: Sequence[int], n: int):
-    """Apply a (2,)*4a superoperator S[r, c, r', c'] on ``qubits`` to a
-    (2,)*2n operator tensor (row qubits, then column qubits)."""
-    a = len(qubits)
-    axes = [*qubits, *(n + q for q in qubits)]
-    out = np.tensordot(tensor, s, axes=(axes, range(2 * a, 4 * a)))
-    return np.moveaxis(out, range(2 * n - 2 * a, 2 * n), axes)
-
-
-def apply_to_operator(channel, op: np.ndarray) -> np.ndarray:
-    """Linear action of a Pauli or product channel on an arbitrary (not
-    necessarily PSD) matrix."""
-    op = np.asarray(op, dtype=np.complex128)
-    n = int(round(math.log2(op.shape[0])))
-    if not isinstance(channel, (PauliChannel, ProductChannel)):
-        raise TypeError(f"cannot apply {type(channel).__name__}")
-    if channel.n != n:
-        raise ValueError(f"channel acts on {channel.n} qubits, operator on {n}")
-    if isinstance(channel, PauliChannel) and channel.is_product:
-        channel = channel.to_product_channel()
-    if isinstance(channel, ProductChannel):
-        tensor = op.reshape((2,) * (2 * n))
-        for j in range(n):
-            tensor = _apply_local_superop(tensor, _superop_from_ptm(channel.ptm(j)), [j], n)
-        return tensor.reshape(op.shape)
-    out = np.zeros_like(op)
-    for q, prob in channel.terms().items():
-        m = q.matrix()
-        out += prob * (m @ op @ m)
-    return out
-
-
-def apply_channel(channel, state: DenseState) -> DenseState:
-    out = apply_to_operator(channel, state.rho)
-    return DenseState(state.n, out)
 
 
 # -- Pauli expectations -------------------------------------------------------
@@ -183,21 +114,17 @@ def _parity_signs(n: int) -> np.ndarray:
 _MINUS_I_POWERS = np.array([complex(1, 0), complex(0, -1), complex(-1, 0), complex(0, 1)])
 
 
-def pauli_expectations(codes: np.ndarray, state: DenseState | np.ndarray) -> np.ndarray:
-    """<P> of the unsigned string in each row of a (terms, n) letter-code
-    array (``paulis.letter_codes``): tr(P rho), shape (terms,), of a
-    DenseState, or <psi|P|psi>, shape (..., terms), of each unit statevector
-    of a (..., 2^n) amplitude array.  Complex; for a valid state the
-    imaginary parts are rounding.  The gather runs over chunks of terms (see
-    the module docstring)."""
-    codes = np.asarray(codes)
+def pauli_expectations(codes: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<psi|P|psi> of the unsigned string in each row of a (terms, n)
+    letter-code array (``paulis.letter_codes``), shape (..., terms), for each
+    unit statevector of a (..., 2^n) amplitude array.  Complex; for a valid
+    state the imaginary parts are rounding.  The gather runs over chunks of
+    terms (see the module docstring)."""
+    codes, psi = np.asarray(codes), np.asarray(psi)
     n = codes.shape[1]
     dim = 1 << n
-    dense = isinstance(state, DenseState)
-    amplitudes = state.rho.reshape(-1) if dense else np.asarray(state)
-    size = len(state.rho) if dense else amplitudes.shape[-1]
-    if size != dim:
-        raise ValueError(f"strings act on {n} qubits, the state has dimension {size}")
+    if psi.shape[-1] != dim:
+        raise ValueError(f"strings act on {n} qubits, the state has dimension {psi.shape[-1]}")
     # Row-index bits: qubit 0 is the most significant.
     place = 1 << np.arange(n - 1, -1, -1)
     x = ((codes == 1) | (codes == 2)) @ place
@@ -205,30 +132,26 @@ def pauli_expectations(codes: np.ndarray, state: DenseState | np.ndarray) -> np.
     phase = _MINUS_I_POWERS[(codes == 2).sum(axis=1) % 4]
     rows = np.arange(dim)
     parity = _parity_signs(n)
-    batch = () if dense else amplitudes.shape[:-1]
+    batch = psi.shape[:-1]
     out = np.empty((*batch, len(codes)), complex)
     step = max(1, GATHER_CHUNK // (dim * math.prod(batch)))
     for lo in range(0, len(codes), step):
         terms = slice(lo, lo + step)
         columns = rows ^ x[terms, None]
         signs = parity.take(rows & z[terms, None])  # (-1)^popcount(r & z)
-        if dense:
-            out[terms] = np.einsum("tr,tr->t", amplitudes.take(columns * dim + rows), signs)
-        else:
-            out[..., terms] = np.einsum("...tr,tr,...r->...t", amplitudes.take(columns, axis=-1),
-                                        signs, amplitudes.conj())
+        out[..., terms] = np.einsum("...tr,tr,...r->...t", psi.take(columns, axis=-1), signs,
+                                    psi.conj())
     return out * phase
 
 
-def expectation(observable: PauliString | Observable, state: DenseState | np.ndarray) -> float:
-    """tr(O rho) of a DenseState, or <psi|O|psi> of a unit statevector, by
-    one gather of 2^n entries per Pauli term (see ``pauli_expectations``)."""
-    if not isinstance(state, DenseState):
-        state = np.asarray(state).reshape(-1)
+def expectation(observable: PauliString | Observable, psi: np.ndarray) -> float:
+    """<psi|O|psi> of a unit statevector, by one gather of 2^n amplitudes per
+    Pauli term (see ``pauli_expectations``)."""
     terms = observable.terms() if isinstance(observable, Observable) else {observable: 1.0}
     strings = list(terms)
     signed = np.array([c * p.sign for p, c in terms.items()])
-    value = (signed * pauli_expectations(letter_codes(strings, observable.n), state)).sum()
+    codes = letter_codes(strings, observable.n)
+    value = (signed * pauli_expectations(codes, np.asarray(psi).reshape(-1))).sum()
     if abs(value.imag) > 1e-8:
         raise ValueError(f"expectation has imaginary part {value.imag:g}")
     return float(value.real)
@@ -400,17 +323,32 @@ def noisy_expectations(noise, strings: Sequence[PauliString], psi: np.ndarray) -
 # -- measurement simulation ----------------------------------------------------
 
 
-def basis_outcome_probabilities(state: DenseState, axes: Sequence[int]) -> np.ndarray:
-    """Joint outcome probabilities (length 2^n) for a product Pauli basis.
+def basis_outcome_probabilities(channel: PauliChannel, psi: np.ndarray,
+                                axes: Sequence[int]) -> np.ndarray:
+    """Joint outcome probabilities (length 2^n) of measuring E(|psi><psi|),
+    for a Pauli channel E, in the product Pauli basis ``axes`` (0 = X, 1 = Y,
+    2 = Z).  Outcome index bit j (qubit 0 most significant) is 0 for +1 and
+    1 for -1.
 
-    Outcome index bit j (qubit 0 most significant) is 0 for +1 and 1 for -1.
+    The ideal probabilities are |R psi|^2, R rotating one qubit at a time.
+    A Pauli error flips outcome bit j exactly when its letter on qubit j
+    anticommutes with the measured axis, so the channel mixes them with
+    their flipped copies p[r ^ mask]: qubit by qubit in product form, term
+    by term in sparse form.
     """
-    rot = np.array([[1.0]], dtype=np.complex128)
-    for axis in axes:
-        rot = np.kron(rot, BASIS_ROTATIONS[axis])
-    probs = np.real(np.einsum("ij,jk,ik->i", rot, state.rho, rot.conj()))
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"outcome probabilities sum to {total:g}")
-    return probs / total
+    n = len(axes)
+    tensor = np.asarray(psi, dtype=np.complex128).reshape((2,) * n)
+    for j, axis in enumerate(axes):
+        tensor = np.moveaxis(np.tensordot(BASIS_ROTATIONS[axis], tensor, axes=(1, j)), 0, j)
+    probs = (tensor.real**2 + tensor.imag**2).reshape(-1)
+    rows = np.arange(probs.size)
+    place = 1 << np.arange(n - 1, -1, -1)
+    if channel.is_product:
+        for bit, axis, qubit in zip(place, axes, channel.qubit_probs()):
+            keep = qubit[0] + qubit[axis + 1]
+            probs = keep * probs + (1.0 - keep) * probs[rows ^ bit]
+        return probs
+    terms = channel.terms()
+    letters = letter_codes(list(terms), n)
+    masks = ((letters != 0) & (letters != np.asarray(axes) + 1)) @ place
+    return sum(prob * probs[rows ^ mask] for prob, mask in zip(terms.values(), masks))

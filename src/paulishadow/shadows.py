@@ -849,9 +849,9 @@ def estimate_spam_factor(flip_probability: float, count: int, seed: int) -> floa
 
 
 def sample_pauli_basis_outcomes(
-    state: "exact.DenseState", bases: np.ndarray, rng: np.random.Generator
+    channel: PauliChannel, psi: np.ndarray, bases: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sample measurement signs for each record's product basis.
+    """Sample measurement signs of E(|psi><psi|) for each record's product basis.
 
     ``bases`` is (N, n) with axis codes; returns (N, n) int8 signs.  Records
     sharing a basis are sampled together from the exact joint distribution.
@@ -861,7 +861,7 @@ def sample_pauli_basis_outcomes(
     bit_shift = np.arange(bases.shape[1] - 1, -1, -1)
     for g, axes in enumerate(uniques):
         rows = np.flatnonzero(inverse == g)
-        cdf = np.cumsum(exact.basis_outcome_probabilities(state, axes))
+        cdf = np.cumsum(exact.basis_outcome_probabilities(channel, psi, axes))
         cdf[-1] = 1.0
         outcomes = np.searchsorted(cdf, rng.random(rows.size), side="right")
         bits = (outcomes[:, None] >> bit_shift[None, :]) & 1
@@ -870,12 +870,14 @@ def sample_pauli_basis_outcomes(
 
 
 def estimate_state_expectations(
-    state: "exact.DenseState",
+    channel: PauliChannel,
+    psi: np.ndarray,
     paulis: Sequence[PauliString],
     count: int,
     seed: int,
 ) -> dict[PauliString, float]:
-    """Median-of-means Pauli expectations of a state from random-basis shadows.
+    """Median-of-means Pauli expectations of E(|psi><psi|), for a Pauli
+    channel E and a unit statevector psi, from random-basis shadows.
 
     Measures ``count`` snapshots in uniformly random product Pauli bases
     (outcomes drawn from the exact distribution), reconstructs each Pauli's
@@ -884,10 +886,10 @@ def estimate_state_expectations(
     """
     if count < EXPECTATION_BATCHES:
         raise ValueError(f"need at least {EXPECTATION_BATCHES} records, got {count}")
-    n = state.n
+    n = channel.n
     rng = block_rng(seed, 0)
     bases = rng.integers(0, 3, (count, n), dtype=np.int8)
-    signs = sample_pauli_basis_outcomes(state, bases, rng)
+    signs = sample_pauli_basis_outcomes(channel, psi, bases, rng)
     edges = np.linspace(0, count, EXPECTATION_BATCHES + 1).astype(int)
     out: dict[PauliString, float] = {}
     for p, codes in zip(paulis, letter_codes(paulis, n)):

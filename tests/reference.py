@@ -1,32 +1,29 @@
 """Dense Schroedinger-picture references that the tests check the package against.
 
 No command runs these.  They work on explicit 2^n x 2^n arrays, capped at
-12 qubits (all-Pauli sweeps at 10).  The noisy circuit run holds the density
-matrix as a (2,)*2n tensor (row qubits, then column qubits), and each gate
-applies one local superoperator, sum_Q p_Q (QU) (x) conj(QU) on the gate's a
-qubits: O(4^(n+a)) work per gate.  The estimator expectations enumerate every
-prepared eigenstate, basis and outcome exactly.  Shadow records are built
-from their decoded fields by the documented cell code, and channel configs
-in the README's JSON form.
+12 qubits (all-Pauli sweeps at 10).  A state is a density matrix
+(``DenseState``), a channel acts on it through per-qubit superoperators or
+its Kraus sum, an expectation is a trace, and an outcome distribution comes
+from the full Kronecker rotation of the basis.  The noisy circuit run holds
+the density matrix as a (2,)*2n tensor (row qubits, then column qubits),
+and each gate applies one local superoperator, sum_Q p_Q (QU) (x) conj(QU)
+on the gate's a qubits: O(4^(n+a)) work per gate.  The estimator
+expectations enumerate every prepared eigenstate, basis and outcome
+exactly.  Shadow records are built from their decoded fields by the
+documented cell code, and channel configs in the README's JSON form.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from paulishadow.channels import TransferMatrix
-from paulishadow.exact import (
-    DenseState,
-    _apply_local_superop,
-    apply_channel,
-    apply_to_operator,
-    basis_outcome_probabilities,
-    expectation,
-    gate_superop,
-)
+from paulishadow.channels import PauliChannel, ProductChannel, TransferMatrix
+from paulishadow.exact import BASIS_ROTATIONS, _superop_from_ptm, gate_superop
+from paulishadow.observables import Observable
 from paulishadow.paulis import PAULI_MATRICES, PauliString, enumerate_low_weight
 from paulishadow.shadows import ShadowRecords
 
@@ -54,6 +51,28 @@ def ptm_product(ptms) -> dict:
     return {"kind": "ptm-product", "qubits": [np.ravel(t).tolist() for t in ptms]}
 
 
+@dataclass
+class DenseState:
+    """A density matrix on n qubits; qubit 0 is the most significant bit."""
+
+    n: int
+    rho: np.ndarray
+
+    @classmethod
+    def from_unit_vector(cls, psi: np.ndarray) -> "DenseState":
+        """|psi><psi| of a statevector that already has unit norm."""
+        psi = np.asarray(psi, dtype=np.complex128)
+        return cls(len(psi).bit_length() - 1, np.outer(psi, psi.conj()))
+
+
+def dense_expectation(observable: PauliString | Observable, state: DenseState) -> float:
+    """tr(O rho), from the observable's full matrix."""
+    value = np.trace(observable.matrix() @ state.rho)
+    if abs(value.imag) > 1e-8:
+        raise ValueError(f"expectation has imaginary part {value.imag:g}")
+    return float(value.real)
+
+
 def maximally_mixed(n: int) -> DenseState:
     dim = 2**n
     return DenseState(n, np.eye(dim, dtype=np.complex128) / dim)
@@ -77,6 +96,55 @@ class DenseChannel:
         total = sum(k.conj().T @ k for k in self.kraus)
         if np.max(np.abs(total - np.eye(2**n))) > 1e-9:
             raise ValueError("Kraus operators do not sum to the identity")
+
+
+def _apply_local_superop(tensor: np.ndarray, s: np.ndarray, qubits: Sequence[int], n: int):
+    """Apply a (2,)*4a superoperator S[r, c, r', c'] on ``qubits`` to a
+    (2,)*2n operator tensor (row qubits, then column qubits)."""
+    a = len(qubits)
+    axes = [*qubits, *(n + q for q in qubits)]
+    out = np.tensordot(tensor, s, axes=(axes, range(2 * a, 4 * a)))
+    return np.moveaxis(out, range(2 * n - 2 * a, 2 * n), axes)
+
+
+def apply_to_operator(channel, op: np.ndarray) -> np.ndarray:
+    """Linear action of a Pauli or product channel on an arbitrary (not
+    necessarily PSD) matrix: per-qubit superoperators in product form, the
+    Kraus sum over the terms in sparse form."""
+    op = np.asarray(op, dtype=np.complex128)
+    n = len(op).bit_length() - 1
+    if channel.n != n:
+        raise ValueError(f"channel acts on {channel.n} qubits, operator on {n}")
+    if isinstance(channel, PauliChannel) and channel.is_product:
+        channel = channel.to_product_channel()
+    if isinstance(channel, ProductChannel):
+        tensor = op.reshape((2,) * (2 * n))
+        for j in range(n):
+            tensor = _apply_local_superop(tensor, _superop_from_ptm(channel.ptm(j)), [j], n)
+        return tensor.reshape(op.shape)
+    out = np.zeros_like(op)
+    for q, prob in channel.terms().items():
+        m = q.matrix()
+        out += prob * (m @ op @ m)
+    return out
+
+
+def apply_channel(channel, state: DenseState) -> DenseState:
+    return DenseState(state.n, apply_to_operator(channel, state.rho))
+
+
+def basis_outcome_probabilities(state: DenseState, axes: Sequence[int]) -> np.ndarray:
+    """Joint outcome probabilities (length 2^n) for a product Pauli basis,
+    from the full Kronecker rotation of the basis.  Outcome index bit j
+    (qubit 0 most significant) is 0 for +1 and 1 for -1."""
+    rot = np.array([[1.0]], dtype=np.complex128)
+    for axis in axes:
+        rot = np.kron(rot, BASIS_ROTATIONS[axis])
+    probs = np.clip(np.real(np.einsum("ij,jk,ik->i", rot, state.rho, rot.conj())), 0.0, None)
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-8:
+        raise ValueError(f"outcome probabilities sum to {total:g}")
+    return probs / total
 
 
 def simulate_circuit(circuit, state: DenseState, noisy: bool) -> DenseState:
@@ -141,7 +209,7 @@ def shadow_transfer_estimator_expectations(
         for in_signs in sign_choices:
             prep = product_eigenstate(axes, in_signs)
             in_values = {
-                p: expectation(p, prep) for p in {p for p, _ in pairs}
+                p: dense_expectation(p, prep) for p in {p for p, _ in pairs}
             }
             evolved = apply_channel(channel, prep)
             for basis in axis_choices:

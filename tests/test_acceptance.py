@@ -48,7 +48,10 @@ from paulishadow.shadows import (
 )
 
 from reference import (
+    DenseState,
+    apply_channel,
     brute_force_transfer,
+    dense_expectation,
     shadow_transfer_estimator_expectations,
     simulate_circuit,
 )
@@ -125,12 +128,12 @@ def test_criterion_3_concentration():
     for run in range(runs):
         stream = iter_channel_shadow_blocks(ch, budget, seed=cli._derive_seed(30, run))
         est = estimate_eigenvalues(stream, paulis)
-        state = exact.DenseState.from_unit_vector(
+        state = DenseState.from_unit_vector(
             exact.haar_random_vector(n, cli._derive_seed(31, run)))
         back = backward_observable(obs, est)
-        noisy = {p: lam[p] * exact.expectation(p, state) for p in paulis}
+        noisy = {p: lam[p] * dense_expectation(p, state) for p in paulis}
         f = recover_expectation(back.terms, noisy)
-        ideal = exact.expectation(obs, state)
+        ideal = dense_expectation(obs, state)
         if abs(f - ideal) <= epsilon:
             hits += 1
     assert hits >= 0.85 * runs
@@ -166,25 +169,25 @@ def test_criterion_5_weight_contracting_recovery():
     back = backward_observable_general(obs, transfer)
     support = [p for p in back.support() if not p.is_identity]
     for trial in range(100):
-        state = exact.DenseState.from_unit_vector(
+        state = DenseState.from_unit_vector(
             exact.haar_random_vector(2, cli._derive_seed(50, trial)))
-        noisy = exact.apply_channel(ch, state)
-        f = recover_expectation(back.terms, {p: exact.expectation(p, noisy) for p in support})
-        assert abs(f - exact.expectation(obs, state)) <= 1e-10
+        noisy = apply_channel(ch, state)
+        f = recover_expectation(back.terms, {p: dense_expectation(p, noisy) for p in support})
+        assert abs(f - dense_expectation(obs, state)) <= 1e-10
 
     runs, hits = 50, 0
     for run in range(runs):
         blocks = iter_channel_shadow_blocks(ch, 1_000_000, cli._derive_seed(51, run))
         estimated = estimate_transfer_matrix(blocks, 2)
         back_est = backward_observable_general(obs, estimated)
-        state = exact.DenseState.from_unit_vector(
+        state = DenseState.from_unit_vector(
             exact.haar_random_vector(2, cli._derive_seed(52, run)))
-        noisy = exact.apply_channel(ch, state)
+        noisy = apply_channel(ch, state)
         f = recover_expectation(
             back_est.terms,
-            {p: exact.expectation(p, noisy) for p in back_est.support() if not p.is_identity},
+            {p: dense_expectation(p, noisy) for p in back_est.support() if not p.is_identity},
         )
-        if abs(f - exact.expectation(obs, state)) <= 0.1:
+        if abs(f - dense_expectation(obs, state)) <= 0.1:
             hits += 1
     assert hits >= 0.85 * runs
 
@@ -252,7 +255,7 @@ def test_criterion_6_circuit_mitigation():
         n = circuit.n
         for table in exact_gate_estimates(circuit).values():
             assert min(table.values()) >= 0.3  # noise stays invertible
-        state = exact.DenseState.from_unit_vector(
+        state = DenseState.from_unit_vector(
             exact.haar_random_vector(n, cli._derive_seed(60, run)))
         noisy = simulate_circuit(circuit, state, noisy=True)
         ideal_state = simulate_circuit(circuit, state, noisy=False)
@@ -260,15 +263,15 @@ def test_criterion_6_circuit_mitigation():
         for p in enumerate_low_weight(n, min(2, n)):
             if p.is_identity:
                 continue
-            got = exact.expectation(p, noisy)
-            want = chain_eigenvalue_product(circuit, p) * exact.expectation(p, ideal_state)
+            got = dense_expectation(p, noisy)
+            want = chain_eigenvalue_product(circuit, p) * dense_expectation(p, ideal_state)
             assert got == pytest.approx(want, abs=1e-10)
 
         target = PauliString.from_label("ZZ").embed(n, (0, 1))
         obs = Observable(n, {target: 0.9})
-        ideal = exact.expectation(obs, ideal_state)
+        ideal = dense_expectation(obs, ideal_state)
         back = mitigation_coefficients(circuit, exact_gate_estimates(circuit), obs)
-        assert exact.expectation(Observable(back.n, back.terms), noisy) == pytest.approx(
+        assert dense_expectation(Observable(back.n, back.terms), noisy) == pytest.approx(
             ideal, abs=1e-10
         )
 
@@ -282,7 +285,7 @@ def test_criterion_6_circuit_mitigation():
             )
             learned[kind] = estimate_gate_eigenvalues(blocks, kind)
         back = mitigation_coefficients(circuit, learned, obs)
-        f = exact.expectation(Observable(back.n, back.terms), noisy)
+        f = dense_expectation(Observable(back.n, back.terms), noisy)
         if abs(f - ideal) <= 0.05:
             hits += 1
     assert hits >= 0.85 * runs

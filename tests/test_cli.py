@@ -640,6 +640,22 @@ def test_fig2_estimated_expectations_csv_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG2_ESTIMATED_DIGEST
 
 
+# The same on SPARSE4 at n = 4, where each term's outcome flips are applied
+# jointly rather than qubit by qubit.
+FIG2_ESTIMATED_SPARSE_DIGEST = "e91d9d6afbba5d6fbccb0d06a99b31fb189b49ea651c13f38746f697441cb007"
+
+
+def test_fig2_estimated_expectations_sparse_csv_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("sparse4.json").write_text(json.dumps(SPARSE4))
+    argv = ["fig2", "--channel", "sparse4.json", "--observable", "heisenberg", "--n", "4",
+            "--sweep", "3000,6000", "--states", "4", "--repeats", "2", "--seed", "3",
+            "--estimated-expectations", "--expectation-shadows", "3000", "--out", "fig2.csv"]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(Path("fig2.csv").read_bytes()).hexdigest()
+    assert digest == FIG2_ESTIMATED_SPARSE_DIGEST
+
+
 def test_fig2_exact_eigenvalue_injection_is_lossless(tmp_path):
     # with oracle eigenvalues the recovery pipeline must be exact
     out = tmp_path / "exact.csv"

@@ -27,7 +27,13 @@ from paulishadow.recovery import (
     backward_observable,
 )
 
-from reference import brute_force_transfer, pauli_product, simulate_circuit
+from reference import (
+    DenseState,
+    brute_force_transfer,
+    dense_expectation,
+    pauli_product,
+    simulate_circuit,
+)
 
 
 def P(label):
@@ -250,12 +256,12 @@ def test_mitigation_with_exact_estimates_recovers_ideal():
             noise[kind] = PauliChannel.from_qubit_probs(probs)
         circuit = CliffordCircuit(n, circuit.gates, noise)
         obs = Observable(n, {pauli_from_index(n, int(rng.integers(1, 4**n))): 0.8})
-        state = exact.DenseState.from_unit_vector(exact.haar_random_vector(n, 300 + trial))
+        state = DenseState.from_unit_vector(exact.haar_random_vector(n, 300 + trial))
         noisy = simulate_circuit(circuit, state, noisy=True)
         ideal = simulate_circuit(circuit, state, noisy=False)
         back = mitigation_coefficients(circuit, exact_gate_estimates(circuit), obs)
-        got = exact.expectation(Observable(back.n, back.terms), noisy)
-        want = exact.expectation(obs, ideal)
+        got = dense_expectation(Observable(back.n, back.terms), noisy)
+        want = dense_expectation(obs, ideal)
         assert got == pytest.approx(want, abs=1e-10)
 
 

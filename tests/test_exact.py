@@ -1,7 +1,8 @@
-"""Oracles: dense states, channels and circuits, the matrix-free
-expectations the report commands take, and the exact finite-sum check that
-the shadow estimator is unbiased."""
+"""Oracles: the matrix-free expectations and outcome probabilities the
+commands take, checked against the tests' dense references, and the exact
+finite-sum check that the shadow estimator is unbiased."""
 
+import itertools
 import json
 
 import numpy as np
@@ -37,7 +38,11 @@ from paulishadow.paulis import (
 
 from reference import (
     DenseChannel,
+    DenseState,
+    apply_channel,
+    basis_outcome_probabilities,
     brute_force_transfer,
+    dense_expectation,
     maximally_mixed,
     pauli_product,
     product_eigenstate,
@@ -56,12 +61,12 @@ def P(label):
 def test_product_eigenstate_expectations():
     # axes 0=X, 1=Y, 2=Z
     st = product_eigenstate([2], [+1])
-    assert exact.expectation(P("Z"), st) == pytest.approx(1.0)
-    assert exact.expectation(P("X"), st) == pytest.approx(0.0)
+    assert dense_expectation(P("Z"), st) == pytest.approx(1.0)
+    assert dense_expectation(P("X"), st) == pytest.approx(0.0)
     st = product_eigenstate([0, 1], [-1, +1])
-    assert exact.expectation(P("XI"), st) == pytest.approx(-1.0)
-    assert exact.expectation(P("IY"), st) == pytest.approx(1.0)
-    assert exact.expectation(P("XY"), st) == pytest.approx(-1.0)
+    assert dense_expectation(P("XI"), st) == pytest.approx(-1.0)
+    assert dense_expectation(P("IY"), st) == pytest.approx(1.0)
+    assert dense_expectation(P("XY"), st) == pytest.approx(-1.0)
     assert np.trace(st.rho @ st.rho).real == pytest.approx(1.0)  # pure
 
 
@@ -69,21 +74,12 @@ def test_maximally_mixed():
     st = maximally_mixed(2)
     for p in iter_all_paulis(2):
         want = 1.0 if p.is_identity else 0.0
-        assert exact.expectation(p, st) == pytest.approx(want)
-
-
-def test_from_matrix_validation():
-    with pytest.raises(ValueError):
-        exact.DenseState.from_matrix(np.array([[0.5, 0.5], [0.5, 0.4]]))  # trace
-    with pytest.raises(ValueError):
-        exact.DenseState.from_matrix(np.array([[1.5, 0], [0, -0.5]]))  # not PSD
-    with pytest.raises(ValueError):
-        exact.DenseState.from_matrix(np.array([[0.5, 1j], [2j, 0.5]]))  # hermiticity
+        assert dense_expectation(p, st) == pytest.approx(want)
 
 
 def test_haar_random_vector_state_is_pure_and_seeded():
-    st1 = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 42))
-    st2 = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 42))
+    st1 = DenseState.from_unit_vector(exact.haar_random_vector(2, 42))
+    st2 = DenseState.from_unit_vector(exact.haar_random_vector(2, 42))
     np.testing.assert_allclose(st1.rho, st2.rho, atol=0)
     assert np.trace(st1.rho).real == pytest.approx(1.0)
     assert np.trace(st1.rho @ st1.rho).real == pytest.approx(1.0)
@@ -97,8 +93,8 @@ def test_haar_random_vector_state_is_pure_and_seeded():
 def test_pauli_channel_apply_matches_kraus_sum():
     rng = np.random.default_rng(7)
     ch = PauliChannel.from_terms(2, {P("XZ"): 0.15, P("ZI"): 0.25})
-    st = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, rng))
-    out = exact.apply_channel(ch, st)
+    st = DenseState.from_unit_vector(exact.haar_random_vector(2, rng))
+    out = apply_channel(ch, st)
     want = np.zeros((4, 4), dtype=complex)
     for q, prob in ch.terms().items():
         m = q.matrix()
@@ -109,9 +105,9 @@ def test_pauli_channel_apply_matches_kraus_sum():
 def test_product_and_sparse_agree():
     ch = reference_product_channel()
     sparse = PauliChannel.from_terms(2, ch.terms())
-    st = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 3))
-    a = exact.apply_channel(ch, st).rho
-    b = exact.apply_channel(sparse, st).rho
+    st = DenseState.from_unit_vector(exact.haar_random_vector(2, 3))
+    a = apply_channel(ch, st).rho
+    b = apply_channel(sparse, st).rho
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -122,22 +118,22 @@ def test_ptm_superop_matches_kraus_oracle():
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
     dense = DenseChannel(1, [k0, k1])
     ptm = ProductChannel([amplitude_damping_ptm(gamma)])
-    st = exact.DenseState.from_unit_vector(exact.haar_random_vector(1, 11))
+    st = DenseState.from_unit_vector(exact.haar_random_vector(1, 11))
     kraus_image = sum(k @ st.rho @ k.conj().T for k in dense.kraus)
-    np.testing.assert_allclose(exact.apply_channel(ptm, st).rho, kraus_image, atol=1e-12)
+    np.testing.assert_allclose(apply_channel(ptm, st).rho, kraus_image, atol=1e-12)
 
 
 def test_ptm_superop_multi_qubit():
     ch = ProductChannel([amplitude_damping_ptm(0.2), depolarizing_ptm(0.8)])
-    st = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 13))
-    out = exact.apply_channel(ch, st)
+    st = DenseState.from_unit_vector(exact.haar_random_vector(2, 13))
+    out = apply_channel(ch, st)
     # adjoint identity: tr(Q E(rho)) = sum_P M[P][Q] tr(P rho)
     m = exact_transfer_matrix(ch, 2)
     for q in enumerate_low_weight(2, 2):
         want = sum(
-            m.matrix[m.index(p), m.index(q)] * exact.expectation(p, st) for p in m.basis
+            m.matrix[m.index(p), m.index(q)] * dense_expectation(p, st) for p in m.basis
         )
-        assert exact.expectation(q, out) == pytest.approx(want, abs=1e-12)
+        assert dense_expectation(q, out) == pytest.approx(want, abs=1e-12)
 
 
 def test_dense_channel_trace_preservation_check():
@@ -147,8 +143,7 @@ def test_dense_channel_trace_preservation_check():
 
 def test_expectation_observable():
     obs = Observable(1, {P("Z"): 2.0, P("I"): 0.5})
-    st = product_eigenstate([2], [-1])
-    assert exact.expectation(obs, st) == pytest.approx(-1.5)
+    assert exact.expectation(obs, np.array([0.0, 1.0])) == pytest.approx(-1.5)  # |1>
 
 
 # -- gates and circuits --------------------------------------------------------
@@ -185,13 +180,13 @@ def test_simulate_ideal_circuit():
     circ = CliffordCircuit(1, [Gate("H", (0,))], {})
     st = product_eigenstate([2], [+1])  # |0>
     out = simulate_circuit(circ, st, noisy=False)
-    assert exact.expectation(P("X"), out) == pytest.approx(1.0)
+    assert dense_expectation(P("X"), out) == pytest.approx(1.0)
 
 
 def test_simulate_noisy_circuit_matches_manual():
     noise = PauliChannel.from_qubit_probs([(0.9, 0.04, 0.03, 0.03)])
     circ = CliffordCircuit(2, [Gate("H", (0,))], {"H": noise})
-    st = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 19))
+    st = DenseState.from_unit_vector(exact.haar_random_vector(2, 19))
     out = simulate_circuit(circ, st, noisy=True)
     u = exact.gate_unitary("H", (0,), 2)
     mid = u @ st.rho @ u.conj().T
@@ -253,7 +248,7 @@ def test_circuit_simulation_matches_full_register_reference():
     for n in range(1, 6):
         for trial in range(4):
             circuit = random_circuit(n, rng)
-            state = exact.DenseState.from_unit_vector(exact.haar_random_vector(n, rng))
+            state = DenseState.from_unit_vector(exact.haar_random_vector(n, rng))
             for noisy in (True, False):
                 got = simulate_circuit(circuit, state, noisy).rho
                 np.testing.assert_allclose(
@@ -264,7 +259,7 @@ def test_circuit_simulation_matches_full_register_reference():
     noise = PauliChannel.from_terms(2, {"XX": 0.1, "ZI": 0.05})
     assert not noise.is_product
     circuit = CliffordCircuit(4, [Gate("H", (3,)), Gate("CNOT", (3, 0))], {"CNOT": noise})
-    state = exact.DenseState.from_unit_vector(exact.haar_random_vector(4, 5))
+    state = DenseState.from_unit_vector(exact.haar_random_vector(4, 5))
     got = simulate_circuit(circuit, state, noisy=True).rho
     np.testing.assert_allclose(
         got, full_register_circuit(circuit, state, True), rtol=0, atol=1e-12
@@ -287,7 +282,7 @@ def test_mitigate_report_matches_full_register_reference(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     report = json.loads(out.read_text(encoding="utf-8"))
-    state = exact.DenseState.from_unit_vector(exact.haar_random_vector(5, cli._derive_seed(9, 11)))
+    state = DenseState.from_unit_vector(exact.haar_random_vector(5, cli._derive_seed(9, 11)))
     noisy = full_register_circuit(circuit, state, True)
     ideal = np.trace(observable.matrix() @ full_register_circuit(circuit, state, False)).real
     back = mitigation_coefficients(circuit, exact_gate_estimates(circuit), observable, 1e-3)
@@ -299,30 +294,25 @@ def test_mitigate_report_matches_full_register_reference(tmp_path, capsys):
 
 def test_expectation_matches_dense_trace():
     rng = np.random.default_rng(3)
-    state = exact.DenseState.from_unit_vector(exact.haar_random_vector(4, rng))
+    psi = exact.haar_random_vector(4, rng)
+    state = DenseState.from_unit_vector(psi)
     for p in list(iter_all_paulis(4))[::7]:
         want = np.trace(p.matrix() @ state.rho).real
-        assert exact.expectation(p, state) == pytest.approx(want, abs=1e-14)
+        assert exact.expectation(p, psi) == pytest.approx(want, abs=1e-14)
 
 
 def test_expectation_gather_matches_dense_trace_for_observables_and_vectors():
     rng = np.random.default_rng(41)
     for n in range(1, 7):
         psi = exact.haar_random_vector(n, rng)
-        state = exact.DenseState.from_unit_vector(psi)
-        mixed = exact.apply_channel(PauliChannel.from_qubit_probs(rng.dirichlet(np.ones(4), n)), state)
         labels = [pauli_from_index(n, int(i)) for i in rng.integers(0, 4**n, 8)]
         obs = Observable(n, {p: float(rng.normal()) for p in labels})
         signed = labels[0].negate()
         for o in (obs, signed):
-            for st in (state, mixed):
-                want = np.trace(o.matrix() @ st.rho).real
-                assert abs(exact.expectation(o, st) - want) <= 1e-12
             want = np.vdot(psi, o.matrix() @ psi).real
             assert abs(exact.expectation(o, psi) - want) <= 1e-12
     with pytest.raises(ValueError, match="dimension"):
-        exact.expectation(P("ZZ"),
-                          exact.DenseState.from_unit_vector(exact.haar_random_vector(3, 1)))
+        exact.expectation(P("ZZ"), exact.haar_random_vector(3, 1))
     with pytest.raises(ValueError, match="dimension"):
         exact.expectation(P("ZZ"), exact.haar_random_vector(1, 1))
 
@@ -333,8 +323,7 @@ def test_statevector_ideal_run_matches_dense_run_and_trace():
         for trial in range(3):
             circuit = random_circuit(n, rng, depth=int(rng.integers(1, 40)))
             psi = exact.haar_random_vector(n, rng)
-            dense = simulate_circuit(circuit, exact.DenseState.from_unit_vector(psi),
-                                           noisy=False)
+            dense = simulate_circuit(circuit, DenseState.from_unit_vector(psi), noisy=False)
             out = exact.simulate_ideal_statevector(circuit, psi)
             np.testing.assert_allclose(np.outer(out, out.conj()), dense.rho, rtol=0, atol=1e-12)
             obs = Observable(n, {pauli_from_index(n, int(i)): float(rng.normal())
@@ -358,10 +347,6 @@ def test_batched_gather_matches_dense_traces(chunk, monkeypatch):
         np.testing.assert_allclose(exact.pauli_expectations(codes, psis), want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(exact.pauli_expectations(codes, psis[0]), want[0],
                                    rtol=0, atol=1e-12)
-        mixed = exact.apply_channel(PauliChannel.from_qubit_probs(rng.dirichlet(np.ones(4), n)),
-                                    exact.DenseState.from_unit_vector(psis[1]))
-        np.testing.assert_allclose(exact.pauli_expectations(codes, mixed),
-                                   np.einsum("pab,ba->p", mats, mixed.rho), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind, table", list(CONJUGATION_TABLES.items()))
@@ -386,9 +371,8 @@ def test_heisenberg_oracle_matches_dense_noisy_run():
                 circuit.noise["CNOT"] = sparse
             psi = exact.haar_random_vector(n, rng)
             strings = [pauli_from_index(n, int(i)) for i in rng.integers(0, 4**n, 12)]
-            noisy = simulate_circuit(circuit, exact.DenseState.from_unit_vector(psi),
-                                           noisy=True)
-            want = [exact.expectation(p, noisy) for p in strings]
+            noisy = simulate_circuit(circuit, DenseState.from_unit_vector(psi), noisy=True)
+            want = [dense_expectation(p, noisy) for p in strings]
             got = exact.noisy_expectations(circuit, strings, psi)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -406,8 +390,8 @@ def test_channel_oracles_match_dense_channel(random_cp_ptm):
         ]
         psi = exact.haar_random_vector(n, rng)
         for channel in channels:
-            noisy = exact.apply_channel(channel, exact.DenseState.from_unit_vector(psi))
-            want = [exact.expectation(p, noisy) for p in strings]
+            noisy = apply_channel(channel, DenseState.from_unit_vector(psi))
+            want = [dense_expectation(p, noisy) for p in strings]
             got = exact.noisy_expectations(channel, strings, psi)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -436,32 +420,55 @@ def test_noisy_expectations_of_a_batch_are_each_state_s(random_cp_ptm):
 
 
 def test_basis_outcome_probabilities():
-    zero = product_eigenstate([2], [+1])
+    ideal = PauliChannel.identity(1)
+    zero = np.array([1.0, 0.0])
     np.testing.assert_allclose(
-        exact.basis_outcome_probabilities(zero, [2]), [1.0, 0.0], atol=1e-12
+        exact.basis_outcome_probabilities(ideal, zero, [2]), [1.0, 0.0], atol=1e-12
     )
     np.testing.assert_allclose(
-        exact.basis_outcome_probabilities(zero, [0]), [0.5, 0.5], atol=1e-12
+        exact.basis_outcome_probabilities(ideal, zero, [0]), [0.5, 0.5], atol=1e-12
     )
-    # Bell state: ZZ outcomes perfectly correlated
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / np.sqrt(2)
-    st = exact.DenseState.from_unit_vector(bell / np.linalg.norm(bell))
+    # Bell state: ZZ and XX outcomes perfectly correlated
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+    for axes in ([2, 2], [0, 0]):
+        np.testing.assert_allclose(
+            exact.basis_outcome_probabilities(PauliChannel.identity(2), bell, axes),
+            [0.5, 0, 0, 0.5], atol=1e-12,
+        )
+    # After an X error on qubit 0 alone, a ZZ measurement always disagrees;
+    # an XX measurement does not see it.
+    flip = PauliChannel.from_terms(2, {"XI": 1.0})
     np.testing.assert_allclose(
-        exact.basis_outcome_probabilities(st, [2, 2]), [0.5, 0, 0, 0.5], atol=1e-12
+        exact.basis_outcome_probabilities(flip, bell, [2, 2]), [0, 0.5, 0.5, 0], atol=1e-12
     )
     np.testing.assert_allclose(
-        exact.basis_outcome_probabilities(st, [0, 0]), [0.5, 0, 0, 0.5], atol=1e-12
+        exact.basis_outcome_probabilities(flip, bell, [0, 0]), [0.5, 0, 0, 0.5], atol=1e-12
     )
 
 
 def test_reference_channel_outcome_probability():
     # qubit-1 channel keeps a Z eigenstate with probability pI + pZ = 0.80
     ch = PauliChannel.from_qubit_probs([(0.75, 0.10, 0.10, 0.05)])
-    zero = product_eigenstate([2], [+1])
-    out = exact.apply_channel(ch, zero)
-    probs = exact.basis_outcome_probabilities(out, [2])
+    probs = exact.basis_outcome_probabilities(ch, np.array([1.0, 0.0]), [2])
     np.testing.assert_allclose(probs, [0.80, 0.20], atol=1e-12)
+
+
+def test_outcome_probabilities_match_dense_reference():
+    """Product and sparse Pauli channels, every basis on one to four qubits:
+    the statevector's flipped outcome probabilities are the dense
+    Kronecker-rotated ones of the noisy density matrix."""
+    rng = np.random.default_rng(67)
+    for n in range(1, 5):
+        errors = {pauli_from_index(n, int(i)): 0.05 for i in rng.integers(1, 4**n, 3)}
+        channels = [PauliChannel.from_qubit_probs(rng.dirichlet((6, 1, 1, 1), n)),
+                    PauliChannel.from_terms(n, errors)]
+        psi = exact.haar_random_vector(n, rng)
+        for channel in channels:
+            noisy = apply_channel(channel, DenseState.from_unit_vector(psi))
+            for axes in itertools.product(range(3), repeat=n):
+                np.testing.assert_allclose(exact.basis_outcome_probabilities(channel, psi, axes),
+                                           basis_outcome_probabilities(noisy, axes),
+                                           rtol=0, atol=1e-14)
 
 
 # -- brute-force transfer and estimator expectation oracles --------------------

@@ -28,6 +28,8 @@ from paulishadow.recovery import (
     solve_upper_block_triangular,
 )
 
+from reference import DenseState, apply_channel, dense_expectation
+
 
 def P(label):
     return PauliString.from_label(label)
@@ -227,15 +229,15 @@ def test_exact_recovery_identity_pauli_channels():
         probs = rng.dirichlet([12, 1, 1, 1], size=2)
         ch = PauliChannel.from_qubit_probs(probs)
         obs = heisenberg_observable(2)
-        state = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 100 + trial))
-        noisy = exact.apply_channel(ch, state)
+        state = DenseState.from_unit_vector(exact.haar_random_vector(2, 100 + trial))
+        noisy = apply_channel(ch, state)
         strings = enumerate_low_weight(2, 2)
         back = backward_observable(obs, dict(zip(strings, exact_diagonal(ch, strings).tolist())))
         expectations = {
-            p: exact.expectation(p, noisy) for p in back.support() if not p.is_identity
+            p: dense_expectation(p, noisy) for p in back.support() if not p.is_identity
         }
         got = recover_expectation(back.terms, expectations)
-        want = exact.expectation(obs, state)
+        want = dense_expectation(obs, state)
         assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -245,13 +247,13 @@ def test_exact_recovery_identity_general_channel():
     transfer = exact_transfer_matrix(ch, 2)
     back = backward_observable_general(obs, transfer)
     for trial in range(6):
-        state = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 200 + trial))
-        noisy = exact.apply_channel(ch, state)
+        state = DenseState.from_unit_vector(exact.haar_random_vector(2, 200 + trial))
+        noisy = apply_channel(ch, state)
         expectations = {
-            p: exact.expectation(p, noisy) for p in back.support() if not p.is_identity
+            p: dense_expectation(p, noisy) for p in back.support() if not p.is_identity
         }
         got = recover_expectation(back.terms, expectations)
-        want = exact.expectation(obs, state)
+        want = dense_expectation(obs, state)
         assert got == pytest.approx(want, abs=1e-10)
 
 

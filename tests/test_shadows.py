@@ -48,7 +48,15 @@ from paulishadow.shadows import (
     sample_gate_shadows,
 )
 
-from reference import maximally_mixed, product_eigenstate, records_from_fields
+from reference import (
+    DenseState,
+    apply_channel,
+    apply_to_operator,
+    basis_outcome_probabilities,
+    dense_expectation,
+    product_eigenstate,
+    records_from_fields,
+)
 
 
 def P(label):
@@ -1057,10 +1065,10 @@ def gate_estimator_expectation(kind, noise, p):
         rho = product_eigenstate(axes, signs).rho
         rho = unitary @ rho @ unitary.conj().T
         if noise is not None:
-            rho = exact.apply_to_operator(noise, rho)
-        state = exact.DenseState(g, rho)
+            rho = apply_to_operator(noise, rho)
+        state = DenseState(g, rho)
         for basis in itertools.product(range(3), repeat=g):
-            probs = exact.basis_outcome_probabilities(state, basis)
+            probs = basis_outcome_probabilities(state, basis)
             for outcome in range(2**g):
                 t_sign = [1 - 2 * ((outcome >> (g - 1 - j)) & 1) for j in range(g)]
                 rec = records_from_fields([axes], [signs], [basis], [t_sign])
@@ -1083,10 +1091,10 @@ def gate_outcome_cdfs_per_state(kind, noise):
         rho = product_eigenstate(axes, signs).rho
         rho = unitary @ rho @ unitary.conj().T
         if noise is not None:
-            rho = exact.apply_to_operator(noise, rho)
-        state = exact.DenseState(g, rho)
+            rho = apply_to_operator(noise, rho)
+        state = DenseState(g, rho)
         for b_idx, basis in enumerate(itertools.product(range(3), repeat=g)):
-            cdf = np.cumsum(exact.basis_outcome_probabilities(state, basis))
+            cdf = np.cumsum(basis_outcome_probabilities(state, basis))
             cdf[-1] = 1.0
             cdfs[s_idx, b_idx] = cdf
     return cdfs
@@ -1254,44 +1262,46 @@ def test_spam_flip_probability_validation():
 # -- state expectation estimation ---------------------------------------------
 
 
+ZERO = np.array([1.0, 0.0])
+
+
 def test_sample_pauli_basis_outcomes():
-    zero = product_eigenstate([2], [+1])
     rng = np.random.default_rng(23)
     bases = np.zeros((4000, 1), dtype=np.int8)
     bases[:2000, 0] = 2  # Z first, then X
     bases[2000:, 0] = 0
-    signs = shadows.sample_pauli_basis_outcomes(zero, bases, rng)
+    signs = shadows.sample_pauli_basis_outcomes(PauliChannel.identity(1), ZERO, bases, rng)
     assert np.all(signs[:2000, 0] == 1)
     assert abs(signs[2000:, 0].mean()) < 0.1  # fair coin in the X basis
 
 
 def test_state_expectations_fixed_points():
-    zero = product_eigenstate([2, 2], [+1, +1])
-    est = estimate_state_expectations(zero, [P("ZI"), P("ZZ"), P("XI")], 40_000, seed=6)
+    zero = np.kron(ZERO, ZERO)
+    est = estimate_state_expectations(PauliChannel.identity(2), zero,
+                                      [P("ZI"), P("ZZ"), P("XI")], 40_000, seed=6)
     assert est[P("ZI")] == pytest.approx(1.0, abs=0.05)
     assert est[P("ZZ")] == pytest.approx(1.0, abs=0.1)
     assert est[P("XI")] == pytest.approx(0.0, abs=0.05)
-    mixed = maximally_mixed(1)
-    est = estimate_state_expectations(mixed, [P("Z")], 40_000, seed=7)
+    depolarize = PauliChannel.from_qubit_probs([(0.25, 0.25, 0.25, 0.25)])  # to I/2
+    est = estimate_state_expectations(depolarize, ZERO, [P("Z")], 40_000, seed=7)
     assert est[P("Z")] == pytest.approx(0.0, abs=0.05)
 
 
 def test_state_expectations_against_dense_oracle():
-    st = exact.DenseState.from_unit_vector(exact.haar_random_vector(2, 31))
-    noisy = exact.apply_channel(reference_product_channel(), st)
+    psi = exact.haar_random_vector(2, 31)
+    channel = reference_product_channel()
+    noisy = apply_channel(channel, DenseState.from_unit_vector(psi))
     paulis = [p for p in enumerate_low_weight(2, 2) if not p.is_identity]
-    est = estimate_state_expectations(noisy, paulis, 100_000, seed=8)
+    est = estimate_state_expectations(channel, psi, paulis, 100_000, seed=8)
     for p in paulis:
-        assert est[p] == pytest.approx(exact.expectation(p, noisy), abs=0.05)
+        assert est[p] == pytest.approx(dense_expectation(p, noisy), abs=0.05)
 
 
 def test_state_expectations_signed_pauli():
-    zero = product_eigenstate([2], [+1])
-    est = estimate_state_expectations(zero, [P("-Z")], 20_000, seed=9)
+    est = estimate_state_expectations(PauliChannel.identity(1), ZERO, [P("-Z")], 20_000, seed=9)
     assert est[P("-Z")] == pytest.approx(-1.0, abs=0.05)
 
 
 def test_state_expectations_needs_enough_records():
-    zero = product_eigenstate([2], [+1])
     with pytest.raises(ValueError):
-        estimate_state_expectations(zero, [P("Z")], 5, seed=0)
+        estimate_state_expectations(PauliChannel.identity(1), ZERO, [P("Z")], 5, seed=0)
