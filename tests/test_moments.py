@@ -30,7 +30,6 @@ from paulishadow.shadows import (
     ShadowRecords,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
-    estimate_spam_factor,
     estimate_transfer_matrix,
     iter_channel_shadow_blocks,
     sample_gate_shadows,
@@ -294,9 +293,10 @@ def test_estimates_match_golden_digest():
 
 
 def test_spam_factor_golden_values():
-    assert estimate_spam_factor(0.0, 50_000, seed=2) == 1.02474
-    # 3 * numer / N, rounded once; 3 * (numer / N) rounded twice to 0.6329925000000001.
-    assert estimate_spam_factor(0.1, 400_000, seed=4) == 0.6329925
+    # The unflipped one-qubit identity's X estimate, as calibration reads it.
+    x = PauliString.from_label("X")
+    stream = iter_channel_shadow_blocks(PauliChannel.identity(1), 50_000, seed=2)
+    assert estimate_eigenvalues(stream, [x])[x] == 1.02474
 
 
 # -- the float64 contraction against the int64 one ------------------------------

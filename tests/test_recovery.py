@@ -266,5 +266,3 @@ def test_recovery_report_shape():
     assert report["provenance"] == "diagonal"
     assert report["terms"] == {"Z": pytest.approx(1.25)}
     assert report["warnings"] == []
-    bare = recovery_report(back, 1.25)
-    assert "ideal" not in bare and "absolute_error" not in bare

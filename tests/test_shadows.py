@@ -40,7 +40,6 @@ from paulishadow.shadows import (
     block_rng,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
-    estimate_spam_factor,
     estimate_state_expectations,
     estimate_transfer_matrix,
     iter_channel_shadow_blocks,
@@ -123,27 +122,22 @@ def test_block_iteration_matches_batch():
     np.testing.assert_array_equal(merged.t_sign, batch.t_sign)
 
 
-def _sample_ptm_block_per_qubit(channel, rng, block_size, spam):
+def _sample_ptm_block_per_qubit(channel, rng, block_size):
     """One block of a product channel's records, its outcome probabilities
     computed qubit by qubit from the PTM columns: the reference for the
     sampler's table lookup, with the same draws in the same order."""
     shape = (block_size, channel.n)
     s_axis = rng.integers(0, 3, shape, dtype=np.int8)
     s_sign = (1 - 2 * rng.integers(0, 2, shape, dtype=np.int8)).astype(np.int8)
-    physical_sign = s_sign
-    if spam > 0.0:
-        physical_sign = np.where(rng.random(shape) < spam, -s_sign, s_sign).astype(np.int8)
     t_axis = rng.integers(0, 3, shape, dtype=np.int8)
     u = rng.random(shape)
     t_sign = np.empty(shape, dtype=np.int8)
     rows = np.arange(block_size)
     for j in range(channel.n):
         ptm = channel.ptm(j)
-        bloch = ptm[1:, 0][:, None] + physical_sign[:, j] * ptm[1:, s_axis[:, j] + 1]
+        bloch = ptm[1:, 0][:, None] + s_sign[:, j] * ptm[1:, s_axis[:, j] + 1]
         p_plus = np.clip((1.0 + bloch[t_axis[:, j], rows]) / 2.0, 0.0, 1.0)
         t_sign[:, j] = np.where(u[:, j] < p_plus, 1, -1)
-    if spam > 0.0:
-        t_sign = np.where(rng.random(shape) < spam, -t_sign, t_sign).astype(np.int8)
     return records_from_fields(s_axis, s_sign, t_axis, t_sign)
 
 
@@ -155,20 +149,17 @@ PER_QUBIT_RUNS = {64: (1000, range(1, 6)), 250: (1000, range(1, 6)),
                   DEFAULT_BLOCK_SIZE: (70_000, (4,))}
 
 
-@pytest.mark.parametrize("spam", [0.0, 0.1])
 @pytest.mark.parametrize("block_size", sorted(PER_QUBIT_RUNS))
-def test_ptm_sampling_matches_per_qubit_reference(random_cp_ptm, counts_of, hist_of,
-                                                  block_size, spam):
+def test_ptm_sampling_matches_per_qubit_reference(random_cp_ptm, counts_of, hist_of, block_size):
     count, widths = PER_QUBIT_RUNS[block_size]
     rng = np.random.default_rng(17)
     for n in widths:
         ch = ProductChannel([random_cp_ptm(rng) for _ in range(n)])
-        stream = iter_channel_shadow_blocks(ch, count, seed=n, block_size=block_size,
-                                            spam_flip_probability=spam)
+        stream = iter_channel_shadow_blocks(ch, count, seed=n, block_size=block_size)
         got = stream.records()
         blocks = -(-count // block_size)
         want = ShadowRecords.concatenate([
-            _sample_ptm_block_per_qubit(ch, block_rng(n, b), block_size, spam)
+            _sample_ptm_block_per_qubit(ch, block_rng(n, b), block_size)
             for b in range(blocks)
         ])[:count]
         for field in ("s_axis", "s_sign", "t_axis", "t_sign"):
@@ -229,24 +220,15 @@ GOLDEN_CELLS_SHA256 = {
     "S-noisy-b250": "6466c410579206f936588c3e8011dfc7117ee0da9e909c1caede486046b75536",
     "S-noisy-b64": "78756706957c43de85098ab43989bab1e70bbb65630b635aa1def5fb329410ae",
     "S-noisy-b65536": "505d16c5374960202cc68c563d669ecb7359323f7a1a2cdd39b1b7a61cb683d0",
-    "pauli-product-spam0.0-b250": "b4cc8ea91a8505b46d6187712c0347baf028ce8eb11335f825c9491857a6b740",
-    "pauli-product-spam0.0-b64": "e3ea90d815a607f3296f6dcc0727e71416483cd1a7f1c113f5a428ad7c7c0495",
-    "pauli-product-spam0.0-b65536": "60843cd24072eb7b91e17d637798704adef7fc85e6b7e7d78c86454c71ea839c",
-    "pauli-product-spam0.1-b250": "f104c8c4218800fd145a63f82b72302293c55d4fb152473ceae200af717cec37",
-    "pauli-product-spam0.1-b64": "e09b1ed2b72f6e0b9476f829e0239fcdeef7ec851892931fcecbbe265e31a0f0",
-    "pauli-product-spam0.1-b65536": "a306fb6ace1d112d53a3c26fd4eca287ea7366fac7b5c35e6d709dda25b85e58",
-    "pauli-sparse-spam0.0-b250": "47378b1bba70823e6936cfe68224d6d65c02801ee90a37be4c527b6db1a9c10a",
-    "pauli-sparse-spam0.0-b64": "16c0befe393a6cfe181fc43de1583d0a771ef80ab683462d8b0c2a8be4454f37",
-    "pauli-sparse-spam0.0-b65536": "8d56e98c7ec207f72dd8c580aad0e42335149d88a54f89b0f67d1dd24a1fdd89",
-    "pauli-sparse-spam0.1-b250": "5a1bb96ff12f386cbfbe2bcee8c40d8f1ca79f5ee219737c3af11efd9820c8aa",
-    "pauli-sparse-spam0.1-b64": "dad6f7a821ece62818ac60096358bcd7533d848392b42a02aefec17c538b4791",
-    "pauli-sparse-spam0.1-b65536": "0d929a3119a9eb9b4e629c8096c750bdc2ff01c13401bb0dc9572dca07b1ba96",
-    "ptm-product-spam0.0-b250": "9861e57e43beb6c60dc5cf46a8dce29fbc86eb00206e202bef1c6da53ba9adff",
-    "ptm-product-spam0.0-b64": "71a580b9f152b8a447a2f7ee89ca0bfb30b219586be6f81b0e8e898ff15c2344",
-    "ptm-product-spam0.0-b65536": "2fe3106ceedaa416d158a7ffcd6b8244b088a3cbf1799159a59d297e4e44c864",
-    "ptm-product-spam0.1-b250": "eda83be6872e89f125e9d8cf5b50b23752910f5fa1a3b1d70b8a69a415985cfc",
-    "ptm-product-spam0.1-b64": "a41b0b4066e72ef7dd19d3f0b95857bb2c8157d4954fa807602df28318b492bf",
-    "ptm-product-spam0.1-b65536": "3a42b76cfd1f0a7a33e04ce771a4c1dd9efba5dc25c2ac7ffe3a5444296c91c9",
+    "pauli-product-b250": "b4cc8ea91a8505b46d6187712c0347baf028ce8eb11335f825c9491857a6b740",
+    "pauli-product-b64": "e3ea90d815a607f3296f6dcc0727e71416483cd1a7f1c113f5a428ad7c7c0495",
+    "pauli-product-b65536": "60843cd24072eb7b91e17d637798704adef7fc85e6b7e7d78c86454c71ea839c",
+    "pauli-sparse-b250": "47378b1bba70823e6936cfe68224d6d65c02801ee90a37be4c527b6db1a9c10a",
+    "pauli-sparse-b64": "16c0befe393a6cfe181fc43de1583d0a771ef80ab683462d8b0c2a8be4454f37",
+    "pauli-sparse-b65536": "8d56e98c7ec207f72dd8c580aad0e42335149d88a54f89b0f67d1dd24a1fdd89",
+    "ptm-product-b250": "9861e57e43beb6c60dc5cf46a8dce29fbc86eb00206e202bef1c6da53ba9adff",
+    "ptm-product-b64": "71a580b9f152b8a447a2f7ee89ca0bfb30b219586be6f81b0e8e898ff15c2344",
+    "ptm-product-b65536": "2fe3106ceedaa416d158a7ffcd6b8244b088a3cbf1799159a59d297e4e44c864",
 }
 _H_PTM = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0]], float)
 GOLDEN_CHANNELS = {
@@ -270,13 +252,12 @@ GOLDEN_COUNTS = {64: 1001, 250: 1001, DEFAULT_BLOCK_SIZE: DEFAULT_BLOCK_SIZE + 4
 
 
 def golden_records(case):
-    source, variant, size = case.rsplit("-", 2)
+    source, size = case.rsplit("-", 1)
     block_size = int(size[1:])
     count = GOLDEN_COUNTS[block_size]
     if source in GOLDEN_CHANNELS:
-        spam = float(variant.removeprefix("spam"))
-        stream = iter_channel_shadow_blocks(GOLDEN_CHANNELS[source](), count, 7, block_size, spam)
-        return stream.records()
+        return iter_channel_shadow_blocks(GOLDEN_CHANNELS[source](), count, 7, block_size).records()
+    source, variant = source.split("-")
     noise = GOLDEN_GATE_NOISE[source]() if variant == "noisy" else None
     return ShadowRecords.concatenate(list(sample_gate_shadows(source, noise, count, 11, block_size)))
 
@@ -596,16 +577,15 @@ def test_records_and_gate_estimates_do_not_depend_on_the_helper_count(
 STREAM_SIZES = [(64, 1001), (250, 1001), (250, 1000), (250, 250), (250, 100)]
 
 
-@pytest.mark.parametrize("spam", [0.0, 0.1])
 @pytest.mark.parametrize("source", sorted(GOLDEN_CHANNELS))
-def test_channel_stream_reduces_like_records(source, spam, monkeypatch, counts_of, hist_of):
+def test_channel_stream_reduces_like_records(source, monkeypatch, counts_of, hist_of):
     # The driver's records and counts, whichever thread draws each block,
     # match the blocks that iteration draws in order on the calling thread.
     channel = GOLDEN_CHANNELS[source]()
     for helpers in (0, 1, 3):
         monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
         for block_size, count in STREAM_SIZES:
-            stream = iter_channel_shadow_blocks(channel, count, 7, block_size, spam)
+            stream = iter_channel_shadow_blocks(channel, count, 7, block_size)
             serial = ShadowRecords.concatenate(list(stream))
             with fast_thread_switching():
                 recorded = stream.records()
@@ -898,27 +878,20 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def _block_peaks(channel) -> list[int]:
-    """Traced peak bytes of drawing one full block, without and with
-    preparation/measurement flips, each after a warm-up block."""
-    peaks = []
-    for spam in (0.0, 0.1):
-        sample = shadows._block_sampler(channel, DEFAULT_BLOCK_SIZE, spam)
-        sample(block_rng(1, 0))
-        peaks.append(_traced_peak(lambda: sample(block_rng(1, 1))))
-    return peaks
+def _block_peak(channel) -> int:
+    """Traced peak bytes of drawing one full block, after a warm-up block."""
+    sample = shadows._block_sampler(channel, DEFAULT_BLOCK_SIZE)
+    sample(block_rng(1, 0))
+    return _traced_peak(lambda: sample(block_rng(1, 1)))
 
 
 def test_four_qubit_reduce_path_stays_small(monkeypatch, hist_of):
     # The int32 histogram is 6.4 MiB, and a transfer-matrix block keeps two
-    # block arrays through its uniform loop (the cells and the p_plus entries),
-    # with preparation/measurement flips as without: no uniform slice lives
-    # on while the next is drawn.
+    # block arrays through its uniform loop (the cells and the p_plus entries):
+    # no uniform slice lives on while the next is drawn.
     monkeypatch.setattr(shadows, "_helper_count", lambda: 1)  # two blocks at a time
     channel = ProductChannel([amplitude_damping_ptm(0.1 * (j + 1)) for j in range(4)])
-    peaks = _block_peaks(channel)
-    assert max(peaks) < 1.3 * 2**20
-    assert peaks[1] < peaks[0] + 2**16
+    assert _block_peak(channel) < 1.3 * 2**20
     blocks = iter_channel_shadow_blocks(channel, 200_000, seed=5)  # counted as drawn
     assert _traced_peak(lambda: hist_of(blocks)) < 12 * 2**20
 
@@ -951,10 +924,9 @@ def test_four_qubit_pauli_block_stays_small():
     # A Pauli-channel block folds its input digit and its measured axis into
     # the cells as they are drawn, works the error's outcome bit out in place,
     # and the error sampler drops each uniform slice before the next: at most
-    # four 256 KiB block arrays meet, with flips as without.
-    peaks = _block_peaks(PauliChannel.from_qubit_probs([(0.85, 0.05, 0.06, 0.04)] * 4))
-    assert max(peaks) < 1.2 * 2**20
-    assert peaks[1] < peaks[0] + 2**16
+    # four 256 KiB block arrays meet.
+    peak = _block_peak(PauliChannel.from_qubit_probs([(0.85, 0.05, 0.06, 0.04)] * 4))
+    assert peak < 1.2 * 2**20
 
 
 def test_estimating_from_block_stream():
@@ -1245,18 +1217,33 @@ def test_gate_shadow_stream_reduces_like_records(monkeypatch, counts_of, hist_of
 # -- preparation/measurement error --------------------------------------------
 
 
-def test_spam_factor_no_flips():
-    assert estimate_spam_factor(0.0, 50_000, seed=2) == pytest.approx(1.0, abs=0.03)
-
-
-def test_spam_factor_squared_contrast():
-    got = estimate_spam_factor(0.1, 400_000, seed=4)
-    assert got == pytest.approx(0.64, abs=0.02)
-
-
-def test_spam_flip_probability_validation():
-    with pytest.raises(ValueError):
-        iter_channel_shadow_blocks(PauliChannel.identity(1), 10, seed=0, spam_flip_probability=1.5)
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.3])
+def test_flips_are_the_composed_channel(random_cp_ptm, p):
+    # A preparation or readout flip at rate p is depolarizing of shrink
+    # 1 - 2p, so flips on both sides of a channel are that channel composed
+    # with it on each side, which the channel kernels sample as any other.
+    flip = depolarizing_ptm(1 - 2 * p)
+    rng = np.random.default_rng(31)
+    ptms = [random_cp_ptm(rng) for _ in range(4)]
+    for ptm in [*ptms, amplitude_damping_ptm(0.3) @ depolarizing_ptm(0.8)]:
+        plain, composed = ProductChannel([ptm]), ProductChannel([flip @ ptm @ flip])
+        for axis, sign, b in itertools.product(range(3), (1, -1), range(3)):
+            q, q_flipped = ((1 + plain.output_bloch(0, axis, s)[b]) / 2 for s in (sign, -sign))
+            m = (1 - p) * q + p * q_flipped  # the prepared sign flips
+            want = (1 - p) * m + p * (1 - m)  # the reported outcome flips
+            got = (1 + composed.output_bloch(0, axis, sign)[b]) / 2
+            assert got == pytest.approx(want, abs=1e-14)
+    # A Pauli product channel stays one: each qubit's X, Y and Z eigenvalues
+    # scale by (1 - 2p)^2, and the probabilities follow by the inverse Walsh
+    # transform.  A Pauli channel's PTM is diag(1, lX, lY, lZ).
+    probs = [(0.85, 0.05, 0.06, 0.04), (0.73, 0.09, 0.09, 0.09), (1.0, 0.0, 0.0, 0.0)]
+    eigenvalues = PauliChannel.from_qubit_probs(probs).qubit_eigenvalues()
+    _, lx, ly, lz = (eigenvalues * (1 - 2 * p) ** 2).T
+    flipped_probs = np.stack([1 + lx + ly + lz, 1 + lx - ly - lz,
+                              1 - lx + ly - lz, 1 - lx - ly + lz], 1) / 4
+    flipped = PauliChannel.from_qubit_probs(flipped_probs).qubit_eigenvalues()
+    for got, qubit in zip(flipped, eigenvalues):
+        np.testing.assert_allclose(np.diag(got), flip @ np.diag(qubit) @ flip, rtol=0, atol=1e-14)
 
 
 # -- state expectation estimation ---------------------------------------------
