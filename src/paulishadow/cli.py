@@ -347,9 +347,9 @@ def run_fig2(
     if estimated_expectations and expectation_shadows < EXPECTATION_BATCHES:
         raise ConfigError(f"expectation estimates take {EXPECTATION_BATCHES} batch means, "
                           f"got {expectation_shadows} shadows")
-    norm = observable.spectral_norm()
-    if norm == 0.0:
+    if not any(observable.terms().values()):  # before the dense norm
         raise ConfigError("cannot normalize the zero observable")
+    norm = observable.spectral_norm()
     observable = observable.scaled(1.0 / norm)
 
     paulis = [p for p in observable.support() if not p.is_identity]

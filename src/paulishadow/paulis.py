@@ -105,9 +105,6 @@ class PauliString:
     def unsigned(self) -> "PauliString":
         return self if self.sign == 1 else PauliString(self.n, self.x, self.z, 1)
 
-    def negate(self) -> "PauliString":
-        return PauliString(self.n, self.x, self.z, -self.sign)
-
     # -- algebra ---------------------------------------------------------
 
     def restrict(self, qubits: Iterable[int]) -> "PauliString":

@@ -26,10 +26,10 @@ estimator reads its pairs through one pair reader, ``_read_pairs``: it takes
 letter codes, and returns each pair's ``3^|P| * numer / N``.  Up to four
 qubits, ``_numerators`` counts the source into one joint 36^n histogram of
 cells (``count_into``): uint8 counts up to 16 * 18^n records, checked by
-their sum and counted again wider if a cell wrapped, int32 up to 2^31 - 1
-records and int64 past that.  Contracting it once, qubit by qubit, against
-the (16, 36) table of per-qubit factors gives the 16^n *moment table*: the
-entry at mixed-radix index
+their sum (the table's all-identity entry) and counted again wider if a
+cell wrapped, int32 up to 2^31 - 1 records and int64 past that.
+Contracting it once, qubit by qubit, against the (16, 36) table of
+per-qubit factors gives the 16^n *moment table*: the entry at mixed-radix index
 sum_j (P_j * 4 + Q_j) * 16^(n-1-j), with letter codes I=0, X=1, Y=2, Z=3
 and qubit 0 most significant, is the numerator of (P, Q): the sum over
 records of prod_j tr(P_j s_j) tr(Q_j (3 t_j - I)).
@@ -47,20 +47,20 @@ Randomness
 ----------
 Sampling uses the counter-based Philox generator.  Records are produced in
 fixed-size blocks; block ``b`` of a run with seed ``s`` always draws from
-``Philox(key=s, counter=b << 128)`` and always draws full-block-sized arrays,
-so record ``i`` depends only on (seed, block size, i): the records for a
-smaller count are a prefix of those for a larger one, but another block
-size gives other records.  Channel and gate shadows are both streamed as a
-``BlockStream``, a stateless recipe with one parallel driver: the calling
-thread and up to one helper per further block (one per usable CPU past the
-first, on a ``concurrent.futures.ThreadPoolExecutor``; under ``taskset -c 0``
-no executor starts) take block numbers from one shared list.
+``Philox(key=s, counter=b << 128)``.  Every draw but a block's last is
+block-sized; the last stops at the rows the block keeps, a prefix of its
+full draw.  So record ``i`` depends only on (seed, block size, i): the
+records for a smaller count are a prefix of those for a larger one, but
+another block size gives other records.  Channel and gate shadows are both
+streamed as a ``BlockStream``, whose one parallel driver alone calls the
+kernels: the calling thread and up to one helper per further block (one
+per usable CPU past the first, on a ``concurrent.futures.ThreadPoolExecutor``;
+under ``taskset -c 0`` no executor starts) take block numbers from one list.
 ``BlockStream.count_into`` counts a stream where each block is drawn, every
 thread adding its blocks into the one histogram, and ``BlockStream.records``
 writes block b into its own rows of one array.  Integer addition commutes and
 the rows are disjoint, so any split of the blocks between threads gives the
-same counts and records.  Iterating a stream yields its blocks in block
-order on the calling thread.
+same counts and records.
 Samplers draw their uniforms in slices, which give the same doubles as one
 call, so their temporaries stay small.  The channel kernels read every draw
 straight from the block generator's raw Philox stream (``_PhiloxReader``,
@@ -88,7 +88,7 @@ import math
 import os
 import threading
 from functools import lru_cache, partial, reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -144,16 +144,6 @@ class ShadowRecords:
     @property
     def n(self) -> int:
         return self.cells.shape[1]
-
-    def __getitem__(self, key) -> "ShadowRecords":
-        if isinstance(key, (int, np.integer)):
-            i = range(len(self))[key]  # negative from the end; IndexError out of range
-            key = slice(i, i + 1)
-        return ShadowRecords(self.cells[key])
-
-    @classmethod
-    def concatenate(cls, batches: Iterable["ShadowRecords"]) -> "ShadowRecords":
-        return cls(np.concatenate([b.cells for b in batches]))
 
     def count_into(self, counts: np.ndarray) -> None:
         """Add every record into ``counts``, the 36^n histogram of joint cells."""
@@ -318,10 +308,11 @@ if hasattr(os, "register_at_fork"):  # a forked child has no helper threads
 class BlockStream:
     """The recipe of one sampling run; ``len`` is the number of records in all.
 
-    ``sample(rng)`` draws one full block from block b's generator, and
-    ``tally(rng, left)`` draws it and returns the joint cells and amounts
-    that its first ``left`` records add to a histogram.  A stream keeps no
-    state, so it can be iterated, counted and recorded any number of times.
+    ``sample(rng, left)`` draws block b's min(left, block size) kept records
+    from its generator, and ``tally(rng, left)`` returns the joint cells and
+    amounts that they add to a histogram.  Only a kernel's last draw stops
+    at the kept rows.  A stream keeps no state, so it can be counted and
+    recorded any number of times.
     """
 
     def __init__(self, n: int, count: int, seed: int, block_size: int, sample, tally):
@@ -334,11 +325,6 @@ class BlockStream:
 
     def __len__(self) -> int:
         return self.count
-
-    def __iter__(self) -> Iterator[ShadowRecords]:
-        """The blocks in block order, each drawn on the calling thread."""
-        for block in range(-(-self.count // self.block_size)):
-            yield self.sample(block_rng(self.seed, block))[: self.count - block * self.block_size]
 
     def _drive(self, visit) -> None:
         """Call ``visit(block, left)`` once per block, ``left`` being the
@@ -388,15 +374,15 @@ class BlockStream:
         cells = np.empty((self.n, self.count), dtype=np.uint8).T  # qubit rows read in place
 
         def visit(block: int, left: int) -> None:
-            start, records = block * self.block_size, self.sample(block_rng(self.seed, block))
-            cells[start : start + self.block_size] = records.cells[:left]
+            rows = slice(block * self.block_size, (block + 1) * self.block_size)
+            cells[rows] = self.sample(block_rng(self.seed, block), left).cells
 
         self._drive(visit)
         return ShadowRecords(cells)
 
 
 def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int):
-    """The kernel drawing one full block of channel shadow records as cells."""
+    """The kernel drawing a block's kept channel shadow records as cells."""
     n = channel.n
     shape = (block_size, n)
     if isinstance(channel, ProductChannel):
@@ -410,8 +396,8 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int):
     elif not isinstance(channel, PauliChannel):
         raise TypeError(f"cannot sample shadows of {type(channel).__name__}")
 
-    def sample(rng: np.random.Generator) -> ShadowRecords:
-        reader = _PhiloxReader(rng)
+    def sample(rng: np.random.Generator, left: int) -> ShadowRecords:
+        reader, kept = _PhiloxReader(rng), min(left, block_size)
         cells = reader.digits(3, shape)  # the cells, built in place in the input axes
         cells *= 2
         cells += reader.digits(2, shape)  # the input digit
@@ -429,28 +415,30 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int):
             np.bitwise_and(cells, 1, out=errors)
             axis_bit ^= errors
             del errors  # before two more block-sized draws
-            t_axis = reader.digits(3, shape)  # measured axis
+            t_axis = reader.digits(3, shape)[:kept]  # measured axis
+            cells, axis_bit = cells[:kept], axis_bit[:kept]
             same = np.right_shift(cells, 1)
             np.equal(same, t_axis, out=same.view(np.bool_))  # the prepared axis is measured
             cells *= 3
             cells += t_axis
             del t_axis
             # Another basis reads a fair coin.
-            t_bit = reader.digits(2, shape)
+            t_bit = reader.digits(2, (kept, n))
             np.copyto(t_bit, axis_bit, where=same.view(np.bool_))
             del axis_bit, same
         else:
             # Two block arrays live through the outcome loop: the cells, and
             # each record's entry of plus_below, then in place its outcome bit.
-            t_bit = np.add(cells, offsets)  # 6j + input digit: the sign bit is its low bit
-            t_axis = reader.digits(3, shape)
+            t_axis = reader.digits(3, shape)[:kept]
+            cells = cells[:kept]
+            t_bit = np.add(cells, offsets[:kept])  # 6j + input digit: the sign bit is its low bit
             cells *= 3
             cells += t_axis
             t_bit *= 3
             t_bit += t_axis  # 18j + input digit * 3 + measured axis
             del t_axis
             flat = t_bit.reshape(-1)
-            for rows in row_slices((block_size * n,)):
+            for rows in row_slices((kept * n,)):
                 # A slice holds two arrays at a time: the intp index and the
                 # gathered thresholds, then the thresholds and the uniforms.
                 index = flat[rows].astype(np.intp)
@@ -475,7 +463,7 @@ def iter_channel_shadow_blocks(
     sample = _block_sampler(channel, block_size)
     # int32 codes (36^4 < 2^31): every thread that counts holds one block's.
     return BlockStream(channel.n, count, seed, block_size, sample, lambda rng, left: (
-        _joint_cells(sample(rng).cells[:left].T, range(channel.n), np.int32), 1))
+        _joint_cells(sample(rng, left).cells.T, range(channel.n), np.int32), 1))
 
 
 # -- estimation ----------------------------------------------------------------
@@ -596,10 +584,11 @@ def _numerators(source: ShadowRecords | BlockStream, digits: np.ndarray) -> tupl
     stream where each block is drawn, and its moment table serves every pair.
     A cell expects at most total / 18^n records (uniform input digits and
     measured axes), so up to 16 * 18^n records the counts are uint8 (1.7 MB
-    at n = 4).  A wrap takes exactly 256 off their sum, so a short sum means
-    a recount of the stateless source at int32; past 2^31 - 1 records the
-    counts are int64.  Past the cap the source's records are read per union
-    support, a stream's drawn first.
+    at n = 4).  A wrap takes exactly 256 off their sum, the moment table's
+    all-identity entry, so a short sum means a recount of the stateless
+    source at int32; past 2^31 - 1 records the counts are int64.  Past the
+    cap the source's records are read per union support, a stream's drawn
+    first.
     """
     total = len(source)
     if total == 0:
@@ -610,9 +599,10 @@ def _numerators(source: ShadowRecords | BlockStream, digits: np.ndarray) -> tupl
     for dtype in [np.uint8, wide] if total <= 16 * 18**source.n else [wide]:
         hist = np.zeros(36**source.n, dtype)
         source.count_into(hist)
-        if hist.sum(dtype=np.int64) == total:  # no cell wrapped
+        table = _moment_table(hist, source.n, total)
+        if table[0] == total:  # the all-identity numerator is the counts' sum: no cell wrapped
             break
-    return total, _moment_table(hist, source.n, total)[_table_index(digits)]
+    return total, table[_table_index(digits)]
 
 
 def _read_pairs(source, digits: np.ndarray) -> np.ndarray:
@@ -739,8 +729,8 @@ def sample_gate_shadows(
     ``iter_channel_shadow_blocks``.
 
     A block draws int32 input digits, int32 basis digits, then one uniform
-    per record.  The row of ``_gate_outcome_cdfs`` is built in place from the
-    digits, the outcome counts the row's thresholds at or below the uniform,
+    per kept record.  The row of ``_gate_outcome_cdfs`` is built in place from
+    the digits, the outcome counts the row's thresholds at or below the uniform,
     and ``row * 2^g + outcome`` indexes a table that holds the record's g
     cells as one g-byte word.  A histogram bincounts that index instead and
     adds the bins at each index's joint cell."""
@@ -754,7 +744,7 @@ def sample_gate_shadows(
     cell_words = cell_table.view(f"u{g}").reshape(-1)  # gates act on one or two qubits
     joint_cells = _joint_cells(cell_table.T, range(g))
 
-    def outcome_index(rng: np.random.Generator) -> np.ndarray:
+    def outcome_index(rng: np.random.Generator, left: int) -> np.ndarray:
         shape = (block_size, g)
         # int32 draws take the same 32-bit words as int64 ones; each is
         # narrowed before the next, so no two block-sized int32 arrays meet.
@@ -766,9 +756,10 @@ def sample_gate_shadows(
             row *= 18
             row += digits[:, j]
         del digits  # before the uniforms and their intp indices
+        row = row[:left]  # the last draw, the uniforms, is of the kept rows only
         # A slice holds each record's uniform, intp row and one gathered
         # threshold, so it takes UNIFORM_SLICE / outcomes records.
-        for rows in row_slices((block_size, outcomes)):
+        for rows in row_slices((len(row), outcomes)):
             part = row[rows]
             index = part.astype(np.intp)
             u = rng.random(len(index))
@@ -779,14 +770,15 @@ def sample_gate_shadows(
             part += outcome
         return row
 
-    def sample(rng: np.random.Generator) -> ShadowRecords:
-        index, words = outcome_index(rng), np.empty(block_size, cell_words.dtype)
-        for rows in row_slices((block_size,)):
+    def sample(rng: np.random.Generator, left: int) -> ShadowRecords:
+        index = outcome_index(rng, left)
+        words = np.empty(len(index), cell_words.dtype)
+        for rows in row_slices(words.shape):
             words[rows] = cell_words[index[rows].astype(np.intp)]
         return ShadowRecords(words.view(np.uint8).reshape(-1, g))
 
     def tally(rng: np.random.Generator, left: int) -> tuple[np.ndarray, np.ndarray]:
-        return joint_cells, np.bincount(outcome_index(rng)[:left], minlength=36**g)
+        return joint_cells, np.bincount(outcome_index(rng, left), minlength=36**g)
 
     return BlockStream(g, count, seed, block_size, sample, tally)
 

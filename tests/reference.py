@@ -10,7 +10,8 @@ and each gate applies one local superoperator, sum_Q p_Q (QU) (x) conj(QU)
 on the gate's a qubits: O(4^(n+a)) work per gate.  The estimator
 expectations enumerate every prepared eigenstate, basis and outcome
 exactly.  Shadow records are built from their decoded fields by the
-documented cell code, and channel configs in the README's JSON form.
+documented cell code, or drawn block by block in order on the calling
+thread, and channel configs are written in the README's JSON form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from paulishadow.channels import PauliChannel, ProductChannel, TransferMatrix
 from paulishadow.exact import BASIS_ROTATIONS, _superop_from_ptm, gate_superop
 from paulishadow.observables import Observable
 from paulishadow.paulis import PAULI_MATRICES, PauliString, enumerate_low_weight
-from paulishadow.shadows import ShadowRecords
+from paulishadow.shadows import BlockStream, ShadowRecords, block_rng
 
 
 def records_from_fields(s_axis, s_sign, t_axis, t_sign) -> ShadowRecords:
@@ -35,6 +36,15 @@ def records_from_fields(s_axis, s_sign, t_axis, t_sign) -> ShadowRecords:
     s_axis, s_sign, t_axis, t_sign = (np.asarray(f) for f in (s_axis, s_sign, t_axis, t_sign))
     cells = ((s_axis * 2 + (s_sign < 0)) * 3 + t_axis) * 2 + (t_sign < 0)
     return ShadowRecords(cells.astype(np.uint8))
+
+
+def serial_records(stream: BlockStream) -> ShadowRecords:
+    """A stream's records, its blocks drawn in order on the calling thread
+    and joined: the reference for the driver's thread splits."""
+    starts = range(0, stream.count, stream.block_size)
+    blocks = [stream.sample(block_rng(stream.seed, b), stream.count - start).cells
+              for b, start in enumerate(starts)]
+    return ShadowRecords(np.concatenate(blocks) if blocks else np.empty((0, stream.n), np.uint8))
 
 
 # -- states and channels -------------------------------------------------------

@@ -328,18 +328,19 @@ def test_config_round_trip_ptm_product(tmp_path):
 
 
 def test_config_errors():
-    with pytest.raises(ConfigError):
-        channel_from_config({"kind": "nonsense"})
-    with pytest.raises(ConfigError):
-        channel_from_config({"kind": "pauli-product"})  # missing qubits
-    with pytest.raises(ConfigError):
-        channel_from_config(
-            {"kind": "pauli-product", "qubits": [{"pI": 0.5, "pX": 0.2}]}
-        )
-    with pytest.raises(ConfigError):
-        channel_from_config(
-            {"kind": "pauli-sparse", "n": 1, "terms": [["X", 1.5]]}
-        )
+    bad = [
+        ({"kind": "nonsense"}, "unknown channel kind"),
+        ({"kind": "pauli-product"}, "non-empty 'qubits' list"),
+        ({"kind": "pauli-product", "qubits": [{"pI": 0.5, "pX": 0.2}]}, "missing probability"),
+        ({"kind": "pauli-sparse", "n": 1, "terms": [["X", 1.5]]}, "must sum to 1"),
+        ({"qubits": [{"pI": 1.0, "pX": 0, "pY": 0, "pZ": 0}]}, "needs a 'kind' field"),
+        ({"kind": "pauli-sparse", "n": 2, "terms": [["XZZ", 0.1]]}, "is not an 2-qubit string"),
+        ({"kind": "ptm-product", "qubits": [[1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0]]},
+         "must hold 16 reals"),
+    ]
+    for cfg, message in bad:
+        with pytest.raises(ConfigError, match=message):
+            channel_from_config(cfg)
 
 
 def test_config_identity_fill_convention():

@@ -798,6 +798,11 @@ BAD_INPUTS = {
     "fig2-over-dense-cap": "fig2 --channel PAULI13 --n 13 --sweep 100",
     # No non-identity term: nothing to learn and no error to take a ratio of.
     "fig2-identity-observable": "fig2 --observable IDENTITY --sweep 100",
+    # Every coefficient 0: no norm to divide by.
+    "fig2-zero-observable": "fig2 --observable ZERO --sweep 100",
+    # An observable of another width than the circuit or channel.
+    "mitigate-observable-width": "mitigate --circuit CIRCUIT --observable heisenberg --n 3",
+    "fig2-observable-width": "fig2 --observable heisenberg --n 3 --sweep 100",
     # Seeds are non-negative in every command.
     "learn-negative-seed": "learn --channel reference --seed -1",
     "mitigate-negative-seed": "mitigate --circuit CIRCUIT --observable heisenberg --seed -1",
@@ -851,7 +856,7 @@ PLAN_OVERFLOW = "configuration error: the record count is past the float range\n
 @pytest.fixture
 def wide_paths(tmp_path):
     """Channels and a circuit on more qubits than an oracle takes, small on
-    disk, a two-qubit identity-only observable, and a directory."""
+    disk, a two-qubit identity-only and a zero observable, and a directory."""
     qubit = (0.97, 0.01, 0.01, 0.01)
     paths = {}
     for n in (13, 21):
@@ -861,6 +866,8 @@ def wide_paths(tmp_path):
     Path(paths["WIDE21"]).write_text(json.dumps({"n": 21, "gates": [{"g": "H", "q": [20]}]}))
     paths["IDENTITY"] = str(tmp_path / "identity.txt")
     Path(paths["IDENTITY"]).write_text("II 1.0\n")
+    paths["ZERO"] = str(tmp_path / "zero.txt")
+    Path(paths["ZERO"]).write_text("XX 0.0\n")
     paths["DIRECTORY"] = str(tmp_path)
     return paths
 
@@ -1132,18 +1139,54 @@ UNCALLED_EXPORTS = {
 }
 
 
-def test_every_exported_name_has_a_caller_or_a_reason():
+# Public methods and properties of classes in src/ that no code in src/
+# refers to by name, each with what still calls it.
+UNCALLED_MEMBERS = {
+    "TransferMatrix.is_upper_block_triangular": "ROADMAP item 3 (the assumption checks)",
+    "Observable.pauli_norm": "ROADMAP item 4 (a planner from the observable)",
+    "PauliChannel.to_product_channel": "tests/reference.py's dense apply_channel",
+}
+
+
+def src_trees():
     root = Path(__file__).resolve().parents[1]
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in root.glob("src/paulishadow/*.py") if path.name != "__init__.py"]
+
+
+def referenced_names(trees):
     referenced = set()
-    for path in root.glob("src/paulishadow/*.py"):
-        if path.name != "__init__.py":
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    referenced.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+    return referenced
+
+
+def test_every_exported_name_has_a_caller_or_a_reason():
+    referenced = referenced_names(src_trees())
     uncalled = {name for name in paulishadow.__all__ if name not in referenced}
     assert uncalled == set(UNCALLED_EXPORTS)
+
+
+def test_every_public_method_has_a_caller_or_a_reason():
+    trees = src_trees()
+    members = set()
+    for cls in (node for tree in trees for node in ast.walk(tree)):
+        for item in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if isinstance(item, ast.FunctionDef):
+                names = [item.name]
+            elif (isinstance(item, ast.Assign) and isinstance(item.value, ast.Call)
+                  and getattr(item.value.func, "id", None) == "property"):
+                names = [target.id for target in item.targets]
+            else:
+                names = []
+            members |= {(cls.name, name) for name in names if not name.startswith("_")}
+    assert len(members) > 50  # the walk reaches every class
+    referenced = referenced_names(trees)
+    uncalled = {f"{cls}.{name}" for cls, name in members if name not in referenced}
+    assert uncalled == set(UNCALLED_MEMBERS)
 
 
 def test_derive_seed_is_stable_and_sensitive():

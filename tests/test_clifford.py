@@ -66,7 +66,7 @@ def gate_and_string(draw):
     index = draw(st.integers(0, 4**n - 1))
     sign = draw(st.sampled_from([1, -1]))
     p = pauli_from_index(n, index)
-    return kind, tuple(qubits), p if sign == 1 else p.negate()
+    return kind, tuple(qubits), PauliString(n, p.x, p.z, sign)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -280,6 +280,8 @@ def test_mitigation_floor_and_missing_estimates():
     assert back.terms[P("X")] == 1.0
     with pytest.raises(KeyError):
         mitigation_coefficients(clean, {"H": {}}, obs)  # table exists but is empty
+    with pytest.raises(ValueError, match="observable acts on 2 qubits, circuit on 1"):
+        mitigation_coefficients(clean, {}, Observable(2, {P("XX"): 1.0}))
 
 
 def test_exact_gate_estimates_tables():

@@ -307,7 +307,7 @@ def test_expectation_gather_matches_dense_trace_for_observables_and_vectors():
         psi = exact.haar_random_vector(n, rng)
         labels = [pauli_from_index(n, int(i)) for i in rng.integers(0, 4**n, 8)]
         obs = Observable(n, {p: float(rng.normal()) for p in labels})
-        signed = labels[0].negate()
+        signed = PauliString(n, labels[0].x, labels[0].z, -labels[0].sign)
         for o in (obs, signed):
             want = np.vdot(psi, o.matrix() @ psi).real
             assert abs(exact.expectation(o, psi) - want) <= 1e-12

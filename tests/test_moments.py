@@ -35,7 +35,7 @@ from paulishadow.shadows import (
     sample_gate_shadows,
 )
 
-from reference import records_from_fields
+from reference import records_from_fields, serial_records
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -200,7 +200,7 @@ def test_records_and_counts_sources_agree_exactly(counts_of, hist_of, read_pairs
     into records qubit by qubit."""
     for n, k in ((1, 1), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (6, 3)):
         stream = damping_stream(n, 2000, seed=44 + n)
-        records = ShadowRecords.concatenate(list(stream))
+        records = serial_records(stream)
         if n <= 4:
             np.testing.assert_array_equal(hist_of(stream), counts_of(records))
         else:
@@ -234,7 +234,7 @@ def test_empty_stream_raises_on_either_side_of_the_cap(n):
 def test_gate_eigenvalues_from_records_equal_counts_and_brute_force():
     for kind in ("H", "S", "CNOT"):
         stream = sample_gate_shadows(kind, None, 3000, seed=17)
-        records = ShadowRecords.concatenate(list(stream))
+        records = serial_records(stream)
         from_records = estimate_gate_eigenvalues(records, kind)
         from_stream = estimate_gate_eigenvalues(stream, kind)
         assert from_records == from_stream
@@ -372,7 +372,8 @@ def test_moment_table_follows_merge(counts_of, n, first, second, seed):
     # histograms is the sum of their tables, and the whole records' table.
     records = random_records(n, first + second, seed)
     whole = shadows._moment_table(counts_of(records), n, len(records))
-    head, tail = counts_of(records[:first]), counts_of(records[first:])
+    head, tail = (counts_of(ShadowRecords(records.cells[:first])),
+                  counts_of(ShadowRecords(records.cells[first:])))
     summed = shadows._moment_table(head + tail, n, len(records))
     np.testing.assert_array_equal(summed, whole)
     np.testing.assert_array_equal(
@@ -387,7 +388,7 @@ def test_merged_histograms_equal_the_concatenated_records(counts_of, n, sizes, s
     # Batches counted into one histogram, in either order, give the
     # histogram of their concatenation.
     parts = [random_records(n, size, seed + i) for i, size in enumerate(sizes)]
-    whole = counts_of(ShadowRecords.concatenate(parts))
+    whole = counts_of(ShadowRecords(np.concatenate([part.cells for part in parts])))
     for order in (parts, parts[::-1]):
         hist = np.zeros(36**n, np.int32)
         for part in order:

@@ -1,6 +1,8 @@
 """Backward observables: diagonal division, block back-substitution, and the
 exact-inverse recovery identity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -133,12 +135,16 @@ def test_block_solver_ignores_entries_below_blocks():
 
 
 def test_block_solver_flags_singular_block():
-    mat = np.array([[1.0, 0.5, 0.5], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 1e-9]])
+    # A near-singular block fails the condition threshold; an exactly
+    # singular one, [[1, 1], [1, 1]], has no inverse and an infinite condition.
     blocks = [slice(0, 1), slice(1, 3)]
-    with pytest.raises(IllConditionedError) as err:
-        solve_upper_block_triangular(mat, blocks, np.ones(3))
-    assert err.value.block_weight == 1
-    assert err.value.condition > err.value.threshold
+    for corner, condition in ((1.0 + 1e-9, None), (1.0, math.inf)):
+        mat = np.array([[1.0, 0.5, 0.5], [0.0, 1.0, 1.0], [0.0, 1.0, corner]])
+        with pytest.raises(IllConditionedError) as err:
+            solve_upper_block_triangular(mat, blocks, np.ones(3))
+        assert err.value.block_weight == 1
+        assert err.value.condition > err.value.threshold
+        assert condition is None or err.value.condition == condition
 
 
 def test_block_solver_flags_nan_block():

@@ -55,38 +55,12 @@ from reference import (
     dense_expectation,
     product_eigenstate,
     records_from_fields,
+    serial_records,
 )
 
 
 def P(label):
     return PauliString.from_label(label)
-
-
-# -- record container ----------------------------------------------------------
-
-
-def test_records_slicing_and_concat():
-    r = iter_channel_shadow_blocks(PauliChannel.identity(2), 100, seed=1).records()
-    assert len(r) == 100 and r.n == 2
-    front, back = r[:40], r[40:]
-    both = ShadowRecords.concatenate([front, back])
-    np.testing.assert_array_equal(both.s_axis, r.s_axis)
-    np.testing.assert_array_equal(both.t_sign, r.t_sign)
-    single = r[7]
-    assert len(single) == 1
-
-
-def test_records_index_and_iterate_like_a_sequence():
-    r = iter_channel_shadow_blocks(PauliChannel.identity(2), 5, seed=1).records()
-    np.testing.assert_array_equal(r[-1].cells, r.cells[4:])
-    np.testing.assert_array_equal(r[-5].cells, r.cells[:1])
-    np.testing.assert_array_equal(r[np.int64(3)].cells, r.cells[3:4])
-    for bad in (5, -6, np.int32(5)):
-        with pytest.raises(IndexError):
-            r[bad]
-    items = list(r)
-    assert len(items) == 5
-    np.testing.assert_array_equal(np.concatenate([b.cells for b in items]), r.cells)
 
 
 # -- sampling determinism ------------------------------------------------------
@@ -114,12 +88,12 @@ def test_sampling_prefix_stability():
 
 
 def test_block_iteration_matches_batch():
-    ch = reference_product_channel()
-    blocks = list(iter_channel_shadow_blocks(ch, 70_000, seed=4))
-    assert len(blocks) == 2 and len(blocks[0]) == 65536
-    merged = ShadowRecords.concatenate(blocks)
-    batch = iter_channel_shadow_blocks(ch, 70_000, seed=4).records()
-    np.testing.assert_array_equal(merged.t_sign, batch.t_sign)
+    # The blocks drawn one after another on the calling thread, a full one
+    # and the kept rows of the next, are the batch the driver records.
+    stream = iter_channel_shadow_blocks(reference_product_channel(), 70_000, seed=4)
+    sizes = [len(stream.sample(block_rng(4, b), 70_000 - b * 65536)) for b in (0, 1)]
+    assert sizes == [65536, 70_000 - 65536]
+    np.testing.assert_array_equal(serial_records(stream).cells, stream.records().cells)
 
 
 def _sample_ptm_block_per_qubit(channel, rng, block_size):
@@ -158,10 +132,10 @@ def test_ptm_sampling_matches_per_qubit_reference(random_cp_ptm, counts_of, hist
         stream = iter_channel_shadow_blocks(ch, count, seed=n, block_size=block_size)
         got = stream.records()
         blocks = -(-count // block_size)
-        want = ShadowRecords.concatenate([
-            _sample_ptm_block_per_qubit(ch, block_rng(n, b), block_size)
+        want = ShadowRecords(np.concatenate([
+            _sample_ptm_block_per_qubit(ch, block_rng(n, b), block_size).cells
             for b in range(blocks)
-        ])[:count]
+        ])[:count])
         for field in ("s_axis", "s_sign", "t_axis", "t_sign"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
         if n <= shadows.COUNTS_QUBIT_CAP:
@@ -185,10 +159,10 @@ def test_every_cell_decodes_and_encodes_back():
 
 def test_concatenate_streams_into_one_array():
     ch = reference_product_channel()
-    blocks = list(iter_channel_shadow_blocks(ch, 1000, seed=3, block_size=300))
-    listed = ShadowRecords.concatenate(blocks)
+    listed = serial_records(iter_channel_shadow_blocks(ch, 1000, seed=3, block_size=300))
     assert listed.cells.dtype == np.uint8
     recorded = iter_channel_shadow_blocks(ch, 1000, 3, 300).records()
+    assert recorded.cells.dtype == np.uint8
     np.testing.assert_array_equal(recorded.cells, listed.cells)
     empty = iter_channel_shadow_blocks(ch, 0, seed=3).records()
     assert len(empty) == 0 and empty.n == 2
@@ -259,7 +233,7 @@ def golden_records(case):
         return iter_channel_shadow_blocks(GOLDEN_CHANNELS[source](), count, 7, block_size).records()
     source, variant = source.split("-")
     noise = GOLDEN_GATE_NOISE[source]() if variant == "noisy" else None
-    return ShadowRecords.concatenate(list(sample_gate_shadows(source, noise, count, 11, block_size)))
+    return sample_gate_shadows(source, noise, count, 11, block_size).records()
 
 
 def cells_digest(records):
@@ -399,18 +373,18 @@ def test_digit_top_ups_skip_zero_bytes_like_numpy(high, monkeypatch):
 @pytest.mark.parametrize("helpers", [0, 1, 3])
 def test_each_block_lands_in_its_own_rows(helpers, monkeypatch):
     monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
-    helper_drew, drawn_on = threading.Event(), {}
+    helper_drew, drawn_on, asked = threading.Event(), {}, {}
 
-    def sample(rng):
+    def sample(rng, left):
         block = int(rng.bit_generator.state["state"]["counter"][2])  # counter = block << 128
         on_caller = threading.current_thread() is threading.main_thread()
         if not on_caller:
             helper_drew.set()
         elif helpers:  # the caller's first block waits until a helper has one
             assert helper_drew.wait(30)
-        drawn_on[block] = on_caller
-        cells = np.zeros((10, 2), np.uint8)
-        cells[:, 0], cells[:, 1] = block, np.arange(10)  # (block, row in the block)
+        drawn_on[block], asked[block] = on_caller, left
+        cells = np.zeros((min(left, 10), 2), np.uint8)
+        cells[:, 0], cells[:, 1] = block, np.arange(len(cells))  # (block, row in the block)
         return ShadowRecords(cells)
 
     stream = shadows.BlockStream(2, 95, 0, 10, sample, tally=None)
@@ -418,12 +392,8 @@ def test_each_block_lands_in_its_own_rows(helpers, monkeypatch):
     np.testing.assert_array_equal(stream.records().cells, want)
     assert sorted(drawn_on) == list(range(10))
     assert (not all(drawn_on.values())) == (helpers > 0)
-    # Iteration yields the same blocks in order, each drawn on the calling thread.
-    drawn_on.clear()
-    blocks = list(stream)
-    assert [len(b) for b in blocks] == [10] * 9 + [5]
-    np.testing.assert_array_equal(ShadowRecords.concatenate(blocks).cells, want)
-    assert drawn_on == dict.fromkeys(range(10), True)
+    # Each block is asked for the records still wanted from its start.
+    assert asked == {b: 95 - 10 * b for b in range(10)}
 
 
 @contextlib.contextmanager
@@ -517,7 +487,7 @@ def check_sampler_fault_reaches_the_caller(route, helpers, faulty, monkeypatch, 
 
     drawn = []
 
-    def sample(rng):
+    def sample(rng, left):
         block = int(rng.bit_generator.state["state"]["counter"][2])
         on_caller = threading.current_thread() is threading.main_thread()
         if on_caller == (faulty == "caller"):
@@ -526,7 +496,8 @@ def check_sampler_fault_reaches_the_caller(route, helpers, faulty, monkeypatch, 
         drawn.append(block)
         return ShadowRecords(np.full((1, 1), block % 36, np.uint8))
 
-    stream = shadows.BlockStream(1, 400, 0, 1, sample, lambda rng, left: (sample(rng).cells[:, 0], 1))
+    stream = shadows.BlockStream(1, 400, 0, 1, sample,
+                                 lambda rng, left: (sample(rng, left).cells[:, 0], 1))
     with pytest.raises(SamplerFault, match=f"^block drawn on the {faulty}$") as caught:
         if route == "records":
             stream.records()
@@ -541,7 +512,7 @@ def check_sampler_fault_reaches_the_caller(route, helpers, faulty, monkeypatch, 
     assert len(drawn) == stopped
     # The helpers are free for the next stream, which counts and records whole.
     fresh = iter_channel_shadow_blocks(GOLDEN_CHANNELS["pauli-sparse"](), 1001, 7, 64)
-    serial = ShadowRecords.concatenate(list(fresh))
+    serial = serial_records(fresh)
     np.testing.assert_array_equal(fresh.records().cells, serial.cells)
     np.testing.assert_array_equal(hist_of(fresh), counts_of(serial))
 
@@ -580,13 +551,13 @@ STREAM_SIZES = [(64, 1001), (250, 1001), (250, 1000), (250, 250), (250, 100)]
 @pytest.mark.parametrize("source", sorted(GOLDEN_CHANNELS))
 def test_channel_stream_reduces_like_records(source, monkeypatch, counts_of, hist_of):
     # The driver's records and counts, whichever thread draws each block,
-    # match the blocks that iteration draws in order on the calling thread.
+    # match the blocks drawn in order on the calling thread.
     channel = GOLDEN_CHANNELS[source]()
     for helpers in (0, 1, 3):
         monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
         for block_size, count in STREAM_SIZES:
             stream = iter_channel_shadow_blocks(channel, count, 7, block_size)
-            serial = ShadowRecords.concatenate(list(stream))
+            serial = serial_records(stream)
             with fast_thread_switching():
                 recorded = stream.records()
                 counted = hist_of(stream)
@@ -595,20 +566,69 @@ def test_channel_stream_reduces_like_records(source, monkeypatch, counts_of, his
             assert counted.sum() == count
 
 
-def test_an_iterated_stream_still_counts_and_records_whole(counts_of, hist_of):
-    # A stream keeps no state: iterating it, in full or in part, leaves
-    # every record to the next count, recording or iteration.
-    channel = GOLDEN_CHANNELS["ptm-product"]()
-    stream = iter_channel_shadow_blocks(channel, 1001, 7, 250)
-    assert len(stream) == 1001
-    whole = ShadowRecords.concatenate(list(stream))
-    blocks = iter(stream)
-    first = next(blocks)
-    np.testing.assert_array_equal(stream.records().cells, whole.cells)
-    counted = hist_of(stream)
-    np.testing.assert_array_equal(counted, counts_of(whole))
-    assert counted.sum() == len(stream) == 1001
-    np.testing.assert_array_equal(ShadowRecords.concatenate([first, *blocks]).cells, whole.cells)
+# One stream per kernel: the transfer-matrix, Pauli-product, Pauli-sparse
+# and two gate kernels.
+KERNEL_STREAMS = {
+    "ptm-product": lambda count: iter_channel_shadow_blocks(
+        GOLDEN_CHANNELS["ptm-product"](), count, 7),
+    "pauli-product": lambda count: iter_channel_shadow_blocks(
+        GOLDEN_CHANNELS["pauli-product"](), count, 7),
+    "pauli-sparse": lambda count: iter_channel_shadow_blocks(
+        GOLDEN_CHANNELS["pauli-sparse"](), count, 7),
+    "H": lambda count: sample_gate_shadows("H", GOLDEN_GATE_NOISE["H"](), count, 11),
+    "CNOT": lambda count: sample_gate_shadows("CNOT", GOLDEN_GATE_NOISE["CNOT"](), count, 11),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_STREAMS))
+def test_a_block_keeps_a_prefix_of_its_full_draw(kernel, counts_of):
+    # A kernel asked for r records draws every block-sized array a full block
+    # draws and stops only its last draw at r rows: its records and tally are
+    # the full block's first r.
+    stream, size = KERNEL_STREAMS[kernel](1), DEFAULT_BLOCK_SIZE
+    full = stream.sample(block_rng(5, 2), size).cells
+    for kept in (1, 37, size - 1, size):
+        cells = stream.sample(block_rng(5, 2), kept).cells
+        np.testing.assert_array_equal(cells, full[:kept])
+        hist = np.zeros(36**stream.n, np.int64)
+        np.add.at(hist, *stream.tally(block_rng(5, 2), kept))
+        np.testing.assert_array_equal(hist, counts_of(ShadowRecords(full[:kept])))
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_STREAMS))
+def test_the_driver_matches_the_serial_blocks_around_a_whole_block(kernel, monkeypatch,
+                                                                   counts_of, hist_of):
+    size = DEFAULT_BLOCK_SIZE
+    for count in (size - 1, size, size + 1, 200_001):
+        stream = KERNEL_STREAMS[kernel](count)
+        serial = serial_records(stream)
+        assert len(serial) == count
+        for helpers in (0, 1):
+            monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
+            np.testing.assert_array_equal(stream.records().cells, serial.cells)
+            np.testing.assert_array_equal(hist_of(stream), counts_of(serial))
+
+
+def test_a_last_block_draws_outcome_uniforms_for_its_kept_rows_only(monkeypatch, hist_of):
+    # 1,000,000 = 15 * 65,536 + 16,960: the last block of a four-qubit
+    # transfer-matrix stream asks for 16,960 * 4 outcome uniforms, and the
+    # stream for one per record and qubit.
+    asked, uniform_ints = [], shadows._PhiloxReader.uniform_ints
+
+    def noting(reader, count):
+        asked.append(count)
+        return uniform_ints(reader, count)
+
+    monkeypatch.setattr(shadows._PhiloxReader, "uniform_ints", noting)
+    monkeypatch.setattr(shadows, "_helper_count", lambda: 0)
+    channel = ProductChannel([amplitude_damping_ptm(0.1 * (j + 1)) for j in range(4)])
+    stream = iter_channel_shadow_blocks(channel, 1_000_000, seed=5)
+    last = 1_000_000 - 15 * DEFAULT_BLOCK_SIZE
+    assert len(stream.sample(block_rng(5, 15), last)) == last == 16_960
+    assert sum(asked) == 16_960 * 4
+    asked.clear()
+    assert hist_of(stream).sum() == 1_000_000
+    assert sum(asked) == 1_000_000 * 4
 
 
 def test_block_rng_is_counter_based():
@@ -721,7 +741,7 @@ def test_per_record_values_in_allowed_set():
     r = iter_channel_shadow_blocks(ch, 300, seed=6).records()
     strings = [P("ZI"), P("XZ")]
     for i in range(len(r)):
-        est = estimate_eigenvalues(r[i], strings)
+        est = estimate_eigenvalues(ShadowRecords(r.cells[i : i + 1]), strings)
         for p in strings:
             assert est[p] in {0.0, 9.0**p.weight, -(9.0**p.weight)}
 
@@ -772,8 +792,8 @@ def test_counts_merge_and_accumulate(counts_of, hist_of):
     r = iter_channel_shadow_blocks(ch, 9000, seed=44).records()
     whole = counts_of(r)
     merged = np.zeros(36**2, np.int32)
-    r[:5000].count_into(merged)
-    r[5000:].count_into(merged)
+    ShadowRecords(r.cells[:5000]).count_into(merged)
+    ShadowRecords(r.cells[5000:]).count_into(merged)
     np.testing.assert_array_equal(merged, whole)
     assert merged.sum() == 9000
     np.testing.assert_array_equal(hist_of(iter_channel_shadow_blocks(ch, 9000, 44)), whole)
@@ -881,8 +901,8 @@ def _traced_peak(run) -> int:
 def _block_peak(channel) -> int:
     """Traced peak bytes of drawing one full block, after a warm-up block."""
     sample = shadows._block_sampler(channel, DEFAULT_BLOCK_SIZE)
-    sample(block_rng(1, 0))
-    return _traced_peak(lambda: sample(block_rng(1, 1)))
+    sample(block_rng(1, 0), DEFAULT_BLOCK_SIZE)
+    return _traced_peak(lambda: sample(block_rng(1, 1), DEFAULT_BLOCK_SIZE))
 
 
 def test_four_qubit_reduce_path_stays_small(monkeypatch, hist_of):
@@ -1106,7 +1126,7 @@ def test_gate_estimator_unbiased_cnot():
 
 
 def test_noiseless_gate_estimates_are_one():
-    r = ShadowRecords.concatenate(list(sample_gate_shadows("H", None, 40_000, seed=3)))
+    r = sample_gate_shadows("H", None, 40_000, seed=3).records()
     est = estimate_gate_eigenvalues(r, "H")
     for letter in "XYZ":
         assert est[P(letter)] == pytest.approx(1.0, abs=0.05)
@@ -1128,7 +1148,7 @@ def test_gate_estimates_key_every_local_string_as_the_oracle_does():
 def test_gate_shadow_sign_handling():
     # S conjugates X to -Y; a dropped sign would flip the estimate
     noise = PauliChannel.from_qubit_probs([(0.7, 0.2, 0.05, 0.05)])  # lx=0.8
-    r = ShadowRecords.concatenate(list(sample_gate_shadows("S", noise, 60_000, seed=11)))
+    r = sample_gate_shadows("S", noise, 60_000, seed=11).records()
     est = estimate_gate_eigenvalues(r, "S")
     assert est[P("X")] == pytest.approx(0.8, abs=0.05)
     assert est[P("Y")] == pytest.approx(0.5, abs=0.05)
@@ -1138,7 +1158,7 @@ def test_cnot_gate_shadows_converge():
     noise = PauliChannel.from_qubit_probs(
         [(0.75, 0.10, 0.10, 0.05), (0.77, 0.09, 0.09, 0.05)]
     )
-    r = ShadowRecords.concatenate(list(sample_gate_shadows("CNOT", noise, 150_000, seed=21)))
+    r = sample_gate_shadows("CNOT", noise, 150_000, seed=21).records()
     est = estimate_gate_eigenvalues(r, "CNOT")
     # pinned spot: X (x) I estimated through the conjugated input X (x) X
     assert est[P("XI")] == pytest.approx(0.70, abs=0.05)
@@ -1146,8 +1166,8 @@ def test_cnot_gate_shadows_converge():
 
 
 def test_gate_shadow_record_shape_and_determinism():
-    r1 = ShadowRecords.concatenate(list(sample_gate_shadows("CNOT", None, 500, seed=5)))
-    r2 = ShadowRecords.concatenate(list(sample_gate_shadows("CNOT", None, 500, seed=5)))
+    r1 = sample_gate_shadows("CNOT", None, 500, seed=5).records()
+    r2 = sample_gate_shadows("CNOT", None, 500, seed=5).records()
     assert r1.n == 2
     np.testing.assert_array_equal(r1.t_sign, r2.t_sign)
     with pytest.raises(ValueError):
@@ -1158,17 +1178,16 @@ def test_gate_shadow_record_shape_and_determinism():
 
 def test_gate_shadow_stream_blocks_and_prefixes():
     noise = PauliChannel.from_terms(2, {"XX": 0.05, "ZI": 0.03, "YZ": 0.02})
-    blocks = list(sample_gate_shadows("CNOT", noise, 1000, seed=8, block_size=300))
-    assert [len(b) for b in blocks] == [300, 300, 300, 100]
-    full = ShadowRecords.concatenate(blocks)
+    stream = sample_gate_shadows("CNOT", noise, 1000, seed=8, block_size=300)
+    sizes = [len(stream.sample(block_rng(8, b), 1000 - 300 * b)) for b in range(4)]
+    assert sizes == [300, 300, 300, 100]
+    full = serial_records(stream)
     # Record i depends only on (seed, block size, i): a shorter run is a prefix.
     for count in (1, 299, 300, 301, 999):
-        short = ShadowRecords.concatenate(
-            list(sample_gate_shadows("CNOT", noise, count, seed=8, block_size=300))
-        )
+        short = sample_gate_shadows("CNOT", noise, count, seed=8, block_size=300).records()
         for field in ("s_axis", "s_sign", "t_axis", "t_sign"):
             np.testing.assert_array_equal(getattr(short, field), getattr(full, field)[:count])
-    assert list(sample_gate_shadows("CNOT", noise, 0, seed=8)) == []
+    assert len(sample_gate_shadows("CNOT", noise, 0, seed=8).records()) == 0
     with pytest.raises(ValueError):
         sample_gate_shadows("CNOT", noise, -1, seed=8)
 
@@ -1190,14 +1209,14 @@ def test_block_size_below_one_is_rejected(block_size):
 def check_gate_streams_reduce_like_records(counts_of, hist_of):
     """At the current helper count, a gate stream's driver records and counts
     (its outcome index bincounted where each block is drawn) match the blocks
-    iteration draws on the calling thread."""
+    drawn in order on the calling thread."""
     noise = PauliChannel.from_terms(2, {"XX": 0.05, "ZI": 0.03, "YZ": 0.02})
     sizes = [*STREAM_SIZES, (1000, 20_000), (4096, 20_000), (1000, 1000), (4096, 300)]
     for kind, chan in (("H", None), ("S", None), ("CNOT", noise)):
         g = 2 if kind == "CNOT" else 1
         for block_size, count in sizes:
             stream = sample_gate_shadows(kind, chan, count, 12, block_size)
-            records = ShadowRecords.concatenate(list(stream))
+            records = serial_records(stream)
             with fast_thread_switching():
                 recorded = stream.records()
                 counted = hist_of(stream)
