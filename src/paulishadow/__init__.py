@@ -55,7 +55,6 @@ from .clifford import (
     mitigation_coefficients,
 )
 from .shadows import (
-    ShadowRecords,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
     estimate_state_expectations,
@@ -105,7 +104,6 @@ __all__ = [
     "conjugate_pauli",
     "exact_gate_estimates",
     "mitigation_coefficients",
-    "ShadowRecords",
     "estimate_eigenvalues",
     "estimate_gate_eigenvalues",
     "estimate_state_expectations",

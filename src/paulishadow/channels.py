@@ -171,18 +171,6 @@ class PauliChannel:
             raise ValueError("channel is stored in sparse form")
         return self._qubit_probs @ WALSH_KERNEL.T
 
-    def min_abs_eigenvalue(self, k: int) -> float:
-        """min |lambda_P| over all strings of weight <= k."""
-        if self._qubit_probs is not None:
-            eigs = self.qubit_eigenvalues()
-            # All |eigenvalues| are <= 1, so the minimum over weight <= k takes,
-            # per qubit, the smallest |eigenvalue| among X, Y, Z, and multiplies
-            # the k smallest of those.
-            per_qubit = np.min(np.abs(eigs[:, 1:]), axis=1)
-            worst = np.sort(per_qubit)[:k]
-            return float(np.prod(worst)) if worst.size else 1.0
-        return float(np.abs(exact_diagonal(self, list(enumerate_low_weight(self.n, k)))).min())
-
     # -- conversions ---------------------------------------------------------
 
     def to_product_channel(self) -> "ProductChannel":

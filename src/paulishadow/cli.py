@@ -224,7 +224,7 @@ def cmd_recover(args: argparse.Namespace, general: bool) -> int:
                         channel, args.shadows, args.seed), observable.locality))
         back = backward_observable_general(observable, transfer)
     else:
-        strings = [p for p in observable.support() if not p.is_identity]
+        strings = [p for p in observable.terms() if not p.is_identity]
         estimates = (dict(zip(strings, exact_diagonal(channel, strings).tolist()))
                      if args.exact_eigenvalues else estimate_eigenvalues(
                          iter_channel_shadow_blocks(channel, args.shadows, args.seed), strings))
@@ -313,8 +313,7 @@ def run_fig2(
     repeats: int,
     seed: int,
     exact_eigenvalues: bool = False,
-    estimated_expectations: bool = False,
-    expectation_shadows: int = 10_000,
+    expectation_shadows: int | None = None,
     floor: float = DEFAULT_EIGENVALUE_FLOOR,
 ) -> Fig2Result:
     """Mean-absolute-error ratio experiment.
@@ -325,8 +324,8 @@ def run_fig2(
     observable's own eigenvalues are learned.  The observable is
     normalized to unit spectral norm first.  Noisy-state expectations are
     the statevector oracle's ``noisy_expectations`` unless
-    ``estimated_expectations`` is set, in which case they are
-    median-of-means estimates from random-basis shadows of each noisy state.
+    ``expectation_shadows`` is given, in which case they are median-of-means
+    estimates from that many random-basis shadows of each noisy state.
 
     A trial whose recovery hits the eigenvalue floor gets ``nan`` recovered
     error and ratio; if every trial at some point hits it, this raises.
@@ -344,7 +343,7 @@ def run_fig2(
     _check_qubits(n, exact.STATE_QUBIT_CAP)  # the dense spectral norm below
     if n_states < 1 or repeats < 1:
         raise ConfigError(f"need at least one state and one repeat, got {n_states} and {repeats}")
-    if estimated_expectations and expectation_shadows < EXPECTATION_BATCHES:
+    if expectation_shadows is not None and expectation_shadows < EXPECTATION_BATCHES:
         raise ConfigError(f"expectation estimates take {EXPECTATION_BATCHES} batch means, "
                           f"got {expectation_shadows} shadows")
     if not any(observable.terms().values()):  # before the dense norm
@@ -352,7 +351,7 @@ def run_fig2(
     norm = observable.spectral_norm()
     observable = observable.scaled(1.0 / norm)
 
-    paulis = [p for p in observable.support() if not p.is_identity]
+    paulis = [p for p in observable.terms() if not p.is_identity]
     alpha = np.array([observable.coefficient(p) for p in paulis])
     alpha_id = observable.coefficient(PauliString.identity(n))
     codes = letter_codes(paulis, n)
@@ -363,7 +362,7 @@ def run_fig2(
         rng = np.random.default_rng(_derive_seed(seed, 5001, rep))
         psis = np.stack([exact.haar_random_vector(n, rng) for _ in range(n_states)])
         ideal_vals = exact.pauli_expectations(codes, psis).real @ alpha + alpha_id
-        if estimated_expectations:
+        if expectation_shadows is not None:
             noisy_t = np.empty((n_states, len(paulis)))
             for i, psi in enumerate(psis):
                 ests = estimate_state_expectations(
@@ -419,7 +418,6 @@ def cmd_fig2(args: argparse.Namespace) -> int:
         args.repeats,
         args.seed,
         exact_eigenvalues=args.exact_eigenvalues,
-        estimated_expectations=args.estimated_expectations,
         expectation_shadows=args.expectation_shadows,
     )
     lines = [
@@ -544,9 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig2.add_argument("--seed", type=int, default=0)
     fig2.add_argument("--exact-eigenvalues", action="store_true",
                       help="inject oracle eigenvalues (pipeline sanity mode)")
-    fig2.add_argument("--estimated-expectations", action="store_true",
-                      help="estimate noisy-state expectations from shadows too")
-    fig2.add_argument("--expectation-shadows", type=int, default=10_000)
+    fig2.add_argument("--expectation-shadows", type=int, default=None, metavar="N",
+                      help="estimate noisy-state expectations from N shadows per state")
     fig2.add_argument("--out", default=None, help="CSV output path (default or -: stdout)")
     fig2.set_defaults(func=cmd_fig2)
 

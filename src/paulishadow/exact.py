@@ -30,7 +30,7 @@ very numbers the oracle multiplied by.
 Statevector oracles are capped at 20 qubits.
 
 The ideal circuit run is unitary, so on a pure state it evolves the 2^n
-statevector, one local unitary per gate.  ``fig2 --estimated-expectations``
+statevector, one local unitary per gate.  ``fig2 --expectation-shadows``
 measures the noisy state in random product bases, and a Pauli channel acts
 on such a measurement only by flipping outcomes, so its outcome
 probabilities also come from the ideal statevector

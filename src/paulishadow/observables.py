@@ -46,9 +46,6 @@ class Observable:
     def coefficient(self, p: PauliString) -> float:
         return self._terms.get(p.unsigned(), 0.0) * p.sign
 
-    def support(self) -> tuple[PauliString, ...]:
-        return tuple(self._terms)
-
     def __repr__(self) -> str:
         body = " + ".join(f"{c:g}*{p}" for p, c in list(self._terms.items())[:4])
         if len(self._terms) > 4:

@@ -83,9 +83,6 @@ class BackwardObservable:
     def coefficient(self, p: PauliString) -> float:
         return self.terms.get(p.unsigned(), 0.0) * p.sign
 
-    def support(self) -> tuple[PauliString, ...]:
-        return tuple(self.terms)
-
 
 def _divisors(
     estimates: Mapping[PauliString, float], strings: Sequence[PauliString], floor: float

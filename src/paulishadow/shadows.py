@@ -17,14 +17,16 @@ blocks add into one histogram in any order.
 
 Estimation
 ----------
-A record is one uint8 cell per qubit: (s axis, s sign, t axis, t sign) in
-mixed radix (3, 2, 3, 2), which every sampler writes directly.  An estimator
-takes a source (records or a stream) and the source's width: a string of
+A record is one uint8 cell per qubit, ``((s_axis * 2 + s_bit) * 3 + t_axis)
+* 2 + t_bit``: (s axis, s sign, t axis, t sign) in mixed radix (3, 2, 3, 2),
+with axis codes 0=X, 1=Y, 2=Z and a negative sign as bit 1, which every
+sampler writes directly; records are an (N, n) uint8 array of cells.  An
+estimator takes a ``BlockStream`` and the stream's width: a string of
 another width fails in ``letter_codes``, before any block is drawn.  Every
 estimator reads its pairs through one pair reader, ``_read_pairs``: it takes
 (P, Q) as rows of digits P_j * 4 + Q_j, which the estimator builds from
 letter codes, and returns each pair's ``3^|P| * numer / N``.  Up to four
-qubits, ``_numerators`` counts the source into one joint 36^n histogram of
+qubits, ``_numerators`` counts the stream into one joint 36^n histogram of
 cells (``count_into``): uint8 counts up to 16 * 18^n records, checked by
 their sum (the table's all-identity entry) and counted again wider if a
 cell wrapped, int32 up to 2^31 - 1 records and int64 past that.
@@ -109,50 +111,6 @@ DEFAULT_BLOCK_SIZE = 1 << 16
 COUNTS_QUBIT_CAP = 4  # 36^n histogram cells
 INT32_RECORDS = np.iinfo(np.int32).max  # records an int32 histogram holds
 EXPECTATION_BATCHES = 10  # median-of-means batches of estimate_state_expectations
-
-
-# -- records -------------------------------------------------------------------
-
-
-# Every cell's (s_axis, s_sign, t_axis, t_sign), as the rows of a (4, 36)
-# int8 decode table.
-_CELL_FIELDS = np.array(list(itertools.product(range(3), (1, -1), range(3), (1, -1))), np.int8).T
-
-
-class ShadowRecords:
-    """A batch of shadow records: one (N, n) uint8 ``cells`` array, held
-    without a copy.
-
-    A cell codes a qubit's intended input eigenstate and its measurement,
-    ``((s_axis * 2 + s_bit) * 3 + t_axis) * 2 + t_bit``, with axis codes
-    0=X, 1=Y, 2=Z and a negative sign as bit 1.  The samplers write cells;
-    the ``s_axis``, ``s_sign``, ``t_axis`` and ``t_sign`` properties decode
-    them into (N, n) int8 arrays (axes 0-2, signs +-1).
-    """
-
-    def __init__(self, cells: np.ndarray):
-        self.cells = cells
-
-    s_axis = property(lambda self: _CELL_FIELDS[0].take(self.cells))
-    s_sign = property(lambda self: _CELL_FIELDS[1].take(self.cells))
-    t_axis = property(lambda self: _CELL_FIELDS[2].take(self.cells))
-    t_sign = property(lambda self: _CELL_FIELDS[3].take(self.cells))
-
-    def __len__(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.cells.shape[1]
-
-    def count_into(self, counts: np.ndarray) -> None:
-        """Add every record into ``counts``, the 36^n histogram of joint cells."""
-        cells = np.ascontiguousarray(self.cells.T)  # a view of a stream's records
-        np.add.at(counts, _joint_cells(cells, range(self.n)), counts.dtype.type(1))
-
-    def records(self) -> "ShadowRecords":
-        """These records, as ``BlockStream.records`` gives a stream's."""
-        return self
 
 
 # -- sampling ------------------------------------------------------------------
@@ -309,10 +267,10 @@ class BlockStream:
     """The recipe of one sampling run; ``len`` is the number of records in all.
 
     ``sample(rng, left)`` draws block b's min(left, block size) kept records
-    from its generator, and ``tally(rng, left)`` returns the joint cells and
-    amounts that they add to a histogram.  Only a kernel's last draw stops
-    at the kept rows.  A stream keeps no state, so it can be counted and
-    recorded any number of times.
+    from its generator as a (kept, n) uint8 cell array, and ``tally(rng,
+    left)`` returns the joint cells and amounts that they add to a
+    histogram.  Only a kernel's last draw stops at the kept rows.  A stream
+    keeps no state, so it can be counted and recorded any number of times.
     """
 
     def __init__(self, n: int, count: int, seed: int, block_size: int, sample, tally):
@@ -369,16 +327,18 @@ class BlockStream:
 
         self._drive(visit)
 
-    def records(self) -> ShadowRecords:
-        """Every record, each block written into its own rows of one array."""
-        cells = np.empty((self.n, self.count), dtype=np.uint8).T  # qubit rows read in place
+    def records(self) -> np.ndarray:
+        """Every record as an (N, n) uint8 cell array, each block written into
+        its own rows; the array is the transposed view of one (n, N) array,
+        so each qubit's cells are one contiguous row."""
+        cells = np.empty((self.n, self.count), dtype=np.uint8).T
 
         def visit(block: int, left: int) -> None:
             rows = slice(block * self.block_size, (block + 1) * self.block_size)
-            cells[rows] = self.sample(block_rng(self.seed, block), left).cells
+            cells[rows] = self.sample(block_rng(self.seed, block), left)
 
         self._drive(visit)
-        return ShadowRecords(cells)
+        return cells
 
 
 def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int):
@@ -396,7 +356,7 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int):
     elif not isinstance(channel, PauliChannel):
         raise TypeError(f"cannot sample shadows of {type(channel).__name__}")
 
-    def sample(rng: np.random.Generator, left: int) -> ShadowRecords:
+    def sample(rng: np.random.Generator, left: int) -> np.ndarray:
         reader, kept = _PhiloxReader(rng), min(left, block_size)
         cells = reader.digits(3, shape)  # the cells, built in place in the input axes
         cells *= 2
@@ -448,7 +408,7 @@ def _block_sampler(channel: PauliChannel | ProductChannel, block_size: int):
                 del at  # before the next slice is drawn
         cells *= 2
         cells += t_bit
-        return ShadowRecords(cells)
+        return cells
 
     return sample
 
@@ -463,10 +423,15 @@ def iter_channel_shadow_blocks(
     sample = _block_sampler(channel, block_size)
     # int32 codes (36^4 < 2^31): every thread that counts holds one block's.
     return BlockStream(channel.n, count, seed, block_size, sample, lambda rng, left: (
-        _joint_cells(sample(rng, left).cells.T, range(channel.n), np.int32), 1))
+        _joint_cells(sample(rng, left).T, range(channel.n), np.int32), 1))
 
 
 # -- estimation ----------------------------------------------------------------
+
+
+# Every cell's (s_axis, s_sign, t_axis, t_sign), as the rows of a (4, 36)
+# int8 decode table.
+_CELL_FIELDS = np.array(list(itertools.product(range(3), (1, -1), range(3), (1, -1))), np.int8).T
 
 
 def _cell_factor_table() -> np.ndarray:
@@ -540,7 +505,7 @@ def _record_factors(cells: np.ndarray, qubits, digits) -> np.ndarray | None:
     return weights
 
 
-def _marginal_numerators(records: ShadowRecords, digits: np.ndarray) -> np.ndarray:
+def _marginal_numerators(records: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """Numerators of records past the joint cap, from one moment table per
     union support.
 
@@ -548,10 +513,11 @@ def _marginal_numerators(records: ShadowRecords, digits: np.ndarray) -> np.ndarr
     the head's digits weight each record by its factor there, and the table
     covers the tail.  Pairs are grouped by (head digits, tail qubits); each
     group bincounts its tail histogram, weighted by the head factors, and its
-    table is read, then dropped.
+    table is read, then dropped.  ``records`` is an (N, n) cell array, read
+    qubit by qubit through its transpose (a view of a stream's records).
     """
-    cells = np.ascontiguousarray(records.cells.T)  # a view of a stream's records
-    n = records.n
+    cells = np.ascontiguousarray(records.T)
+    n = records.shape[1]
     support = digits != 0
     # The tail is the last COUNTS_QUBIT_CAP qubits of each pair's support (int8: <= 2k).
     last = np.cumsum(support[:, ::-1], axis=1, dtype=np.int8)[:, ::-1]
@@ -577,41 +543,40 @@ def _marginal_numerators(records: ShadowRecords, digits: np.ndarray) -> np.ndarr
     return numers
 
 
-def _numerators(source: ShadowRecords | BlockStream, digits: np.ndarray) -> tuple[int, np.ndarray]:
+def _numerators(stream: BlockStream, digits: np.ndarray) -> tuple[int, np.ndarray]:
     """Record count and the exact int64 numerator of each row of digits in * 4 + out.
 
-    Up to the joint cap the source is counted into one 36^n histogram, a
-    stream where each block is drawn, and its moment table serves every pair.
+    Up to the joint cap the stream is counted into one 36^n histogram where
+    each block is drawn, and its moment table serves every pair.
     A cell expects at most total / 18^n records (uniform input digits and
     measured axes), so up to 16 * 18^n records the counts are uint8 (1.7 MB
     at n = 4).  A wrap takes exactly 256 off their sum, the moment table's
     all-identity entry, so a short sum means a recount of the stateless
-    source at int32; past 2^31 - 1 records the counts are int64.  Past the
-    cap the source's records are read per union support, a stream's drawn
-    first.
+    stream at int32; past 2^31 - 1 records the counts are int64.  Past the
+    cap the stream is drawn into records, read per union support.
     """
-    total = len(source)
+    total = len(stream)
     if total == 0:
         raise ValueError("no records")
-    if source.n > COUNTS_QUBIT_CAP:
-        return total, _marginal_numerators(source.records(), digits)
+    if stream.n > COUNTS_QUBIT_CAP:
+        return total, _marginal_numerators(stream.records(), digits)
     wide = np.int32 if total <= INT32_RECORDS else np.int64
-    for dtype in [np.uint8, wide] if total <= 16 * 18**source.n else [wide]:
-        hist = np.zeros(36**source.n, dtype)
-        source.count_into(hist)
-        table = _moment_table(hist, source.n, total)
+    for dtype in [np.uint8, wide] if total <= 16 * 18**stream.n else [wide]:
+        hist = np.zeros(36**stream.n, dtype)
+        stream.count_into(hist)
+        table = _moment_table(hist, stream.n, total)
         if table[0] == total:  # the all-identity numerator is the counts' sum: no cell wrapped
             break
     return total, table[_table_index(digits)]
 
 
-def _read_pairs(source, digits: np.ndarray) -> np.ndarray:
+def _read_pairs(stream: BlockStream, digits: np.ndarray) -> np.ndarray:
     """lambda_hat_P(Q) = 3^|P| numer / N of each (P, Q) pair,
     given as rows of digits P_j * 4 + Q_j of input and output letter codes:
     P is read against the prepared eigenstate s, Q against the measurement t.
     The caller builds the one digit array, so no copy of either side's codes
     is held while the numerators are counted."""
-    total, numers = _numerators(source, digits)
+    total, numers = _numerators(stream, digits)
     return 3.0 ** (digits >= 4).sum(axis=1) * numers / total
 
 
@@ -630,30 +595,30 @@ class _Estimates(dict):
 
 
 def estimate_eigenvalues(
-    source: ShadowRecords | BlockStream, strings: Sequence[PauliString]
+    stream: BlockStream, strings: Sequence[PauliString]
 ) -> dict[PauliString, float]:
-    """lambda_hat(P) = 3^|P| x_hat(P) for each of ``strings``, of the source's
+    """lambda_hat(P) = 3^|P| x_hat(P) for each of ``strings``, of the stream's
     width, keyed in the given order; the identity's numerator is the record
     count, so its estimate is exactly 1.0."""
-    values = _read_pairs(source, 5 * letter_codes(strings, source.n))
+    values = _read_pairs(stream, 5 * letter_codes(strings, stream.n))
     return _Estimates(zip(strings, values.tolist()))
 
 
-def estimate_transfer_matrix(source: ShadowRecords | BlockStream, k: int) -> TransferMatrix:
-    """Estimated adjoint transfer matrix on the source's weight <= k basis.
+def estimate_transfer_matrix(stream: BlockStream, k: int) -> TransferMatrix:
+    """Estimated adjoint transfer matrix on the stream's weight <= k basis.
 
     Entries with |P| > |Q| are structurally zero under the weight-contracting
     assumption and are pinned to 0; the identity column is exact.
     """
-    basis = tuple(enumerate_low_weight(source.n, k))
-    codes = letter_codes(basis, source.n)
+    basis = tuple(enumerate_low_weight(stream.n, k))
+    codes = letter_codes(basis, stream.n)
     weights = (codes != 0).sum(axis=1)
     # Estimated entries, column by column: Q is not the identity, |P| <= |Q|.
     cols, rows = np.nonzero((weights[None, :] <= weights[:, None]) & (weights[:, None] > 0))
     matrix = np.zeros((len(basis), len(basis)))
     matrix[0, 0] = 1.0  # identity column: lambda_P(I) = delta_PI
-    matrix[rows, cols] = _read_pairs(source, 4 * codes[rows] + codes[cols])
-    return TransferMatrix(source.n, k, basis, matrix)
+    matrix[rows, cols] = _read_pairs(stream, 4 * codes[rows] + codes[cols])
+    return TransferMatrix(stream.n, k, basis, matrix)
 
 
 # -- sample-size planning ------------------------------------------------------
@@ -770,12 +735,12 @@ def sample_gate_shadows(
             part += outcome
         return row
 
-    def sample(rng: np.random.Generator, left: int) -> ShadowRecords:
+    def sample(rng: np.random.Generator, left: int) -> np.ndarray:
         index = outcome_index(rng, left)
         words = np.empty(len(index), cell_words.dtype)
         for rows in row_slices(words.shape):
             words[rows] = cell_words[index[rows].astype(np.intp)]
-        return ShadowRecords(words.view(np.uint8).reshape(-1, g))
+        return words.view(np.uint8).reshape(-1, g)
 
     def tally(rng: np.random.Generator, left: int) -> tuple[np.ndarray, np.ndarray]:
         return joint_cells, np.bincount(outcome_index(rng, left), minlength=36**g)
@@ -783,12 +748,10 @@ def sample_gate_shadows(
     return BlockStream(g, count, seed, block_size, sample, tally)
 
 
-def estimate_gate_eigenvalues(
-    source: ShadowRecords | BlockStream, kind: str
-) -> dict[PauliString, float]:
-    """Noise eigenvalues of a gate from its shadow records or block stream,
-    whose width must be the gate's arity: every local string in
-    ``iter_all_paulis`` order, the identity first at exactly 1.0.
+def estimate_gate_eigenvalues(stream: BlockStream, kind: str) -> dict[PauliString, float]:
+    """Noise eigenvalues of a gate from its shadow stream, whose width must
+    be the gate's arity: every local string in ``iter_all_paulis`` order,
+    the identity first at exactly 1.0.
 
     The input-side Pauli is the backward conjugation U^dagger P U, read from
     the kind's conjugation table; its sign multiplies the estimate, and the
@@ -796,8 +759,8 @@ def estimate_gate_eigenvalues(
     random eigenstate sees).
     """
     strings, backs = list(iter_all_paulis(gate_arity(kind))), CONJUGATION_TABLES[kind]
-    values = _read_pairs(source, 4 * letter_codes(backs, source.n)
-                         + letter_codes(strings, source.n))
+    values = _read_pairs(stream, 4 * letter_codes(backs, stream.n)
+                         + letter_codes(strings, stream.n))
     values *= [back.sign for back in backs]
     return _Estimates(zip(strings, values.tolist()))
 

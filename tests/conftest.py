@@ -30,28 +30,29 @@ def random_cp_ptm():
 
 @pytest.fixture(scope="session")
 def counts_of():
-    """A function of shadow records returning their int32 36^n histogram,
-    built by ``np.bincount`` of each record's joint cell code (qubit 0 most
-    significant): a reference independent of ``count_into`` and of the
-    estimators' readers."""
+    """A function of (N, n) shadow records returning their int32 36^n
+    histogram, built by ``np.bincount`` of each record's joint cell code
+    (qubit 0 most significant): a reference independent of ``count_into``
+    and of the estimators' readers."""
 
     def count(records):
+        n = records.shape[1]
         codes = np.zeros(len(records), np.int64)
-        for j in range(records.n):
-            codes = codes * 36 + records.cells[:, j]
-        return np.bincount(codes, minlength=36**records.n).astype(np.int32)
+        for j in range(n):
+            codes = codes * 36 + records[:, j]
+        return np.bincount(codes, minlength=36**n).astype(np.int32)
 
     return count
 
 
 @pytest.fixture(scope="session")
 def hist_of():
-    """A function of a records or stream source returning the int32 36^n
-    histogram that its ``count_into`` fills."""
+    """A function of a stream returning the int32 36^n histogram that its
+    ``count_into`` fills."""
 
-    def count(source):
-        hist = np.zeros(36**source.n, np.int32)
-        source.count_into(hist)
+    def count(stream):
+        hist = np.zeros(36**stream.n, np.int32)
+        stream.count_into(hist)
         return hist
 
     return count
@@ -59,12 +60,12 @@ def hist_of():
 
 @pytest.fixture(scope="session")
 def read_pairs():
-    """A function of a shadow source and (P, Q) Pauli string pairs returning
+    """A function of a shadow stream and (P, Q) Pauli string pairs returning
     each pair's lambda_hat_P(Q) through the estimators' pair reader."""
 
-    def read(source, pairs):
+    def read(stream, pairs):
         ins, outs = zip(*pairs)
-        return shadows._read_pairs(source, 4 * letter_codes(ins, source.n)
-                                   + letter_codes(outs, source.n))
+        return shadows._read_pairs(stream, 4 * letter_codes(ins, stream.n)
+                                   + letter_codes(outs, stream.n))
 
     return read

@@ -9,9 +9,13 @@ the density matrix as a (2,)*2n tensor (row qubits, then column qubits),
 and each gate applies one local superoperator, sum_Q p_Q (QU) (x) conj(QU)
 on the gate's a qubits: O(4^(n+a)) work per gate.  The estimator
 expectations enumerate every prepared eigenstate, basis and outcome
-exactly.  Shadow records are built from their decoded fields by the
-documented cell code, or drawn block by block in order on the calling
-thread, and channel configs are written in the README's JSON form.
+exactly.  Shadow records are (N, n) uint8 cell arrays: built from their
+decoded fields by the documented cell code and decoded back through the
+package's cell table, or drawn block by block in order on the calling
+thread.  ``fixed_stream`` serves given records as a ``BlockStream``, whose
+blocks are consecutive row slices, so the estimators read them through the
+block driver and its helper threads as they read a sampled stream.  Channel
+configs are written in the README's JSON form.
 """
 
 from __future__ import annotations
@@ -26,25 +30,49 @@ from paulishadow.channels import PauliChannel, ProductChannel, TransferMatrix
 from paulishadow.exact import BASIS_ROTATIONS, _superop_from_ptm, gate_superop
 from paulishadow.observables import Observable
 from paulishadow.paulis import PAULI_MATRICES, PauliString, enumerate_low_weight
-from paulishadow.shadows import BlockStream, ShadowRecords, block_rng
+from paulishadow.shadows import _CELL_FIELDS, BlockStream, _joint_cells, block_rng
 
 
-def records_from_fields(s_axis, s_sign, t_axis, t_sign) -> ShadowRecords:
+def records_from_fields(s_axis, s_sign, t_axis, t_sign) -> np.ndarray:
     """Records from (N, n) ``s_axis``, ``s_sign``, ``t_axis`` and ``t_sign``
     arrays (axes 0-2, signs +-1), each cell
     ``((s_axis * 2 + (s_sign < 0)) * 3 + t_axis) * 2 + (t_sign < 0)``."""
     s_axis, s_sign, t_axis, t_sign = (np.asarray(f) for f in (s_axis, s_sign, t_axis, t_sign))
     cells = ((s_axis * 2 + (s_sign < 0)) * 3 + t_axis) * 2 + (t_sign < 0)
-    return ShadowRecords(cells.astype(np.uint8))
+    return cells.astype(np.uint8)
 
 
-def serial_records(stream: BlockStream) -> ShadowRecords:
+def fields(cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (N, n) int8 ``s_axis``, ``s_sign``, ``t_axis`` and ``t_sign`` of
+    each record (axes 0-2, signs +-1), decoded through the package's table."""
+    return tuple(field.take(cells) for field in _CELL_FIELDS)
+
+
+def fixed_stream(cells: np.ndarray, block_size: int) -> BlockStream:
+    """The (N, n) records ``cells`` as a stream of ``block_size``-row blocks.
+
+    A block is the row slice from ``count - left``, so the kernels keep no
+    state and the stream can be counted again; its tally is the int32 joint
+    cells, as a channel stream's is."""
+    count, n = cells.shape
+
+    def sample(rng, left: int) -> np.ndarray:
+        start = count - left
+        return cells[start : start + min(left, block_size)]
+
+    def tally(rng, left: int):
+        return _joint_cells(sample(rng, left).T, range(n), np.int32), 1
+
+    return BlockStream(n, count, 0, block_size, sample, tally)
+
+
+def serial_records(stream: BlockStream) -> np.ndarray:
     """A stream's records, its blocks drawn in order on the calling thread
     and joined: the reference for the driver's thread splits."""
     starts = range(0, stream.count, stream.block_size)
-    blocks = [stream.sample(block_rng(stream.seed, b), stream.count - start).cells
+    blocks = [stream.sample(block_rng(stream.seed, b), stream.count - start)
               for b, start in enumerate(starts)]
-    return ShadowRecords(np.concatenate(blocks) if blocks else np.empty((0, stream.n), np.uint8))
+    return np.concatenate(blocks) if blocks else np.empty((0, stream.n), np.uint8)
 
 
 # -- states and channels -------------------------------------------------------

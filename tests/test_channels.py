@@ -123,14 +123,6 @@ def test_eigenvalues_against_brute_force():
                 np.diag(dense.matrix).tolist(), abs=1e-12)
 
 
-def test_min_abs_eigenvalue():
-    ch = reference_product_channel()
-    assert ch.min_abs_eigenvalue(1) == pytest.approx(0.60, abs=1e-12)
-    assert ch.min_abs_eigenvalue(2) == pytest.approx(0.384, abs=1e-12)
-    sp = PauliChannel.from_terms(1, {P("X"): 0.1})
-    assert sp.min_abs_eigenvalue(1) == pytest.approx(0.8, abs=1e-12)
-
-
 # -- Walsh transform -----------------------------------------------------------
 
 

@@ -7,7 +7,8 @@ each (input, output) Pauli pair, mask the records whose prepared and
 measured axes match every letter and sum their sign parities.  Both sides
 are exact integers, so they must agree bit for bit on any records, on either
 side of the cap.  Property tests are derandomized, so every run draws the
-same examples.
+same examples.  Hand-made records reach the estimators as a
+``fixed_stream`` of ``BLOCK_ROWS``-row blocks, through the block driver.
 """
 
 import hashlib
@@ -27,7 +28,6 @@ from paulishadow.channels import (
 from paulishadow.clifford import conjugate_pauli
 from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis, letter_codes
 from paulishadow.shadows import (
-    ShadowRecords,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
     estimate_transfer_matrix,
@@ -35,9 +35,10 @@ from paulishadow.shadows import (
     sample_gate_shadows,
 )
 
-from reference import records_from_fields, serial_records
+from reference import fields, fixed_stream, records_from_fields, serial_records
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+BLOCK_ROWS = 32  # rows per block of a fixed stream: most records span several
 
 
 def random_records(n, count, seed):
@@ -53,17 +54,18 @@ def random_records(n, count, seed):
 
 def brute_match_sum(records, in_pauli, out_pauli):
     """Sum over records of the signed match indicator of (P against s, Q against t)."""
+    s_axis, s_sign, t_axis, t_sign = fields(records)
     mask = np.ones(len(records), dtype=bool)
     parity = np.ones(len(records), dtype=np.int64)
-    for j in range(records.n):
+    for j in range(records.shape[1]):
         code = in_pauli.letter_code(j)
         if code:
-            mask &= records.s_axis[:, j] == code - 1
-            parity = parity * records.s_sign[:, j]
+            mask &= s_axis[:, j] == code - 1
+            parity = parity * s_sign[:, j]
         code = out_pauli.letter_code(j)
         if code:
-            mask &= records.t_axis[:, j] == code - 1
-            parity = parity * records.t_sign[:, j]
+            mask &= t_axis[:, j] == code - 1
+            parity = parity * t_sign[:, j]
     return int(parity[mask].sum())
 
 
@@ -108,7 +110,7 @@ def test_transfer_entries_match_brute_force(read_pairs, case):
     # Pairs are unrestricted: below-block (|P| > |Q|), Q = I and, past four
     # qubits, union supports wider than the cap are drawn too.
     records, pairs = case
-    got = read_pairs(records, pairs)
+    got = read_pairs(fixed_stream(records, BLOCK_ROWS), pairs)
     assert got.tolist() == [brute_entry(records, p, q) for p, q in pairs]
 
 
@@ -117,12 +119,13 @@ def test_transfer_entries_match_brute_force(read_pairs, case):
 def test_estimate_x_matches_brute_force(case):
     # x_hat(Q) = numer / N, and the eigenvalue estimate is 3^|Q| x_hat(Q)
     records, pairs = case
+    stream = fixed_stream(records, BLOCK_ROWS)
     strings = [q for _, q in pairs]
-    codes = letter_codes(strings, records.n)
-    total, numers = shadows._numerators(records, 5 * codes)
+    codes = letter_codes(strings, stream.n)
+    total, numers = shadows._numerators(stream, 5 * codes)
     assert total == len(records)
     assert (numers / total).tolist() == [brute_numerator(records, q, q) / total for q in strings]
-    est = estimate_eigenvalues(records, strings)
+    est = estimate_eigenvalues(stream, strings)
     assert [est[q] for q in strings] == [brute_entry(records, q, q) for q in strings]
 
 
@@ -130,14 +133,16 @@ def test_estimate_x_matches_brute_force(case):
 @given(records_and_pairs(n_max=4))
 def test_counts_moment_table_matches_brute_force(counts_of, case):
     records, pairs = case
-    table = shadows._moment_table(counts_of(records), records.n, len(records))
-    assert table.shape == (16**records.n,)
+    n = records.shape[1]
+    table = shadows._moment_table(counts_of(records), n, len(records))
+    assert table.shape == (16**n,)
     assert table[0] == len(records)  # the all-identity moment counts records
     for p, q in pairs:
         assert table[table_index(p, q)] == brute_numerator(records, p, q)
     # Up to the cap, every pair is read from the whole register's table.
-    digits = np.array(list(np.ndindex((16,) * records.n)), np.int8).reshape(-1, records.n)
-    np.testing.assert_array_equal(shadows._numerators(records, digits)[1], table)
+    digits = np.array(list(np.ndindex((16,) * n)), np.int8).reshape(-1, n)
+    stream = fixed_stream(records, BLOCK_ROWS)
+    np.testing.assert_array_equal(shadows._numerators(stream, digits)[1], table)
 
 
 def test_wide_union_supports_past_the_cap(read_pairs):
@@ -147,12 +152,12 @@ def test_wide_union_supports_past_the_cap(read_pairs):
     pairs = [(PauliString.from_label(p), PauliString.from_label(q)) for p, q in [
         ("XYZIII", "IIIZYX"), ("ZZZIII", "IIIXXX"), ("XIYIZI", "IXIYIZ"),
         ("YYIIII", "YIZIIX"), ("IIIIIZ", "ZIIIIZ")]]
-    assert read_pairs(records, pairs).tolist() == [brute_entry(records, p, q) for p, q in pairs]
+    assert read_pairs(fixed_stream(records, BLOCK_ROWS), pairs).tolist() == [brute_entry(records, p, q) for p, q in pairs]
 
 
 def test_transfer_matrix_past_the_cap_matches_brute_force():
     records = random_records(5, 300, seed=5)
-    m = estimate_transfer_matrix(records, 2)
+    m = estimate_transfer_matrix(fixed_stream(records, BLOCK_ROWS), 2)
     assert m.basis == tuple(enumerate_low_weight(5, 2))
     for col, q in enumerate(m.basis):
         for row, p in enumerate(m.basis):
@@ -166,7 +171,7 @@ def test_transfer_matrix_past_the_cap_matches_brute_force():
     # At k = 3 a union support reaches six qubits, past the four-qubit table:
     # a seeded sample of the estimated entries, with many wide unions.
     records = random_records(6, 300, seed=63)
-    m = estimate_transfer_matrix(records, 3)
+    m = estimate_transfer_matrix(fixed_stream(records, BLOCK_ROWS), 3)
     weights = np.array([p.weight for p in m.basis])
     cols, rows = np.nonzero((weights[None, :] <= weights[:, None]) & (weights[:, None] > 0))
     picks = np.random.default_rng(63).choice(len(rows), 2000, replace=False)
@@ -180,7 +185,7 @@ def test_transfer_matrix_past_the_cap_matches_brute_force():
 
 def test_eigenvalues_past_the_cap_match_brute_force():
     records = random_records(7, 500, seed=7)
-    est = estimate_eigenvalues(records, enumerate_low_weight(7, 3))
+    est = estimate_eigenvalues(fixed_stream(records, BLOCK_ROWS), enumerate_low_weight(7, 3))
     assert list(est) == list(enumerate_low_weight(7, 3))
     for p in enumerate_low_weight(7, 3):
         assert est[p] == (1.0 if p.is_identity else brute_entry(records, p, p))
@@ -194,34 +199,35 @@ def damping_stream(n, count, seed):
 
 
 def test_records_and_counts_sources_agree_exactly(counts_of, hist_of, read_pairs):
-    """Every estimator reads a batch of records as it reads the stream that
-    drew them, bitwise: up to the cap both are counted into one histogram,
-    the stream where each block is drawn, and past it the stream is drawn
-    into records qubit by qubit."""
+    """Every estimator reads a sampled stream's records, served again in
+    blocks of another size, as it reads the stream that drew them, bitwise:
+    up to the cap both are counted into one histogram where each block is
+    drawn, and past it both are drawn into records qubit by qubit."""
     for n, k in ((1, 1), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (6, 3)):
         stream = damping_stream(n, 2000, seed=44 + n)
         records = serial_records(stream)
         if n <= 4:
             np.testing.assert_array_equal(hist_of(stream), counts_of(records))
         else:
-            np.testing.assert_array_equal(stream.records().cells, records.cells)
+            np.testing.assert_array_equal(stream.records(), records)
+        fixed = fixed_stream(records, 300)
         basis = enumerate_low_weight(n, k)
-        a, c = estimate_eigenvalues(records, basis), estimate_eigenvalues(stream, basis)
+        a, c = estimate_eigenvalues(fixed, basis), estimate_eigenvalues(stream, basis)
         assert a == c and len(stream) == 2000
-        a, c = estimate_transfer_matrix(records, k), estimate_transfer_matrix(stream, k)
+        a, c = estimate_transfer_matrix(fixed, k), estimate_transfer_matrix(stream, k)
         assert a.matrix[1, 1] == brute_entry(records, a.basis[1], a.basis[1])
         assert a.matrix[1, -1] == brute_entry(records, a.basis[1], a.basis[-1])
         np.testing.assert_array_equal(a.matrix, c.matrix)
         # estimated pairs, and below-block and identity-column ones, which the matrix pins
         b = a.basis
         pairs = [(b[1], b[-1]), (b[-1], b[-1]), (b[-1], b[1]), (b[1], b[0])]
-        np.testing.assert_array_equal(read_pairs(records, pairs), read_pairs(stream, pairs))
+        np.testing.assert_array_equal(read_pairs(fixed, pairs), read_pairs(stream, pairs))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_empty_stream_raises_on_either_side_of_the_cap(n):
     # no records to count up to the cap, nor to read past it
-    for source in (damping_stream(n, 0, seed=1), ShadowRecords(np.empty((0, n), np.uint8))):
+    for source in (damping_stream(n, 0, seed=1), fixed_stream(np.empty((0, n), np.uint8), 64)):
         with pytest.raises(ValueError, match="no records"):
             estimate_eigenvalues(source, enumerate_low_weight(n, 2))
         with pytest.raises(ValueError, match="no records"):
@@ -235,12 +241,12 @@ def test_gate_eigenvalues_from_records_equal_counts_and_brute_force():
     for kind in ("H", "S", "CNOT"):
         stream = sample_gate_shadows(kind, None, 3000, seed=17)
         records = serial_records(stream)
-        from_records = estimate_gate_eigenvalues(records, kind)
+        from_records = estimate_gate_eigenvalues(fixed_stream(records, 500), kind)
         from_stream = estimate_gate_eigenvalues(stream, kind)
         assert from_records == from_stream
-        assert from_records[PauliString.identity(records.n)] == 1.0
-        qubits = tuple(range(records.n))
-        for p in list(iter_all_paulis(records.n))[1:]:
+        assert from_records[PauliString.identity(stream.n)] == 1.0
+        qubits = tuple(range(stream.n))
+        for p in list(iter_all_paulis(stream.n))[1:]:
             back = conjugate_pauli(kind, qubits, p)
             numer = brute_numerator(records, back, p)
             assert from_records[p] == back.sign * 3.0**back.weight * numer / len(records)
@@ -266,14 +272,14 @@ def digest_channel(kind, n):
 def estimates_digest():
     """Weight <= 2 eigenvalues and transfer matrices of channel streams on
     either side of the cap, and gate eigenvalues, each from the stream and
-    from its records."""
+    from its records served in blocks of another size."""
     digest = hashlib.sha256()
     for kind in ("ptm-product", "pauli-product"):
         for n in (1, 2, 4, 5, 6):
             stream = iter_channel_shadow_blocks(digest_channel(kind, n), 3000, 40 + n, 700)
             k = min(n, 2)
             basis = enumerate_low_weight(n, k)
-            for source in (stream, stream.records()):
+            for source in (stream, fixed_stream(stream.records(), 300)):
                 est = estimate_eigenvalues(source, basis)
                 digest.update(np.array([est[p] for p in basis]).tobytes())
                 digest.update(estimate_transfer_matrix(source, k).matrix.tobytes())
@@ -281,7 +287,7 @@ def estimates_digest():
              ("CNOT", PauliChannel.from_terms(2, {"XX": 0.02, "ZI": 0.03, "IY": 0.01}))]
     for kind, noise in gates:
         stream = sample_gate_shadows(kind, noise, 3000, seed=17, block_size=700)
-        for source in (stream, stream.records()):
+        for source in (stream, fixed_stream(stream.records(), 300)):
             # Every string but the identity, as the digest was recorded.
             values = list(estimate_gate_eigenvalues(source, kind).values())[1:]
             digest.update(np.array(values).tobytes())
@@ -352,11 +358,11 @@ def test_past_the_cap_bound_covers_the_weighted_histogram(monkeypatch):
         return moment_table(hist, w, bound)
 
     monkeypatch.setattr(shadows, "_moment_table", spy)
-    r = random_records(7, 300, 90)
+    s_axis, s_sign, t_axis, t_sign = fields(random_records(7, 300, 90))
     # Every measurement along Z: a head digit (I, Z) has factor +-3 on every
     # record, so supports with such heads reach the bound.
-    along_z = records_from_fields(r.s_axis, r.s_sign, np.full_like(r.t_axis, 2), r.t_sign)
-    estimate_transfer_matrix(along_z, 3)
+    along_z = records_from_fields(s_axis, s_sign, np.full_like(t_axis, 2), t_sign)
+    estimate_transfer_matrix(fixed_stream(along_z, BLOCK_ROWS), 3)
     assert {w for w, _, _ in calls} == {1, 2, 3, 4}
     assert all(bound >= total for _, bound, total in calls)
     assert any(bound == total > 300 for _, bound, total in calls)
@@ -372,8 +378,7 @@ def test_moment_table_follows_merge(counts_of, n, first, second, seed):
     # histograms is the sum of their tables, and the whole records' table.
     records = random_records(n, first + second, seed)
     whole = shadows._moment_table(counts_of(records), n, len(records))
-    head, tail = (counts_of(ShadowRecords(records.cells[:first])),
-                  counts_of(ShadowRecords(records.cells[first:])))
+    head, tail = counts_of(records[:first]), counts_of(records[first:])
     summed = shadows._moment_table(head + tail, n, len(records))
     np.testing.assert_array_equal(summed, whole)
     np.testing.assert_array_equal(
@@ -388,11 +393,11 @@ def test_merged_histograms_equal_the_concatenated_records(counts_of, n, sizes, s
     # Batches counted into one histogram, in either order, give the
     # histogram of their concatenation.
     parts = [random_records(n, size, seed + i) for i, size in enumerate(sizes)]
-    whole = counts_of(ShadowRecords(np.concatenate([part.cells for part in parts])))
+    whole = counts_of(np.concatenate(parts))
     for order in (parts, parts[::-1]):
         hist = np.zeros(36**n, np.int32)
         for part in order:
-            part.count_into(hist)
+            fixed_stream(part, BLOCK_ROWS).count_into(hist)
         np.testing.assert_array_equal(hist, whole)
     assert whole.sum() == sum(sizes)
 
@@ -402,7 +407,7 @@ def test_merged_histograms_equal_the_concatenated_records(counts_of, n, sizes, s
 def test_records_count_into_equals_the_bincount_reference(counts_of, n, dtype):
     records = random_records(n, 3000, seed=30 + n)
     hist = np.zeros(36**n, dtype)
-    records.count_into(hist)
+    fixed_stream(records, 700).count_into(hist)
     assert hist.dtype == dtype
     np.testing.assert_array_equal(hist, counts_of(records))
 

@@ -240,7 +240,7 @@ def test_exact_recovery_identity_pauli_channels():
         strings = enumerate_low_weight(2, 2)
         back = backward_observable(obs, dict(zip(strings, exact_diagonal(ch, strings).tolist())))
         expectations = {
-            p: dense_expectation(p, noisy) for p in back.support() if not p.is_identity
+            p: dense_expectation(p, noisy) for p in back.terms if not p.is_identity
         }
         got = recover_expectation(back.terms, expectations)
         want = dense_expectation(obs, state)
@@ -256,7 +256,7 @@ def test_exact_recovery_identity_general_channel():
         state = DenseState.from_unit_vector(exact.haar_random_vector(2, 200 + trial))
         noisy = apply_channel(ch, state)
         expectations = {
-            p: dense_expectation(p, noisy) for p in back.support() if not p.is_identity
+            p: dense_expectation(p, noisy) for p in back.terms if not p.is_identity
         }
         got = recover_expectation(back.terms, expectations)
         want = dense_expectation(obs, state)

@@ -36,7 +36,6 @@ from paulishadow.observables import heisenberg_observable
 from paulishadow.paulis import PauliString, enumerate_low_weight
 from paulishadow.shadows import (
     DEFAULT_BLOCK_SIZE,
-    ShadowRecords,
     block_rng,
     estimate_eigenvalues,
     estimate_gate_eigenvalues,
@@ -53,6 +52,8 @@ from reference import (
     apply_to_operator,
     basis_outcome_probabilities,
     dense_expectation,
+    fields,
+    fixed_stream,
     product_eigenstate,
     records_from_fields,
     serial_records,
@@ -70,10 +71,9 @@ def test_sampling_is_deterministic():
     ch = reference_product_channel()
     a = iter_channel_shadow_blocks(ch, 3000, seed=5).records()
     b = iter_channel_shadow_blocks(ch, 3000, seed=5).records()
-    np.testing.assert_array_equal(a.s_axis, b.s_axis)
-    np.testing.assert_array_equal(a.t_sign, b.t_sign)
+    np.testing.assert_array_equal(a, b)
     c = iter_channel_shadow_blocks(ch, 3000, seed=6).records()
-    assert not np.array_equal(a.t_sign, c.t_sign)
+    assert not np.array_equal(fields(a)[3], fields(c)[3])  # the outcome signs differ
 
 
 def test_sampling_prefix_stability():
@@ -81,10 +81,7 @@ def test_sampling_prefix_stability():
     ch = reference_product_channel()
     small = iter_channel_shadow_blocks(ch, 1000, seed=12).records()
     big = iter_channel_shadow_blocks(ch, 70_000, seed=12).records()  # spans two blocks
-    np.testing.assert_array_equal(big.s_axis[:1000], small.s_axis)
-    np.testing.assert_array_equal(big.s_sign[:1000], small.s_sign)
-    np.testing.assert_array_equal(big.t_axis[:1000], small.t_axis)
-    np.testing.assert_array_equal(big.t_sign[:1000], small.t_sign)
+    np.testing.assert_array_equal(big[:1000], small)
 
 
 def test_block_iteration_matches_batch():
@@ -93,7 +90,7 @@ def test_block_iteration_matches_batch():
     stream = iter_channel_shadow_blocks(reference_product_channel(), 70_000, seed=4)
     sizes = [len(stream.sample(block_rng(4, b), 70_000 - b * 65536)) for b in (0, 1)]
     assert sizes == [65536, 70_000 - 65536]
-    np.testing.assert_array_equal(serial_records(stream).cells, stream.records().cells)
+    np.testing.assert_array_equal(serial_records(stream), stream.records())
 
 
 def _sample_ptm_block_per_qubit(channel, rng, block_size):
@@ -132,27 +129,23 @@ def test_ptm_sampling_matches_per_qubit_reference(random_cp_ptm, counts_of, hist
         stream = iter_channel_shadow_blocks(ch, count, seed=n, block_size=block_size)
         got = stream.records()
         blocks = -(-count // block_size)
-        want = ShadowRecords(np.concatenate([
-            _sample_ptm_block_per_qubit(ch, block_rng(n, b), block_size).cells
-            for b in range(blocks)
-        ])[:count])
-        for field in ("s_axis", "s_sign", "t_axis", "t_sign"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        want = np.concatenate([_sample_ptm_block_per_qubit(ch, block_rng(n, b), block_size)
+                               for b in range(blocks)])[:count]
+        np.testing.assert_array_equal(got, want)
         if n <= shadows.COUNTS_QUBIT_CAP:
             np.testing.assert_array_equal(hist_of(stream), counts_of(want))
 
 
 def test_every_cell_decodes_and_encodes_back():
     cells = np.arange(36, dtype=np.uint8).reshape(36, 1)
-    records = ShadowRecords(cells)
-    fields = (records.s_axis, records.s_sign, records.t_axis, records.t_sign)
-    assert all(f.dtype == np.int8 and f.shape == (36, 1) for f in fields)
-    s_axis, s_sign, t_axis, t_sign = (f[:, 0].astype(int) for f in fields)
+    decoded = fields(cells)
+    assert all(f.dtype == np.int8 and f.shape == (36, 1) for f in decoded)
+    s_axis, s_sign, t_axis, t_sign = (f[:, 0].astype(int) for f in decoded)
     assert set(s_axis) == set(t_axis) == {0, 1, 2} and set(s_sign) == set(t_sign) == {-1, 1}
     # the documented code: mixed radix (3, 2, 3, 2), a negative sign as bit 1
     code = ((s_axis * 2 + (s_sign < 0)) * 3 + t_axis) * 2 + (t_sign < 0)
     np.testing.assert_array_equal(code, np.arange(36))
-    encoded = records_from_fields(*fields).cells
+    encoded = records_from_fields(*decoded)
     assert encoded.dtype == np.uint8
     np.testing.assert_array_equal(encoded, cells)
 
@@ -160,12 +153,12 @@ def test_every_cell_decodes_and_encodes_back():
 def test_concatenate_streams_into_one_array():
     ch = reference_product_channel()
     listed = serial_records(iter_channel_shadow_blocks(ch, 1000, seed=3, block_size=300))
-    assert listed.cells.dtype == np.uint8
+    assert listed.dtype == np.uint8
     recorded = iter_channel_shadow_blocks(ch, 1000, 3, 300).records()
-    assert recorded.cells.dtype == np.uint8
-    np.testing.assert_array_equal(recorded.cells, listed.cells)
+    assert recorded.dtype == np.uint8
+    np.testing.assert_array_equal(recorded, listed)
     empty = iter_channel_shadow_blocks(ch, 0, seed=3).records()
-    assert len(empty) == 0 and empty.n == 2
+    assert empty.shape == (0, 2)
 
 
 # -- golden records ------------------------------------------------------------
@@ -237,7 +230,7 @@ def golden_records(case):
 
 
 def cells_digest(records):
-    return hashlib.sha256(np.ascontiguousarray(records.cells).tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(records).tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CELLS_SHA256))
@@ -385,11 +378,11 @@ def test_each_block_lands_in_its_own_rows(helpers, monkeypatch):
         drawn_on[block], asked[block] = on_caller, left
         cells = np.zeros((min(left, 10), 2), np.uint8)
         cells[:, 0], cells[:, 1] = block, np.arange(len(cells))  # (block, row in the block)
-        return ShadowRecords(cells)
+        return cells
 
     stream = shadows.BlockStream(2, 95, 0, 10, sample, tally=None)
     want = np.stack([np.arange(95) // 10, np.arange(95) % 10], 1)
-    np.testing.assert_array_equal(stream.records().cells, want)
+    np.testing.assert_array_equal(stream.records(), want)
     assert sorted(drawn_on) == list(range(10))
     assert (not all(drawn_on.values())) == (helpers > 0)
     # Each block is asked for the records still wanted from its start.
@@ -419,7 +412,7 @@ def test_many_helpers_under_fast_thread_switching_keep_every_block(counts_of, hi
     with fast_thread_switching():
         grouped = iter_channel_shadow_blocks(channel, 5000, seed=6, block_size=64).records()
         counted = hist_of(iter_channel_shadow_blocks(channel, 5000, seed=6, block_size=64))
-    np.testing.assert_array_equal(grouped.cells, serial.cells)
+    np.testing.assert_array_equal(grouped, serial)
     np.testing.assert_array_equal(counted, counts_of(serial))
 
 
@@ -429,11 +422,11 @@ def test_a_forked_child_samples_with_its_own_helpers(monkeypatch):
     # started has none, and must start its own instead of waiting forever.
     monkeypatch.setattr(shadows, "_helper_count", lambda: 1)
     channel = GOLDEN_CHANNELS["ptm-product"]()
-    want = iter_channel_shadow_blocks(channel, 300, seed=2, block_size=64).records().cells
+    want = iter_channel_shadow_blocks(channel, 300, seed=2, block_size=64).records()
     pid = os.fork()
     if pid == 0:
         try:
-            got = iter_channel_shadow_blocks(channel, 300, seed=2, block_size=64).records().cells
+            got = iter_channel_shadow_blocks(channel, 300, seed=2, block_size=64).records()
             os._exit(0 if np.array_equal(got, want) else 1)
         finally:
             os._exit(2)
@@ -494,10 +487,10 @@ def check_sampler_fault_reaches_the_caller(route, helpers, faulty, monkeypatch, 
             raise SamplerFault(f"block drawn on the {faulty}")
         time.sleep(0.002)  # leaves the faulty thread time to take a block
         drawn.append(block)
-        return ShadowRecords(np.full((1, 1), block % 36, np.uint8))
+        return np.full((1, 1), block % 36, np.uint8)
 
     stream = shadows.BlockStream(1, 400, 0, 1, sample,
-                                 lambda rng, left: (sample(rng, left).cells[:, 0], 1))
+                                 lambda rng, left: (sample(rng, left)[:, 0], 1))
     with pytest.raises(SamplerFault, match=f"^block drawn on the {faulty}$") as caught:
         if route == "records":
             stream.records()
@@ -513,7 +506,7 @@ def check_sampler_fault_reaches_the_caller(route, helpers, faulty, monkeypatch, 
     # The helpers are free for the next stream, which counts and records whole.
     fresh = iter_channel_shadow_blocks(GOLDEN_CHANNELS["pauli-sparse"](), 1001, 7, 64)
     serial = serial_records(fresh)
-    np.testing.assert_array_equal(fresh.records().cells, serial.cells)
+    np.testing.assert_array_equal(fresh.records(), serial)
     np.testing.assert_array_equal(hist_of(fresh), counts_of(serial))
 
 
@@ -561,7 +554,7 @@ def test_channel_stream_reduces_like_records(source, monkeypatch, counts_of, his
             with fast_thread_switching():
                 recorded = stream.records()
                 counted = hist_of(stream)
-            np.testing.assert_array_equal(recorded.cells, serial.cells)
+            np.testing.assert_array_equal(recorded, serial)
             np.testing.assert_array_equal(counted, counts_of(serial))
             assert counted.sum() == count
 
@@ -586,13 +579,13 @@ def test_a_block_keeps_a_prefix_of_its_full_draw(kernel, counts_of):
     # draws and stops only its last draw at r rows: its records and tally are
     # the full block's first r.
     stream, size = KERNEL_STREAMS[kernel](1), DEFAULT_BLOCK_SIZE
-    full = stream.sample(block_rng(5, 2), size).cells
+    full = stream.sample(block_rng(5, 2), size)
     for kept in (1, 37, size - 1, size):
-        cells = stream.sample(block_rng(5, 2), kept).cells
+        cells = stream.sample(block_rng(5, 2), kept)
         np.testing.assert_array_equal(cells, full[:kept])
         hist = np.zeros(36**stream.n, np.int64)
         np.add.at(hist, *stream.tally(block_rng(5, 2), kept))
-        np.testing.assert_array_equal(hist, counts_of(ShadowRecords(full[:kept])))
+        np.testing.assert_array_equal(hist, counts_of(full[:kept]))
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNEL_STREAMS))
@@ -605,7 +598,7 @@ def test_the_driver_matches_the_serial_blocks_around_a_whole_block(kernel, monke
         assert len(serial) == count
         for helpers in (0, 1):
             monkeypatch.setattr(shadows, "_helper_count", lambda: helpers)
-            np.testing.assert_array_equal(stream.records().cells, serial.cells)
+            np.testing.assert_array_equal(stream.records(), serial)
             np.testing.assert_array_equal(hist_of(stream), counts_of(serial))
 
 
@@ -660,23 +653,25 @@ def test_block_rng_sets_the_philox_key_and_counter_without_os_entropy(seed, bloc
 
 def test_identity_channel_sampling_marginals():
     # matched basis reproduces the prepared sign; mismatched is a fair coin
-    r = iter_channel_shadow_blocks(PauliChannel.identity(1), 30_000, seed=8).records()
-    match = r.t_axis[:, 0] == r.s_axis[:, 0]
-    assert np.all(r.t_sign[match, 0] == r.s_sign[match, 0])
-    flip = r.t_sign[~match, 0].astype(float)
+    records = iter_channel_shadow_blocks(PauliChannel.identity(1), 30_000, seed=8).records()
+    s_axis, s_sign, t_axis, t_sign = (f[:, 0] for f in fields(records))
+    match = t_axis == s_axis
+    assert np.all(t_sign[match] == s_sign[match])
+    flip = t_sign[~match].astype(float)
     assert abs(flip.mean()) < 0.05
     # inputs uniform over the six eigenstates
     for axis in range(3):
-        frac = (r.s_axis[:, 0] == axis).mean()
+        frac = (s_axis == axis).mean()
         assert frac == pytest.approx(1 / 3, abs=0.02)
 
 
 def test_pauli_channel_sampling_flip_rate():
     # Z+ input measured in Z flips with probability pX + pY = 0.20
     ch = PauliChannel.from_qubit_probs([(0.75, 0.10, 0.10, 0.05)])
-    r = iter_channel_shadow_blocks(ch, 100_000, seed=14).records()
-    sel = (r.s_axis[:, 0] == 2) & (r.t_axis[:, 0] == 2)
-    kept = (r.t_sign[sel, 0] == r.s_sign[sel, 0]).mean()
+    records = iter_channel_shadow_blocks(ch, 100_000, seed=14).records()
+    s_axis, s_sign, t_axis, t_sign = (f[:, 0] for f in fields(records))
+    sel = (s_axis == 2) & (t_axis == 2)
+    kept = (t_sign[sel] == s_sign[sel]).mean()
     assert kept == pytest.approx(0.80, abs=0.02)
 
 
@@ -685,8 +680,8 @@ def test_ptm_sampling_matches_pauli_sampling_statistics():
     ch = reference_product_channel()
     ptm = ch.to_product_channel()
     basis = enumerate_low_weight(2, 2)
-    est_a = estimate_eigenvalues(iter_channel_shadow_blocks(ch, 150_000, seed=2).records(), basis)
-    est_b = estimate_eigenvalues(iter_channel_shadow_blocks(ptm, 150_000, seed=3).records(), basis)
+    est_a = estimate_eigenvalues(iter_channel_shadow_blocks(ch, 150_000, seed=2), basis)
+    est_b = estimate_eigenvalues(iter_channel_shadow_blocks(ptm, 150_000, seed=3), basis)
     for p, lam in zip(basis, exact_diagonal(ch, basis)):
         if p.is_identity:
             continue
@@ -701,10 +696,10 @@ def test_estimate_x_single_record_values():
     # worked single-record examples: x_hat(Z) is the numerator over one
     # record, and the eigenvalue estimate is 3 x_hat
     z_pair = np.array([[5 * 3]], np.int8)  # digit in * 4 + out of (Z, Z)
-    r = records_from_fields([[2]], [[1]], [[2]], [[-1]])  # s=(Z,+), t=(Z,-)
+    r = fixed_stream(records_from_fields([[2]], [[1]], [[2]], [[-1]]), 1)  # s=(Z,+), t=(Z,-)
     assert shadows._numerators(r, z_pair)[1].tolist() == [-3]
     assert estimate_eigenvalues(r, [P("Z")])[P("Z")] == -9.0  # single records are unbounded
-    r = records_from_fields([[0]], [[1]], [[2]], [[-1]])  # s=(X,+): mismatch
+    r = fixed_stream(records_from_fields([[0]], [[1]], [[2]], [[-1]]), 1)  # s=(X,+): mismatch
     assert shadows._numerators(r, z_pair)[1].tolist() == [0]
     assert estimate_eigenvalues(r, [P("Z")])[P("Z")] == 0.0
 
@@ -724,8 +719,7 @@ def test_strings_of_another_width_are_rejected():
     # width fails before any block is drawn.
     for n in (2, 6):
         stream = iter_channel_shadow_blocks(PauliChannel.identity(n), 500, seed=1)
-        records = stream.records()
-        for source in (records, undrawable(stream)):
+        for source in (fixed_stream(stream.records(), 100), undrawable(stream)):
             for p in (P("XZZ" + "I" * (n - 2)), P("X" * 10)):
                 with pytest.raises(ValueError, match=f"{p} has {p.n} qubits, expected {n}"):
                     estimate_eigenvalues(source, [P("Z" * n), p])
@@ -741,19 +735,19 @@ def test_per_record_values_in_allowed_set():
     r = iter_channel_shadow_blocks(ch, 300, seed=6).records()
     strings = [P("ZI"), P("XZ")]
     for i in range(len(r)):
-        est = estimate_eigenvalues(ShadowRecords(r.cells[i : i + 1]), strings)
+        est = estimate_eigenvalues(fixed_stream(r[i : i + 1], 1), strings)
         for p in strings:
             assert est[p] in {0.0, 9.0**p.weight, -(9.0**p.weight)}
 
 
 def test_estimate_x_rejects_empty():
-    empty = iter_channel_shadow_blocks(PauliChannel.identity(1), 0, seed=0).records()
+    empty = iter_channel_shadow_blocks(PauliChannel.identity(1), 0, seed=0)
     with pytest.raises(ValueError):
         estimate_eigenvalues(empty, [P("Z")])
 
 
 def test_estimate_eigenvalues_identity_exact():
-    r = iter_channel_shadow_blocks(reference_product_channel(), 100, seed=1).records()
+    r = iter_channel_shadow_blocks(reference_product_channel(), 100, seed=1)
     est = estimate_eigenvalues(r, enumerate_low_weight(2, 2))
     assert est[P("II")] == 1.0
     assert list(est) == list(enumerate_low_weight(2, 2))
@@ -765,7 +759,7 @@ def test_estimate_eigenvalues_identity_exact():
 def test_estimates_converge_to_oracle():
     ch = reference_product_channel()
     basis = enumerate_low_weight(2, 2)
-    est = estimate_eigenvalues(iter_channel_shadow_blocks(ch, 100_000, seed=20).records(), basis)
+    est = estimate_eigenvalues(iter_channel_shadow_blocks(ch, 100_000, seed=20), basis)
     for p, lam in zip(basis, exact_diagonal(ch, basis)):
         assert est[p] == pytest.approx(lam, abs=0.05)
 
@@ -775,8 +769,8 @@ def test_estimates_converge_to_oracle():
 
 def test_counts_match_direct_records_exactly(read_pairs):
     ch = reference_product_channel()
-    r = iter_channel_shadow_blocks(ch, 20_000, seed=33).records()
     stream = iter_channel_shadow_blocks(ch, 20_000, seed=33)
+    r = fixed_stream(stream.records(), 3000)  # the records, served in other blocks
     assert len(stream) == len(r)
     basis = enumerate_low_weight(2, 2)
     # bit-for-bit equal
@@ -792,8 +786,8 @@ def test_counts_merge_and_accumulate(counts_of, hist_of):
     r = iter_channel_shadow_blocks(ch, 9000, seed=44).records()
     whole = counts_of(r)
     merged = np.zeros(36**2, np.int32)
-    ShadowRecords(r.cells[:5000]).count_into(merged)
-    ShadowRecords(r.cells[5000:]).count_into(merged)
+    fixed_stream(r[:5000], 1000).count_into(merged)
+    fixed_stream(r[5000:], 1000).count_into(merged)
     np.testing.assert_array_equal(merged, whole)
     assert merged.sum() == 9000
     np.testing.assert_array_equal(hist_of(iter_channel_shadow_blocks(ch, 9000, 44)), whole)
@@ -876,7 +870,7 @@ def test_a_wrapped_uint8_cell_is_counted_again(source, hist_of):
         "python int": (count, lambda rng, left: (where, left)),
     }
     if source == "records":
-        stream = shadows.ShadowRecords(np.full((count, 1), 5, np.uint8))
+        stream = fixed_stream(np.full((count, 1), 5, np.uint8), 64)
     else:
         block_size, tally = tallies[source]
         stream = shadows.BlockStream(1, count, 0, block_size, None, tally)
@@ -934,7 +928,7 @@ def test_records_past_the_cap_are_held_once(monkeypatch):
     # records took the peak from 2.2 to 2.9 times the record bytes here.
     monkeypatch.setattr(shadows, "_helper_count", lambda: 1)  # two blocks at a time
     channel = PauliChannel.from_qubit_probs([(0.9, 0.04, 0.03, 0.03)] * 10)
-    strings = [p for p in heisenberg_observable(10).support() if not p.is_identity]
+    strings = [p for p in heisenberg_observable(10).terms() if not p.is_identity]
     estimate_eigenvalues(iter_channel_shadow_blocks(channel, 1000, 3), strings)  # warm-up
     stream = iter_channel_shadow_blocks(channel, 500_000, 3)
     assert _traced_peak(lambda: estimate_eigenvalues(stream, strings)) < 2.5 * 500_000 * 10
@@ -962,7 +956,7 @@ def test_estimating_from_block_stream():
 def test_transfer_entry_identity_column(read_pairs):
     # lambda_P(I) = delta_PI: the pair reader gives (I, I) as N / N, and the
     # transfer matrix pins the rest of the column
-    r = iter_channel_shadow_blocks(reference_product_channel(), 100, seed=2).records()
+    r = iter_channel_shadow_blocks(reference_product_channel(), 100, seed=2)
     assert read_pairs(r, [(P("II"), P("II"))]).tolist() == [1.0]
     m = estimate_transfer_matrix(r, 2)
     assert m.matrix[0, 0] == 1.0
@@ -972,7 +966,7 @@ def test_transfer_entry_identity_column(read_pairs):
 def test_transfer_entry_damping_leak(read_pairs):
     # the (I, Z) entry estimates gamma
     ch = ProductChannel([amplitude_damping_ptm(0.2), np.eye(4)])
-    r = iter_channel_shadow_blocks(ch, 200_000, seed=7).records()
+    r = iter_channel_shadow_blocks(ch, 200_000, seed=7)
     m = estimate_transfer_matrix(r, 1)
     leak = m.matrix[m.index(P("II")), m.index(P("ZI"))]
     assert leak == read_pairs(r, [(P("II"), P("ZI"))]).item()
@@ -1063,7 +1057,7 @@ def gate_estimator_expectation(kind, noise, p):
             probs = basis_outcome_probabilities(state, basis)
             for outcome in range(2**g):
                 t_sign = [1 - 2 * ((outcome >> (g - 1 - j)) & 1) for j in range(g)]
-                rec = records_from_fields([axes], [signs], [basis], [t_sign])
+                rec = fixed_stream(records_from_fields([axes], [signs], [basis], [t_sign]), 1)
                 value = estimate_gate_eigenvalues(rec, kind)[p]
                 total += probs[outcome] * value / (6**g * 3**g)
     return total
@@ -1126,8 +1120,7 @@ def test_gate_estimator_unbiased_cnot():
 
 
 def test_noiseless_gate_estimates_are_one():
-    r = sample_gate_shadows("H", None, 40_000, seed=3).records()
-    est = estimate_gate_eigenvalues(r, "H")
+    est = estimate_gate_eigenvalues(sample_gate_shadows("H", None, 40_000, seed=3), "H")
     for letter in "XYZ":
         assert est[P(letter)] == pytest.approx(1.0, abs=0.05)
 
@@ -1148,8 +1141,7 @@ def test_gate_estimates_key_every_local_string_as_the_oracle_does():
 def test_gate_shadow_sign_handling():
     # S conjugates X to -Y; a dropped sign would flip the estimate
     noise = PauliChannel.from_qubit_probs([(0.7, 0.2, 0.05, 0.05)])  # lx=0.8
-    r = sample_gate_shadows("S", noise, 60_000, seed=11).records()
-    est = estimate_gate_eigenvalues(r, "S")
+    est = estimate_gate_eigenvalues(sample_gate_shadows("S", noise, 60_000, seed=11), "S")
     assert est[P("X")] == pytest.approx(0.8, abs=0.05)
     assert est[P("Y")] == pytest.approx(0.5, abs=0.05)
 
@@ -1158,20 +1150,19 @@ def test_cnot_gate_shadows_converge():
     noise = PauliChannel.from_qubit_probs(
         [(0.75, 0.10, 0.10, 0.05), (0.77, 0.09, 0.09, 0.05)]
     )
-    r = sample_gate_shadows("CNOT", noise, 150_000, seed=21).records()
-    est = estimate_gate_eigenvalues(r, "CNOT")
+    est = estimate_gate_eigenvalues(sample_gate_shadows("CNOT", noise, 150_000, seed=21), "CNOT")
     # pinned spot: X (x) I estimated through the conjugated input X (x) X
     assert est[P("XI")] == pytest.approx(0.70, abs=0.05)
     assert est[P("ZZ")] == pytest.approx(exact_diagonal(noise, [P("ZZ")])[0], abs=0.07)
 
 
 def test_gate_shadow_record_shape_and_determinism():
-    r1 = sample_gate_shadows("CNOT", None, 500, seed=5).records()
-    r2 = sample_gate_shadows("CNOT", None, 500, seed=5).records()
-    assert r1.n == 2
-    np.testing.assert_array_equal(r1.t_sign, r2.t_sign)
+    stream = sample_gate_shadows("CNOT", None, 500, seed=5)
+    r1, r2 = stream.records(), sample_gate_shadows("CNOT", None, 500, seed=5).records()
+    assert r1.shape == (500, 2)
+    np.testing.assert_array_equal(r1, r2)
     with pytest.raises(ValueError):
-        estimate_gate_eigenvalues(r1, "H")  # arity mismatch
+        estimate_gate_eigenvalues(stream, "H")  # arity mismatch
     with pytest.raises(ValueError):
         sample_gate_shadows("H", PauliChannel.identity(2), 10, seed=0)
 
@@ -1185,8 +1176,7 @@ def test_gate_shadow_stream_blocks_and_prefixes():
     # Record i depends only on (seed, block size, i): a shorter run is a prefix.
     for count in (1, 299, 300, 301, 999):
         short = sample_gate_shadows("CNOT", noise, count, seed=8, block_size=300).records()
-        for field in ("s_axis", "s_sign", "t_axis", "t_sign"):
-            np.testing.assert_array_equal(getattr(short, field), getattr(full, field)[:count])
+        np.testing.assert_array_equal(short, full[:count])
     assert len(sample_gate_shadows("CNOT", noise, 0, seed=8).records()) == 0
     with pytest.raises(ValueError):
         sample_gate_shadows("CNOT", noise, -1, seed=8)
@@ -1220,11 +1210,11 @@ def check_gate_streams_reduce_like_records(counts_of, hist_of):
             with fast_thread_switching():
                 recorded = stream.records()
                 counted = hist_of(stream)
-            np.testing.assert_array_equal(recorded.cells, records.cells)
+            np.testing.assert_array_equal(recorded, records)
             np.testing.assert_array_equal(counted, counts_of(records))
             assert counted.sum() == count
             from_stream = estimate_gate_eigenvalues(stream, kind)
-            assert from_stream == estimate_gate_eigenvalues(records, kind)
+            assert from_stream == estimate_gate_eigenvalues(fixed_stream(records, 300), kind)
 
 
 def test_gate_shadow_stream_reduces_like_records(monkeypatch, counts_of, hist_of):
