@@ -13,8 +13,6 @@ from .paulis import (
     iter_all_paulis,
     low_weight_count,
     pauli_from_index,
-    pauli_index,
-    symplectic_product,
 )
 from .observables import (
     Observable,
@@ -50,7 +48,6 @@ from .recovery import (
 from .clifford import (
     CliffordCircuit,
     Gate,
-    conjugate_pauli,
     exact_gate_estimates,
     mitigation_coefficients,
 )
@@ -72,8 +69,6 @@ __all__ = [
     "iter_all_paulis",
     "low_weight_count",
     "pauli_from_index",
-    "pauli_index",
-    "symplectic_product",
     "Observable",
     "heisenberg_observable",
     "locality_norm_constant",
@@ -101,7 +96,6 @@ __all__ = [
     "solve_upper_block_triangular",
     "CliffordCircuit",
     "Gate",
-    "conjugate_pauli",
     "exact_gate_estimates",
     "mitigation_coefficients",
     "estimate_eigenvalues",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,8 +30,8 @@ from .paulis import (
     PAULI_MATRICES,
     PauliString,
     enumerate_low_weight,
+    iter_all_paulis,
     letter_codes,
-    pauli_from_index,
 )
 
 PROBABILITY_TOLERANCE = 1e-12
@@ -153,15 +154,8 @@ class PauliChannel:
             return dict(self._terms)
         if self.n > 10:
             raise ValueError(f"refusing to expand 4^{self.n} terms")
-        out: dict[PauliString, float] = {}
-        for idx in range(4**self.n):
-            p = pauli_from_index(self.n, idx)
-            prob = 1.0
-            for j in range(self.n):
-                prob *= self._qubit_probs[j, p.letter_code(j)]
-            if prob > 0.0:
-                out[p] = prob
-        return out
+        probs = reduce(np.kron, self._qubit_probs)  # qubit by qubit, as a per-string product
+        return {p: prob for p, prob in zip(iter_all_paulis(self.n), probs) if prob > 0.0}
 
     # -- spectra -----------------------------------------------------------
 
@@ -170,15 +164,6 @@ class PauliChannel:
         if self._qubit_probs is None:
             raise ValueError("channel is stored in sparse form")
         return self._qubit_probs @ WALSH_KERNEL.T
-
-    # -- conversions ---------------------------------------------------------
-
-    def to_product_channel(self) -> "ProductChannel":
-        eigs = self.qubit_eigenvalues()  # raises for sparse form
-        ptms = np.zeros((self.n, 4, 4))
-        for j in range(self.n):
-            np.fill_diagonal(ptms[j], eigs[j])
-        return ProductChannel(ptms)
 
     def __repr__(self) -> str:
         kind = "product" if self.is_product else f"sparse[{len(self._terms)}]"
@@ -364,8 +349,8 @@ def exact_diagonal(channel, strings: Sequence[PauliString]) -> np.ndarray:
 def walsh_eigenvalues(probs: np.ndarray) -> np.ndarray:
     """Map a 4^n error-rate vector to the 4^n eigenvalue vector.
 
-    Indexing is the base-4 letter order of ``paulis.pauli_index`` (qubit 0 is
-    the most significant digit).  O(n 4^n) via per-qubit transforms.
+    Indexing is the base-4 letter order of ``paulis.iter_all_paulis`` (qubit 0
+    is the most significant digit).  O(n 4^n) via per-qubit transforms.
     """
     return _walsh_apply(np.asarray(probs, dtype=float), WALSH_KERNEL)
 

@@ -185,11 +185,7 @@ def _print_report(back, observable: Observable, noise, psi: np.ndarray, ideal: f
     terms = observable.terms() if back is None else back.terms
     noisy = exact.noisy_expectations(noise, list(terms), psi)
     value = recover_expectation(terms, dict(zip(terms, noisy.tolist())))
-    if back is None:
-        report = {"value": value, "provenance": "baseline", "ideal": ideal,
-                  "absolute_error": abs(value - ideal)}
-    else:
-        report = recovery_report(back, value, ideal)
+    report = recovery_report(back, value, ideal)
     print(f"{'baseline' if back is None else 'recovered'}: {_fmt(report['value'])}")
     print(f"ideal: {_fmt(report['ideal'])}")
     print(f"absolute_error: {_fmt(report['absolute_error'])}")

@@ -7,23 +7,23 @@ noisy expectation into a product of per-layer eigenvalues times the ideal
 expectation; dividing the coefficients by that product undoes the noise.
 
 Conjugation U^dagger P U is one fixed signed table per gate kind,
-``CONJUGATION_TABLES``: the image of every local string, in ``pauli_index``
-order.  ``GATE_ARITY``, ``conjugate_pauli`` (one lookup of the gate qubits'
-local index), the mitigation chain's letter-code table and
-``shadows.estimate_gate_eigenvalues`` all read it.  Signs matter while
-chaining (S^dagger X S = -Y), but eigenvalue lookups use the unsigned string:
-the two sign occurrences cancel in the identity being exploited.  So the
-mitigation chain drops the signs: it runs on a (qubits, terms) array of
-letter codes through the table's image codes, and looks up each gate kind's
-eigenvalues in one array indexed by the local string, built by the division
-rule that ``recovery`` applies to a diagonal divide.
+``CONJUGATION_TABLES``: the image of every local string, in
+``iter_all_paulis`` order.  ``GATE_ARITY``, the mitigation chain's
+letter-code table and ``shadows.estimate_gate_eigenvalues`` all read it.
+Signs matter when conjugating a signed string (S^dagger X S = -Y), but
+eigenvalue lookups use the unsigned string: the two sign occurrences cancel
+in the identity being exploited.  So the mitigation chain drops the signs:
+it runs on a (qubits, terms) array of letter codes through the table's
+image codes, and looks up each gate kind's eigenvalues in one array indexed
+by the local string, built by the division rule that ``recovery`` applies
+to a diagonal divide.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .channels import (
     exact_diagonal,
 )
 from .observables import Observable
-from .paulis import PauliString, iter_all_paulis, letter_codes, pauli_index
+from .paulis import PauliString, iter_all_paulis, letter_codes
 from .recovery import (
     DEFAULT_EIGENVALUE_FLOOR,
     BackwardObservable,
@@ -43,7 +43,7 @@ from .recovery import (
     _divisors,
 )
 
-# U^dagger P U of every local string P of a gate kind, in ``pauli_index``
+# U^dagger P U of every local string P of a gate kind, in ``iter_all_paulis``
 # order (first gate qubit most significant), as signed strings.
 CONJUGATION_TABLES = {
     kind: tuple(map(PauliString.from_label, labels))
@@ -72,16 +72,6 @@ def gate_arity(kind: str) -> int:
         return GATE_ARITY[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind read from JSON
         raise ValueError(f"unknown gate kind {kind!r}") from None
-
-
-def conjugate_pauli(kind: str, qubits: Sequence[int], p: PauliString) -> PauliString:
-    """U^dagger P U for one gate, acting on the full register string."""
-    qubits = tuple(qubits)
-    if len(qubits) != gate_arity(kind):
-        raise ValueError(f"{kind} acts on {gate_arity(kind)} qubits, got {qubits}")
-    image = CONJUGATION_TABLES[kind][pauli_index(p.restrict(qubits))].embed(p.n, qubits)
-    kept = ~sum(1 << q for q in qubits)
-    return PauliString(p.n, p.x & kept | image.x, p.z & kept | image.z, p.sign * image.sign)
 
 
 @dataclass

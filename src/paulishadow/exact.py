@@ -20,9 +20,9 @@ terms that bound its temporaries.  ``noisy_expectations`` gives tr(Q E(|psi><psi
   superoperator, so every image stays on supp Q and each distinct image is
   gathered once;
 * a noisy Clifford circuit carries each string backward through its gates
-  with one signed table per gate kind, built from the kind's dense local
-  unitary and its noise channel's full term map (so correlated gate noise
-  is covered), without the mitigation code's conjugation tables.
+  with one signed table per gate kind, built from the kind's unitary in
+  ``GATE_UNITARIES`` and its noise channel's full term map (so correlated
+  gate noise is covered), without the mitigation code's conjugation tables.
 
 None of these reads ``exact_transfer_matrix`` or ``exact_diagonal``,
 which supply ``--exact-eigenvalues``, so that mode does not divide by the
@@ -30,11 +30,13 @@ very numbers the oracle multiplied by.
 Statevector oracles are capped at 20 qubits.
 
 The ideal circuit run is unitary, so on a pure state it evolves the 2^n
-statevector, one local unitary per gate.  ``fig2 --expectation-shadows``
-measures the noisy state in random product bases, and a Pauli channel acts
-on such a measurement only by flipping outcomes, so its outcome
-probabilities also come from the ideal statevector
-(``basis_outcome_probabilities``).  No state here is a density matrix.
+statevector, one local unitary per gate: ``GATE_UNITARIES`` holds each
+kind's unitary on the gate's own qubits, and no n-qubit gate matrix is
+built.  ``fig2 --expectation-shadows`` measures the noisy state in random
+product bases, and a Pauli channel acts on such a measurement only by
+flipping outcomes, so its outcome probabilities also come from the ideal
+statevector (``basis_outcome_probabilities``).  No state here is a density
+matrix.
 """
 
 from __future__ import annotations
@@ -66,8 +68,14 @@ BASIS_ROTATIONS = (
     np.eye(2, dtype=np.complex128),                                         # Z
 )
 
-_H_GATE = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-_S_GATE = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
+# Each gate kind's unitary on its own qubits, the first gate qubit the most
+# significant bit.
+GATE_UNITARIES = {
+    "H": np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2),
+    "S": np.array([[1, 0], [0, 1j]], dtype=np.complex128),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                     dtype=np.complex128),
+}
 
 
 def haar_random_vector(n: int, seed_or_rng) -> np.ndarray:
@@ -160,36 +168,12 @@ def expectation(observable: PauliString | Observable, psi: np.ndarray) -> float:
 # -- gates and circuits --------------------------------------------------------
 
 
-def gate_unitary(kind: str, qubits: Sequence[int], n: int) -> np.ndarray:
-    """Full 2^n unitary of a named gate; qubit 0 is the most significant bit."""
-    qubits = tuple(qubits)
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for n={n}")
-    if kind in ("H", "S"):
-        (q,) = qubits
-        u2 = _H_GATE if kind == "H" else _S_GATE
-        left = np.eye(2**q, dtype=np.complex128)
-        right = np.eye(2 ** (n - q - 1), dtype=np.complex128)
-        return np.kron(np.kron(left, u2), right)
-    if kind == "CNOT":
-        control, target = qubits
-        if control == target:
-            raise ValueError("CNOT control and target must differ")
-        dim = 2**n
-        idx = np.arange(dim)
-        control_bit = (idx >> (n - 1 - control)) & 1
-        out_idx = idx ^ (control_bit << (n - 1 - target))
-        u = np.zeros((dim, dim), dtype=np.complex128)
-        u[out_idx, idx] = 1.0
-        return u
-    raise ValueError(f"unknown gate kind {kind!r}")
-
-
-def gate_superop(kind: str, arity: int, noise: PauliChannel | None) -> np.ndarray:
-    """(2,)*4a tensor S[r, c, r', c'] of a gate and its noise on a local register:
-    rho'_{rc} = sum S[r, c, r', c'] rho_{r'c'}, with S = sum_Q p_Q (QU) (x) conj(QU)."""
-    u = gate_unitary(kind, range(arity), arity)
+def gate_superop(kind: str, noise: PauliChannel | None) -> np.ndarray:
+    """(2,)*4a tensor S[r, c, r', c'] of a gate and its noise on the gate's a
+    qubits: rho'_{rc} = sum S[r, c, r', c'] rho_{r'c'}, with
+    S = sum_Q p_Q (QU) (x) conj(QU)."""
+    u = GATE_UNITARIES[kind]
+    arity = len(u).bit_length() - 1
     terms = noise.terms() if noise is not None else {PauliString.identity(arity): 1.0}
     s = np.zeros((4**arity, 4**arity), dtype=np.complex128)
     for q, prob in terms.items():
@@ -202,14 +186,11 @@ def simulate_ideal_statevector(circuit, psi: np.ndarray) -> np.ndarray:
     """Run a Clifford circuit without noise on a statevector: each gate's
     local unitary is contracted against the gate's axes of the (2,)*n
     tensor, O(2^(n+a)) work per gate on a qubits."""
-    n = circuit.n
-    unitaries: dict[str, np.ndarray] = {}
-    tensor = np.asarray(psi, dtype=np.complex128).reshape((2,) * n)
+    tensor = np.asarray(psi, dtype=np.complex128).reshape((2,) * circuit.n)
     for gate in circuit.gates:
         a = len(gate.qubits)
-        if gate.kind not in unitaries:
-            unitaries[gate.kind] = gate_unitary(gate.kind, range(a), a).reshape((2,) * (2 * a))
-        tensor = np.tensordot(unitaries[gate.kind], tensor, axes=(range(a, 2 * a), gate.qubits))
+        u = GATE_UNITARIES[gate.kind].reshape((2,) * (2 * a))
+        tensor = np.tensordot(u, tensor, axes=(range(a, 2 * a), gate.qubits))
         tensor = np.moveaxis(tensor, range(a), gate.qubits)
     return tensor.reshape(-1)
 
@@ -262,13 +243,14 @@ def _product_images(rows: np.ndarray, codes: np.ndarray):
     return images, coefficients, owner
 
 
-def _heisenberg_table(kind: str, arity: int, noise: PauliChannel | None):
-    """One gate kind's backward step, by local index (``pauli_index`` order).
-    U^dagger N(P) U is sign * lambda_P times one Pauli string, where N(P) =
-    sum_Q p_Q Q P Q over the noise channel's full term map; returns that
-    string's (arity, 4^arity) letter codes and the factors sign * lambda_P,
-    both read off the dense local matrices."""
-    u = gate_unitary(kind, range(arity), arity)
+def _heisenberg_table(kind: str, noise: PauliChannel | None):
+    """One gate kind's backward step, by local index (``iter_all_paulis``
+    order).  U^dagger N(P) U is sign * lambda_P times one Pauli string, where
+    N(P) = sum_Q p_Q Q P Q over the noise channel's full term map; returns
+    that string's (arity, 4^arity) letter codes and the factors
+    sign * lambda_P, both read off the dense local matrices."""
+    u = GATE_UNITARIES[kind]
+    arity = len(u).bit_length() - 1
     terms = noise.terms() if noise is not None else {PauliString.identity(arity): 1.0}
     errors = np.stack([q.matrix() for q in terms])
     locals_ = np.stack([pauli_from_index(arity, i).matrix() for i in range(4**arity)])
@@ -288,8 +270,7 @@ def _heisenberg_images(circuit, codes: np.ndarray):
     tables = {}
     for gate in reversed(circuit.gates):
         if gate.kind not in tables:
-            tables[gate.kind] = _heisenberg_table(
-                gate.kind, len(gate.qubits), circuit.noise.get(gate.kind))
+            tables[gate.kind] = _heisenberg_table(gate.kind, circuit.noise.get(gate.kind))
         letters, factor = tables[gate.kind]
         local = codes[gate.qubits[0]]
         for q in gate.qubits[1:]:

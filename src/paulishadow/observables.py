@@ -59,24 +59,6 @@ class Observable:
         """Largest weight among the terms (0 for an identity-only observable)."""
         return max((p.weight for p in self._terms), default=0)
 
-    @property
-    def degree(self) -> int:
-        """Largest number of terms acting non-trivially on any single qubit."""
-        counts = [0] * self.n
-        for p in self._terms:
-            for j in range(self.n):
-                if p.acts_on(j):
-                    counts[j] += 1
-        return max(counts, default=0)
-
-    def pauli_norm(self, order: float = 1) -> float:
-        coeffs = np.array(list(self._terms.values()), dtype=float)
-        if coeffs.size == 0:
-            return 0.0
-        if order == math.inf:
-            return float(np.max(np.abs(coeffs)))
-        return float(np.sum(np.abs(coeffs) ** order) ** (1.0 / order))
-
     # -- arithmetic -------------------------------------------------------
 
     def scaled(self, factor: float) -> "Observable":
@@ -131,7 +113,7 @@ def locality_norm_constant(k: int, d: int) -> float:
     """Lower-bound constant relating the Pauli-1 norm to the spectral norm.
 
     For a k-local observable of degree d,
-    ``locality_norm_constant(k, d) / 3 * pauli_norm_1 <= spectral_norm``.
+    ``locality_norm_constant(k, d) / 3 * sum_P |alpha_P| <= spectral_norm``.
     """
     if k < 1:
         raise ValueError(f"locality must be >= 1, got {k}")

@@ -3,7 +3,9 @@
 A Pauli string is stored as two bit masks ``x`` and ``z`` plus a real sign in
 {+1, -1}.  Bit ``j`` of ``x``/``z`` gives the X/Z component on qubit ``j``:
 (0,0) = I, (1,0) = X, (1,1) = Y, (0,1) = Z.  Qubit 0 is the leftmost letter of
-a label such as ``"XZI"``.
+a label such as ``"XZI"``.  Array code reads strings through ``letter_codes``;
+the strings themselves come from labels, the base-4 enumeration
+(``pauli_from_index``, ``iter_all_paulis``) or the low-weight one.
 """
 
 from __future__ import annotations
@@ -91,9 +93,6 @@ class PauliString:
     def letter(self, j: int) -> str:
         return LETTERS[self.letter_code(j)]
 
-    def acts_on(self, j: int) -> bool:
-        return bool(((self.x | self.z) >> j) & 1)
-
     @property
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
@@ -104,32 +103,6 @@ class PauliString:
 
     def unsigned(self) -> "PauliString":
         return self if self.sign == 1 else PauliString(self.n, self.x, self.z, 1)
-
-    # -- algebra ---------------------------------------------------------
-
-    def restrict(self, qubits: Iterable[int]) -> "PauliString":
-        """Project onto the given qubits (in the given order), keeping the sign."""
-        qubits = tuple(qubits)
-        x = z = 0
-        for pos, j in enumerate(qubits):
-            if not 0 <= j < self.n:
-                raise ValueError(f"qubit index {j} out of range for n={self.n}")
-            x |= ((self.x >> j) & 1) << pos
-            z |= ((self.z >> j) & 1) << pos
-        return PauliString(len(qubits), x, z, self.sign)
-
-    def embed(self, n: int, qubits: Iterable[int]) -> "PauliString":
-        """Place this string onto qubit positions ``qubits`` of an n-qubit register."""
-        qubits = tuple(qubits)
-        if len(qubits) != self.n:
-            raise ValueError(f"expected {self.n} target qubits, got {len(qubits)}")
-        x = z = 0
-        for pos, j in enumerate(qubits):
-            if not 0 <= j < n:
-                raise ValueError(f"qubit index {j} out of range for n={n}")
-            x |= ((self.x >> pos) & 1) << j
-            z |= ((self.z >> pos) & 1) << j
-        return PauliString(n, x, z, self.sign)
 
     def matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix (sign included), intended for small n.
@@ -203,21 +176,6 @@ def letter_codes(strings: Sequence[PauliString], n: int) -> np.ndarray:
     return (x + 3 * z - 2 * x * z).astype(np.int8)
 
 
-def symplectic_product(p: PauliString, q: PauliString) -> int:
-    """1 if the strings anticommute, 0 if they commute."""
-    if p.n != q.n:
-        raise ValueError(f"qubit counts differ: {p.n} != {q.n}")
-    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2
-
-
-def pauli_index(p: PauliString) -> int:
-    """Base-4 letter index of an unsigned string; qubit 0 is the leading digit."""
-    idx = 0
-    for j in range(p.n):
-        idx = idx * 4 + p.letter_code(j)
-    return idx
-
-
 def pauli_from_index(n: int, idx: int) -> PauliString:
     if not 0 <= idx < 4**n:
         raise ValueError(f"index {idx} out of range for n={n}")
@@ -251,6 +209,7 @@ def enumerate_low_weight(n: int, k: int) -> list[PauliString]:
 
 
 def iter_all_paulis(n: int) -> Iterator[PauliString]:
-    """All 4^n unsigned strings in base-4 index order (see ``pauli_index``)."""
+    """All 4^n unsigned strings in base-4 letter order, qubit 0 the leading
+    digit: string ``idx`` is ``pauli_from_index(n, idx)``."""
     for idx in range(4**n):
         yield pauli_from_index(n, idx)

@@ -216,15 +216,20 @@ def recover_expectation(
     return float((np.array(list(terms.values())) * np.array(values)).sum())
 
 
-def recovery_report(back: BackwardObservable, value: float, ideal: float) -> dict:
-    """JSON-ready summary of a recovery run against its ideal value."""
-    return {
+def recovery_report(back: BackwardObservable | None, value: float, ideal: float) -> dict:
+    """JSON-ready summary of a recovery run against its ideal value, or with
+    ``back`` None of the uncorrected baseline."""
+    report = {
         "value": value,
         "ideal": ideal,
         "absolute_error": abs(value - ideal),
-        "provenance": back.provenance,
-        "terms": {p.to_label(): coeff for p, coeff in back.terms.items()},
-        "min_abs_eigenvalue": back.min_abs_eigenvalue,
-        "condition_estimate": back.condition_estimate,
-        "warnings": list(back.warnings),
+        "provenance": "baseline" if back is None else back.provenance,
     }
+    if back is not None:
+        report.update(
+            terms={p.to_label(): coeff for p, coeff in back.terms.items()},
+            min_abs_eigenvalue=back.min_abs_eigenvalue,
+            condition_estimate=back.condition_estimate,
+            warnings=list(back.warnings),
+        )
+    return report

@@ -671,7 +671,7 @@ def _gate_outcome_cdfs(kind: str, noise: PauliChannel | None) -> np.ndarray:
         raise ValueError(f"{kind} noise must act on {g} qubits, got {noise.n}")
     one = [(np.eye(2) + sign * PAULI_MATRICES[a]) / 2 for a in (1, 2, 3) for sign in (1, -1)]
     flat = np.array([reduce(np.kron, f).ravel() for f in itertools.product(one, repeat=g)])
-    superop = exact.gate_superop(kind, g, noise).reshape(4**g, 4**g)
+    superop = exact.gate_superop(kind, noise).reshape(4**g, 4**g)
     probs = (flat @ superop.T @ flat.conj().T).real.reshape((6,) * g + (3, 2) * g)
     # axes (s_j; b_j, o_j) -> (s_0, b_0, s_1, b_1, ...; o_0, o_1, ...)
     order = [a for j in range(g) for a in (j, g + 2 * j)] + [g + 2 * j + 1 for j in range(g)]

@@ -1,7 +1,16 @@
-"""Dense Schroedinger-picture references that the tests check the package against.
+"""Term-by-term and dense Schroedinger-picture references that the tests
+check the package against.
 
-No command runs these.  They work on explicit 2^n x 2^n arrays, capped at
-12 qubits (all-Pauli sweeps at 10).  A state is a density matrix
+No command runs these.  Pauli strings go one at a time: a string is
+restricted to a gate's qubits and embedded back bit by bit, the symplectic
+product gives the commutation bit, and ``conjugate_pauli`` carries one
+signed string through one gate by one lookup in the kind's conjugation
+table, the term-by-term chain that the vectorized mitigation chain is
+compared against.  ``gate_unitary`` embeds a kind's local unitary
+(``exact.GATE_UNITARIES``) on any qubits of an n-qubit register.
+
+The dense references work on explicit 2^n x 2^n arrays, capped at 12
+qubits (all-Pauli sweeps at 10).  A state is a density matrix
 (``DenseState``), a channel acts on it through per-qubit superoperators or
 its Kraus sum, an expectation is a trace, and an outcome distribution comes
 from the full Kronecker rotation of the basis.  The noisy circuit run holds
@@ -27,7 +36,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from paulishadow.channels import PauliChannel, ProductChannel, TransferMatrix
-from paulishadow.exact import BASIS_ROTATIONS, _superop_from_ptm, gate_superop
+from paulishadow.clifford import CONJUGATION_TABLES, gate_arity
+from paulishadow.exact import BASIS_ROTATIONS, GATE_UNITARIES, _superop_from_ptm, gate_superop
 from paulishadow.observables import Observable
 from paulishadow.paulis import PAULI_MATRICES, PauliString, enumerate_low_weight
 from paulishadow.shadows import _CELL_FIELDS, BlockStream, _joint_cells, block_rng
@@ -73,6 +83,72 @@ def serial_records(stream: BlockStream) -> np.ndarray:
     blocks = [stream.sample(block_rng(stream.seed, b), stream.count - start)
               for b, start in enumerate(starts)]
     return np.concatenate(blocks) if blocks else np.empty((0, stream.n), np.uint8)
+
+
+# -- Pauli strings and gates --------------------------------------------------
+
+
+def restrict(p: PauliString, qubits: Iterable[int]) -> PauliString:
+    """Project onto the given qubits (in the given order), keeping the sign."""
+    qubits = tuple(qubits)
+    x = z = 0
+    for pos, j in enumerate(qubits):
+        if not 0 <= j < p.n:
+            raise ValueError(f"qubit index {j} out of range for n={p.n}")
+        x |= ((p.x >> j) & 1) << pos
+        z |= ((p.z >> j) & 1) << pos
+    return PauliString(len(qubits), x, z, p.sign)
+
+
+def embed(p: PauliString, n: int, qubits: Iterable[int]) -> PauliString:
+    """Place ``p`` onto qubit positions ``qubits`` of an n-qubit register."""
+    qubits = tuple(qubits)
+    if len(qubits) != p.n:
+        raise ValueError(f"expected {p.n} target qubits, got {len(qubits)}")
+    x = z = 0
+    for pos, j in enumerate(qubits):
+        if not 0 <= j < n:
+            raise ValueError(f"qubit index {j} out of range for n={n}")
+        x |= ((p.x >> pos) & 1) << j
+        z |= ((p.z >> pos) & 1) << j
+    return PauliString(n, x, z, p.sign)
+
+
+def pauli_index(p: PauliString) -> int:
+    """Base-4 letter index of an unsigned string; qubit 0 is the leading digit."""
+    idx = 0
+    for j in range(p.n):
+        idx = idx * 4 + p.letter_code(j)
+    return idx
+
+
+def symplectic_product(p: PauliString, q: PauliString) -> int:
+    """1 if the strings anticommute, 0 if they commute."""
+    if p.n != q.n:
+        raise ValueError(f"qubit counts differ: {p.n} != {q.n}")
+    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2
+
+
+def conjugate_pauli(kind: str, qubits: Sequence[int], p: PauliString) -> PauliString:
+    """U^dagger P U for one gate, acting on the full register string."""
+    qubits = tuple(qubits)
+    if len(qubits) != gate_arity(kind):
+        raise ValueError(f"{kind} acts on {gate_arity(kind)} qubits, got {qubits}")
+    image = embed(CONJUGATION_TABLES[kind][pauli_index(restrict(p, qubits))], p.n, qubits)
+    kept = ~sum(1 << q for q in qubits)
+    return PauliString(p.n, p.x & kept | image.x, p.z & kept | image.z, p.sign * image.sign)
+
+
+def gate_unitary(kind: str, qubits: Sequence[int], n: int) -> np.ndarray:
+    """Full 2^n unitary of a gate on ``qubits``; qubit 0 is the most significant bit."""
+    qubits = tuple(qubits)
+    if len(set(qubits)) != len(qubits) or not all(0 <= q < n for q in qubits):
+        raise ValueError(f"gate qubits {qubits} are not distinct qubits of {n}")
+    a = len(qubits)
+    local = GATE_UNITARIES[kind].reshape((2,) * (2 * a))
+    eye = np.eye(2**n, dtype=np.complex128).reshape((2,) * (2 * n))
+    out = np.moveaxis(np.tensordot(local, eye, axes=(range(a, 2 * a), qubits)), range(a), qubits)
+    return out.reshape(2**n, 2**n)
 
 
 # -- states and channels -------------------------------------------------------
@@ -154,7 +230,7 @@ def apply_to_operator(channel, op: np.ndarray) -> np.ndarray:
     if channel.n != n:
         raise ValueError(f"channel acts on {channel.n} qubits, operator on {n}")
     if isinstance(channel, PauliChannel) and channel.is_product:
-        channel = channel.to_product_channel()
+        channel = ProductChannel([np.diag(e) for e in channel.qubit_eigenvalues()])
     if isinstance(channel, ProductChannel):
         tensor = op.reshape((2,) * (2 * n))
         for j in range(n):
@@ -193,7 +269,7 @@ def simulate_circuit(circuit, state: DenseState, noisy: bool) -> DenseState:
     for gate in circuit.gates:
         if gate.kind not in superops:
             noise = circuit.noise.get(gate.kind) if noisy else None
-            superops[gate.kind] = gate_superop(gate.kind, len(gate.qubits), noise)
+            superops[gate.kind] = gate_superop(gate.kind, noise)
         rho = _apply_local_superop(rho, superops[gate.kind], gate.qubits, n)
     return DenseState(n, rho.reshape(2**n, 2**n))
 

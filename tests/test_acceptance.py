@@ -24,13 +24,12 @@ from paulishadow.channels import (
 from paulishadow.clifford import (
     CliffordCircuit,
     Gate,
-    conjugate_pauli,
     exact_gate_estimates,
     gate_arity,
     mitigation_coefficients,
 )
 from paulishadow.observables import Observable, heisenberg_observable
-from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis
+from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis, letter_codes
 from paulishadow.recovery import (
     backward_observable,
     backward_observable_general,
@@ -50,7 +49,10 @@ from reference import (
     DenseState,
     apply_channel,
     brute_force_transfer,
+    conjugate_pauli,
     dense_expectation,
+    embed,
+    restrict,
     shadow_transfer_estimator_expectations,
     simulate_circuit,
 )
@@ -114,7 +116,7 @@ def test_criterion_3_concentration():
     obs = normalized_heisenberg(n)
     lam_min = np.abs(exact_diagonal(ch, enumerate_low_weight(n, k))).min()
     assert lam_min == pytest.approx(0.384, abs=1e-12)
-    degree = obs.degree
+    degree = int((letter_codes(list(obs.terms()), n) != 0).sum(axis=0).max())  # terms on a qubit
     assert degree == 4
     planned = plan_sample_size(epsilon, delta, n, k, degree, lam_min)
     budget = min(planned, 200_000)
@@ -235,7 +237,7 @@ def random_noisy_circuit(rng):
 def chain_eigenvalue_product(circuit, p):
     product, current = 1.0, p
     for gate in reversed(circuit.gates):
-        local = current.restrict(gate.qubits).unsigned()
+        local = restrict(current, gate.qubits).unsigned()
         if not local.is_identity:
             product *= exact_diagonal(circuit.noise[gate.kind], [local])[0]
         current = conjugate_pauli(gate.kind, gate.qubits, current)
@@ -266,7 +268,7 @@ def test_criterion_6_circuit_mitigation():
             want = chain_eigenvalue_product(circuit, p) * dense_expectation(p, ideal_state)
             assert got == pytest.approx(want, abs=1e-10)
 
-        target = PauliString.from_label("ZZ").embed(n, (0, 1))
+        target = embed(PauliString.from_label("ZZ"), n, (0, 1))
         obs = Observable(n, {target: 0.9})
         ideal = dense_expectation(obs, ideal_state)
         back = mitigation_coefficients(circuit, exact_gate_estimates(circuit), obs)

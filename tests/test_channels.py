@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulishadow import channels, exact, shadows
+from paulishadow import channels, shadows
 from paulishadow.channels import (
     ConfigError,
     PauliChannel,
@@ -29,10 +29,16 @@ from paulishadow.paulis import (
     enumerate_low_weight,
     iter_all_paulis,
     pauli_from_index,
-    symplectic_product,
 )
 
-from reference import DenseChannel, brute_force_transfer, pauli_product, ptm_product
+from reference import (
+    DenseChannel,
+    brute_force_transfer,
+    gate_unitary,
+    pauli_product,
+    ptm_product,
+    symplectic_product,
+)
 
 
 def P(label):
@@ -282,7 +288,7 @@ def test_is_weight_contracting():
     assert exact_transfer_matrix(damping, 1).is_upper_block_triangular()
     assert exact_transfer_matrix(reference_product_channel(), 2).is_upper_block_triangular()
     # a CNOT conjugation grows weight (X on control -> XX)
-    unitary = exact.gate_unitary("CNOT", (0, 1), 2)
+    unitary = gate_unitary("CNOT", (0, 1), 2)
     dense = DenseChannel(2, [unitary])
     bf = brute_force_transfer(dense, 2)
     assert not bf.is_upper_block_triangular()
@@ -403,15 +409,6 @@ def test_sample_errors_sparse_distribution():
         u = shadows.block_rng(seed, 0).random(count)
         np.testing.assert_array_equal(pauli_errors(ch, count, seed),
                                       codes[np.searchsorted(cdf, u, side="right")])
-
-
-def test_to_product_channel():
-    ch = reference_product_channel()
-    ptm = ch.to_product_channel()
-    assert isinstance(ptm, ProductChannel)
-    m1 = exact_transfer_matrix(ch, 2)
-    m2 = exact_transfer_matrix(ptm, 2)
-    np.testing.assert_allclose(m1.matrix, m2.matrix, atol=1e-12)
 
 
 def test_exact_diagonal_is_the_per_string_product_or_sum_bitwise(random_cp_ptm):

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from paulishadow import exact
 from paulishadow.channels import ConfigError, PauliChannel, exact_diagonal
 from paulishadow.clifford import (
-    GATE_ARITY,
+    CONJUGATION_TABLES,
     CliffordCircuit,
     Gate,
-    conjugate_pauli,
     exact_gate_estimates,
     gate_arity,
     mitigation_coefficients,
@@ -30,8 +29,11 @@ from paulishadow.recovery import (
 from reference import (
     DenseState,
     brute_force_transfer,
+    conjugate_pauli,
     dense_expectation,
+    gate_unitary,
     pauli_product,
+    restrict,
     simulate_circuit,
 )
 
@@ -41,7 +43,7 @@ def P(label):
 
 
 def dense_backward(kind, qubits, n, p):
-    u = exact.gate_unitary(kind, qubits, n)
+    u = gate_unitary(kind, qubits, n)
     return u.conj().T @ p.matrix() @ u
 
 
@@ -49,13 +51,10 @@ def dense_backward(kind, qubits, n, p):
 
 
 def test_conjugation_matches_dense_all_gates():
-    for kind, arity in GATE_ARITY.items():
-        qubits = tuple(range(arity))
-        for p in iter_all_paulis(arity):
-            got = conjugate_pauli(kind, qubits, p)
-            np.testing.assert_allclose(
-                got.matrix(), dense_backward(kind, qubits, arity, p), atol=1e-12
-            )
+    for kind, images in CONJUGATION_TABLES.items():
+        u = exact.GATE_UNITARIES[kind]
+        for p, image in zip(iter_all_paulis(images[0].n), images):
+            np.testing.assert_allclose(image.matrix(), u.conj().T @ p.matrix() @ u, atol=1e-12)
 
 
 @st.composite
@@ -217,7 +216,7 @@ def test_chain_matches_dense_circuit_conjugation():
         circuit = random_circuit(rng, n, int(rng.integers(1, 9)))
         total = np.eye(2**n, dtype=complex)
         for gate in circuit.gates:
-            total = exact.gate_unitary(gate.kind, gate.qubits, n) @ total
+            total = gate_unitary(gate.kind, gate.qubits, n) @ total
         p = pauli_from_index(n, int(rng.integers(1, 4**n)))
         image = p
         for gate in reversed(circuit.gates):
@@ -237,7 +236,7 @@ def test_mitigation_divides_by_chain_product():
     assert back.provenance == "clifford-chain"
     current, denom = P("ZZ"), 1.0
     for gate in reversed(circuit.gates):
-        local = current.restrict(gate.qubits).unsigned()
+        local = restrict(current, gate.qubits).unsigned()
         if not local.is_identity:
             denom *= exact_diagonal(circuit.noise[gate.kind], [local])[0]
         current = conjugate_pauli(gate.kind, gate.qubits, current)
@@ -313,7 +312,7 @@ def mitigation_coefficients_per_term(circuit, gate_estimates, observable, floor=
     for p, alpha in observable.terms().items():
         current, denominator = p, 1.0
         for gate in reversed(circuit.gates):
-            local = current.restrict(gate.qubits).unsigned()
+            local = restrict(current, gate.qubits).unsigned()
             table = gate_estimates.get(gate.kind)
             if local.is_identity or table is None:
                 raw = 1.0

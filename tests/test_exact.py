@@ -33,7 +33,6 @@ from paulishadow.paulis import (
     iter_all_paulis,
     letter_codes,
     pauli_from_index,
-    pauli_index,
 )
 
 from reference import (
@@ -43,7 +42,10 @@ from reference import (
     basis_outcome_probabilities,
     brute_force_transfer,
     dense_expectation,
+    embed,
+    gate_unitary,
     maximally_mixed,
+    pauli_index,
     pauli_product,
     product_eigenstate,
     shadow_transfer_estimator_expectations,
@@ -150,12 +152,12 @@ def test_expectation_observable():
 
 
 def test_gate_unitaries():
-    h = exact.gate_unitary("H", (0,), 1)
+    h = gate_unitary("H", (0,), 1)
     np.testing.assert_allclose(h, np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-12)
-    s = exact.gate_unitary("S", (0,), 1)
+    s = gate_unitary("S", (0,), 1)
     np.testing.assert_allclose(s, np.diag([1, 1j]), atol=1e-12)
     # qubit 0 is the most significant bit: CNOT(0->1) maps |10> -> |11>
-    cnot = exact.gate_unitary("CNOT", (0, 1), 2)
+    cnot = gate_unitary("CNOT", (0, 1), 2)
     state = np.zeros(4)
     state[2] = 1.0  # |10>
     np.testing.assert_allclose(cnot @ state, np.eye(4)[3], atol=1e-12)
@@ -163,7 +165,7 @@ def test_gate_unitaries():
     state[1] = 1.0  # |01>, control clear
     np.testing.assert_allclose(cnot @ state, np.eye(4)[1], atol=1e-12)
     # reversed orientation
-    rev = exact.gate_unitary("CNOT", (1, 0), 2)
+    rev = gate_unitary("CNOT", (1, 0), 2)
     state = np.zeros(4)
     state[1] = 1.0  # |01>, control is qubit 1
     np.testing.assert_allclose(rev @ state, np.eye(4)[3], atol=1e-12)
@@ -171,8 +173,8 @@ def test_gate_unitaries():
 
 def test_gate_unitary_embedding():
     # H on qubit 1 of 2 acts as I (x) H
-    h2 = exact.gate_unitary("H", (1,), 2)
-    h = exact.gate_unitary("H", (0,), 1)
+    h2 = gate_unitary("H", (1,), 2)
+    h = gate_unitary("H", (0,), 1)
     np.testing.assert_allclose(h2, np.kron(np.eye(2), h), atol=1e-12)
 
 
@@ -188,11 +190,11 @@ def test_simulate_noisy_circuit_matches_manual():
     circ = CliffordCircuit(2, [Gate("H", (0,))], {"H": noise})
     st = DenseState.from_unit_vector(exact.haar_random_vector(2, 19))
     out = simulate_circuit(circ, st, noisy=True)
-    u = exact.gate_unitary("H", (0,), 2)
+    u = gate_unitary("H", (0,), 2)
     mid = u @ st.rho @ u.conj().T
     want = np.zeros_like(mid)
     for q, prob in noise.terms().items():
-        m = q.embed(2, (0,)).matrix()
+        m = embed(q, 2, (0,)).matrix()
         want += prob * (m @ mid @ m.conj().T)
     np.testing.assert_allclose(out.rho, want, atol=1e-12)
 
@@ -203,13 +205,13 @@ def full_register_circuit(circuit, state, noisy):
     n = circuit.n
     rho = state.rho
     for gate in circuit.gates:
-        u = exact.gate_unitary(gate.kind, gate.qubits, n)
+        u = gate_unitary(gate.kind, gate.qubits, n)
         rho = u @ rho @ u.conj().T
         noise = circuit.noise.get(gate.kind)
         if noisy and noise is not None:
             out = np.zeros_like(rho)
             for q, prob in noise.terms().items():
-                m = q.embed(n, gate.qubits).matrix()
+                m = embed(q, n, gate.qubits).matrix()
                 out += prob * (m @ rho @ m)
             rho = out
     return rho
@@ -352,7 +354,7 @@ def test_batched_gather_matches_dense_traces(chunk, monkeypatch):
 @pytest.mark.parametrize("kind, table", list(CONJUGATION_TABLES.items()))
 def test_heisenberg_tables_from_unitaries_equal_the_signed_conjugation_tables(kind, table):
     arity = table[0].n
-    letters, factors = exact._heisenberg_table(kind, arity, None)
+    letters, factors = exact._heisenberg_table(kind, None)
     assert letters.shape == (arity, 4**arity)
     for before, after in zip(iter_all_paulis(arity), table):
         index = pauli_index(before)

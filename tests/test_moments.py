@@ -25,7 +25,6 @@ from paulishadow.channels import (
     amplitude_damping_ptm,
     depolarizing_ptm,
 )
-from paulishadow.clifford import conjugate_pauli
 from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis, letter_codes
 from paulishadow.shadows import (
     estimate_eigenvalues,
@@ -35,7 +34,13 @@ from paulishadow.shadows import (
     sample_gate_shadows,
 )
 
-from reference import fields, fixed_stream, records_from_fields, serial_records
+from reference import (
+    conjugate_pauli,
+    fields,
+    fixed_stream,
+    records_from_fields,
+    serial_records,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 BLOCK_ROWS = 32  # rows per block of a fixed stream: most records span several

@@ -272,3 +272,7 @@ def test_recovery_report_shape():
     assert report["provenance"] == "diagonal"
     assert report["terms"] == {"Z": pytest.approx(1.25)}
     assert report["warnings"] == []
+    # no backward observable: the uncorrected baseline, with no other fields
+    assert recovery_report(None, 1.0, ideal=1.2) == {
+        "value": 1.0, "ideal": 1.2, "absolute_error": pytest.approx(0.2),
+        "provenance": "baseline"}

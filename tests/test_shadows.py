@@ -52,8 +52,10 @@ from reference import (
     apply_to_operator,
     basis_outcome_probabilities,
     dense_expectation,
+    embed,
     fields,
     fixed_stream,
+    gate_unitary,
     product_eigenstate,
     records_from_fields,
     serial_records,
@@ -678,7 +680,7 @@ def test_pauli_channel_sampling_flip_rate():
 def test_ptm_sampling_matches_pauli_sampling_statistics():
     # the same Pauli channel sampled via its PTM must estimate identically
     ch = reference_product_channel()
-    ptm = ch.to_product_channel()
+    ptm = ProductChannel([np.diag(e) for e in ch.qubit_eigenvalues()])
     basis = enumerate_low_weight(2, 2)
     est_a = estimate_eigenvalues(iter_channel_shadow_blocks(ch, 150_000, seed=2), basis)
     est_b = estimate_eigenvalues(iter_channel_shadow_blocks(ptm, 150_000, seed=3), basis)
@@ -753,7 +755,7 @@ def test_estimate_eigenvalues_identity_exact():
     assert list(est) == list(enumerate_low_weight(2, 2))
     assert len(est.values) == len(est.values()) == 16  # perfbench/tracing.py reads the first
     with pytest.raises(KeyError):
-        est[PauliString.from_label("XX").embed(3, (0, 1))]
+        est[embed(PauliString.from_label("XX"), 3, (0, 1))]
 
 
 def test_estimates_converge_to_oracle():
@@ -1043,7 +1045,7 @@ def gate_estimator_expectation(kind, noise, p):
     from paulishadow.clifford import gate_arity
 
     g = gate_arity(kind)
-    unitary = exact.gate_unitary(kind, tuple(range(g)), g)
+    unitary = gate_unitary(kind, tuple(range(g)), g)
     total = 0.0
     for s_digits in itertools.product(range(6), repeat=g):
         axes = [d // 2 for d in s_digits]
@@ -1069,7 +1071,7 @@ def gate_outcome_cdfs_per_state(kind, noise):
     from paulishadow.clifford import gate_arity
 
     g = gate_arity(kind)
-    unitary = exact.gate_unitary(kind, tuple(range(g)), g)
+    unitary = gate_unitary(kind, tuple(range(g)), g)
     cdfs = np.empty((6**g, 3**g, 2**g))
     for s_idx, s_digits in enumerate(itertools.product(range(6), repeat=g)):
         axes = [d // 2 for d in s_digits]
