@@ -124,19 +124,9 @@ def _resolve_channel(arg: str) -> PauliChannel | ProductChannel:
     return load_channel(arg)
 
 
-def _resolve_observable(arg: str, args: argparse.Namespace) -> Observable:
+def _resolve_observable(arg: str, n: int) -> Observable:
     try:
-        if arg == "heisenberg":
-            return heisenberg_observable(
-                args.n,
-                jx=args.jx,
-                jy=args.jy,
-                jz=args.jz,
-                hz=args.hz,
-                field_on_all=args.field_on_all,
-                periodic=args.periodic,
-            )
-        return Observable.load(arg)
+        return heisenberg_observable(n) if arg == "heisenberg" else Observable.load(arg)
     except FileNotFoundError:
         raise ConfigError(
             f"observable {arg!r} is neither a readable file nor a built-in name"
@@ -199,7 +189,7 @@ def cmd_recover(args: argparse.Namespace, general: bool) -> int:
     if not (general or isinstance(channel, PauliChannel)):
         raise ConfigError("recover expects a Pauli channel; use recover-general "
                           "for other weight-contracting channels")
-    observable = _resolve_observable(args.observable, args)
+    observable = _resolve_observable(args.observable, args.n)
     n = channel.n
     if observable.n != n:
         raise ConfigError(f"observable acts on {observable.n} qubits, channel on {n}")
@@ -231,7 +221,7 @@ def cmd_recover(args: argparse.Namespace, general: bool) -> int:
 def cmd_mitigate(args: argparse.Namespace) -> int:
     circuit = CliffordCircuit.load(args.circuit)
     _check_qubits(circuit.n, exact.STATEVECTOR_QUBIT_CAP)
-    observable = _resolve_observable(args.observable, args)
+    observable = _resolve_observable(args.observable, args.n)
     if observable.n != circuit.n:
         raise ConfigError(f"observable acts on {observable.n} qubits, circuit on {circuit.n}")
     _check_floor(args.floor)
@@ -400,7 +390,7 @@ def run_fig2(
 
 def cmd_fig2(args: argparse.Namespace) -> int:
     channel = _resolve_channel(args.channel)
-    observable = _resolve_observable(args.observable, args)
+    observable = _resolve_observable(args.observable, args.n)
     try:
         sweep = (DEFAULT_SWEEP if args.sweep is None  # an empty --sweep is an error
                  else tuple(int(s) for s in args.sweep.split(",")))
@@ -451,17 +441,9 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 
 def _add_observable_options(sub: argparse.ArgumentParser, default: str | None = None) -> None:
     sub.add_argument("--observable", required=default is None, default=default,
-                     help="observable file path or the built-in name 'heisenberg'")
+                     help="observable file path, or 'heisenberg' for the paper's fixed chain")
     sub.add_argument("--n", type=int, default=2,
                      help="qubit count for built-in observables")
-    sub.add_argument("--jx", type=float, default=0.27)
-    sub.add_argument("--jy", type=float, default=0.42)
-    sub.add_argument("--jz", type=float, default=0.76)
-    sub.add_argument("--hz", type=float, default=0.6)
-    sub.add_argument("--field-on-all", action="store_true",
-                     help="place the field term on every qubit")
-    sub.add_argument("--periodic", action="store_true",
-                     help="add the wrap-around bond")
 
 
 def _add_recover_options(sub: argparse.ArgumentParser) -> None:

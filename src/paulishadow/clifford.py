@@ -108,10 +108,12 @@ class CliffordCircuit:
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "CliffordCircuit":
+        if not isinstance(cfg, Mapping):
+            raise ConfigError("circuit config must be a JSON object")
         try:
             n = cfg["n"]
             raw_gates = cfg["gates"]
-        except (TypeError, KeyError) as exc:
+        except KeyError as exc:
             raise ConfigError(f"circuit config missing field {exc}") from None
         if not isinstance(raw_gates, list):
             raise ConfigError("circuit config needs a 'gates' list")

@@ -124,32 +124,16 @@ def locality_norm_constant(k: int, d: int) -> float:
     )
 
 
-def heisenberg_observable(
-    n: int,
-    jx: float = 0.27,
-    jy: float = 0.42,
-    jz: float = 0.76,
-    hz: float = 0.6,
-    field_on_all: bool = False,
-    periodic: bool = False,
-) -> Observable:
-    """Heisenberg-chain observable with a Z field.
+def heisenberg_observable(n: int) -> Observable:
+    """The paper's open Heisenberg chain with a Z field.
 
-    The default places one field term per bond site (qubits 0..n-2), mirroring
-    the bond sum; ``field_on_all`` extends the field to every qubit, and
-    ``periodic`` adds the wrap-around bond.
+    Each bond (j, j + 1) carries XX 0.27, YY 0.42 and ZZ 0.76, bond by bond;
+    then Z 0.6 sits on qubits 0..n-2, one field term per bond site.  Other
+    couplings, a periodic bond or a field on every qubit are observable files.
     """
     if n < 2:
         raise ValueError(f"Heisenberg chain needs n >= 2, got n={n}")
-    terms: list[tuple[PauliString, float]] = []
-    bonds = [(j, j + 1) for j in range(n - 1)]
-    if periodic and n > 2:
-        bonds.append((n - 1, 0))
-    for a, b in bonds:
-        terms.append((PauliString.from_letters(n, {a: "X", b: "X"}), jx))
-        terms.append((PauliString.from_letters(n, {a: "Y", b: "Y"}), jy))
-        terms.append((PauliString.from_letters(n, {a: "Z", b: "Z"}), jz))
-    field_sites = range(n) if field_on_all else range(n - 1)
-    for j in field_sites:
-        terms.append((PauliString.from_letters(n, {j: "Z"}), hz))
+    terms = [(PauliString.from_letters(n, {j: a, j + 1: a}), c)
+             for j in range(n - 1) for a, c in (("X", 0.27), ("Y", 0.42), ("Z", 0.76))]
+    terms += [(PauliString.from_letters(n, {j: "Z"}), 0.6) for j in range(n - 1)]
     return Observable(n, terms)

@@ -926,6 +926,7 @@ UNREADABLE_INPUTS = {
         "fractional-qubit-circuit.json": {"n": 2, "gates": [{"g": "CNOT", "q": [0, 1.5]}]},
         "int-noise-circuit.json": {"n": 2, "gates": [{"g": "H", "q": [0]}], "noise": 5},
         "list-kind-circuit.json": {"n": 2, "gates": [{"g": ["H"], "q": [0]}]},
+        "list-circuit.json": [1, 2],
         # Only JSON numbers are probabilities and transfer matrix entries.
         "null-pauli.json": {"kind": "pauli-product", "qubits": [NULL_NOISE]},
         "text-pauli.json": {"kind": "pauli-product", "qubits": [{**NAN_NOISE, "pI": "0.9"}]},
@@ -957,7 +958,6 @@ UNREADABLE_INPUTS = {
         "learn-nan-ptm-product": "learn --channel nan-ptm.json",
         "recover-nan-coefficient": "recover --channel reference --observable nan.txt",
         "recover-overflow-coefficient": "recover --channel reference --observable overflow.txt",
-        "recover-nan-heisenberg": "recover --channel reference --observable heisenberg --jx nan",
         "recover-bad-letter": "recover --channel reference --observable bad-letter.txt",
         "recover-two-widths": "recover --channel reference --observable two-widths.txt",
         "recover-comments-only": "recover --channel reference --observable comments.txt",
@@ -976,6 +976,7 @@ UNREADABLE_INPUTS = {
             "mitigate --circuit fractional-qubit-circuit.json --observable heisenberg",
         "mitigate-int-noise": "mitigate --circuit int-noise-circuit.json --observable heisenberg",
         "mitigate-list-kind": "mitigate --circuit list-kind-circuit.json --observable heisenberg",
+        "mitigate-list-circuit": "mitigate --circuit list-circuit.json --observable heisenberg",
         "learn-null-pauli-product": "learn --channel null-pauli.json",
         "learn-text-pauli-product": "learn --channel text-pauli.json",
         "learn-bool-pauli-product": "learn --channel bool-pauli.json",
@@ -1011,6 +1012,7 @@ UNREADABLE_INPUTS = {
         "learn-null-ptm-entry": "qubits[0][15] must be a number, got None",
         "learn-huge-ptm-entry": "qubits[0][0] is too large for a float",
         "mitigate-null-noise": "noise for H: qubit 0: pI must be a number, got None",
+        "mitigate-list-circuit": "circuit config must be a JSON object",
         "mitigate-bool-n": "qubit count must be an integer, got True",
         "mitigate-bool-qubit": "qubit True is not an integer in [0, 2)",
         "learn-utf16-channel": "invalid JSON in utf16-channel.json: 'utf-8' codec can't decode",
@@ -1261,14 +1263,55 @@ def test_floor_is_an_option_of_recover_and_mitigate_only(circuit_path, capsys):
     assert "unrecognized arguments: --floor 0.2" in capsys.readouterr().err
 
 
-def test_custom_heisenberg_couplings(capsys):
-    rc = cli.main(
-        recover_args(["--exact-eigenvalues", "--jx", "0.3", "--jy", "0.2",
-                      "--jz", "0.1", "--hz", "0.5"])
-    )
+def test_custom_heisenberg_couplings(tmp_path, capsys):
+    """Couplings other than the built-in chain's come as an observable file."""
+    (tmp_path / "chain.txt").write_text("XX 0.3\nYY 0.2\nZZ 0.1\nZI 0.5\n")
+    rc = cli.main(["recover", "--channel", "reference", "--observable",
+                   str(tmp_path / "chain.txt"), "--exact-eigenvalues"])
     assert rc == 0
     err = float(capsys.readouterr().out.splitlines()[2].split(": ")[1])
     assert err < 1e-10
+
+
+@pytest.mark.parametrize("command", ["recover", "recover-general", "mitigate", "fig2"])
+def test_coupling_flags_are_unrecognized(command, circuit_path, capsys):
+    """The built-in chain has fixed couplings: a coupling flag is a usage error."""
+    source = ["--circuit", circuit_path] if command == "mitigate" else ["--channel", "reference"]
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, *source, "--observable", "heisenberg", "--jx", "0.3"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --jx 0.3" in capsys.readouterr().err
+
+
+def test_heisenberg_and_its_listing_write_the_same_reports(tmp_path):
+    """recover, recover-general and mitigate write the same report bytes for
+    the built-in chain on four qubits and for the file that lists its terms."""
+    n = 4
+    listing = "".join(f"{p.to_label()} {c!r}\n" for p, c in heisenberg_observable(n).terms().items())
+    (tmp_path / "heis4.txt").write_text(listing)
+    qubit = (0.95, 0.02, 0.015, 0.015)
+    (tmp_path / "pauli4.json").write_text(json.dumps(pauli_product([qubit] * n)))
+    damping = [amplitude_damping_ptm(0.05 * (j + 1)) for j in range(n)]
+    (tmp_path / "damping4.json").write_text(json.dumps(ptm_product(damping)))
+    gates = [{"g": "H", "q": [j]} for j in range(n)]
+    gates += [{"g": "CNOT", "q": [j, j + 1]} for j in range(n - 1)]
+    gates += [{"g": "S", "q": [j]} for j in range(n)]
+    noise = {kind: pauli_product([qubit] * arity) for kind, arity in (("H", 1), ("S", 1), ("CNOT", 2))}
+    (tmp_path / "brick4.json").write_text(json.dumps({"n": n, "gates": gates, "noise": noise}))
+    commands = {
+        "recover": ["--channel", str(tmp_path / "pauli4.json")],
+        "recover-general": ["--channel", str(tmp_path / "damping4.json")],
+        "mitigate": ["--circuit", str(tmp_path / "brick4.json")],
+    }
+    for command, source in commands.items():
+        reports = []
+        for observable in (["heisenberg", "--n", str(n)], [str(tmp_path / "heis4.txt")]):
+            out = tmp_path / f"{command}-{len(reports)}.json"
+            argv = [command, *source, "--observable", *observable, "--shadows", "20000",
+                    "--seed", "3", "--state-seed", "4", "--out", str(out)]
+            assert cli.main(argv) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], command
 
 
 # -- module entry point --------------------------------------------------------
@@ -1308,7 +1351,7 @@ def test_readme_quick_start_runs():
 
 
 def test_readme_file_formats_load(tmp_path):
-    """The README's channel examples, observable and circuit, written to files
+    """The README's channel examples, observables and circuit, written to files
     as they stand, load through the readers the commands use."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = {}
@@ -1331,6 +1374,9 @@ def test_readme_file_formats_load(tmp_path):
                                    [0.2, 0, 0, 0.8]]
     (tmp_path / "observable.txt").write_text(observable)
     assert Observable.load(tmp_path / "observable.txt").terms() == heisenberg_observable(2).terms()
+    (chain,) = blocks["text"]  # the built-in chain on four qubits, as a file
+    assert list(Observable.from_text(chain).terms().items()) == list(
+        heisenberg_observable(4).terms().items())
     (tmp_path / "circuit.json").write_text(circuit)
     loaded = CliffordCircuit.load(tmp_path / "circuit.json")
     assert loaded.n == 2 and loaded.gates == (Gate("H", (0,)), Gate("CNOT", (0, 1)))

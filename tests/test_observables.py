@@ -106,17 +106,13 @@ def test_heisenberg_structure():
     assert obs.coefficient(P("IIZ")) == 0.0
 
 
-def test_heisenberg_field_on_all():
-    obs = heisenberg_observable(3, field_on_all=True)
-    assert obs.coefficient(P("IIZ")) == pytest.approx(0.6)
-
-
-def test_heisenberg_periodic():
-    obs = heisenberg_observable(3, periodic=True)
-    assert obs.coefficient(P("XIX")) == pytest.approx(0.27)
-    assert obs.coefficient(P("ZIZ")) == pytest.approx(0.76)
-    open_obs = heisenberg_observable(3)
-    assert open_obs.coefficient(P("XIX")) == 0.0
+@pytest.mark.parametrize("n", range(2, 7))
+def test_heisenberg_equals_its_own_listing(n):
+    """The built-in chain is the observable file that lists its terms: the
+    same strings, coefficients and term order."""
+    obs = heisenberg_observable(n)
+    listing = "".join(f"{p.to_label()} {c!r}\n" for p, c in obs.terms().items())
+    assert list(Observable.from_text(listing).terms().items()) == list(obs.terms().items())
 
 
 def test_heisenberg_two_qubit_values():
