@@ -300,7 +300,6 @@ def run_fig2(
     seed: int,
     exact_eigenvalues: bool = False,
     expectation_shadows: int | None = None,
-    floor: float = DEFAULT_EIGENVALUE_FLOOR,
 ) -> Fig2Result:
     """Mean-absolute-error ratio experiment.
 
@@ -313,8 +312,8 @@ def run_fig2(
     ``expectation_shadows`` is given, in which case they are median-of-means
     estimates from that many random-basis shadows of each noisy state.
 
-    A trial whose recovery hits the eigenvalue floor gets ``nan`` recovered
-    error and ratio; if every trial at some point hits it, this raises.
+    A trial whose recovery hits the default eigenvalue floor gets ``nan``
+    recovered error and ratio; if every trial at some point hits it, this raises.
     """
     if not isinstance(channel, PauliChannel):
         raise ConfigError("the sweep experiment expects a Pauli channel")
@@ -372,7 +371,7 @@ def run_fig2(
                 )
                 estimates = estimate_eigenvalues(blocks, paulis)
             try:
-                back = backward_observable(observable, estimates, floor)
+                back = backward_observable(observable, estimates)
             except RecoveryFloorError:
                 mae_rec[pi, rep] = np.nan
                 continue
@@ -383,7 +382,7 @@ def run_fig2(
     lost = np.flatnonzero(np.isnan(mae_rec).all(axis=1))
     if len(lost):
         raise RecoveryError(f"every trial at {sweep[lost[0]]} shadows hit the eigenvalue "
-                            f"floor {floor:g}")
+                            f"floor {DEFAULT_EIGENVALUE_FLOOR:g}")
     ratio = mae_rec / mae_raw
     return Fig2Result(sweep, mae_raw, mae_rec, ratio, norm)
 
@@ -451,10 +450,11 @@ def _add_recover_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--state-seed", type=int, default=0,
                      help="seed of the Haar-random test state")
-    sub.add_argument("--exact-eigenvalues", action="store_true",
-                     help="use oracle noise characterization instead of sampling")
-    sub.add_argument("--baseline", action="store_true",
-                     help="report the uncorrected noisy expectation instead")
+    route = sub.add_mutually_exclusive_group()
+    route.add_argument("--exact-eigenvalues", action="store_true",
+                       help="use oracle noise characterization instead of sampling")
+    route.add_argument("--baseline", action="store_true",
+                       help="report the uncorrected noisy expectation instead")
     sub.add_argument("--out", default=None, help="JSON report path; - is stdout (default: none)")
 
 

@@ -14,9 +14,9 @@ Signs matter when conjugating a signed string (S^dagger X S = -Y), but
 eigenvalue lookups use the unsigned string: the two sign occurrences cancel
 in the identity being exploited.  So the mitigation chain drops the signs:
 it runs on a (qubits, terms) array of letter codes through the table's
-image codes, and looks up each gate kind's eigenvalues in one array indexed
-by the local string, built by the division rule that ``recovery`` applies
-to a diagonal divide.
+image codes, and multiplies each gate's divisors into one running product
+per term.  Each gate kind's divisors are arrays indexed by the local string,
+built by the division rule that ``recovery`` applies to a diagonal divide.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class CliffordCircuit:
                 gates.append(Gate(item["g"], tuple(item["q"])))
             except (TypeError, KeyError):
                 raise ConfigError(f"gates[{i}] must look like {{'g': 'H', 'q': [0]}}") from None
-        noise, noise_cfg = {}, cfg.get("noise") or {}
+        noise, noise_cfg = {}, cfg.get("noise", {})
         if not isinstance(noise_cfg, dict):
             raise ConfigError("circuit 'noise' must map gate kinds to channels")
         for kind, sub in noise_cfg.items():
@@ -156,61 +156,58 @@ def mitigation_coefficients(
 
     Each coefficient divides by the product, over noise layers from the last
     gate to the first, of that layer's eigenvalue at the backward-conjugated
-    Pauli (restricted to the gate's qubits, unsigned).  The chain runs for
-    all terms at once on a (qubits, terms) array of letter codes: each gate
-    reads its local index from its qubits' rows and writes back the
-    conjugated letters.  The (steps, terms) eigenvalues are then gathered
-    from each kind's table under ``recovery``'s division rule; a kind without
-    a table has no recorded noise, and a string missing from a table fails
-    only where the chain reaches it.  The coefficients are the floats a
-    term-by-term chain gives; clamp warnings are listed, and the first
-    failure is raised, in (term, gate from the last) order.
+    Pauli (restricted to the gate's qubits, unsigned).  The chain walks the
+    gates once for all terms on a (qubits, terms) array of letter codes: each
+    gate reads its local index from its qubits' rows, multiplies that string's
+    divisor under ``recovery``'s division rule into a running product per
+    term, and writes back the conjugated letters.  A kind without a table has
+    no recorded noise, and a string missing from a table fails only where the
+    chain reaches it.  The coefficients are the floats a term-by-term chain
+    gives; clamp warnings are listed, and the first failure is raised, in
+    (term, gate from the last) order.
     """
     if observable.n != circuit.n:
-        raise ValueError(
-            f"observable acts on {observable.n} qubits, circuit on {circuit.n}"
-        )
+        raise ValueError(f"observable acts on {observable.n} qubits, circuit on {circuit.n}")
     terms = observable.terms()
     strings = list(terms)
     codes = letter_codes(strings, circuit.n).T.astype(np.intp, order="C")  # (n, terms)
-    # Every kind's local strings in one table, a kind's from its offset on;
-    # entry 0 stands for every identity: it divides by 1 and never fails.
-    offset, local_strings = {}, [("", PauliString.identity(1))]
-    parts = [(np.ones(1), np.ones(1), np.zeros(1, dtype=bool), np.zeros(1, dtype=bool))]
-    for kind in sorted({g.kind for g in circuit.gates}):
-        offset[kind] = len(local_strings)
+    rules = {}  # per kind: its local strings and their division rule, by local index
+    for kind in {g.kind for g in circuit.gates}:
         local = list(iter_all_paulis(gate_arity(kind)))
-        local_strings += [(kind, q) for q in local]
         table = gate_estimates.get(kind)
-        parts.append(_divisors(dict.fromkeys(local, 1.0) if table is None else table, local, floor))
-    raw, clamped, moved, failing = (np.concatenate(arrays) for arrays in zip(*parts))
-    lookups = np.empty((len(circuit.gates), len(strings)), dtype=np.intp)
+        raw, clamped, moved, failing = _divisors(
+            dict.fromkeys(local, 1.0) if table is None else table, local, floor)
+        clamped[0], moved[0], failing[0] = 1.0, False, False  # the identity divides by 1
+        rules[kind] = local, raw, clamped, moved, failing
+    # One running divisor per term, multiplied in step order; each read that
+    # clamps or fails, as (term, step, kind, local index); the least |divisor|.
+    product, reads, least = np.ones(len(strings)), [], np.inf
     for step, gate in enumerate(reversed(circuit.gates)):
         local = codes[gate.qubits[0]]
         for q in gate.qubits[1:]:
             local = 4 * local + codes[q]
-        lookups[step] = np.where(local == 0, 0, offset[gate.kind] + local)
+        _, _, clamped, moved, failing = rules[gate.kind]
+        product *= clamped[local]
+        reads += [(t, step, gate.kind, local[t]) for t in np.flatnonzero((moved | failing)[local])]
+        least = min(least, np.abs(clamped[local[local != 0]]).min(initial=np.inf))
         conjugated = _IMAGE_CODES[gate.kind].take(local, axis=1)
         for q, letters in zip(gate.qubits, conjugated):
             codes[q] = letters
-    failed = lookups.T[failing[lookups].T]  # in (term, step) order, as the warnings
-    if failed.size:
-        kind, local = local_strings[failed[0]]
-        if local not in gate_estimates[kind]:
-            raise KeyError(f"no eigenvalue estimate for {kind} noise on {local}")
-        raise RecoveryFloorError(local, float(clamped[failed[0]]), floor)
-    divisors = clamped[lookups]
-    coefficients = np.array(list(terms.values())) / np.multiply.reduce(divisors, axis=0)
-    magnitudes = np.abs(divisors[lookups != 0])
+    reads.sort()  # into (term, step) order, a term-by-term chain's
+    for _, _, kind, i in reads:
+        local, _, clamped, _, failing = rules[kind]
+        if failing[i] and local[i] not in gate_estimates[kind]:
+            raise KeyError(f"no eigenvalue estimate for {kind} noise on {local[i]}")
+        if failing[i]:
+            raise RecoveryFloorError(local[i], float(clamped[i]), floor)
+    coefficients = np.array(list(terms.values())) / product
     return BackwardObservable(
         circuit.n,
         dict(zip(strings, coefficients.tolist())),
         provenance="clifford-chain",
-        min_abs_eigenvalue=float(magnitudes.min()) if magnitudes.size else None,
-        warnings=[
-            "clamped estimate {:.6g} for {} noise on {}".format(raw[index], *local_strings[index])
-            for index in lookups.T[moved[lookups].T]
-        ],
+        min_abs_eigenvalue=None if least == np.inf else float(least),
+        warnings=[f"clamped estimate {rules[k][1][i]:.6g} for {k} noise on {rules[k][0][i]}"
+                  for _, _, k, i in reads],  # no read failed, so each one recorded clamped
     )
 
 

@@ -746,16 +746,21 @@ def test_fig2_summaries_without_floor_hits_are_the_all_trial_means(tmp_path, mon
 
 
 def test_run_fig2_partial_and_total_floor_hits():
-    channel, observable = reference_product_channel(), heisenberg_observable(2)
-    result = cli.run_fig2(channel, observable, (500, 1000), 5, 4, 11, floor=0.3)
+    observable = heisenberg_observable(2)
+    # XX's eigenvalue is 0.06 * 0.96 = 0.0576, just above the default floor
+    # 0.05: some of its estimates from a few hundred shadows fall below it.
+    near = PauliChannel.from_qubit_probs([(0.5, 0.03, 0.24, 0.23), (0.97, 0.01, 0.01, 0.01)])
+    result = cli.run_fig2(near, observable, (500, 1000), 5, 4, 11)
     hits = (~result.succeeded).sum(axis=1)
-    assert hits.tolist() == [1, 2]
+    assert hits.tolist() == [2, 1]
     assert np.isnan(result.ratio[~result.succeeded]).all()
     assert not np.isnan(result.ratio[result.succeeded]).any()
     np.testing.assert_allclose(result.point_means(result.ratio), np.nanmean(result.ratio, axis=1), rtol=1e-12)
     np.testing.assert_allclose(result.std_ratio(), np.nanstd(result.ratio, axis=1), rtol=1e-12)
-    with pytest.raises(RecoveryError, match="every trial at 500 shadows hit the eigenvalue floor"):
-        cli.run_fig2(channel, observable, (500, 1000), 5, 4, 11, floor=1.5)
+    # XX's eigenvalue is 0: at these counts every estimate of it is below the floor.
+    zero = PauliChannel.from_qubit_probs([(0.45, 0.05, 0.25, 0.25), (0.97, 0.01, 0.01, 0.01)])
+    with pytest.raises(RecoveryError, match="every trial at 200000 shadows hit the eigenvalue floor 0.05"):
+        cli.run_fig2(zero, observable, (200000, 400000), 5, 4, 11)
 
 
 PLAN = "plan --delta 0.1 --degree 4"
@@ -898,6 +903,8 @@ NAN_NOISE = {"pI": math.nan, "pX": 0.04, "pY": 0.03, "pZ": 0.03}
 NULL_NOISE = {**NAN_NOISE, "pI": None}
 NAN_PTM = [1, 0, 0, 0, 0, math.nan, 0, 0, 0, 0, 0.9, 0, 0.1, 0, 0, 0.9]
 DAMPING_PTM = [1, 0, 0, 0, 0, 0.9 ** 0.5, 0, 0, 0, 0, 0.9 ** 0.5, 0, 0.1, 0, 0, 0.9]
+# 'noise' values that are not objects: only a missing key means a noiseless circuit.
+NOT_OBJECT_NOISE = {"zero": 0, "false": False, "empty-text": "", "empty-list": [], "json-null": None}
 # Input files, by name, and the commands that read them.
 UNREADABLE_INPUTS = {
     "files": {
@@ -927,6 +934,8 @@ UNREADABLE_INPUTS = {
         "int-noise-circuit.json": {"n": 2, "gates": [{"g": "H", "q": [0]}], "noise": 5},
         "list-kind-circuit.json": {"n": 2, "gates": [{"g": ["H"], "q": [0]}]},
         "list-circuit.json": [1, 2],
+        **{f"{name}-noise-circuit.json": {"n": 2, "gates": [{"g": "H", "q": [0]}], "noise": value}
+           for name, value in NOT_OBJECT_NOISE.items()},
         # Only JSON numbers are probabilities and transfer matrix entries.
         "null-pauli.json": {"kind": "pauli-product", "qubits": [NULL_NOISE]},
         "text-pauli.json": {"kind": "pauli-product", "qubits": [{**NAN_NOISE, "pI": "0.9"}]},
@@ -977,6 +986,9 @@ UNREADABLE_INPUTS = {
         "mitigate-int-noise": "mitigate --circuit int-noise-circuit.json --observable heisenberg",
         "mitigate-list-kind": "mitigate --circuit list-kind-circuit.json --observable heisenberg",
         "mitigate-list-circuit": "mitigate --circuit list-circuit.json --observable heisenberg",
+        **{f"mitigate-{name}-noise": f"mitigate --circuit {name}-noise-circuit.json "
+                                     "--observable heisenberg --exact-eigenvalues"
+           for name in NOT_OBJECT_NOISE},
         "learn-null-pauli-product": "learn --channel null-pauli.json",
         "learn-text-pauli-product": "learn --channel text-pauli.json",
         "learn-bool-pauli-product": "learn --channel bool-pauli.json",
@@ -1013,6 +1025,8 @@ UNREADABLE_INPUTS = {
         "learn-huge-ptm-entry": "qubits[0][0] is too large for a float",
         "mitigate-null-noise": "noise for H: qubit 0: pI must be a number, got None",
         "mitigate-list-circuit": "circuit config must be a JSON object",
+        **{f"mitigate-{name}-noise": "circuit 'noise' must map gate kinds to channels"
+           for name in NOT_OBJECT_NOISE},
         "mitigate-bool-n": "qubit count must be an integer, got True",
         "mitigate-bool-qubit": "qubit True is not an integer in [0, 2)",
         "learn-utf16-channel": "invalid JSON in utf16-channel.json: 'utf-8' codec can't decode",
@@ -1281,6 +1295,19 @@ def test_coupling_flags_are_unrecognized(command, circuit_path, capsys):
         cli.main([command, *source, "--observable", "heisenberg", "--jx", "0.3"])
     assert err.value.code == 2
     assert "unrecognized arguments: --jx 0.3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["recover", "recover-general", "mitigate"])
+def test_baseline_and_exact_eigenvalues_exclude_each_other(command, circuit_path, capsys):
+    """The baseline divides by nothing, so it cannot also use oracle eigenvalues."""
+    source = ["--circuit", circuit_path] if command == "mitigate" else ["--channel", "reference"]
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, *source, "--observable", "heisenberg", "--baseline",
+                  "--exact-eigenvalues"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_heisenberg_and_its_listing_write_the_same_reports(tmp_path):
