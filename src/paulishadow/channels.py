@@ -108,9 +108,7 @@ class PauliChannel:
     @classmethod
     def from_qubit_probs(cls, quadruples: Sequence[Sequence[float]]) -> "PauliChannel":
         quadruples = np.asarray(quadruples, dtype=float)
-        if quadruples.ndim == 1:
-            quadruples = quadruples.reshape(1, 4)
-        return cls(quadruples.shape[0], qubit_probs=quadruples)
+        return cls(len(quadruples), qubit_probs=quadruples)
 
     @classmethod
     def from_terms(
@@ -208,8 +206,6 @@ class ProductChannel:
 
     def __init__(self, ptms: np.ndarray | Sequence[np.ndarray]):
         ptms = np.asarray(ptms, dtype=float)
-        if ptms.ndim == 2:
-            ptms = ptms[None, :, :]
         if ptms.ndim != 3 or ptms.shape[1:] != (4, 4):
             raise ValueError(f"expected (n, 4, 4) transfer matrices, got {ptms.shape}")
         if not np.isfinite(ptms).all():

@@ -238,7 +238,7 @@ def cmd_mitigate(args: argparse.Namespace) -> int:
             estimates = {}
             for kind in sorted({g.kind for g in circuit.gates}):
                 blocks = sample_gate_shadows(
-                    kind, circuit.noise.get(kind), args.shadows,
+                    kind, circuit.noise[kind], args.shadows,
                     _derive_seed(args.seed, 23, *(ord(c) for c in kind)),
                 )
                 estimates[kind] = estimate_gate_eigenvalues(blocks, kind)
@@ -323,16 +323,14 @@ def run_fig2(
     n = channel.n
     if observable.n != n:
         raise ConfigError(f"observable acts on {observable.n} qubits, channel on {n}")
-    if observable.locality == 0:
-        raise ConfigError("an identity-only observable has no noise to undo and no error ratio")
+    if observable.locality == 0:  # identity terms only, or none: the zero observable
+        raise ConfigError("an observable without a non-identity term has no noise to undo")
     _check_qubits(n, exact.STATE_QUBIT_CAP)  # the dense spectral norm below
     if n_states < 1 or repeats < 1:
         raise ConfigError(f"need at least one state and one repeat, got {n_states} and {repeats}")
     if expectation_shadows is not None and expectation_shadows < EXPECTATION_BATCHES:
         raise ConfigError(f"expectation estimates take {EXPECTATION_BATCHES} batch means, "
                           f"got {expectation_shadows} shadows")
-    if not any(observable.terms().values()):  # before the dense norm
-        raise ConfigError("cannot normalize the zero observable")
     norm = observable.spectral_norm()
     observable = observable.scaled(1.0 / norm)
 

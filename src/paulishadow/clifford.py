@@ -76,7 +76,8 @@ def gate_arity(kind: str) -> int:
 
 @dataclass
 class CliffordCircuit:
-    """Gates in execution order plus a per-gate-kind noise channel."""
+    """Gates in execution order plus a noise channel for each gate kind they
+    use: the identity channel for a kind given none, which is noiseless."""
 
     n: int
     gates: tuple[Gate, ...]
@@ -88,8 +89,11 @@ class CliffordCircuit:
         self.gates = tuple(
             g if isinstance(g, Gate) else Gate(g[0], tuple(g[1])) for g in self.gates
         )
+        self.noise = dict(self.noise)  # filled below, so never the caller's dict
         for gate in self.gates:
             arity = gate_arity(gate.kind)
+            if gate.kind not in self.noise:
+                self.noise[gate.kind] = PauliChannel.identity(arity)
             if len(gate.qubits) != arity:
                 raise ValueError(f"{gate.kind} takes {arity} qubits, got {gate.qubits}")
             if len(set(gate.qubits)) != len(gate.qubits):
@@ -217,8 +221,6 @@ def exact_gate_estimates(
     """Oracle per-kind eigenvalue tables from the circuit's noise channels."""
     out: dict[str, dict[PauliString, float]] = {}
     for kind in sorted({g.kind for g in circuit.gates}):
-        arity = gate_arity(kind)
-        channel = circuit.noise.get(kind) or PauliChannel.identity(arity)
-        strings = list(iter_all_paulis(arity))
-        out[kind] = dict(zip(strings, exact_diagonal(channel, strings).tolist()))
+        strings = list(iter_all_paulis(gate_arity(kind)))
+        out[kind] = dict(zip(strings, exact_diagonal(circuit.noise[kind], strings).tolist()))
     return out

@@ -152,14 +152,13 @@ def pauli_expectations(codes: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return out * phase
 
 
-def expectation(observable: PauliString | Observable, psi: np.ndarray) -> float:
+def expectation(observable: Observable, psi: np.ndarray) -> float:
     """<psi|O|psi> of a unit statevector, by one gather of 2^n amplitudes per
     Pauli term (see ``pauli_expectations``)."""
-    terms = observable.terms() if isinstance(observable, Observable) else {observable: 1.0}
-    strings = list(terms)
-    signed = np.array([c * p.sign for p, c in terms.items()])
-    codes = letter_codes(strings, observable.n)
-    value = (signed * pauli_expectations(codes, np.asarray(psi).reshape(-1))).sum()
+    terms = observable.terms()
+    codes = letter_codes(list(terms), observable.n)
+    value = (np.array(list(terms.values())) * pauli_expectations(
+        codes, np.asarray(psi).reshape(-1))).sum()
     if abs(value.imag) > 1e-8:
         raise ValueError(f"expectation has imaginary part {value.imag:g}")
     return float(value.real)
@@ -168,15 +167,14 @@ def expectation(observable: PauliString | Observable, psi: np.ndarray) -> float:
 # -- gates and circuits --------------------------------------------------------
 
 
-def gate_superop(kind: str, noise: PauliChannel | None) -> np.ndarray:
+def gate_superop(kind: str, noise: PauliChannel) -> np.ndarray:
     """(2,)*4a tensor S[r, c, r', c'] of a gate and its noise on the gate's a
     qubits: rho'_{rc} = sum S[r, c, r', c'] rho_{r'c'}, with
     S = sum_Q p_Q (QU) (x) conj(QU)."""
     u = GATE_UNITARIES[kind]
     arity = len(u).bit_length() - 1
-    terms = noise.terms() if noise is not None else {PauliString.identity(arity): 1.0}
     s = np.zeros((4**arity, 4**arity), dtype=np.complex128)
-    for q, prob in terms.items():
+    for q, prob in noise.terms().items():
         kraus = q.matrix() @ u
         s += prob * np.kron(kraus, kraus.conj())
     return s.reshape((2,) * (4 * arity))
@@ -243,7 +241,7 @@ def _product_images(rows: np.ndarray, codes: np.ndarray):
     return images, coefficients, owner
 
 
-def _heisenberg_table(kind: str, noise: PauliChannel | None):
+def _heisenberg_table(kind: str, noise: PauliChannel):
     """One gate kind's backward step, by local index (``iter_all_paulis``
     order).  U^dagger N(P) U is sign * lambda_P times one Pauli string, where
     N(P) = sum_Q p_Q Q P Q over the noise channel's full term map; returns
@@ -251,7 +249,7 @@ def _heisenberg_table(kind: str, noise: PauliChannel | None):
     sign * lambda_P, both read off the dense local matrices."""
     u = GATE_UNITARIES[kind]
     arity = len(u).bit_length() - 1
-    terms = noise.terms() if noise is not None else {PauliString.identity(arity): 1.0}
+    terms = noise.terms()
     errors = np.stack([q.matrix() for q in terms])
     locals_ = np.stack([pauli_from_index(arity, i).matrix() for i in range(4**arity)])
     noisy = np.einsum("q,qab,ibc,qcd->iad", list(terms.values()), errors, locals_, errors)
@@ -270,7 +268,7 @@ def _heisenberg_images(circuit, codes: np.ndarray):
     tables = {}
     for gate in reversed(circuit.gates):
         if gate.kind not in tables:
-            tables[gate.kind] = _heisenberg_table(gate.kind, circuit.noise.get(gate.kind))
+            tables[gate.kind] = _heisenberg_table(gate.kind, circuit.noise[gate.kind])
         letters, factor = tables[gate.kind]
         local = codes[gate.qubits[0]]
         for q in gate.qubits[1:]:

@@ -14,8 +14,9 @@ class Observable:
     """A Hermitian observable O = sum_P alpha_P P with real coefficients.
 
     Terms are keyed by unsigned Pauli strings; a signed string folds its sign
-    into the coefficient.  Insertion order is preserved, so the term order
-    is deterministic.
+    into the coefficient, and duplicates add.  A term whose coefficients sum
+    to exactly 0.0 is dropped, so every consumer sees only contributing
+    terms.  Insertion order is preserved, so the term order is deterministic.
     """
 
     def __init__(
@@ -37,6 +38,7 @@ class Observable:
             self._terms[p] = self._terms.get(p, 0.0) + coeff
             if not math.isfinite(self._terms[p]):
                 raise ValueError(f"term {p} has non-finite coefficient {self._terms[p]}")
+        self._terms = {p: c for p, c in self._terms.items() if c != 0.0}
 
     # -- access -----------------------------------------------------------
 
@@ -56,7 +58,7 @@ class Observable:
 
     @property
     def locality(self) -> int:
-        """Largest weight among the terms (0 for an identity-only observable)."""
+        """Largest weight among the terms (0 for an identity-only or zero observable)."""
         return max((p.weight for p in self._terms), default=0)
 
     # -- arithmetic -------------------------------------------------------

@@ -59,13 +59,11 @@ class PauliString:
         return cls(n)
 
     @classmethod
-    def from_label(cls, label: str, sign: int = 1) -> "PauliString":
-        """Build from a letter string such as ``"XZI"`` (qubit 0 leftmost)."""
+    def from_label(cls, label: str) -> "PauliString":
+        """Build from a letter string such as ``"-XZI"`` (qubit 0 leftmost, sign optional)."""
         label = label.strip()
-        if label.startswith("-"):
-            sign = -sign
-            label = label[1:]
-        elif label.startswith("+"):
+        sign = -1 if label.startswith("-") else 1
+        if label[:1] in ("-", "+"):
             label = label[1:]
         if not label:
             raise ValueError("empty Pauli label")
@@ -75,7 +73,7 @@ class PauliString:
         return cls(len(label), *_masks(enumerate(codes)), sign)
 
     @classmethod
-    def from_letters(cls, n: int, letters: dict[int, str], sign: int = 1) -> "PauliString":
+    def from_letters(cls, n: int, letters: dict[int, str]) -> "PauliString":
         """Build from a sparse {qubit: letter} mapping, identity elsewhere."""
         codes = {j: LETTERS.find(ch.upper()) for j, ch in letters.items()}
         for j, code in codes.items():
@@ -83,7 +81,7 @@ class PauliString:
                 raise ValueError(f"qubit index {j} out of range for n={n}")
             if code <= 0:
                 raise ValueError(f"invalid non-identity letter {letters[j]!r}")
-        return cls(n, *_masks(codes.items()), sign)
+        return cls(n, *_masks(codes.items()))
 
     # -- basic queries ---------------------------------------------------
 

@@ -558,6 +558,8 @@ def _numerators(stream: BlockStream, digits: np.ndarray) -> tuple[int, np.ndarra
     total = len(stream)
     if total == 0:
         raise ValueError("no records")
+    if len(digits) == 0:  # nothing to read, so nothing is drawn
+        return total, np.zeros(0, np.int64)
     if stream.n > COUNTS_QUBIT_CAP:
         return total, _marginal_numerators(stream.records(), digits)
     wide = np.int32 if total <= INT32_RECORDS else np.int64
@@ -660,14 +662,14 @@ def plan_sample_size(
 # -- gate shadows --------------------------------------------------------------
 
 
-def _gate_outcome_cdfs(kind: str, noise: PauliChannel | None) -> np.ndarray:
+def _gate_outcome_cdfs(kind: str, noise: PauliChannel) -> np.ndarray:
     """(18^g, 2^g) outcome CDFs of a noisy gate.  Row digit j, qubit 0 most
     significant, is qubit j's input digit (axis * 2 + sign bit) * 3 + basis
     axis; outcome bit j is 1 for -1.  The 6^g product eigenstates are both
     the inputs and the outcome projectors, so one product through the gate's
     noisy superoperator gives every outcome probability."""
     g = gate_arity(kind)
-    if noise is not None and noise.n != g:
+    if noise.n != g:
         raise ValueError(f"{kind} noise must act on {g} qubits, got {noise.n}")
     one = [(np.eye(2) + sign * PAULI_MATRICES[a]) / 2 for a in (1, 2, 3) for sign in (1, -1)]
     flat = np.array([reduce(np.kron, f).ravel() for f in itertools.product(one, repeat=g)])
@@ -683,7 +685,7 @@ def _gate_outcome_cdfs(kind: str, noise: PauliChannel | None) -> np.ndarray:
 
 def sample_gate_shadows(
     kind: str,
-    noise: PauliChannel | None,
+    noise: PauliChannel,
     count: int,
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,

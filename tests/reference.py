@@ -268,7 +268,8 @@ def simulate_circuit(circuit, state: DenseState, noisy: bool) -> DenseState:
     rho = state.rho.reshape((2,) * (2 * n))
     for gate in circuit.gates:
         if gate.kind not in superops:
-            noise = circuit.noise.get(gate.kind) if noisy else None
+            noise = (circuit.noise[gate.kind] if noisy
+                     else PauliChannel.identity(len(gate.qubits)))
             superops[gate.kind] = gate_superop(gate.kind, noise)
         rho = _apply_local_superop(rho, superops[gate.kind], gate.qubits, n)
     return DenseState(n, rho.reshape(2**n, 2**n))

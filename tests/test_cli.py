@@ -1310,6 +1310,33 @@ def test_baseline_and_exact_eigenvalues_exclude_each_other(command, circuit_path
     assert "not allowed with argument" in captured.err
 
 
+def test_a_zero_term_changes_no_report(tmp_path):
+    """A term whose coefficient is zero adds nothing: each command writes the
+    report of the observable without it, though the term's eigenvalue is
+    below the floor (0.04 for X on the gate, 0.0016 for XX on the channel)
+    and its weight above --k."""
+    qubit = (0.5, 0.02, 0.24, 0.24)
+    (tmp_path / "pauli2.json").write_text(json.dumps(pauli_product([qubit] * 2)))
+    (tmp_path / "circuit.json").write_text(json.dumps({
+        "n": 2, "gates": [{"g": "H", "q": [0]}, {"g": "H", "q": [1]}],
+        "noise": {"H": pauli_product([qubit])}}))
+    cases = {
+        "mitigate": (["--circuit", str(tmp_path / "circuit.json")], "ZI 0.7\nIZ 0.3\n"),
+        "recover": (["--channel", str(tmp_path / "pauli2.json")], "ZI 0.5\n"),
+        "recover-general": (["--channel", str(tmp_path / "pauli2.json"), "--k", "1"], "ZI 0.5\n"),
+    }
+    for command, (source, terms) in cases.items():
+        reports = []
+        for name, text in (("with", "XX 0.0\n" + terms), ("without", terms)):
+            (tmp_path / f"{name}.txt").write_text(text)
+            out = tmp_path / f"{command}-{name}.json"
+            argv = [command, *source, "--observable", str(tmp_path / f"{name}.txt"),
+                    "--exact-eigenvalues", "--out", str(out)]
+            assert cli.main(argv) == 0, (command, name)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], command
+
+
 def test_heisenberg_and_its_listing_write_the_same_reports(tmp_path):
     """recover, recover-general and mitigate write the same report bytes for
     the built-in chain on four qubits and for the file that lists its terms."""
@@ -1407,6 +1434,7 @@ def test_readme_file_formats_load(tmp_path):
     (tmp_path / "circuit.json").write_text(circuit)
     loaded = CliffordCircuit.load(tmp_path / "circuit.json")
     assert loaded.n == 2 and loaded.gates == (Gate("H", (0,)), Gate("CNOT", (0, 1)))
-    assert set(loaded.noise) == {"CNOT"}
+    assert set(loaded.noise) == {"H", "CNOT"}  # H names no noise: its identity channel
+    assert loaded.noise["H"].qubit_probs().tolist() == [[1.0, 0.0, 0.0, 0.0]]
     assert loaded.noise["CNOT"].qubit_probs().tolist() == [[0.92, 0.03, 0.03, 0.02],
                                                            [0.94, 0.02, 0.02, 0.02]]

@@ -177,6 +177,25 @@ def test_circuit_json_round_trip(tmp_path):
             exact_diagonal(circuit.noise[kind], strings).tolist(), abs=1e-12)
 
 
+def test_a_kind_without_noise_gets_the_identity_channel(tmp_path):
+    """A gate kind the file names no noise for is noiseless: the circuit
+    holds its identity channel, and a caller's noise dict gains no entry."""
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({
+        "n": 2,
+        "gates": [{"g": "H", "q": [0]}, {"g": "S", "q": [1]}, {"g": "CNOT", "q": [0, 1]}],
+        "noise": {"H": pauli_product([(0.9, 0.04, 0.03, 0.03)])},
+    }))
+    circuit = CliffordCircuit.load(path)
+    assert set(circuit.noise) == {"H", "S", "CNOT"}
+    for kind, arity in (("S", 1), ("CNOT", 2)):
+        identity = PauliChannel.identity(arity)
+        assert circuit.noise[kind].qubit_probs().tolist() == identity.qubit_probs().tolist()
+    noise = {"H": PauliChannel.identity(1)}
+    CliffordCircuit(2, (Gate("S", (0,)),), noise)
+    assert list(noise) == ["H"]
+
+
 def test_circuit_config_errors():
     with pytest.raises(ConfigError):
         CliffordCircuit.from_dict({"gates": []})  # missing n

@@ -207,10 +207,9 @@ def full_register_circuit(circuit, state, noisy):
     for gate in circuit.gates:
         u = gate_unitary(gate.kind, gate.qubits, n)
         rho = u @ rho @ u.conj().T
-        noise = circuit.noise.get(gate.kind)
-        if noisy and noise is not None:
+        if noisy:
             out = np.zeros_like(rho)
-            for q, prob in noise.terms().items():
+            for q, prob in circuit.noise[gate.kind].terms().items():
                 m = embed(q, n, gate.qubits).matrix()
                 out += prob * (m @ rho @ m)
             rho = out
@@ -300,7 +299,7 @@ def test_expectation_matches_dense_trace():
     state = DenseState.from_unit_vector(psi)
     for p in list(iter_all_paulis(4))[::7]:
         want = np.trace(p.matrix() @ state.rho).real
-        assert exact.expectation(p, psi) == pytest.approx(want, abs=1e-14)
+        assert exact.expectation(Observable(4, [(p, 1.0)]), psi) == pytest.approx(want, abs=1e-14)
 
 
 def test_expectation_gather_matches_dense_trace_for_observables_and_vectors():
@@ -309,14 +308,14 @@ def test_expectation_gather_matches_dense_trace_for_observables_and_vectors():
         psi = exact.haar_random_vector(n, rng)
         labels = [pauli_from_index(n, int(i)) for i in rng.integers(0, 4**n, 8)]
         obs = Observable(n, {p: float(rng.normal()) for p in labels})
-        signed = PauliString(n, labels[0].x, labels[0].z, -labels[0].sign)
+        signed = Observable(n, [("-" + labels[0].to_label(), 1.0)])
         for o in (obs, signed):
             want = np.vdot(psi, o.matrix() @ psi).real
             assert abs(exact.expectation(o, psi) - want) <= 1e-12
     with pytest.raises(ValueError, match="dimension"):
-        exact.expectation(P("ZZ"), exact.haar_random_vector(3, 1))
+        exact.expectation(Observable(2, [("ZZ", 1.0)]), exact.haar_random_vector(3, 1))
     with pytest.raises(ValueError, match="dimension"):
-        exact.expectation(P("ZZ"), exact.haar_random_vector(1, 1))
+        exact.expectation(Observable(2, [("ZZ", 1.0)]), exact.haar_random_vector(1, 1))
 
 
 def test_statevector_ideal_run_matches_dense_run_and_trace():
@@ -354,7 +353,7 @@ def test_batched_gather_matches_dense_traces(chunk, monkeypatch):
 @pytest.mark.parametrize("kind, table", list(CONJUGATION_TABLES.items()))
 def test_heisenberg_tables_from_unitaries_equal_the_signed_conjugation_tables(kind, table):
     arity = table[0].n
-    letters, factors = exact._heisenberg_table(kind, None)
+    letters, factors = exact._heisenberg_table(kind, PauliChannel.identity(arity))
     assert letters.shape == (arity, 4**arity)
     for before, after in zip(iter_all_paulis(arity), table):
         index = pauli_index(before)

@@ -25,6 +25,7 @@ from paulishadow.channels import (
     amplitude_damping_ptm,
     depolarizing_ptm,
 )
+from paulishadow.clifford import gate_arity
 from paulishadow.paulis import PauliString, enumerate_low_weight, iter_all_paulis, letter_codes
 from paulishadow.shadows import (
     estimate_eigenvalues,
@@ -244,7 +245,7 @@ def test_empty_stream_raises_on_either_side_of_the_cap(n):
 
 def test_gate_eigenvalues_from_records_equal_counts_and_brute_force():
     for kind in ("H", "S", "CNOT"):
-        stream = sample_gate_shadows(kind, None, 3000, seed=17)
+        stream = sample_gate_shadows(kind, PauliChannel.identity(gate_arity(kind)), 3000, seed=17)
         records = serial_records(stream)
         from_records = estimate_gate_eigenvalues(fixed_stream(records, 500), kind)
         from_stream = estimate_gate_eigenvalues(stream, kind)
@@ -288,7 +289,8 @@ def estimates_digest():
                 est = estimate_eigenvalues(source, basis)
                 digest.update(np.array([est[p] for p in basis]).tobytes())
                 digest.update(estimate_transfer_matrix(source, k).matrix.tobytes())
-    gates = [("H", None), ("S", PauliChannel.from_qubit_probs([(0.92, 0.02, 0.02, 0.04)])),
+    gates = [("H", PauliChannel.identity(1)),
+             ("S", PauliChannel.from_qubit_probs([(0.92, 0.02, 0.02, 0.04)])),
              ("CNOT", PauliChannel.from_terms(2, {"XX": 0.02, "ZI": 0.03, "IY": 0.01}))]
     for kind, noise in gates:
         stream = sample_gate_shadows(kind, noise, 3000, seed=17, block_size=700)

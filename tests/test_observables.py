@@ -30,6 +30,16 @@ def test_duplicate_terms_accumulate():
     assert obs.coefficient(P("Z")) == pytest.approx(0.15)
 
 
+def test_terms_that_sum_to_zero_are_dropped():
+    assert list(Observable(2, [("XX", 0.5), ("XX", -0.5), ("ZI", 1.0)]).terms()) == [P("ZI")]
+    obs = Observable(3, [("YZI", 0.2), ("XXX", 0.0), ("IIZ", 0.3), ("-XII", 0.0), ("ZII", 0.1)])
+    assert list(obs.terms()) == [P("YZI"), P("IIZ"), P("ZII")]  # the others' order is kept
+    assert obs.locality == 2
+    assert Observable(2, [("ZZ", 0.0)]).terms() == {}
+    with pytest.raises(ValueError, match="non-finite"):
+        Observable(1, [("Z", 1.0), ("Z", math.inf), ("Z", -math.inf)])
+
+
 def test_qubit_count_mismatch():
     with pytest.raises(ValueError):
         Observable(2, {P("X"): 1.0})

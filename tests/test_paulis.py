@@ -47,8 +47,8 @@ def test_identity_and_weight():
 def test_from_letters_matches_label():
     p = PauliString.from_letters(4, {0: "X", 3: "Z"})
     assert str(p) == "XIIZ"
-    q = PauliString.from_letters(2, {1: "Y"}, sign=-1)
-    assert str(q) == "-IY"
+    q = PauliString.from_label("-IY")
+    assert str(q) == "-IY" and q.unsigned() == PauliString.from_letters(2, {1: "Y"})
     with pytest.raises(ValueError):
         PauliString.from_letters(2, {5: "X"})
 

@@ -31,7 +31,7 @@ from paulishadow.channels import (
     exact_transfer_matrix,
     reference_product_channel,
 )
-from paulishadow.clifford import CliffordCircuit, exact_gate_estimates
+from paulishadow.clifford import CliffordCircuit, exact_gate_estimates, gate_arity
 from paulishadow.observables import heisenberg_observable
 from paulishadow.paulis import PauliString, enumerate_low_weight
 from paulishadow.shadows import (
@@ -227,7 +227,8 @@ def golden_records(case):
     if source in GOLDEN_CHANNELS:
         return iter_channel_shadow_blocks(GOLDEN_CHANNELS[source](), count, 7, block_size).records()
     source, variant = source.split("-")
-    noise = GOLDEN_GATE_NOISE[source]() if variant == "noisy" else None
+    noise = (GOLDEN_GATE_NOISE[source]() if variant == "noisy"
+             else PauliChannel.identity(gate_arity(source)))
     return sample_gate_shadows(source, noise, count, 11, block_size).records()
 
 
@@ -727,7 +728,16 @@ def test_strings_of_another_width_are_rejected():
                     estimate_eigenvalues(source, [P("Z" * n), p])
     # A CNOT's table on an H stream: two-qubit strings against one qubit.
     with pytest.raises(ValueError, match="has 2 qubits, expected 1"):
-        estimate_gate_eigenvalues(undrawable(sample_gate_shadows("H", None, 500, seed=1)), "CNOT")
+        estimate_gate_eigenvalues(undrawable(sample_gate_shadows("H", PauliChannel.identity(1), 500,
+                                                                 seed=1)), "CNOT")
+
+
+def test_a_read_of_no_pairs_draws_nothing():
+    # An identity-only observable reads no pair, at either side of the
+    # joint histogram's cap.
+    for n in (2, 6):
+        stream = iter_channel_shadow_blocks(PauliChannel.identity(n), 500, seed=1)
+        assert estimate_eigenvalues(undrawable(stream), []) == {}
 
 
 def test_per_record_values_in_allowed_set():
@@ -1042,8 +1052,6 @@ def test_plan_sample_size_validation():
 def gate_estimator_expectation(kind, noise, p):
     """Exact E[lambda_hat_P] by enumerating every (input, basis, outcome)
     configuration with dense-oracle probabilities."""
-    from paulishadow.clifford import gate_arity
-
     g = gate_arity(kind)
     unitary = gate_unitary(kind, tuple(range(g)), g)
     total = 0.0
@@ -1051,9 +1059,7 @@ def gate_estimator_expectation(kind, noise, p):
         axes = [d // 2 for d in s_digits]
         signs = [1 - 2 * (d % 2) for d in s_digits]
         rho = product_eigenstate(axes, signs).rho
-        rho = unitary @ rho @ unitary.conj().T
-        if noise is not None:
-            rho = apply_to_operator(noise, rho)
+        rho = apply_to_operator(noise, unitary @ rho @ unitary.conj().T)
         state = DenseState(g, rho)
         for basis in itertools.product(range(3), repeat=g):
             probs = basis_outcome_probabilities(state, basis)
@@ -1068,8 +1074,6 @@ def gate_estimator_expectation(kind, noise, p):
 def gate_outcome_cdfs_per_state(kind, noise):
     """(6^g, 3^g, 2^g) outcome CDFs built one input state and one basis at a
     time: the reference for the sampler's batched table."""
-    from paulishadow.clifford import gate_arity
-
     g = gate_arity(kind)
     unitary = gate_unitary(kind, tuple(range(g)), g)
     cdfs = np.empty((6**g, 3**g, 2**g))
@@ -1077,9 +1081,7 @@ def gate_outcome_cdfs_per_state(kind, noise):
         axes = [d // 2 for d in s_digits]
         signs = [1 - 2 * (d % 2) for d in s_digits]
         rho = product_eigenstate(axes, signs).rho
-        rho = unitary @ rho @ unitary.conj().T
-        if noise is not None:
-            rho = apply_to_operator(noise, rho)
+        rho = apply_to_operator(noise, unitary @ rho @ unitary.conj().T)
         state = DenseState(g, rho)
         for b_idx, basis in enumerate(itertools.product(range(3), repeat=g)):
             cdf = np.cumsum(basis_outcome_probabilities(state, basis))
@@ -1091,7 +1093,8 @@ def gate_outcome_cdfs_per_state(kind, noise):
 def test_gate_outcome_cdfs_match_per_state_reference():
     product = PauliChannel.from_qubit_probs([(0.8, 0.1, 0.06, 0.04), (0.85, 0.05, 0.04, 0.06)])
     sparse = PauliChannel.from_terms(2, {"XX": 0.05, "ZI": 0.03, "YZ": 0.02})
-    cases = [("H", None), ("S", None), ("CNOT", None), ("CNOT", product), ("CNOT", sparse)]
+    cases = [(kind, PauliChannel.identity(gate_arity(kind))) for kind in ("H", "S", "CNOT")]
+    cases += [("CNOT", product), ("CNOT", sparse)]
     cases += [(kind, PauliChannel.from_qubit_probs([(0.7, 0.2, 0.06, 0.04)])) for kind in "HS"]
     for kind, noise in cases:
         g = 2 if kind == "CNOT" else 1
@@ -1122,7 +1125,8 @@ def test_gate_estimator_unbiased_cnot():
 
 
 def test_noiseless_gate_estimates_are_one():
-    est = estimate_gate_eigenvalues(sample_gate_shadows("H", None, 40_000, seed=3), "H")
+    noiseless = sample_gate_shadows("H", PauliChannel.identity(1), 40_000, seed=3)
+    est = estimate_gate_eigenvalues(noiseless, "H")
     for letter in "XYZ":
         assert est[P(letter)] == pytest.approx(1.0, abs=0.05)
 
@@ -1134,7 +1138,8 @@ def test_gate_estimates_key_every_local_string_as_the_oracle_does():
              "CNOT": PauliChannel.from_terms(2, {"XX": 0.02, "ZI": 0.03})}
     for kind, qubits in (("H", [0]), ("S", [0]), ("CNOT", [0, 1])):
         circuit = CliffordCircuit(len(qubits), ((kind, qubits),), noise)
-        est = estimate_gate_eigenvalues(sample_gate_shadows(kind, noise.get(kind), 700, 9), kind)
+        stream = sample_gate_shadows(kind, circuit.noise[kind], 700, 9)
+        est = estimate_gate_eigenvalues(stream, kind)
         oracle = exact_gate_estimates(circuit)[kind]
         assert list(est) == list(oracle) and len(est) == 4 ** len(qubits)
         assert est[PauliString.identity(len(qubits))] == 1.0
@@ -1159,8 +1164,9 @@ def test_cnot_gate_shadows_converge():
 
 
 def test_gate_shadow_record_shape_and_determinism():
-    stream = sample_gate_shadows("CNOT", None, 500, seed=5)
-    r1, r2 = stream.records(), sample_gate_shadows("CNOT", None, 500, seed=5).records()
+    noiseless = PauliChannel.identity(2)
+    stream = sample_gate_shadows("CNOT", noiseless, 500, seed=5)
+    r1, r2 = stream.records(), sample_gate_shadows("CNOT", noiseless, 500, seed=5).records()
     assert r1.shape == (500, 2)
     np.testing.assert_array_equal(r1, r2)
     with pytest.raises(ValueError):
@@ -1189,7 +1195,7 @@ def test_block_size_below_one_is_rejected(block_size):
     # A size of 0 divided by zero and a negative one returned empty rows.
     streams = [
         lambda: iter_channel_shadow_blocks(PauliChannel.identity(1), 10, 1, block_size=block_size),
-        lambda: sample_gate_shadows("H", None, 10, 1, block_size=block_size),
+        lambda: sample_gate_shadows("H", PauliChannel.identity(1), 10, 1, block_size=block_size),
     ]
     for stream in streams:
         with pytest.raises(ValueError, match="block size must be >= 1"):
@@ -1204,7 +1210,8 @@ def check_gate_streams_reduce_like_records(counts_of, hist_of):
     drawn in order on the calling thread."""
     noise = PauliChannel.from_terms(2, {"XX": 0.05, "ZI": 0.03, "YZ": 0.02})
     sizes = [*STREAM_SIZES, (1000, 20_000), (4096, 20_000), (1000, 1000), (4096, 300)]
-    for kind, chan in (("H", None), ("S", None), ("CNOT", noise)):
+    noiseless = PauliChannel.identity(1)
+    for kind, chan in (("H", noiseless), ("S", noiseless), ("CNOT", noise)):
         g = 2 if kind == "CNOT" else 1
         for block_size, count in sizes:
             stream = sample_gate_shadows(kind, chan, count, 12, block_size)
